@@ -129,7 +129,6 @@ def test_bench_ingest_block_size_sweep(benchmark, context, block_size):
         return StreamConfig(
             window=WindowSpec(size=3600),
             shards=4,
-            representation="columnar",
             ingest_block_size=block_size,
         )
 

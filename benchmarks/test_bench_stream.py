@@ -3,13 +3,9 @@
 Measures what a live deployment cares about:
 
 * sustained ingest throughput (events/sec) over a steady-state synthetic
-  feed, measured for both tuple representations — the acceptance floor is
-  150k events/sec (raised from 75k when block ingest landed), overridable
-  via the ``REPRO_BENCH_MIN_STREAM_EPS`` environment variable (0 disables).
-  The floor gates the columnar deployment hot path; the object
-  representation is the deliberately simple pure-Python conformance oracle
-  whose recount kernels are its algorithmic cost, so it gates at
-  :data:`OBJECT_ORACLE_FRACTION` of the floor;
+  feed — the acceptance floor is 150k events/sec (raised from 75k when
+  block ingest landed), overridable via the ``REPRO_BENCH_MIN_STREAM_EPS``
+  environment variable (0 disables);
 * steady-state memory: once the unique-tuple set is warm, re-announcements
   must not grow engine state;
 * the cost of a window flush on a warm engine (the incremental delta path)
@@ -26,14 +22,8 @@ import pytest
 from repro.core.column import ColumnInference
 from repro.stream import MemorySource, ScenarioSource, StreamConfig, StreamEngine, WindowSpec
 
-#: Acceptance floor for sustained ingest throughput on the columnar hot path.
+#: Acceptance floor for sustained ingest throughput.
 MIN_EVENTS_PER_SEC = float(os.environ.get("REPRO_BENCH_MIN_STREAM_EPS", "150000"))
-
-#: The object representation is the pure-Python reference oracle; its window
-#: recount kernels are an intentional algorithmic cost that block ingest does
-#: not (and should not) vectorise away, so it gates at this fraction of the
-#: hot-path floor.
-OBJECT_ORACLE_FRACTION = 0.6
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +34,9 @@ def stream_events(context):
 
 
 @pytest.mark.benchmark(group="stream")
-@pytest.mark.parametrize("representation", ["object", "columnar"])
-def test_bench_stream_ingest_throughput(benchmark, stream_events, representation):
+def test_bench_stream_ingest_throughput(benchmark, stream_events):
     def drain():
-        engine = StreamEngine(
-            StreamConfig(
-                window=WindowSpec(size=3600), shards=4, representation=representation
-            )
-        )
+        engine = StreamEngine(StreamConfig(window=WindowSpec(size=3600), shards=4))
         engine.run(MemorySource(stream_events))
         return engine
 
@@ -70,14 +55,10 @@ def test_bench_stream_ingest_throughput(benchmark, stream_events, representation
     )
     benchmark.extra_info["events"] = len(stream_events)
     benchmark.extra_info["unique_tuples"] = engine.unique_tuples
-    benchmark.extra_info["representation"] = representation
-    floor = MIN_EVENTS_PER_SEC * (
-        OBJECT_ORACLE_FRACTION if representation == "object" else 1.0
-    )
-    if floor:
-        assert events_per_sec >= floor, (
-            f"sustained {representation} throughput {events_per_sec:,.0f} events/sec "
-            f"is below the {floor:,.0f} floor "
+    if MIN_EVENTS_PER_SEC:
+        assert events_per_sec >= MIN_EVENTS_PER_SEC, (
+            f"sustained throughput {events_per_sec:,.0f} events/sec "
+            f"is below the {MIN_EVENTS_PER_SEC:,.0f} floor "
             f"(override via REPRO_BENCH_MIN_STREAM_EPS)"
         )
 

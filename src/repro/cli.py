@@ -62,7 +62,7 @@ def _publish_batch(args: argparse.Namespace, result, events_total: int, unique_t
     if not getattr(args, "store", None):
         return
     from repro.service import publish_result
-    from repro.service.store import open_store
+    from repro.service.backends import open_store
 
     with open_store(args.store) as store:
         snapshot_id = publish_result(
@@ -177,7 +177,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 algorithm=args.algorithm,
                 thresholds=Thresholds.uniform(args.threshold),
                 checkpoint_every=args.checkpoint_every,
-                representation=args.representation,
                 ingest_block_size=args.ingest_block_size,
             )
             if workers > 1:
@@ -691,12 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--format", choices=("text", "json"), default="text")
     stream.add_argument("--threshold", type=float, default=0.99)
     stream.add_argument("--algorithm", choices=("column", "row"), default="column")
-    stream.add_argument(
-        "--representation",
-        choices=("object", "columnar"),
-        default="object",
-        help="internal data layout (columnar requires --workers 1)",
-    )
     stream.add_argument(
         "--window", type=int, default=3600, help="window size in seconds of event time"
     )

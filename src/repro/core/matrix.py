@@ -1,35 +1,25 @@
 """Vectorised (numpy) twins of the packed counting kernels.
 
 The pure-Python packed kernels in :mod:`repro.core.column` and
-:mod:`repro.core.row` walk one counting group at a time.  When numpy is
-available the same sums can be computed bucket-wise: groups are split by
-path length into dense ``(n, L)`` index matrices once, and every phase
-reduces whole buckets with boolean masks and ``bincount`` instead of a
-Python loop per group.  All arithmetic stays in integers (the ``bincount``
+:mod:`repro.core.row` walk one counting group at a time.  The same sums
+can be computed bucket-wise: groups are split by path length into dense
+``(n, L)`` index matrices once, and every phase reduces whole buckets with
+boolean masks and ``bincount`` instead of a Python loop per group.  All arithmetic stays in integers (the ``bincount``
 weights are integer-valued float64, exact far beyond any realistic event
 count), so the deltas are *identical* to the scalar kernels — the
 conformance suites run with this path active.
 
-numpy is optional.  When it is missing every entry point in this module
-keeps working in the degenerate sense (``HAVE_NUMPY`` is ``False`` and the
-callers fall back to the scalar kernels), so nothing here may be imported
-for effect.
-
 Groups whose path is longer than :data:`MAX_MATRIX_LENGTH` cannot have
 their hits bitmask represented in an ``int64`` and are kept aside in
-:attr:`GroupMatrix.overflow` for the scalar kernels.
+:attr:`GroupMatrix.overflow` for the scalar kernels, which also serve
+inputs below :data:`MIN_MATRIX_GROUPS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every columnar test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 #: Longest path representable as an int64 hits bitmask (sign bit spared).
 MAX_MATRIX_LENGTH = 62
@@ -48,10 +38,8 @@ class GroupList(list):
 
     __slots__ = ("_matrix",)
 
-    def matrix(self) -> Optional["GroupMatrix"]:
-        """The cached matrix form, or ``None`` when numpy is unavailable."""
-        if not HAVE_NUMPY:
-            return None
+    def matrix(self) -> "GroupMatrix":
+        """The cached matrix form (built on first use)."""
         matrix = getattr(self, "_matrix", None)
         if matrix is None:
             matrix = self._matrix = GroupMatrix(self)
@@ -69,9 +57,7 @@ class GroupList(list):
         matrix = getattr(self, "_matrix", None)
         self.extend(other)
         if matrix is not None:
-            extra = other.matrix()
-            if extra is not None:
-                matrix.extend(extra)
+            matrix.extend(other.matrix())
 
     def __reduce__(self):
         return (GroupList, (list(self),))

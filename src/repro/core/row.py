@@ -138,11 +138,10 @@ def count_row_phase_packed(groups: Sequence[CountingGroup]) -> Dict[int, List[in
     matrix_of = getattr(groups, "matrix", None)
     if matrix_of is not None and len(groups) >= _matrix.MIN_MATRIX_GROUPS:
         matrix = matrix_of()
-        if matrix is not None:
-            delta = _matrix.count_row_matrix(matrix)
-            for row, hits, count in matrix.overflow:
-                row_group_delta_packed(row, hits, count, delta)
-            return delta
+        delta = _matrix.count_row_matrix(matrix)
+        for row, hits, count in matrix.overflow:
+            row_group_delta_packed(row, hits, count, delta)
+        return delta
     delta: Dict[int, List[int]] = {}
     for row, hits, count in groups:
         row_group_delta_packed(row, hits, count, delta)

@@ -57,7 +57,7 @@ def parallel_unique_tuples(
         for batch in iter_chunks(enumerate(observations), batch_size):
             for seq, _shard, outcome in pool.process_batch(batch):
                 if outcome is not None and outcome[1] is not None:
-                    indexed.append((seq, outcome[1]))
+                    indexed.append((seq, PathCommTuple(*outcome[1])))
         stats = pool.sanitation_stats()
     indexed.sort(key=lambda item: item[0])
     return [item[1] for item in indexed], stats

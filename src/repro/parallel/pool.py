@@ -25,18 +25,18 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.sanitize.filters import SanitationConfig, SanitationStats
-from repro.stream.sharding import ShardWorker, shard_of
+from repro.stream.sharding import Outcome, ShardWorker, shard_of
 
 #: One scatter item: global sequence number, owning shard, observation.
 WorkItem = Tuple[int, int, RouteObservation]
 
 #: One gather item: sequence number, owning shard, and the shard worker's
-#: outcome (``None`` = dropped, else ``(key, new_tuple_or_None)``).
-WorkResult = Tuple[int, int, Optional[Tuple[Tuple, Optional[PathCommTuple]]]]
+#: outcome, keyed on the sanitized ``(path, comm)`` pair (no shared table).
+WorkResult = Tuple[int, int, Outcome]
 
 
 def _worker_loop(conn, shard_ids, asn_registry, prefix_allocation, sanitation) -> None:

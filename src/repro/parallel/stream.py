@@ -11,6 +11,12 @@ the block is split and everything before the crossing event is drained
 drained final classification — is identical to the synchronous engine's,
 event for event.
 
+The pool's processes cannot share the engine's intern table, so they
+deduplicate on sanitized ``(path, comm)`` pairs and the translation happens
+at the process boundary only: gathered keys are interned into the parent's
+:class:`~repro.core.tuples.TupleTable` before they are absorbed, and refs
+turn back into pairs on the way out (eviction, state hand-off).
+
 The one intentional divergence: ``checkpoint_every`` auto-checkpoints are
 deferred to the next batch boundary, where the pool state and the classifier
 state are mutually consistent.
@@ -18,7 +24,7 @@ state are mutually consistent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bgp.announcement import RouteObservation
 from repro.core.results import ClassificationResult
@@ -43,15 +49,6 @@ class ParallelStreamEngine(StreamEngine):
         **kwargs,
     ) -> None:
         super().__init__(config, **kwargs)
-        if self._table is not None:
-            # The pool's worker processes sanitize against their own address
-            # spaces; a shared intern table would need cross-process id
-            # coordination.  Columnar streaming is the synchronous engine's
-            # fast path; the parallel engine ships object tuples.
-            raise ValueError(
-                "ParallelStreamEngine supports representation='object' only; "
-                "use StreamEngine for the columnar hot path"
-            )
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if batch_size < 1:
@@ -82,7 +79,12 @@ class ParallelStreamEngine(StreamEngine):
         self._pool = pool
         try:
             # Hand any restored shard state to the processes.
-            pool.load_state_dicts([worker.state_dict() for worker in self.router.workers])
+            pool.load_state_dicts(
+                [
+                    {**state, "seen": set(self._pairs(state["seen"]))}
+                    for state in (worker.state_dict() for worker in self.router.workers)
+                ]
+            )
             # One scatter/gather round-trip per event block.  The clock
             # advances block-at-a-time exactly like the synchronous engine;
             # a window cut splits the block so everything before the
@@ -99,10 +101,11 @@ class ParallelStreamEngine(StreamEngine):
                     self._flush(closed)
                     start = position
                 self._drain(block[start:] if start else block)
+            # Sync *after* the final flush: its sliding eviction reaches the
+            # pool only, and the mirror is what checkpoints persist.
+            result = self.finish() if finish else self.result()
             self._sync_router_state()
-            if finish:
-                return self.finish()
-            return self.result()
+            return result
         finally:
             self._pool = None
             pool.close()
@@ -112,21 +115,34 @@ class ParallelStreamEngine(StreamEngine):
         if not batch:
             return
         results = self._pool.process_batch(list(enumerate(batch)))
+        intern = self._table.intern
         for seq, shard_id, outcome in results:
+            if outcome is not None:
+                key = intern(*outcome[0])
+                outcome = (key, None if outcome[1] is None else key)
             self._absorb(batch[seq].timestamp, shard_id, outcome)
         if self._checkpoint_pending:
             self._checkpoint_pending = False
             self.checkpoint()
 
     # -- state plumbing -----------------------------------------------------------------
+    def _pairs(self, refs: Iterable[TupleKey]) -> List[Tuple]:
+        """The ``(path, comm)`` pairs behind interned *refs* (the pool's keys)."""
+        path_of, comm_of = self._table.path_of, self._table.comm_of
+        return [(path_of(path_id), comm_of(comm_id)) for path_id, comm_id in refs]
+
     def _sync_router_state(self) -> None:
         """Mirror the fleet's shard state into the in-process router."""
+        intern = self._table.intern
         for worker, state in zip(self.router.workers, self._pool.state_dicts()):
+            state["seen"] = {intern(path, comm) for path, comm in state["seen"]}
             worker.load_state_dict(state)
 
     def _router_evict(self, by_shard: Dict[int, List[TupleKey]]) -> None:
         if self._pool is not None:
-            self._pool.evict(by_shard)
+            self._pool.evict(
+                {shard_id: self._pairs(keys) for shard_id, keys in by_shard.items()}
+            )
         else:
             super()._router_evict(by_shard)
 

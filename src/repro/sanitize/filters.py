@@ -315,9 +315,9 @@ class TupleDeduper:
 
     The streaming engine keeps one deduper per shard so that replaying an
     archive yields exactly the unique tuples the batch pipeline would see.
-    Keys are ``(path, comm)`` object pairs by default; the columnar engine
-    dedupes on interned ``(path_id, comm_id)`` id pairs through
-    :meth:`add_key` instead — any hashable key works.
+    :meth:`add` keys on ``(path, comm)`` object pairs; the engine's shard
+    workers fill the seen-set with interned ``(path_id, comm_id)`` id pairs
+    in their block loops instead — any hashable key works.
     """
 
     __slots__ = ("_seen",)
@@ -338,13 +338,6 @@ class TupleDeduper:
             return None
         self._seen.add(key)
         return PathCommTuple(observation.path, observation.communities)
-
-    def add_key(self, key: Tuple) -> bool:
-        """Record an arbitrary hashable key; ``True`` when it was new."""
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        return True
 
     def discard(self, keys: Iterable[Tuple]) -> int:
         """Forget *keys* (window eviction); returns how many were present."""

@@ -56,13 +56,19 @@ latest`` on the CLI, or :func:`attach_store` +
 """
 
 from repro.service.backends import (
+    SCHEMA_VERSION,
+    ASHistoryEntry,
     FencedWriterError,
     MemoryBackend,
     SnapshotArchive,
     SnapshotBackend,
+    SnapshotStore,
+    StoredSnapshot,
+    StoreError,
     TieredBackend,
     open_store,
     parse_store_url,
+    snapshot_payload,
 )
 from repro.service.client import (
     AuthError,
@@ -94,14 +100,6 @@ from repro.service.server import (
     ClassificationService,
     LRUCache,
     ServiceStats,
-)
-from repro.service.store import (
-    SCHEMA_VERSION,
-    ASHistoryEntry,
-    SnapshotStore,
-    StoreError,
-    StoredSnapshot,
-    snapshot_payload,
 )
 from repro.service.workers import (
     MultiWorkerServer,

@@ -15,8 +15,8 @@ from repro.stream.engine import (
     WindowSnapshot,
 )
 from repro.stream.incremental import (
-    IncrementalColumnClassifier,
-    IncrementalRowClassifier,
+    ColumnarColumnClassifier,
+    ColumnarRowClassifier,
     IncrementalStats,
 )
 from repro.stream.sharding import ShardRouter, ShardWorker, shard_of
@@ -34,9 +34,9 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "ClosedWindow",
+    "ColumnarColumnClassifier",
+    "ColumnarRowClassifier",
     "DEFAULT_INGEST_BLOCK_SIZE",
-    "IncrementalColumnClassifier",
-    "IncrementalRowClassifier",
     "IncrementalStats",
     "MemorySource",
     "MRTReplaySource",

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 #: Bump when the engine state layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _FILENAME_RE = re.compile(r"^stream-ckpt-(\d{8})\.pkl$")
 
@@ -104,7 +104,9 @@ class CheckpointManager:
         try:
             with open(target, "rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError) as error:
+        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
+            # Attribute/ImportError: the file names classes this version no
+            # longer has (the payload unpickles before its version is read).
             raise CheckpointError(f"cannot read checkpoint {target}: {error}") from error
         version = payload.get("version") if isinstance(payload, dict) else None
         if version != CHECKPOINT_VERSION:

@@ -23,13 +23,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import RouteObservation
 from repro.bgp.asn import ASN, ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
-from repro.core.column import REPRESENTATIONS
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
-from repro.core.tuples import TupleTable
+from repro.core.tuples import TupleRef, TupleTable
 from repro.sanitize.filters import SanitationConfig, SanitationStats
 from repro.stream.checkpoint import CheckpointManager
 from repro.stream.incremental import classifier_from_state, make_classifier
@@ -62,11 +61,6 @@ class StreamConfig:
     checkpoint_every: Optional[int] = None
     #: Window snapshots retained in memory.
     max_snapshots: int = 64
-    #: Internal data layout: ``"object"`` keeps ``(path, comm)`` objects end
-    #: to end; ``"columnar"`` interns them into a shared
-    #: :class:`~repro.core.tuples.TupleTable` and counts over packed arrays.
-    #: The classification is identical either way.
-    representation: str = "object"
     #: Events per ingest block when :meth:`StreamEngine.run` drives a source.
     #: Blocks straddling a window cut are split at the cut, so block size
     #: never changes window boundaries or snapshot contents.
@@ -75,8 +69,6 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ("column", "row"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {self.representation!r}")
         if self.shards < 1:
             raise ValueError(f"need at least one shard, got {self.shards}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
@@ -140,8 +132,9 @@ class WindowSnapshot:
         }
 
 
-#: Key identifying a unique ``(path, comm)`` tuple inside the engine.
-TupleKey = Tuple
+#: Key identifying a unique ``(path, comm)`` tuple inside the engine: its
+#: interned ref into the engine's shared :class:`TupleTable`.
+TupleKey = TupleRef
 
 
 class StreamEngine:
@@ -175,11 +168,9 @@ class StreamEngine:
         self.snapshots: List[WindowSnapshot] = []
         self._asn_registry = asn_registry
         self._prefix_allocation = prefix_allocation
-        # Old checkpoints predate the representation field; default them.
-        representation = getattr(self.config, "representation", "object")
-        self._table: Optional[TupleTable] = (
-            TupleTable() if representation == "columnar" else None
-        )
+        #: The intern table shared by the shard workers (dedup keys), the
+        #: classifier (counting groups) and the retention map.
+        self._table = TupleTable()
         self.router = ShardRouter(
             self.config.shards,
             asn_registry=asn_registry,
@@ -192,7 +183,6 @@ class StreamEngine:
             self.config.algorithm,
             self.config.thresholds,
             max_columns=self.config.max_columns,
-            representation=representation,
             table=self._table,
         )
         self._last_codes: Dict[ASN, str] = {}
@@ -323,7 +313,7 @@ class StreamEngine:
         self,
         timestamp: int,
         shard_id: int,
-        outcome: Optional[Tuple[TupleKey, Optional[PathCommTuple]]],
+        outcome: Optional[Tuple[TupleKey, Optional[TupleKey]]],
     ) -> None:
         """Fold one shard-worker sanitation outcome into the engine state.
 
@@ -340,10 +330,7 @@ class StreamEngine:
                 if previous is None or timestamp > previous[0]:
                     self._last_seen[key] = (timestamp, shard_id)
             if new_tuple is not None:
-                if self._table is not None:
-                    self.classifier.add_ref(new_tuple)
-                else:
-                    self.classifier.add_tuple(new_tuple)
+                self.classifier.add_ref(new_tuple)
         self._events_since_checkpoint += 1
         if (
             self.checkpoints is not None
@@ -363,10 +350,7 @@ class StreamEngine:
         """
         if self.config.window.policy is WindowPolicy.SLIDING:
             outcomes = self.router.process_block(span)
-            if self._table is not None:
-                add = self.classifier.add_ref
-            else:
-                add = self.classifier.add_tuple
+            add = self.classifier.add_ref
             last_seen = self._last_seen
             shards = len(self.router)
             for observation, outcome in zip(span, outcomes):
@@ -382,14 +366,9 @@ class StreamEngine:
                     if new_tuple is not None:
                         add(new_tuple)
         else:
-            news = self.router.process_block_new(span)
-            if news:
-                if self._table is not None:
-                    add = self.classifier.add_ref
-                else:
-                    add = self.classifier.add_key
-                for key in news:
-                    add(key)
+            add = self.classifier.add_ref
+            for key in self.router.process_block_new(span):
+                add(key)
         self.stats.events_in += len(span)
         self._events_since_checkpoint += len(span)
 
@@ -407,8 +386,7 @@ class StreamEngine:
         comes from :attr:`StreamConfig.ingest_block_size` and never changes
         the result (window cuts split blocks; see :meth:`ingest_block`).
         """
-        block_size = getattr(self.config, "ingest_block_size", DEFAULT_INGEST_BLOCK_SIZE)
-        for block in iter_event_blocks(source, block_size):
+        for block in iter_event_blocks(source, self.config.ingest_block_size):
             self.ingest_block(block)
         if finish:
             return self.finish()
@@ -438,17 +416,7 @@ class StreamEngine:
             _, shard_id = self._last_seen.pop(key)
             by_shard.setdefault(shard_id, []).append(key)
         self._router_evict(by_shard)
-        if self._table is not None:
-            # Columnar mode: keys already are interned refs.
-            self.classifier.evict_refs(expired, list(self._last_seen))
-        else:
-            evicted_tuples = [
-                PathCommTuple(path, communities) for path, communities in expired
-            ]
-            remaining = [
-                PathCommTuple(path, communities) for path, communities in self._last_seen
-            ]
-            self.classifier.evict(evicted_tuples, remaining)
+        self.classifier.evict_refs(expired, list(self._last_seen))
         self.stats.tuples_evicted += len(expired)
 
     def _router_evict(self, by_shard: Dict[int, List[TupleKey]]) -> None:
@@ -485,9 +453,9 @@ class StreamEngine:
             "config": self.config,
             "asn_registry": self._asn_registry,
             "prefix_allocation": self._prefix_allocation,
-            # Columnar mode: the shared intern table the classifier state and
-            # dedup/retention keys refer into.  ``None`` in object mode.
-            "table": self._table.state_dict() if self._table is not None else None,
+            # The shared intern table the classifier state and the
+            # dedup/retention keys refer into.
+            "table": self._table.state_dict(),
             "router": self.router.state_dict(),
             "clock": self.clock.state_dict(),
             "classifier": self.classifier.state_dict(),
@@ -508,37 +476,17 @@ class StreamEngine:
         # would filter differently than the one that wrote the checkpoint.
         self._asn_registry = state.get("asn_registry")
         self._prefix_allocation = state.get("prefix_allocation")
-        # If the checkpoint's representation differs from how this engine was
-        # constructed, rebuild the table + router to match before restoring.
-        representation = getattr(self.config, "representation", "object")
-        if (representation == "columnar") != (self._table is not None):
-            self._table = TupleTable() if representation == "columnar" else None
-            self.router = ShardRouter(
-                self.config.shards,
-                asn_registry=self._asn_registry,
-                prefix_allocation=self._prefix_allocation,
-                sanitation=self.config.sanitation,
-                table=self._table,
-            )
         # The table loads in place *first*: router dedup keys and the
         # classifier state restored below refer into it, and every holder
         # (workers, classifier) shares this one object.
-        if self._table is not None:
-            self._table.load_state(state["table"])
+        self._table.load_state(state["table"])
         for worker in self.router.workers:
             worker.sanitizer.asn_registry = self._asn_registry
             worker.sanitizer.prefix_allocation = self._prefix_allocation
         self.router.load_state_dict(state["router"])
         self.clock = WindowClock.from_state(state["clock"])
-        self.classifier = classifier_from_state(state["classifier"], table=self._table)
-        stats = state["stats"]
-        # Checkpoints written before block-oriented ingest lack the block
-        # counters; default them so a resumed engine keeps counting.
-        if not hasattr(stats, "blocks_in"):
-            stats.blocks_in = 0
-        if not hasattr(stats, "block_size_buckets"):
-            stats.block_size_buckets = [0] * (len(INGEST_BLOCK_BUCKETS) + 1)
-        self.stats = stats
+        self.classifier = classifier_from_state(state["classifier"], self._table)
+        self.stats = state["stats"]
         self._last_codes = dict(state["last_codes"])
         self._last_seen = dict(state["last_seen"])
         self._events_since_checkpoint = 0

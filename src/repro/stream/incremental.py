@@ -7,8 +7,14 @@ enough per-phase state to fold newly arrived tuples into an existing
 classification and only fall back to recounting when the *knowledge* the
 algorithm relies on actually changed.
 
+Tuples are interned ``(path_id, comm_id)`` refs into the engine's shared
+:class:`~repro.core.tuples.TupleTable` and counting runs the packed kernels
+over ``(row, hits, multiplicity)`` groups; the batch object-tuple
+:class:`~repro.core.column.ColumnInference` / :class:`~repro.core.row.RowInference`
+are the oracle the stream tests compare against.
+
 The key observation (see :mod:`repro.core.column`) is that every counting
-phase is a pure function of ``(tuple set, DecisionView)``:
+phase is a pure function of ``(tuple set, decision flags)``:
 
 * if the decision view of a phase is **unchanged** since the last update,
   all previously counted tuples contribute exactly the same deltas, so only
@@ -28,24 +34,19 @@ retracted* with exact per-tuple deltas (no recounts, ever).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
 from repro.core.column import (
     ColumnInferenceReport,
-    PhaseDelta,
-    PreparedTuple,
-    count_forwarding_phase,
     count_forwarding_phase_packed,
-    count_tagging_phase,
     count_tagging_phase_packed,
     merge_phase_delta,
-    prepare_tuple,
 )
-from repro.core.counters import CounterStore, DecisionView, PackedCounterStore
+from repro.core.counters import CounterStore, PackedCounterStore
 from repro.core.results import ClassificationResult
-from repro.core.row import row_group_delta_packed, row_tuple_delta
+from repro.core.row import row_group_delta_packed
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import (
     CountingGroup,
@@ -55,20 +56,6 @@ from repro.core.tuples import (
     materialize_groups,
     merge_group_counts,
 )
-
-
-@dataclass
-class PhaseRecord:
-    """Memoised outcome of one counting phase (one column, one pass).
-
-    ``delta`` holds the summed per-AS contributions of *all* tuples counted
-    under ``decisions``; ``increments`` is the total number of counter
-    increments (the stall signal of the column loop).
-    """
-
-    decisions: DecisionView
-    delta: PhaseDelta
-    increments: int
 
 
 @dataclass
@@ -95,323 +82,13 @@ class IncrementalStats:
         }
 
 
-class IncrementalColumnClassifier:
-    """Maintains a column-inference classification under tuple arrivals.
-
-    Usage: :meth:`add_tuple` newly deduplicated tuples as they arrive, then
-    :meth:`update` at every window boundary to obtain a
-    :class:`ClassificationResult` identical to a batch
-    :class:`~repro.core.column.ColumnInference` run over all tuples so far.
-    """
-
-    algorithm = "column"
-    representation = "object"
-
-    def __init__(
-        self,
-        thresholds: Optional[Thresholds] = None,
-        *,
-        max_columns: Optional[int] = None,
-        stop_when_stalled: bool = True,
-    ) -> None:
-        self.thresholds = thresholds or Thresholds()
-        self.max_columns = max_columns
-        self.stop_when_stalled = stop_when_stalled
-        self.stats = IncrementalStats()
-        self.report = ColumnInferenceReport()
-        self._prepared: List[PreparedTuple] = []
-        self._pending: List[PreparedTuple] = []
-        self._observed: Set[ASN] = set()
-        self._max_length = 0
-        self._tagging_records: List[PhaseRecord] = []
-        self._forwarding_records: List[PhaseRecord] = []
-        self._store = CounterStore(self.thresholds)
-
-    # -- ingestion ---------------------------------------------------------------------
-    @property
-    def tuple_count(self) -> int:
-        """Number of unique tuples currently folded in (incl. pending)."""
-        return len(self._prepared) + len(self._pending)
-
-    def add_tuple(self, item: PathCommTuple) -> None:
-        """Queue one new unique tuple for the next :meth:`update`."""
-        prepared = prepare_tuple(item)
-        asns = prepared[0]
-        self._observed.update(asns)
-        if len(asns) > self._max_length:
-            self._max_length = len(asns)
-        self._pending.append(prepared)
-        self.stats.tuples_added += 1
-
-    def add_key(self, key: Tuple) -> None:
-        """Queue one new unique tuple given as a raw ``(path, comm)`` pair.
-
-        Identical to :meth:`add_tuple` without the intermediate
-        :class:`PathCommTuple` construction — the shard workers' dedup key
-        already carries both fields, so block ingest hands it over directly.
-        """
-        path, communities = key
-        asns = path.asns
-        self._observed.update(asns)
-        if len(asns) > self._max_length:
-            self._max_length = len(asns)
-        self._pending.append((asns, communities.upper_fields()))
-        self.stats.tuples_added += 1
-
-    def add_tuples(self, items: Iterable[PathCommTuple]) -> None:
-        """Queue many new unique tuples."""
-        for item in items:
-            self.add_tuple(item)
-
-    def evict(
-        self,
-        evicted: Sequence[PathCommTuple],
-        remaining: Iterable[PathCommTuple],
-    ) -> None:
-        """Drop expired tuples (sliding windows).
-
-        Column knowledge is not separable per tuple, so eviction invalidates
-        every phase record; the next :meth:`update` recounts the remaining
-        tuples from scratch.
-        """
-        if not evicted:
-            return
-        self._prepared = []
-        self._pending = []
-        self._observed = set()
-        self._max_length = 0
-        self._tagging_records = []
-        self._forwarding_records = []
-        self.stats.resets += 1
-        added_before = self.stats.tuples_added
-        self.add_tuples(remaining)
-        self.stats.tuples_added = added_before  # re-adds are not arrivals
-
-    # -- classification -----------------------------------------------------------------
-    def _run_phase(
-        self,
-        records: List[PhaseRecord],
-        count_phase,
-        pending: Sequence[PreparedTuple],
-        column: int,
-        store: CounterStore,
-    ) -> PhaseRecord:
-        """Bring one phase record up to date and return it."""
-        index = column - 1
-        decisions = store.decision_view()
-        record = records[index] if index < len(records) else None
-        if record is not None and record.decisions == decisions:
-            if pending:
-                delta, increments = count_phase(pending, column, decisions)
-                merge_phase_delta(record.delta, delta)
-                record.increments += increments
-            self.stats.delta_phases += 1
-        else:
-            delta, increments = count_phase(self._prepared, column, decisions)
-            record = PhaseRecord(decisions=decisions, delta=delta, increments=increments)
-            if index < len(records):
-                records[index] = record
-            else:
-                records.append(record)
-            self.stats.recount_phases += 1
-        return record
-
-    def update(self) -> ClassificationResult:
-        """Fold pending tuples in and return the up-to-date classification."""
-        pending = self._pending
-        self._pending = []
-        self._prepared.extend(pending)
-
-        store = CounterStore(self.thresholds)
-        report = ColumnInferenceReport()
-        limit = (
-            self._max_length
-            if self.max_columns is None
-            else min(self._max_length, self.max_columns)
-        )
-        for column in range(1, limit + 1):
-            tagging = self._run_phase(
-                self._tagging_records, count_tagging_phase, pending, column, store
-            )
-            store.apply_tagging_delta(tagging.delta)
-            forwarding = self._run_phase(
-                self._forwarding_records, count_forwarding_phase, pending, column, store
-            )
-            store.apply_forwarding_delta(forwarding.delta)
-            report.columns_processed = column
-            report.tagging_counts_per_column.append(tagging.increments)
-            report.forwarding_counts_per_column.append(forwarding.increments)
-            if (
-                self.stop_when_stalled
-                and column > 1
-                and tagging.increments == 0
-                and forwarding.increments == 0
-            ):
-                # A batch run would stop here; records beyond this column are
-                # stale leftovers from a previous, shorter-stalling run.
-                del self._tagging_records[column:]
-                del self._forwarding_records[column:]
-                break
-
-        self._store = store
-        self.report = report
-        self.stats.updates += 1
-        return self.result()
-
-    def result(self) -> ClassificationResult:
-        """The classification as of the last :meth:`update`."""
-        return ClassificationResult(
-            store=self._store, observed_ases=set(self._observed), algorithm="column"
-        )
-
-    # -- checkpointing ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Plain-data snapshot of the full classifier state."""
-        return {
-            "algorithm": self.algorithm,
-            "representation": self.representation,
-            "thresholds": self.thresholds,
-            "max_columns": self.max_columns,
-            "stop_when_stalled": self.stop_when_stalled,
-            "prepared": list(self._prepared),
-            "pending": list(self._pending),
-            "observed": set(self._observed),
-            "max_length": self._max_length,
-            "tagging_records": self._tagging_records,
-            "forwarding_records": self._forwarding_records,
-            "store": self._store.state_dict(),
-            "stats": self.stats,
-            "report": self.report,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "IncrementalColumnClassifier":
-        """Rebuild a classifier from :meth:`state_dict` output."""
-        classifier = cls(
-            state["thresholds"],
-            max_columns=state["max_columns"],
-            stop_when_stalled=state["stop_when_stalled"],
-        )
-        classifier._prepared = list(state["prepared"])
-        classifier._pending = list(state["pending"])
-        classifier._observed = set(state["observed"])
-        classifier._max_length = state["max_length"]
-        classifier._tagging_records = list(state["tagging_records"])
-        classifier._forwarding_records = list(state["forwarding_records"])
-        classifier._store = CounterStore.from_state(state["store"], classifier.thresholds)
-        classifier.stats = state["stats"]
-        classifier.report = state["report"]
-        return classifier
-
-
-class IncrementalRowClassifier:
-    """Streaming version of the row-based baseline.
-
-    Row counting is per-tuple independent, so arrivals *and* retractions are
-    exact counter deltas — the cheapest possible streaming update.
-    """
-
-    algorithm = "row"
-    representation = "object"
-
-    def __init__(self, thresholds: Optional[Thresholds] = None, **_ignored) -> None:
-        self.thresholds = thresholds or Thresholds()
-        self.stats = IncrementalStats()
-        self._store = CounterStore(self.thresholds)
-        self._observed: Set[ASN] = set()
-        self._tuple_count = 0
-
-    # -- ingestion ---------------------------------------------------------------------
-    @property
-    def tuple_count(self) -> int:
-        """Number of unique tuples currently folded in."""
-        return self._tuple_count
-
-    def add_tuple(self, item: PathCommTuple) -> None:
-        """Fold one new unique tuple into the counters immediately."""
-        prepared = prepare_tuple(item)
-        self._observed.update(prepared[0])
-        self._store.apply_delta(row_tuple_delta(prepared))
-        self._tuple_count += 1
-        self.stats.tuples_added += 1
-        self.stats.delta_phases += 1
-
-    def add_key(self, key: Tuple) -> None:
-        """Fold one new unique tuple given as a raw ``(path, comm)`` pair."""
-        path, communities = key
-        prepared = (path.asns, communities.upper_fields())
-        self._observed.update(prepared[0])
-        self._store.apply_delta(row_tuple_delta(prepared))
-        self._tuple_count += 1
-        self.stats.tuples_added += 1
-        self.stats.delta_phases += 1
-
-    def add_tuples(self, items: Iterable[PathCommTuple]) -> None:
-        """Fold many new unique tuples."""
-        for item in items:
-            self.add_tuple(item)
-
-    def evict(
-        self,
-        evicted: Sequence[PathCommTuple],
-        remaining: Iterable[PathCommTuple],
-    ) -> None:
-        """Retract expired tuples with exact negative deltas."""
-        observed: Set[ASN] = set()
-        for item in evicted:
-            prepared = prepare_tuple(item)
-            negated = {
-                asn: [-a, -b, -c, -d]
-                for asn, (a, b, c, d) in row_tuple_delta(prepared).items()
-            }
-            self._store.apply_delta(negated)
-            self._tuple_count -= 1
-        self._store.prune_zeros()
-        for item in remaining:
-            observed.update(item.path.asns)
-        self._observed = observed
-
-    # -- classification -----------------------------------------------------------------
-    def update(self) -> ClassificationResult:
-        """Return the up-to-date classification (counters are always live)."""
-        self.stats.updates += 1
-        return self.result()
-
-    def result(self) -> ClassificationResult:
-        """The current classification as an immutable snapshot."""
-        snapshot = CounterStore.from_state(self._store.state_dict(), self.thresholds)
-        return ClassificationResult(
-            store=snapshot, observed_ases=set(self._observed), algorithm="row"
-        )
-
-    # -- checkpointing ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Plain-data snapshot of the full classifier state."""
-        return {
-            "algorithm": self.algorithm,
-            "representation": self.representation,
-            "thresholds": self.thresholds,
-            "store": self._store.state_dict(),
-            "observed": set(self._observed),
-            "tuple_count": self._tuple_count,
-            "stats": self.stats,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "IncrementalRowClassifier":
-        """Rebuild a classifier from :meth:`state_dict` output."""
-        classifier = cls(state["thresholds"])
-        classifier._store = CounterStore.from_state(state["store"], classifier.thresholds)
-        classifier._observed = set(state["observed"])
-        classifier._tuple_count = state["tuple_count"]
-        classifier.stats = state["stats"]
-        return classifier
-
-
 @dataclass
 class PackedPhaseRecord:
-    """Columnar twin of :class:`PhaseRecord`.
+    """Memoised outcome of one counting phase (one column, one pass).
 
+    ``delta`` holds the summed per-AS-index contributions of *all* tuples
+    counted under ``decisions``; ``increments`` is the total number of
+    counter increments (the stall signal of the column loop).
     ``decisions`` is the pair of per-AS-index decision flag vectors with
     trailing zeros stripped: two snapshots are equal iff they set the same
     flag for the same AS, regardless of how many ASes the shared tuple
@@ -430,18 +107,20 @@ def _strip_flags(tagger_flags: bytearray, forward_flags: bytearray) -> "tuple[by
 
 
 class ColumnarColumnClassifier:
-    """Columnar twin of :class:`IncrementalColumnClassifier`.
+    """Maintains a column-inference classification under tuple arrivals.
+
+    Usage: :meth:`add_ref` newly deduplicated tuples as they arrive, then
+    :meth:`update` at every window boundary to obtain a
+    :class:`ClassificationResult` identical to a batch
+    :class:`~repro.core.column.ColumnInference` run over all tuples so far.
 
     Tuples are held as ``(path_id, hits) -> multiplicity`` aggregates
     against a (usually engine-shared) :class:`TupleTable`; phases run the
     packed kernels over grouped work units and the per-phase memoisation
-    compares packed decision flags instead of frozenset views.  Output is
-    byte-identical to the object classifier — the conformance property
-    tests pin both against the batch oracle.
+    compares packed decision flags.
     """
 
     algorithm = "column"
-    representation = "columnar"
 
     def __init__(
         self,
@@ -492,15 +171,15 @@ class ColumnarColumnClassifier:
         """Intern and queue one new unique tuple."""
         self.add_ref(self.table.intern_tuple(item))
 
-    def add_tuples(self, items: Iterable[PathCommTuple]) -> None:
-        """Intern and queue many new unique tuples."""
-        for item in items:
-            self.add_tuple(item)
-
     def evict_refs(
         self, evicted: Sequence[TupleRef], remaining: Iterable[TupleRef]
     ) -> None:
-        """Drop expired tuples (sliding windows); invalidates all records."""
+        """Drop expired tuples (sliding windows).
+
+        Column knowledge is not separable per tuple, so eviction invalidates
+        every phase record; the next :meth:`update` recounts the remaining
+        tuples from scratch.
+        """
         if not evicted:
             return
         self._groups = {}
@@ -517,15 +196,6 @@ class ColumnarColumnClassifier:
         for ref in remaining:
             self.add_ref(ref)
         self.stats.tuples_added = added_before  # re-adds are not arrivals
-
-    def evict(
-        self, evicted: Sequence[PathCommTuple], remaining: Iterable[PathCommTuple]
-    ) -> None:
-        """Object-tuple eviction entry point (interns, then defers)."""
-        self.evict_refs(
-            [self.table.intern_tuple(item) for item in evicted],
-            (self.table.intern_tuple(item) for item in remaining),
-        )
 
     # -- classification -----------------------------------------------------------------
     def _counted_groups(self) -> List[CountingGroup]:
@@ -632,7 +302,6 @@ class ColumnarColumnClassifier:
         """Plain-data snapshot (ids are relative to the shared table)."""
         return {
             "algorithm": self.algorithm,
-            "representation": self.representation,
             "thresholds": self.thresholds,
             "max_columns": self.max_columns,
             "stop_when_stalled": self.stop_when_stalled,
@@ -678,24 +347,22 @@ class ColumnarColumnClassifier:
 
 
 class ColumnarRowClassifier:
-    """Columnar twin of :class:`IncrementalRowClassifier`.
+    """Streaming version of the row-based baseline.
 
-    Arrivals and retractions are exact packed-array deltas computed per
-    ``(path, hits)`` group; a retracted group applies the same delta with
-    multiplicity ``-1``, so the packed store is always the commutative sum
-    of the live tuples (slots at zero read as absent, matching the object
-    store's post-eviction pruning).
+    Row counting is per-tuple independent, so arrivals *and* retractions
+    are exact packed-array deltas computed per ``(path, hits)`` group; a
+    retracted group applies the same delta with multiplicity ``-1``, so the
+    packed store is always the commutative sum of the live tuples (slots at
+    zero read as absent).
     """
 
     algorithm = "row"
-    representation = "columnar"
 
     def __init__(
         self,
         thresholds: Optional[Thresholds] = None,
         *,
         table: Optional[TupleTable] = None,
-        **_ignored,
     ) -> None:
         self.thresholds = thresholds or Thresholds()
         self.stats = IncrementalStats()
@@ -730,11 +397,6 @@ class ColumnarRowClassifier:
         """Intern and fold one new unique tuple."""
         self.add_ref(self.table.intern_tuple(item))
 
-    def add_tuples(self, items: Iterable[PathCommTuple]) -> None:
-        """Intern and fold many new unique tuples."""
-        for item in items:
-            self.add_tuple(item)
-
     def evict_refs(
         self, evicted: Sequence[TupleRef], remaining: Iterable[TupleRef]
     ) -> None:
@@ -746,15 +408,6 @@ class ColumnarRowClassifier:
         for ref in remaining:
             observed.update(self.table.path_asns_of(ref[0]))
         self._observed = observed
-
-    def evict(
-        self, evicted: Sequence[PathCommTuple], remaining: Iterable[PathCommTuple]
-    ) -> None:
-        """Object-tuple eviction entry point (interns, then defers)."""
-        self.evict_refs(
-            [self.table.intern_tuple(item) for item in evicted],
-            (self.table.intern_tuple(item) for item in remaining),
-        )
 
     # -- classification -----------------------------------------------------------------
     def update(self) -> ClassificationResult:
@@ -775,7 +428,6 @@ class ColumnarRowClassifier:
         """Plain-data snapshot (ids are relative to the shared table)."""
         return {
             "algorithm": self.algorithm,
-            "representation": self.representation,
             "thresholds": self.thresholds,
             "store_arrays": self._packed.arrays_state(),
             "observed": set(self._observed),
@@ -804,43 +456,34 @@ def make_classifier(
     *,
     max_columns: Optional[int] = None,
     stop_when_stalled: bool = True,
-    representation: str = "object",
+    # Only benchmarks/e2e/adapter.py::replay_classifier_add still passes this
+    # keyword; remove it with the next benchmark PR.
+    representation: str = "columnar",
     table: Optional[TupleTable] = None,
 ):
     """Instantiate the incremental classifier for *algorithm*."""
-    if representation not in ("object", "columnar"):
+    if representation != "columnar":
         raise ValueError(f"unknown representation {representation!r}")
     if algorithm == "column":
-        if representation == "columnar":
-            return ColumnarColumnClassifier(
-                thresholds,
-                max_columns=max_columns,
-                stop_when_stalled=stop_when_stalled,
-                table=table,
-            )
-        return IncrementalColumnClassifier(
-            thresholds, max_columns=max_columns, stop_when_stalled=stop_when_stalled
+        return ColumnarColumnClassifier(
+            thresholds,
+            max_columns=max_columns,
+            stop_when_stalled=stop_when_stalled,
+            table=table,
         )
     if algorithm == "row":
-        if representation == "columnar":
-            return ColumnarRowClassifier(thresholds, table=table)
-        return IncrementalRowClassifier(thresholds)
+        return ColumnarRowClassifier(thresholds, table=table)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def classifier_from_state(state: Dict[str, object], *, table: Optional[TupleTable] = None):
-    """Rebuild whichever classifier a :func:`state_dict` snapshot came from."""
+def classifier_from_state(state: Dict[str, object], table: TupleTable):
+    """Rebuild whichever classifier a ``state_dict`` snapshot came from.
+
+    *table* is the restored :class:`TupleTable` the state's ids were minted by.
+    """
     algorithm = state.get("algorithm")
-    representation = state.get("representation", "object")
-    if representation == "columnar":
-        if table is None:
-            raise ValueError("columnar classifier state needs its TupleTable to restore")
-        if algorithm == "column":
-            return ColumnarColumnClassifier.from_state(state, table)
-        if algorithm == "row":
-            return ColumnarRowClassifier.from_state(state, table)
-    elif algorithm == "column":
-        return IncrementalColumnClassifier.from_state(state)
-    elif algorithm == "row":
-        return IncrementalRowClassifier.from_state(state)
+    if algorithm == "column":
+        return ColumnarColumnClassifier.from_state(state, table)
+    if algorithm == "row":
+        return ColumnarRowClassifier.from_state(state, table)
     raise ValueError(f"unknown algorithm in classifier state: {algorithm!r}")

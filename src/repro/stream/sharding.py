@@ -19,10 +19,10 @@ from __future__ import annotations
 import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import RouteObservation
 from repro.bgp.asn import ASN, ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
-from repro.core.tuples import TupleRef, TupleTable
+from repro.core.tuples import TupleTable
 from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer, TupleDeduper
 
 #: Knuth's multiplicative hash constant; peer ASNs are often assigned in
@@ -42,6 +42,13 @@ _STAT_FIELDS = tuple(
 #: One C-level call snapshotting every stat counter at once.
 _STAT_SNAPSHOT = operator.attrgetter(*_STAT_FIELDS)
 
+#: Per-observation result of :meth:`ShardWorker.process_block`: ``None`` when
+#: the observation was dropped, else ``(key, new)`` where ``new`` is the key
+#: again if the tuple is new to its shard and ``None`` for a duplicate.  The
+#: key comes back for duplicates too so the engine can refresh
+#: sliding-window retention timestamps.
+Outcome = Optional[Tuple[Tuple, Optional[Tuple]]]
+
 
 def shard_of(peer_asn: ASN, shards: int) -> int:
     """Deterministic shard index of *peer_asn* (stable across processes)."""
@@ -51,16 +58,17 @@ def shard_of(peer_asn: ASN, shards: int) -> int:
 class ShardWorker:
     """One partition worker: sanitation plus tuple deduplication.
 
-    With a shared :class:`~repro.core.tuples.TupleTable` the worker runs in
-    columnar mode: sanitized tuples are interned and both the dedup key and
-    the "new tuple" handed to the classifier are ``(path_id, comm_id)`` id
-    pairs.  Both modes memoise the sanitation outcome per distinct
-    ``(path, comm, peer)`` input — update streams re-announce the same
-    tuples constantly, and sanitation is a pure function of those fields
-    when no mutable allocation context (ASN registry / prefix allocation,
-    which may change mid-stream by design) is attached.  Memo hits replay
-    the recorded per-stat increments, so the sanitation statistics stay
-    event-for-event identical to the unmemoised path.
+    The dedup key of a sanitized tuple is its ``(path_id, comm_id)`` ref
+    into the engine's shared :class:`~repro.core.tuples.TupleTable`.  The
+    process pool's workers live in other address spaces and get no table:
+    they key on the sanitized ``(path, comm)`` pair and the parent engine
+    interns what they return.  The sanitation outcome is memoised per
+    distinct ``(path, comm, peer)`` input — update streams re-announce the
+    same tuples constantly, and sanitation is a pure function of those
+    fields when no mutable allocation context (ASN registry / prefix
+    allocation, which may change mid-stream by design) is attached.  Memo
+    hits replay the recorded per-stat increments, so the sanitation
+    statistics stay event-for-event identical to the unmemoised path.
 
     :meth:`process_block` is the engine's hot path: one call sanitizes and
     dedupes a whole block of shard-local observations with the memo lookup
@@ -87,9 +95,8 @@ class ShardWorker:
         self.events_processed = 0
         self.table = table
         #: Sanitation memo: input key -> ``[dedup_key, stat_deltas,
-        #: dup_outcome, pending_hits]``.  ``dedup_key`` is an interned ref in
-        #: columnar mode, a ``(path, comm)`` pair in object mode, or ``None``
-        #: when the input is dropped; ``stat_deltas`` are the per-stat
+        #: dup_outcome, pending_hits]``.  ``dedup_key`` is ``None`` when the
+        #: input is dropped; ``stat_deltas`` are the per-stat
         #: increments to replay on every hit; ``dup_outcome`` is the
         #: preallocated ``(key, None)`` duplicate result; ``pending_hits``
         #: buffers hit counts within one :meth:`process_block` call so the
@@ -97,60 +104,10 @@ class ShardWorker:
         #: by the number of distinct inputs, like the dedup set itself.
         self._memo: Dict[Tuple, List] = {}
 
-    def process(
-        self, observation: RouteObservation
-    ) -> Optional[Tuple[Tuple, Optional[PathCommTuple]]]:
-        """Sanitize one observation.
-
-        Returns ``None`` when the observation was dropped, else
-        ``(tuple_key, new_tuple)`` where ``new_tuple`` is the observation's
-        ``(path, comm)`` tuple if it is new to this shard (``None`` for a
-        duplicate).  The key is returned for duplicates too so the engine
-        can refresh sliding-window retention timestamps.  In columnar mode
-        both the key and the new tuple are interned ``(path_id, comm_id)``
-        refs instead of object pairs.
-        """
-        self.events_processed += 1
-        # The registry / allocation objects are mutable mid-stream by design
-        # (their lookups are deliberately uncached); memoising is only sound
-        # without them.
-        sanitizer = self.sanitizer
-        if sanitizer.asn_registry is None and sanitizer.prefix_allocation is None:
-            path = observation.path
-            memo_key = (
-                path,
-                observation.communities,
-                observation.peer_asn,
-                path.has_as_set,
-            )
-            entry = self._memo.get(memo_key)
-            if entry is None:
-                entry = self._memo[memo_key] = self._memo_entry(observation)
-                key = entry[0]
-            else:
-                key = entry[0]
-                stats = sanitizer.stats
-                stats.observations_in += 1
-                if key is not None:
-                    stats.observations_out += 1
-                for name, increment in entry[1]:
-                    setattr(stats, name, getattr(stats, name) + increment)
-        else:
-            key = self._sanitize_recorded(observation)[0]
-        if key is None:
-            return None
-        if not self.deduper.add_key(key):
-            return key, None
-        if self.table is not None:
-            return key, key
-        return key, PathCommTuple(key[0], key[1])
-
-    def process_block(
-        self, observations: Sequence[RouteObservation]
-    ) -> List[Optional[Tuple[Tuple, Optional[PathCommTuple]]]]:
+    def process_block(self, observations: Sequence[RouteObservation]) -> List[Outcome]:
         """Sanitize a block of shard-local observations in one pass.
 
-        Returns one :meth:`process` outcome per input, in input order.  The
+        Returns one :data:`Outcome` per input, in input order.  The
         memo lookup and dedup are inlined into a single loop with hoisted
         attribute lookups, duplicate outcomes reuse the memo's preallocated
         tuple, and memo-hit stat replays are buffered per entry and applied
@@ -164,9 +121,11 @@ class ShardWorker:
         memo_get = memo.get
         seen = self.deduper._seen
         seen_add = seen.add
-        columnar = self.table is not None
+        # The registry / allocation objects are mutable mid-stream by design
+        # (their lookups are deliberately uncached); memoising is only sound
+        # without them.
         memoised = sanitizer.asn_registry is None and sanitizer.prefix_allocation is None
-        out: List[Optional[Tuple[Tuple, Optional[PathCommTuple]]]] = []
+        out: List[Outcome] = []
         append = out.append
         if memoised:
             memo_entry = self._memo_entry
@@ -203,7 +162,7 @@ class ShardWorker:
                     append(entry[2])
                 else:
                     seen_add(key)
-                    append((key, key if columnar else PathCommTuple(key[0], key[1])))
+                    append((key, key))
             stats = sanitizer.stats
             stats.observations_in += hit_in
             stats.observations_out += hit_out
@@ -223,7 +182,7 @@ class ShardWorker:
                     append((key, None))
                 else:
                     seen_add(key)
-                    append((key, key if columnar else PathCommTuple(key[0], key[1])))
+                    append((key, key))
         self.events_processed += len(observations)
         return out
 
@@ -233,8 +192,7 @@ class ShardWorker:
         """Sanitize a block, returning only the newly seen tuples.
 
         Returns ``(local_index, key)`` pairs in input order — the dedup key
-        doubles as the new tuple handed to the classifier (a ``(path, comm)``
-        pair in object mode, an interned ref in columnar mode).  Dropped and
+        doubles as the new tuple handed to the classifier.  Dropped and
         duplicate observations produce no output at all, which is exactly
         what cumulative-window ingest needs: it lets the engine skip the
         per-event outcome list, the router's scatter pass, and the per-event
@@ -320,9 +278,9 @@ class ShardWorker:
     ) -> Tuple[Optional[Tuple], Tuple[Tuple[str, int], ...]]:
         """Run full sanitation once; capture the stat increments it made.
 
-        Returns the shard dedup key — the interned ref in columnar mode, the
-        sanitized ``(path, comm)`` pair in object mode — or ``None`` when
-        the observation was dropped.
+        Returns the shard dedup key — the interned ref, or the sanitized
+        ``(path, comm)`` pair when the worker has no table — or ``None``
+        when the observation was dropped.
         """
         stats = self.sanitizer.stats
         before = _STAT_SNAPSHOT(stats)
@@ -396,52 +354,39 @@ class ShardRouter:
     def __len__(self) -> int:
         return len(self.workers)
 
-    def worker_for(self, observation: RouteObservation) -> ShardWorker:
-        """The worker owning *observation*'s partition."""
-        if len(self.workers) == 1:
-            return self.workers[0]
-        return self.workers[shard_of(observation.peer_asn, len(self.workers))]
-
-    def process(
-        self, observation: RouteObservation
-    ) -> Optional[Tuple[Tuple, Optional[PathCommTuple]]]:
-        """Route and process one observation (see :meth:`ShardWorker.process`)."""
-        return self.worker_for(observation).process(observation)
-
-    def process_block(
+    def _partition(
         self, observations: Sequence[RouteObservation]
-    ) -> List[Optional[Tuple[Tuple, Optional[PathCommTuple]]]]:
-        """Partition one block across shards and process it in one pass.
+    ) -> List[Tuple[ShardWorker, List[int], List[RouteObservation]]]:
+        """One sweep computing every shard assignment of a block up front.
 
-        Outcomes come back in input order, exactly as if each observation had
-        been routed through :meth:`process` individually.  The partition is a
-        single sweep computing every shard assignment up front, so each
-        worker sees one contiguous sub-block instead of interleaved
-        per-event calls.
+        Returns ``(worker, block indices, shard-local observations)`` per
+        shard that received anything, so each worker sees one contiguous
+        sub-block instead of interleaved per-event calls.
         """
-        workers = self.workers
-        if len(workers) == 1:
-            return workers[0].process_block(observations)
-        shard_count = len(workers)
+        shard_count = len(self.workers)
         multiplier = _HASH_MULTIPLIER
-        grouped: List[Optional[Tuple[List[int], List[RouteObservation]]]]
+        grouped: List[Optional[Tuple[ShardWorker, List[int], List[RouteObservation]]]]
         grouped = [None] * shard_count
         for index, observation in enumerate(observations):
             shard_id = ((observation.peer_asn * multiplier) & 0xFFFFFFFF) % shard_count
             group = grouped[shard_id]
             if group is None:
-                group = grouped[shard_id] = ([], [])
-            group[0].append(index)
-            group[1].append(observation)
-        out: List[Optional[Tuple[Tuple, Optional[PathCommTuple]]]]
-        out = [None] * len(observations)
-        for shard_id, group in enumerate(grouped):
-            if group is None:
-                continue
-            indices, shard_observations = group
-            for index, outcome in zip(
-                indices, workers[shard_id].process_block(shard_observations)
-            ):
+                group = grouped[shard_id] = (self.workers[shard_id], [], [])
+            group[1].append(index)
+            group[2].append(observation)
+        return [group for group in grouped if group is not None]
+
+    def process_block(self, observations: Sequence[RouteObservation]) -> List[Outcome]:
+        """Partition one block across shards and process it in one pass.
+
+        Outcomes come back in input order, exactly as if each observation had
+        been routed to its shard's worker on its own.
+        """
+        if len(self.workers) == 1:
+            return self.workers[0].process_block(observations)
+        out: List[Outcome] = [None] * len(observations)
+        for worker, indices, shard_observations in self._partition(observations):
+            for index, outcome in zip(indices, worker.process_block(shard_observations)):
                 out[index] = outcome
         return out
 
@@ -456,28 +401,11 @@ class ShardRouter:
         global indices keeps it identical to per-event routing.  Global
         indices are unique, so the sort never compares keys.
         """
-        workers = self.workers
-        if len(workers) == 1:
-            return [key for _, key in workers[0].process_block_new(observations)]
-        shard_count = len(workers)
-        multiplier = _HASH_MULTIPLIER
-        grouped: List[Optional[Tuple[List[int], List[RouteObservation]]]]
-        grouped = [None] * shard_count
-        for index, observation in enumerate(observations):
-            shard_id = ((observation.peer_asn * multiplier) & 0xFFFFFFFF) % shard_count
-            group = grouped[shard_id]
-            if group is None:
-                group = grouped[shard_id] = ([], [])
-            group[0].append(index)
-            group[1].append(observation)
+        if len(self.workers) == 1:
+            return [key for _, key in self.workers[0].process_block_new(observations)]
         merged: List[Tuple[int, Tuple]] = []
-        for shard_id, group in enumerate(grouped):
-            if group is None:
-                continue
-            indices, shard_observations = group
-            for local_index, key in workers[shard_id].process_block_new(
-                shard_observations
-            ):
+        for worker, indices, shard_observations in self._partition(observations):
+            for local_index, key in worker.process_block_new(shard_observations):
                 merged.append((indices[local_index], key))
         merged.sort()
         return [key for _, key in merged]

@@ -6,9 +6,10 @@ that makes it safe to ship:
 
 * per-event ``ingest()`` and block ingest of any size produce *identical*
   window snapshots, final classifications, sanitation statistics, and
-  retention state — for both the ``object`` and ``columnar``
-  representations, both window policies, and blocks that straddle window
-  cuts (including late events inside a block);
+  retention state — and both equal the batch oracle in
+  :mod:`stream_oracle` window by window — for both window policies, both
+  algorithms, 1 and 3 shards, and blocks that straddle window cuts
+  (including late events inside a block);
 * auto-checkpoints fire at the same event positions with the same captured
   state, even when the boundary lands mid-block, and a restore from a
   mid-block checkpoint is transparent;
@@ -26,6 +27,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from stream_oracle import engine_windows, reference_windows
 
 from repro.bgp.announcement import RouteObservation
 from repro.bgp.asn import ASNRegistry
@@ -49,8 +51,11 @@ from repro.stream import (
     iter_event_blocks,
 )
 
-REPRESENTATIONS = ("object", "columnar")
 BLOCK_SIZES = (1, 7, 64, 4096)
+WINDOW_SPECS = {
+    "cumulative": WindowSpec(size=100),
+    "sliding": WindowSpec(size=100, policy=WindowPolicy.SLIDING, horizon=200),
+}
 
 
 def observation(asns, comms=(), timestamp=0, collector="rrc00"):
@@ -130,40 +135,32 @@ def run_blocked(config, events, block_size, **kwargs):
     return engine, engine.finish()
 
 
+def assert_matches_oracle(engine, events, **oracle_kwargs):
+    """Every window the engine published equals the batch oracle's."""
+    config = engine.config
+    windows, sanitation = reference_windows(
+        events, config.window, config.algorithm, **oracle_kwargs
+    )
+    assert engine_windows(engine) == windows
+    assert engine.sanitation_stats().as_dict() == sanitation
+
+
 # ---------------------------------------------------------------------------------------
-# Per-event == block, across sizes and representations
+# Per-event == block == oracle, across sizes, policies, algorithms and shard counts
 # ---------------------------------------------------------------------------------------
 class TestBlockEquivalence:
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    @pytest.mark.parametrize("policy", sorted(WINDOW_SPECS))
+    @pytest.mark.parametrize("algorithm", ("column", "row"))
+    @pytest.mark.parametrize("shards", (1, 3))
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_cumulative_windows(self, representation, block_size):
-        events = varied_feed()
-
-        def config():
-            return StreamConfig(
-                window=WindowSpec(size=100),
-                shards=2,
-                representation=representation,
-            )
-
-        baseline, base_result = run_per_event(config(), events)
-        blocked, block_result = run_blocked(config(), events, block_size)
-        assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
-            baseline, base_result
-        )
-
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_sliding_windows_with_eviction(self, representation, block_size):
+    def test_blocks_equal_per_event_and_oracle(self, policy, algorithm, shards, block_size):
         events = varied_feed()
         # One tuple only announced once at the start: must age out identically.
         events.insert(0, observation([70, 30], ["30:1"], timestamp=0))
 
         def config():
             return StreamConfig(
-                window=WindowSpec(size=100, policy=WindowPolicy.SLIDING, horizon=200),
-                shards=2,
-                representation=representation,
+                window=WINDOW_SPECS[policy], shards=shards, algorithm=algorithm
             )
 
         baseline, base_result = run_per_event(config(), events)
@@ -171,21 +168,10 @@ class TestBlockEquivalence:
         assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
             baseline, base_result
         )
-        assert blocked.stats.tuples_evicted > 0
-
-    @pytest.mark.parametrize("block_size", (7, 4096))
-    def test_row_algorithm(self, block_size):
-        events = varied_feed()
-
-        def config():
-            return StreamConfig(window=WindowSpec(size=100), algorithm="row")
-
-        baseline, base_result = run_per_event(config(), events)
-        blocked, block_result = run_blocked(config(), events, block_size)
-        assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
-            baseline, base_result
-        )
-        assert block_result.algorithm == "row"
+        assert_matches_oracle(blocked, events)
+        assert block_result.algorithm == algorithm
+        assert blocked.late_events > 0
+        assert (blocked.stats.tuples_evicted > 0) == (policy == "sliding")
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_sanitation_drops_match(self, block_size):
@@ -202,6 +188,7 @@ class TestBlockEquivalence:
         assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
             baseline, base_result
         )
+        assert_matches_oracle(blocked, events, asn_registry=registry)
         assert blocked.sanitation_stats().dropped_unallocated_asn > 0
         assert 60 not in block_result.observed_ases
 
@@ -259,8 +246,7 @@ class TestWindowCutStraddle:
         # The snapshot counts only the pre-cut events.
         assert snapshot.events_total == 4
 
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_straddle_with_late_events_matches_per_event(self, representation):
+    def test_straddle_with_late_events_matches_per_event(self):
         """A block holding a cut *and* late stragglers behind the watermark."""
         events = [
             observation([10, 30], ["30:1"], timestamp=10),
@@ -271,15 +257,14 @@ class TestWindowCutStraddle:
         ]
 
         def config():
-            return StreamConfig(
-                window=WindowSpec(size=100), shards=2, representation=representation
-            )
+            return StreamConfig(window=WindowSpec(size=100), shards=2)
 
         baseline, base_result = run_per_event(config(), events)
         blocked, block_result = run_blocked(config(), events, len(events))
         assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
             baseline, base_result
         )
+        assert_matches_oracle(blocked, events)
         assert blocked.late_events == 2
 
     def test_block_spanning_many_windows(self):
@@ -303,10 +288,7 @@ class TestWindowCutStraddle:
 # Checkpoints at and across block boundaries
 # ---------------------------------------------------------------------------------------
 class TestBlockCheckpoints:
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_auto_checkpoints_fire_at_identical_positions(
-        self, tmp_path, representation
-    ):
+    def test_auto_checkpoints_fire_at_identical_positions(self, tmp_path):
         """checkpoint_every=13 never divides block size 64: every auto
         checkpoint lands mid-block, and each must capture the same state the
         per-event engine captures after the same event count."""
@@ -318,7 +300,6 @@ class TestBlockCheckpoints:
                 StreamConfig(
                     window=WindowSpec(size=100),
                     shards=2,
-                    representation=representation,
                     checkpoint_every=13,
                 ),
                 checkpoints=manager,
@@ -343,9 +324,10 @@ class TestBlockCheckpoints:
             restored_a, restored_a.finish()
         )
 
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    @pytest.mark.parametrize("policy", sorted(WINDOW_SPECS))
+    @pytest.mark.parametrize("algorithm", ("column", "row"))
     def test_restore_from_mid_block_checkpoint_is_transparent(
-        self, tmp_path, representation
+        self, tmp_path, policy, algorithm
     ):
         """Crash after a mid-block auto checkpoint, resume, finish per-event:
         the result must equal an uninterrupted run over the whole feed."""
@@ -353,9 +335,9 @@ class TestBlockCheckpoints:
 
         def config():
             return StreamConfig(
-                window=WindowSpec(size=100),
-                shards=2,
-                representation=representation,
+                window=WINDOW_SPECS[policy],
+                shards=3,
+                algorithm=algorithm,
                 checkpoint_every=13,
             )
 
@@ -379,6 +361,8 @@ class TestBlockCheckpoints:
         base_snapshots = base_print.pop("snapshots")
         assert resumed_snapshots == base_snapshots[-len(resumed_snapshots) :]
         assert resumed_print == base_print
+        windows, _ = reference_windows(events, WINDOW_SPECS[policy], algorithm)
+        assert engine_windows(resumed) == windows[-len(resumed_snapshots) :]
 
 
 # ---------------------------------------------------------------------------------------
@@ -445,22 +429,20 @@ def _observations():
 
 
 class TestBlockIngestProperty:
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
     @given(events=_observations(), block_size=st.integers(min_value=1, max_value=31))
     @settings(
         max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    def test_per_event_equals_blocked(self, representation, events, block_size):
+    def test_per_event_equals_blocked(self, events, block_size):
         def config():
-            return StreamConfig(
-                window=WindowSpec(size=100), shards=2, representation=representation
-            )
+            return StreamConfig(window=WindowSpec(size=100), shards=2)
 
         baseline, base_result = run_per_event(config(), events)
         blocked, block_result = run_blocked(config(), events, block_size)
         assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
             baseline, base_result
         )
+        assert_matches_oracle(blocked, events)
 
     @given(events=_observations(), block_size=st.integers(min_value=1, max_value=31))
     @settings(
@@ -478,6 +460,7 @@ class TestBlockIngestProperty:
         assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
             baseline, base_result
         )
+        assert_matches_oracle(blocked, events)
 
 
 # ---------------------------------------------------------------------------------------

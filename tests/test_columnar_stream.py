@@ -1,26 +1,26 @@
-"""Columnar streaming: engine conformance, memoised sanitation, dedup state.
+"""Streaming conformance: engine vs oracle, memoised sanitation, dedup state.
 
-The streaming engine may run either representation; everything observable —
-window snapshots, sanitation statistics, checkpoints, final classification —
-must be identical.  These tests drive both representations over the same
-feeds and compare the lot, plus the checkpoint/restore and worker-memo
-machinery specific to columnar mode.
+Everything the engine makes observable — window snapshots, sanitation
+statistics, final classification — must equal the event-at-a-time batch
+oracle in :mod:`stream_oracle`; plus the checkpoint/restore and worker-memo
+machinery of the interned path.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
+from stream_oracle import engine_windows, reference_windows
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import Prefix, PrefixAllocation
 from repro.core.tuples import TupleTable
-from repro.parallel.stream import ParallelStreamEngine
 from repro.sanitize.filters import TupleDeduper
-from repro.stream.checkpoint import CheckpointManager
+from repro.stream.checkpoint import CheckpointError, CheckpointManager
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.sharding import ShardWorker
 from repro.stream.sources import ScenarioSource
@@ -39,25 +39,10 @@ def _random_tuples(rng: random.Random, count: int) -> list:
     return tuples
 
 
-def _snapshot_key(engine: StreamEngine) -> list:
-    return [
-        (
-            snapshot.window_start,
-            snapshot.window_end,
-            snapshot.events_total,
-            snapshot.unique_tuples,
-            snapshot.result.store.state_dict(),
-            sorted(snapshot.result.observed_ases),
-            dict(snapshot.changed),
-        )
-        for snapshot in engine.snapshots
-    ]
-
-
 class TestEngineConformance:
     @pytest.mark.parametrize("policy", [WindowPolicy.CUMULATIVE, WindowPolicy.SLIDING])
     @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_columnar_equals_object(self, policy, algorithm):
+    def test_engine_equals_oracle(self, policy, algorithm):
         rng = random.Random(11)
         source = list(
             ScenarioSource(_random_tuples(rng, 30), duration=3600, repeat=3)
@@ -67,21 +52,13 @@ class TestEngineConformance:
             policy=policy,
             horizon=600 if policy is WindowPolicy.SLIDING else None,
         )
-        outcomes = {}
-        for representation in ("object", "columnar"):
-            config = StreamConfig(
-                window=spec, shards=3, algorithm=algorithm, representation=representation
-            )
-            engine = StreamEngine(config)
-            final = engine.run(iter(source))
-            outcomes[representation] = (
-                final.store.state_dict(),
-                sorted(final.observed_ases),
-                _snapshot_key(engine),
-                engine.sanitation_stats().as_dict(),
-                engine.unique_tuples,
-            )
-        assert outcomes["columnar"] == outcomes["object"]
+        windows, sanitation = reference_windows(source, spec, algorithm)
+        engine = StreamEngine(StreamConfig(window=spec, shards=3, algorithm=algorithm))
+        final = engine.run(iter(source))
+        assert engine_windows(engine) == windows
+        assert engine.sanitation_stats().as_dict() == sanitation
+        assert engine.unique_tuples == windows[-1][3]
+        assert final.store.state_dict() == windows[-1][5]
 
     def test_checkpoint_restore_mid_stream(self, tmp_path):
         rng = random.Random(12)
@@ -89,9 +66,7 @@ class TestEngineConformance:
             ScenarioSource(_random_tuples(rng, 25), duration=3600, repeat=3)
         )
         spec = WindowSpec(size=300, policy=WindowPolicy.SLIDING, horizon=600)
-        config = StreamConfig(
-            window=spec, shards=2, algorithm="column", representation="columnar"
-        )
+        config = StreamConfig(window=spec, shards=2, algorithm="column")
 
         uninterrupted = StreamEngine(config)
         expected = uninterrupted.run(iter(source))
@@ -103,29 +78,39 @@ class TestEngineConformance:
             engine.ingest(observation)
         engine.checkpoint()
         restored = StreamEngine.restore(manager)
-        assert restored.config.representation == "columnar"
         for observation in source[cut:]:
             restored.ingest(observation)
         final = restored.finish()
         assert final.store.state_dict() == expected.store.state_dict()
         assert final.observed_ases == expected.observed_ases
 
-    def test_pre_representation_checkpoint_defaults_to_object(self):
-        config = StreamConfig()
-        # Simulate a checkpoint written before the representation field
-        # existed: old pickled StreamConfig instances lack the attribute.
-        del config.__dict__["representation"]
-        engine = StreamEngine(config)
-        assert engine._table is None
+    def test_version_1_checkpoint_is_rejected(self, tmp_path):
+        """Pre-change files (object-keyed dedup sets, a ``representation``
+        config field) must fail typed, not with an AttributeError mid-restore."""
+        manager = CheckpointManager(tmp_path)
+        path = manager.save(StreamEngine(StreamConfig()).state_dict())
+        payload = pickle.loads(path.read_bytes())
+        payload["version"] = 1
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError, match="version 1"):
+            StreamEngine.restore(manager)
 
-    def test_parallel_engine_rejects_columnar(self):
-        config = StreamConfig(representation="columnar")
-        with pytest.raises(ValueError, match="columnar"):
-            ParallelStreamEngine(config)
+    def test_checkpoint_naming_a_deleted_class_is_rejected(self, tmp_path, monkeypatch):
+        """A real version-1 file pickles ``PhaseRecord`` instances, so it fails
+        to unpickle before its version can even be read."""
+        import repro.stream.incremental as incremental
 
-    def test_config_rejects_unknown_representation(self):
-        with pytest.raises(ValueError):
-            StreamConfig(representation="sparse")
+        class PhaseRecord:
+            pass
+
+        PhaseRecord.__module__ = incremental.__name__
+        PhaseRecord.__qualname__ = "PhaseRecord"
+        manager = CheckpointManager(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(incremental, "PhaseRecord", PhaseRecord, raising=False)
+            manager.save({"tagging_records": [PhaseRecord()]})
+        with pytest.raises(CheckpointError, match="PhaseRecord"):
+            manager.load()
 
 
 def _observation(item: PathCommTuple, timestamp: int) -> RouteObservation:
@@ -147,11 +132,11 @@ class TestShardWorkerMemo:
             _observation(item, 100 + index)
             for index, item in enumerate(tuples * 3)  # 2/3 duplicates: memo hits
         ]
-        plain = ShardWorker(0)
+        plain = ShardWorker(0)  # the process pool's table-less form
         columnar = ShardWorker(0, table=TupleTable())
         for observation in observations:
-            plain.process(observation)
-            columnar.process(observation)
+            plain.process_block([observation])
+            columnar.process_block([observation])
         assert columnar.sanitizer.stats.as_dict() == plain.sanitizer.stats.as_dict()
         assert columnar.events_processed == plain.events_processed
         assert columnar.unique_tuples == plain.unique_tuples
@@ -160,15 +145,15 @@ class TestShardWorkerMemo:
         allocation = PrefixAllocation.default_internet()
         worker = ShardWorker(0, table=TupleTable(), prefix_allocation=allocation)
         item = PathCommTuple(ASPath((101, 102)), CommunitySet())
-        worker.process(_observation(item, 1))
-        worker.process(_observation(item, 2))
+        worker.process_block([_observation(item, 1)])
+        worker.process_block([_observation(item, 2)])
         assert not worker._memo  # lookups stay live against the registry
         assert worker.sanitizer.stats.observations_in == 2
 
     def test_memo_cleared_on_state_restore(self):
         worker = ShardWorker(0, table=TupleTable())
         item = PathCommTuple(ASPath((101, 102)), CommunitySet())
-        worker.process(_observation(item, 1))
+        worker.process_block([_observation(item, 1)])
         assert worker._memo
         worker.load_state_dict(worker.state_dict())
         assert not worker._memo
@@ -194,10 +179,8 @@ class TestTupleDeduperSnapshots:
         seen.clear()
         assert len(deduper) == 1
 
-    def test_add_key_dedupes_arbitrary_keys(self):
-        deduper = TupleDeduper()
-        assert deduper.add_key((0, 0)) is True
-        assert deduper.add_key((0, 0)) is False
+    def test_discard_forgets_arbitrary_keys(self):
+        deduper = TupleDeduper(seen={(0, 0)})
         assert (0, 0) in deduper
-        assert deduper.discard([(0, 0)]) == 1
-        assert deduper.add_key((0, 0)) is True
+        assert deduper.discard([(0, 0), (1, 1)]) == 1
+        assert (0, 0) not in deduper and len(deduper) == 0

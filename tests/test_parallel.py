@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
@@ -72,7 +72,11 @@ class TestShardProcessPool:
         expected = serial.to_unique_tuples(sample)
         with ShardProcessPool(shards=4, workers=2) as pool:
             outcomes = pool.process_batch(list(enumerate(sample)))
-            unique = [out[1] for _, _, out in outcomes if out is not None and out[1] is not None]
+            unique = [
+                PathCommTuple(*out[1])
+                for _, _, out in outcomes
+                if out is not None and out[1] is not None
+            ]
             stats = pool.sanitation_stats()
         assert unique == expected
         assert stats.as_dict() == serial.stats.as_dict()
@@ -183,9 +187,12 @@ class TestParallelStreamEngine:
             for s in engine.snapshots
         ]
 
-    @pytest.mark.parametrize("shards,workers", [(1, 1), (4, 2), (5, 3)])
-    def test_identical_to_serial_engine(self, feed, shards, workers):
-        config = StreamConfig(window=WindowSpec(size=3600), shards=shards)
+    @pytest.mark.parametrize(
+        "shards,workers,algorithm",
+        [(1, 1, "column"), (4, 2, "column"), (5, 3, "column"), (4, 2, "row")],
+    )
+    def test_identical_to_serial_engine(self, feed, shards, workers, algorithm):
+        config = StreamConfig(window=WindowSpec(size=3600), shards=shards, algorithm=algorithm)
         serial = StreamEngine(config)
         serial_result = serial.run(MemorySource(feed))
         parallel = ParallelStreamEngine(config, workers=workers, batch_size=128)
@@ -195,17 +202,72 @@ class TestParallelStreamEngine:
         assert parallel.stats.windows_closed == serial.stats.windows_closed
         assert self.snapshot_fingerprints(parallel) == self.snapshot_fingerprints(serial)
 
-    def test_sliding_policy_identical(self, feed):
-        config = StreamConfig(
-            window=WindowSpec(size=3600, policy="sliding", horizon=7200), shards=3
+    @staticmethod
+    def sliding_config(algorithm="column", shards=3):
+        return StreamConfig(
+            window=WindowSpec(size=3600, policy="sliding", horizon=7200),
+            shards=shards,
+            algorithm=algorithm,
         )
+
+    @staticmethod
+    def seen_pairs(engine):
+        """Each shard's dedup set, resolved through the engine's own table."""
+        return [
+            {(engine._table.path_of(path_id), engine._table.comm_of(comm_id))
+             for path_id, comm_id in worker["seen"]}
+            for worker in engine.state_dict()["router"]["workers"]
+        ]
+
+    @pytest.mark.parametrize("algorithm", ["column", "row"])
+    def test_sliding_policy_identical(self, feed, algorithm):
+        config = self.sliding_config(algorithm)
         serial = StreamEngine(config)
         serial_result = serial.run(MemorySource(feed))
         parallel = ParallelStreamEngine(config, workers=2, batch_size=64)
         parallel_result = parallel.run(MemorySource(feed))
         assert result_fingerprint(parallel_result) == result_fingerprint(serial_result)
-        assert parallel.stats.tuples_evicted == serial.stats.tuples_evicted
+        assert parallel.stats.tuples_evicted == serial.stats.tuples_evicted > 0
         assert self.snapshot_fingerprints(parallel) == self.snapshot_fingerprints(serial)
+
+    def test_final_flush_eviction_reaches_the_router_mirror(self, feed):
+        """Regression: run() synced the mirror *before* finish(), so the last
+        window's evicted keys stayed in the mirrored dedup sets."""
+        config = self.sliding_config(shards=2)
+        serial = StreamEngine(config)
+        serial.run(MemorySource(feed))
+        parallel = ParallelStreamEngine(config, workers=2, batch_size=64)
+        parallel.run(MemorySource(feed))
+        assert parallel.unique_tuples == serial.unique_tuples == len(serial._last_seen)
+        assert self.seen_pairs(parallel) == self.seen_pairs(serial)
+
+    @pytest.mark.parametrize("resume_parallel", [False, True])
+    def test_resume_from_post_run_checkpoint(self, feed, tmp_path, resume_parallel):
+        """A checkpoint taken after run() (what ``stream --checkpoint-dir``
+        writes) resumes to the uninterrupted result: evicted tuples re-enter."""
+        from repro.stream import CheckpointManager
+
+        split = len(feed) // 2
+        config = self.sliding_config(shards=2)
+        manager = CheckpointManager(tmp_path / "ckpt")
+        first = ParallelStreamEngine(config, workers=2, batch_size=64, checkpoints=manager)
+        first.run(MemorySource(feed[:split]))
+        first.checkpoint()
+
+        if resume_parallel:
+            resumed = ParallelStreamEngine.restore(manager)
+            resumed.workers = 2
+        else:
+            resumed = StreamEngine.restore(manager)
+        resumed_result = resumed.run(MemorySource(feed[split:]))
+
+        # finish() closed the in-progress window early, so the reference
+        # makes the same cut: one engine, two run() calls.
+        reference = StreamEngine(config)
+        reference.run(MemorySource(feed[:split]))
+        reference_result = reference.run(MemorySource(feed[split:]))
+        assert result_fingerprint(resumed_result) == result_fingerprint(reference_result)
+        assert resumed.unique_tuples == reference.unique_tuples
 
     def test_checkpoint_and_resume(self, feed, tmp_path):
         from repro.stream import CheckpointManager

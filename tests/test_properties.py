@@ -4,6 +4,7 @@ import pickle
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from stream_oracle import engine_windows, reference_windows
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import Community, CommunitySet, LargeCommunity
@@ -338,24 +339,22 @@ def _engine_outcome(engine):
 
 
 class TestColumnarStreamProperties:
-    """Representation choice must be observationally invisible end to end."""
+    """The interned stream path must equal the batch oracle end to end."""
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(observation_streams, st.sampled_from(["column", "row"]))
-    def test_sliding_stream_matches_object(self, raw, algorithm):
-        """Sliding windows evict (retract) tuples; both paths must agree."""
+    def test_sliding_stream_matches_oracle(self, raw, algorithm):
+        """Sliding windows evict (retract) tuples; every window must equal a
+        batch run over the tuples live at its close."""
         observations = _build_observations(raw)
         spec = WindowSpec(size=200, policy=WindowPolicy.SLIDING, horizon=400)
-        outcomes = []
-        for representation in ("object", "columnar"):
-            config = StreamConfig(
-                window=spec, shards=2, algorithm=algorithm, representation=representation
-            )
-            engine = StreamEngine(config)
-            for observation in observations:
-                engine.ingest(observation)
-            outcomes.append(_engine_outcome(engine))
-        assert outcomes[0] == outcomes[1]
+        engine = StreamEngine(StreamConfig(window=spec, shards=2, algorithm=algorithm))
+        for observation in observations:
+            engine.ingest(observation)
+        engine.finish()
+        windows, sanitation = reference_windows(observations, spec, algorithm)
+        assert engine_windows(engine) == windows
+        assert engine.sanitation_stats().as_dict() == sanitation
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(observation_streams, st.data())
@@ -364,9 +363,7 @@ class TestColumnarStreamProperties:
         observations = _build_observations(raw)
         cut = data.draw(st.integers(0, len(observations)))
         spec = WindowSpec(size=200, policy=WindowPolicy.SLIDING, horizon=400)
-        config = StreamConfig(
-            window=spec, shards=2, algorithm="column", representation="columnar"
-        )
+        config = StreamConfig(window=spec, shards=2, algorithm="column")
 
         straight = StreamEngine(config)
         for observation in observations:

@@ -31,7 +31,7 @@ from repro.service import (
     publish_result,
     snapshot_payload,
 )
-from repro.service.store import open_store
+from repro.service.backends import open_store
 from repro.stream import (
     MemorySource,
     ScenarioSource,

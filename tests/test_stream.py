@@ -18,11 +18,12 @@ from repro.core.column import ColumnInference
 from repro.core.counters import CounterStore
 from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
+from repro.core.tuples import TupleTable
 from repro.stream import (
     CheckpointError,
     CheckpointManager,
-    IncrementalColumnClassifier,
-    IncrementalRowClassifier,
+    ColumnarColumnClassifier,
+    ColumnarRowClassifier,
     MemorySource,
     MRTReplaySource,
     ScenarioSource,
@@ -52,6 +53,17 @@ def tuples_from(*items):
     return [
         PathCommTuple(ASPath(asns), CommunitySet.from_strings(comms)) for asns, comms in items
     ]
+
+
+def add_all(classifier, items):
+    for item in items:
+        classifier.add_tuple(item)
+
+
+def evict(classifier, evicted, remaining):
+    """Evict object tuples through the classifier's interned entry point."""
+    intern = classifier.table.intern_tuple
+    classifier.evict_refs([intern(item) for item in evicted], map(intern, remaining))
 
 
 def fingerprint(result):
@@ -203,16 +215,20 @@ class TestSharding:
 
     def test_same_peer_lands_on_same_shard(self):
         router = ShardRouter(4)
-        a = router.process(observation([10, 30], ["30:1"], timestamp=1))
-        b = router.process(observation([10, 40], [], timestamp=2))
+        a, b = router.process_block(
+            [
+                observation([10, 30], ["30:1"], timestamp=1),
+                observation([10, 40], [], timestamp=2),
+            ]
+        )
         assert a is not None and b is not None
         worker = router.workers[shard_of(10, 4)]
         assert worker.unique_tuples == 2
 
     def test_duplicate_detection_across_events(self):
         router = ShardRouter(4)
-        key1, new1 = router.process(observation([10, 30], ["30:1"], timestamp=1))
-        key2, new2 = router.process(observation([10, 30], ["30:1"], timestamp=2))
+        key1, new1 = router.process_block([observation([10, 30], ["30:1"], timestamp=1)])[0]
+        key2, new2 = router.process_block([observation([10, 30], ["30:1"], timestamp=2)])[0]
         assert new1 is not None
         assert new2 is None  # duplicate
         assert key1 == key2
@@ -220,8 +236,9 @@ class TestSharding:
 
     def test_sanitation_stats_merge_across_shards(self):
         router = ShardRouter(4)
-        router.process(observation([10], [], timestamp=1))
-        assert router.process(observation([64512], [], timestamp=2)) is None  # private ASN
+        router.process_block([observation([10], [], timestamp=1)])
+        # private ASN
+        assert router.process_block([observation([64512], [], timestamp=2)]) == [None]
         stats = router.sanitation_stats()
         assert stats.observations_in == 2
         assert stats.observations_out == 1
@@ -241,30 +258,30 @@ class TestIncrementalColumn:
 
     def test_matches_batch_when_fed_incrementally(self):
         batch = ColumnInference().run(tuples_from(*self.ITEMS))
-        classifier = IncrementalColumnClassifier()
+        classifier = ColumnarColumnClassifier()
         for item in tuples_from(*self.ITEMS):
             classifier.add_tuple(item)
             classifier.update()  # update after every single tuple
         assert fingerprint(classifier.result()) == fingerprint(batch)
 
     def test_unchanged_knowledge_takes_delta_path(self):
-        classifier = IncrementalColumnClassifier()
-        classifier.add_tuples(tuples_from(*self.ITEMS))
+        classifier = ColumnarColumnClassifier()
+        add_all(classifier, tuples_from(*self.ITEMS))
         classifier.update()
         recounts_before = classifier.stats.recount_phases
         # A tuple that reinforces existing knowledge must not recount.
-        classifier.add_tuples(tuples_from(([10, 30], ["30:1"])))
+        add_all(classifier, tuples_from(([10, 30], ["30:1"])))
         classifier.update()
         assert classifier.stats.recount_phases == recounts_before
         assert classifier.stats.delta_phases > 0
 
     def test_changed_knowledge_triggers_recount(self):
-        classifier = IncrementalColumnClassifier()
-        classifier.add_tuples(tuples_from(*self.ITEMS))
+        classifier = ColumnarColumnClassifier()
+        add_all(classifier, tuples_from(*self.ITEMS))
         classifier.update()
         recounts_before = classifier.stats.recount_phases
         # Flip AS 50 into existence as a tagger: new knowledge, recounts.
-        classifier.add_tuples(tuples_from(([50], ["50:1"]), ([10, 50], ["50:1"])))
+        add_all(classifier, tuples_from(([50], ["50:1"]), ([10, 50], ["50:1"])))
         classifier.update()
         assert classifier.stats.recount_phases > recounts_before
         batch = ColumnInference().run(
@@ -273,12 +290,12 @@ class TestIncrementalColumn:
         assert fingerprint(classifier.result()) == fingerprint(batch)
 
     def test_eviction_resets_and_matches_batch(self):
-        classifier = IncrementalColumnClassifier()
+        classifier = ColumnarColumnClassifier()
         all_items = tuples_from(*self.ITEMS)
-        classifier.add_tuples(all_items)
+        add_all(classifier, all_items)
         classifier.update()
         remaining = all_items[:2]
-        classifier.evict(all_items[2:], remaining)
+        evict(classifier, all_items[2:], remaining)
         classifier.update()
         assert classifier.stats.resets == 1
         assert fingerprint(classifier.result()) == fingerprint(
@@ -286,12 +303,13 @@ class TestIncrementalColumn:
         )
 
     def test_state_roundtrip_mid_update(self):
-        classifier = IncrementalColumnClassifier()
-        classifier.add_tuples(tuples_from(*self.ITEMS[:2]))
+        classifier = ColumnarColumnClassifier()
+        add_all(classifier, tuples_from(*self.ITEMS[:2]))
         classifier.update()
-        classifier.add_tuples(tuples_from(*self.ITEMS[2:]))  # pending, not updated
+        add_all(classifier, tuples_from(*self.ITEMS[2:]))  # pending, not updated
         state = pickle.loads(pickle.dumps(classifier.state_dict()))
-        restored = IncrementalColumnClassifier.from_state(state)
+        table = TupleTable.from_state(pickle.loads(pickle.dumps(classifier.table.state_dict())))
+        restored = ColumnarColumnClassifier.from_state(state, table)
         assert fingerprint(restored.update()) == fingerprint(classifier.update())
 
 
@@ -304,15 +322,15 @@ class TestIncrementalRow:
 
     def test_matches_batch_row_inference(self):
         batch = RowInference().run(tuples_from(*self.ITEMS))
-        classifier = IncrementalRowClassifier()
-        classifier.add_tuples(tuples_from(*self.ITEMS))
+        classifier = ColumnarRowClassifier()
+        add_all(classifier, tuples_from(*self.ITEMS))
         assert fingerprint(classifier.update()) == fingerprint(batch)
 
     def test_eviction_is_exact_retraction(self):
-        classifier = IncrementalRowClassifier()
+        classifier = ColumnarRowClassifier()
         all_items = tuples_from(*self.ITEMS)
-        classifier.add_tuples(all_items)
-        classifier.evict(all_items[1:], all_items[:1])
+        add_all(classifier, all_items)
+        evict(classifier, all_items[1:], all_items[:1])
         assert fingerprint(classifier.update()) == fingerprint(
             RowInference().run(all_items[:1])
         )
@@ -450,9 +468,7 @@ class TestStreamEngine:
         spec = WindowSpec(size=100, policy=WindowPolicy.SLIDING, horizon=200)
         engine = StreamEngine(StreamConfig(window=spec))
         streamed = engine.run(MemorySource(events))
-        retained = [
-            PathCommTuple(path, communities) for path, communities in engine._last_seen
-        ]
+        retained = [engine._table.tuple_of(ref) for ref in engine._last_seen]
         assert fingerprint(streamed) == fingerprint(ColumnInference().run(retained))
 
     def test_row_algorithm_end_to_end(self):

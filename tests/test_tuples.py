@@ -275,7 +275,6 @@ class TestMatrixKernels:
         vectorised = kernel(*args)
         return scalar, vectorised
 
-    @pytest.mark.skipif(not matrix.HAVE_NUMPY, reason="numpy unavailable")
     @pytest.mark.parametrize("column", [1, 2, 3, 9])
     def test_column_kernels_match_scalar(self, monkeypatch, column):
         rng = random.Random(7)
@@ -287,7 +286,6 @@ class TestMatrixKernels:
             )
             assert vectorised == scalar
 
-    @pytest.mark.skipif(not matrix.HAVE_NUMPY, reason="numpy unavailable")
     def test_row_kernel_matches_scalar(self, monkeypatch):
         groups = self._random_groups(random.Random(11), 400)
         scalar, vectorised = self._dispatch_both(
@@ -295,7 +293,6 @@ class TestMatrixKernels:
         )
         assert vectorised == scalar
 
-    @pytest.mark.skipif(not matrix.HAVE_NUMPY, reason="numpy unavailable")
     def test_overflow_groups_take_the_scalar_path(self, monkeypatch):
         rng = random.Random(13)
         groups = self._random_groups(rng, 64)
@@ -318,7 +315,6 @@ class TestMatrixKernels:
         )
         assert vectorised == scalar
 
-    @pytest.mark.skipif(not matrix.HAVE_NUMPY, reason="numpy unavailable")
     def test_column_beyond_every_length_is_empty(self, monkeypatch):
         monkeypatch.setattr(matrix, "MIN_MATRIX_GROUPS", 1)
         groups = self._random_groups(random.Random(17), 32, max_length=4)
@@ -328,8 +324,7 @@ class TestMatrixKernels:
 
     def test_grouplist_pickle_drops_matrix_cache(self):
         groups = self._random_groups(random.Random(19), 8)
-        if matrix.HAVE_NUMPY:
-            assert groups.matrix() is not None
+        assert groups.matrix() is not None
         clone = pickle.loads(pickle.dumps(groups))
         assert type(clone) is GroupList
         assert list(clone) == list(groups)
