@@ -22,7 +22,7 @@ from repro.core.column import (
     prepare_tuples,
 )
 from repro.core.counters import PackedCounterStore
-from repro.core.tuples import ColumnarBatch, TupleTable
+from repro.core.tuples import GroupCounts, TupleTable, materialize_groups
 from repro.mrt.decoder import decode_records
 from repro.mrt.encoder import MRTEncoder
 from repro.bgp.messages import PathAttributes
@@ -178,10 +178,12 @@ def test_bench_counting_columnar_vs_object(benchmark, context):
     # Columnar representation: interned groups (matrix prebuilt) + the same
     # counters re-homed onto packed slots.
     table = TupleTable()
-    batch = ColumnarBatch(table)
+    counts: GroupCounts = {}
     for item in tuples:
-        batch.add_tuple(item)
-    groups = batch.counting_groups()
+        path_id, comm_id = table.intern_tuple(item)
+        key = (path_id, table.hits_of(path_id, comm_id))
+        counts[key] = counts.get(key, 0) + 1
+    groups = materialize_groups(table, counts)
     groups.matrix()
     packed = PackedCounterStore(slots=table.as_count)
     packed.apply_delta(

@@ -38,14 +38,24 @@ makes ``query``/``replicate`` send it on every request.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.core.column import ColumnInference
 from repro.core.export import ClassificationDatabase
 from repro.core.pipeline import InferencePipeline
 from repro.core.thresholds import Thresholds
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` of the count flags: an integer >= 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _write_database(database: ClassificationDatabase, output: Optional[str], fmt: str) -> None:
@@ -78,8 +88,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         thresholds=Thresholds.uniform(args.threshold),
         algorithm=args.algorithm,
         workers=args.workers,
-        representation=args.representation,
-        ingest_block_size=args.ingest_block_size,
     )
     outcome = pipeline.run_from_mrt(blobs)
     database = ClassificationDatabase.from_result(outcome.result)
@@ -95,8 +103,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     """``stream``: replay MRT update archives through the streaming engine."""
-    from contextlib import ExitStack
-
     from repro.stream import (
         CheckpointManager,
         MRTReplaySource,
@@ -106,12 +112,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         WindowSpec,
     )
 
-    if args.ingest_block_size < 1:
-        print(
-            f"error: --ingest-block-size must be >= 1, got {args.ingest_block_size}",
-            file=sys.stderr,
-        )
-        return 2
     source = MRTReplaySource.from_files(args.inputs, order=args.order)
     manager = CheckpointManager(args.checkpoint_dir) if args.checkpoint_dir else None
     workers = args.workers
@@ -245,11 +245,79 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _start_http(
+    args: argparse.Namespace,
+    stack: ExitStack,
+    auth_token: Optional[str],
+    *,
+    store=None,
+    retention: Optional[int] = None,
+) -> Tuple[Any, Optional[str]]:
+    """Put the HTTP server ``--http-workers`` asks for on *stack*.
+
+    N > 1 starts the worker fleet and returns ``(fleet, "N <mode> workers")``.
+    Otherwise returns ``(server, None)``: one in-process server over *store*
+    (opened here when the caller holds none), left for the caller to run --
+    ``serve_forever()`` on this thread, or ``start()`` when this thread has
+    other work.
+    """
+    from repro.service import ClassificationServer, MultiWorkerServer
+    from repro.service.backends import open_store
+
+    if args.http_workers > 1:
+        fleet = stack.enter_context(
+            MultiWorkerServer(
+                args.store,
+                workers=args.http_workers,
+                host=args.host,
+                port=args.port,
+                cache_size=args.cache_size,
+                retention=retention,
+                archive_dir=args.archive_dir,
+                auth_token=auth_token,
+            )
+        ).start()
+        return fleet, f"{fleet.workers} {fleet.mode} workers"
+    # Store and server both live on the stack: a failed bind (port already
+    # in use) must unwind the store's handles instead of leaking them, and
+    # ClassificationServer.close() is safe before serve_forever ran.
+    if store is None:
+        store = stack.enter_context(
+            open_store(args.store, retention=retention, archive_dir=args.archive_dir)
+        )
+    server = stack.enter_context(
+        ClassificationServer(
+            store,
+            host=args.host,
+            port=args.port,
+            cache_size=args.cache_size,
+            auth_token=auth_token,
+        )
+    )
+    return server, None
+
+
+def _run_until_interrupted(block: Callable[[], None]) -> None:
+    """Run *block* until Ctrl-C or SIGTERM, then say so.
+
+    SIGTERM must tear everything down like Ctrl-C does: the default handler
+    would kill only this process and orphan fleet workers on the port.
+    """
+
+    def _terminate(signum: int, frame: object) -> None:
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        block()
+    except KeyboardInterrupt:
+        print("shutting down", file=sys.stderr)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: expose a snapshot store over the JSON HTTP API."""
-    from contextlib import ExitStack
-
-    from repro.service import ClassificationServer, MultiWorkerServer
     from repro.service.auth import resolve_token
     from repro.service.backends import open_store, parse_store_url
 
@@ -258,9 +326,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if scheme == "sqlite" and target != ":memory:" and not Path(target).exists():
         print(f"error: store {args.store!r} does not exist", file=sys.stderr)
         return 1
-    if args.http_workers < 1:
-        print(f"error: --http-workers must be >= 1, got {args.http_workers}", file=sys.stderr)
-        return 2
     if args.retention is not None:
         # The serving processes never append, so retention only takes effect
         # through an explicit prune here at startup.  With --archive-dir the
@@ -272,133 +337,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if dropped:
             verb = "archived" if args.archive_dir else "pruned"
             print(f"{verb} {dropped} snapshots beyond --retention", file=sys.stderr)
-    if args.http_workers > 1:
-        import signal
-
-        with MultiWorkerServer(
-            args.store,
-            workers=args.http_workers,
-            host=args.host,
-            port=args.port,
-            cache_size=args.cache_size,
-            retention=args.retention,
-            archive_dir=args.archive_dir,
-            auth_token=auth_token,
-        ) as fanout:
-            fanout.start()
-            locked = " [token auth]" if auth_token is not None else ""
-            print(
-                f"serving {args.store} at {fanout.url} with {fanout.workers} "
-                f"{fanout.mode} workers{locked} (Ctrl-C to stop)",
-                file=sys.stderr,
-            )
-
-            def _terminate(signum: int, frame: object) -> None:
-                # SIGTERM must tear the fleet down like Ctrl-C does:
-                # the default handler would kill only the supervisor and
-                # orphan the workers on the port.
-                raise KeyboardInterrupt
-
-            previous = signal.signal(signal.SIGTERM, _terminate)
-            try:
-                fanout.serve_forever()
-            except KeyboardInterrupt:
-                print("shutting down", file=sys.stderr)
-            finally:
-                signal.signal(signal.SIGTERM, previous)
-        return 0
-    # Store and server both live on the stack: a failed bind (port already
-    # in use) must unwind the store's handles instead of leaking them, and
-    # ClassificationServer.close() is safe before serve_forever ran.
     with ExitStack() as stack:
-        store = stack.enter_context(
-            open_store(args.store, retention=args.retention, archive_dir=args.archive_dir)
-        )
-        server = stack.enter_context(
-            ClassificationServer(
-                store,
-                host=args.host,
-                port=args.port,
-                cache_size=args.cache_size,
-                auth_token=auth_token,
-            )
-        )
+        server, fleet = _start_http(args, stack, auth_token, retention=args.retention)
+        with_workers = f" with {fleet}" if fleet else ""
         locked = " [token auth]" if auth_token is not None else ""
         print(
-            f"serving {args.store} at {server.url}{locked} (Ctrl-C to stop)",
+            f"serving {args.store} at {server.url}{with_workers}{locked} (Ctrl-C to stop)",
             file=sys.stderr,
         )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down", file=sys.stderr)
-    return 0
-
-
-def _serve_promoted(args: argparse.Namespace, stack, store, auth_token) -> int:
-    """Serve a just-promoted replica as the new leader (blocks until Ctrl-C).
-
-    Unlike ``replicate --serve``, no sync loop runs: promotion made this
-    store the leader, and its deposed predecessor is fenced, not polled.
-    """
-    import signal
-
-    from repro.service import ClassificationServer, MultiWorkerServer
-
-    waiter: object
-    if args.http_workers > 1:
-        fanout = stack.enter_context(
-            MultiWorkerServer(
-                args.store,
-                workers=args.http_workers,
-                host=args.host,
-                port=args.port,
-                cache_size=args.cache_size,
-                archive_dir=args.archive_dir,
-                auth_token=auth_token,
-            )
-        )
-        fanout.start()
-        url, workers, waiter = fanout.url, f"{fanout.workers} {fanout.mode} workers", fanout
-    else:
-        server = stack.enter_context(
-            ClassificationServer(
-                store,
-                host=args.host,
-                port=args.port,
-                cache_size=args.cache_size,
-                auth_token=auth_token,
-            )
-        )
-        server.start()
-        url, workers, waiter = server.url, "1 worker", server
-    print(
-        f"serving promoted leader {args.store} at {url} with {workers} (Ctrl-C to stop)",
-        file=sys.stderr,
-    )
-
-    def _terminate(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        waiter.serve_forever()  # type: ignore[attr-defined]
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+        _run_until_interrupted(server.serve_forever)
     return 0
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
     """``replicate``: continuously sync a follower store from a leader's API."""
     import json as _json
-    import signal
-    from contextlib import ExitStack
 
     from repro.service import (
-        ClassificationServer,
-        MultiWorkerServer,
         ReplicaSyncer,
         ReplicationError,
         ServiceClient,
@@ -408,9 +363,6 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     from repro.service.auth import resolve_token
     from repro.service.backends import open_store
 
-    if args.http_workers < 1:
-        print(f"error: --http-workers must be >= 1, got {args.http_workers}", file=sys.stderr)
-        return 2
     auth_token = resolve_token(args.auth_token)
     with ExitStack() as stack:
         store = stack.enter_context(
@@ -438,9 +390,18 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                 f"promoted {args.store} to leader epoch {outcome.epoch}",
                 file=sys.stderr,
             )
-            if not args.serve:
-                return 0
-            return _serve_promoted(args, stack, store, auth_token)
+            if args.serve:
+                # Unlike the replica below, no sync loop runs: promotion made
+                # this store the leader, and its deposed predecessor is
+                # fenced, not polled.
+                server, fleet = _start_http(args, stack, auth_token, store=store)
+                print(
+                    f"serving promoted leader {args.store} at {server.url} "
+                    f"with {fleet or '1 worker'} (Ctrl-C to stop)",
+                    file=sys.stderr,
+                )
+                _run_until_interrupted(server.serve_forever)
+            return 0
         client = stack.enter_context(ServiceClient(args.source, token=auth_token))
         syncer = ReplicaSyncer(
             client, store, page_size=args.page_size, follower=args.follower
@@ -467,61 +428,29 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         if args.once:
             return 0
         if args.serve:
-            if args.http_workers > 1:
-                fanout = stack.enter_context(
-                    MultiWorkerServer(
-                        args.store,
-                        workers=args.http_workers,
-                        host=args.host,
-                        port=args.port,
-                        cache_size=args.cache_size,
-                        archive_dir=args.archive_dir,
-                        auth_token=auth_token,
-                    )
-                )
-                fanout.start()
-                url, workers = fanout.url, f"{fanout.workers} {fanout.mode} workers"
-            else:
-                # The single-worker server shares the syncer's store object:
-                # per-thread reader connections and the write lock make that
-                # safe, and readers never block the applying writer (WAL).
-                server = stack.enter_context(
-                    ClassificationServer(
-                        store,
-                        host=args.host,
-                        port=args.port,
-                        cache_size=args.cache_size,
-                        auth_token=auth_token,
-                    )
-                )
+            # An in-process server shares the syncer's store object:
+            # per-thread reader connections and the write lock make that
+            # safe, and readers never block the applying writer (WAL).
+            server, fleet = _start_http(args, stack, auth_token, store=store)
+            if fleet is None:
                 server.start()
-                url, workers = server.url, "1 worker"
             print(
-                f"serving replica {args.store} at {url} with {workers} "
-                "(Ctrl-C to stop)",
+                f"serving replica {args.store} at {server.url} "
+                f"with {fleet or '1 worker'} (Ctrl-C to stop)",
                 file=sys.stderr,
             )
-
-        def _terminate(signum: int, frame: object) -> None:
-            # SIGTERM tears the replica down like Ctrl-C: the sync loop and
-            # any serving workers must exit together.
-            raise KeyboardInterrupt
-
-        previous = signal.signal(signal.SIGTERM, _terminate)
         print(
             f"replicating {args.source} -> {args.store} every "
             f"{args.poll_interval:g}s (Ctrl-C to stop)",
             file=sys.stderr,
         )
         try:
-            syncer.run(poll_interval=args.poll_interval, on_sync=report)
+            _run_until_interrupted(
+                lambda: syncer.run(poll_interval=args.poll_interval, on_sync=report)
+            )
         except ReplicationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
-        except KeyboardInterrupt:
-            print("shutting down", file=sys.stderr)
-        finally:
-            signal.signal(signal.SIGTERM, previous)
     return 0
 
 
@@ -657,28 +586,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     classify.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for sanitation and counting (default: 1, serial)",
-    )
-    classify.add_argument(
-        "--representation",
-        choices=("object", "columnar"),
-        default="object",
-        help="internal data layout: object tuples or the interned columnar "
-        "hot path (identical classification, much faster counting)",
     )
     classify.add_argument(
         "--store",
         help="also materialize the result into this snapshot store "
         "(path, sqlite:path, or memory:)",
-    )
-    classify.add_argument(
-        "--ingest-block-size",
-        type=int,
-        default=4096,
-        help="observations sanitized per block (>= 1); a pure throughput "
-        "knob that never changes the classification",
     )
     classify.set_defaults(handler=cmd_classify)
 
@@ -703,10 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=int, default=None, help="sliding retention span (default: 4 windows)"
     )
     stream.add_argument("--allowed-lateness", type=int, default=0)
-    stream.add_argument("--shards", type=int, default=1, help="per-AS-partition workers")
+    stream.add_argument(
+        "--shards", type=_positive_int, default=1, help="per-AS-partition workers"
+    )
     stream.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="OS processes hosting the shard workers (default: 1, in-process); "
         "raises --shards to at least this many partitions",
@@ -743,11 +660,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--ingest-block-size",
-        type=int,
+        type=_positive_int,
         default=4096,
-        help="events ingested per block (>= 1); blocks are split at window "
-        "cuts so snapshots are identical at any size — this only trades "
-        "per-event dispatch overhead against ingest latency",
+        help="events ingested per block, also what ships per round-trip under "
+        "--workers N; blocks are split at window cuts so snapshots are "
+        "identical at any size — this only trades per-event dispatch "
+        "overhead against ingest latency",
     )
     stream.set_defaults(handler=cmd_stream)
 
@@ -784,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--http-workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="serving workers: 1 (default) runs one threaded server in-process; "
         "N > 1 fans out across N SO_REUSEPORT worker processes sharing the port "
@@ -889,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replicate.add_argument(
         "--http-workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="with --serve: serving workers, as in 'repro serve --http-workers'",
     )

@@ -23,19 +23,29 @@ around index 7 (the paper makes the same observation).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
 from repro.core import matrix as _matrix
-from repro.core.counters import CounterStore, DecisionView, PackedCounterStore
+from repro.core.counters import CounterStore, DecisionView
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
-from repro.core.tuples import ColumnarBatch, CountingGroup, TupleTable
-
-#: Inference data representations: the object oracle and the columnar twin.
-REPRESENTATIONS = ("object", "columnar")
+from repro.core.tuples import CountingGroup
 
 #: The internal per-tuple form: ``(path ASNs, upper fields of output(A_1))``.
 PreparedTuple = Tuple[Tuple[ASN, ...], FrozenSet[ASN]]
@@ -340,6 +350,23 @@ class ColumnInferenceReport:
         return sum(self.forwarding_counts_per_column)
 
 
+#: Counts one phase of one column over the whole input:
+#: ``(phase, column, decisions) -> (delta, increments)``.
+PhaseCounter = Callable[[str, int, DecisionView], Tuple[PhaseDelta, int]]
+
+
+def count_column_phase(
+    prepared: Sequence[PreparedTuple], phase: str, column: int, decisions: DecisionView
+) -> Tuple[PhaseDelta, int]:
+    """Count the ``"tagging"`` or ``"forwarding"`` phase of *column* over *prepared*.
+
+    The phase travels by name so a pool task can carry it across a process
+    boundary.
+    """
+    count = count_tagging_phase if phase == "tagging" else count_forwarding_phase
+    return count(prepared, column, decisions)
+
+
 class ColumnInference:
     """Runs the paper's column-based inference over ``(path, comm)`` tuples."""
 
@@ -349,26 +376,16 @@ class ColumnInference:
         *,
         max_columns: Optional[int] = None,
         stop_when_stalled: bool = True,
-        representation: str = "object",
     ) -> None:
-        if representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}")
         self.thresholds = thresholds or Thresholds()
         self.max_columns = max_columns
         self.stop_when_stalled = stop_when_stalled
-        self.representation = representation
         self.report = ColumnInferenceReport()
 
-    # -- public API --------------------------------------------------------------------
     def run(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
         """Infer the community usage classification for every observed AS."""
-        if self.representation == "columnar":
-            return self._run_columnar(tuples)
         store = CounterStore(self.thresholds)
         observed: Set[ASN] = set()
-        if not tuples:
-            return ClassificationResult(store=store, observed_ases=observed, algorithm="column")
-
         # Pre-compute the upper-field sets once; membership tests dominate the
         # inner loops.
         prepared: List[PreparedTuple] = []
@@ -382,72 +399,33 @@ class ColumnInference:
 
         limit = max_length if self.max_columns is None else min(max_length, self.max_columns)
         self.report = ColumnInferenceReport()
-
-        for column in range(1, limit + 1):
-            tagging_delta, tagging_increments = count_tagging_phase(
-                prepared, column, store.decision_view()
-            )
-            store.apply_tagging_delta(tagging_delta)
-            forwarding_delta, forwarding_increments = count_forwarding_phase(
-                prepared, column, store.decision_view()
-            )
-            store.apply_forwarding_delta(forwarding_delta)
-            self.report.columns_processed = column
-            self.report.tagging_counts_per_column.append(tagging_increments)
-            self.report.forwarding_counts_per_column.append(forwarding_increments)
-            if (
-                self.stop_when_stalled
-                and column > 1
-                and tagging_increments == 0
-                and forwarding_increments == 0
-            ):
-                break
-
+        with self._phase_counter(prepared) as count_phase:
+            for column in range(1, limit + 1):
+                tagging_delta, tagging_increments = count_phase(
+                    "tagging", column, store.decision_view()
+                )
+                store.apply_tagging_delta(tagging_delta)
+                forwarding_delta, forwarding_increments = count_phase(
+                    "forwarding", column, store.decision_view()
+                )
+                store.apply_forwarding_delta(forwarding_delta)
+                self.report.columns_processed = column
+                self.report.tagging_counts_per_column.append(tagging_increments)
+                self.report.forwarding_counts_per_column.append(forwarding_increments)
+                if (
+                    self.stop_when_stalled
+                    and column > 1
+                    and tagging_increments == 0
+                    and forwarding_increments == 0
+                ):
+                    break
         return ClassificationResult(store=store, observed_ases=observed, algorithm="column")
 
-    # -- columnar fast path ------------------------------------------------------------
-    def _run_columnar(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
-        """Same inference over the interned, packed representation."""
-        table = TupleTable()
-        batch = ColumnarBatch(table)
-        for item in tuples:
-            batch.add_tuple(item)
-        observed = batch.observed_ases()
-        packed = PackedCounterStore(self.thresholds)
-        self.report = ColumnInferenceReport()
-        if not len(batch):
-            return ClassificationResult(
-                store=CounterStore(self.thresholds), observed_ases=observed, algorithm="column"
-            )
+    @contextmanager
+    def _phase_counter(self, prepared: List[PreparedTuple]) -> Iterator[PhaseCounter]:
+        """How one phase is counted over *prepared*: here, in this process.
 
-        groups = batch.counting_groups()
-        limit = (
-            table.max_path_length
-            if self.max_columns is None
-            else min(table.max_path_length, self.max_columns)
-        )
-        for column in range(1, limit + 1):
-            tagger_flags, forward_flags = packed.decision_flags(table.as_count)
-            tagging_delta, tagging_increments = count_tagging_phase_packed(
-                groups, column, tagger_flags, forward_flags
-            )
-            packed.apply_tagging_delta(tagging_delta)
-            tagger_flags, forward_flags = packed.decision_flags(table.as_count)
-            forwarding_delta, forwarding_increments = count_forwarding_phase_packed(
-                groups, column, tagger_flags, forward_flags
-            )
-            packed.apply_forwarding_delta(forwarding_delta)
-            self.report.columns_processed = column
-            self.report.tagging_counts_per_column.append(tagging_increments)
-            self.report.forwarding_counts_per_column.append(forwarding_increments)
-            if (
-                self.stop_when_stalled
-                and column > 1
-                and tagging_increments == 0
-                and forwarding_increments == 0
-            ):
-                break
-
-        return ClassificationResult(
-            store=packed.to_store(table.as_values()), observed_ases=observed, algorithm="column"
-        )
+        The one step :class:`~repro.parallel.inference.ParallelColumnInference`
+        overrides (pinned chunks in a pool, merged at the phase barrier).
+        """
+        yield partial(count_column_phase, prepared)

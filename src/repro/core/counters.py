@@ -63,15 +63,6 @@ class ASCounters:
         total = self.forwarding_total
         return self.cleaner / total if total else 0.0
 
-    def merge(self, other: "ASCounters") -> "ASCounters":
-        """Element-wise sum of two counter sets (used to merge datasets)."""
-        return ASCounters(
-            tagger=self.tagger + other.tagger,
-            silent=self.silent + other.silent,
-            forward=self.forward + other.forward,
-            cleaner=self.cleaner + other.cleaner,
-        )
-
     def as_tuple(self) -> Tuple[int, int, int, int]:
         """``(t, s, f, c)`` for compact comparisons in tests."""
         return (self.tagger, self.silent, self.forward, self.cleaner)
@@ -81,31 +72,6 @@ class ASCounters:
         """Inverse of :meth:`as_tuple` (used by checkpoint restore)."""
         tagger, silent, forward, cleaner = values
         return cls(tagger=tagger, silent=silent, forward=forward, cleaner=cleaner)
-
-    def decay(self, factor: float) -> "ASCounters":
-        """Multiplicatively age all four counters (streaming decay).
-
-        Rounds half-up rather than truncating: truncation would collapse any
-        counter ``<= 1/factor`` straight to zero, silently erasing minority
-        evidence and skewing the share ratios after repeated decay.  Rounding
-        keeps e.g. a ``(99, 1)`` tagger/silent split near a 0.99 share instead
-        of snapping it to 1.0.
-
-        Consequence: with ``factor >= 0.5`` a counter of 1 is a fixed point,
-        so decay alone never fully ages evidence out.  Deployments that need
-        bounded state should evict (sliding windows) or use factors < 0.5.
-        """
-        return ASCounters(
-            tagger=int(self.tagger * factor + 0.5),
-            silent=int(self.silent * factor + 0.5),
-            forward=int(self.forward * factor + 0.5),
-            cleaner=int(self.cleaner * factor + 0.5),
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        """``True`` when no evidence at all is recorded."""
-        return not (self.tagger or self.silent or self.forward or self.cleaner)
 
 
 @dataclass(frozen=True)
@@ -149,22 +115,6 @@ class CounterStore:
             self._counters[asn] = counters
         return counters
 
-    def count_tagger(self, asn: ASN) -> None:
-        """Record one piece of tagger evidence (``t[A]++``)."""
-        self.counters_for(asn).tagger += 1
-
-    def count_silent(self, asn: ASN) -> None:
-        """Record one piece of silent evidence (``s[A]++``)."""
-        self.counters_for(asn).silent += 1
-
-    def count_forward(self, asn: ASN) -> None:
-        """Record one piece of forward evidence (``f[A]++``)."""
-        self.counters_for(asn).forward += 1
-
-    def count_cleaner(self, asn: ASN) -> None:
-        """Record one piece of cleaner evidence (``c[A]++``)."""
-        self.counters_for(asn).cleaner += 1
-
     # -- incremental updates (streaming engine) --------------------------------------
     def apply_tagging_delta(self, delta: Mapping[ASN, Sequence[int]]) -> None:
         """Apply ``{asn: (dt, ds)}`` tagging deltas (may be negative)."""
@@ -192,61 +142,6 @@ class CounterStore:
             counters.silent += d_silent
             counters.forward += d_forward
             counters.cleaner += d_cleaner
-
-    def merge_from(self, other: "CounterStore") -> None:
-        """Element-wise add every counter of *other* into this store.
-
-        This is the shard-merge operation of the parallel execution layer:
-        because all counting phases produce commutative per-AS sums, merging
-        per-shard stores at a phase barrier is equivalent to having counted
-        the union of their inputs in one process.
-        """
-        for asn, counters in other._counters.items():
-            mine = self.counters_for(asn)
-            mine.tagger += counters.tagger
-            mine.silent += counters.silent
-            mine.forward += counters.forward
-            mine.cleaner += counters.cleaner
-
-    @classmethod
-    def merged(
-        cls,
-        stores: Iterable["CounterStore"],
-        thresholds: Optional[Thresholds] = None,
-    ) -> "CounterStore":
-        """A new store holding the element-wise sum of *stores*."""
-        merged = cls(thresholds)
-        for store in stores:
-            merged.merge_from(store)
-        return merged
-
-    def prune_zeros(self) -> int:
-        """Drop ASes whose evidence was fully retracted; returns the count.
-
-        Keeps the store's membership semantics identical to one that never
-        saw the retracted evidence (used after negative-delta eviction).
-        """
-        zeroed = [asn for asn, counters in self._counters.items() if counters.is_zero]
-        for asn in zeroed:
-            del self._counters[asn]
-        return len(zeroed)
-
-    def decay(self, factor: float, *, prune: bool = True) -> None:
-        """Multiplicatively age every counter by ``factor`` in ``[0, 1]``.
-
-        Streaming deployments use decay to let stale evidence fade out
-        between windows instead of recounting from scratch.  With *prune*,
-        ASes whose evidence decayed to zero are dropped entirely.
-        """
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError(f"decay factor must be within [0, 1], got {factor}")
-        decayed: Dict[ASN, ASCounters] = {}
-        for asn, counters in self._counters.items():
-            aged = counters.decay(factor)
-            if prune and aged.is_zero:
-                continue
-            decayed[asn] = aged
-        self._counters = decayed
 
     def decision_view(self) -> DecisionView:
         """Snapshot the ``is_tagger`` / ``is_forward`` predicates of all ASes."""
@@ -368,7 +263,7 @@ class PackedCounterStore:
     Counters live in four flat ``array('q')`` columns indexed by the dense
     AS index a :class:`~repro.core.tuples.TupleTable` assigns, so the hot
     counting loops touch machine integers instead of per-AS objects.  The
-    delta/merge/state APIs mirror the object store; a slot whose four
+    delta/state APIs mirror the object store; a slot whose four
     counters are all zero reads as *absent*, which keeps the membership
     semantics identical to an object store that pruned retracted evidence.
     """
@@ -421,31 +316,6 @@ class PackedCounterStore:
             forward[index] += d_forward
             cleaner[index] += d_cleaner
 
-    def merge_from(self, other: "PackedCounterStore") -> None:
-        """Element-wise add *other*'s counters (same table's index space)."""
-        self.ensure_slots(other.slots)
-        for mine, theirs in (
-            (self.tagger, other.tagger),
-            (self.silent, other.silent),
-            (self.forward, other.forward),
-            (self.cleaner, other.cleaner),
-        ):
-            for index, value in enumerate(theirs):
-                if value:
-                    mine[index] += value
-
-    def decay(self, factor: float) -> None:
-        """Multiplicatively age every counter (half-up, like the object store).
-
-        Slots aged to zero read as absent, matching ``decay(prune=True)``.
-        """
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError(f"decay factor must be within [0, 1], got {factor}")
-        for column in (self.tagger, self.silent, self.forward, self.cleaner):
-            for index, value in enumerate(column):
-                if value:
-                    column[index] = int(value * factor + 0.5)
-
     # -- decisions ---------------------------------------------------------------------
     def decision_flags(self, slots: Optional[int] = None) -> Tuple[bytearray, bytearray]:
         """Per-index ``is_tagger`` / ``is_forward`` flags, zero-padded to *slots*.
@@ -473,14 +343,6 @@ class PackedCounterStore:
             if total and f / total >= forward_threshold:
                 forward_flags[index] = 1
         return tagger_flags, forward_flags
-
-    def decision_view(self, as_values: Sequence[ASN]) -> DecisionView:
-        """The :class:`DecisionView` equivalent of :meth:`decision_flags`."""
-        tagger_flags, forward_flags = self.decision_flags()
-        return DecisionView(
-            frozenset(as_values[i] for i, flag in enumerate(tagger_flags) if flag),
-            frozenset(as_values[i] for i, flag in enumerate(forward_flags) if flag),
-        )
 
     # -- conversion / (de)serialisation -----------------------------------------------
     def state_dict(self, as_values: Sequence[ASN]) -> Dict[ASN, Tuple[int, int, int, int]]:

@@ -1,8 +1,7 @@
 """Vectorised (numpy) twins of the packed counting kernels.
 
-The pure-Python packed kernels in :mod:`repro.core.column` and
-:mod:`repro.core.row` walk one counting group at a time.  The same sums
-can be computed bucket-wise: groups are split by path length into dense
+The pure-Python packed kernels in :mod:`repro.core.column` walk one
+counting group at a time.  The same sums can be computed bucket-wise: groups are split by path length into dense
 ``(n, L)`` index matrices once, and every phase reduces whole buckets with
 boolean masks and ``bincount`` instead of a Python loop per group.  All arithmetic stays in integers (the ``bincount``
 weights are integer-valued float64, exact far beyond any realistic event
@@ -31,9 +30,8 @@ MIN_MATRIX_GROUPS = 512
 class GroupList(list):
     """A list of counting groups carrying a lazily built matrix form.
 
-    The matrix is cached on first use and rebuilt lazily after pickling
-    (``__reduce__`` ships only the groups), so pinned worker chunks build
-    their matrices once per process, not once per phase.
+    The matrix is cached on first use, so a group set is lowered to numpy
+    once, not once per phase.
     """
 
     __slots__ = ("_matrix",)
@@ -58,9 +56,6 @@ class GroupList(list):
         self.extend(other)
         if matrix is not None:
             matrix.extend(other.matrix())
-
-    def __reduce__(self):
-        return (GroupList, (list(self),))
 
 
 class GroupMatrix:
@@ -219,47 +214,3 @@ def count_forwarding_matrix(
         _accumulate(cleaners, indices[~tagged], counts_f[~tagged])
         increments += int(counts_f.sum())
     return _nonzero_delta(forwards, cleaners), increments
-
-
-def count_row_matrix(matrix: GroupMatrix) -> Dict[int, List[int]]:
-    """Vectorised :func:`repro.core.row.count_row_phase_packed`.
-
-    Tagging counts every position's hit bit; the forwarding pass uses the
-    same suffix-count identity as the scalar kernel (``df`` at position
-    ``j`` is the number of present communities strictly downstream of
-    ``j``), computed as total minus inclusive cumulative sum.
-    """
-    slots = 0
-    for _, (rows, _, _) in matrix.buckets.items():
-        if rows.size:
-            slots = max(slots, int(rows.max()) + 1)
-    for row, _, _ in matrix.overflow:
-        for index in row:
-            slots = max(slots, index + 1)
-    components = _np.zeros((4, slots), dtype=_np.int64)
-    for length, (rows, hits, counts) in matrix.buckets.items():
-        bits = ((hits[:, None] >> _np.arange(length)) & 1).astype(_np.int64)
-        flat_rows = rows.ravel()
-        flat_bits = bits.ravel().astype(bool)
-        flat_counts = _np.repeat(counts, length)
-        _accumulate(components[0], flat_rows[flat_bits], flat_counts[flat_bits])
-        _accumulate(components[1], flat_rows[~flat_bits], flat_counts[~flat_bits])
-        if length < 2:
-            continue
-        # present-downstream suffix counts, excluding the position itself
-        suffix = bits.sum(axis=1, keepdims=True) - _np.cumsum(bits, axis=1)
-        upstream = rows[:, :-1]
-        _accumulate(
-            components[2], upstream.ravel(), (suffix[:, :-1] * counts[:, None]).ravel()
-        )
-        missing_next = bits[:, 1:] == 0
-        _accumulate(
-            components[3],
-            upstream[missing_next],
-            _np.broadcast_to(counts[:, None], upstream.shape)[missing_next],
-        )
-    nonzero = _np.nonzero(components.any(axis=0))[0]
-    return {
-        int(index): [int(a), int(b), int(c), int(d)]
-        for index, a, b, c, d in zip(nonzero.tolist(), *components[:, nonzero].tolist())
-    }

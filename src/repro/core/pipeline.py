@@ -17,17 +17,21 @@ dedup stage and the counting phases execute on N OS processes (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.collectors.archive import iter_observations_from_mrt
-from repro.core.column import REPRESENTATIONS, ColumnInference
+from repro.core.column import ColumnInference
 from repro.core.results import ClassificationResult
 from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
+
+#: Observations sanitized per block by the batch path, serial and parallel
+#: (purely a throughput constant, never changes the output).
+SANITIZE_BLOCK_SIZE = 4096
 
 
 @dataclass
@@ -76,28 +80,17 @@ class InferencePipeline:
         sanitation: Optional[SanitationConfig] = None,
         algorithm: str = "column",
         workers: int = 1,
-        representation: str = "object",
-        ingest_block_size: int = 4096,
     ) -> None:
         if algorithm not in ("column", "row"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}")
-        if ingest_block_size < 1:
-            raise ValueError(f"ingest_block_size must be >= 1, got {ingest_block_size}")
         self.thresholds = thresholds or Thresholds()
         self.asn_registry = asn_registry
         self.prefix_allocation = prefix_allocation
         self.sanitation_config = sanitation or SanitationConfig()
         self.algorithm = algorithm
         self.workers = workers
-        self.representation = representation
-        #: Observations sanitized per block on the single-process path
-        #: (mirrors :attr:`repro.stream.engine.StreamConfig.ingest_block_size`;
-        #: purely a throughput knob, never changes the output).
-        self.ingest_block_size = ingest_block_size
 
     # -- stage helpers --------------------------------------------------------------------
     def _make_sanitizer(self) -> Sanitizer:
@@ -107,20 +100,16 @@ class InferencePipeline:
             config=self.sanitation_config,
         )
 
-    def _make_inference(self):
+    def _make_inference(self) -> Union[ColumnInference, RowInference]:
         if self.workers > 1:
             from repro.parallel.inference import ParallelColumnInference, ParallelRowInference
 
             if self.algorithm == "row":
-                return ParallelRowInference(
-                    self.thresholds, workers=self.workers, representation=self.representation
-                )
-            return ParallelColumnInference(
-                self.thresholds, workers=self.workers, representation=self.representation
-            )
+                return ParallelRowInference(self.thresholds, workers=self.workers)
+            return ParallelColumnInference(self.thresholds, workers=self.workers)
         if self.algorithm == "row":
-            return RowInference(self.thresholds, representation=self.representation)
-        return ColumnInference(self.thresholds, representation=self.representation)
+            return RowInference(self.thresholds)
+        return ColumnInference(self.thresholds)
 
     # -- entry points ----------------------------------------------------------------------
     def run_from_observations(self, observations: Iterable[RouteObservation]) -> PipelineResult:
@@ -128,7 +117,7 @@ class InferencePipeline:
 
         *observations* may be any iterable, including a lazy generator: the
         input is streamed through the sanitizer in blocks of
-        :attr:`ingest_block_size`, so only one block plus the deduplicated
+        :data:`SANITIZE_BLOCK_SIZE`, so only one block plus the deduplicated
         unique tuples are ever held in memory.  With ``workers > 1`` the
         stream is partitioned by collector-peer AS across worker processes;
         the output is identical either way.
@@ -146,9 +135,7 @@ class InferencePipeline:
         else:
             sanitizer = self._make_sanitizer()
             tuples = list(
-                sanitizer.iter_unique_tuples_blocked(
-                    observations, self.ingest_block_size
-                )
+                sanitizer.iter_unique_tuples_blocked(observations, SANITIZE_BLOCK_SIZE)
             )
             stats = sanitizer.stats
         inference = self._make_inference()

@@ -25,16 +25,14 @@ the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
-from repro.core import matrix as _matrix
-from repro.core.column import REPRESENTATIONS, PreparedTuple, prepare_tuple
-from repro.core.counters import CounterStore, PackedCounterStore
+from repro.core.column import PreparedTuple, prepare_tuple
+from repro.core.counters import CounterStore
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
-from repro.core.tuples import ColumnarBatch, CountingGroup, TupleTable
 
 #: Per-AS four-component ``[dt, ds, df, dc]`` counter deltas.
 RowDelta = Dict[ASN, List[int]]
@@ -129,40 +127,14 @@ def row_group_delta_packed(
     return delta
 
 
-def count_row_phase_packed(groups: Sequence[CountingGroup]) -> Dict[int, List[int]]:
-    """Summed per-AS-index deltas of grouped columnar work units.
-
-    Large :class:`~repro.core.matrix.GroupList` inputs take the vectorised
-    bucket kernel; overflow groups and small inputs run the scalar loop.
-    """
-    matrix_of = getattr(groups, "matrix", None)
-    if matrix_of is not None and len(groups) >= _matrix.MIN_MATRIX_GROUPS:
-        matrix = matrix_of()
-        delta = _matrix.count_row_matrix(matrix)
-        for row, hits, count in matrix.overflow:
-            row_group_delta_packed(row, hits, count, delta)
-        return delta
-    delta: Dict[int, List[int]] = {}
-    for row, hits, count in groups:
-        row_group_delta_packed(row, hits, count, delta)
-    return delta
-
-
 class RowInference:
     """Runs the row-based baseline over ``(path, comm)`` tuples."""
 
-    def __init__(
-        self, thresholds: Optional[Thresholds] = None, *, representation: str = "object"
-    ) -> None:
-        if representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}")
+    def __init__(self, thresholds: Optional[Thresholds] = None) -> None:
         self.thresholds = thresholds or Thresholds()
-        self.representation = representation
 
     def run(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
         """Infer classifications with the row-based counting rules."""
-        if self.representation == "columnar":
-            return self._run_columnar(tuples)
         store = CounterStore(self.thresholds)
         observed: Set[ASN] = set()
 
@@ -172,19 +144,14 @@ class RowInference:
             observed.update(asns)
             prepared.append(prepare_tuple(item))
 
-        store.apply_delta(count_row_phase(prepared))
+        for delta in self._count(prepared):
+            store.apply_delta(delta)
         return ClassificationResult(store=store, observed_ases=observed, algorithm="row")
 
-    def _run_columnar(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
-        """Same counting over the interned, packed representation."""
-        table = TupleTable()
-        batch = ColumnarBatch(table)
-        for item in tuples:
-            batch.add_tuple(item)
-        packed = PackedCounterStore(self.thresholds, slots=table.as_count)
-        packed.apply_delta(count_row_phase_packed(batch.counting_groups()))
-        return ClassificationResult(
-            store=packed.to_store(table.as_values()),
-            observed_ases=batch.observed_ases(),
-            algorithm="row",
-        )
+    def _count(self, prepared: List[PreparedTuple]) -> Iterable[RowDelta]:
+        """The row deltas of *prepared*, one per counted partition: here, one.
+
+        The one step :class:`~repro.parallel.inference.ParallelRowInference`
+        overrides (one delta per pinned chunk of a pool).
+        """
+        return [count_row_phase(prepared)]

@@ -16,10 +16,10 @@ This module provides the columnar twin of that representation:
   **hits bitmask** once: bit ``p`` is set iff ``path[p]``'s ASN appears as
   an upper field of the community set.  Every membership test the counting
   kernels perform afterwards is a single shift-and-mask on that bitmask.
-* :class:`ColumnarBatch` holds a batch of tuples as dense integer id pairs
-  (``path_id``, ``comm_id``) and groups them into :data:`CountingGroup`
-  rows — ``(as-index row, hits, multiplicity)`` — the form the packed
-  kernels in :mod:`repro.core.column` / :mod:`repro.core.row` consume.
+* :func:`materialize_groups` lowers ``(path_id, hits) -> multiplicity``
+  aggregates into :data:`CountingGroup` rows — ``(as-index row, hits,
+  multiplicity)`` — the form the packed kernels in
+  :mod:`repro.core.column` / :mod:`repro.core.row` consume.
 
 Because every counting phase is a pure function of ``(tuples, decisions)``
 and all phase contributions are commutative sums, swapping the
@@ -30,7 +30,7 @@ pin the columnar path against the object oracle tuple for tuple.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
@@ -269,94 +269,6 @@ class TupleTable:
         table = cls()
         table.load_state(state)
         return table
-
-
-class ColumnarBatch:
-    """A batch of interned tuples as dense integer id columns.
-
-    The wire/pickle form is two flat ``array('I')`` columns, which is what
-    makes shipping batches between processes cheap; :meth:`counting_groups`
-    lowers the batch into the grouped form the packed kernels consume.
-    """
-
-    __slots__ = ("table", "_path_ids", "_comm_ids")
-
-    def __init__(self, table: TupleTable, refs: Iterable[TupleRef] = ()) -> None:
-        self.table = table
-        self._path_ids: "array[int]" = array("I")
-        self._comm_ids: "array[int]" = array("I")
-        self.extend(refs)
-
-    def append(self, ref: TupleRef) -> None:
-        """Append one interned tuple to the batch."""
-        self._path_ids.append(ref[0])
-        self._comm_ids.append(ref[1])
-
-    def extend(self, refs: Iterable[TupleRef]) -> None:
-        """Append many interned tuples."""
-        for ref in refs:
-            self.append(ref)
-
-    def add_tuple(self, item: PathCommTuple) -> TupleRef:
-        """Intern *item* into the table and append it."""
-        ref = self.table.intern_tuple(item)
-        self.append(ref)
-        return ref
-
-    def __len__(self) -> int:
-        return len(self._path_ids)
-
-    def refs(self) -> Iterator[TupleRef]:
-        """The contained ``(path_id, comm_id)`` pairs, in append order."""
-        return zip(self._path_ids, self._comm_ids)
-
-    def group_counts(self) -> GroupCounts:
-        """Aggregate the batch into ``(path_id, hits) -> multiplicity``."""
-        table = self.table
-        counts: GroupCounts = {}
-        for path_id, comm_id in zip(self._path_ids, self._comm_ids):
-            key = (path_id, table.hits_of(path_id, comm_id))
-            count = counts.get(key)
-            counts[key] = 1 if count is None else count + 1
-        return counts
-
-    def counting_groups(self) -> List[CountingGroup]:
-        """The grouped kernel form of this batch."""
-        return materialize_groups(self.table, self.group_counts())
-
-    def observed_ases(self) -> Set[ASN]:
-        """Every ASN appearing on any contained path."""
-        table = self.table
-        observed: Set[ASN] = set()
-        for path_id in set(self._path_ids):
-            observed.update(table.path_asns_of(path_id))
-        return observed
-
-    def max_path_length(self) -> int:
-        """Longest path length among the contained tuples."""
-        table = self.table
-        longest = 0
-        for path_id in set(self._path_ids):
-            length = len(table.path_row(path_id))
-            if length > longest:
-                longest = length
-        return longest
-
-    # -- (de)serialisation -------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Plain-data snapshot (ids are table-relative)."""
-        return {
-            "path_ids": array("I", self._path_ids),
-            "comm_ids": array("I", self._comm_ids),
-        }
-
-    @classmethod
-    def from_state(cls, table: TupleTable, state: Dict[str, object]) -> "ColumnarBatch":
-        """Rebuild a batch against the table its ids were minted by."""
-        batch = cls(table)
-        batch._path_ids = array("I", state["path_ids"])  # type: ignore[arg-type]
-        batch._comm_ids = array("I", state["comm_ids"])  # type: ignore[arg-type]
-        return batch
 
 
 def materialize_groups(table: TupleTable, counts: GroupCounts) -> List[CountingGroup]:

@@ -26,10 +26,9 @@ from repro.parallel.inference import (
     split_chunks,
 )
 from repro.parallel.pool import ShardProcessPool, iter_chunks
-from repro.parallel.stream import DEFAULT_STREAM_BATCH, ParallelStreamEngine
+from repro.parallel.stream import ParallelStreamEngine
 
 __all__ = [
-    "DEFAULT_STREAM_BATCH",
     "MIN_PARALLEL_TUPLES",
     "ParallelColumnInference",
     "ParallelRowInference",

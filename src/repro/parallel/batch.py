@@ -12,9 +12,7 @@ serial :meth:`Sanitizer.to_unique_tuples` pass would produce:
 
 The objects crossing the process boundary pickle compactly:
 :class:`~repro.bgp.path.ASPath` and community values define ``__reduce__``
-codecs that serialise to positional integer tuples, and the columnar
-inference layer (``representation="columnar"``) ships pure-integer counting
-groups instead of object tuples — see :mod:`repro.parallel.inference`.
+codecs that serialise to positional integer tuples.
 """
 
 from __future__ import annotations
@@ -24,11 +22,9 @@ from typing import Iterable, List, Optional, Tuple
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
+from repro.core.pipeline import SANITIZE_BLOCK_SIZE
 from repro.sanitize.filters import SanitationConfig, SanitationStats
 from repro.parallel.pool import ShardProcessPool, iter_chunks
-
-#: Observations shipped to the worker fleet per scatter/gather round-trip.
-DEFAULT_BATCH_SIZE = 4096
 
 
 def parallel_unique_tuples(
@@ -38,13 +34,13 @@ def parallel_unique_tuples(
     asn_registry: Optional[ASNRegistry] = None,
     prefix_allocation: Optional[PrefixAllocation] = None,
     sanitation: Optional[SanitationConfig] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Tuple[List[PathCommTuple], SanitationStats]:
     """Sanitize + deduplicate *observations* on *workers* processes.
 
     Returns ``(unique tuples, merged sanitation stats)`` identical to a
     serial :meth:`Sanitizer.to_unique_tuples` run over the same iterable.
-    The input may be lazy; it is consumed in batches of *batch_size*.
+    The input may be lazy; it is shipped to the fleet in blocks of
+    :data:`~repro.core.pipeline.SANITIZE_BLOCK_SIZE`.
     """
     indexed: List[Tuple[int, PathCommTuple]] = []
     with ShardProcessPool(
@@ -54,7 +50,7 @@ def parallel_unique_tuples(
         prefix_allocation=prefix_allocation,
         sanitation=sanitation,
     ) as pool:
-        for batch in iter_chunks(enumerate(observations), batch_size):
+        for batch in iter_chunks(enumerate(observations), SANITIZE_BLOCK_SIZE):
             for seq, _shard, outcome in pool.process_batch(batch):
                 if outcome is not None and outcome[1] is not None:
                     indexed.append((seq, PathCommTuple(*outcome[1])))

@@ -24,67 +24,39 @@ decision view)``.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from multiprocessing.pool import Pool
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bgp.announcement import PathCommTuple
-from repro.bgp.asn import ASN
 from repro.core.column import (
-    REPRESENTATIONS,
-    ColumnInferenceReport,
+    ColumnInference,
+    PhaseCounter,
     PhaseDelta,
     PreparedTuple,
-    count_forwarding_phase,
-    count_forwarding_phase_packed,
-    count_tagging_phase,
-    count_tagging_phase_packed,
+    count_column_phase,
     merge_phase_deltas,
-    prepare_tuple,
 )
-from repro.core.counters import CounterStore, DecisionView, PackedCounterStore
-from repro.core.matrix import GroupList
-from repro.core.results import ClassificationResult
-from repro.core.row import RowDelta, count_row_phase, count_row_phase_packed
+from repro.core.counters import DecisionView
+from repro.core.row import RowDelta, RowInference, count_row_phase
 from repro.core.thresholds import Thresholds
-from repro.core.tuples import ColumnarBatch, TupleTable
 
 #: Below this many tuples the pool start-up cost dwarfs the counting work.
 MIN_PARALLEL_TUPLES = 256
 
-#: The tuple chunks of the current pool's workers (set by the initializer).
-#: Either prepared object tuples or columnar counting groups — the per-phase
-#: task messages pick the matching kernel.
-_WORKER_CHUNKS: Optional[List[List]] = None
+#: The prepared tuple chunks of the current pool's workers (set by the initializer).
+_WORKER_CHUNKS: List[List[PreparedTuple]] = []
 
 
-def _init_chunks(chunks: Optional[List[List]]) -> None:
+def _init_chunks(chunks: List[List[PreparedTuple]]) -> None:
     """Pool initializer: pin the prepared tuple chunks in the worker."""
     global _WORKER_CHUNKS
     _WORKER_CHUNKS = chunks
 
 
-def _count_column_chunk(
-    task: Tuple[int, str, int, DecisionView]
-) -> Tuple[PhaseDelta, int]:
+def _count_column_chunk(task: Tuple[int, str, int, DecisionView]) -> Tuple[PhaseDelta, int]:
     """Count one phase of one column over one worker-resident chunk."""
     chunk_index, phase, column, decisions = task
-    chunk = _WORKER_CHUNKS[chunk_index]
-    count = count_tagging_phase if phase == "tagging" else count_forwarding_phase
-    return count(chunk, column, decisions)
-
-
-def _count_packed_chunk(
-    task: Tuple[int, str, int, bytes, bytes]
-) -> Tuple[Dict[int, List[int]], int]:
-    """Columnar twin of :func:`_count_column_chunk`.
-
-    The chunks are counting groups of plain integers and the per-phase
-    message carries the decision state as two flag byte-strings — both
-    dramatically cheaper to pickle than object tuples / frozenset views.
-    """
-    chunk_index, phase, column, tagger_flags, forward_flags = task
-    chunk = _WORKER_CHUNKS[chunk_index]
-    count = count_tagging_phase_packed if phase == "tagging" else count_forwarding_phase_packed
-    return count(chunk, column, tagger_flags, forward_flags)
+    return count_column_phase(_WORKER_CHUNKS[chunk_index], phase, column, decisions)
 
 
 def _count_row_chunk(chunk_index: int) -> RowDelta:
@@ -92,30 +64,31 @@ def _count_row_chunk(chunk_index: int) -> RowDelta:
     return count_row_phase(_WORKER_CHUNKS[chunk_index])
 
 
-def _count_row_chunk_packed(chunk_index: int) -> Dict[int, List[int]]:
-    """Count the packed row deltas of one worker-resident group chunk."""
-    return count_row_phase_packed(_WORKER_CHUNKS[chunk_index])
-
-
-def split_chunks(prepared: Sequence, parts: int) -> List[List]:
-    """Split a work-unit sequence into at most *parts* contiguous, balanced chunks.
-
-    A :class:`~repro.core.matrix.GroupList` input yields GroupList chunks,
-    so each pinned worker chunk keeps its own lazily-built matrix cache.
-    """
-    kind = GroupList if isinstance(prepared, GroupList) else list
+def split_chunks(prepared: Sequence[PreparedTuple], parts: int) -> List[List[PreparedTuple]]:
+    """Split a work-unit sequence into at most *parts* contiguous, balanced chunks."""
     parts = max(1, min(parts, len(prepared)))
     size, remainder = divmod(len(prepared), parts)
-    chunks: List[List] = []
+    chunks: List[List[PreparedTuple]] = []
     start = 0
     for index in range(parts):
         end = start + size + (1 if index < remainder else 0)
-        chunks.append(kind(prepared[start:end]))
+        chunks.append(list(prepared[start:end]))
         start = end
     return chunks
 
 
-class ParallelColumnInference:
+@contextmanager
+def _chunk_pool(
+    prepared: List[PreparedTuple], workers: int, context: Optional[str]
+) -> Iterator[Tuple[Pool, int]]:
+    """A pool with *prepared* pinned in one chunk per worker, and the chunk count."""
+    chunks = split_chunks(prepared, workers)
+    ctx = multiprocessing.get_context(context)
+    with ctx.Pool(len(chunks), initializer=_init_chunks, initargs=(chunks,)) as pool:
+        yield pool, len(chunks)
+
+
+class ParallelColumnInference(ColumnInference):
     """Byte-identical drop-in for :class:`ColumnInference` on N processes."""
 
     def __init__(
@@ -126,169 +99,40 @@ class ParallelColumnInference:
         max_columns: Optional[int] = None,
         stop_when_stalled: bool = True,
         context: Optional[str] = None,
-        representation: str = "object",
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}")
-        self.thresholds = thresholds or Thresholds()
+        super().__init__(
+            thresholds, max_columns=max_columns, stop_when_stalled=stop_when_stalled
+        )
         self.workers = workers
-        self.max_columns = max_columns
-        self.stop_when_stalled = stop_when_stalled
-        self.representation = representation
-        self.report = ColumnInferenceReport()
         self._context = context
 
-    def run(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
-        """Infer the community usage classification for every observed AS."""
-        if self.representation == "columnar":
-            return self._run_packed(tuples)
-        prepared: List[PreparedTuple] = []
-        observed: Set[ASN] = set()
-        max_length = 0
-        for item in tuples:
-            entry = prepare_tuple(item)
-            observed.update(entry[0])
-            prepared.append(entry)
-            if len(entry[0]) > max_length:
-                max_length = len(entry[0])
+    @contextmanager
+    def _phase_counter(self, prepared: List[PreparedTuple]) -> Iterator[PhaseCounter]:
+        """Count each phase on every pinned chunk and merge at the barrier."""
+        if self.workers == 1 or len(prepared) < MIN_PARALLEL_TUPLES:
+            with super()._phase_counter(prepared) as count_phase:
+                yield count_phase
+            return
+        with _chunk_pool(prepared, self.workers, self._context) as (pool, parts):
 
-        store = CounterStore(self.thresholds)
-        self.report = ColumnInferenceReport()
-        if not prepared:
-            return ClassificationResult(store=store, observed_ases=observed, algorithm="column")
+            def count_phase(
+                phase: str, column: int, decisions: DecisionView
+            ) -> Tuple[PhaseDelta, int]:
+                outcomes = pool.map(
+                    _count_column_chunk,
+                    [(index, phase, column, decisions) for index in range(parts)],
+                )
+                return (
+                    merge_phase_deltas(delta for delta, _ in outcomes),
+                    sum(increments for _, increments in outcomes),
+                )
 
-        limit = max_length if self.max_columns is None else min(max_length, self.max_columns)
-        try:
-            if self.workers == 1 or len(prepared) < MIN_PARALLEL_TUPLES:
-                _init_chunks([prepared])  # the serial fall-back reads the global too
-                self._run_columns(store, [prepared], limit, map)
-            else:
-                chunks = split_chunks(prepared, self.workers)
-                ctx = multiprocessing.get_context(self._context)
-                with ctx.Pool(
-                    len(chunks), initializer=_init_chunks, initargs=(chunks,)
-                ) as pool:
-                    self._run_columns(store, chunks, limit, pool.map)
-        finally:
-            _init_chunks(None)  # don't pin the dataset in the parent process
-        return ClassificationResult(store=store, observed_ases=observed, algorithm="column")
-
-    def _run_packed(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
-        """Columnar run: intern once, ship integer counting groups."""
-        table = TupleTable()
-        batch = ColumnarBatch(table)
-        for item in tuples:
-            batch.add_tuple(item)
-        observed = batch.observed_ases()
-        self.report = ColumnInferenceReport()
-        if not len(batch):
-            return ClassificationResult(
-                store=CounterStore(self.thresholds), observed_ases=observed, algorithm="column"
-            )
-
-        groups = batch.counting_groups()
-        limit = (
-            table.max_path_length
-            if self.max_columns is None
-            else min(table.max_path_length, self.max_columns)
-        )
-        packed = PackedCounterStore(self.thresholds, slots=table.as_count)
-        try:
-            if self.workers == 1 or len(groups) < MIN_PARALLEL_TUPLES:
-                _init_chunks([groups])
-                self._run_columns_packed(packed, [groups], table.as_count, limit, map)
-            else:
-                chunks = split_chunks(groups, self.workers)
-                ctx = multiprocessing.get_context(self._context)
-                with ctx.Pool(
-                    len(chunks), initializer=_init_chunks, initargs=(chunks,)
-                ) as pool:
-                    self._run_columns_packed(packed, chunks, table.as_count, limit, pool.map)
-        finally:
-            _init_chunks(None)
-        return ClassificationResult(
-            store=packed.to_store(table.as_values()), observed_ases=observed, algorithm="column"
-        )
-
-    def _run_columns_packed(self, packed, chunks, slots, limit, map_tasks) -> None:
-        """The column loop over packed chunks (fresh flags before each phase)."""
-        for column in range(1, limit + 1):
-            tagging_delta, tagging_increments = self._count_phase_packed(
-                map_tasks, chunks, "tagging", column, packed.decision_flags(slots)
-            )
-            packed.apply_tagging_delta(tagging_delta)
-            forwarding_delta, forwarding_increments = self._count_phase_packed(
-                map_tasks, chunks, "forwarding", column, packed.decision_flags(slots)
-            )
-            packed.apply_forwarding_delta(forwarding_delta)
-            self.report.columns_processed = column
-            self.report.tagging_counts_per_column.append(tagging_increments)
-            self.report.forwarding_counts_per_column.append(forwarding_increments)
-            if (
-                self.stop_when_stalled
-                and column > 1
-                and tagging_increments == 0
-                and forwarding_increments == 0
-            ):
-                break
-
-    @staticmethod
-    def _count_phase_packed(
-        map_tasks, chunks, phase, column, flags
-    ) -> Tuple[Dict[int, List[int]], int]:
-        """One packed phase over all chunks, merged at the barrier."""
-        tagger_flags, forward_flags = (bytes(flags[0]), bytes(flags[1]))
-        outcomes = list(
-            map_tasks(
-                _count_packed_chunk,
-                [
-                    (index, phase, column, tagger_flags, forward_flags)
-                    for index in range(len(chunks))
-                ],
-            )
-        )
-        delta = merge_phase_deltas(delta for delta, _ in outcomes)
-        increments = sum(increments for _, increments in outcomes)
-        return delta, increments
-
-    def _run_columns(self, store, chunks, limit, map_tasks) -> None:
-        """The column loop; counting is dispatched through *map_tasks*."""
-        for column in range(1, limit + 1):
-            tagging_delta, tagging_increments = self._count_phase(
-                map_tasks, chunks, "tagging", column, store.decision_view()
-            )
-            store.apply_tagging_delta(tagging_delta)
-            forwarding_delta, forwarding_increments = self._count_phase(
-                map_tasks, chunks, "forwarding", column, store.decision_view()
-            )
-            store.apply_forwarding_delta(forwarding_delta)
-            self.report.columns_processed = column
-            self.report.tagging_counts_per_column.append(tagging_increments)
-            self.report.forwarding_counts_per_column.append(forwarding_increments)
-            if (
-                self.stop_when_stalled
-                and column > 1
-                and tagging_increments == 0
-                and forwarding_increments == 0
-            ):
-                break
-
-    @staticmethod
-    def _count_phase(map_tasks, chunks, phase, column, decisions) -> Tuple[PhaseDelta, int]:
-        """One phase over all chunks, merged at the barrier."""
-        outcomes = map_tasks(
-            _count_column_chunk,
-            [(index, phase, column, decisions) for index in range(len(chunks))],
-        )
-        outcomes = list(outcomes)
-        delta = merge_phase_deltas(delta for delta, _ in outcomes)
-        increments = sum(increments for _, increments in outcomes)
-        return delta, increments
+            yield count_phase
 
 
-class ParallelRowInference:
+class ParallelRowInference(RowInference):
     """Byte-identical drop-in for :class:`RowInference` on N processes."""
 
     def __init__(
@@ -297,69 +141,16 @@ class ParallelRowInference:
         *,
         workers: int = 2,
         context: Optional[str] = None,
-        representation: str = "object",
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}")
-        self.thresholds = thresholds or Thresholds()
+        super().__init__(thresholds)
         self.workers = workers
-        self.representation = representation
         self._context = context
 
-    def run(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
-        """Infer classifications with the row-based counting rules."""
-        if self.representation == "columnar":
-            return self._run_packed(tuples)
-        prepared: List[PreparedTuple] = []
-        observed: Set[ASN] = set()
-        for item in tuples:
-            entry = prepare_tuple(item)
-            observed.update(entry[0])
-            prepared.append(entry)
-
-        store = CounterStore(self.thresholds)
-        if not prepared:
-            return ClassificationResult(store=store, observed_ases=observed, algorithm="row")
-
+    def _count(self, prepared: List[PreparedTuple]) -> Iterable[RowDelta]:
+        """One row delta per pinned chunk."""
         if self.workers == 1 or len(prepared) < MIN_PARALLEL_TUPLES:
-            deltas = [count_row_phase(prepared)]
-        else:
-            chunks = split_chunks(prepared, self.workers)
-            ctx = multiprocessing.get_context(self._context)
-            with ctx.Pool(
-                len(chunks), initializer=_init_chunks, initargs=(chunks,)
-            ) as pool:
-                deltas = pool.map(_count_row_chunk, range(len(chunks)))
-        for delta in deltas:
-            store.apply_delta(delta)
-        return ClassificationResult(store=store, observed_ases=observed, algorithm="row")
-
-    def _run_packed(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
-        """Columnar run: intern once, ship integer counting groups."""
-        table = TupleTable()
-        batch = ColumnarBatch(table)
-        for item in tuples:
-            batch.add_tuple(item)
-        observed = batch.observed_ases()
-        if not len(batch):
-            return ClassificationResult(
-                store=CounterStore(self.thresholds), observed_ases=observed, algorithm="row"
-            )
-        groups = batch.counting_groups()
-        packed = PackedCounterStore(self.thresholds, slots=table.as_count)
-        if self.workers == 1 or len(groups) < MIN_PARALLEL_TUPLES:
-            deltas = [count_row_phase_packed(groups)]
-        else:
-            chunks = split_chunks(groups, self.workers)
-            ctx = multiprocessing.get_context(self._context)
-            with ctx.Pool(
-                len(chunks), initializer=_init_chunks, initargs=(chunks,)
-            ) as pool:
-                deltas = pool.map(_count_row_chunk_packed, range(len(chunks)))
-        for delta in deltas:
-            packed.apply_delta(delta)
-        return ClassificationResult(
-            store=packed.to_store(table.as_values()), observed_ases=observed, algorithm="row"
-        )
+            return super()._count(prepared)
+        with _chunk_pool(prepared, self.workers, self._context) as (pool, parts):
+            return pool.map(_count_row_chunk, range(parts))

@@ -33,9 +33,6 @@ from repro.stream.engine import StreamConfig, StreamEngine, TupleKey
 from repro.stream.sources import iter_event_blocks
 from repro.parallel.pool import ShardProcessPool
 
-#: Events shipped to the worker fleet per scatter/gather round-trip.
-DEFAULT_STREAM_BATCH = 1024
-
 
 class ParallelStreamEngine(StreamEngine):
     """A :class:`StreamEngine` whose shard workers live in other processes."""
@@ -45,16 +42,12 @@ class ParallelStreamEngine(StreamEngine):
         config: Optional[StreamConfig] = None,
         *,
         workers: int = 2,
-        batch_size: int = DEFAULT_STREAM_BATCH,
         **kwargs,
     ) -> None:
         super().__init__(config, **kwargs)
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if batch_size < 1:
-            raise ValueError(f"batch size must be positive, got {batch_size}")
         self.workers = workers
-        self.batch_size = batch_size
         self._pool: Optional[ShardProcessPool] = None
         self._checkpoint_pending = False
 
@@ -85,11 +78,12 @@ class ParallelStreamEngine(StreamEngine):
                     for state in (worker.state_dict() for worker in self.router.workers)
                 ]
             )
-            # One scatter/gather round-trip per event block.  The clock
-            # advances block-at-a-time exactly like the synchronous engine;
-            # a window cut splits the block so everything before the
-            # crossing event is drained (and flushed) first.
-            for block in iter_event_blocks(source, self.batch_size):
+            # One scatter/gather round-trip per event block, sized by the same
+            # ``config.ingest_block_size`` the synchronous engine reads.  The
+            # clock advances block-at-a-time exactly like that engine; a
+            # window cut splits the block so everything before the crossing
+            # event is drained (and flushed) first.
+            for block in iter_event_blocks(source, self.config.ingest_block_size):
                 self._note_block(len(block))
                 closes = self.clock.advance_block(
                     [event.timestamp for event in block]

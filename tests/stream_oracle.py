@@ -15,6 +15,7 @@ from repro.core.column import ColumnInference
 from repro.core.row import RowInference
 from repro.sanitize.filters import Sanitizer
 from repro.stream import WindowClock, WindowPolicy
+from repro.stream.incremental import make_classifier
 
 
 def reference_windows(events, spec, algorithm="column", *, asn_registry=None):
@@ -67,3 +68,22 @@ def engine_windows(engine):
          s.result.as_code_map(), s.result.store.state_dict(), dict(s.changed))
         for s in engine.snapshots
     ]
+
+
+def assert_packed_matches_batch(algorithm, tuples):
+    """A fresh stream classifier fed *tuples* == batch inference over them.
+
+    The stream classifiers are the packed kernels' one entry point, so this is
+    "packed kernels == object kernels" on whole inferences.
+    """
+    batch = RowInference() if algorithm == "row" else ColumnInference()
+    want = batch.run(tuples)
+    classifier = make_classifier(algorithm)
+    for item in tuples:
+        classifier.add_tuple(item)
+    got = classifier.update()
+    assert got.store.state_dict() == want.store.state_dict()
+    assert got.observed_ases == want.observed_ases
+    assert got.as_code_map() == want.as_code_map()
+    if algorithm == "column":
+        assert classifier.report == batch.report

@@ -51,6 +51,59 @@ class TestParser:
         assert args.format == "text"
 
 
+class TestCountFlags:
+    """Every count flag shares one argparse type: < 1 is a usage error (rc 2),
+    never a traceback, a silent serial run, or a hand-rolled check."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "a.mrt", "--workers", "0"],
+            ["stream", "a.mrt", "--workers", "0"],
+            ["stream", "a.mrt", "--shards", "0"],
+            ["stream", "a.mrt", "--ingest-block-size", "0"],
+            ["serve", "--store", "x.db", "--http-workers", "0"],
+            ["replicate", "--from", "http://127.0.0.1:9", "--store", "x.db", "--http-workers", "-1"],
+            ["stream", "a.mrt", "--workers", "two"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_non_positive_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as usage_error:
+            main(argv)  # the inputs are never opened: parsing fails first
+        assert usage_error.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}" in err and "Traceback" not in err
+
+    def test_count_flags_parse_as_integers(self):
+        args = build_parser().parse_args(
+            ["stream", "a.mrt", "--workers", "2", "--shards", "3", "--ingest-block-size", "64"]
+        )
+        assert (args.workers, args.shards, args.ingest_block_size) == (2, 3, 64)
+
+
+class TestOnePathOptions:
+    """Batch has one layout and one block size: the knobs are gone, not ignored."""
+
+    @pytest.mark.parametrize(
+        "flag", [["--representation", "columnar"], ["--ingest-block-size", "64"]]
+    )
+    def test_classify_rejects_the_removed_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as usage_error:
+            main(["classify", "a.mrt"] + flag)
+        assert usage_error.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_pipeline_has_no_layout_or_block_size_keyword(self):
+        import inspect
+
+        from repro.core.pipeline import InferencePipeline
+
+        parameters = inspect.signature(InferencePipeline.__init__).parameters
+        assert "representation" not in parameters  # what benchmarks/e2e feature-detects
+        assert "ingest_block_size" not in parameters
+
+
 class TestClassifyCommand:
     def test_classify_writes_text_database(self, mrt_file, tmp_path, capsys):
         output = tmp_path / "db.txt"

@@ -69,51 +69,18 @@ class TestASCounters:
         assert counters.tagger_share() == 0.0
         assert counters.forward_share() == 0.0
 
-    def test_merge(self):
-        merged = ASCounters(1, 2, 3, 4).merge(ASCounters(10, 20, 30, 40))
-        assert merged.as_tuple() == (11, 22, 33, 44)
-
-    def test_decay_rounds_half_up(self):
-        counters = ASCounters(tagger=99, silent=1, forward=3, cleaner=1)
-        aged = counters.decay(0.5)
-        # Truncation would erase the minority counters entirely (1 -> 0).
-        assert aged.as_tuple() == (50, 1, 2, 1)
-
-    def test_decay_share_stability_under_repeated_decay(self):
-        """Repeated decay must not skew the share ratios towards 1.0.
-
-        With truncating decay, (99, 1) becomes (49, 0) after one round and
-        the tagger share snaps from 0.99 to 1.0, flipping an AS across the
-        0.99 threshold on nothing but aging.
-        """
-        counters = ASCounters(tagger=99, silent=1)
-        for _ in range(4):
-            counters = counters.decay(0.5)
-            assert counters.silent >= 1
-            assert counters.tagger_share() < 1.0
-        # Shares stay in the same regime as the undecayed evidence.
-        assert counters.tagger_share() == pytest.approx(0.99, abs=0.15)
-
-    def test_decay_can_still_reach_zero(self):
-        assert ASCounters(tagger=1).decay(0.4).is_zero
-        assert ASCounters(tagger=5, silent=3).decay(0.0).is_zero
-
 
 class TestCounterStore:
     def test_counting_and_lookup(self):
         store = CounterStore()
-        store.count_tagger(10)
-        store.count_tagger(10)
-        store.count_silent(10)
+        store.apply_tagging_delta({10: (2, 1)})
         assert store.get(10).as_tuple() == (2, 1, 0, 0)
         assert store.get(99).as_tuple() == (0, 0, 0, 0)
         assert 10 in store and 99 not in store
 
     def test_threshold_queries(self):
         store = CounterStore(Thresholds.uniform(0.9))
-        for _ in range(9):
-            store.count_tagger(1)
-        store.count_silent(1)
+        store.apply_tagging_delta({1: (9, 1)})
         assert store.is_tagger(1)
         assert not store.is_silent(1)
 
@@ -126,63 +93,36 @@ class TestCounterStore:
 
     def test_undecided_when_between_thresholds(self):
         store = CounterStore(Thresholds.uniform(0.99))
-        store.count_tagger(1)
-        store.count_silent(1)
+        store.apply_tagging_delta({1: (1, 1)})
         assert store.get_tagging(1) is TaggingClass.UNDECIDED
 
     def test_get_class_combines_both(self):
         store = CounterStore()
-        store.count_tagger(1)
-        store.count_forward(1)
+        store.apply_delta({1: (1, 0, 1, 0)})
         assert store.get_class(1).code == "tf"
 
     def test_classify_all(self):
         store = CounterStore()
-        store.count_silent(1)
-        store.count_cleaner(2)
+        store.apply_delta({1: (0, 1, 0, 0), 2: (0, 0, 0, 1)})
         classes = store.classify_all()
         assert classes[1].code == "sn"
         assert classes[2].code == "nc"
 
     def test_exactly_at_threshold_counts(self):
         store = CounterStore(Thresholds.uniform(0.99))
-        for _ in range(99):
-            store.count_forward(7)
-        store.count_cleaner(7)
+        store.apply_forwarding_delta({7: (99, 1)})
         assert store.is_forward(7)
-
-    def test_merge_from_sums_disjoint_and_shared_ases(self):
-        left = CounterStore()
-        left.apply_delta({10: (1, 2, 3, 4), 20: (5, 0, 0, 0)})
-        right = CounterStore()
-        right.apply_delta({10: (10, 20, 30, 40), 30: (0, 0, 7, 0)})
-        left.merge_from(right)
-        assert left.get(10).as_tuple() == (11, 22, 33, 44)
-        assert left.get(20).as_tuple() == (5, 0, 0, 0)
-        assert left.get(30).as_tuple() == (0, 0, 7, 0)
-
-    def test_merged_shards_equal_single_store(self):
-        """Merging per-shard stores is the same as counting in one process."""
-        whole = CounterStore()
-        shards = [CounterStore() for _ in range(3)]
-        for i, asn in enumerate([10, 20, 30, 10, 20, 10]):
-            whole.count_tagger(asn)
-            shards[i % 3].count_tagger(asn)
-            whole.count_cleaner(asn + 1)
-            shards[i % 3].count_cleaner(asn + 1)
-        merged = CounterStore.merged(shards, whole.thresholds)
-        assert merged.state_dict() == whole.state_dict()
 
 
 class TestConditions:
     def make_store(self, forward_asns=(), tagger_asns=(), cleaner_asns=()):
         store = CounterStore()
         for asn in forward_asns:
-            store.count_forward(asn)
+            store.apply_delta({asn: (0, 0, 1, 0)})
         for asn in tagger_asns:
-            store.count_tagger(asn)
+            store.apply_delta({asn: (1, 0, 0, 0)})
         for asn in cleaner_asns:
-            store.count_cleaner(asn)
+            store.apply_delta({asn: (0, 0, 0, 1)})
         return store
 
     def test_cond1_trivial_at_index_one(self):

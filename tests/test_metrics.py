@@ -104,14 +104,16 @@ class TestStability:
         observed = set()
         for asn, code in codes.items():
             observed.add(asn)
-            if code[0] == "t":
-                store.count_tagger(asn)
-            else:
-                store.count_silent(asn)
-            if code[1] == "f":
-                store.count_forward(asn)
-            else:
-                store.count_cleaner(asn)
+            store.apply_delta(
+                {
+                    asn: (
+                        int(code[0] == "t"),
+                        int(code[0] != "t"),
+                        int(code[1] == "f"),
+                        int(code[1] != "f"),
+                    )
+                }
+            )
         return ClassificationResult(store=store, observed_ases=observed)
 
     def test_new_stable_recurring(self):

@@ -7,6 +7,8 @@ serial counterparts — same counters, same codes, same observed ASes, same
 unique-tuple order, same window snapshots.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,28 @@ class TestParallelInference:
         actual = ParallelColumnInference(workers=4).run(sample)
         assert result_fingerprint(actual) == result_fingerprint(expected)
 
+    @pytest.mark.parametrize(
+        "parallel,serial",
+        [(ParallelColumnInference, ColumnInference), (ParallelRowInference, RowInference)],
+    )
+    def test_the_loop_is_the_serial_one(self, parallel, serial):
+        """The pool classes supply how a phase is counted, never a second loop."""
+        assert issubclass(parallel, serial)
+        assert parallel.run is serial.run
+
+    def test_pool_counts_with_a_wrapped_kernel(self, tuples, monkeypatch):
+        """A tracer wrapping the kernel by name (benchmarks/e2e KernelSpans) is
+        a closure no pool task can pickle: the phase must travel by name."""
+        from repro.core import column
+
+        kernel = column.count_tagging_phase
+        monkeypatch.setattr(
+            column, "count_tagging_phase", lambda *args, **kwargs: kernel(*args, **kwargs)
+        )
+        expected = ColumnInference().run(tuples)
+        actual = ParallelColumnInference(workers=2).run(tuples)
+        assert result_fingerprint(actual) == result_fingerprint(expected)
+
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ParallelColumnInference(workers=0)
@@ -195,7 +219,9 @@ class TestParallelStreamEngine:
         config = StreamConfig(window=WindowSpec(size=3600), shards=shards, algorithm=algorithm)
         serial = StreamEngine(config)
         serial_result = serial.run(MemorySource(feed))
-        parallel = ParallelStreamEngine(config, workers=workers, batch_size=128)
+        # The block size reaches the fleet through the config, like the serial
+        # engine's; a different size on each side must not show in any window.
+        parallel = ParallelStreamEngine(replace(config, ingest_block_size=128), workers=workers)
         parallel_result = parallel.run(MemorySource(feed))
         assert result_fingerprint(parallel_result) == result_fingerprint(serial_result)
         assert parallel.stats.events_in == serial.stats.events_in
@@ -203,11 +229,12 @@ class TestParallelStreamEngine:
         assert self.snapshot_fingerprints(parallel) == self.snapshot_fingerprints(serial)
 
     @staticmethod
-    def sliding_config(algorithm="column", shards=3):
+    def sliding_config(algorithm="column", shards=3, ingest_block_size=4096):
         return StreamConfig(
             window=WindowSpec(size=3600, policy="sliding", horizon=7200),
             shards=shards,
             algorithm=algorithm,
+            ingest_block_size=ingest_block_size,
         )
 
     @staticmethod
@@ -224,7 +251,7 @@ class TestParallelStreamEngine:
         config = self.sliding_config(algorithm)
         serial = StreamEngine(config)
         serial_result = serial.run(MemorySource(feed))
-        parallel = ParallelStreamEngine(config, workers=2, batch_size=64)
+        parallel = ParallelStreamEngine(replace(config, ingest_block_size=64), workers=2)
         parallel_result = parallel.run(MemorySource(feed))
         assert result_fingerprint(parallel_result) == result_fingerprint(serial_result)
         assert parallel.stats.tuples_evicted == serial.stats.tuples_evicted > 0
@@ -233,10 +260,10 @@ class TestParallelStreamEngine:
     def test_final_flush_eviction_reaches_the_router_mirror(self, feed):
         """Regression: run() synced the mirror *before* finish(), so the last
         window's evicted keys stayed in the mirrored dedup sets."""
-        config = self.sliding_config(shards=2)
+        config = self.sliding_config(shards=2, ingest_block_size=64)
         serial = StreamEngine(config)
         serial.run(MemorySource(feed))
-        parallel = ParallelStreamEngine(config, workers=2, batch_size=64)
+        parallel = ParallelStreamEngine(config, workers=2)
         parallel.run(MemorySource(feed))
         assert parallel.unique_tuples == serial.unique_tuples == len(serial._last_seen)
         assert self.seen_pairs(parallel) == self.seen_pairs(serial)
@@ -248,9 +275,9 @@ class TestParallelStreamEngine:
         from repro.stream import CheckpointManager
 
         split = len(feed) // 2
-        config = self.sliding_config(shards=2)
+        config = self.sliding_config(shards=2, ingest_block_size=64)
         manager = CheckpointManager(tmp_path / "ckpt")
-        first = ParallelStreamEngine(config, workers=2, batch_size=64, checkpoints=manager)
+        first = ParallelStreamEngine(config, workers=2, checkpoints=manager)
         first.run(MemorySource(feed[:split]))
         first.checkpoint()
 
@@ -273,12 +300,10 @@ class TestParallelStreamEngine:
         from repro.stream import CheckpointManager
 
         split = len(feed) // 2
-        config = StreamConfig(window=WindowSpec(size=3600), shards=2)
+        config = StreamConfig(window=WindowSpec(size=3600), shards=2, ingest_block_size=128)
 
         manager = CheckpointManager(tmp_path / "ckpt")
-        first = ParallelStreamEngine(
-            config, workers=2, batch_size=128, checkpoints=manager
-        )
+        first = ParallelStreamEngine(config, workers=2, checkpoints=manager)
         first.run(MemorySource(feed[:split]), finish=False)
         first.checkpoint()
 
@@ -288,6 +313,22 @@ class TestParallelStreamEngine:
 
         uninterrupted = StreamEngine(config).run(MemorySource(feed))
         assert result_fingerprint(resumed_result) == result_fingerprint(uninterrupted)
+
+    @pytest.mark.parametrize("block_size", [7, 4096])
+    def test_block_size_comes_from_the_config(self, feed, block_size):
+        """Regression: the fleet shipped its own 1024-event batches and
+        ignored ``ingest_block_size`` (``stream --workers N --ingest-block-size``)."""
+        events = feed[:3000]
+        config = StreamConfig(
+            window=WindowSpec(size=3600), shards=2, ingest_block_size=block_size
+        )
+        serial = StreamEngine(config)
+        serial_result = serial.run(MemorySource(events))
+        parallel = ParallelStreamEngine(config, workers=2)
+        parallel_result = parallel.run(MemorySource(events))
+        assert parallel.stats.blocks_in == serial.stats.blocks_in == -(-len(events) // block_size)
+        assert result_fingerprint(parallel_result) == result_fingerprint(serial_result)
+        assert self.snapshot_fingerprints(parallel) == self.snapshot_fingerprints(serial)
 
     def test_single_event_ingest_is_rejected(self, feed):
         engine = ParallelStreamEngine(StreamConfig(window=WindowSpec(size=3600)))

@@ -4,7 +4,7 @@ import pickle
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from stream_oracle import engine_windows, reference_windows
+from stream_oracle import assert_packed_matches_batch, engine_windows, reference_windows
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import Community, CommunitySet, LargeCommunity
@@ -13,8 +13,7 @@ from repro.bgp.path import ASPath
 from repro.bgp.prefix import Prefix
 from repro.core.classes import ForwardingClass, TaggingClass
 from repro.core.column import ColumnInference
-from repro.core.counters import ASCounters, CounterStore, PackedCounterStore
-from repro.core.row import RowInference
+from repro.core.counters import ASCounters, CounterStore
 from repro.core.thresholds import Thresholds
 from repro.mrt.decoder import decode_path_attributes, decode_records
 from repro.mrt.encoder import encode_path_attributes, encode_records
@@ -250,7 +249,7 @@ class TestInferenceProperties:
             max_size=25,
         )
     )
-    def test_columnar_batch_inference_matches_object(self, raw):
+    def test_packed_inference_matches_object(self, raw):
         """The interned/packed counting path is a pure representation change."""
         tuples = [
             PathCommTuple(
@@ -258,12 +257,8 @@ class TestInferenceProperties:
             )
             for asns, uppers in raw
         ]
-        for cls in (ColumnInference, RowInference):
-            obj = cls().run(tuples)
-            col = cls(representation="columnar").run(tuples)
-            assert col.store.state_dict() == obj.store.state_dict()
-            assert col.observed_ases == obj.observed_ases
-            assert col.as_code_map() == obj.as_code_map()
+        for algorithm in ("column", "row"):
+            assert_packed_matches_batch(algorithm, tuples)
 
     @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
@@ -386,26 +381,6 @@ class TestColumnarStreamProperties:
         if resumed_snapshots:
             assert straight_snapshots[-len(resumed_snapshots):] == resumed_snapshots
         assert resumed_outcome[3] == straight_outcome[3]
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.dictionaries(
-            st.integers(0, 15),
-            st.tuples(*(st.integers(0, 1000) for _ in range(4))).map(list),
-            max_size=16,
-        ),
-        st.lists(st.floats(0.05, 0.95), max_size=4),
-    )
-    def test_packed_decay_matches_object_decay(self, deltas, factors):
-        as_values = tuple(range(100, 116))
-        packed = PackedCounterStore(slots=len(as_values))
-        store = CounterStore()
-        packed.apply_delta(deltas)
-        store.apply_delta({as_values[idx]: delta for idx, delta in deltas.items()})
-        for factor in factors:
-            packed.decay(factor)
-            store.decay(factor)
-            assert packed.state_dict(as_values) == store.state_dict()
 
 
 class TestDecoderZeroCopyProperties:

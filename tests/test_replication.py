@@ -551,19 +551,3 @@ class TestCliReplicate:
         )
         assert rc == 1
         assert "leader unreachable" in capsys.readouterr().err
-
-    def test_replicate_rejects_bad_workers(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rc = main(
-            [
-                "replicate",
-                "--from",
-                "http://127.0.0.1:9",
-                "--store",
-                str(tmp_path / "replica.db"),
-                "--http-workers",
-                "0",
-            ]
-        )
-        assert rc == 2

@@ -563,24 +563,6 @@ class TestCounterStreamingAPIs:
         store.apply_delta({10: (-2, 0, -1, 0)})
         assert store.get(10).as_tuple() == (3, 1, 1, 0)
 
-    def test_decay_ages_and_prunes(self):
-        store = CounterStore()
-        store.apply_delta({10: (100, 0, 0, 0), 20: (1, 0, 0, 0)})
-        store.decay(0.4)
-        assert store.get(10).tagger == 40
-        assert 20 not in store  # rounded to zero and pruned
-
-    def test_decay_rounds_instead_of_truncating(self):
-        store = CounterStore()
-        store.apply_delta({10: (100, 0, 0, 0), 20: (1, 0, 0, 0)})
-        store.decay(0.5)
-        assert store.get(10).tagger == 50
-        assert store.get(20).tagger == 1  # minority evidence survives
-
-    def test_decay_validates_factor(self):
-        with pytest.raises(ValueError):
-            CounterStore().decay(1.5)
-
     def test_decision_view_matches_predicates(self):
         store = CounterStore(Thresholds.uniform(0.9))
         store.apply_delta({10: (10, 0, 0, 0), 20: (1, 9, 10, 0), 30: (0, 0, 5, 5)})

@@ -3,15 +3,17 @@
 The columnar representation is only allowed to exist because it is
 *byte-identical* to the object path; these tests pin down the interning
 invariants, the packed counter store's parity with :class:`CounterStore`,
-and full-inference conformance on the shared scenario fixtures.
+and full-inference conformance of the packed kernels (driven through the
+stream classifiers, their one entry point) against batch inference on the
+shared scenario fixtures.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
+from stream_oracle import assert_packed_matches_batch
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.community import Community, CommunitySet
@@ -24,16 +26,8 @@ from repro.core.column import (
 )
 from repro.core.counters import CounterStore, PackedCounterStore
 from repro.core.matrix import GroupList, GroupMatrix
-from repro.core.pipeline import InferencePipeline
-from repro.core.row import RowInference, count_row_phase_packed
 from repro.core.thresholds import Thresholds
-from repro.core.tuples import (
-    ColumnarBatch,
-    TupleTable,
-    materialize_groups,
-    merge_group_counts,
-)
-from repro.parallel.inference import ParallelColumnInference, ParallelRowInference
+from repro.core.tuples import TupleTable, materialize_groups, merge_group_counts
 
 
 def _random_tuples(rng: random.Random, count: int) -> list:
@@ -112,32 +106,24 @@ class TestTupleTable:
         assert holder.path_count == 1  # the alias sees the restored content
 
 
-class TestColumnarBatch:
-    def test_group_counts_multiplicity(self):
+class TestGroupCounts:
+    def test_merge_and_materialize_keep_multiplicity(self):
         table = TupleTable()
-        batch = ColumnarBatch(table)
-        item = PathCommTuple(ASPath((5, 6)), CommunitySet([Community(6, 1)]))
-        other = PathCommTuple(ASPath((5, 6)), CommunitySet())
-        ref = batch.add_tuple(item)
-        batch.append(ref)
-        batch.add_tuple(other)
-        groups = batch.counting_groups()
-        assert sorted(count for _, _, count in groups) == [1, 2]
+        tagged = table.intern_tuple(
+            PathCommTuple(ASPath((5, 6)), CommunitySet([Community(6, 1)]))
+        )
+        plain = table.intern_tuple(PathCommTuple(ASPath((5, 6)), CommunitySet()))
+        counts = {
+            (tagged[0], table.hits_of(*tagged)): 2,
+            (plain[0], table.hits_of(*plain)): 1,
+        }
         merged = {}
-        merge_group_counts(merged, batch.group_counts())
-        assert sum(merged.values()) == 3
-        assert materialize_groups(table, merged)
-
-    def test_state_round_trip(self):
-        table = TupleTable()
-        batch = ColumnarBatch(table)
-        rng = random.Random(4)
-        for item in _random_tuples(rng, 40):
-            batch.add_tuple(item)
-        restored = ColumnarBatch.from_state(table, batch.state_dict())
-        assert list(restored.refs()) == list(batch.refs())
-        assert restored.group_counts() == batch.group_counts()
-        assert restored.observed_ases() == batch.observed_ases()
+        merge_group_counts(merged, counts)
+        merge_group_counts(merged, counts)
+        assert sum(merged.values()) == 6
+        groups = materialize_groups(table, merged)
+        assert sorted(count for _, _, count in groups) == [2, 4]
+        assert {row for row, _, _ in groups} == {table.path_row(tagged[0])}
 
 
 class TestPackedCounterStore:
@@ -154,23 +140,10 @@ class TestPackedCounterStore:
             store.apply_delta({as_values[idx]: delta})
         assert packed.state_dict(as_values) == store.state_dict()
         assert packed.to_store(as_values).state_dict() == store.state_dict()
-        view = packed.decision_view(as_values)
-        assert view.tagger_ases == store.decision_view().tagger_ases
-        assert view.forward_ases == store.decision_view().forward_ases
-
-    def test_decay_parity(self):
-        rng = random.Random(6)
-        as_values = tuple(range(50, 70))
-        packed = PackedCounterStore(slots=len(as_values))
-        store = CounterStore()
-        for idx in range(len(as_values)):
-            delta = [rng.randint(0, 9) for _ in range(4)]
-            packed.apply_delta({idx: delta})
-            store.apply_delta({as_values[idx]: delta})
-        for factor in (0.5, 0.25, 0.1):
-            packed.decay(factor)
-            store.decay(factor)
-            assert packed.state_dict(as_values) == store.state_dict()
+        tagger_flags, forward_flags = packed.decision_flags()
+        view = store.decision_view()
+        assert {as_values[i] for i, flag in enumerate(tagger_flags) if flag} == view.tagger_ases
+        assert {as_values[i] for i, flag in enumerate(forward_flags) if flag} == view.forward_ases
 
     def test_zero_slots_read_as_absent(self):
         packed = PackedCounterStore(slots=4)
@@ -184,67 +157,42 @@ class TestPackedCounterStore:
         assert restored.state_dict((1, 2, 3)) == packed.state_dict((1, 2, 3))
 
 
-class TestBatchConformance:
-    """Columnar and object inference agree tuple-for-tuple."""
+class TestPackedConformance:
+    """The packed kernels and the object kernels agree tuple-for-tuple."""
 
     @pytest.mark.parametrize("algorithm", ["column", "row"])
     def test_fixture_conformance(self, random_dataset, algorithm):
-        tuples = random_dataset.tuples
-        cls = ColumnInference if algorithm == "column" else RowInference
-        obj = cls()
-        col = cls(representation="columnar")
-        obj_result = obj.run(tuples)
-        col_result = col.run(tuples)
-        assert col_result.store.state_dict() == obj_result.store.state_dict()
-        assert col_result.observed_ases == obj_result.observed_ases
-        assert col_result.as_code_map() == obj_result.as_code_map()
-        if algorithm == "column":
-            assert col.report.tagging_counts_per_column == obj.report.tagging_counts_per_column
-            assert (
-                col.report.forwarding_counts_per_column
-                == obj.report.forwarding_counts_per_column
-            )
+        # ~30k counting groups: the numpy matrix kernels are on.
+        assert len(random_dataset.tuples) >= matrix.MIN_MATRIX_GROUPS
+        assert_packed_matches_batch(algorithm, random_dataset.tuples)
 
     def test_random_conformance(self):
+        # Small inputs (scalar kernels), duplicates (multiplicity > 1), empty.
         rng = random.Random(7)
         for _ in range(10):
             tuples = _random_tuples(rng, rng.randint(0, 60))
-            for cls in (ColumnInference, RowInference):
-                obj = cls().run(tuples)
-                col = cls(representation="columnar").run(tuples)
-                assert col.store.state_dict() == obj.store.state_dict()
-                assert col.observed_ases == obj.observed_ases
+            for algorithm in ("column", "row"):
+                assert_packed_matches_batch(algorithm, tuples)
 
-    def test_pipeline_representation(self, random_dataset):
-        tuples = random_dataset.tuples[:200]
-        obj = InferencePipeline(representation="object").run_from_tuples(tuples)
-        col = InferencePipeline(representation="columnar").run_from_tuples(tuples)
-        assert col.result.store.state_dict() == obj.result.store.state_dict()
+    @pytest.mark.parametrize("algorithm", ["column", "row"])
+    def test_overflow_paths_beside_the_matrix(self, algorithm):
+        """Paths too long for an int64 bitmask among >= 512 matrix groups.
 
-    def test_pipeline_rejects_unknown_representation(self):
-        with pytest.raises(ValueError):
-            InferencePipeline(representation="sparse")
-
-
-class TestParallelConformance:
-    def test_parallel_columnar_matches_serial_object(self, random_dataset):
-        tuples = random_dataset.tuples[:600]
-        serial = ColumnInference()
-        serial_result = serial.run(tuples)
-        parallel = ParallelColumnInference(workers=2, representation="columnar")
-        parallel_result = parallel.run(tuples)
-        assert parallel_result.store.state_dict() == serial_result.store.state_dict()
-        assert parallel_result.observed_ases == serial_result.observed_ases
-        assert (
-            parallel.report.tagging_counts_per_column
-            == serial.report.tagging_counts_per_column
+        Every suffix of one 70-hop chain of taggers is announced, so each
+        chain AS is learnt as a forwarding tagger at column 1 and the column
+        loop runs down the whole chain, past column 62.
+        """
+        rng = random.Random(23)
+        tuples = _random_tuples(rng, 1500)
+        assert len({item.path for item in tuples}) >= matrix.MIN_MATRIX_GROUPS
+        chain = tuple(range(1000, 1000 + matrix.MAX_MATRIX_LENGTH + 8))
+        tagged = CommunitySet([Community(asn, 1) for asn in chain])
+        tuples.extend(
+            PathCommTuple(ASPath(chain[start:]), tagged) for start in range(len(chain))
         )
-
-    def test_parallel_row_columnar_matches_serial_object(self, random_dataset):
-        tuples = random_dataset.tuples[:600]
-        serial = RowInference().run(tuples)
-        parallel = ParallelRowInference(workers=2, representation="columnar").run(tuples)
-        assert parallel.store.state_dict() == serial.store.state_dict()
+        assert_packed_matches_batch(algorithm, tuples)
+        if algorithm == "column":
+            assert ColumnInference().run(tuples).as_code_map()[chain[0]] == "tf"
 
 
 class TestMatrixKernels:
@@ -286,13 +234,6 @@ class TestMatrixKernels:
             )
             assert vectorised == scalar
 
-    def test_row_kernel_matches_scalar(self, monkeypatch):
-        groups = self._random_groups(random.Random(11), 400)
-        scalar, vectorised = self._dispatch_both(
-            monkeypatch, count_row_phase_packed, groups
-        )
-        assert vectorised == scalar
-
     def test_overflow_groups_take_the_scalar_path(self, monkeypatch):
         rng = random.Random(13)
         groups = self._random_groups(rng, 64)
@@ -310,10 +251,6 @@ class TestMatrixKernels:
                 forward,
             )
             assert vectorised == scalar
-        scalar, vectorised = self._dispatch_both(
-            monkeypatch, count_row_phase_packed, groups
-        )
-        assert vectorised == scalar
 
     def test_column_beyond_every_length_is_empty(self, monkeypatch):
         monkeypatch.setattr(matrix, "MIN_MATRIX_GROUPS", 1)
@@ -321,11 +258,3 @@ class TestMatrixKernels:
         tagger, forward = self._random_flags(random.Random(17))
         assert count_tagging_phase_packed(groups, 5, tagger, forward) == ({}, 0)
         assert count_forwarding_phase_packed(groups, 4, tagger, forward) == ({}, 0)
-
-    def test_grouplist_pickle_drops_matrix_cache(self):
-        groups = self._random_groups(random.Random(19), 8)
-        assert groups.matrix() is not None
-        clone = pickle.loads(pickle.dumps(groups))
-        assert type(clone) is GroupList
-        assert list(clone) == list(groups)
-        assert getattr(clone, "_matrix", None) is None

@@ -8,10 +8,14 @@ kernel picks -- and the supervisor's respawn of killed workers.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import os
 import signal
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -241,6 +245,37 @@ class TestProcessFanout:
                 assert status == 200
 
 
+@contextlib.contextmanager
+def serve_cli(store_path, *flags, stderr=subprocess.DEVNULL):
+    """``repro serve`` on a free port as a subprocess, yielded once it answers
+    ``/healthz``: ``(process, port)``.  Killed on exit if still running."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--store", str(store_path),
+         "--port", str(port), *flags],
+        stdout=subprocess.DEVNULL,
+        stderr=stderr,
+        env=os.environ.copy(),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            try:
+                if fetch(("127.0.0.1", port), "/healthz")[0] == 200:
+                    break
+            except OSError:
+                time.sleep(0.2)
+        else:
+            pytest.fail("serve CLI never came up")
+        yield process, port
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+
+
 @requires_reuseport
 class TestSupervisorDeath:
     def test_workers_die_with_killed_supervisor(self, store_path):
@@ -250,41 +285,7 @@ class TestSupervisorDeath:
         worker additionally watches its parent pid and shuts down when the
         supervisor vanishes, so the port is always released.
         """
-        import socket
-        import subprocess
-        import sys
-
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--store",
-                str(store_path),
-                "--port",
-                str(port),
-                "--http-workers",
-                "2",
-            ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env=os.environ.copy(),
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                try:
-                    status, _ = fetch(("127.0.0.1", port), "/healthz")
-                    if status == 200:
-                        break
-                except OSError:
-                    time.sleep(0.2)
-            else:
-                pytest.fail("fan-out CLI never came up")
+        with serve_cli(store_path, "--http-workers", "2") as (process, port):
             os.kill(process.pid, signal.SIGKILL)
             process.wait(timeout=10)
             deadline = time.monotonic() + 15
@@ -295,10 +296,17 @@ class TestSupervisorDeath:
                     return  # every worker is gone; the port is released
                 time.sleep(0.2)
             pytest.fail("workers kept serving after the supervisor was SIGKILLed")
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+
+
+class TestServeSigterm:
+    def test_single_worker_serve_exits_cleanly_on_sigterm(self, store_path):
+        """Every serve mode takes the Ctrl-C path on SIGTERM (rc 0, the store
+        closed) -- the in-process server used to die on the default handler."""
+        with serve_cli(store_path, stderr=subprocess.PIPE) as (process, _port):
+            process.send_signal(signal.SIGTERM)
+            _, err = process.communicate(timeout=15)
+            assert process.returncode == 0
+            assert b"shutting down" in err
 
 
 class TestCliServeParser:
