@@ -11,12 +11,14 @@ the inference algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Iterator, List, Set, Tuple, TypeVar
 
 from repro.bgp.asn import ASN
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import Prefix
+
+_Item = TypeVar("_Item")
 
 
 @dataclass(frozen=True)
@@ -84,3 +86,25 @@ def unique_tuples(observations: Iterable[RouteObservation]) -> List[PathCommTupl
         seen.add(key)
         result.append(PathCommTuple(obs.path, obs.communities))
     return result
+
+
+def iter_blocks(items: Iterable[_Item], size: int) -> Iterator[List[_Item]]:
+    """Group *items* into consecutive lists of at most *size*, in order.
+
+    The one chunker behind every block-oriented stage (MRT observation
+    blocks, blocked sanitation, the engine's fallback for plain iterables,
+    pool batches).  Lazy: one block is materialised at a time, and the final
+    block may be short.
+    """
+    if size < 1:
+        raise ValueError(f"block size must be >= 1, got {size}")
+    block: List[_Item] = []
+    append = block.append
+    for item in items:
+        append(item)
+        if len(block) >= size:
+            yield block
+            block = []
+            append = block.append
+    if block:
+        yield block

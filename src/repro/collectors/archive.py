@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import RouteObservation, iter_blocks
 from repro.bgp.asn import ASN
 from repro.bgp.community import CommunitySet, make_community
 from repro.bgp.messages import BGPUpdate, PathAttributes
@@ -278,18 +278,7 @@ def iter_observation_blocks_from_mrt(
     time, so arbitrarily large archives stream through in bounded memory
     while block consumers amortize their per-event dispatch.
     """
-    if size < 1:
-        raise ValueError(f"block size must be >= 1, got {size}")
-    block: List[RouteObservation] = []
-    append = block.append
-    for observation in iter_observations_from_mrt(blob, collector):
-        append(observation)
-        if len(block) >= size:
-            yield block
-            block = []
-            append = block.append
-    if block:
-        yield block
+    return iter_blocks(iter_observations_from_mrt(blob, collector), size)
 
 
 def observations_from_mrt(blob: bytes, collector: str) -> List[RouteObservation]:

@@ -183,27 +183,6 @@ class MRTDecoder:
     def __iter__(self) -> Iterator[MRTRecord]:
         return self
 
-    def iter_blocks(self, size: int) -> Iterator[List[MRTRecord]]:
-        """Decode records into blocks of up to *size*.
-
-        Yields the same records in the same order as plain iteration, just
-        grouped, so downstream block consumers (sanitation, the streaming
-        engine) can amortize per-record dispatch.  The final block may be
-        short.
-        """
-        if size < 1:
-            raise ValueError(f"block size must be >= 1, got {size}")
-        block: List[MRTRecord] = []
-        append = block.append
-        for record in self:
-            append(record)
-            if len(block) >= size:
-                yield block
-                block = []
-                append = block.append
-        if block:
-            yield block
-
     def __next__(self) -> MRTRecord:
         if self._cursor.remaining() == 0:
             raise StopIteration
@@ -352,10 +331,3 @@ class MRTDecoder:
 def decode_records(data: bytes, *, zero_copy: bool = True) -> List[MRTRecord]:
     """Decode every record in *data* into a list."""
     return list(MRTDecoder(data, zero_copy=zero_copy))
-
-
-def decode_record_blocks(
-    data: bytes, size: int, *, zero_copy: bool = True
-) -> Iterator[List[MRTRecord]]:
-    """Decode *data* lazily into record blocks of up to *size*."""
-    return MRTDecoder(data, zero_copy=zero_copy).iter_blocks(size)

@@ -25,7 +25,7 @@ from repro.parallel.inference import (
     ParallelRowInference,
     split_chunks,
 )
-from repro.parallel.pool import ShardProcessPool, iter_chunks
+from repro.parallel.pool import ShardProcessPool
 from repro.parallel.stream import ParallelStreamEngine
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ParallelRowInference",
     "ParallelStreamEngine",
     "ShardProcessPool",
-    "iter_chunks",
     "parallel_unique_tuples",
     "split_chunks",
 ]

@@ -7,8 +7,9 @@ serial :meth:`Sanitizer.to_unique_tuples` pass would produce:
 
 * every shard owns a disjoint slice of the ``(path, comm)`` tuple space, so
   per-shard dedup equals global dedup;
-* outcomes carry their global sequence number, so sorting the merged output
-  restores the serial first-appearance order tuple-for-tuple.
+* the pool returns each batch's new tuples sorted by their global sequence
+  number, so concatenating batches restores the serial first-appearance
+  order tuple-for-tuple.
 
 The objects crossing the process boundary pickle compactly:
 :class:`~repro.bgp.path.ASPath` and community values define ``__reduce__``
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteObservation, iter_blocks
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.core.pipeline import SANITIZE_BLOCK_SIZE
 from repro.sanitize.filters import SanitationConfig, SanitationStats
-from repro.parallel.pool import ShardProcessPool, iter_chunks
+from repro.parallel.pool import ShardProcessPool
 
 
 def parallel_unique_tuples(
@@ -42,7 +43,7 @@ def parallel_unique_tuples(
     The input may be lazy; it is shipped to the fleet in blocks of
     :data:`~repro.core.pipeline.SANITIZE_BLOCK_SIZE`.
     """
-    indexed: List[Tuple[int, PathCommTuple]] = []
+    unique: List[PathCommTuple] = []
     with ShardProcessPool(
         shards=workers,
         workers=workers,
@@ -50,10 +51,9 @@ def parallel_unique_tuples(
         prefix_allocation=prefix_allocation,
         sanitation=sanitation,
     ) as pool:
-        for batch in iter_chunks(enumerate(observations), SANITIZE_BLOCK_SIZE):
-            for seq, _shard, outcome in pool.process_batch(batch):
-                if outcome is not None and outcome[1] is not None:
-                    indexed.append((seq, PathCommTuple(*outcome[1])))
+        for batch in iter_blocks(enumerate(observations), SANITIZE_BLOCK_SIZE):
+            unique.extend(
+                PathCommTuple(*pair) for _seq, _shard, pair in pool.process_batch(batch)
+            )
         stats = pool.sanitation_stats()
-    indexed.sort(key=lambda item: item[0])
-    return [item[1] for item in indexed], stats
+    return unique, stats

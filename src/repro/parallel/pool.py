@@ -7,8 +7,9 @@ process.  :class:`ShardProcessPool` therefore starts a fixed set of worker
 processes, assigns every shard to exactly one of them (``shard_id % workers``),
 and speaks a small scatter/gather protocol over pipes:
 
-* ``process`` -- sanitize + dedup a batch of ``(seq, observation)`` items and
-  return the per-item outcomes plus refreshed shard gauges;
+* ``process`` -- sanitize + dedup a batch of ``(seq, shard, observation)``
+  items and return ``(seq, shard, pair)`` for the newly seen tuples only (on
+  request also for every kept item), plus refreshed shard gauges;
 * ``evict`` -- forget expired tuple keys (sliding windows);
 * ``state`` / ``load_state`` -- full per-shard checkpoint state, so the
   in-process :class:`~repro.stream.sharding.ShardRouter` and the process pool
@@ -23,20 +24,25 @@ the partitioning — and hence exactly the classification — of a serial run.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.announcement import RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.sanitize.filters import SanitationConfig, SanitationStats
-from repro.stream.sharding import Outcome, ShardWorker, shard_of
+from repro.stream.sharding import ShardWorker, shard_of
 
 #: One scatter item: global sequence number, owning shard, observation.
 WorkItem = Tuple[int, int, RouteObservation]
 
-#: One gather item: sequence number, owning shard, and the shard worker's
-#: outcome, keyed on the sanitized ``(path, comm)`` pair (no shared table).
-WorkResult = Tuple[int, int, Outcome]
+#: One gather item: sequence number, owning shard, and the sanitized
+#: ``(path, comm)`` pair the shard worker keys on (no shared table).
+WorkResult = Tuple[int, int, Tuple]
+
+
+def _gauges(workers: Dict[int, ShardWorker]) -> Dict[int, int]:
+    """Unique tuples per owned shard (piggybacked on every mutating reply)."""
+    return {shard_id: worker.unique_tuples for shard_id, worker in workers.items()}
 
 
 def _worker_loop(conn, shard_ids, asn_registry, prefix_allocation, sanitation) -> None:
@@ -55,10 +61,9 @@ def _worker_loop(conn, shard_ids, asn_registry, prefix_allocation, sanitation) -
             message = conn.recv()
             command = message[0]
             if command == "process":
-                # One block pass per owned shard instead of one call per
-                # event: the shard workers' block path is where the memo and
-                # dedup dispatch is amortised.  Outcomes are identical to
-                # per-event calls; the parent re-sorts by seq anyway.
+                # One block pass per owned shard, same contract as the
+                # in-process router: new tuples back, kept ones on request.
+                want_kept = message[2]
                 by_shard: Dict[int, Tuple[List[int], List[RouteObservation]]] = {}
                 for seq, shard_id, observation in message[1]:
                     group = by_shard.get(shard_id)
@@ -66,26 +71,21 @@ def _worker_loop(conn, shard_ids, asn_registry, prefix_allocation, sanitation) -
                         group = by_shard[shard_id] = ([], [])
                     group[0].append(seq)
                     group[1].append(observation)
-                results: List[WorkResult] = []
+                news: List[WorkResult] = []
+                kept: List[WorkResult] = []
                 for shard_id, (seqs, observations) in by_shard.items():
-                    results.extend(
-                        zip(seqs, [shard_id] * len(seqs),
-                            workers[shard_id].process_block(observations))
-                    )
-                gauges = {
-                    shard_id: (worker.unique_tuples, worker.events_processed)
-                    for shard_id, worker in workers.items()
-                }
-                conn.send(("results", results, gauges))
+                    shard_kept: List[Tuple[int, Tuple]] = []
+                    for local, pair in workers[shard_id].process_block(
+                        observations, shard_kept if want_kept else None
+                    ):
+                        news.append((seqs[local], shard_id, pair))
+                    kept.extend([(seqs[local], shard_id, pair) for local, pair in shard_kept])
+                conn.send(("results", news, kept, _gauges(workers)))
             elif command == "evict":
                 removed = 0
                 for shard_id, keys in message[1].items():
                     removed += workers[shard_id].evict(keys)
-                gauges = {
-                    shard_id: (worker.unique_tuples, worker.events_processed)
-                    for shard_id, worker in workers.items()
-                }
-                conn.send(("evicted", removed, gauges))
+                conn.send(("evicted", removed, _gauges(workers)))
             elif command == "state":
                 conn.send(
                     ("state", {shard_id: w.state_dict() for shard_id, w in workers.items()})
@@ -120,7 +120,6 @@ class ShardProcessPool:
         asn_registry: Optional[ASNRegistry] = None,
         prefix_allocation: Optional[PrefixAllocation] = None,
         sanitation: Optional[SanitationConfig] = None,
-        context: Optional[str] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
@@ -140,7 +139,7 @@ class ShardProcessPool:
             )
         self.shards = shards
         self.workers = min(workers, shards)
-        ctx = multiprocessing.get_context(context)
+        ctx = multiprocessing.get_context()
         self._conns = []
         self._procs = []
         for worker_id in range(self.workers):
@@ -155,10 +154,8 @@ class ShardProcessPool:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-        #: Latest known ``(unique_tuples, events_processed)`` per shard.
-        self.gauges: Dict[int, Tuple[int, int]] = {
-            shard_id: (0, 0) for shard_id in range(shards)
-        }
+        #: Latest known unique-tuple count per shard.
+        self.gauges: Dict[int, int] = {shard_id: 0 for shard_id in range(shards)}
 
     # -- routing ------------------------------------------------------------------------
     def shard_for(self, observation: RouteObservation) -> int:
@@ -182,12 +179,19 @@ class ShardProcessPool:
         return [self._recv(worker_id) for worker_id in range(self.workers)]
 
     # -- scatter / gather -----------------------------------------------------------------
-    def process_batch(self, batch: Sequence[Tuple[int, RouteObservation]]) -> List[WorkResult]:
-        """Sanitize one batch on the worker fleet; results in sequence order.
+    def process_batch(
+        self,
+        batch: Sequence[Tuple[int, RouteObservation]],
+        kept: Optional[List[WorkResult]] = None,
+    ) -> List[WorkResult]:
+        """Sanitize one batch on the worker fleet; new tuples in sequence order.
 
-        *batch* holds ``(seq, observation)`` items; the returned list is
-        sorted by ``seq``, so concatenating batches reproduces the exact
-        outcome order of a serial run over the same observations.
+        *batch* holds ``(seq, observation)`` items with distinct ``seq``.
+        Returned are the ``(seq, shard_id, pair)`` of the tuples new to their
+        shard, sorted by ``seq`` (distinct, so the sort never compares
+        pairs): concatenating batches reproduces the first-appearance order
+        of a serial run.  When *kept* is a list it is extended with the same
+        triple for every item that survived sanitation, also by ``seq``.
         """
         by_worker: Dict[int, List[WorkItem]] = {}
         for seq, observation in batch:
@@ -196,14 +200,19 @@ class ShardProcessPool:
                 (seq, shard_id, observation)
             )
         for worker_id, items in by_worker.items():
-            self._conns[worker_id].send(("process", items))
-        results: List[WorkResult] = []
+            self._conns[worker_id].send(("process", items, kept is not None))
+        news: List[WorkResult] = []
+        gathered: List[WorkResult] = []
         for worker_id in by_worker:
             reply = self._recv(worker_id)
-            results.extend(reply[1])
-            self.gauges.update(reply[2])
-        results.sort(key=lambda item: item[0])
-        return results
+            news.extend(reply[1])
+            gathered.extend(reply[2])
+            self.gauges.update(reply[3])
+        news.sort()
+        if kept is not None:
+            gathered.sort()
+            kept.extend(gathered)
+        return news
 
     def evict(self, keys_by_shard: Dict[int, List[Tuple]]) -> int:
         """Evict expired tuple keys, pre-grouped by shard index."""
@@ -223,12 +232,7 @@ class ShardProcessPool:
     @property
     def unique_tuples(self) -> int:
         """Unique tuples across all shards, as of the last gather."""
-        return sum(unique for unique, _ in self.gauges.values())
-
-    @property
-    def events_processed(self) -> int:
-        """Events processed across all shards, as of the last gather."""
-        return sum(events for _, events in self.gauges.values())
+        return sum(self.gauges.values())
 
     def sanitation_stats(self) -> SanitationStats:
         """Merged sanitation statistics across all shards (synchronous)."""
@@ -259,7 +263,7 @@ class ShardProcessPool:
         for worker_id in by_worker:
             self._recv(worker_id)
         for shard_id, state in enumerate(states):
-            self.gauges[shard_id] = (len(state["seen"]), state["events_processed"])
+            self.gauges[shard_id] = len(state["seen"])
 
     # -- lifecycle ------------------------------------------------------------------------
     def close(self) -> None:
@@ -282,15 +286,3 @@ class ShardProcessPool:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def iter_chunks(items: Iterable, size: int) -> Iterator[List]:
-    """Yield consecutive chunks of *items* with at most *size* elements."""
-    chunk: List = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk

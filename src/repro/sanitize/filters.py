@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteObservation, iter_blocks
 from repro.bgp.asn import ASN, ASNRegistry, is_public_asn
-from repro.bgp.community import CommunitySet
-from repro.bgp.messages import BGPUpdate, RIBEntry
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import PrefixAllocation
 
@@ -254,28 +252,13 @@ class Sanitizer:
         :meth:`sanitize_block` over each, amortizing per-event dispatch while
         yielding exactly the same unique tuples in the same order.
         """
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
         deduper = deduper if deduper is not None else TupleDeduper()
-        block: List[RouteObservation] = []
-        append = block.append
-        for observation in observations:
-            append(observation)
-            if len(block) >= block_size:
-                yield from self._unique_from_block(block, deduper)
-                block = []
-                append = block.append
-        if block:
-            yield from self._unique_from_block(block, deduper)
-
-    def _unique_from_block(
-        self, block: Sequence[RouteObservation], deduper: "TupleDeduper"
-    ) -> Iterator[PathCommTuple]:
-        for sanitized in self.sanitize_block(block):
-            if sanitized is not None:
-                unique = deduper.add(sanitized)
-                if unique is not None:
-                    yield unique
+        for block in iter_blocks(observations, block_size):
+            for sanitized in self.sanitize_block(block):
+                if sanitized is not None:
+                    unique = deduper.add(sanitized)
+                    if unique is not None:
+                        yield unique
 
     # -- bulk paths -----------------------------------------------------------
     def sanitize_observations(
@@ -313,23 +296,18 @@ class Sanitizer:
 class TupleDeduper:
     """Stateful first-appearance deduplication of ``(path, comm)`` pairs.
 
-    The streaming engine keeps one deduper per shard so that replaying an
-    archive yields exactly the unique tuples the batch pipeline would see.
-    :meth:`add` keys on ``(path, comm)`` object pairs; the engine's shard
-    workers fill the seen-set with interned ``(path_id, comm_id)`` id pairs
-    in their block loops instead — any hashable key works.
+    The batch sanitizer's dedup state; passing one deduper to several
+    :meth:`Sanitizer.iter_unique_tuples` calls shares it across them.  (The
+    streaming engine's shard workers own plain sets of interned ids instead.)
     """
 
     __slots__ = ("_seen",)
 
-    def __init__(self, seen: Optional[Set[Tuple]] = None) -> None:
-        self._seen: Set[Tuple] = set(seen) if seen is not None else set()
+    def __init__(self) -> None:
+        self._seen: Set[Tuple] = set()
 
     def __len__(self) -> int:
         return len(self._seen)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._seen
 
     def add(self, observation: RouteObservation) -> Optional[PathCommTuple]:
         """Return the observation's tuple if unseen so far, else ``None``."""
@@ -338,66 +316,3 @@ class TupleDeduper:
             return None
         self._seen.add(key)
         return PathCommTuple(observation.path, observation.communities)
-
-    def discard(self, keys: Iterable[Tuple]) -> int:
-        """Forget *keys* (window eviction); returns how many were present."""
-        removed = 0
-        for key in keys:
-            if key in self._seen:
-                self._seen.remove(key)
-                removed += 1
-        return removed
-
-    def state_dict(self) -> Set[Tuple]:
-        """A **copy** of the seen-set (checkpointing).
-
-        A copy on both sides of the (de)serialisation boundary keeps a
-        snapshot taken mid-stream frozen while the engine keeps deduping —
-        returning the live set here once let further ``add()`` calls leak
-        into already-written checkpoints.
-        """
-        return set(self._seen)
-
-    @classmethod
-    def from_state(cls, state: Set[Tuple]) -> "TupleDeduper":
-        """Rebuild a deduper from :meth:`state_dict` output (copies)."""
-        return cls(seen=state)
-
-
-def observations_from_rib_entries(
-    collector: str, entries: Iterable[RIBEntry]
-) -> Iterator[RouteObservation]:
-    """Convert decoded RIB entries into route observations."""
-    for entry in entries:
-        yield RouteObservation(
-            collector=collector,
-            peer_asn=entry.peer_asn,
-            prefix=entry.prefix,
-            path=entry.as_path,
-            communities=entry.communities,
-            timestamp=entry.timestamp,
-            from_rib=True,
-        )
-
-
-def observations_from_updates(
-    collector: str, updates: Iterable[BGPUpdate]
-) -> Iterator[RouteObservation]:
-    """Convert decoded update messages into route observations.
-
-    Withdrawal-only updates carry no path and yield nothing, matching how the
-    paper's pipeline uses announcements only.
-    """
-    for update in updates:
-        if not update.is_announcement or update.attributes is None:
-            continue
-        for prefix in update.announced:
-            yield RouteObservation(
-                collector=collector,
-                peer_asn=update.peer_asn,
-                prefix=prefix,
-                path=update.attributes.as_path,
-                communities=update.attributes.communities,
-                timestamp=update.timestamp,
-                from_rib=False,
-            )

@@ -20,7 +20,7 @@ Invariants the tests pin down:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.announcement import RouteObservation
@@ -32,7 +32,7 @@ from repro.core.tuples import TupleRef, TupleTable
 from repro.sanitize.filters import SanitationConfig, SanitationStats
 from repro.stream.checkpoint import CheckpointManager
 from repro.stream.incremental import classifier_from_state, make_classifier
-from repro.stream.sharding import ShardRouter, shard_of
+from repro.stream.sharding import ShardRouter
 from repro.stream.sources import iter_event_blocks
 from repro.stream.window import ClosedWindow, WindowClock, WindowPolicy, WindowSpec
 
@@ -94,6 +94,10 @@ class StreamStats:
     block_size_buckets: List[int] = field(
         default_factory=lambda: [0] * (len(INGEST_BLOCK_BUCKETS) + 1)
     )
+
+    def copy(self) -> "StreamStats":
+        """An independent copy (the histogram list included)."""
+        return replace(self, block_size_buckets=list(self.block_size_buckets))
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for reporting."""
@@ -157,7 +161,7 @@ class StreamEngine:
         ):
             # Routing is by the raw observation's peer AS; without peer
             # prepending, identical sanitized tuples could reach different
-            # shards and be double-counted against their dedupers.
+            # shards and be double-counted against their dedup sets.
             raise ValueError(
                 "sharding requires SanitationConfig.prepend_peer_asn "
                 "(tuple identity must be owned by a single shard)"
@@ -271,8 +275,8 @@ class StreamEngine:
             while start < count:
                 stop = min(count, start + every - self._events_since_checkpoint)
                 if stop <= start:
-                    # A deferred checkpoint (an execution layer overriding
-                    # _auto_checkpoint) left the counter at the threshold;
+                    # The counter also runs while no manager is attached, so
+                    # one attached mid-stream can find it past the threshold;
                     # absorb the remainder in one span rather than spin.
                     stop = count
                 self._ingest_span(
@@ -309,68 +313,38 @@ class StreamEngine:
             bucket += 1
         stats.block_size_buckets[bucket] += 1
 
-    def _absorb(
-        self,
-        timestamp: int,
-        shard_id: int,
-        outcome: Optional[Tuple[TupleKey, Optional[TupleKey]]],
-    ) -> None:
-        """Fold one shard-worker sanitation outcome into the engine state.
+    def _absorb_span(self, span: Sequence[RouteObservation]) -> None:
+        """Route one span through the shards and fold in what comes back.
 
-        Split out of :meth:`ingest` so execution layers that sanitize
-        elsewhere (the multiprocessing batch driver) can feed outcomes back
-        in while keeping the clock / window bookkeeping identical.
+        The shards hand back the newly seen tuples, which is all a
+        cumulative window needs.  Sliding windows also ask for every kept
+        event's key, to refresh its retention timestamp.
         """
-        self.stats.events_in += 1
-        if outcome is not None:
-            key, new_tuple = outcome
-            if self.config.window.policy is WindowPolicy.SLIDING:
-                previous = self._last_seen.get(key)
+        kept: Optional[List[Tuple[int, int, TupleKey]]] = None
+        if self.config.window.policy is WindowPolicy.SLIDING:
+            kept = []
+        news = self._route(span, kept)
+        if kept:
+            last_seen = self._last_seen
+            for index, shard_id, key in kept:
+                timestamp = span[index].timestamp
+                previous = last_seen.get(key)
                 # A late out-of-order duplicate must not rewind retention.
                 if previous is None or timestamp > previous[0]:
-                    self._last_seen[key] = (timestamp, shard_id)
-            if new_tuple is not None:
-                self.classifier.add_ref(new_tuple)
-        self._events_since_checkpoint += 1
-        if (
-            self.checkpoints is not None
-            and self.config.checkpoint_every is not None
-            and self._events_since_checkpoint >= self.config.checkpoint_every
-        ):
-            self._auto_checkpoint()
-
-    def _absorb_span(self, span: Sequence[RouteObservation]) -> None:
-        """One shard-partition pass through the router, then a tight absorb.
-
-        The cumulative-window path only needs the newly seen tuples, so it
-        takes the router's new-tuples-only pass (no per-event outcome list,
-        no scatter, no per-event engine loop).  Sliding windows need every
-        kept event's key to refresh retention timestamps and keep the full
-        outcome walk.
-        """
-        if self.config.window.policy is WindowPolicy.SLIDING:
-            outcomes = self.router.process_block(span)
-            add = self.classifier.add_ref
-            last_seen = self._last_seen
-            shards = len(self.router)
-            for observation, outcome in zip(span, outcomes):
-                if outcome is not None:
-                    key, new_tuple = outcome
-                    timestamp = observation.timestamp
-                    previous = last_seen.get(key)
-                    if previous is None or timestamp > previous[0]:
-                        shard_id = (
-                            0 if shards == 1 else shard_of(observation.peer_asn, shards)
-                        )
-                        last_seen[key] = (timestamp, shard_id)
-                    if new_tuple is not None:
-                        add(new_tuple)
-        else:
-            add = self.classifier.add_ref
-            for key in self.router.process_block_new(span):
-                add(key)
+                    last_seen[key] = (timestamp, shard_id)
+        add = self.classifier.add_ref
+        for _, key in news:
+            add(key)
         self.stats.events_in += len(span)
         self._events_since_checkpoint += len(span)
+
+    def _route(
+        self,
+        span: Sequence[RouteObservation],
+        kept: Optional[List[Tuple[int, int, TupleKey]]],
+    ) -> List[Tuple[int, TupleKey]]:
+        """Sanitize + dedup one span wherever the shard state lives."""
+        return self.router.process_block(span, kept)
 
     def _auto_checkpoint(self) -> None:
         """Periodic checkpoint trigger (overridable by execution layers)."""
@@ -459,7 +433,9 @@ class StreamEngine:
             "router": self.router.state_dict(),
             "clock": self.clock.state_dict(),
             "classifier": self.classifier.state_dict(),
-            "stats": self.stats,
+            # A copy, like every other entry: a snapshot taken mid-stream
+            # must not move with the live counters.
+            "stats": self.stats.copy(),
             "last_codes": dict(self._last_codes),
             "last_seen": dict(self._last_seen),
             # Publish progress rides along when a store publisher is the
@@ -486,7 +462,7 @@ class StreamEngine:
         self.router.load_state_dict(state["router"])
         self.clock = WindowClock.from_state(state["clock"])
         self.classifier = classifier_from_state(state["classifier"], self._table)
-        self.stats = state["stats"]
+        self.stats = state["stats"].copy()
         self._last_codes = dict(state["last_codes"])
         self._last_seen = dict(state["last_seen"])
         self._events_since_checkpoint = 0

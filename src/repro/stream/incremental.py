@@ -33,7 +33,7 @@ retracted* with exact per-tuple deltas (no recounts, ever).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.bgp.announcement import PathCommTuple
@@ -314,7 +314,8 @@ class ColumnarColumnClassifier:
             "tagging_records": list(self._tagging_records),
             "forwarding_records": list(self._forwarding_records),
             "store_arrays": self._packed.arrays_state(),
-            "stats": self.stats,
+            "stats": replace(self.stats),
+            # Rebound by every update(), never mutated in place: safe to share.
             "report": self.report,
         }
 
@@ -341,7 +342,7 @@ class ColumnarColumnClassifier:
             state["store_arrays"], classifier.thresholds
         )
         classifier._store = classifier._packed.to_store(table.as_values())
-        classifier.stats = state["stats"]
+        classifier.stats = replace(state["stats"])
         classifier.report = state["report"]
         return classifier
 
@@ -432,7 +433,7 @@ class ColumnarRowClassifier:
             "store_arrays": self._packed.arrays_state(),
             "observed": set(self._observed),
             "tuple_count": self._tuple_count,
-            "stats": self.stats,
+            "stats": replace(self.stats),
         }
 
     @classmethod
@@ -446,7 +447,7 @@ class ColumnarRowClassifier:
         )
         classifier._observed = set(state["observed"])
         classifier._tuple_count = state["tuple_count"]
-        classifier.stats = state["stats"]
+        classifier.stats = replace(state["stats"])
         return classifier
 
 

@@ -1,7 +1,7 @@
 """Partitioning of the event stream across per-AS-partition workers.
 
 Events are routed by their collector-peer AS: every path starting at the
-same peer lands on the same shard, so each shard's sanitizer + deduper pair
+same peer lands on the same shard, so each shard's sanitizer + dedup set
 owns a disjoint slice of the ``(path, comm)`` tuple space and never has to
 coordinate with its siblings.  Because the incremental classifiers are
 order- and partition-independent (phase contributions are commutative sums),
@@ -9,21 +9,30 @@ any shard count produces the identical classification — sharding is purely a
 throughput/memory-layout decision, which the tests pin down by comparing a
 1-shard and an 8-shard run.
 
-Workers are plain objects; the engine drives them synchronously.  A
-multi-process deployment would place each :class:`ShardWorker` behind a
-queue, which is why their full state is checkpointable independently.
+A shard is driven a block at a time and hands back one thing: the
+``(index, key)`` of the tuples **new** to it, in event order
+(:meth:`ShardWorker.process_block`, merged across shards by
+:meth:`ShardRouter.process_block`).  Callers that also need every surviving
+observation's key — the engine's sliding-window retention map — pass a
+``kept`` list to fill.  The process pool speaks the same contract over pipes.
+
+Workers are plain objects; the engine drives them synchronously, and
+:class:`~repro.parallel.pool.ShardProcessPool` hosts the same class in
+other processes, which is why their full state is checkpointable
+independently.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.announcement import RouteObservation
 from repro.bgp.asn import ASN, ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.core.tuples import TupleTable
-from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer, TupleDeduper
+from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
 
 #: Knuth's multiplicative hash constant; peer ASNs are often assigned in
 #: dense ranges, so a plain modulo would skew the shard load badly.
@@ -41,13 +50,6 @@ _STAT_FIELDS = tuple(
 
 #: One C-level call snapshotting every stat counter at once.
 _STAT_SNAPSHOT = operator.attrgetter(*_STAT_FIELDS)
-
-#: Per-observation result of :meth:`ShardWorker.process_block`: ``None`` when
-#: the observation was dropped, else ``(key, new)`` where ``new`` is the key
-#: again if the tuple is new to its shard and ``None`` for a duplicate.  The
-#: key comes back for duplicates too so the engine can refresh
-#: sliding-window retention timestamps.
-Outcome = Optional[Tuple[Tuple, Optional[Tuple]]]
 
 
 def shard_of(peer_asn: ASN, shards: int) -> int:
@@ -68,12 +70,7 @@ class ShardWorker:
     fields when no mutable allocation context (ASN registry / prefix
     allocation, which may change mid-stream by design) is attached.  Memo
     hits replay the recorded per-stat increments, so the sanitation
-    statistics stay event-for-event identical to the unmemoised path.
-
-    :meth:`process_block` is the engine's hot path: one call sanitizes and
-    dedupes a whole block of shard-local observations with the memo lookup
-    inlined, amortizing the per-event dispatch that dominates event-at-a-time
-    ingest.
+    statistics stay event-for-event identical to unmemoised sanitation.
     """
 
     def __init__(
@@ -91,187 +88,96 @@ class ShardWorker:
             prefix_allocation=prefix_allocation,
             config=sanitation,
         )
-        self.deduper = TupleDeduper()
+        #: Dedup keys of the tuples this shard currently tracks.
+        self._seen: Set[Tuple] = set()
         self.events_processed = 0
         self.table = table
         #: Sanitation memo: input key -> ``[dedup_key, stat_deltas,
-        #: dup_outcome, pending_hits]``.  ``dedup_key`` is ``None`` when the
-        #: input is dropped; ``stat_deltas`` are the per-stat
-        #: increments to replay on every hit; ``dup_outcome`` is the
-        #: preallocated ``(key, None)`` duplicate result; ``pending_hits``
-        #: buffers hit counts within one :meth:`process_block` call so the
-        #: replay happens once per block instead of once per event.  Bounded
-        #: by the number of distinct inputs, like the dedup set itself.
+        #: pending_hits]``.  ``dedup_key`` is ``None`` when the input is
+        #: dropped; ``stat_deltas`` are the per-stat increments to replay on
+        #: every hit; ``pending_hits`` buffers hit counts within one
+        #: :meth:`process_block` call so the replay happens once per block
+        #: instead of once per event.  Bounded by the number of distinct
+        #: inputs, like the dedup set itself.
         self._memo: Dict[Tuple, List] = {}
 
-    def process_block(self, observations: Sequence[RouteObservation]) -> List[Outcome]:
-        """Sanitize a block of shard-local observations in one pass.
+    def process_block(
+        self,
+        observations: Sequence[RouteObservation],
+        kept: Optional[List[Tuple[int, Tuple]]] = None,
+    ) -> List[Tuple[int, Tuple]]:
+        """Sanitize and dedup one block of shard-local observations.
 
-        Returns one :data:`Outcome` per input, in input order.  The
-        memo lookup and dedup are inlined into a single loop with hoisted
-        attribute lookups, duplicate outcomes reuse the memo's preallocated
-        tuple, and memo-hit stat replays are buffered per entry and applied
-        once at the end of the block — this is where block ingest sheds the
-        per-event dispatch cost.  The buffered replay is observationally
-        identical to per-event replay: stats are only read between blocks,
-        never inside one.
+        Returns ``(local_index, key)`` for the tuples new to this shard, in
+        input order; dropped and duplicate observations produce nothing.
+        When *kept* is a list it also receives ``(local_index, key)`` for
+        every observation that survived sanitation, new or duplicate (what
+        sliding-window retention needs).  Memo-hit stat replays are buffered
+        per entry and applied once at the end of the block; that is
+        observationally identical to per-event replay because stats are only
+        read between blocks, never inside one.
         """
         sanitizer = self.sanitizer
-        memo = self._memo
-        memo_get = memo.get
-        seen = self.deduper._seen
-        seen_add = seen.add
         # The registry / allocation objects are mutable mid-stream by design
         # (their lookups are deliberately uncached); memoising is only sound
-        # without them.
+        # without them, so with either attached every lookup misses.
         memoised = sanitizer.asn_registry is None and sanitizer.prefix_allocation is None
-        out: List[Outcome] = []
-        append = out.append
-        if memoised:
-            memo_entry = self._memo_entry
-            touched: List[List] = []
-            touched_append = touched.append
-            hit_in = 0
-            hit_out = 0
-            for observation in observations:
-                path = observation.path
-                memo_key = (
-                    path,
-                    observation.communities,
-                    observation.peer_asn,
-                    path.has_as_set,
-                )
-                entry = memo_get(memo_key)
-                if entry is None:
-                    entry = memo[memo_key] = memo_entry(observation)
-                    key = entry[0]
-                else:
-                    deltas = entry[1]
-                    if deltas:
-                        hits = entry[3]
-                        if hits == 0:
-                            touched_append(entry)
-                        entry[3] = hits + 1
-                    key = entry[0]
-                    hit_in += 1
-                    if key is not None:
-                        hit_out += 1
-                if key is None:
-                    append(None)
-                elif key in seen:
-                    append(entry[2])
-                else:
-                    seen_add(key)
-                    append((key, key))
-            stats = sanitizer.stats
-            stats.observations_in += hit_in
-            stats.observations_out += hit_out
-            if touched:
-                for entry in touched:
-                    hits = entry[3]
-                    entry[3] = 0
-                    for name, increment in entry[1]:
-                        setattr(stats, name, getattr(stats, name) + increment * hits)
-        else:
-            recorded = self._sanitize_recorded
-            for observation in observations:
-                key = recorded(observation)[0]
-                if key is None:
-                    append(None)
-                elif key in seen:
-                    append((key, None))
-                else:
-                    seen_add(key)
-                    append((key, key))
-        self.events_processed += len(observations)
-        return out
-
-    def process_block_new(
-        self, observations: Sequence[RouteObservation]
-    ) -> List[Tuple[int, Tuple]]:
-        """Sanitize a block, returning only the newly seen tuples.
-
-        Returns ``(local_index, key)`` pairs in input order — the dedup key
-        doubles as the new tuple handed to the classifier.  Dropped and
-        duplicate observations produce no output at all, which is exactly
-        what cumulative-window ingest needs: it lets the engine skip the
-        per-event outcome list, the router's scatter pass, and the per-event
-        absorb loop that :meth:`process_block` implies.  All side effects
-        (dedup set, sanitation stats, event counters) are identical to
-        :meth:`process_block`.
-        """
-        sanitizer = self.sanitizer
         memo = self._memo
         memo_get = memo.get
-        seen = self.deduper._seen
+        sanitize = self._sanitize_recorded
+        seen = self._seen
         seen_add = seen.add
         news: List[Tuple[int, Tuple]] = []
         append = news.append
-        if sanitizer.asn_registry is None and sanitizer.prefix_allocation is None:
-            memo_entry = self._memo_entry
-            touched: List[List] = []
-            touched_append = touched.append
-            hit_in = 0
-            hit_out = 0
-            index = -1
-            for observation in observations:
-                index += 1
-                path = observation.path
-                memo_key = (
-                    path,
-                    observation.communities,
-                    observation.peer_asn,
-                    path.has_as_set,
-                )
-                entry = memo_get(memo_key)
-                if entry is None:
-                    entry = memo[memo_key] = memo_entry(observation)
-                    key = entry[0]
-                else:
-                    deltas = entry[1]
-                    if deltas:
-                        hits = entry[3]
-                        if hits == 0:
-                            touched_append(entry)
-                        entry[3] = hits + 1
-                    key = entry[0]
-                    if key is None:
-                        hit_in += 1
-                        continue
-                    hit_in += 1
-                    hit_out += 1
-                    if key not in seen:
-                        seen_add(key)
-                        append((index, key))
+        keep = None if kept is None else kept.append
+        touched: List[List] = []
+        touched_append = touched.append
+        hit_in = 0
+        hit_out = 0
+        index = -1
+        for observation in observations:
+            index += 1
+            path = observation.path
+            memo_key = (
+                path,
+                observation.communities,
+                observation.peer_asn,
+                path.has_as_set,
+            )
+            entry = memo_get(memo_key)
+            if entry is None:
+                entry = [*sanitize(observation), 0]
+                if memoised:
+                    memo[memo_key] = entry
+                key = entry[0]
+                if key is None:
                     continue
-                if key is not None and key not in seen:
-                    seen_add(key)
-                    append((index, key))
-            stats = sanitizer.stats
-            stats.observations_in += hit_in
-            stats.observations_out += hit_out
-            if touched:
-                for entry in touched:
-                    hits = entry[3]
-                    entry[3] = 0
-                    for name, increment in entry[1]:
-                        setattr(stats, name, getattr(stats, name) + increment * hits)
-        else:
-            recorded = self._sanitize_recorded
-            index = -1
-            for observation in observations:
-                index += 1
-                key = recorded(observation)[0]
-                if key is not None and key not in seen:
-                    seen_add(key)
-                    append((index, key))
+            else:
+                if entry[1]:
+                    hits = entry[2]
+                    if hits == 0:
+                        touched_append(entry)
+                    entry[2] = hits + 1
+                key = entry[0]
+                hit_in += 1
+                if key is None:
+                    continue
+                hit_out += 1
+            if keep is not None:
+                keep((index, key))
+            if key not in seen:
+                seen_add(key)
+                append((index, key))
+        stats = sanitizer.stats
+        stats.observations_in += hit_in
+        stats.observations_out += hit_out
+        for entry in touched:
+            hits = entry[2]
+            entry[2] = 0
+            for name, increment in entry[1]:
+                setattr(stats, name, getattr(stats, name) + increment * hits)
         self.events_processed += len(observations)
         return news
-
-    def _memo_entry(self, observation: RouteObservation) -> List:
-        """Build one sanitation-memo entry (see the ``_memo`` field docs)."""
-        key, deltas = self._sanitize_recorded(observation)
-        return [key, deltas, None if key is None else (key, None), 0]
 
     def _sanitize_recorded(
         self, observation: RouteObservation
@@ -299,27 +205,30 @@ class ShardWorker:
 
     def evict(self, keys: Iterable[Tuple]) -> int:
         """Forget expired tuple keys so they may re-enter later."""
-        return self.deduper.discard(keys)
+        before = len(self._seen)
+        self._seen.difference_update(keys)
+        return before - len(self._seen)
 
     @property
     def unique_tuples(self) -> int:
         """Number of unique tuples this shard currently tracks."""
-        return len(self.deduper)
+        return len(self._seen)
 
     # -- checkpointing ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """Plain-data snapshot of the worker."""
         return {
             "shard_id": self.shard_id,
-            "seen": set(self.deduper.state_dict()),
-            "sanitation_stats": self.sanitizer.stats,
+            # Copies: a snapshot must not move with the live worker.
+            "seen": set(self._seen),
+            "sanitation_stats": replace(self.sanitizer.stats),
             "events_processed": self.events_processed,
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore the worker from :meth:`state_dict` output."""
-        self.deduper = TupleDeduper.from_state(set(state["seen"]))
-        self.sanitizer.stats = state["sanitation_stats"]
+        self._seen = set(state["seen"])
+        self.sanitizer.stats = replace(state["sanitation_stats"])
         self.events_processed = state["events_processed"]
         # Memoised refs may point at ids interned after the checkpoint was
         # written; a restore rewinds the shared table, so drop them.
@@ -356,7 +265,7 @@ class ShardRouter:
 
     def _partition(
         self, observations: Sequence[RouteObservation]
-    ) -> List[Tuple[ShardWorker, List[int], List[RouteObservation]]]:
+    ) -> List[Tuple[ShardWorker, Sequence[int], Sequence[RouteObservation]]]:
         """One sweep computing every shard assignment of a block up front.
 
         Returns ``(worker, block indices, shard-local observations)`` per
@@ -364,6 +273,8 @@ class ShardRouter:
         sub-block instead of interleaved per-event calls.
         """
         shard_count = len(self.workers)
+        if shard_count == 1:
+            return [(self.workers[0], range(len(observations)), observations)]
         multiplier = _HASH_MULTIPLIER
         grouped: List[Optional[Tuple[ShardWorker, List[int], List[RouteObservation]]]]
         grouped = [None] * shard_count
@@ -376,39 +287,36 @@ class ShardRouter:
             group[2].append(observation)
         return [group for group in grouped if group is not None]
 
-    def process_block(self, observations: Sequence[RouteObservation]) -> List[Outcome]:
-        """Partition one block across shards and process it in one pass.
+    def process_block(
+        self,
+        observations: Sequence[RouteObservation],
+        kept: Optional[List[Tuple[int, int, Tuple]]] = None,
+    ) -> List[Tuple[int, Tuple]]:
+        """Partition one block across the shards; return its new tuples.
 
-        Outcomes come back in input order, exactly as if each observation had
-        been routed to its shard's worker on its own.
+        Returns ``(index, key)`` for every tuple new to its shard, in event
+        order, exactly as if each observation had been routed to its shard's
+        worker on its own.  The order is observable: the classifiers'
+        checkpoint state pickles their pending-tuple queues.  When *kept* is
+        a list it receives ``(index, shard_id, key)`` for every observation
+        that survived sanitation, also in event order.  Block indices are
+        unique, so neither sort ever compares keys.
         """
-        if len(self.workers) == 1:
-            return self.workers[0].process_block(observations)
-        out: List[Outcome] = [None] * len(observations)
+        news: List[Tuple[int, Tuple]] = []
+        merged: List[Tuple[int, int, Tuple]] = []
         for worker, indices, shard_observations in self._partition(observations):
-            for index, outcome in zip(indices, worker.process_block(shard_observations)):
-                out[index] = outcome
-        return out
-
-    def process_block_new(
-        self, observations: Sequence[RouteObservation]
-    ) -> List[Tuple]:
-        """Partition a block and return only its newly seen tuples, in event order.
-
-        The classifiers' checkpoint state pickles their pending-tuple queues,
-        so the order new tuples reach the classifier is observable; merging
-        each shard's ``(local_index, key)`` pairs back through the partition's
-        global indices keeps it identical to per-event routing.  Global
-        indices are unique, so the sort never compares keys.
-        """
-        if len(self.workers) == 1:
-            return [key for _, key in self.workers[0].process_block_new(observations)]
-        merged: List[Tuple[int, Tuple]] = []
-        for worker, indices, shard_observations in self._partition(observations):
-            for local_index, key in worker.process_block_new(shard_observations):
-                merged.append((indices[local_index], key))
-        merged.sort()
-        return [key for _, key in merged]
+            shard_kept: List[Tuple[int, Tuple]] = []
+            for local, key in worker.process_block(
+                shard_observations, None if kept is None else shard_kept
+            ):
+                news.append((indices[local], key))
+            shard_id = worker.shard_id
+            merged.extend([(indices[local], shard_id, key) for local, key in shard_kept])
+        news.sort()
+        if kept is not None:
+            merged.sort()
+            kept.extend(merged)
+        return news
 
     def evict(self, keys_by_shard: Dict[int, List[Tuple]]) -> int:
         """Evict expired tuple keys, pre-grouped by shard index."""

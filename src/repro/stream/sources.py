@@ -29,7 +29,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteObservation, iter_blocks
 from repro.bgp.prefix import Prefix
 from repro.collectors.archive import (
     DEFAULT_EPOCH,
@@ -55,22 +55,6 @@ class BlockSource(Protocol):
     def iter_blocks(self, size: int) -> Iterator[List[RouteObservation]]: ...
 
 
-def _chunk_events(
-    events: Iterable[RouteObservation], size: int
-) -> Iterator[List[RouteObservation]]:
-    """Group an event iterable into blocks of up to *size*, order-preserving."""
-    block: List[RouteObservation] = []
-    append = block.append
-    for event in events:
-        append(event)
-        if len(block) >= size:
-            yield block
-            block = []
-            append = block.append
-    if block:
-        yield block
-
-
 def iter_event_blocks(
     source: Iterable[RouteObservation], size: int
 ) -> Iterator[List[RouteObservation]]:
@@ -82,10 +66,10 @@ def iter_event_blocks(
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    iter_blocks = getattr(source, "iter_blocks", None)
-    if iter_blocks is not None:
-        return iter_blocks(size)
-    return _chunk_events(source, size)
+    own_blocks = getattr(source, "iter_blocks", None)
+    if own_blocks is not None:
+        return own_blocks(size)
+    return iter_blocks(source, size)
 
 
 class MemorySource:
@@ -259,4 +243,4 @@ class ScenarioSource:
 
     def iter_blocks(self, size: int) -> Iterator[List[RouteObservation]]:
         """Generate the timed feed in blocks of up to *size*."""
-        return _chunk_events(self, size)
+        return iter_blocks(self, size)

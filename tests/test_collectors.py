@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.bgp.messages import BGPUpdate, PathAttributes
+from repro.bgp.path import ASPath
+from repro.bgp.prefix import parse_prefix
 from repro.collectors.archive import ArchiveConfig, observations_from_mrt
 from repro.collectors.collector import Collector, CollectorProject, merge_peer_sets
 from repro.collectors.projects import DEFAULT_PROJECT_NAMES, build_default_projects
 from repro.core.pipeline import InferencePipeline
+from repro.mrt.encoder import MRTEncoder
 
 
 class TestCollectorModel:
@@ -103,6 +107,26 @@ class TestArchives:
         original = {(o.peer_asn, o.path, o.communities, o.prefix) for o in day.observations}
         round_tripped = {(o.peer_asn, o.path, o.communities, o.prefix) for o in decoded}
         assert original == round_tripped
+
+    def test_mrt_updates_yield_one_observation_per_announced_prefix(self):
+        """A withdrawal-only update carries no path and yields nothing; a RIB
+        entry comes back flagged ``from_rib``."""
+        attributes = PathAttributes(as_path=ASPath([10, 20]))
+        prefixes = (parse_prefix("8.8.8.0/24"), parse_prefix("9.9.9.0/24"))
+        encoder = MRTEncoder()
+        encoder.write_peer_index_table([10], timestamp=0)
+        encoder.write_rib_entry(prefixes[0], [(10, 0, attributes)], sequence=0, timestamp=0)
+        encoder.write_update(
+            BGPUpdate(peer_asn=10, timestamp=1, announced=prefixes, attributes=attributes)
+        )
+        encoder.write_update(BGPUpdate(peer_asn=10, timestamp=2, withdrawn=prefixes[:1]))
+        observations = observations_from_mrt(encoder.getvalue(), "rrc00")
+        assert [(o.from_rib, o.prefix, o.timestamp) for o in observations] == [
+            (True, prefixes[0], 0),
+            (False, prefixes[0], 1),
+            (False, prefixes[1], 1),
+        ]
+        assert all(o.peer_asn == 10 and o.path == attributes.as_path for o in observations)
 
     def test_mrt_blobs_feed_the_pipeline(self, tiny_internet):
         config = ArchiveConfig(rib_snapshots_per_day=1, update_share=0.0, seed=5)

@@ -19,7 +19,6 @@ from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import Prefix, PrefixAllocation
 from repro.core.tuples import TupleTable
-from repro.sanitize.filters import TupleDeduper
 from repro.stream.checkpoint import CheckpointError, CheckpointManager
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.sharding import ShardWorker
@@ -159,28 +158,70 @@ class TestShardWorkerMemo:
         assert not worker._memo
 
 
-class TestTupleDeduperSnapshots:
-    def test_snapshot_stays_frozen_after_further_adds(self):
-        """Regression: state_dict() once returned the live seen-set, so
-        tuples added after a checkpoint leaked into the written snapshot."""
-        deduper = TupleDeduper()
+class TestStateSnapshotsAreFrozen:
+    """``state_dict()`` output must not move with the live object, and
+    ``load_state_dict()`` must not adopt what the caller still holds."""
+
+    def test_shard_snapshot_does_not_grow_with_the_live_set(self):
+        """Regression: the seen-set was once handed out live, so tuples
+        added after a checkpoint leaked into the written snapshot."""
+        worker = ShardWorker(0, table=TupleTable())
         first = PathCommTuple(ASPath((1, 2)), CommunitySet())
         second = PathCommTuple(ASPath((3, 4)), CommunitySet())
-        deduper.add(_observation(first, 1))
-        snapshot = deduper.state_dict()
-        assert len(snapshot) == 1
-        deduper.add(_observation(second, 2))
-        assert len(snapshot) == 1  # must not grow with the live deduper
-        assert len(deduper) == 2
+        worker.process_block([_observation(first, 1)])
+        snapshot = worker.state_dict()
+        worker.process_block([_observation(second, 2)])
+        assert len(snapshot["seen"]) == 1  # must not grow with the live set
+        assert snapshot["sanitation_stats"].observations_in == 1
+        assert worker.unique_tuples == 2
+        restored = ShardWorker(0, table=worker.table)
+        restored.load_state_dict(snapshot)
+        snapshot["seen"].clear()  # ... and a restore does not adopt the caller's set
+        assert restored.unique_tuples == 1
+        assert restored.evict(worker.state_dict()["seen"]) == 1
 
-    def test_from_state_does_not_adopt_callers_set(self):
-        seen = {(ASPath((1, 2)), CommunitySet())}
-        deduper = TupleDeduper.from_state(seen)
-        seen.clear()
-        assert len(deduper) == 1
+    @staticmethod
+    def _events(count=20):
+        """Distinct clean tuples: every event is kept and new."""
+        return [
+            _observation(PathCommTuple(ASPath((100 + i, 200 + i)), CommunitySet()), 100 + i)
+            for i in range(count)
+        ]
 
-    def test_discard_forgets_arbitrary_keys(self):
-        deduper = TupleDeduper(seen={(0, 0)})
-        assert (0, 0) in deduper
-        assert deduper.discard([(0, 0), (1, 1)]) == 1
-        assert (0, 0) not in deduper and len(deduper) == 0
+    @pytest.mark.parametrize("algorithm", ["column", "row"])
+    def test_engine_snapshot_stays_at_its_event(self, algorithm):
+        """Regression: a state dict taken at 5 events read ``events_in == 20``
+        after 15 more were ingested (the live counter objects were shared)."""
+        events = self._events()
+        engine = StreamEngine(StreamConfig(algorithm=algorithm))
+        engine.ingest_block(events[:5])
+        snapshot = engine.state_dict()
+        engine.ingest_block(events[5:])
+        assert engine.stats.events_in == 20
+        assert snapshot["stats"].events_in == 5
+        assert sum(snapshot["stats"].block_size_buckets) == 1
+        (shard,) = snapshot["router"]["workers"]
+        assert shard["sanitation_stats"].observations_in == 5
+        assert snapshot["classifier"]["stats"].tuples_added == 5
+
+    @pytest.mark.parametrize("algorithm", ["column", "row"])
+    def test_engines_restored_from_one_state_are_independent(self, algorithm):
+        """Regression: two engines restored from one in-memory state dict
+        shared one ``StreamStats`` / ``SanitationStats`` with each other and
+        with the engine the state came from."""
+        events = self._events()
+        source = StreamEngine(StreamConfig(algorithm=algorithm))
+        source.ingest_block(events[:5])
+        state = source.state_dict()
+        twins = [StreamEngine(state["config"]) for _ in range(2)]
+        for twin in twins:
+            twin.load_state_dict(state)
+        twins[0].ingest_block(events[5:])
+        for untouched in (twins[1], source):
+            assert untouched.stats.events_in == 5
+            assert untouched.stats.blocks_in == 1
+            assert untouched.sanitation_stats().observations_in == 5
+            assert untouched.classifier.stats.tuples_added == 5
+        assert twins[0].stats.events_in == 20
+        assert twins[0].sanitation_stats().observations_in == 20
+        assert twins[0].classifier.stats.tuples_added == 20

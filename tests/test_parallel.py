@@ -29,7 +29,14 @@ from repro.parallel import (
     split_chunks,
 )
 from repro.sanitize.filters import SanitationConfig, Sanitizer
-from repro.stream import MemorySource, ScenarioSource, StreamConfig, StreamEngine, WindowSpec
+from repro.stream import (
+    MemorySource,
+    ScenarioSource,
+    StreamConfig,
+    StreamEngine,
+    WindowSpec,
+    shard_of,
+)
 
 
 def result_fingerprint(result):
@@ -73,15 +80,17 @@ class TestShardProcessPool:
         serial = Sanitizer()
         expected = serial.to_unique_tuples(sample)
         with ShardProcessPool(shards=4, workers=2) as pool:
-            outcomes = pool.process_batch(list(enumerate(sample)))
-            unique = [
-                PathCommTuple(*out[1])
-                for _, _, out in outcomes
-                if out is not None and out[1] is not None
-            ]
+            kept = []
+            news = pool.process_batch(list(enumerate(sample)), kept)
             stats = pool.sanitation_stats()
-        assert unique == expected
+        assert [PathCommTuple(*pair) for _, _, pair in news] == expected
         assert stats.as_dict() == serial.stats.as_dict()
+        # Every surviving item is reported as kept, in sequence order, by the
+        # shard that owns it; the new ones are a subsequence of those.
+        assert len(kept) == serial.stats.observations_out
+        assert [seq for seq, _, _ in kept] == sorted(seq for seq, _, _ in kept)
+        assert all(shard == shard_of(sample[seq].peer_asn, 4) for seq, shard, _ in kept)
+        assert set(news) <= set(kept)
 
     def test_state_round_trip(self, feed):
         with ShardProcessPool(shards=3, workers=2) as pool:
@@ -92,8 +101,9 @@ class TestShardProcessPool:
             pool.load_state_dicts(states)
             assert pool.unique_tuples == unique_before
             # Known tuples stay deduplicated after the hand-off.
-            outcomes = pool.process_batch(list(enumerate(feed[:200])))
-            assert all(out is None or out[1] is None for _, _, out in outcomes)
+            kept = []
+            assert pool.process_batch(list(enumerate(feed[:200])), kept) == []
+            assert kept  # still sanitized and reported, just not new
 
     def test_rejects_unsharded_tuple_identity(self):
         with pytest.raises(ValueError):
@@ -330,10 +340,75 @@ class TestParallelStreamEngine:
         assert result_fingerprint(parallel_result) == result_fingerprint(serial_result)
         assert self.snapshot_fingerprints(parallel) == self.snapshot_fingerprints(serial)
 
-    def test_single_event_ingest_is_rejected(self, feed):
-        engine = ParallelStreamEngine(StreamConfig(window=WindowSpec(size=3600)))
-        with pytest.raises(NotImplementedError):
-            engine.ingest(feed[0])
+    def test_ingest_outside_run_is_counted_and_reaches_the_fleet(self, feed):
+        """``ingest()`` is the inherited one-event block.  With no pool open it
+        lands on the in-process router, and ``run()`` hands that state to the
+        fleet, so early events are neither lost nor sanitized twice."""
+        config = StreamConfig(window=WindowSpec(size=3600), shards=2, ingest_block_size=64)
+        serial = StreamEngine(config)
+        serial_result = serial.run(MemorySource(feed))
+        parallel = ParallelStreamEngine(config, workers=2)
+        for event in feed[:10]:
+            parallel.ingest(event)
+        assert parallel.stats.events_in == 10
+        parallel_result = parallel.run(MemorySource(feed[10:]))
+        assert parallel.stats.events_in == serial.stats.events_in
+        assert parallel.unique_tuples == serial.unique_tuples
+        assert parallel.router.load_distribution() == serial.router.load_distribution()
+        assert parallel.sanitation_stats().as_dict() == serial.sanitation_stats().as_dict()
+        assert result_fingerprint(parallel_result) == result_fingerprint(serial_result)
+        assert self.snapshot_fingerprints(parallel) == self.snapshot_fingerprints(serial)
+
+    @pytest.mark.parametrize("policy", ["cumulative", "sliding"])
+    def test_checkpoints_land_on_the_serial_events(self, feed, tmp_path, policy):
+        """The fleet inherits ``ingest_block``: blocks are cut at
+        ``checkpoint_every`` before any shard sees them, so auto-checkpoints
+        fire at the serial engine's events with the serial engine's state."""
+        from repro.stream import CheckpointManager
+
+        class Recording(CheckpointManager):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.saved_at = []
+
+            def save(self, state):
+                self.saved_at.append(state["stats"].events_in)
+                return super().save(state)
+
+        # A tenth of the tuples, still announced twice over the whole day:
+        # every checkpoint pickles the full state, so keep the state small.
+        tuples = [event.to_tuple() for event in feed[: len(feed) // 2 : 10]]
+        events = list(ScenarioSource(tuples, duration=86400, repeat=2))
+        config = replace(
+            self.sliding_config(shards=2, ingest_block_size=64)
+            if policy == "sliding"
+            else StreamConfig(window=WindowSpec(size=3600), shards=2, ingest_block_size=64),
+            checkpoint_every=137,
+        )
+        serial_saves = Recording(tmp_path / "serial")
+        serial = StreamEngine(config, checkpoints=serial_saves)
+        serial_result = serial.run(MemorySource(events))
+        parallel_saves = Recording(tmp_path / "parallel")
+        parallel = ParallelStreamEngine(config, workers=2, checkpoints=parallel_saves)
+        parallel.run(MemorySource(events))
+        assert parallel_saves.saved_at == serial_saves.saved_at
+        assert serial_saves.saved_at == list(range(137, len(events) + 1, 137))
+
+        # The two engines mint table ids in different orders, so states are
+        # compared as (path, comm) pairs, never as refs.
+        from_parallel = StreamEngine.restore(parallel_saves)
+        from_serial = StreamEngine.restore(serial_saves)
+        assert self.seen_pairs(from_parallel) == self.seen_pairs(from_serial)
+        assert (
+            from_parallel.sanitation_stats().as_dict()
+            == from_serial.sanitation_stats().as_dict()
+        )
+        assert from_parallel.router.load_distribution() == from_serial.router.load_distribution()
+        resumed_result = from_parallel.run(MemorySource(events[parallel_saves.saved_at[-1] :]))
+        assert result_fingerprint(resumed_result) == result_fingerprint(serial_result)
+        assert from_parallel.unique_tuples == serial.unique_tuples
+        assert from_parallel.stats.tuples_evicted == serial.stats.tuples_evicted
+        assert (serial.stats.tuples_evicted > 0) == (policy == "sliding")
 
 
 # ---------------------------------------------------------------------------------------

@@ -7,13 +7,7 @@ from repro.bgp.asn import ASNRegistry
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import PrefixAllocation, parse_prefix
-from repro.sanitize.filters import (
-    SanitationConfig,
-    Sanitizer,
-    observations_from_rib_entries,
-    observations_from_updates,
-)
-from repro.bgp.messages import BGPUpdate, PathAttributes, RIBEntry
+from repro.sanitize.filters import SanitationConfig, Sanitizer
 
 
 def make_observation(path, peer=None, prefix="8.8.8.0/24", comms=()):
@@ -121,25 +115,3 @@ class TestObservationSanitation:
         data = sanitizer.stats.as_dict()
         assert "observations_in" in data
         assert "dropped_as_set" in data
-
-
-class TestObservationConversion:
-    def test_from_rib_entries(self):
-        attributes = PathAttributes(as_path=ASPath([10, 20]))
-        entry = RIBEntry(peer_asn=10, prefix=parse_prefix("8.8.8.0/24"), attributes=attributes)
-        (observation,) = list(observations_from_rib_entries("rrc00", [entry]))
-        assert observation.from_rib
-        assert observation.peer_asn == 10
-
-    def test_from_updates_skips_withdrawals(self):
-        attributes = PathAttributes(as_path=ASPath([10, 20]))
-        announce = BGPUpdate(
-            peer_asn=10,
-            timestamp=0,
-            announced=(parse_prefix("8.8.8.0/24"), parse_prefix("9.9.9.0/24")),
-            attributes=attributes,
-        )
-        withdraw = BGPUpdate(peer_asn=10, timestamp=0, withdrawn=(parse_prefix("8.8.8.0/24"),))
-        observations = list(observations_from_updates("rrc00", [announce, withdraw]))
-        assert len(observations) == 2
-        assert all(not o.from_rib for o in observations)

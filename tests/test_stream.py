@@ -7,10 +7,14 @@ story: batch equivalence and checkpoint transparency.
 """
 
 import pickle
+import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.asn import ASNRegistry
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
@@ -19,6 +23,7 @@ from repro.core.counters import CounterStore
 from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
+from repro.sanitize.filters import Sanitizer
 from repro.stream import (
     CheckpointError,
     CheckpointManager,
@@ -215,34 +220,122 @@ class TestSharding:
 
     def test_same_peer_lands_on_same_shard(self):
         router = ShardRouter(4)
-        a, b = router.process_block(
+        news = router.process_block(
             [
                 observation([10, 30], ["30:1"], timestamp=1),
                 observation([10, 40], [], timestamp=2),
             ]
         )
-        assert a is not None and b is not None
+        assert [index for index, _ in news] == [0, 1]
         worker = router.workers[shard_of(10, 4)]
         assert worker.unique_tuples == 2
 
     def test_duplicate_detection_across_events(self):
         router = ShardRouter(4)
-        key1, new1 = router.process_block([observation([10, 30], ["30:1"], timestamp=1)])[0]
-        key2, new2 = router.process_block([observation([10, 30], ["30:1"], timestamp=2)])[0]
-        assert new1 is not None
-        assert new2 is None  # duplicate
-        assert key1 == key2
+        first, second = [], []
+        news1 = router.process_block([observation([10, 30], ["30:1"], timestamp=1)], first)
+        news2 = router.process_block([observation([10, 30], ["30:1"], timestamp=2)], second)
+        ((_, key1),) = news1
+        assert news2 == []  # duplicate: nothing new ...
+        assert first == second == [(0, shard_of(10, 4), key1)]  # ... but kept both times
         assert router.unique_tuples == 1
 
     def test_sanitation_stats_merge_across_shards(self):
         router = ShardRouter(4)
         router.process_block([observation([10], [], timestamp=1)])
-        # private ASN
-        assert router.process_block([observation([64512], [], timestamp=2)]) == [None]
+        kept = []
+        # private ASN: dropped, so neither new nor kept
+        assert router.process_block([observation([64512], [], timestamp=2)], kept) == []
+        assert kept == []
         stats = router.sanitation_stats()
         assert stats.observations_in == 2
         assert stats.observations_out == 1
         assert stats.dropped_unallocated_asn == 1
+
+
+def contract_feed(count=600, seed=29):
+    """Seeded events with drops, duplicates, prepending and foreign peers."""
+    rng = random.Random(seed)
+    peers = [10, 11, 12, 13, 20, 21, 31]  # all four shards of a 4-way split
+    events = []
+    for index in range(count):
+        peer = rng.choice(peers)
+        tail = rng.sample([100, 200, 300, 400, 64512], rng.randint(0, 3))  # 64512: private
+        asns = [peer, *tail]
+        if rng.random() < 0.2:
+            asns.insert(1, peer)  # prepending, collapsed by sanitation
+        if rng.random() < 0.1 and len(asns) > 1:
+            asns.append(asns[0])  # loop, dropped
+        event = observation(asns, rng.choice([(), ("100:1",), ("200:7", "100:1")]), index)
+        if rng.random() < 0.1:
+            event = replace(event, peer_asn=rng.choice(peers))  # route server: peer prepended
+        events.append(event)
+    return events + events[: count // 2]  # guaranteed duplicates
+
+
+def reference_route(events, shards, registry):
+    """Per-event sanitation into one set: what any block split must equal."""
+    sanitizers = [Sanitizer(asn_registry=registry) for _ in range(shards)]
+    loads = [0] * shards
+    seen, news, kept = set(), [], []
+    for index, event in enumerate(events):
+        shard = shard_of(event.peer_asn, shards)
+        loads[shard] += 1
+        sanitized = sanitizers[shard].sanitize_observation(event)
+        if sanitized is None:
+            continue
+        pair = (sanitized.path, sanitized.communities)
+        kept.append((index, shard, pair))
+        if pair not in seen:
+            seen.add(pair)
+            news.append((index, pair))
+    stats = Counter()
+    for sanitizer in sanitizers:
+        stats.update(sanitizer.stats.as_dict())
+    return news, kept, dict(stats), loads
+
+
+class TestShardBlockContract:
+    """The one shard loop against a per-event reference, for every split."""
+
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    @pytest.mark.parametrize("with_registry", [False, True], ids=["memoised", "registry"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_router_matches_per_event_reference(self, shards, with_registry, block_size):
+        events = contract_feed()
+        registry = (
+            ASNRegistry.from_asns([10, 11, 12, 13, 20, 21, 100, 200, 300])  # 31, 400 not
+            if with_registry
+            else None
+        )
+        table = TupleTable()
+        router = ShardRouter(shards, asn_registry=registry, table=table)
+
+        def pair(ref):
+            return (table.path_of(ref[0]), table.comm_of(ref[1]))
+
+        news, kept = [], []
+        for start in range(0, len(events), block_size):
+            block_kept = []
+            block_news = router.process_block(events[start : start + block_size], block_kept)
+            news.extend((start + index, pair(key)) for index, key in block_news)
+            kept.extend((start + index, shard, pair(key)) for index, shard, key in block_kept)
+
+        want_news, want_kept, want_stats, want_loads = reference_route(events, shards, registry)
+        assert news == want_news
+        assert kept == want_kept
+        assert router.sanitation_stats().as_dict() == want_stats
+        assert router.load_distribution() == want_loads
+        assert router.unique_tuples == len(want_news)
+        assert want_stats["observations_in"] > want_stats["observations_out"] > len(want_news)
+        assert all(want_loads)
+        assert any(worker._memo for worker in router.workers) != with_registry
+
+    def test_kept_is_only_filled_on_request(self):
+        events = contract_feed(50)
+        asked, unasked = ShardRouter(4, table=TupleTable()), ShardRouter(4, table=TupleTable())
+        assert asked.process_block(events, []) == unasked.process_block(events)
+        assert asked.state_dict() == unasked.state_dict()
 
 
 # ---------------------------------------------------------------------------------------
