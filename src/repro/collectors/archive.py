@@ -31,7 +31,7 @@ from repro.bgp.community import CommunitySet, make_community
 from repro.bgp.messages import BGPUpdate, PathAttributes
 from repro.bgp.path import ASPath
 from repro.collectors.collector import CollectorProject
-from repro.mrt.decoder import MRTDecoder
+from repro.mrt.decoder import MRTDecodeError, MRTDecoder
 from repro.mrt.encoder import MRTEncoder
 from repro.mrt.records import BGP4MPMessage, PeerIndexTable, RIBEntryRecord
 from repro.topology.generator import Topology
@@ -231,29 +231,32 @@ def iter_observations_from_mrt(blob: bytes, collector: str) -> Iterator[RouteObs
 
     Records are decoded on demand, so a multi-gigabyte archive can be
     streamed through the sanitizer (or the streaming engine) without ever
-    materialising the full observation list.
+    materialising the full observation list.  Observations decoded from
+    equal path-attribute blobs share one ``ASPath`` / ``CommunitySet``
+    object pair (the decoder's per-file memo), and anything the wire format
+    forbids -- including a RIB record before its PEER_INDEX_TABLE or a peer
+    index past it -- raises :class:`~repro.mrt.MRTDecodeError`.
     """
-    decoder = MRTDecoder(blob)
     peer_table: Optional[PeerIndexTable] = None
-    for record in decoder:
-        if isinstance(record, PeerIndexTable):
-            peer_table = record
-        elif isinstance(record, RIBEntryRecord):
+    for record in MRTDecoder(blob):
+        if isinstance(record, RIBEntryRecord):
             if peer_table is None:
-                raise ValueError("RIB record before PEER_INDEX_TABLE")
-            for entry in record.to_rib_entries(peer_table):
+                raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
+            prefix = record.prefix
+            for entry in record.entries:
+                attributes = entry.attributes
                 yield RouteObservation(
                     collector=collector,
-                    peer_asn=entry.peer_asn,
-                    prefix=entry.prefix,
-                    path=entry.as_path,
-                    communities=entry.communities,
-                    timestamp=entry.timestamp,
+                    peer_asn=peer_table.peer_asn_at(entry.peer_index),
+                    prefix=prefix,
+                    path=attributes.as_path,
+                    communities=attributes.communities,
+                    timestamp=entry.originated_time or record.timestamp,
                     from_rib=True,
                 )
-        elif isinstance(record, BGP4MPMessage) and record.update is not None:
+        elif isinstance(record, BGP4MPMessage):
             update = record.update
-            if update.attributes is None:
+            if update is None or update.attributes is None:
                 continue
             for prefix in update.announced:
                 yield RouteObservation(
@@ -265,6 +268,8 @@ def iter_observations_from_mrt(blob: bytes, collector: str) -> Iterator[RouteObs
                     timestamp=update.timestamp,
                     from_rib=False,
                 )
+        elif isinstance(record, PeerIndexTable):
+            peer_table = record
 
 
 def iter_observation_blocks_from_mrt(

@@ -1,12 +1,14 @@
 """Interned columnar representation of sanitized ``(path, comm)`` tuples.
 
-The object pipeline carries every tuple as an :class:`~repro.bgp.path.ASPath`
+The batch pipeline carries every tuple as an :class:`~repro.bgp.path.ASPath`
 plus a :class:`~repro.bgp.community.CommunitySet` and answers the counting
 kernels' membership questions (``A_x in output(A_1)``) with frozenset
-lookups on boxed Python ints.  At millions of events per second that object
-overhead dominates the runtime.
+lookups on boxed Python ints.  On a feed that re-announces the same tuples
+window after window that object overhead dominates the runtime.
 
-This module provides the columnar twin of that representation:
+This module provides the interned form the streaming classifiers count on
+(there is one representation per path: batch counts objects, streams count
+these):
 
 * :class:`TupleTable` interns each unique AS path and community set exactly
   once.  ASNs get dense indices into a flat ``array('Q')`` symbol table;
@@ -24,7 +26,7 @@ This module provides the columnar twin of that representation:
 Because every counting phase is a pure function of ``(tuples, decisions)``
 and all phase contributions are commutative sums, swapping the
 representation cannot change a single output byte — the conformance tests
-pin the columnar path against the object oracle tuple for tuple.
+pin the packed kernels against the object kernels tuple for tuple.
 """
 
 from __future__ import annotations

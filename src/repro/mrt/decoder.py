@@ -5,15 +5,22 @@ standards-conforming writer of the supported record types) back into the
 record dataclasses of :mod:`repro.mrt.records`.  This is the entry point of
 the measurement pipeline: collector archives are decoded here before
 sanitation and inference.
+
+Two things keep it cheap.  Every fixed-size header is framed with one
+``struct.Struct.unpack_from`` behind one explicit bounds check, at absolute
+offsets into a single ``memoryview`` of the input.  And a path-attribute blob
+is parsed once per file: a RIB dump repeats one blob across prefixes and the
+update stream repeats it again, so :class:`MRTDecoder` memoises the decoded
+:class:`~repro.bgp.messages.PathAttributes` on the blob's raw bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.asn import ASN
-from repro.bgp.community import Community, CommunitySet, LargeCommunity
+from repro.bgp.community import AnyCommunity, Community, CommunitySet, LargeCommunity
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
 from repro.bgp.path import ASPath, PathSegment, SegmentType
 from repro.bgp.prefix import Prefix
@@ -31,6 +38,7 @@ from repro.mrt.constants import (
 )
 from repro.mrt.records import (
     BGP4MPMessage,
+    MRTDecodeError,
     MRTRecord,
     PeerEntry,
     PeerIndexTable,
@@ -38,114 +46,166 @@ from repro.mrt.records import (
     RIBEntryRecord,
 )
 
+#: Distinct attribute blobs one decoder remembers before it starts over.  A
+#: full-table RIB dump has millions of entries; the memo is a per-file
+#: working set, not a copy of the file.
+ATTRIBUTE_MEMO_CAP = 65536
 
-class MRTDecodeError(ValueError):
-    """Raised when the byte stream violates the MRT / BGP wire format."""
+_MRT_HEADER = struct.Struct("!IHHI")
+_PEER_TABLE_HEADER = struct.Struct("!IH")
+#: PEER_INDEX_TABLE entry layouts by the two low peer-type bits
+#: (bit 0: IPv6 peer address, bit 1: 4-byte peer ASN).
+_PEER_ENTRIES = (
+    struct.Struct("!BI4sH"),
+    struct.Struct("!BI16sH"),
+    struct.Struct("!BI4sI"),
+    struct.Struct("!BI16sI"),
+)
+_RIB_ENTRY = struct.Struct("!HIH")
+#: BGP4MP peer header (peer AS, local AS, interface index, AFI) by subtype.
+_BGP4MP_PEER_HEADERS = {
+    BGP4MPSubtype.BGP4MP_MESSAGE: struct.Struct("!HHHH"),
+    BGP4MPSubtype.BGP4MP_MESSAGE_AS4: struct.Struct("!IIHH"),
+}
+#: Peer IP, local IP, BGP marker, message length, message type.
+_BGP4MP_MESSAGE_V4 = struct.Struct("!4s4s16sHB")
+_BGP4MP_MESSAGE_V6 = struct.Struct("!16s16s16sHB")
+_BGP_HEADER_SIZE = 19
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+
+_MRT_TYPES = {int(member): member for member in MRTType}
+_TABLE_DUMP_V2_SUBTYPES = {int(member): member for member in TableDumpV2Subtype}
+_BGP4MP_SUBTYPES = {int(member): member for member in BGP4MPSubtype}
+_SEGMENT_TYPES = {int(member): member for member in SegmentType}
+_ORIGINS = {int(member): member for member in Origin}
+_RIB_AFI = {
+    TableDumpV2Subtype.RIB_IPV4_UNICAST: AFI_IPV4,
+    TableDumpV2Subtype.RIB_IPV6_UNICAST: AFI_IPV6,
+}
+_ADDRESS_BYTES = {AFI_IPV4: 4, AFI_IPV6: 16}
+_ASN_FORMAT = {2: "H", 4: "I"}
+
+_ATTR_ORIGIN = int(PathAttributeType.ORIGIN)
+_ATTR_AS_PATH = int(PathAttributeType.AS_PATH)
+_ATTR_NEXT_HOP = int(PathAttributeType.NEXT_HOP)
+_ATTR_MED = int(PathAttributeType.MULTI_EXIT_DISC)
+_ATTR_LOCAL_PREF = int(PathAttributeType.LOCAL_PREF)
+_ATTR_COMMUNITIES = int(PathAttributeType.COMMUNITIES)
+_ATTR_LARGE_COMMUNITIES = int(PathAttributeType.LARGE_COMMUNITIES)
+_MSG_UPDATE = int(BGPMessageType.UPDATE)
 
 
-class _Cursor:
-    """A tiny bounds-checked reader over a bytes-like object.
+def _truncated(what: str, wanted: int, available: int) -> MRTDecodeError:
+    return MRTDecodeError(f"truncated {what}: wanted {wanted} bytes, {available} available")
 
-    Accepts ``bytes`` or ``memoryview``; with a memoryview every
-    :meth:`read` is a zero-copy slice into the underlying archive blob,
-    which is what makes the decoder's ``zero_copy`` mode copy-free from
-    record framing down to individual attribute values.
+
+def _decode_prefix_nlri(data, pos: int, end: int, afi: int) -> Tuple[Prefix, int]:
+    """Decode one NLRI prefix (length byte + minimal network bytes) at *pos*.
+
+    Returns the prefix and the offset just past it.
     """
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def read(self, count: int):
-        if count < 0 or self.remaining() < count:
-            raise MRTDecodeError(
-                f"truncated record: wanted {count} bytes, {self.remaining()} available"
-            )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def read_uint(self, size: int) -> int:
-        return int.from_bytes(self.read(size), "big")
+    total_bytes = _ADDRESS_BYTES.get(afi)
+    if total_bytes is None:
+        raise MRTDecodeError(f"unsupported address family {afi}")
+    if pos >= end:
+        raise _truncated("prefix", 1, 0)
+    length = data[pos]
+    if length > total_bytes * 8:
+        raise MRTDecodeError(f"prefix length {length} exceeds maximum {total_bytes * 8}")
+    pos += 1
+    n_bytes = (length + 7) >> 3
+    if end - pos < n_bytes:
+        raise _truncated("prefix", n_bytes, end - pos)
+    network = int.from_bytes(data[pos : pos + n_bytes], "big") << (8 * (total_bytes - n_bytes))
+    return Prefix(network, length, afi), pos + n_bytes
 
 
-def _decode_prefix_nlri(cursor: _Cursor, afi: int = AFI_IPV4) -> Prefix:
-    """Decode one NLRI-encoded prefix (length byte + minimal network bytes)."""
-    length = cursor.read_uint(1)
-    total_bytes = 4 if afi == AFI_IPV4 else 16
-    max_length = total_bytes * 8
-    if length > max_length:
-        raise MRTDecodeError(f"prefix length {length} exceeds maximum {max_length}")
-    n_bytes = (length + 7) // 8
-    # Shift instead of concatenating zero padding: works on memoryview
-    # chunks (bytes-like concatenation does not) and skips a copy.
-    network = int.from_bytes(cursor.read(n_bytes), "big") << (8 * (total_bytes - n_bytes))
-    return Prefix(network, length, afi)
+def _decode_prefixes(data, pos: int, end: int, afi: int) -> Tuple[Prefix, ...]:
+    """Decode the back-to-back NLRI prefixes filling ``data[pos:end]``."""
+    prefixes: List[Prefix] = []
+    while pos < end:
+        prefix, pos = _decode_prefix_nlri(data, pos, end, afi)
+        prefixes.append(prefix)
+    return tuple(prefixes)
 
 
-def _decode_as_path(value, asn_size: int) -> ASPath:
-    """Decode the AS_PATH attribute value."""
-    cursor = _Cursor(value)
+def _decode_as_path(data, pos: int, end: int, asn_size: int) -> ASPath:
+    """Decode the AS_PATH attribute value in ``data[pos:end]``."""
+    code = _ASN_FORMAT[asn_size]
     segments: List[PathSegment] = []
-    while cursor.remaining():
-        segment_type = cursor.read_uint(1)
-        count = cursor.read_uint(1)
-        asns = tuple(cursor.read_uint(asn_size) for _ in range(count))
-        try:
-            segments.append(PathSegment(SegmentType(segment_type), asns))
-        except ValueError as exc:
-            raise MRTDecodeError(f"unknown AS path segment type {segment_type}") from exc
+    while pos < end:
+        if end - pos < 2:
+            raise _truncated("AS path segment header", 2, end - pos)
+        segment_type = data[pos]
+        count = data[pos + 1]
+        pos += 2
+        size = count * asn_size
+        if end - pos < size:
+            raise _truncated("AS path segment", size, end - pos)
+        kind = _SEGMENT_TYPES.get(segment_type)
+        if kind is None:
+            raise MRTDecodeError(f"unknown AS path segment type {segment_type}")
+        segments.append(PathSegment(kind, struct.unpack_from(f"!{count}{code}", data, pos)))
+        pos += size
     return ASPath.from_segments(segments)
 
 
 def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
     """Decode a BGP path attribute blob into :class:`PathAttributes`.
 
-    *value* may be ``bytes`` or a ``memoryview`` slice; every consumer below
-    (``struct.unpack``, ``int.from_bytes``, indexing) reads either without
-    copying.
+    *value* is any bytes-like object (``bytes``, or a ``memoryview`` slice
+    of an archive).  Unknown attributes are skipped; a blob without an
+    AS_PATH, a truncated attribute, and a COMMUNITIES / LARGE_COMMUNITIES
+    body that is not a whole number of values raise :class:`MRTDecodeError`.
     """
-    cursor = _Cursor(value)
+    end = len(value)
+    pos = 0
     as_path: Optional[ASPath] = None
     origin = Origin.INCOMPLETE
     next_hop = 0
     med: Optional[int] = None
     local_pref: Optional[int] = None
-    communities: List = []
+    communities: List[AnyCommunity] = []
 
-    while cursor.remaining():
-        flags = cursor.read_uint(1)
-        type_code = cursor.read_uint(1)
-        length = cursor.read_uint(2 if flags & ATTR_FLAG_EXTENDED_LENGTH else 1)
-        body = cursor.read(length)
+    while pos < end:
+        if end - pos < 3:
+            raise _truncated("attribute header", 3, end - pos)
+        type_code = value[pos + 1]
+        if value[pos] & ATTR_FLAG_EXTENDED_LENGTH:
+            if end - pos < 4:
+                raise _truncated("attribute header", 4, end - pos)
+            length = (value[pos + 2] << 8) | value[pos + 3]
+            pos += 4
+        else:
+            length = value[pos + 2]
+            pos += 3
+        if end - pos < length:
+            raise _truncated("attribute", length, end - pos)
 
-        if type_code == PathAttributeType.ORIGIN and body:
-            origin = Origin(body[0]) if body[0] in (0, 1, 2) else Origin.INCOMPLETE
-        elif type_code == PathAttributeType.AS_PATH:
-            as_path = _decode_as_path(body, asn_size)
-        elif type_code == PathAttributeType.NEXT_HOP and len(body) >= 4:
-            next_hop = int.from_bytes(body[:4], "big")
-        elif type_code == PathAttributeType.MULTI_EXIT_DISC and len(body) >= 4:
-            med = int.from_bytes(body[:4], "big")
-        elif type_code == PathAttributeType.LOCAL_PREF and len(body) >= 4:
-            local_pref = int.from_bytes(body[:4], "big")
-        elif type_code == PathAttributeType.COMMUNITIES:
+        if type_code == _ATTR_AS_PATH:
+            as_path = _decode_as_path(value, pos, pos + length, asn_size)
+        elif type_code == _ATTR_COMMUNITIES:
             if length % 4:
                 raise MRTDecodeError("COMMUNITIES attribute length not a multiple of 4")
-            for offset in range(0, length, 4):
-                communities.append(Community.from_value(int.from_bytes(body[offset : offset + 4], "big")))
-        elif type_code == PathAttributeType.LARGE_COMMUNITIES:
+            for packed in struct.unpack_from(f"!{length // 4}I", value, pos):
+                communities.append(Community.from_value(packed))
+        elif type_code == _ATTR_LARGE_COMMUNITIES:
             if length % 12:
                 raise MRTDecodeError("LARGE_COMMUNITIES attribute length not a multiple of 12")
-            for offset in range(0, length, 12):
-                upper, data1, data2 = struct.unpack("!III", body[offset : offset + 12])
-                communities.append(LargeCommunity(upper, data1, data2))
+            fields = struct.unpack_from(f"!{length // 4}I", value, pos)
+            for index in range(0, len(fields), 3):
+                communities.append(LargeCommunity(*fields[index : index + 3]))
+        elif type_code == _ATTR_ORIGIN and length:
+            origin = _ORIGINS.get(value[pos], Origin.INCOMPLETE)
+        elif type_code == _ATTR_NEXT_HOP and length >= 4:
+            (next_hop,) = _U32.unpack_from(value, pos)
+        elif type_code == _ATTR_MED and length >= 4:
+            (med,) = _U32.unpack_from(value, pos)
+        elif type_code == _ATTR_LOCAL_PREF and length >= 4:
+            (local_pref,) = _U32.unpack_from(value, pos)
         # Unknown attributes are skipped, as a tolerant MRT consumer must.
+        pos += length
 
     if as_path is None:
         raise MRTDecodeError("path attributes lack a mandatory AS_PATH")
@@ -160,20 +220,31 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
 
 
 class MRTDecoder:
-    """Iterator over the MRT records contained in a byte blob.
+    """Iterator over the MRT records contained in a bytes-like blob.
 
-    With ``zero_copy`` (the default) the decoder reads through one
-    ``memoryview`` over *data*: record bodies, attribute blobs, and NLRI
-    chunks are views into the original blob and nothing is copied until a
-    value (an int, an ASN, a prefix) is materialised.  Decoded records
-    never retain the views, so the blob's lifetime is not extended.  Pass
-    ``zero_copy=False`` to decode over plain byte slices; the output is
-    identical (the equivalence tests pin this down).
+    The decoder reads through one ``memoryview`` over *data* (``bytes``,
+    ``bytearray``, ``mmap`` or another ``memoryview``); decoded records hold
+    plain values and copies, never views, so the blob's lifetime is not
+    extended.
+
+    Path-attribute blobs are memoised per decoder -- that is, per file -- on
+    ``(asn_size, raw bytes)``: equal blobs decode to the *same* immutable
+    :class:`PathAttributes` object, so downstream dict probes on its
+    ``ASPath`` / ``CommunitySet`` hit the identity shortcut and their cached
+    hashes.  The memo holds at most :data:`ATTRIBUTE_MEMO_CAP` blobs and is
+    cleared when full; a blob that fails to decode is never stored and
+    raises :class:`MRTDecodeError` every time it is met.
+    ``attribute_blobs`` counts the blobs met and ``attribute_memo_hits``
+    those answered from the memo.
     """
 
-    def __init__(self, data: bytes, *, zero_copy: bool = True) -> None:
-        self._cursor = _Cursor(memoryview(data) if zero_copy else data)
+    def __init__(self, data) -> None:
+        self._view = memoryview(data)
+        self._pos = 0
         self._peer_table: Optional[PeerIndexTable] = None
+        self._attribute_memo: Dict[Tuple[int, bytes], PathAttributes] = {}
+        self.attribute_blobs = 0
+        self.attribute_memo_hits = 0
 
     @property
     def peer_table(self) -> Optional[PeerIndexTable]:
@@ -184,112 +255,162 @@ class MRTDecoder:
         return self
 
     def __next__(self) -> MRTRecord:
-        if self._cursor.remaining() == 0:
+        view = self._view
+        pos = self._pos
+        available = len(view) - pos
+        if available == 0:
             raise StopIteration
-        if self._cursor.remaining() < MRT_COMMON_HEADER_SIZE:
+        if available < MRT_COMMON_HEADER_SIZE:
             raise MRTDecodeError("trailing bytes shorter than an MRT header")
-        timestamp = self._cursor.read_uint(4)
-        mrt_type = self._cursor.read_uint(2)
-        subtype = self._cursor.read_uint(2)
-        length = self._cursor.read_uint(4)
-        body = self._cursor.read(length)
+        timestamp, mrt_type, subtype, length = _MRT_HEADER.unpack_from(view, pos)
+        pos += MRT_COMMON_HEADER_SIZE
+        if available - MRT_COMMON_HEADER_SIZE < length:
+            raise _truncated("record", length, available - MRT_COMMON_HEADER_SIZE)
+        end = pos + length
+        # A record that fails to decode is still stepped over.
+        self._pos = end
 
-        try:
-            mrt_type_enum = MRTType(mrt_type)
-        except ValueError as exc:
-            raise MRTDecodeError(f"unsupported MRT type {mrt_type}") from exc
+        mrt_type_enum = _MRT_TYPES.get(mrt_type)
+        if mrt_type_enum is None:
+            raise MRTDecodeError(f"unsupported MRT type {mrt_type}")
+        if mrt_type_enum is MRTType.TABLE_DUMP_V2:
+            return self._decode_table_dump_v2(timestamp, subtype, pos, end)
+        if mrt_type_enum is MRTType.BGP4MP or mrt_type_enum is MRTType.BGP4MP_ET:
+            return self._decode_bgp4mp(timestamp, mrt_type_enum, subtype, pos, end)
+        raise MRTDecodeError(f"MRT type {mrt_type_enum.name} not supported by this decoder")
 
-        if mrt_type_enum == MRTType.TABLE_DUMP_V2:
-            record = self._decode_table_dump_v2(timestamp, subtype, body)
-        elif mrt_type_enum in (MRTType.BGP4MP, MRTType.BGP4MP_ET):
-            record = self._decode_bgp4mp(timestamp, mrt_type_enum, subtype, body)
-        else:
-            raise MRTDecodeError(f"MRT type {mrt_type_enum.name} not supported by this decoder")
-        return record
+    def _attributes(self, pos: int, end: int, asn_size: int) -> PathAttributes:
+        """The attributes encoded in ``view[pos:end]``, parsed once per blob."""
+        self.attribute_blobs += 1
+        raw = bytes(self._view[pos:end])
+        key = (asn_size, raw)
+        memo = self._attribute_memo
+        attributes = memo.get(key)
+        if attributes is not None:
+            self.attribute_memo_hits += 1
+            return attributes
+        attributes = decode_path_attributes(raw, asn_size=asn_size)
+        if len(memo) >= ATTRIBUTE_MEMO_CAP:
+            memo.clear()
+        memo[key] = attributes
+        return attributes
 
     # -- TABLE_DUMP_V2 -------------------------------------------------------
-    def _decode_table_dump_v2(self, timestamp: int, subtype: int, body: bytes) -> MRTRecord:
-        subtype_enum = TableDumpV2Subtype(subtype)
-        cursor = _Cursor(body)
-        if subtype_enum == TableDumpV2Subtype.PEER_INDEX_TABLE:
-            collector_id = cursor.read_uint(4)
-            view_len = cursor.read_uint(2)
-            view_name = bytes(cursor.read(view_len)).decode(errors="replace")
-            peer_count = cursor.read_uint(2)
-            peers: List[PeerEntry] = []
-            for _ in range(peer_count):
-                peer_type = cursor.read_uint(1)
-                ipv6 = bool(peer_type & 0x01)
-                as4 = bool(peer_type & 0x02)
-                bgp_id = cursor.read_uint(4)
-                peer_ip = cursor.read_uint(16 if ipv6 else 4)
-                peer_asn = cursor.read_uint(4 if as4 else 2)
-                peers.append(PeerEntry(peer_asn=peer_asn, peer_ip=peer_ip, peer_bgp_id=bgp_id, ipv6=ipv6))
-            table = PeerIndexTable(
-                timestamp=timestamp,
-                mrt_type=MRTType.TABLE_DUMP_V2,
-                subtype=subtype_enum,
-                collector_bgp_id=collector_id,
-                view_name=view_name,
-                peers=tuple(peers),
-            )
-            self._peer_table = table
-            return table
+    def _decode_table_dump_v2(self, timestamp: int, subtype: int, pos: int, end: int) -> MRTRecord:
+        subtype_enum = _TABLE_DUMP_V2_SUBTYPES.get(subtype)
+        if subtype_enum is None:
+            raise MRTDecodeError(f"unknown TABLE_DUMP_V2 subtype {subtype}")
+        if subtype_enum is TableDumpV2Subtype.PEER_INDEX_TABLE:
+            return self._decode_peer_index_table(timestamp, pos, end)
+        afi = _RIB_AFI.get(subtype_enum)
+        if afi is None:
+            raise MRTDecodeError(f"TABLE_DUMP_V2 subtype {subtype_enum.name} not supported")
 
-        if subtype_enum in (TableDumpV2Subtype.RIB_IPV4_UNICAST, TableDumpV2Subtype.RIB_IPV6_UNICAST):
-            afi = AFI_IPV4 if subtype_enum == TableDumpV2Subtype.RIB_IPV4_UNICAST else AFI_IPV6
-            sequence = cursor.read_uint(4)
-            prefix = _decode_prefix_nlri(cursor, afi)
-            entry_count = cursor.read_uint(2)
-            entries: List[RIBAfiEntry] = []
-            for _ in range(entry_count):
-                peer_index = cursor.read_uint(2)
-                originated = cursor.read_uint(4)
-                attr_len = cursor.read_uint(2)
-                attributes = decode_path_attributes(cursor.read(attr_len), asn_size=4)
-                entries.append(RIBAfiEntry(peer_index=peer_index, originated_time=originated, attributes=attributes))
-            return RIBEntryRecord(
-                timestamp=timestamp,
-                mrt_type=MRTType.TABLE_DUMP_V2,
-                subtype=subtype_enum,
-                sequence=sequence,
-                prefix=prefix,
-                entries=tuple(entries),
-            )
+        view = self._view
+        if end - pos < 4:
+            raise _truncated("RIB sequence number", 4, end - pos)
+        (sequence,) = _U32.unpack_from(view, pos)
+        prefix, pos = _decode_prefix_nlri(view, pos + 4, end, afi)
+        if end - pos < 2:
+            raise _truncated("RIB entry count", 2, end - pos)
+        (entry_count,) = _U16.unpack_from(view, pos)
+        pos += 2
+        entries: List[RIBAfiEntry] = []
+        for _ in range(entry_count):
+            if end - pos < _RIB_ENTRY.size:
+                raise _truncated("RIB entry", _RIB_ENTRY.size, end - pos)
+            peer_index, originated, attr_len = _RIB_ENTRY.unpack_from(view, pos)
+            pos += _RIB_ENTRY.size
+            if end - pos < attr_len:
+                raise _truncated("RIB entry attributes", attr_len, end - pos)
+            attributes = self._attributes(pos, pos + attr_len, 4)
+            pos += attr_len
+            entries.append(RIBAfiEntry(peer_index, originated, attributes))
+        return RIBEntryRecord(
+            timestamp=timestamp,
+            mrt_type=MRTType.TABLE_DUMP_V2,
+            subtype=subtype_enum,
+            sequence=sequence,
+            prefix=prefix,
+            entries=tuple(entries),
+        )
 
-        raise MRTDecodeError(f"TABLE_DUMP_V2 subtype {subtype_enum.name} not supported")
+    def _decode_peer_index_table(self, timestamp: int, pos: int, end: int) -> PeerIndexTable:
+        view = self._view
+        if end - pos < _PEER_TABLE_HEADER.size:
+            raise _truncated("PEER_INDEX_TABLE", _PEER_TABLE_HEADER.size, end - pos)
+        collector_id, view_len = _PEER_TABLE_HEADER.unpack_from(view, pos)
+        pos += _PEER_TABLE_HEADER.size
+        if end - pos < view_len + 2:
+            raise _truncated("PEER_INDEX_TABLE view name", view_len + 2, end - pos)
+        view_name = bytes(view[pos : pos + view_len]).decode(errors="replace")
+        (peer_count,) = _U16.unpack_from(view, pos + view_len)
+        pos += view_len + 2
+        peers: List[PeerEntry] = []
+        for _ in range(peer_count):
+            if pos >= end:
+                raise _truncated("peer entry", 1, 0)
+            layout = _PEER_ENTRIES[view[pos] & 0x03]
+            if end - pos < layout.size:
+                raise _truncated("peer entry", layout.size, end - pos)
+            peer_type, bgp_id, peer_ip, peer_asn = layout.unpack_from(view, pos)
+            pos += layout.size
+            peers.append(
+                PeerEntry(
+                    peer_asn=peer_asn,
+                    peer_ip=int.from_bytes(peer_ip, "big"),
+                    peer_bgp_id=bgp_id,
+                    ipv6=bool(peer_type & 0x01),
+                )
+            )
+        table = PeerIndexTable(
+            timestamp=timestamp,
+            mrt_type=MRTType.TABLE_DUMP_V2,
+            subtype=TableDumpV2Subtype.PEER_INDEX_TABLE,
+            collector_bgp_id=collector_id,
+            view_name=view_name,
+            peers=tuple(peers),
+        )
+        self._peer_table = table
+        return table
 
     # -- BGP4MP ---------------------------------------------------------------
-    def _decode_bgp4mp(self, timestamp: int, mrt_type: MRTType, subtype: int, body: bytes) -> BGP4MPMessage:
-        subtype_enum = BGP4MPSubtype(subtype)
-        if subtype_enum not in (BGP4MPSubtype.BGP4MP_MESSAGE, BGP4MPSubtype.BGP4MP_MESSAGE_AS4):
+    def _decode_bgp4mp(
+        self, timestamp: int, mrt_type: MRTType, subtype: int, pos: int, end: int
+    ) -> BGP4MPMessage:
+        subtype_enum = _BGP4MP_SUBTYPES.get(subtype)
+        if subtype_enum is None:
+            raise MRTDecodeError(f"unknown BGP4MP subtype {subtype}")
+        peer_header = _BGP4MP_PEER_HEADERS.get(subtype_enum)
+        if peer_header is None:
             raise MRTDecodeError(f"BGP4MP subtype {subtype_enum.name} not supported")
-        as4 = subtype_enum == BGP4MPSubtype.BGP4MP_MESSAGE_AS4
-        asn_size = 4 if as4 else 2
+        asn_size = 4 if subtype_enum is BGP4MPSubtype.BGP4MP_MESSAGE_AS4 else 2
 
-        cursor = _Cursor(body)
-        if mrt_type == MRTType.BGP4MP_ET:
-            cursor.read_uint(4)  # microsecond timestamp, ignored
-        peer_asn = cursor.read_uint(asn_size)
-        local_asn = cursor.read_uint(asn_size)
-        interface_index = cursor.read_uint(2)
-        afi = cursor.read_uint(2)
-        addr_size = 4 if afi == AFI_IPV4 else 16
-        peer_ip = cursor.read_uint(addr_size)
-        local_ip = cursor.read_uint(addr_size)
+        view = self._view
+        if mrt_type is MRTType.BGP4MP_ET:
+            pos += 4  # microsecond timestamp, ignored
+        if end - pos < peer_header.size:
+            raise _truncated("BGP4MP header", peer_header.size, end - pos)
+        peer_asn, local_asn, interface_index, afi = peer_header.unpack_from(view, pos)
+        pos += peer_header.size
 
-        marker = cursor.read(16)
+        message = _BGP4MP_MESSAGE_V4 if afi == AFI_IPV4 else _BGP4MP_MESSAGE_V6
+        if end - pos < message.size:
+            raise _truncated("BGP4MP message header", message.size, end - pos)
+        peer_ip, local_ip, marker, message_length, message_type = message.unpack_from(view, pos)
+        pos += message.size
         if marker != BGP_MARKER:
             raise MRTDecodeError("BGP message marker mismatch")
-        message_length = cursor.read_uint(2)
-        message_type = cursor.read_uint(1)
-        if message_type != BGPMessageType.UPDATE:
-            # Non-UPDATE messages (keepalives, opens) carry no routing data.
-            cursor.read(message_length - 19)
-            update = None
-        else:
-            update = self._decode_bgp_update(cursor, message_length - 19, peer_asn, timestamp, asn_size, afi)
+        body_length = message_length - _BGP_HEADER_SIZE
+        if body_length < 0 or end - pos < body_length:
+            raise _truncated("BGP message", body_length, end - pos)
 
+        # Non-UPDATE messages (keepalives, opens) carry no routing data.
+        update: Optional[BGPUpdate] = None
+        if message_type == _MSG_UPDATE:
+            update = self._decode_bgp_update(
+                pos, pos + body_length, peer_asn, timestamp, asn_size, afi
+            )
         return BGP4MPMessage(
             timestamp=timestamp,
             mrt_type=mrt_type,
@@ -298,36 +419,41 @@ class MRTDecoder:
             local_asn=local_asn,
             interface_index=interface_index,
             afi=afi,
-            peer_ip=peer_ip,
-            local_ip=local_ip,
+            peer_ip=int.from_bytes(peer_ip, "big"),
+            local_ip=int.from_bytes(local_ip, "big"),
             update=update,
         )
 
-    @staticmethod
     def _decode_bgp_update(
-        cursor: _Cursor, body_length: int, peer_asn: ASN, timestamp: int, asn_size: int, afi: int
+        self, pos: int, end: int, peer_asn: ASN, timestamp: int, asn_size: int, afi: int
     ) -> BGPUpdate:
-        body = _Cursor(cursor.read(body_length))
-        withdrawn_len = body.read_uint(2)
-        withdrawn_cursor = _Cursor(body.read(withdrawn_len))
-        withdrawn: List[Prefix] = []
-        while withdrawn_cursor.remaining():
-            withdrawn.append(_decode_prefix_nlri(withdrawn_cursor, afi))
-        attr_len = body.read_uint(2)
-        attr_bytes = body.read(attr_len)
-        attributes = decode_path_attributes(attr_bytes, asn_size=asn_size) if attr_bytes else None
-        announced: List[Prefix] = []
-        while body.remaining():
-            announced.append(_decode_prefix_nlri(body, afi))
+        view = self._view
+        if end - pos < 2:
+            raise _truncated("withdrawn routes length", 2, end - pos)
+        (withdrawn_len,) = _U16.unpack_from(view, pos)
+        pos += 2
+        # The attribute length field must follow the withdrawn routes.
+        if end - pos < withdrawn_len + 2:
+            raise _truncated("withdrawn routes", withdrawn_len + 2, end - pos)
+        withdrawn = _decode_prefixes(view, pos, pos + withdrawn_len, afi)
+        pos += withdrawn_len
+        (attr_len,) = _U16.unpack_from(view, pos)
+        pos += 2
+        if end - pos < attr_len:
+            raise _truncated("path attributes", attr_len, end - pos)
+        attributes = self._attributes(pos, pos + attr_len, asn_size) if attr_len else None
+        announced = _decode_prefixes(view, pos + attr_len, end, afi)
+        if announced and attributes is None:
+            raise MRTDecodeError("UPDATE announces NLRI without path attributes")
         return BGPUpdate(
             peer_asn=peer_asn,
             timestamp=timestamp,
-            announced=tuple(announced),
-            withdrawn=tuple(withdrawn),
+            announced=announced,
+            withdrawn=withdrawn,
             attributes=attributes,
         )
 
 
-def decode_records(data: bytes, *, zero_copy: bool = True) -> List[MRTRecord]:
+def decode_records(data) -> List[MRTRecord]:
     """Decode every record in *data* into a list."""
-    return list(MRTDecoder(data, zero_copy=zero_copy))
+    return list(MRTDecoder(data))

@@ -11,6 +11,10 @@ from repro.bgp.prefix import Prefix
 from repro.mrt.constants import BGP4MPSubtype, MRTType
 
 
+class MRTDecodeError(ValueError):
+    """Raised when the byte stream violates the MRT / BGP wire format."""
+
+
 @dataclass(frozen=True)
 class MRTRecord:
     """Base class for decoded MRT records; carries the common header."""
@@ -38,6 +42,14 @@ class PeerIndexTable(MRTRecord):
     view_name: str = ""
     peers: Tuple[PeerEntry, ...] = ()
 
+    def peer_asn_at(self, index: int) -> ASN:
+        """The ASN of the peer a RIB entry's ``peer_index`` refers to."""
+        if not 0 <= index < len(self.peers):
+            raise MRTDecodeError(
+                f"peer index {index} is past the {len(self.peers)}-peer PEER_INDEX_TABLE"
+            )
+        return self.peers[index].peer_asn
+
 
 @dataclass(frozen=True)
 class RIBAfiEntry:
@@ -60,14 +72,14 @@ class RIBEntryRecord(MRTRecord):
         """Materialise :class:`repro.bgp.messages.RIBEntry` objects.
 
         Needs the *peer_table* of the same dump to resolve peer indexes to
-        peer ASNs, exactly as an MRT consumer must.
+        peer ASNs, exactly as an MRT consumer must; an index past the table
+        raises :class:`MRTDecodeError`.
         """
         result: List[RIBEntry] = []
         for entry in self.entries:
-            peer = peer_table.peers[entry.peer_index]
             result.append(
                 RIBEntry(
-                    peer_asn=peer.peer_asn,
+                    peer_asn=peer_table.peer_asn_at(entry.peer_index),
                     prefix=self.prefix,
                     attributes=entry.attributes,
                     timestamp=entry.originated_time or self.timestamp,

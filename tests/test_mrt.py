@@ -1,6 +1,9 @@
 """Unit tests for the MRT encoder and decoder."""
 
+import struct
+
 import pytest
+from mrt_oracle import bgp4mp_message, mrt_record, rib_record
 
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
@@ -16,6 +19,7 @@ from repro.mrt import (
     decode_records,
     encode_records,
 )
+from repro.collectors.archive import observations_from_mrt
 from repro.mrt.decoder import decode_path_attributes
 from repro.mrt.encoder import encode_path_attributes
 
@@ -159,6 +163,36 @@ class TestDecoderErrors:
     def test_empty_stream_yields_nothing(self):
         assert decode_records(b"") == []
 
+    @pytest.mark.parametrize("mrt_type", [13, 16])
+    def test_unknown_subtype_is_a_decode_error(self, mrt_type):
+        with pytest.raises(MRTDecodeError, match="subtype 99"):
+            decode_records(mrt_record(mrt_type, 99, b""))
+
+    def test_peer_index_past_the_table_is_a_decode_error(self, attributes):
+        blob = encode_records([10]) + rib_record(encode_path_attributes(attributes), peer_index=1)
+        table, rib = decode_records(blob)
+        with pytest.raises(MRTDecodeError, match="peer index 1"):
+            rib.to_rib_entries(table)
+        with pytest.raises(MRTDecodeError, match="peer index 1"):
+            observations_from_mrt(blob, "rrc00")
+
+    def test_rib_before_peer_table_is_a_decode_error(self, attributes):
+        blob = rib_record(encode_path_attributes(attributes))
+        assert len(decode_records(blob)) == 1
+        with pytest.raises(MRTDecodeError, match="before PEER_INDEX_TABLE"):
+            observations_from_mrt(blob, "rrc00")
+
+    def test_nlri_without_attributes_is_a_decode_error(self):
+        body = struct.pack("!HH", 0, 0) + b"\x18\x08\x08\x08"
+        with pytest.raises(MRTDecodeError, match="without path attributes"):
+            decode_records(bgp4mp_message(body))
+
+    def test_prefix_under_an_unknown_address_family_is_a_decode_error(self, attributes):
+        blob = encode_path_attributes(attributes)
+        body = struct.pack("!HH", 0, len(blob)) + blob + b"\x18\x08\x08\x08"
+        with pytest.raises(MRTDecodeError, match="address family 7"):
+            decode_records(bgp4mp_message(body, afi=7))
+
     def test_decoder_exposes_peer_table(self):
         blob = encode_records([10, 20])
         decoder = MRTDecoder(blob)
@@ -167,8 +201,8 @@ class TestDecoderErrors:
         assert len(decoder.peer_table.peers) == 2
 
 
-class TestZeroCopyDecoding:
-    """The memoryview fast path decodes identically to the copying path."""
+class TestBytesLikeInput:
+    """The decoder reads any bytes-like blob through one memoryview."""
 
     def _mixed_blob(self, attributes):
         encoder = MRTEncoder()
@@ -191,14 +225,10 @@ class TestZeroCopyDecoding:
             )
         return encoder.getvalue()
 
-    def test_matches_copying_decode(self, attributes):
-        blob = self._mixed_blob(attributes)
-        assert decode_records(blob, zero_copy=True) == decode_records(blob, zero_copy=False)
-
     def test_records_do_not_retain_views(self, attributes):
         """Decoded records must not keep the input buffer alive via views."""
         blob = bytearray(self._mixed_blob(attributes))
-        records = decode_records(blob, zero_copy=True)
+        records = decode_records(blob)
         # Releasing the buffer would raise if any exported view survived.
         del records
         blob.clear()
@@ -214,8 +244,78 @@ class TestZeroCopyDecoding:
         assert table.view_name == "rrc01"
         assert type(table.view_name) is str
 
-    def test_truncated_stream_rejected_in_both_modes(self, attributes):
-        blob = self._mixed_blob(attributes)
-        for zero_copy in (True, False):
-            with pytest.raises(MRTDecodeError):
-                decode_records(blob[:-3], zero_copy=zero_copy)
+
+class TestAttributeMemo:
+    """A path-attribute blob is parsed once per decoder -- that is, per file."""
+
+    def _repeating_blob(self, attributes):
+        prefixes = [parse_prefix("8.8.8.0/24"), parse_prefix("9.9.0.0/16")]
+        update = BGPUpdate(peer_asn=3356, timestamp=5, announced=(prefixes[0],), attributes=attributes)
+        return encode_records(
+            [3356], rib=[(prefix, [(3356, 0, attributes)]) for prefix in prefixes], updates=[update]
+        )
+
+    def test_equal_blobs_decode_to_the_same_object(self, attributes):
+        decoder = MRTDecoder(self._repeating_blob(attributes))
+        _table, rib_a, rib_b, message = list(decoder)
+        assert rib_a.entries[0].attributes is rib_b.entries[0].attributes
+        assert message.update.attributes is rib_a.entries[0].attributes
+        assert (decoder.attribute_blobs, decoder.attribute_memo_hits) == (3, 2)
+
+    def test_two_decoders_share_nothing(self, attributes):
+        blob = self._repeating_blob(attributes)
+        first, second = MRTDecoder(blob), MRTDecoder(blob)
+        records = list(first)
+        again = list(second)
+        assert records == again
+        assert records[1].entries[0].attributes is not again[1].entries[0].attributes
+        assert second.attribute_memo_hits == first.attribute_memo_hits == 2
+
+    def test_memo_is_bounded_and_survives_a_clear(self, monkeypatch):
+        monkeypatch.setattr("repro.mrt.decoder.ATTRIBUTE_MEMO_CAP", 4)
+        distinct = [PathAttributes(as_path=ASPath([3356, 100 + index])) for index in range(10)]
+        rib = [
+            (parse_prefix(f"8.8.{index}.0/24"), [(3356, 0, route)])
+            for index, route in enumerate(distinct + distinct[::-1] + distinct[:3] * 2)
+        ]
+        decoder = MRTDecoder(encode_records([3356], rib=rib))
+        decoded = []
+        for record in decoder:
+            decoded.append(record)
+            assert len(decoder._attribute_memo) <= 4
+        assert [record.entries[0].attributes for record in decoded[1:]] == [
+            entries[0][2] for _prefix, entries in rib
+        ]
+        assert decoder.attribute_blobs == len(rib)
+        assert 0 < decoder.attribute_memo_hits < len(rib) - len(distinct)
+
+    def test_malformed_blob_is_never_cached(self, attributes):
+        # A COMMUNITIES attribute with a 3-byte body after a valid AS_PATH.
+        bad = encode_path_attributes(PathAttributes(as_path=ASPath([3356]))) + bytes([0xC0, 8, 3, 1, 2, 3])
+        good = rib_record(encode_path_attributes(attributes), sequence=2)
+        decoder = MRTDecoder(rib_record(bad) + rib_record(bad, sequence=1) + good)
+        for _ in range(2):
+            with pytest.raises(MRTDecodeError, match="COMMUNITIES"):
+                next(decoder)
+        assert decoder.attribute_memo_hits == 0 and not decoder._attribute_memo
+        assert next(decoder).entries[0].attributes == attributes
+
+    def test_asn_width_is_part_of_the_key(self):
+        # AS_SEQUENCE(65538, 0x02010007) under 4-byte ASNs reads as
+        # AS_SEQUENCE(1, 2) + AS_SEQUENCE(7) under 2-byte ASNs.
+        as_path = bytes([2, 2]) + struct.pack("!II", 65538, 0x02010007)
+        blob = bytes([0x40, 2, len(as_path)]) + as_path
+        body = struct.pack("!HH", 0, len(blob)) + blob + b"\x18\x08\x08\x08"
+        decoder = MRTDecoder(bgp4mp_message(body, as4=True) + bgp4mp_message(body, as4=False))
+        wide, narrow = (record.update.attributes.as_path for record in decoder)
+        assert wide == ASPath([65538, 0x02010007])
+        assert narrow == ASPath([1, 2, 7])
+        assert (decoder.attribute_blobs, decoder.attribute_memo_hits) == (2, 0)
+
+    def test_a_collector_day_mostly_hits(self, tiny_internet):
+        archive = tiny_internet.archive_for("isolario")
+        for blob in archive.day_to_mrt(archive.generate_day(0)).values():
+            decoder = MRTDecoder(blob)
+            records = sum(1 for _record in decoder)
+            assert decoder.attribute_blobs >= records - 1
+            assert decoder.attribute_memo_hits / decoder.attribute_blobs > 0.5

@@ -381,17 +381,3 @@ class TestColumnarStreamProperties:
         if resumed_snapshots:
             assert straight_snapshots[-len(resumed_snapshots):] == resumed_snapshots
         assert resumed_outcome[3] == straight_outcome[3]
-
-
-class TestDecoderZeroCopyProperties:
-    @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
-    @given(as_paths, community_sets, st.lists(ipv4_prefixes, min_size=1, max_size=3, unique=True))
-    def test_zero_copy_decode_matches_copying_decode(self, path, communities_set, prefixes):
-        update = BGPUpdate(
-            peer_asn=path.peer,
-            timestamp=1621382400,
-            announced=tuple(prefixes),
-            attributes=PathAttributes(as_path=path, communities=communities_set),
-        )
-        blob = encode_records([path.peer], updates=[update])
-        assert decode_records(blob, zero_copy=True) == decode_records(blob, zero_copy=False)
