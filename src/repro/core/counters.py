@@ -17,6 +17,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.bgp.asn import ASN
 from repro.core.classes import ForwardingClass, TaggingClass, UsageClassification
 from repro.core.thresholds import Thresholds
@@ -257,6 +259,21 @@ class CounterStore:
 PackedPhaseDelta = Dict[int, Sequence[int]]
 
 
+def _share_flags(hit: "array[int]", miss: "array[int]", threshold: float) -> bytearray:
+    """Per-slot ``total != 0 and hit / total >= threshold`` over two columns.
+
+    float64 true division of two int64 counts rounds exactly like Python's
+    ``int / int`` while both stay below 2**53, so the flags equal the scalar
+    rule's.  The numpy views over the ``array`` buffers are locals: they are
+    released on return, before anyone may resize the columns again.
+    """
+    hits = _np.frombuffer(hit, dtype=_np.int64)
+    totals = hits + _np.frombuffer(miss, dtype=_np.int64)
+    evidence = totals != 0
+    shares = _np.divide(hits, totals, out=_np.zeros(len(hits)), where=evidence)
+    return bytearray((evidence & (shares >= threshold)).view(_np.uint8))
+
+
 class PackedCounterStore:
     """Dense ``array``-backed twin of :class:`CounterStore`.
 
@@ -327,22 +344,10 @@ class PackedCounterStore:
         """
         if slots is not None:
             self.ensure_slots(slots)
-        tagger_threshold = self.thresholds.tagger
-        forward_threshold = self.thresholds.forward
-        count = len(self.tagger)
-        tagger_flags = bytearray(count)
-        forward_flags = bytearray(count)
-        tagger, silent, forward, cleaner = self.tagger, self.silent, self.forward, self.cleaner
-        for index in range(count):
-            t = tagger[index]
-            total = t + silent[index]
-            if total and t / total >= tagger_threshold:
-                tagger_flags[index] = 1
-            f = forward[index]
-            total = f + cleaner[index]
-            if total and f / total >= forward_threshold:
-                forward_flags[index] = 1
-        return tagger_flags, forward_flags
+        return (
+            _share_flags(self.tagger, self.silent, self.thresholds.tagger),
+            _share_flags(self.forward, self.cleaner, self.thresholds.forward),
+        )
 
     # -- conversion / (de)serialisation -----------------------------------------------
     def state_dict(self, as_values: Sequence[ASN]) -> Dict[ASN, Tuple[int, int, int, int]]:

@@ -46,10 +46,11 @@ class GroupList(list):
     def extend_merged(self, other: "GroupList") -> None:
         """Append *other*'s groups, folding its matrix into the cached one.
 
-        The appended rows may duplicate ``(row, hits)`` keys already present;
-        kernels sum group contributions commutatively and emit deltas in
-        ascending AS-index order, so duplicated rows are indistinguishable
-        from merged multiplicities.  Keeping the matrix incrementally beats
+        The appended rows may duplicate ``(row, hits)`` keys already present,
+        or cancel them with a negative multiplicity (a retraction); kernels
+        sum group contributions commutatively and emit deltas in ascending
+        AS-index order, so such rows are indistinguishable from merged
+        multiplicities.  Keeping the matrix incrementally beats
         rebuilding it from Python tuples on every streaming update.
         """
         matrix = getattr(self, "_matrix", None)

@@ -26,6 +26,28 @@ from repro.core.thresholds import Thresholds
 FULL_CLASS_CODES: Tuple[str, ...] = ("tf", "tc", "sf", "sc")
 
 
+def diff_code_maps(
+    previous: Mapping[ASN, str], current: Mapping[ASN, str]
+) -> Dict[ASN, Tuple[str, str]]:
+    """``{asn: (old_code, new_code)}`` of every AS whose code differs.
+
+    Both arguments are :meth:`ClassificationResult.as_code_map` views.  ASes
+    absent from *previous* appear with ``old_code == "nn"``, and ASes that
+    disappeared from *current* (all their evidence evicted under a sliding
+    window) appear with ``new_code == "nn"``.
+    """
+    changes: Dict[ASN, Tuple[str, str]] = {}
+    unclassified = UNCLASSIFIED.code
+    for asn, new_code in current.items():
+        old_code = previous.get(asn, unclassified)
+        if new_code != old_code:
+            changes[asn] = (old_code, new_code)
+    for asn, old_code in previous.items():
+        if asn not in current and old_code != unclassified:
+            changes[asn] = (old_code, unclassified)
+    return changes
+
+
 @dataclass
 class ClassificationResult:
     """The outcome of one inference run."""
@@ -129,25 +151,12 @@ class ClassificationResult:
     def changed_since(self, previous: Mapping[ASN, str]) -> Dict[ASN, Tuple[str, str]]:
         """Classification changes relative to an earlier :meth:`as_code_map`.
 
-        Returns ``{asn: (old_code, new_code)}`` for every AS whose code
-        changed; ASes not present earlier appear with ``old_code == "nn"``,
-        and ASes that disappeared (all their evidence evicted under a
-        sliding window) appear with ``new_code == "nn"``.  The streaming
-        engine emits this per window so consumers can follow a live
-        classification database without re-reading it wholesale.
+        :func:`diff_code_maps` against this result's own code map.  The
+        streaming engine emits the same diff per window (from the map it
+        keeps anyway) so consumers can follow a live classification database
+        without re-reading it wholesale.
         """
-        changes: Dict[ASN, Tuple[str, str]] = {}
-        unclassified = UNCLASSIFIED.code
-        for asn in self.observed_ases:
-            new_code = self.classification_of(asn).code
-            old_code = previous.get(asn, unclassified)
-            if new_code != old_code:
-                changes[asn] = (old_code, new_code)
-        observed = self.observed_ases
-        for asn, old_code in previous.items():
-            if asn not in observed and old_code != unclassified:
-                changes[asn] = (old_code, unclassified)
-        return changes
+        return diff_code_maps(previous, self.as_code_map())
 
     def summary(self) -> Dict[str, int]:
         """A flat summary dictionary used by reports and benchmarks."""

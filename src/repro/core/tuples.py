@@ -273,7 +273,7 @@ class TupleTable:
         return table
 
 
-def materialize_groups(table: TupleTable, counts: GroupCounts) -> List[CountingGroup]:
+def materialize_groups(table: TupleTable, counts: GroupCounts) -> GroupList:
     """Lower ``(path_id, hits) -> count`` aggregates into kernel groups.
 
     Returns a :class:`~repro.core.matrix.GroupList` so large group sets can
@@ -287,8 +287,15 @@ def materialize_groups(table: TupleTable, counts: GroupCounts) -> List[CountingG
 
 
 def merge_group_counts(target: GroupCounts, extra: GroupCounts) -> None:
-    """Fold *extra* multiplicities into *target* in place (commutative)."""
+    """Fold *extra* multiplicities into *target* in place (commutative).
+
+    Multiplicities are signed (a retraction is ``-1``); a key whose total
+    returns to zero leaves *target*, so it holds the live groups only.
+    """
     get = target.get
     for key, count in extra.items():
-        existing = get(key)
-        target[key] = count if existing is None else existing + count
+        total = get(key, 0) + count
+        if total:
+            target[key] = total
+        else:
+            target.pop(key, None)

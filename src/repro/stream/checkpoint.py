@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 #: Bump when the engine state layout changes incompatibly.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _FILENAME_RE = re.compile(r"^stream-ckpt-(\d{8})\.pkl$")
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from repro.bgp.announcement import RouteObservation
 from repro.bgp.asn import ASN, ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
-from repro.core.results import ClassificationResult
+from repro.core.results import ClassificationResult, diff_code_maps
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleRef, TupleTable
 from repro.sanitize.filters import SanitationConfig, SanitationStats
@@ -390,7 +390,7 @@ class StreamEngine:
             _, shard_id = self._last_seen.pop(key)
             by_shard.setdefault(shard_id, []).append(key)
         self._router_evict(by_shard)
-        self.classifier.evict_refs(expired, list(self._last_seen))
+        self.classifier.evict_refs(expired)
         self.stats.tuples_evicted += len(expired)
 
     def _router_evict(self, by_shard: Dict[int, List[TupleKey]]) -> None:
@@ -402,8 +402,9 @@ class StreamEngine:
         if self.config.window.policy is WindowPolicy.SLIDING:
             self._evict_expired(closed.end - self.config.window.effective_horizon)
         result = self.classifier.update()
-        changed = result.changed_since(self._last_codes)
-        self._last_codes = result.as_code_map()
+        codes = result.as_code_map()
+        changed = diff_code_maps(self._last_codes, codes)
+        self._last_codes = codes
         snapshot = WindowSnapshot(
             window_start=closed.start,
             window_end=closed.end,

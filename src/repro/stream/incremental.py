@@ -3,9 +3,9 @@
 The batch :class:`~repro.core.column.ColumnInference` recounts every tuple on
 every run.  The streaming engine cannot afford that: updates arrive
 continuously and windows close every few seconds.  The classifiers here keep
-enough per-phase state to fold newly arrived tuples into an existing
-classification and only fall back to recounting when the *knowledge* the
-algorithm relies on actually changed.
+enough per-phase state to fold newly arrived tuples into — and retract
+expired ones from — an existing classification and only fall back to
+recounting when the *knowledge* the algorithm relies on actually changed.
 
 Tuples are interned ``(path_id, comm_id)`` refs into the engine's shared
 :class:`~repro.core.tuples.TupleTable` and counting runs the packed kernels
@@ -14,17 +14,21 @@ over ``(row, hits, multiplicity)`` groups; the batch object-tuple
 are the oracle the stream tests compare against.
 
 The key observation (see :mod:`repro.core.column`) is that every counting
-phase is a pure function of ``(tuple set, decision flags)``:
+phase is a pure function of ``(tuple set, decision flags)``, linear in the
+tuples' multiplicities:
 
 * if the decision view of a phase is **unchanged** since the last update,
-  all previously counted tuples contribute exactly the same deltas, so only
-  the tuples that arrived since then need to be counted (``O(new)``);
-* if it **changed**, the phase is recounted over the full tuple set and the
+  every tuple that stayed contributes exactly the same deltas, so only the
+  turnover is counted: tuples that arrived since then with multiplicity
+  ``+1`` and tuples that were evicted with multiplicity ``-1``, through the
+  same kernels (``O(arrived + evicted)``);
+* if it **changed**, the phase is recounted over the live tuple set and the
   fresh deltas replace the recorded ones.
 
 Because phase contributions are commutative sums, the result is *provably
-identical* to a batch run over the same tuples, independent of arrival
-order or sharding — the property the streaming equivalence tests pin down.
+identical* to a batch run over the live tuples, independent of arrival
+order, eviction order or sharding — the property the streaming equivalence
+tests pin down.
 
 The row-based baseline is embarrassingly incremental: every tuple's
 contribution is independent of all counters, so tuples can be added *and
@@ -34,7 +38,7 @@ retracted* with exact per-tuple deltas (no recounts, ever).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
@@ -45,6 +49,7 @@ from repro.core.column import (
     merge_phase_delta,
 )
 from repro.core.counters import CounterStore, PackedCounterStore
+from repro.core.matrix import GroupList
 from repro.core.results import ClassificationResult
 from repro.core.row import row_group_delta_packed
 from repro.core.thresholds import Thresholds
@@ -57,6 +62,12 @@ from repro.core.tuples import (
     merge_group_counts,
 )
 
+#: The cached kernel form of the counted groups takes every update's signed
+#: rows; once it would hold more than this many rows per live group it is
+#: mostly cancelled pairs, so it is dropped and rebuilt from the live set by
+#: the next recount.
+_CACHE_COMPACTION_FACTOR = 2
+
 
 @dataclass
 class IncrementalStats:
@@ -64,12 +75,10 @@ class IncrementalStats:
 
     updates: int = 0
     tuples_added: int = 0
-    #: Phases folded in by counting only newly arrived tuples.
+    #: Phases folded in by counting only arrived (+1) and evicted (-1) tuples.
     delta_phases: int = 0
-    #: Phases recounted over the full tuple set (knowledge changed).
+    #: Phases recounted over the live tuple set (knowledge changed).
     recount_phases: int = 0
-    #: Full rebuilds (window eviction invalidates all phase records).
-    resets: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for reporting."""
@@ -78,8 +87,22 @@ class IncrementalStats:
             "tuples_added": self.tuples_added,
             "delta_phases": self.delta_phases,
             "recount_phases": self.recount_phases,
-            "resets": self.resets,
         }
+
+
+def _add_refs(refs: Dict[ASN, int], asns: Iterable[ASN], count: int) -> None:
+    """Add the signed *count* to the live reference count of every AS.
+
+    An AS whose count returns to zero is dropped, so the key set is exactly
+    what the live tuples still reference — evicting the last tuple through
+    an AS makes it unobserved again.
+    """
+    for asn in asns:
+        total = refs.get(asn, 0) + count
+        if total:
+            refs[asn] = total
+        else:
+            del refs[asn]
 
 
 @dataclass
@@ -107,12 +130,13 @@ def _strip_flags(tagger_flags: bytearray, forward_flags: bytearray) -> "tuple[by
 
 
 class ColumnarColumnClassifier:
-    """Maintains a column-inference classification under tuple arrivals.
+    """Maintains a column-inference classification under tuple turnover.
 
-    Usage: :meth:`add_ref` newly deduplicated tuples as they arrive, then
-    :meth:`update` at every window boundary to obtain a
-    :class:`ClassificationResult` identical to a batch
-    :class:`~repro.core.column.ColumnInference` run over all tuples so far.
+    Usage: :meth:`add_ref` newly deduplicated tuples as they arrive and
+    :meth:`evict_refs` the ones a sliding window expires, then :meth:`update`
+    at every window boundary to obtain a :class:`ClassificationResult`
+    identical to a batch :class:`~repro.core.column.ColumnInference` run over
+    the tuples live at that point.
 
     Tuples are held as ``(path_id, hits) -> multiplicity`` aggregates
     against a (usually engine-shared) :class:`TupleTable`; phases run the
@@ -136,13 +160,16 @@ class ColumnarColumnClassifier:
         self.stats = IncrementalStats()
         self.report = ColumnInferenceReport()
         self.table = table if table is not None else TupleTable()
+        #: The live tuples the phase records cover (multiplicities > 0).
         self._groups: GroupCounts = {}
+        #: Turnover since the last update: arrivals +1, evictions -1.
         self._pending_groups: GroupCounts = {}
-        self._counted_cache: Optional[List[CountingGroup]] = None
-        self._counted_tuples = 0
-        self._pending_tuples = 0
-        self._observed: Set[ASN] = set()
-        self._max_length = 0
+        self._counted_cache: Optional[GroupList] = None
+        self._tuple_count = 0
+        #: Live tuples (incl. pending) per AS on their path / per path length:
+        #: the keys are the observed ASes and the path lengths in use.
+        self._as_refs: Dict[ASN, int] = {}
+        self._length_refs: Dict[int, int] = {}
         self._tagging_records: List[PackedPhaseRecord] = []
         self._forwarding_records: List[PackedPhaseRecord] = []
         self._packed = PackedCounterStore(self.thresholds)
@@ -151,54 +178,65 @@ class ColumnarColumnClassifier:
     # -- ingestion ---------------------------------------------------------------------
     @property
     def tuple_count(self) -> int:
-        """Number of unique tuples currently folded in (incl. pending)."""
-        return self._counted_tuples + self._pending_tuples
+        """Number of unique tuples currently live (incl. pending turnover)."""
+        return self._tuple_count
+
+    def _queue(self, ref: TupleRef, count: int) -> None:
+        """Fold one tuple in with a signed multiplicity: ``+1`` arrives, ``-1`` leaves.
+
+        This runs for every new tuple of every feed, so the three signed
+        adds (pending group, ASes as in :func:`_add_refs`, path length) are
+        inlined; each drops its key at zero.
+        """
+        path_id = ref[0]
+        table = self.table
+        key = (path_id, table.hits_of(path_id, ref[1]))
+        pending = self._pending_groups
+        total = pending.get(key, 0) + count
+        if total:
+            pending[key] = total
+        else:  # an arrival and an eviction of one group cancel without a trace
+            del pending[key]
+        asns = table.path_asns_of(path_id)
+        as_refs = self._as_refs
+        for asn in asns:
+            total = as_refs.get(asn, 0) + count
+            if total:
+                as_refs[asn] = total
+            else:
+                del as_refs[asn]
+        length = len(asns)
+        length_refs = self._length_refs
+        total = length_refs.get(length, 0) + count
+        if total:
+            length_refs[length] = total
+        else:
+            del length_refs[length]
+        self._tuple_count += count
 
     def add_ref(self, ref: TupleRef) -> None:
         """Queue one interned unique tuple for the next :meth:`update`."""
-        path_id = ref[0]
-        key = (path_id, self.table.hits_of(path_id, ref[1]))
-        count = self._pending_groups.get(key)
-        self._pending_groups[key] = 1 if count is None else count + 1
-        asns = self.table.path_asns_of(path_id)
-        self._observed.update(asns)
-        if len(asns) > self._max_length:
-            self._max_length = len(asns)
-        self._pending_tuples += 1
+        self._queue(ref, 1)
         self.stats.tuples_added += 1
 
     def add_tuple(self, item: PathCommTuple) -> None:
         """Intern and queue one new unique tuple."""
         self.add_ref(self.table.intern_tuple(item))
 
-    def evict_refs(
-        self, evicted: Sequence[TupleRef], remaining: Iterable[TupleRef]
-    ) -> None:
-        """Drop expired tuples (sliding windows).
+    def evict_refs(self, evicted: Sequence[TupleRef]) -> None:
+        """Queue the retraction of expired live tuples (sliding windows).
 
-        Column knowledge is not separable per tuple, so eviction invalidates
-        every phase record; the next :meth:`update` recounts the remaining
-        tuples from scratch.
+        A phase's contribution is linear in the tuples' multiplicities, so an
+        eviction is an arrival with multiplicity ``-1``: the next
+        :meth:`update` subtracts the evicted tuples' deltas from every phase
+        whose decision view survived and recounts only from the first phase
+        whose view the turnover actually changed.
         """
-        if not evicted:
-            return
-        self._groups = {}
-        self._pending_groups = {}
-        self._counted_cache = None
-        self._counted_tuples = 0
-        self._pending_tuples = 0
-        self._observed = set()
-        self._max_length = 0
-        self._tagging_records = []
-        self._forwarding_records = []
-        self.stats.resets += 1
-        added_before = self.stats.tuples_added
-        for ref in remaining:
-            self.add_ref(ref)
-        self.stats.tuples_added = added_before  # re-adds are not arrivals
+        for ref in evicted:
+            self._queue(ref, -1)
 
     # -- classification -----------------------------------------------------------------
-    def _counted_groups(self) -> List[CountingGroup]:
+    def _counted_groups(self) -> GroupList:
         cache = self._counted_cache
         if cache is None:
             cache = self._counted_cache = materialize_groups(self.table, self._groups)
@@ -236,31 +274,28 @@ class ColumnarColumnClassifier:
         return record
 
     def update(self) -> ClassificationResult:
-        """Fold pending tuples in and return the up-to-date classification."""
-        pending_counts = self._pending_groups
+        """Fold the pending turnover in and return the up-to-date classification."""
+        turnover = self._pending_groups
         self._pending_groups = {}
-        pending = (
-            materialize_groups(self.table, pending_counts) if pending_counts else []
-        )
-        if pending_counts:
-            merge_group_counts(self._groups, pending_counts)
+        pending = materialize_groups(self.table, turnover)
+        if turnover:
+            merge_group_counts(self._groups, turnover)
             cache = self._counted_cache
             if cache is not None:
-                # Fold the pending groups (and their matrix buckets) into the
-                # cached kernel form instead of rebuilding it from scratch.
-                # Appended rows may duplicate keys already counted — kernel
-                # sums commute, so that is equivalent to merged counts.
-                cache.extend_merged(pending)
-        self._counted_tuples += self._pending_tuples
-        self._pending_tuples = 0
+                if len(cache) + len(pending) > _CACHE_COMPACTION_FACTOR * len(self._groups):
+                    self._counted_cache = None
+                else:
+                    # Fold the signed groups (and their matrix buckets) into
+                    # the cached kernel form instead of rebuilding it from
+                    # scratch.  Appended rows may duplicate or cancel keys
+                    # already there — kernel sums commute, so that is
+                    # equivalent to merged counts.
+                    cache.extend_merged(pending)
 
         packed = PackedCounterStore(self.thresholds)
         report = ColumnInferenceReport()
-        limit = (
-            self._max_length
-            if self.max_columns is None
-            else min(self._max_length, self.max_columns)
-        )
+        max_length = max(self._length_refs, default=0)
+        limit = max_length if self.max_columns is None else min(max_length, self.max_columns)
         for column in range(1, limit + 1):
             tagging = self._run_phase(
                 self._tagging_records, count_tagging_phase_packed, pending, column, packed
@@ -279,11 +314,12 @@ class ColumnarColumnClassifier:
                 and tagging.increments == 0
                 and forwarding.increments == 0
             ):
-                # A batch run would stop here; records beyond this column are
-                # stale leftovers from a previous, shorter-stalling run.
-                del self._tagging_records[column:]
-                del self._forwarding_records[column:]
-                break
+                break  # a batch run would stop here
+        # Records past the last processed column (a stall, or the longest
+        # path retracted) never saw this turnover; kept, they would resurrect
+        # evicted evidence the next time the loop runs that far.
+        del self._tagging_records[report.columns_processed :]
+        del self._forwarding_records[report.columns_processed :]
 
         self._packed = packed
         self._store = packed.to_store(self.table.as_values())
@@ -294,7 +330,7 @@ class ColumnarColumnClassifier:
     def result(self) -> ClassificationResult:
         """The classification as of the last :meth:`update`."""
         return ClassificationResult(
-            store=self._store, observed_ases=set(self._observed), algorithm="column"
+            store=self._store, observed_ases=set(self._as_refs), algorithm="column"
         )
 
     # -- checkpointing ------------------------------------------------------------------
@@ -307,10 +343,9 @@ class ColumnarColumnClassifier:
             "stop_when_stalled": self.stop_when_stalled,
             "groups": dict(self._groups),
             "pending_groups": dict(self._pending_groups),
-            "counted_tuples": self._counted_tuples,
-            "pending_tuples": self._pending_tuples,
-            "observed": set(self._observed),
-            "max_length": self._max_length,
+            "tuple_count": self._tuple_count,
+            "as_refs": dict(self._as_refs),
+            "length_refs": dict(self._length_refs),
             "tagging_records": list(self._tagging_records),
             "forwarding_records": list(self._forwarding_records),
             "store_arrays": self._packed.arrays_state(),
@@ -332,10 +367,9 @@ class ColumnarColumnClassifier:
         )
         classifier._groups = dict(state["groups"])
         classifier._pending_groups = dict(state["pending_groups"])
-        classifier._counted_tuples = state["counted_tuples"]
-        classifier._pending_tuples = state["pending_tuples"]
-        classifier._observed = set(state["observed"])
-        classifier._max_length = state["max_length"]
+        classifier._tuple_count = state["tuple_count"]
+        classifier._as_refs = dict(state["as_refs"])
+        classifier._length_refs = dict(state["length_refs"])
         classifier._tagging_records = list(state["tagging_records"])
         classifier._forwarding_records = list(state["forwarding_records"])
         classifier._packed = PackedCounterStore.from_arrays_state(
@@ -369,7 +403,8 @@ class ColumnarRowClassifier:
         self.stats = IncrementalStats()
         self.table = table if table is not None else TupleTable()
         self._packed = PackedCounterStore(self.thresholds)
-        self._observed: Set[ASN] = set()
+        #: Live tuples per AS on their path; the keys are the observed ASes.
+        self._as_refs: Dict[ASN, int] = {}
         self._tuple_count = 0
 
     # -- ingestion ---------------------------------------------------------------------
@@ -385,12 +420,12 @@ class ColumnarRowClassifier:
         self._packed.apply_delta(
             row_group_delta_packed(self.table.path_row(path_id), hits, count)
         )
+        _add_refs(self._as_refs, self.table.path_asns_of(path_id), count)
+        self._tuple_count += count
 
     def add_ref(self, ref: TupleRef) -> None:
         """Fold one interned unique tuple into the counters immediately."""
         self._apply_ref(ref, 1)
-        self._observed.update(self.table.path_asns_of(ref[0]))
-        self._tuple_count += 1
         self.stats.tuples_added += 1
         self.stats.delta_phases += 1
 
@@ -398,17 +433,10 @@ class ColumnarRowClassifier:
         """Intern and fold one new unique tuple."""
         self.add_ref(self.table.intern_tuple(item))
 
-    def evict_refs(
-        self, evicted: Sequence[TupleRef], remaining: Iterable[TupleRef]
-    ) -> None:
-        """Retract expired tuples with exact negative deltas."""
-        observed: Set[ASN] = set()
+    def evict_refs(self, evicted: Sequence[TupleRef]) -> None:
+        """Retract expired live tuples with exact negative deltas."""
         for ref in evicted:
             self._apply_ref(ref, -1)
-            self._tuple_count -= 1
-        for ref in remaining:
-            observed.update(self.table.path_asns_of(ref[0]))
-        self._observed = observed
 
     # -- classification -----------------------------------------------------------------
     def update(self) -> ClassificationResult:
@@ -420,7 +448,7 @@ class ColumnarRowClassifier:
         """The current classification as an immutable snapshot."""
         return ClassificationResult(
             store=self._packed.to_store(self.table.as_values()),
-            observed_ases=set(self._observed),
+            observed_ases=set(self._as_refs),
             algorithm="row",
         )
 
@@ -431,7 +459,7 @@ class ColumnarRowClassifier:
             "algorithm": self.algorithm,
             "thresholds": self.thresholds,
             "store_arrays": self._packed.arrays_state(),
-            "observed": set(self._observed),
+            "as_refs": dict(self._as_refs),
             "tuple_count": self._tuple_count,
             "stats": replace(self.stats),
         }
@@ -445,7 +473,7 @@ class ColumnarRowClassifier:
         classifier._packed = PackedCounterStore.from_arrays_state(
             state["store_arrays"], classifier.thresholds
         )
-        classifier._observed = set(state["observed"])
+        classifier._as_refs = dict(state["as_refs"])
         classifier._tuple_count = state["tuple_count"]
         classifier.stats = replace(state["stats"])
         return classifier

@@ -10,7 +10,7 @@ import struct
 
 import mrt_oracle
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mrt_oracle import bgp4mp_message, mrt_record, split_records
 
@@ -259,15 +259,33 @@ def mutated_blobs(draw):
                 continue
             at = sum(len(record) for record in records[: draw(st.integers(0, len(records) - 1))])
             if at + 12 <= len(blob):
-                lie = draw(st.integers(-40, 40))
-                (length,) = struct.unpack_from("!I", blob, at + 8)
-                struct.pack_into("!I", blob, at + 8, max(0, length + lie))
+                lie_about_record_length(blob, at, draw(st.integers(-40, 40)))
+    return bytes(blob)
+
+
+def lie_about_record_length(blob, at, lie):
+    """Move the length field of the record header at *at* by *lie* bytes.
+
+    Clamped to the field's range: an earlier flip / smash may already have
+    pushed it to within 40 of either end.
+    """
+    (length,) = struct.unpack_from("!I", blob, at + 8)
+    struct.pack_into("!I", blob, at + 8, min(0xFFFFFFFF, max(0, length + lie)))
+
+
+def _length_field_saturated():
+    """The first record claims 2**32 - 1 bytes: what the clamp produces."""
+    blob = bytearray(WELL_FORMED["updates"])
+    struct.pack_into("!I", blob, 8, 0xFFFFFFF0)
+    lie_about_record_length(blob, 0, 40)
+    assert struct.unpack_from("!I", blob, 8) == (0xFFFFFFFF,)
     return bytes(blob)
 
 
 class TestMutatedInputs:
     @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mutated_blobs())
+    @example(_length_field_saturated())
     def test_same_prefix_then_same_end(self, blob):
         assert_same_outcome(blob)
 

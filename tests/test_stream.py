@@ -65,10 +65,9 @@ def add_all(classifier, items):
         classifier.add_tuple(item)
 
 
-def evict(classifier, evicted, remaining):
+def evict(classifier, evicted):
     """Evict object tuples through the classifier's interned entry point."""
-    intern = classifier.table.intern_tuple
-    classifier.evict_refs([intern(item) for item in evicted], map(intern, remaining))
+    classifier.evict_refs([classifier.table.intern_tuple(item) for item in evicted])
 
 
 def fingerprint(result):
@@ -382,17 +381,39 @@ class TestIncrementalColumn:
         )
         assert fingerprint(classifier.result()) == fingerprint(batch)
 
-    def test_eviction_resets_and_matches_batch(self):
+    def test_eviction_under_unchanged_views_recounts_nothing(self):
         classifier = ColumnarColumnClassifier()
         all_items = tuples_from(*self.ITEMS)
         add_all(classifier, all_items)
         classifier.update()
-        remaining = all_items[:2]
-        evict(classifier, all_items[2:], remaining)
+        recounts_before = classifier.stats.recount_phases
+        deltas_before = classifier.stats.delta_phases
+        # AS 20 was neither a tagger nor a forwarder: retracting its tuples
+        # leaves every phase's decision view as it was.
+        evict(classifier, all_items[2:])
         classifier.update()
-        assert classifier.stats.resets == 1
+        assert classifier.stats.recount_phases == recounts_before
+        assert classifier.stats.delta_phases > deltas_before
+        assert classifier.tuple_count == 2
         assert fingerprint(classifier.result()) == fingerprint(
-            ColumnInference().run(remaining)
+            ColumnInference().run(all_items[:2])
+        )
+
+    def test_eviction_that_changes_a_view_recounts_from_that_phase(self):
+        classifier = ColumnarColumnClassifier()
+        all_items = tuples_from(*self.ITEMS)
+        add_all(classifier, all_items)
+        classifier.update()
+        recounts_before = classifier.stats.recount_phases
+        deltas_before = classifier.stats.delta_phases
+        # All of AS 30's tagger evidence goes: the view after column 1's
+        # tagging phase changes, the (empty) view before it cannot.
+        evict(classifier, all_items[:2])
+        classifier.update()
+        assert classifier.stats.recount_phases > recounts_before
+        assert classifier.stats.delta_phases == deltas_before + 1
+        assert fingerprint(classifier.result()) == fingerprint(
+            ColumnInference().run(all_items[2:])
         )
 
     def test_state_roundtrip_mid_update(self):
@@ -423,7 +444,7 @@ class TestIncrementalRow:
         classifier = ColumnarRowClassifier()
         all_items = tuples_from(*self.ITEMS)
         add_all(classifier, all_items)
-        evict(classifier, all_items[1:], all_items[:1])
+        evict(classifier, all_items[1:])
         assert fingerprint(classifier.update()) == fingerprint(
             RowInference().run(all_items[:1])
         )
@@ -464,6 +485,19 @@ class TestCheckpointManager:
         target.write_bytes(pickle.dumps(payload))
         with pytest.raises(CheckpointError):
             manager.load()
+
+    def test_previous_format_version_is_refused(self, tmp_path):
+        """A v2 classifier state has no live reference counts (and a
+        ``resets`` stat): it must be refused here, not fail in ``from_state``."""
+        manager = CheckpointManager(tmp_path)
+        engine = StreamEngine(StreamConfig(window=WindowSpec(size=100)), checkpoints=manager)
+        engine.ingest(observation([10, 30], ["30:1"], timestamp=1))
+        target = engine.checkpoint()
+        payload = pickle.loads(target.read_bytes())
+        assert payload["version"] == 3
+        target.write_bytes(pickle.dumps({**payload, "version": 2}))
+        with pytest.raises(CheckpointError, match="version 2, expected 3"):
+            StreamEngine.restore(manager)
 
 
 # ---------------------------------------------------------------------------------------

@@ -125,6 +125,27 @@ class TestGroupCounts:
         assert sorted(count for _, _, count in groups) == [2, 4]
         assert {row for row, _, _ in groups} == {table.path_row(tagged[0])}
 
+    def test_merge_is_signed_and_drops_keys_at_zero(self):
+        live = {(0, 1): 2, (3, 0): 1}
+        merge_group_counts(live, {(0, 1): -1, (3, 0): -1, (4, 2): 1})
+        assert live == {(0, 1): 1, (4, 2): 1}
+        merge_group_counts(live, {(0, 1): -1, (4, 2): -1, (9, 9): 0})
+        assert live == {}
+
+
+def scalar_decision_flags(packed):
+    """The rule ``decision_flags`` vectorises, one slot at a time."""
+    tagger_flags, forward_flags = bytearray(packed.slots), bytearray(packed.slots)
+    for index in range(packed.slots):
+        t, f = packed.tagger[index], packed.forward[index]
+        total = t + packed.silent[index]
+        if total and t / total >= packed.thresholds.tagger:
+            tagger_flags[index] = 1
+        total = f + packed.cleaner[index]
+        if total and f / total >= packed.thresholds.forward:
+            forward_flags[index] = 1
+    return tagger_flags, forward_flags
+
 
 class TestPackedCounterStore:
     def test_parity_with_object_store(self):
@@ -144,6 +165,42 @@ class TestPackedCounterStore:
         view = store.decision_view()
         assert {as_values[i] for i, flag in enumerate(tagger_flags) if flag} == view.tagger_ases
         assert {as_values[i] for i, flag in enumerate(forward_flags) if flag} == view.forward_ases
+
+    @pytest.mark.parametrize("threshold", [0.51, 0.75, 0.99, 1.0])
+    def test_decision_flags_equal_the_scalar_rule(self, threshold):
+        rng = random.Random(23)
+        packed = PackedCounterStore(Thresholds.uniform(threshold), slots=400)
+        for index in range(0, 300):
+            scale = rng.choice([1, 10, 1000, 10**6, 2**50])
+            packed.apply_delta({index: [rng.randint(0, scale) for _ in range(4)]})
+        # Shares exactly at a threshold, one evidence short of it, lone
+        # components, and (from slot 306 on) no evidence at all.
+        packed.apply_delta(
+            {
+                300: [99, 1, 75, 25],
+                301: [98, 2, 74, 26],
+                302: [51, 49, 3, 1],
+                303: [0, 7, 7, 0],
+                304: [7, 0, 0, 7],
+                305: [0, 0, 1, 0],
+            }
+        )
+        flags = packed.decision_flags()
+        assert flags == scalar_decision_flags(packed)
+        assert all(isinstance(column, bytearray) and len(column) == 400 for column in flags)
+        assert any(flags[0]) and any(flags[1]) and not any(flags[0][306:])
+        # Zero-padding to the table's AS count happens before the flags are
+        # taken, and the columns stay resizable afterwards (no exported view).
+        padded = packed.decision_flags(450)
+        assert [len(column) for column in padded] == [450, 450]
+        assert padded == scalar_decision_flags(packed)
+        packed.ensure_slots(500)
+
+    def test_decision_flags_at_the_threshold(self):
+        packed = PackedCounterStore(Thresholds.uniform(0.99), slots=3)
+        packed.apply_delta({0: [99, 1, 98, 2], 1: [98, 2, 99, 1]})
+        assert packed.decision_flags() == (bytearray(b"\x01\x00\x00"), bytearray(b"\x00\x01\x00"))
+        assert PackedCounterStore().decision_flags() == (bytearray(), bytearray())
 
     def test_zero_slots_read_as_absent(self):
         packed = PackedCounterStore(slots=4)
