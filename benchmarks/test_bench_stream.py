@@ -3,9 +3,10 @@
 Measures what a live deployment cares about:
 
 * sustained ingest throughput (events/sec) over a steady-state synthetic
-  feed — the acceptance floor is 150k events/sec (raised from 75k when
-  block ingest landed), overridable via the ``REPRO_BENCH_MIN_STREAM_EPS``
-  environment variable (0 disables);
+  feed — recorded in ``extra_info``; an absolute floor applies only when
+  the ``REPRO_BENCH_MIN_STREAM_EPS`` environment variable sets one (the
+  ``bench-trajectory`` CI job gates at 150k events/sec; the rate itself is
+  gated by ``steady_churn`` ``throughput`` in ``BENCHMARK.json``);
 * steady-state memory: once the unique-tuple set is warm, re-announcements
   must not grow engine state;
 * the cost of a window flush on a warm engine (the incremental delta path)
@@ -22,8 +23,8 @@ import pytest
 from repro.core.column import ColumnInference
 from repro.stream import MemorySource, ScenarioSource, StreamConfig, StreamEngine, WindowSpec
 
-#: Acceptance floor for sustained ingest throughput.
-MIN_EVENTS_PER_SEC = float(os.environ.get("REPRO_BENCH_MIN_STREAM_EPS", "150000"))
+#: Acceptance floor for sustained ingest throughput (unset: record only).
+MIN_EVENTS_PER_SEC = float(os.environ.get("REPRO_BENCH_MIN_STREAM_EPS", "0"))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def test_bench_stream_ingest_throughput(benchmark, stream_events):
         assert events_per_sec >= MIN_EVENTS_PER_SEC, (
             f"sustained throughput {events_per_sec:,.0f} events/sec "
             f"is below the {MIN_EVENTS_PER_SEC:,.0f} floor "
-            f"(override via REPRO_BENCH_MIN_STREAM_EPS)"
+            f"set by REPRO_BENCH_MIN_STREAM_EPS"
         )
 
 

@@ -18,8 +18,7 @@ The package is organised as the paper's system is:
 * :mod:`repro.experiments` -- one driver per paper table / figure,
 * :mod:`repro.stream` -- incremental, windowed, checkpointable streaming
   classification over live update feeds,
-* :mod:`repro.parallel` -- multi-core execution of the batch pipeline and
-  the streaming engine,
+* :mod:`repro.parallel` -- multi-process execution of the streaming engine,
 * :mod:`repro.service` -- durable snapshot store and the JSON HTTP query
   API serving classification results.
 

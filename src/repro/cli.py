@@ -9,7 +9,6 @@ Usage::
     python -m repro classify rib.mrt updates.mrt -o classification.txt
     python -m repro classify --threshold 0.95 --format json dump.mrt
     python -m repro classify --algorithm row dump.mrt    # row-based baseline
-    python -m repro classify --workers 4 dump.mrt        # multi-core map-reduce
     python -m repro demo --scale tiny           # no input data: run on the synthetic Internet
     python -m repro show classification.txt --asn 3356
     python -m repro stream updates.mrt --window 3600 --checkpoint-dir state/
@@ -44,10 +43,12 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple
 
+from repro.collectors.archive import read_mrt_files
 from repro.core.column import ColumnInference
 from repro.core.export import ClassificationDatabase
 from repro.core.pipeline import InferencePipeline
 from repro.core.thresholds import Thresholds
+from repro.mrt import MRTDecodeError
 
 
 def _positive_int(text: str) -> int:
@@ -83,11 +84,10 @@ def _publish_batch(args: argparse.Namespace, result, events_total: int, unique_t
 
 def cmd_classify(args: argparse.Namespace) -> int:
     """``classify``: run the pipeline on MRT files."""
-    blobs = {Path(filename).name: Path(filename).read_bytes() for filename in args.inputs}
+    blobs = read_mrt_files(args.inputs)
     pipeline = InferencePipeline(
         thresholds=Thresholds.uniform(args.threshold),
         algorithm=args.algorithm,
-        workers=args.workers,
     )
     outcome = pipeline.run_from_mrt(blobs)
     database = ClassificationDatabase.from_result(outcome.result)
@@ -585,12 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inference algorithm: the paper's column-based (default) or the row baseline",
     )
     classify.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes for sanitation and counting (default: 1, serial)",
-    )
-    classify.add_argument(
         "--store",
         help="also materialize the result into this snapshot store "
         "(path, sqlite:path, or memory:)",
@@ -852,7 +846,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (MRTDecodeError, OSError) as error:
+        # A corrupt or unreadable *input file* is the user's to fix.  Any
+        # other OSError (a socket, the store, the output path) is not.
+        if isinstance(error, OSError) and error.filename not in getattr(args, "inputs", ()):
+            raise
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -22,8 +22,10 @@ inference but must flow through the pipeline.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.announcement import RouteObservation, iter_blocks
 from repro.bgp.asn import ASN
@@ -224,6 +226,27 @@ class CollectorArchive:
                     )
             blobs[collector.name] = encoder.getvalue()
         return blobs
+
+
+def read_mrt_files(paths: Sequence[Union[str, Path]]) -> Dict[str, bytes]:
+    """Read MRT files into the ``{collector label: blob}`` mapping the batch
+    pipeline and the replay source consume.
+
+    A file is labelled by its basename when no other input shares it, else
+    by its path as given: RIPE RIS and RouteViews name files identically in
+    every collector directory (``rrc00/updates.20210401.0000.gz``,
+    ``rrc01/updates.20210401.0000.gz``), and a basename key alone would
+    silently keep one of them.  The same path given twice is one file.
+    """
+    unique = list(dict.fromkeys(str(path) for path in paths))
+    names = [Path(path).name for path in unique]
+    shared = Counter(names)
+    blobs: Dict[str, bytes] = {}
+    for path, name in zip(unique, names):
+        # Opened as given, so an OSError's ``filename`` is the caller's argument.
+        with open(path, "rb") as handle:
+            blobs[name if shared[name] == 1 else path] = handle.read()
+    return blobs
 
 
 def iter_observations_from_mrt(blob: bytes, collector: str) -> Iterator[RouteObservation]:

@@ -23,21 +23,8 @@ around index 7 (the paper makes the same observation).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
@@ -70,8 +57,9 @@ def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
 
     Phase deltas are per-AS commutative sums, so merging the deltas of
     disjoint tuple chunks is equivalent to counting the concatenated chunk in
-    one pass — the property both the incremental classifier and the
-    multi-process phase barrier rely on.
+    one pass — the property the incremental classifier relies on when it
+    counts only the turnover of a phase, and the packed kernels when they
+    add the overflow groups to a matrix count.
     """
     for asn, (first, second) in extra.items():
         entry = target.get(asn)
@@ -80,14 +68,6 @@ def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
         else:
             entry[0] += first
             entry[1] += second
-
-
-def merge_phase_deltas(deltas: Iterable[PhaseDelta]) -> PhaseDelta:
-    """Merge many per-chunk phase deltas into one (shard-merge barrier)."""
-    merged: PhaseDelta = {}
-    for delta in deltas:
-        merge_phase_delta(merged, delta)
-    return merged
 
 
 def count_tagging_phase(
@@ -350,23 +330,6 @@ class ColumnInferenceReport:
         return sum(self.forwarding_counts_per_column)
 
 
-#: Counts one phase of one column over the whole input:
-#: ``(phase, column, decisions) -> (delta, increments)``.
-PhaseCounter = Callable[[str, int, DecisionView], Tuple[PhaseDelta, int]]
-
-
-def count_column_phase(
-    prepared: Sequence[PreparedTuple], phase: str, column: int, decisions: DecisionView
-) -> Tuple[PhaseDelta, int]:
-    """Count the ``"tagging"`` or ``"forwarding"`` phase of *column* over *prepared*.
-
-    The phase travels by name so a pool task can carry it across a process
-    boundary.
-    """
-    count = count_tagging_phase if phase == "tagging" else count_forwarding_phase
-    return count(prepared, column, decisions)
-
-
 class ColumnInference:
     """Runs the paper's column-based inference over ``(path, comm)`` tuples."""
 
@@ -399,33 +362,25 @@ class ColumnInference:
 
         limit = max_length if self.max_columns is None else min(max_length, self.max_columns)
         self.report = ColumnInferenceReport()
-        with self._phase_counter(prepared) as count_phase:
-            for column in range(1, limit + 1):
-                tagging_delta, tagging_increments = count_phase(
-                    "tagging", column, store.decision_view()
-                )
-                store.apply_tagging_delta(tagging_delta)
-                forwarding_delta, forwarding_increments = count_phase(
-                    "forwarding", column, store.decision_view()
-                )
-                store.apply_forwarding_delta(forwarding_delta)
-                self.report.columns_processed = column
-                self.report.tagging_counts_per_column.append(tagging_increments)
-                self.report.forwarding_counts_per_column.append(forwarding_increments)
-                if (
-                    self.stop_when_stalled
-                    and column > 1
-                    and tagging_increments == 0
-                    and forwarding_increments == 0
-                ):
-                    break
+        for column in range(1, limit + 1):
+            # The two kernels are looked up by module-level name on every
+            # call: benchmarks/e2e times them by swapping those names.
+            tagging_delta, tagging_increments = count_tagging_phase(
+                prepared, column, store.decision_view()
+            )
+            store.apply_tagging_delta(tagging_delta)
+            forwarding_delta, forwarding_increments = count_forwarding_phase(
+                prepared, column, store.decision_view()
+            )
+            store.apply_forwarding_delta(forwarding_delta)
+            self.report.columns_processed = column
+            self.report.tagging_counts_per_column.append(tagging_increments)
+            self.report.forwarding_counts_per_column.append(forwarding_increments)
+            if (
+                self.stop_when_stalled
+                and column > 1
+                and tagging_increments == 0
+                and forwarding_increments == 0
+            ):
+                break
         return ClassificationResult(store=store, observed_ases=observed, algorithm="column")
-
-    @contextmanager
-    def _phase_counter(self, prepared: List[PreparedTuple]) -> Iterator[PhaseCounter]:
-        """How one phase is counted over *prepared*: here, in this process.
-
-        The one step :class:`~repro.parallel.inference.ParallelColumnInference`
-        overrides (pinned chunks in a pool, merged at the phase barrier).
-        """
-        yield partial(count_column_phase, prepared)

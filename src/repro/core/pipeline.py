@@ -9,9 +9,8 @@ Chains the stages the paper's measurement system performs:
 5. summarise the classification.
 
 The pipeline object is what the examples and the Table 3 experiment drive;
-each stage can also be used on its own.  With ``workers=N`` the sanitation /
-dedup stage and the counting phases execute on N OS processes (see
-:mod:`repro.parallel`); the result is identical to the serial run.
+each stage can also be used on its own.  Every stage runs in the calling
+process; :mod:`repro.parallel` serves the streaming engine only.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
 
-#: Observations sanitized per block by the batch path, serial and parallel
-#: (purely a throughput constant, never changes the output).
+#: Observations sanitized per block by the batch path (purely a throughput
+#: constant, never changes the output).
 SANITIZE_BLOCK_SIZE = 4096
 
 
@@ -79,18 +78,14 @@ class InferencePipeline:
         prefix_allocation: Optional[PrefixAllocation] = None,
         sanitation: Optional[SanitationConfig] = None,
         algorithm: str = "column",
-        workers: int = 1,
     ) -> None:
         if algorithm not in ("column", "row"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
         self.thresholds = thresholds or Thresholds()
         self.asn_registry = asn_registry
         self.prefix_allocation = prefix_allocation
         self.sanitation_config = sanitation or SanitationConfig()
         self.algorithm = algorithm
-        self.workers = workers
 
     # -- stage helpers --------------------------------------------------------------------
     def _make_sanitizer(self) -> Sanitizer:
@@ -101,12 +96,6 @@ class InferencePipeline:
         )
 
     def _make_inference(self) -> Union[ColumnInference, RowInference]:
-        if self.workers > 1:
-            from repro.parallel.inference import ParallelColumnInference, ParallelRowInference
-
-            if self.algorithm == "row":
-                return ParallelRowInference(self.thresholds, workers=self.workers)
-            return ParallelColumnInference(self.thresholds, workers=self.workers)
         if self.algorithm == "row":
             return RowInference(self.thresholds)
         return ColumnInference(self.thresholds)
@@ -118,26 +107,11 @@ class InferencePipeline:
         *observations* may be any iterable, including a lazy generator: the
         input is streamed through the sanitizer in blocks of
         :data:`SANITIZE_BLOCK_SIZE`, so only one block plus the deduplicated
-        unique tuples are ever held in memory.  With ``workers > 1`` the
-        stream is partitioned by collector-peer AS across worker processes;
-        the output is identical either way.
+        unique tuples are ever held in memory.
         """
-        if self.workers > 1:
-            from repro.parallel.batch import parallel_unique_tuples
-
-            tuples, stats = parallel_unique_tuples(
-                observations,
-                self.workers,
-                asn_registry=self.asn_registry,
-                prefix_allocation=self.prefix_allocation,
-                sanitation=self.sanitation_config,
-            )
-        else:
-            sanitizer = self._make_sanitizer()
-            tuples = list(
-                sanitizer.iter_unique_tuples_blocked(observations, SANITIZE_BLOCK_SIZE)
-            )
-            stats = sanitizer.stats
+        sanitizer = self._make_sanitizer()
+        tuples = list(sanitizer.iter_unique_tuples_blocked(observations, SANITIZE_BLOCK_SIZE))
+        stats = sanitizer.stats
         inference = self._make_inference()
         result = inference.run(tuples)
         return PipelineResult(

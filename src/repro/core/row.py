@@ -13,9 +13,10 @@ Cond1 / Cond2 safeguards:
 
 Every tuple's contribution is independent of all counters, so the whole
 algorithm is one commutative sum of per-tuple deltas: :func:`row_tuple_delta`
-computes one tuple's contribution, :func:`count_row_phase` folds a chunk of
-tuples, and disjoint chunks merge exactly (the property both the streaming
-retraction path and the multi-process shard merge rely on).
+computes one tuple's contribution and :func:`count_row_phase` folds any
+number of them.  (The streaming row classifier relies on the same property
+through the packed twin :func:`row_group_delta_packed`: arrivals fold in
+with multiplicity +1, evictions with -1.)
 
 The paper argues (and Section 6 shows) that this approach cannot distinguish
 hidden behaviour from silence/cleaning and is therefore prone to
@@ -25,7 +26,7 @@ the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
@@ -41,8 +42,8 @@ RowDelta = Dict[ASN, List[int]]
 def row_tuple_delta(prepared: PreparedTuple, delta: Optional[RowDelta] = None) -> RowDelta:
     """The ``(t, s, f, c)`` contributions of one prepared tuple (order-free).
 
-    Folds into *delta* in place when one is given (chunk counting), else
-    returns a fresh mapping (per-tuple retraction in the streaming engine).
+    Folds into *delta* in place when one is given (how
+    :func:`count_row_phase` sums a chunk), else returns a fresh mapping.
     """
     asns, uppers = prepared
     if delta is None:
@@ -75,8 +76,7 @@ def row_tuple_delta(prepared: PreparedTuple, delta: Optional[RowDelta] = None) -
 def count_row_phase(prepared: Sequence[PreparedTuple]) -> RowDelta:
     """Summed per-AS deltas of a chunk of prepared tuples.
 
-    Pure in *prepared*; chunks may be counted in any partition (including in
-    worker processes) and merged with :meth:`CounterStore.apply_delta`.
+    Pure in *prepared*; apply the result with :meth:`CounterStore.apply_delta`.
     """
     delta: RowDelta = {}
     for item in prepared:
@@ -144,14 +144,5 @@ class RowInference:
             observed.update(asns)
             prepared.append(prepare_tuple(item))
 
-        for delta in self._count(prepared):
-            store.apply_delta(delta)
+        store.apply_delta(count_row_phase(prepared))
         return ClassificationResult(store=store, observed_ases=observed, algorithm="row")
-
-    def _count(self, prepared: List[PreparedTuple]) -> Iterable[RowDelta]:
-        """The row deltas of *prepared*, one per counted partition: here, one.
-
-        The one step :class:`~repro.parallel.inference.ParallelRowInference`
-        overrides (one delta per pinned chunk of a pool).
-        """
-        return [count_row_phase(prepared)]

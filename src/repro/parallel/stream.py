@@ -19,6 +19,7 @@ into pairs on the way out (eviction, state hand-off).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.announcement import RouteObservation
@@ -66,7 +67,17 @@ class ParallelStreamEngine(StreamEngine):
                     for state in (worker.state_dict() for worker in self.router.workers)
                 ]
             )
-            result = super().run(source, finish=finish)
+            try:
+                result = super().run(source, finish=finish)
+            except Exception:
+                # The classifier keeps what it absorbed before the failure
+                # (a corrupt record, a dropped feed), so the mirror must too:
+                # a checkpoint pairing it with the pre-run dedup sets counts
+                # every absorbed tuple again on resume.  A fleet that no
+                # longer answers has nothing to pull; what it raised stands.
+                with suppress(Exception):
+                    self._sync_router_state()
+                raise
             # Sync *after* the final flush: its sliding eviction reaches the
             # pool only, and the mirror is what checkpoints persist.
             self._sync_router_state()

@@ -35,6 +35,7 @@ from repro.collectors.archive import (
     DEFAULT_EPOCH,
     iter_observation_blocks_from_mrt,
     iter_observations_from_mrt,
+    read_mrt_files,
 )
 
 
@@ -137,8 +138,7 @@ class MRTReplaySource:
         cls, paths: Sequence[Union[str, Path]], *, order: str = "archive"
     ) -> "MRTReplaySource":
         """Build a replay source from MRT files on disk (one per collector)."""
-        blobs = {Path(path).name: Path(path).read_bytes() for path in paths}
-        return cls(blobs, order=order)
+        return cls(read_mrt_files(paths), order=order)
 
     def _collector_streams(self) -> List[Iterator[RouteObservation]]:
         return [

@@ -13,17 +13,9 @@ from repro.core.export import ClassificationDatabase
 from repro.mrt.encoder import MRTEncoder
 
 
-@pytest.fixture()
-def mrt_file(tmp_path):
-    """A small MRT update file with a clear tagger/forwarder structure."""
+def write_mrt(path, updates):
+    """Write ``(asns, communities)`` updates as one MRT file at *path*."""
     encoder = MRTEncoder()
-    updates = [
-        ([10], ["10:1"]),
-        ([20], []),
-        ([30], ["30:1"]),
-        ([10, 30], ["10:1", "30:1"]),
-        ([20, 30], ["30:1"]),
-    ]
     for asns, comms in updates:
         encoder.write_update(
             BGPUpdate(
@@ -35,9 +27,22 @@ def mrt_file(tmp_path):
                 ),
             )
         )
-    path = tmp_path / "updates.mrt"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(encoder.getvalue())
     return path
+
+
+@pytest.fixture()
+def mrt_file(tmp_path):
+    """A small MRT update file with a clear tagger/forwarder structure."""
+    updates = [
+        ([10], ["10:1"]),
+        ([20], []),
+        ([30], ["30:1"]),
+        ([10, 30], ["10:1", "30:1"]),
+        ([20, 30], ["30:1"]),
+    ]
+    return write_mrt(tmp_path / "updates.mrt", updates)
 
 
 class TestParser:
@@ -58,7 +63,6 @@ class TestCountFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["classify", "a.mrt", "--workers", "0"],
             ["stream", "a.mrt", "--workers", "0"],
             ["stream", "a.mrt", "--shards", "0"],
             ["stream", "a.mrt", "--ingest-block-size", "0"],
@@ -83,10 +87,12 @@ class TestCountFlags:
 
 
 class TestOnePathOptions:
-    """Batch has one layout and one block size: the knobs are gone, not ignored."""
+    """Batch has one layout, one block size and one process: the knobs are
+    gone, not ignored."""
 
     @pytest.mark.parametrize(
-        "flag", [["--representation", "columnar"], ["--ingest-block-size", "64"]]
+        "flag",
+        [["--representation", "columnar"], ["--ingest-block-size", "64"], ["--workers", "2"]],
     )
     def test_classify_rejects_the_removed_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as usage_error:
@@ -102,6 +108,7 @@ class TestOnePathOptions:
         parameters = inspect.signature(InferencePipeline.__init__).parameters
         assert "representation" not in parameters  # what benchmarks/e2e feature-detects
         assert "ingest_block_size" not in parameters
+        assert "workers" not in parameters
 
 
 class TestClassifyCommand:
@@ -124,12 +131,48 @@ class TestClassifyCommand:
         assert main(["classify", str(mrt_file), "--threshold", "0.6", "-o", str(output)]) == 0
         assert output.exists()
 
-    def test_classify_with_workers_matches_serial(self, mrt_file, tmp_path):
-        serial = tmp_path / "serial.txt"
-        parallel = tmp_path / "parallel.txt"
-        assert main(["classify", str(mrt_file), "-o", str(serial)]) == 0
-        assert main(["classify", str(mrt_file), "--workers", "2", "-o", str(parallel)]) == 0
-        assert parallel.read_text() == serial.read_text()
+
+class TestInputFiles:
+    """Inputs are labelled, never dropped; a bad one is an error line, rc 1."""
+
+    RRC00 = [([10], ["10:1"]), ([10, 30], ["10:1", "30:1"])]
+    RRC01 = [([20], []), ([20, 30], ["30:1"]), ([20, 40], [])]
+
+    @pytest.mark.parametrize("command", ["classify", "stream"])
+    def test_same_basename_inputs_are_both_read(self, command, tmp_path, capsys):
+        """Regression: blobs were keyed on the basename, so the second of
+        ``rrc00/updates.mrt rrc01/updates.mrt`` silently replaced the first."""
+
+        def run(name, first, second):
+            inputs = [
+                str(write_mrt(tmp_path / first, self.RRC00)),
+                str(write_mrt(tmp_path / second, self.RRC01)),
+            ]
+            output = tmp_path / name
+            assert main([command, *inputs, "-o", str(output)]) == 0
+            return output.read_text(), capsys.readouterr().err
+
+        colliding = run("colliding.txt", "rrc00/updates.mrt", "rrc01/updates.mrt")
+        distinct = run("distinct.txt", "rrc00.mrt", "rrc01.mrt")
+        assert colliding == distinct
+        assert f"{len(self.RRC00) + len(self.RRC01)} " in colliding[1]
+
+    @pytest.mark.parametrize("command", ["classify", "stream"])
+    @pytest.mark.parametrize(
+        "content", [None, b"# not an MRT archive\n" * 8], ids=["missing", "not-mrt"]
+    )
+    def test_unreadable_input_is_an_error_line(self, command, content, mrt_file, tmp_path, capsys):
+        bad = tmp_path / "bad.mrt"
+        if content is not None:
+            bad.write_bytes(content)
+        assert main([command, str(mrt_file), str(bad), "-o", str(tmp_path / "db.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "db.txt").exists()
+
+    def test_other_os_errors_are_not_swallowed(self, mrt_file, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            main(["classify", str(mrt_file), "-o", str(tmp_path / "no-such-dir" / "db.txt")])
 
 
 class TestShowCommand:

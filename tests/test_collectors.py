@@ -5,7 +5,7 @@ import pytest
 from repro.bgp.messages import BGPUpdate, PathAttributes
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
-from repro.collectors.archive import ArchiveConfig, observations_from_mrt
+from repro.collectors.archive import ArchiveConfig, observations_from_mrt, read_mrt_files
 from repro.collectors.collector import Collector, CollectorProject, merge_peer_sets
 from repro.collectors.projects import DEFAULT_PROJECT_NAMES, build_default_projects
 from repro.core.pipeline import InferencePipeline
@@ -139,3 +139,19 @@ class TestArchives:
         outcome = pipeline.run_from_mrt(blobs)
         assert outcome.unique_tuples > 0
         assert outcome.result.summary()["tagger"] > 0
+
+    def test_read_mrt_files_labels_never_collide(self, tmp_path):
+        """Basename when unique among the inputs, else the path as given."""
+        paths = {}
+        for name in ("rrc00/updates.mrt", "rrc01/updates.mrt", "rrc01/bview.mrt"):
+            paths[name] = tmp_path / name
+            paths[name].parent.mkdir(exist_ok=True)
+            paths[name].write_bytes(name.encode())
+        given = [str(path) for path in paths.values()]
+        blobs = read_mrt_files(given + given[:1])  # the same path twice is one file
+        assert blobs == {
+            given[0]: b"rrc00/updates.mrt",
+            given[1]: b"rrc01/updates.mrt",
+            "bview.mrt": b"rrc01/bview.mrt",
+        }
+        assert list(blobs) == [given[0], given[1], "bview.mrt"]  # argument order

@@ -2,15 +2,21 @@
 
 The hand-crafted cases mirror the worked examples of Sections 5.1 and 5.4 of
 the paper; the scenario-level tests check the paper's headline claims
-(100% precision on consistent behaviour, no classification of hidden ASes).
+(100% precision on consistent behaviour, no classification of hidden ASes);
+the golden test pins literal counts so a counting change that flips a class
+fails here, whatever it does to the inequalities.
 """
 
+import hashlib
+
+import pytest
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.core.classes import ForwardingClass, TaggingClass
 from repro.core.column import ColumnInference
+from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.usage.scenarios import ScenarioName
 
@@ -132,6 +138,36 @@ class TestHandCraftedCases:
         inference.run(tuples_from(([10], ["10:1"]), ([20], [])))
         assert inference.report.total_tagging_counts == 2
 
+    def test_run_looks_the_kernels_up_by_module_name(
+        self, monkeypatch, random_dataset, random_classification
+    ):
+        """``benchmarks/e2e`` (``KernelSpans``) times the two phases by swapping
+        the module-level kernel names, so ``run`` must resolve them at call
+        time: each wrapper sees one call per processed column."""
+        from repro.core import column
+
+        calls = []
+
+        def spy(name):
+            kernel = getattr(column, name)
+
+            def wrapped(prepared, index, decisions):
+                calls.append((index, name))
+                return kernel(prepared, index, decisions)
+
+            monkeypatch.setattr(column, name, wrapped)
+
+        spy("count_tagging_phase")
+        spy("count_forwarding_phase")
+        inference = ColumnInference()
+        result = inference.run(random_dataset.tuples)
+        assert calls == [
+            (index, name)
+            for index in range(1, inference.report.columns_processed + 1)
+            for name in ("count_tagging_phase", "count_forwarding_phase")
+        ]
+        assert result.store.state_dict() == random_classification.store.state_dict()
+
 
 class TestScenarioBehaviour:
     def test_perfect_precision_on_random_scenario(self, random_dataset, random_classification):
@@ -176,3 +212,35 @@ class TestScenarioBehaviour:
         dataset = scenario_builder.build(ScenarioName.RANDOM_NOISE, seed=7)
         result = ColumnInference().run(dataset.tuples)
         assert result.summary()["tagging_undecided"] > 0
+
+
+class TestGoldenRandomScenario:
+    """Literal counts on the session ``random_dataset`` (ROADMAP item 5(a))."""
+
+    @pytest.fixture(scope="class")
+    def tuples(self, random_dataset):
+        # The input first, so a generator change is told apart from a counting
+        # change.  Same line format as benchmarks/e2e ``describe_tuples``.
+        digest = hashlib.sha256()
+        for item in random_dataset.tuples:
+            asns = " ".join(map(str, item.path.asns))
+            communities = ",".join(sorted(item.communities.to_strings()))
+            digest.update(f"{asns}|{communities}\n".encode())
+        assert len(random_dataset.tuples) == 30660
+        assert digest.hexdigest().startswith("0337142e7b0f7b72")
+        return random_dataset.tuples
+
+    CLASSES = ("tagger", "silent", "forward", "cleaner")
+
+    def test_column_inference(self, tuples):
+        inference = ColumnInference()
+        summary = inference.run(tuples).summary()
+        assert [summary[key] for key in self.CLASSES] == [159, 133, 39, 34]
+        assert [summary[f"full_{code}"] for code in ("tf", "tc", "sf", "sc")] == [26, 18, 13, 16]
+        report = inference.report
+        assert report.tagging_counts_per_column == [30660, 15300, 11219, 6543, 2530, 541, 64, 4, 0]
+        assert report.forwarding_counts_per_column == [19208, 11485, 5683, 1917, 364, 40, 2, 0, 0]
+
+    def test_row_inference(self, tuples):
+        summary = RowInference().run(tuples).summary()
+        assert [summary[key] for key in self.CLASSES] == [0, 327, 1, 60]

@@ -1,33 +1,17 @@
 """Tests for the multi-process execution layer (repro.parallel).
 
 The load-bearing property is *byte identity*: for any worker count, any
-shard count, and both algorithms, the parallel batch pipeline and the
-parallel stream engine must produce exactly the classification of their
-serial counterparts — same counters, same codes, same observed ASes, same
-unique-tuple order, same window snapshots.
+shard count, and both algorithms, the parallel stream engine must produce
+exactly what the serial engine produces — same counters, same codes, same
+observed ASes, same window snapshots, same checkpoints.
 """
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
-from repro.bgp.community import CommunitySet
-from repro.bgp.path import ASPath
-from repro.bgp.prefix import parse_prefix
-from repro.core.column import ColumnInference
-from repro.core.pipeline import InferencePipeline
-from repro.core.row import RowInference
-from repro.parallel import (
-    ParallelColumnInference,
-    ParallelRowInference,
-    ParallelStreamEngine,
-    ShardProcessPool,
-    parallel_unique_tuples,
-    split_chunks,
-)
+from repro.bgp.announcement import PathCommTuple
+from repro.parallel import ParallelStreamEngine, ShardProcessPool
 from repro.sanitize.filters import SanitationConfig, Sanitizer
 from repro.stream import (
     MemorySource,
@@ -54,23 +38,6 @@ def feed(scenario_builder):
 
     dataset = scenario_builder.build(ScenarioName.RANDOM)
     return list(ScenarioSource(dataset.tuples, duration=86400, repeat=2))
-
-
-@pytest.fixture(scope="module")
-def tuples(feed):
-    return Sanitizer().to_unique_tuples(feed)
-
-
-# ---------------------------------------------------------------------------------------
-class TestSplitChunks:
-    def test_balanced_and_order_preserving(self):
-        chunks = split_chunks(list(range(10)), 3)
-        assert [len(chunk) for chunk in chunks] == [4, 3, 3]
-        assert [item for chunk in chunks for item in chunk] == list(range(10))
-
-    def test_more_parts_than_items(self):
-        chunks = split_chunks([1, 2], 5)
-        assert chunks == [[1], [2]]
 
 
 # ---------------------------------------------------------------------------------------
@@ -114,102 +81,6 @@ class TestShardProcessPool:
     def test_workers_clamped_to_shards(self):
         with ShardProcessPool(shards=2, workers=8) as pool:
             assert pool.workers == 2
-
-
-# ---------------------------------------------------------------------------------------
-class TestParallelInference:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_column_identical_to_serial(self, tuples, workers):
-        serial = ColumnInference()
-        parallel = ParallelColumnInference(workers=workers)
-        expected = serial.run(tuples)
-        actual = parallel.run(tuples)
-        assert result_fingerprint(actual) == result_fingerprint(expected)
-        assert parallel.report.columns_processed == serial.report.columns_processed
-        assert (
-            parallel.report.tagging_counts_per_column
-            == serial.report.tagging_counts_per_column
-        )
-        assert (
-            parallel.report.forwarding_counts_per_column
-            == serial.report.forwarding_counts_per_column
-        )
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_row_identical_to_serial(self, tuples, workers):
-        expected = RowInference().run(tuples)
-        actual = ParallelRowInference(workers=workers).run(tuples)
-        assert result_fingerprint(actual) == result_fingerprint(expected)
-
-    def test_empty_input(self):
-        assert len(ParallelColumnInference(workers=2).run([])) == 0
-        assert len(ParallelRowInference(workers=2).run([])) == 0
-
-    def test_small_inputs_take_the_serial_path(self, tuples):
-        # Below MIN_PARALLEL_TUPLES no pool is spawned, but results agree.
-        sample = tuples[:10]
-        expected = ColumnInference().run(sample)
-        actual = ParallelColumnInference(workers=4).run(sample)
-        assert result_fingerprint(actual) == result_fingerprint(expected)
-
-    @pytest.mark.parametrize(
-        "parallel,serial",
-        [(ParallelColumnInference, ColumnInference), (ParallelRowInference, RowInference)],
-    )
-    def test_the_loop_is_the_serial_one(self, parallel, serial):
-        """The pool classes supply how a phase is counted, never a second loop."""
-        assert issubclass(parallel, serial)
-        assert parallel.run is serial.run
-
-    def test_pool_counts_with_a_wrapped_kernel(self, tuples, monkeypatch):
-        """A tracer wrapping the kernel by name (benchmarks/e2e KernelSpans) is
-        a closure no pool task can pickle: the phase must travel by name."""
-        from repro.core import column
-
-        kernel = column.count_tagging_phase
-        monkeypatch.setattr(
-            column, "count_tagging_phase", lambda *args, **kwargs: kernel(*args, **kwargs)
-        )
-        expected = ColumnInference().run(tuples)
-        actual = ParallelColumnInference(workers=2).run(tuples)
-        assert result_fingerprint(actual) == result_fingerprint(expected)
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelColumnInference(workers=0)
-        with pytest.raises(ValueError):
-            ParallelRowInference(workers=-1)
-
-
-# ---------------------------------------------------------------------------------------
-class TestParallelBatchPipeline:
-    def test_parallel_sanitation_matches_serial(self, feed):
-        serial = Sanitizer()
-        expected = serial.to_unique_tuples(feed)
-        actual, stats = parallel_unique_tuples(feed, workers=3)
-        assert actual == expected  # same tuples in the same first-appearance order
-        assert stats.as_dict() == serial.stats.as_dict()
-
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_pipeline_workers_identical(self, feed, algorithm):
-        serial = InferencePipeline(algorithm=algorithm).run_from_observations(feed)
-        parallel = InferencePipeline(algorithm=algorithm, workers=4).run_from_observations(
-            feed
-        )
-        assert result_fingerprint(parallel.result) == result_fingerprint(serial.result)
-        assert parallel.tuples == serial.tuples
-        assert parallel.sanitation.as_dict() == serial.sanitation.as_dict()
-        assert parallel.observations_in == serial.observations_in
-
-    def test_pipeline_workers_from_tuples(self, tuples):
-        serial = InferencePipeline().run_from_tuples(tuples)
-        parallel = InferencePipeline(workers=2).run_from_tuples(tuples)
-        assert result_fingerprint(parallel.result) == result_fingerprint(serial.result)
-        assert parallel.sanitized is False
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            InferencePipeline(workers=0)
 
 
 # ---------------------------------------------------------------------------------------
@@ -276,6 +147,44 @@ class TestParallelStreamEngine:
         parallel = ParallelStreamEngine(config, workers=2)
         parallel.run(MemorySource(feed))
         assert parallel.unique_tuples == serial.unique_tuples == len(serial._last_seen)
+        assert self.seen_pairs(parallel) == self.seen_pairs(serial)
+
+    def test_failed_run_leaves_the_router_mirror_current(self, feed, tmp_path):
+        """Regression: run() synced the mirror on the success path only.  After
+        a source failure a checkpoint paired the advanced classifier with the
+        pre-run dedup sets, and a resume counted every absorbed tuple twice."""
+        from repro.stream import CheckpointManager
+
+        tuples = [event.to_tuple() for event in feed[: len(feed) // 2 : 10]]
+        events = list(ScenarioSource(tuples, duration=86400, repeat=2))
+        cut = len(events) // 3
+
+        def dropped_feed():
+            yield from events[:cut]
+            raise ConnectionError("feed dropped")
+
+        def resumed_after_failure(engine, manager):
+            with pytest.raises(ConnectionError):
+                engine.run(dropped_feed())
+            engine.checkpoint()
+            resumed = StreamEngine.restore(manager)
+            # The chunker loses the block the failure interrupted, on both engines.
+            result = resumed.run(MemorySource(events[cut - cut % 64 :]))
+            return resumed, result
+
+        config = StreamConfig(window=WindowSpec(size=3600), shards=2, ingest_block_size=64)
+        manager = CheckpointManager(tmp_path / "serial")
+        serial, serial_result = resumed_after_failure(
+            StreamEngine(config, checkpoints=manager), manager
+        )
+        manager = CheckpointManager(tmp_path / "parallel")
+        parallel, parallel_result = resumed_after_failure(
+            ParallelStreamEngine(config, workers=2, checkpoints=manager), manager
+        )
+        assert serial.classifier.tuple_count == len(tuples)
+        assert parallel.classifier.tuple_count == serial.classifier.tuple_count
+        assert parallel.classifier.stats.tuples_added == serial.classifier.stats.tuples_added
+        assert parallel_result.store.state_dict() == serial_result.store.state_dict()
         assert self.seen_pairs(parallel) == self.seen_pairs(serial)
 
     @pytest.mark.parametrize("resume_parallel", [False, True])
@@ -410,58 +319,3 @@ class TestParallelStreamEngine:
         assert from_parallel.stats.tuples_evicted == serial.stats.tuples_evicted
         assert (serial.stats.tuples_evicted > 0) == (policy == "sliding")
 
-
-# ---------------------------------------------------------------------------------------
-# Property test: workers=1 == workers=4 over random synthetic internets.
-# ---------------------------------------------------------------------------------------
-
-_asns = st.integers(min_value=1, max_value=50)
-_path_lists = st.lists(_asns, min_size=1, max_size=6, unique=True)
-
-
-@st.composite
-def random_internets(draw):
-    """A small random internet: observations with random paths/communities."""
-    paths = draw(st.lists(_path_lists, min_size=1, max_size=40))
-    observations = []
-    for index, asns in enumerate(paths):
-        tagged = draw(st.sets(st.sampled_from(asns)))
-        observations.append(
-            RouteObservation(
-                collector="rrc00",
-                peer_asn=asns[0],
-                prefix=parse_prefix("8.8.8.0/24"),
-                path=ASPath(asns),
-                communities=CommunitySet.from_strings([f"{asn}:1" for asn in tagged]),
-                timestamp=1000 + index,
-            )
-        )
-    return observations
-
-
-class TestWorkerCountInvariance:
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(observations=random_internets(), algorithm=st.sampled_from(["column", "row"]))
-    def test_workers_1_and_4_agree(self, monkeypatch_min_tuples, observations, algorithm):
-        serial = InferencePipeline(algorithm=algorithm, workers=1).run_from_observations(
-            observations
-        )
-        parallel = InferencePipeline(algorithm=algorithm, workers=4).run_from_observations(
-            observations
-        )
-        assert result_fingerprint(parallel.result) == result_fingerprint(serial.result)
-        assert parallel.tuples == serial.tuples
-
-    @pytest.fixture(scope="class")
-    def monkeypatch_min_tuples(self):
-        # Force the chunk-parallel counting path even for tiny random inputs.
-        import repro.parallel.inference as inference
-
-        original = inference.MIN_PARALLEL_TUPLES
-        inference.MIN_PARALLEL_TUPLES = 0
-        yield
-        inference.MIN_PARALLEL_TUPLES = original
