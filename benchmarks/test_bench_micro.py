@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.collectors.archive import observations_from_mrt
 from repro.core.column import (
     ColumnInference,
     count_forwarding_phase,
@@ -32,26 +33,48 @@ from repro.topology.cone import CustomerCones
 from repro.topology.routing import RoutingEngine
 
 
-@pytest.mark.benchmark(group="micro")
-def test_bench_mrt_encode_decode(benchmark, context):
-    internet = context.internet
+def _isolario_rib_sample(internet):
+    """``(peers, [(peer, path)])``: 200 routes of each of five isolario peers."""
     peers = internet.collector_peers(["isolario"])[:5]
     sample = []
     for peer in peers:
         for route in list(internet.paths_by_peer[peer].values())[:200]:
             sample.append((peer, route.path))
+    return peers, sample
+
+
+def _encode_rib_sample(internet, peers, sample) -> bytes:
+    encoder = MRTEncoder()
+    encoder.write_peer_index_table(peers)
+    for index, (peer, path) in enumerate(sample):
+        attributes = PathAttributes(as_path=path, communities=internet.propagator.output(path))
+        prefix = internet.topology.prefixes_of(path.origin)[0]
+        encoder.write_rib_entry(prefix, [(peer, 0, attributes)], sequence=index)
+    return encoder.getvalue()
+
+
+@pytest.mark.benchmark(group="micro")
+def test_bench_mrt_encode_decode(benchmark, context):
+    """Encode, then the decoder's *records* view."""
+    internet = context.internet
+    peers, sample = _isolario_rib_sample(internet)
 
     def round_trip():
-        encoder = MRTEncoder()
-        encoder.write_peer_index_table(peers)
-        for index, (peer, path) in enumerate(sample):
-            attributes = PathAttributes(as_path=path, communities=internet.propagator.output(path))
-            prefix = internet.topology.prefixes_of(path.origin)[0]
-            encoder.write_rib_entry(prefix, [(peer, 0, attributes)], sequence=index)
-        return len(decode_records(encoder.getvalue()))
+        return len(decode_records(_encode_rib_sample(internet, peers, sample)))
 
     records = benchmark(round_trip)
     assert records == len(sample) + 1
+
+
+@pytest.mark.benchmark(group="micro")
+def test_bench_mrt_observations(benchmark, context):
+    """The same blob through the view production reads: routes to observations."""
+    internet = context.internet
+    peers, sample = _isolario_rib_sample(internet)
+    blob = _encode_rib_sample(internet, peers, sample)
+
+    observations = benchmark(observations_from_mrt, blob, "isolario")
+    assert [(observation.peer_asn, observation.path) for observation in observations] == sample
 
 
 @pytest.mark.benchmark(group="micro")

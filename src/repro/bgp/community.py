@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Union
 
 from repro.bgp.asn import ASN, MAX_ASN_16BIT, MAX_ASN_32BIT
 
@@ -161,6 +161,10 @@ class CommunitySet:
     """
 
     __slots__ = ("_items", "_hash", "_uppers")
+
+    # Filled on first use, not in ``__init__`` (see ``__hash__``).
+    _hash: int
+    _uppers: FrozenSet[int]
 
     def __init__(self, items: Iterable[AnyCommunity] = ()) -> None:
         self._items: FrozenSet[AnyCommunity] = frozenset(items)

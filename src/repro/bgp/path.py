@@ -56,7 +56,11 @@ class ASPath:
     segments is supported via :meth:`from_segments`.
     """
 
-    __slots__ = ("_asns", "_segments", "_hash")
+    __slots__ = ("_asns", "_segments", "_hash", "_has_set")
+
+    # Filled on first use, not in ``__init__`` (see ``__hash__``).
+    _hash: int
+    _has_set: bool
 
     def __init__(self, asns: Iterable[ASN], segments: Optional[Sequence[PathSegment]] = None) -> None:
         self._asns: Tuple[ASN, ...] = tuple(asns)
@@ -76,10 +80,15 @@ class ASPath:
         whether to drop the whole path (the paper removes AS_SETs).
         """
         flat: List[ASN] = []
+        has_set = False
         for segment in segments:
-            if not segment.is_set:
+            if segment.is_set:
+                has_set = True
+            else:
                 flat.extend(segment.asns)
-        return cls(flat, segments=segments)
+        path = cls(flat, segments=segments)
+        path._has_set = has_set
+        return path
 
     @classmethod
     def from_string(cls, text: str) -> "ASPath":
@@ -174,7 +183,17 @@ class ASPath:
     @property
     def has_as_set(self) -> bool:
         """``True`` if any wire segment is an AS_SET."""
-        return self._segments is not None and any(s.is_set for s in self._segments)
+        if self._segments is None:
+            return False
+        # Sanitation and the shard memo key read this per event.  Settled by
+        # ``from_segments`` on its one walk over the segments; the guard (as
+        # for ``_hash``) covers instances ``__reduce__`` / old pickles rebuilt
+        # through ``__init__``.
+        try:
+            return self._has_set
+        except AttributeError:
+            value = self._has_set = any(s.is_set for s in self._segments)
+            return value
 
     @property
     def has_prepending(self) -> bool:

@@ -33,9 +33,8 @@ from repro.bgp.community import CommunitySet, make_community
 from repro.bgp.messages import BGPUpdate, PathAttributes
 from repro.bgp.path import ASPath
 from repro.collectors.collector import CollectorProject
-from repro.mrt.decoder import MRTDecodeError, MRTDecoder
+from repro.mrt.decoder import MRTDecoder
 from repro.mrt.encoder import MRTEncoder
-from repro.mrt.records import BGP4MPMessage, PeerIndexTable, RIBEntryRecord
 from repro.topology.generator import Topology
 from repro.topology.routing import ValleyFreePath
 from repro.usage.propagation import CommunityPropagator
@@ -252,47 +251,27 @@ def read_mrt_files(paths: Sequence[Union[str, Path]]) -> Dict[str, bytes]:
 def iter_observations_from_mrt(blob: bytes, collector: str) -> Iterator[RouteObservation]:
     """Lazily decode one collector's MRT blob into route observations.
 
-    Records are decoded on demand, so a multi-gigabyte archive can be
-    streamed through the sanitizer (or the streaming engine) without ever
+    Routes are decoded on demand (:meth:`repro.mrt.decoder.MRTDecoder.routes`:
+    no record object is built on the way), so a multi-gigabyte archive can
+    be streamed through the sanitizer (or the streaming engine) without ever
     materialising the full observation list.  Observations decoded from
     equal path-attribute blobs share one ``ASPath`` / ``CommunitySet``
-    object pair (the decoder's per-file memo), and anything the wire format
-    forbids -- including a RIB record before its PEER_INDEX_TABLE or a peer
-    index past it -- raises :class:`~repro.mrt.MRTDecodeError`.
+    object pair, and ones from blobs that only agree on their COMMUNITIES
+    value still share the ``CommunitySet`` (the decoder's per-file memos).
+    Anything the wire format forbids -- including a RIB record before its
+    PEER_INDEX_TABLE or a peer index past it -- raises
+    :class:`~repro.mrt.MRTDecodeError`.
     """
-    peer_table: Optional[PeerIndexTable] = None
-    for record in MRTDecoder(blob):
-        if isinstance(record, RIBEntryRecord):
-            if peer_table is None:
-                raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
-            prefix = record.prefix
-            for entry in record.entries:
-                attributes = entry.attributes
-                yield RouteObservation(
-                    collector=collector,
-                    peer_asn=peer_table.peer_asn_at(entry.peer_index),
-                    prefix=prefix,
-                    path=attributes.as_path,
-                    communities=attributes.communities,
-                    timestamp=entry.originated_time or record.timestamp,
-                    from_rib=True,
-                )
-        elif isinstance(record, BGP4MPMessage):
-            update = record.update
-            if update is None or update.attributes is None:
-                continue
-            for prefix in update.announced:
-                yield RouteObservation(
-                    collector=collector,
-                    peer_asn=update.peer_asn,
-                    prefix=prefix,
-                    path=update.attributes.as_path,
-                    communities=update.attributes.communities,
-                    timestamp=update.timestamp,
-                    from_rib=False,
-                )
-        elif isinstance(record, PeerIndexTable):
-            peer_table = record
+    for timestamp, peer_asn, prefix, attributes, from_rib in MRTDecoder(blob).routes():
+        yield RouteObservation(
+            collector,
+            peer_asn,
+            prefix,
+            attributes.as_path,
+            attributes.communities,
+            timestamp,
+            from_rib,
+        )
 
 
 def iter_observation_blocks_from_mrt(

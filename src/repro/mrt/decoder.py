@@ -1,23 +1,41 @@
 """Binary MRT decoder.
 
 Parses the byte streams produced by :mod:`repro.mrt.encoder` (and any other
-standards-conforming writer of the supported record types) back into the
-record dataclasses of :mod:`repro.mrt.records`.  This is the entry point of
-the measurement pipeline: collector archives are decoded here before
-sanitation and inference.
+standards-conforming writer of the supported record types).  This is the
+entry point of the measurement pipeline: collector archives are decoded here
+before sanitation and inference.
 
-Two things keep it cheap.  Every fixed-size header is framed with one
+**One framing walk, two views.**  The header / RIB / BGP4MP / UPDATE framing
+-- every ``struct`` layout, bounds check and :class:`MRTDecodeError` -- lives
+once (:meth:`MRTDecoder._frame` and below) and produces plain values.  On top
+of it sit two thin views that share the decoder's position, peer table and
+memos:
+
+* ``next(decoder)`` / :func:`decode_records` wrap the values in the record
+  dataclasses of :mod:`repro.mrt.records` (the public API, what the encoder
+  round-trips against);
+* :meth:`MRTDecoder.routes` yields one ``(timestamp, peer_asn, prefix,
+  attributes, from_rib)`` per announced route with no record object in
+  between.  It is what the pipeline reads
+  (:func:`repro.collectors.archive.iter_observations_from_mrt`): a record is
+  only ever a stop on the way to a route there.
+
+Three things keep the walk cheap.  Every fixed-size header is framed with one
 ``struct.Struct.unpack_from`` behind one explicit bounds check, at absolute
-offsets into a single ``memoryview`` of the input.  And a path-attribute blob
-is parsed once per file: a RIB dump repeats one blob across prefixes and the
+offsets into a single ``memoryview`` of the input.  A path-attribute blob is
+parsed once per file: a RIB dump repeats one blob across prefixes and the
 update stream repeats it again, so :class:`MRTDecoder` memoises the decoded
-:class:`~repro.bgp.messages.PathAttributes` on the blob's raw bytes.
+:class:`~repro.bgp.messages.PathAttributes` on the blob's raw bytes.  And a
+blob that does miss rarely carries a new community attribute (a collector
+day holds ~10x fewer distinct COMMUNITIES values than distinct blobs), so
+the COMMUNITIES value bytes are memoised as well, one level further down.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain, starmap
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.asn import ASN
 from repro.bgp.community import AnyCommunity, Community, CommunitySet, LargeCommunity
@@ -46,10 +64,16 @@ from repro.mrt.records import (
     RIBEntryRecord,
 )
 
-#: Distinct attribute blobs one decoder remembers before it starts over.  A
-#: full-table RIB dump has millions of entries; the memo is a per-file
-#: working set, not a copy of the file.
+#: Distinct attribute blobs (and distinct COMMUNITIES values) one decoder
+#: remembers before it starts over.  A full-table RIB dump has millions of
+#: entries; the memos are a per-file working set, not a copy of the file.
 ATTRIBUTE_MEMO_CAP = 65536
+
+#: One announced route, as :meth:`MRTDecoder.routes` yields it:
+#: ``(timestamp, peer_asn, prefix, attributes, from_rib)``.
+Route = Tuple[int, ASN, Prefix, PathAttributes, bool]
+#: A framed UPDATE body: ``(withdrawn, attributes, announced)``.
+_Update = Tuple[Tuple[Prefix, ...], Optional[PathAttributes], Tuple[Prefix, ...]]
 
 _MRT_HEADER = struct.Struct("!IHHI")
 _PEER_TABLE_HEADER = struct.Struct("!IH")
@@ -109,7 +133,7 @@ def _decode_prefix_nlri(data, pos: int, end: int, afi: int) -> Tuple[Prefix, int
     if total_bytes is None:
         raise MRTDecodeError(f"unsupported address family {afi}")
     if pos >= end:
-        raise _truncated("prefix", 1, 0)
+        raise _truncated("prefix length", 1, 0)
     length = data[pos]
     if length > total_bytes * 8:
         raise MRTDecodeError(f"prefix length {length} exceeds maximum {total_bytes * 8}")
@@ -117,8 +141,11 @@ def _decode_prefix_nlri(data, pos: int, end: int, afi: int) -> Tuple[Prefix, int
     n_bytes = (length + 7) >> 3
     if end - pos < n_bytes:
         raise _truncated("prefix", n_bytes, end - pos)
-    network = int.from_bytes(data[pos : pos + n_bytes], "big") << (8 * (total_bytes - n_bytes))
-    return Prefix(network, length, afi), pos + n_bytes
+    # The last byte's bits past the prefix length are "irrelevant" (RFC 4271
+    # section 4.3) and need not be zero on the wire: shift them out, or equal
+    # prefixes compare unequal and ``str()`` finds host bits set.
+    network = int.from_bytes(data[pos : pos + n_bytes], "big") >> (8 * n_bytes - length)
+    return Prefix(network << (8 * total_bytes - length), length, afi), pos + n_bytes
 
 
 def _decode_prefixes(data, pos: int, end: int, afi: int) -> Tuple[Prefix, ...]:
@@ -151,13 +178,15 @@ def _decode_as_path(data, pos: int, end: int, asn_size: int) -> ASPath:
     return ASPath.from_segments(segments)
 
 
-def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
-    """Decode a BGP path attribute blob into :class:`PathAttributes`.
+def _decode_attributes(
+    value, asn_size: int, community_memo: Dict[bytes, CommunitySet]
+) -> PathAttributes:
+    """:func:`decode_path_attributes` over the caller's COMMUNITIES memo.
 
-    *value* is any bytes-like object (``bytes``, or a ``memoryview`` slice
-    of an archive).  Unknown attributes are skipped; a blob without an
-    AS_PATH, a truncated attribute, and a COMMUNITIES / LARGE_COMMUNITIES
-    body that is not a whole number of values raise :class:`MRTDecodeError`.
+    *community_memo* maps the value bytes of a COMMUNITIES attribute to the
+    set built from them.  A blob whose only community attribute is a known
+    value gets that very :class:`CommunitySet`; a malformed value raises
+    before it could be stored.
     """
     end = len(value)
     pos = 0
@@ -166,7 +195,8 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
     next_hop = 0
     med: Optional[int] = None
     local_pref: Optional[int] = None
-    communities: List[AnyCommunity] = []
+    regular: List[CommunitySet] = []
+    large: List[AnyCommunity] = []
 
     while pos < end:
         if end - pos < 3:
@@ -174,7 +204,7 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
         type_code = value[pos + 1]
         if value[pos] & ATTR_FLAG_EXTENDED_LENGTH:
             if end - pos < 4:
-                raise _truncated("attribute header", 4, end - pos)
+                raise _truncated("extended attribute header", 4, end - pos)
             length = (value[pos + 2] << 8) | value[pos + 3]
             pos += 4
         else:
@@ -186,16 +216,21 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
         if type_code == _ATTR_AS_PATH:
             as_path = _decode_as_path(value, pos, pos + length, asn_size)
         elif type_code == _ATTR_COMMUNITIES:
-            if length % 4:
-                raise MRTDecodeError("COMMUNITIES attribute length not a multiple of 4")
-            for packed in struct.unpack_from(f"!{length // 4}I", value, pos):
-                communities.append(Community.from_value(packed))
+            body = bytes(value[pos : pos + length])
+            known = community_memo.get(body)
+            if known is None:
+                if length % 4:
+                    raise MRTDecodeError("COMMUNITIES attribute length not a multiple of 4")
+                known = community_memo[body] = CommunitySet(
+                    map(Community.from_value, struct.unpack(f"!{length // 4}I", body))
+                )
+            regular.append(known)
         elif type_code == _ATTR_LARGE_COMMUNITIES:
             if length % 12:
                 raise MRTDecodeError("LARGE_COMMUNITIES attribute length not a multiple of 12")
             fields = struct.unpack_from(f"!{length // 4}I", value, pos)
             for index in range(0, len(fields), 3):
-                communities.append(LargeCommunity(*fields[index : index + 3]))
+                large.append(LargeCommunity(*fields[index : index + 3]))
         elif type_code == _ATTR_ORIGIN and length:
             origin = _ORIGINS.get(value[pos], Origin.INCOMPLETE)
         elif type_code == _ATTR_NEXT_HOP and length >= 4:
@@ -209,9 +244,13 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
 
     if as_path is None:
         raise MRTDecodeError("path attributes lack a mandatory AS_PATH")
+    if len(regular) == 1 and not large:
+        communities = regular[0]
+    else:
+        communities = CommunitySet(chain(large, *regular))
     return PathAttributes(
         as_path=as_path,
-        communities=CommunitySet(communities),
+        communities=communities,
         origin=origin,
         next_hop=next_hop,
         med=med,
@@ -219,23 +258,41 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
     )
 
 
+def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
+    """Decode a BGP path attribute blob into :class:`PathAttributes`.
+
+    *value* is any bytes-like object (``bytes``, or a ``memoryview`` slice
+    of an archive).  Unknown attributes are skipped; a blob without an
+    AS_PATH, a truncated attribute, and a COMMUNITIES / LARGE_COMMUNITIES
+    body that is not a whole number of values raise :class:`MRTDecodeError`.
+    """
+    return _decode_attributes(value, asn_size, {})
+
+
 class MRTDecoder:
-    """Iterator over the MRT records contained in a bytes-like blob.
+    """One framing walk over the MRT records of a bytes-like blob, two views.
+
+    Iterating the decoder yields the record dataclasses; :meth:`routes`
+    yields the announced routes without building them.  Both advance the same
+    position, so after a record was rejected (:class:`MRTDecodeError`) either
+    view resumes at the next one.
 
     The decoder reads through one ``memoryview`` over *data* (``bytes``,
-    ``bytearray``, ``mmap`` or another ``memoryview``); decoded records hold
-    plain values and copies, never views, so the blob's lifetime is not
-    extended.
+    ``bytearray``, ``mmap`` or another ``memoryview``); what it hands out
+    holds plain values and copies, never views, so the blob's lifetime is
+    not extended.
 
     Path-attribute blobs are memoised per decoder -- that is, per file -- on
     ``(asn_size, raw bytes)``: equal blobs decode to the *same* immutable
     :class:`PathAttributes` object, so downstream dict probes on its
     ``ASPath`` / ``CommunitySet`` hit the identity shortcut and their cached
-    hashes.  The memo holds at most :data:`ATTRIBUTE_MEMO_CAP` blobs and is
-    cleared when full; a blob that fails to decode is never stored and
-    raises :class:`MRTDecodeError` every time it is met.
-    ``attribute_blobs`` counts the blobs met and ``attribute_memo_hits``
-    those answered from the memo.
+    hashes.  Beneath it, COMMUNITIES values are memoised on their raw bytes,
+    so blobs that differ elsewhere (path, MED, next hop) still share one
+    ``CommunitySet``.  Each memo holds about :data:`ATTRIBUTE_MEMO_CAP`
+    entries and both are cleared together when one is full; a blob or value
+    that fails to decode is never stored and raises :class:`MRTDecodeError`
+    every time it is met.  ``attribute_blobs`` counts the blobs met and
+    ``attribute_memo_hits`` those answered from the blob memo.
     """
 
     def __init__(self, data) -> None:
@@ -243,6 +300,7 @@ class MRTDecoder:
         self._pos = 0
         self._peer_table: Optional[PeerIndexTable] = None
         self._attribute_memo: Dict[Tuple[int, bytes], PathAttributes] = {}
+        self._community_memo: Dict[bytes, CommunitySet] = {}
         self.attribute_blobs = 0
         self.attribute_memo_hits = 0
 
@@ -251,15 +309,103 @@ class MRTDecoder:
         """The most recently decoded PEER_INDEX_TABLE, if any."""
         return self._peer_table
 
+    # -- view 1: records -------------------------------------------------------
     def __iter__(self) -> Iterator[MRTRecord]:
         return self
 
     def __next__(self) -> MRTRecord:
+        frame = self._frame()
+        if frame is None:
+            raise StopIteration
+        timestamp, mrt_type, subtype, fields = frame
+        if mrt_type is not MRTType.TABLE_DUMP_V2:
+            peer_asn, local_asn, interface_index, afi, peer_ip, local_ip, update = fields
+            if update is not None:
+                withdrawn, attributes, announced = update
+                update = BGPUpdate(
+                    peer_asn=peer_asn,
+                    timestamp=timestamp,
+                    announced=announced,
+                    withdrawn=withdrawn,
+                    attributes=attributes,
+                )
+            return BGP4MPMessage(
+                timestamp=timestamp,
+                mrt_type=mrt_type,
+                subtype=subtype,
+                peer_asn=peer_asn,
+                local_asn=local_asn,
+                interface_index=interface_index,
+                afi=afi,
+                peer_ip=int.from_bytes(peer_ip, "big"),
+                local_ip=int.from_bytes(local_ip, "big"),
+                update=update,
+            )
+        if subtype is TableDumpV2Subtype.PEER_INDEX_TABLE:
+            return fields
+        sequence, prefix, entries = fields
+        return RIBEntryRecord(
+            timestamp=timestamp,
+            mrt_type=mrt_type,
+            subtype=subtype,
+            sequence=sequence,
+            prefix=prefix,
+            entries=tuple(starmap(RIBAfiEntry, entries)),
+        )
+
+    # -- view 2: routes --------------------------------------------------------
+    def routes(self) -> Iterator[Route]:
+        """The announced routes of the remaining records, in archive order.
+
+        One ``(timestamp, peer_asn, prefix, attributes, from_rib)`` per RIB
+        entry and per announced prefix of an UPDATE; peer tables, withdrawals
+        and non-UPDATE messages are stepped over.  A RIB entry's
+        ``peer_index`` is resolved through the last PEER_INDEX_TABLE this
+        decoder met -- a RIB record before any table, or an index past it,
+        is an :class:`MRTDecodeError` like everything else the wire format
+        forbids.  A record is framed whole before its first route comes out,
+        so a framing error anywhere in it wins over both.
+        """
+        while True:
+            frame = self._frame()
+            if frame is None:
+                return
+            timestamp, mrt_type, subtype, fields = frame
+            if mrt_type is not MRTType.TABLE_DUMP_V2:
+                update = fields[6]
+                if update is not None:
+                    peer_asn = fields[0]
+                    _withdrawn, attributes, announced = update
+                    for prefix in announced:
+                        yield timestamp, peer_asn, prefix, attributes, False
+            elif subtype is not TableDumpV2Subtype.PEER_INDEX_TABLE:
+                peer_table = self._peer_table
+                if peer_table is None:
+                    raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
+                _sequence, prefix, entries = fields
+                for peer_index, originated, attributes in entries:
+                    yield (
+                        originated or timestamp,
+                        peer_table.peer_asn_at(peer_index),
+                        prefix,
+                        attributes,
+                        True,
+                    )
+
+    # -- the framing walk ------------------------------------------------------
+    def _frame(self) -> Optional[Tuple[int, MRTType, Any, Any]]:
+        """Frame the next record: ``(timestamp, mrt_type, subtype, fields)``.
+
+        ``None`` at the end of the input.  *mrt_type* and *subtype* are the
+        enum members; *fields* is the decoded :class:`PeerIndexTable` (kept as
+        :attr:`peer_table`), :meth:`_frame_rib`'s or :meth:`_frame_bgp4mp`'s
+        tuple.
+        """
         view = self._view
         pos = self._pos
         available = len(view) - pos
         if available == 0:
-            raise StopIteration
+            return None
         if available < MRT_COMMON_HEADER_SIZE:
             raise MRTDecodeError("trailing bytes shorter than an MRT header")
         timestamp, mrt_type, subtype, length = _MRT_HEADER.unpack_from(view, pos)
@@ -274,9 +420,32 @@ class MRTDecoder:
         if mrt_type_enum is None:
             raise MRTDecodeError(f"unsupported MRT type {mrt_type}")
         if mrt_type_enum is MRTType.TABLE_DUMP_V2:
-            return self._decode_table_dump_v2(timestamp, subtype, pos, end)
+            table_subtype = _TABLE_DUMP_V2_SUBTYPES.get(subtype)
+            if table_subtype is None:
+                raise MRTDecodeError(f"unknown TABLE_DUMP_V2 subtype {subtype}")
+            if table_subtype is TableDumpV2Subtype.PEER_INDEX_TABLE:
+                return (
+                    timestamp,
+                    mrt_type_enum,
+                    table_subtype,
+                    self._frame_peer_index_table(timestamp, pos, end),
+                )
+            afi = _RIB_AFI.get(table_subtype)
+            if afi is None:
+                raise MRTDecodeError(f"TABLE_DUMP_V2 subtype {table_subtype.name} not supported")
+            return timestamp, mrt_type_enum, table_subtype, self._frame_rib(pos, end, afi)
         if mrt_type_enum is MRTType.BGP4MP or mrt_type_enum is MRTType.BGP4MP_ET:
-            return self._decode_bgp4mp(timestamp, mrt_type_enum, subtype, pos, end)
+            message_subtype = _BGP4MP_SUBTYPES.get(subtype)
+            if message_subtype is None:
+                raise MRTDecodeError(f"unknown BGP4MP subtype {subtype}")
+            if mrt_type_enum is MRTType.BGP4MP_ET:
+                pos += 4  # microsecond timestamp, ignored
+            return (
+                timestamp,
+                mrt_type_enum,
+                message_subtype,
+                self._frame_bgp4mp(message_subtype, pos, end),
+            )
         raise MRTDecodeError(f"MRT type {mrt_type_enum.name} not supported by this decoder")
 
     def _attributes(self, pos: int, end: int, asn_size: int) -> PathAttributes:
@@ -289,23 +458,18 @@ class MRTDecoder:
         if attributes is not None:
             self.attribute_memo_hits += 1
             return attributes
-        attributes = decode_path_attributes(raw, asn_size=asn_size)
-        if len(memo) >= ATTRIBUTE_MEMO_CAP:
+        community_memo = self._community_memo
+        if len(memo) >= ATTRIBUTE_MEMO_CAP or len(community_memo) >= ATTRIBUTE_MEMO_CAP:
             memo.clear()
-        memo[key] = attributes
+            community_memo.clear()
+        attributes = memo[key] = _decode_attributes(raw, asn_size, community_memo)
         return attributes
 
     # -- TABLE_DUMP_V2 -------------------------------------------------------
-    def _decode_table_dump_v2(self, timestamp: int, subtype: int, pos: int, end: int) -> MRTRecord:
-        subtype_enum = _TABLE_DUMP_V2_SUBTYPES.get(subtype)
-        if subtype_enum is None:
-            raise MRTDecodeError(f"unknown TABLE_DUMP_V2 subtype {subtype}")
-        if subtype_enum is TableDumpV2Subtype.PEER_INDEX_TABLE:
-            return self._decode_peer_index_table(timestamp, pos, end)
-        afi = _RIB_AFI.get(subtype_enum)
-        if afi is None:
-            raise MRTDecodeError(f"TABLE_DUMP_V2 subtype {subtype_enum.name} not supported")
-
+    def _frame_rib(
+        self, pos: int, end: int, afi: int
+    ) -> Tuple[int, Prefix, List[Tuple[int, int, PathAttributes]]]:
+        """``(sequence, prefix, [(peer_index, originated_time, attributes)])``."""
         view = self._view
         if end - pos < 4:
             raise _truncated("RIB sequence number", 4, end - pos)
@@ -315,7 +479,7 @@ class MRTDecoder:
             raise _truncated("RIB entry count", 2, end - pos)
         (entry_count,) = _U16.unpack_from(view, pos)
         pos += 2
-        entries: List[RIBAfiEntry] = []
+        entries: List[Tuple[int, int, PathAttributes]] = []
         for _ in range(entry_count):
             if end - pos < _RIB_ENTRY.size:
                 raise _truncated("RIB entry", _RIB_ENTRY.size, end - pos)
@@ -323,19 +487,11 @@ class MRTDecoder:
             pos += _RIB_ENTRY.size
             if end - pos < attr_len:
                 raise _truncated("RIB entry attributes", attr_len, end - pos)
-            attributes = self._attributes(pos, pos + attr_len, 4)
+            entries.append((peer_index, originated, self._attributes(pos, pos + attr_len, 4)))
             pos += attr_len
-            entries.append(RIBAfiEntry(peer_index, originated, attributes))
-        return RIBEntryRecord(
-            timestamp=timestamp,
-            mrt_type=MRTType.TABLE_DUMP_V2,
-            subtype=subtype_enum,
-            sequence=sequence,
-            prefix=prefix,
-            entries=tuple(entries),
-        )
+        return sequence, prefix, entries
 
-    def _decode_peer_index_table(self, timestamp: int, pos: int, end: int) -> PeerIndexTable:
+    def _frame_peer_index_table(self, timestamp: int, pos: int, end: int) -> PeerIndexTable:
         view = self._view
         if end - pos < _PEER_TABLE_HEADER.size:
             raise _truncated("PEER_INDEX_TABLE", _PEER_TABLE_HEADER.size, end - pos)
@@ -349,7 +505,7 @@ class MRTDecoder:
         peers: List[PeerEntry] = []
         for _ in range(peer_count):
             if pos >= end:
-                raise _truncated("peer entry", 1, 0)
+                raise _truncated("peer type", 1, 0)
             layout = _PEER_ENTRIES[view[pos] & 0x03]
             if end - pos < layout.size:
                 raise _truncated("peer entry", layout.size, end - pos)
@@ -375,20 +531,16 @@ class MRTDecoder:
         return table
 
     # -- BGP4MP ---------------------------------------------------------------
-    def _decode_bgp4mp(
-        self, timestamp: int, mrt_type: MRTType, subtype: int, pos: int, end: int
-    ) -> BGP4MPMessage:
-        subtype_enum = _BGP4MP_SUBTYPES.get(subtype)
-        if subtype_enum is None:
-            raise MRTDecodeError(f"unknown BGP4MP subtype {subtype}")
-        peer_header = _BGP4MP_PEER_HEADERS.get(subtype_enum)
+    def _frame_bgp4mp(self, subtype: BGP4MPSubtype, pos: int, end: int) -> Tuple[Any, ...]:
+        """``(peer_asn, local_asn, interface_index, afi, peer_ip, local_ip,
+        update)``: the addresses as raw bytes, *update* as
+        :meth:`_frame_bgp_update` returns it, ``None`` for a non-UPDATE."""
+        peer_header = _BGP4MP_PEER_HEADERS.get(subtype)
         if peer_header is None:
-            raise MRTDecodeError(f"BGP4MP subtype {subtype_enum.name} not supported")
-        asn_size = 4 if subtype_enum is BGP4MPSubtype.BGP4MP_MESSAGE_AS4 else 2
+            raise MRTDecodeError(f"BGP4MP subtype {subtype.name} not supported")
+        asn_size = 4 if subtype is BGP4MPSubtype.BGP4MP_MESSAGE_AS4 else 2
 
         view = self._view
-        if mrt_type is MRTType.BGP4MP_ET:
-            pos += 4  # microsecond timestamp, ignored
         if end - pos < peer_header.size:
             raise _truncated("BGP4MP header", peer_header.size, end - pos)
         peer_asn, local_asn, interface_index, afi = peer_header.unpack_from(view, pos)
@@ -406,27 +558,13 @@ class MRTDecoder:
             raise _truncated("BGP message", body_length, end - pos)
 
         # Non-UPDATE messages (keepalives, opens) carry no routing data.
-        update: Optional[BGPUpdate] = None
+        update: Optional[_Update] = None
         if message_type == _MSG_UPDATE:
-            update = self._decode_bgp_update(
-                pos, pos + body_length, peer_asn, timestamp, asn_size, afi
-            )
-        return BGP4MPMessage(
-            timestamp=timestamp,
-            mrt_type=mrt_type,
-            subtype=subtype_enum,
-            peer_asn=peer_asn,
-            local_asn=local_asn,
-            interface_index=interface_index,
-            afi=afi,
-            peer_ip=int.from_bytes(peer_ip, "big"),
-            local_ip=int.from_bytes(local_ip, "big"),
-            update=update,
-        )
+            update = self._frame_bgp_update(pos, pos + body_length, asn_size, afi)
+        return peer_asn, local_asn, interface_index, afi, peer_ip, local_ip, update
 
-    def _decode_bgp_update(
-        self, pos: int, end: int, peer_asn: ASN, timestamp: int, asn_size: int, afi: int
-    ) -> BGPUpdate:
+    def _frame_bgp_update(self, pos: int, end: int, asn_size: int, afi: int) -> _Update:
+        """``(withdrawn, attributes, announced)`` of the UPDATE in ``view[pos:end]``."""
         view = self._view
         if end - pos < 2:
             raise _truncated("withdrawn routes length", 2, end - pos)
@@ -445,13 +583,7 @@ class MRTDecoder:
         announced = _decode_prefixes(view, pos + attr_len, end, afi)
         if announced and attributes is None:
             raise MRTDecodeError("UPDATE announces NLRI without path attributes")
-        return BGPUpdate(
-            peer_asn=peer_asn,
-            timestamp=timestamp,
-            announced=announced,
-            withdrawn=withdrawn,
-            attributes=attributes,
-        )
+        return withdrawn, attributes, announced
 
 
 def decode_records(data) -> List[MRTRecord]:

@@ -1,9 +1,11 @@
 """Differential oracle for the MRT decoder.
 
 The ``_Cursor``-based decoder that :mod:`repro.mrt.decoder` shipped until
-PR 16, kept verbatim: one bounds check and one slice per *field*, no memo,
-no ``struct`` framing -- small, slow and obviously right.  The production
-decoder is pinned to it record by record (``tests/test_mrt_oracle.py``).
+PR 16, kept verbatim but for one shared defect fixed in both (PR 19: NLRI
+bits past the prefix length are masked): one bounds check and one slice per
+*field*, no memo, no ``struct`` framing -- small, slow and obviously right.
+The production decoder is pinned to it record by record, and its routes view
+to :func:`iter_observations` (``tests/test_mrt_oracle.py``).
 
 Documented, intended divergences -- hostile inputs on which this decoder
 escapes with an *untyped* exception where production raises
@@ -89,6 +91,8 @@ def _decode_prefix_nlri(cursor: _Cursor, afi: int = AFI_IPV4) -> Prefix:
     # Shift instead of concatenating zero padding: works on memoryview
     # chunks (bytes-like concatenation does not) and skips a copy.
     network = int.from_bytes(cursor.read(n_bytes), "big") << (8 * (total_bytes - n_bytes))
+    # Bits past the prefix length are "irrelevant" (RFC 4271 section 4.3): masked (PR 19).
+    network &= ~((1 << (max_length - length)) - 1)
     return Prefix(network, length, afi)
 
 
@@ -353,11 +357,25 @@ def bgp4mp_message(
     )
 
 
+def rib_entries_record(
+    entries,
+    *,
+    nlri: bytes = b"\x18\x08\x08\x08",
+    subtype: int = 2,
+    sequence: int = 0,
+    timestamp: int = 0,
+) -> bytes:
+    """A RIB_IPV4_UNICAST (*subtype* 4: IPV6) record of ``(peer_index, raw
+    attribute blob)`` entries under the raw NLRI *nlri* (8.8.8.0/24)."""
+    body = struct.pack("!I", sequence) + nlri + struct.pack("!H", len(entries))
+    for peer_index, blob in entries:
+        body += struct.pack("!HIH", peer_index, 0, len(blob)) + blob
+    return mrt_record(13, subtype, body, timestamp=timestamp)
+
+
 def rib_record(attribute_blob: bytes, *, peer_index: int = 0, sequence: int = 0) -> bytes:
     """A one-entry RIB_IPV4_UNICAST record for 8.8.8.0/24 around a raw attribute blob."""
-    entry = struct.pack("!HIH", peer_index, 0, len(attribute_blob)) + attribute_blob
-    body = struct.pack("!I", sequence) + b"\x18\x08\x08\x08" + struct.pack("!H", 1) + entry
-    return mrt_record(13, 2, body)
+    return rib_entries_record([(peer_index, attribute_blob)], sequence=sequence)
 
 
 def split_records(blob: bytes) -> List[bytes]:

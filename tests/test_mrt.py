@@ -3,7 +3,7 @@
 import struct
 
 import pytest
-from mrt_oracle import bgp4mp_message, mrt_record, rib_record
+from mrt_oracle import bgp4mp_message, mrt_record, rib_entries_record, rib_record
 
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
@@ -193,6 +193,29 @@ class TestDecoderErrors:
         with pytest.raises(MRTDecodeError, match="address family 7"):
             decode_records(bgp4mp_message(body, afi=7))
 
+    @pytest.mark.parametrize(
+        "afi, nlri, text",
+        [
+            (1, bytes([20, 10, 1, 0x1F]), "10.1.16.0/20"),
+            (1, bytes([0]), "0.0.0.0/0"),
+            (1, bytes([32, 10, 1, 2, 3]), "10.1.2.3/32"),
+            (2, bytes([33, 0x20, 0x01, 0x0D, 0xB8, 0xFF]), "2001:db8:8000::/33"),
+            (2, bytes([3, 0x3F]), "2000::/3"),
+        ],
+        ids=["v4-20", "v4-0", "v4-32", "v6-33", "v6-3"],
+    )
+    def test_nlri_bits_past_the_prefix_length_are_dropped(self, attributes, afi, nlri, text):
+        # RFC 4271 section 4.3 calls them irrelevant; they used to be kept, so the
+        # prefix compared unequal to its clean twin and str() raised ValueError.
+        expected = parse_prefix(text)
+        blob = encode_path_attributes(attributes)
+        rib = rib_entries_record([(0, blob)], nlri=nlri, subtype=2 if afi == 1 else 4)
+        body = struct.pack("!H", len(nlri)) + nlri + struct.pack("!H", len(blob)) + blob + nlri
+        record, message = decode_records(rib + bgp4mp_message(body, afi=afi))
+        decoded = [record.prefix, *message.update.withdrawn, *message.update.announced]
+        assert decoded == [expected] * 3
+        assert [str(prefix) for prefix in decoded] == [text] * 3
+
     def test_decoder_exposes_peer_table(self):
         blob = encode_records([10, 20])
         decoder = MRTDecoder(blob)
@@ -319,3 +342,109 @@ class TestAttributeMemo:
             records = sum(1 for _record in decoder)
             assert decoder.attribute_blobs >= records - 1
             assert decoder.attribute_memo_hits / decoder.attribute_blobs > 0.5
+
+
+class TestCommunityMemo:
+    """Beneath the blob memo, a COMMUNITIES value is parsed once per decoder."""
+
+    PATH_A = bytes([0x40, 2, 6, 2, 1]) + struct.pack("!I", 3356)
+    PATH_B = bytes([0x40, 2, 10, 2, 2]) + struct.pack("!II", 1299, 64496)
+
+    @staticmethod
+    def _communities(*values: str) -> bytes:
+        body = b"".join(struct.pack("!HH", *map(int, value.split(":"))) for value in values)
+        return bytes([0xC0, 8, len(body)]) + body
+
+    @staticmethod
+    def _large(upper: int, data1: int, data2: int) -> bytes:
+        return bytes([0xC0, 32, 12]) + struct.pack("!III", upper, data1, data2)
+
+    def _decode(self, *blobs: bytes):
+        decoder = MRTDecoder(b"".join(rib_record(blob, sequence=index) for index, blob in enumerate(blobs)))
+        return decoder, [record.entries[0].attributes for record in decoder]
+
+    def test_same_value_under_different_paths_is_one_object(self):
+        value = self._communities("3356:100", "1299:7")
+        decoder, (first, second) = self._decode(self.PATH_A + value, self.PATH_B + value)
+        assert first.as_path != second.as_path
+        assert first.communities is second.communities
+        assert first.communities == CommunitySet.from_strings(["3356:100", "1299:7"])
+        # Two distinct blobs: the blob memo saw neither before.
+        assert (decoder.attribute_blobs, decoder.attribute_memo_hits) == (2, 0)
+        assert list(decoder._community_memo) == [value[3:]]
+
+    def test_attribute_combinations_decode_as_before(self):
+        one, other = self._communities("3356:100"), self._communities("1299:7", "3356:100")
+        blobs = [
+            self.PATH_A + one + other,  # two COMMUNITIES attributes: their union
+            self.PATH_A + one + self._large(200000, 5, 6),
+            self.PATH_A + self._communities(),  # an empty attribute
+            self.PATH_A,  # none at all
+            self.PATH_A + one,
+        ]
+        decoder, decoded = self._decode(*blobs)
+        assert [route.communities for route in decoded] == [
+            CommunitySet.from_strings(["3356:100", "1299:7"]),
+            CommunitySet.from_strings(["3356:100", "200000:5:6"]),
+            CommunitySet(),
+            CommunitySet(),
+            CommunitySet.from_strings(["3356:100"]),
+        ]
+        assert [route.communities for route in decoded] == [
+            decode_path_attributes(blob).communities for blob in blobs
+        ]
+        # Only a blob's sole community attribute is handed out as the shared set.
+        assert decoded[4].communities is decoder._community_memo[one[3:]]
+        assert decoded[0].communities is not decoder._community_memo[other[3:]]
+        assert set(decoder._community_memo) == {one[3:], other[3:], b""}
+
+    def test_malformed_value_raises_every_time_and_is_never_stored(self):
+        bad = bytes([0xC0, 8, 3, 1, 2, 3])
+        good = self._communities("3356:100")
+        decoder = MRTDecoder(
+            rib_record(self.PATH_A + good + bad)
+            + rib_record(self.PATH_B + bad)
+            + rib_record(self.PATH_B + good)
+        )
+        for _ in range(2):
+            with pytest.raises(MRTDecodeError, match="COMMUNITIES attribute length"):
+                next(decoder)
+        # What parsed before the failure may stay; the failure itself never does.
+        assert set(decoder._community_memo) <= {good[3:]} and not decoder._attribute_memo
+        assert next(decoder).entries[0].attributes.communities == CommunitySet.from_strings(["3356:100"])
+        for _ in range(2):
+            with pytest.raises(MRTDecodeError, match="COMMUNITIES attribute length"):
+                decode_path_attributes(self.PATH_A + bad)
+
+    def test_overflowing_the_cap_clears_both_memos(self, monkeypatch):
+        monkeypatch.setattr("repro.mrt.decoder.ATTRIBUTE_MEMO_CAP", 3)
+        blobs = [
+            bytes([0x40, 2, 6, 2, 1]) + struct.pack("!I", 100 + index) + self._communities(f"3356:{index}")
+            for index in range(8)
+        ]
+        decoder = MRTDecoder(b"".join(rib_record(blob, sequence=index) for index, blob in enumerate(blobs)))
+        sizes = []
+        for record in decoder:
+            assert record.entries[0].attributes == decode_path_attributes(blobs[len(sizes)])
+            sizes.append((len(decoder._attribute_memo), len(decoder._community_memo)))
+        assert sizes == [(1, 1), (2, 2), (3, 3), (1, 1), (2, 2), (3, 3), (1, 1), (2, 2)]
+
+    def test_values_alone_can_fill_the_cap(self, monkeypatch):
+        # Blobs that never reach the blob memo (no AS_PATH) still grow the value memo.
+        monkeypatch.setattr("repro.mrt.decoder.ATTRIBUTE_MEMO_CAP", 3)
+        hostile = [self._communities(f"3356:{index}") for index in range(7)]
+        decoder = MRTDecoder(b"".join(rib_record(blob) for blob in hostile))
+        for _ in hostile:
+            with pytest.raises(MRTDecodeError, match="AS_PATH"):
+                next(decoder)
+            assert len(decoder._community_memo) <= 3 and not decoder._attribute_memo
+
+    def test_two_decoders_share_nothing(self):
+        blob = rib_record(self.PATH_A + self._communities("3356:100"))
+        first, second = MRTDecoder(blob), MRTDecoder(blob)
+        (one,), (other,) = list(first), list(second)
+        assert one == other
+        assert one.entries[0].attributes.communities is not other.entries[0].attributes.communities
+        assert decode_path_attributes(self.PATH_A + self._communities("3356:100")).communities is not (
+            one.entries[0].attributes.communities
+        )

@@ -3,7 +3,10 @@
 ``tests/mrt_oracle.py`` is the decoder as it was before it learned to memoise
 attribute blobs and frame headers with ``struct``.  Every well-formed input
 must decode to the same records, and every mutated one must end the same
-way: the same record prefix, then either a clean end or a rejection.
+way: the same record prefix, then either a clean end or a rejection.  The
+same holds for the routes view production reads
+(``iter_observations_from_mrt``) against the oracle's record-by-record
+observation loop.
 """
 
 import struct
@@ -12,13 +15,13 @@ import mrt_oracle
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from mrt_oracle import bgp4mp_message, mrt_record, split_records
+from mrt_oracle import bgp4mp_message, mrt_record, rib_entries_record, split_records
 
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
 from repro.bgp.path import ASPath, PathSegment, SegmentType
 from repro.bgp.prefix import parse_prefix
-from repro.collectors.archive import observations_from_mrt
+from repro.collectors.archive import iter_observations_from_mrt, observations_from_mrt
 from repro.datasets.synthetic import SyntheticConfig, SyntheticInternet
 from repro.mrt import MRTDecodeError, MRTDecoder, MRTEncoder
 from repro.mrt.encoder import encode_path_attributes
@@ -157,27 +160,50 @@ def detail(record):
     )
 
 
-def run(decoder):
-    """``(records as detail, how it ended)`` of draining *decoder*.
+def observation_detail(observation):
+    """An observation plus the wire segments its ``==`` does not look at."""
+    return observation, observation.path.segments
+
+
+def run(items, describe=detail):
+    """``(items as detail, how it ended)`` of draining the iterator *items*.
 
     ``"crashed"`` is an exception that is not :class:`MRTDecodeError`: the
     oracle's documented untyped escapes.
     """
-    records = []
+    seen = []
     try:
-        for record in decoder:
-            records.append(detail(record))
+        for item in items:
+            seen.append(describe(item))
     except MRTDecodeError:
-        return records, "rejected"
+        return seen, "rejected"
     except (ValueError, IndexError):
-        return records, "crashed"
-    return records, "clean"
+        return seen, "crashed"
+    return seen, "clean"
 
 
-def assert_same_outcome(blob: bytes) -> str:
+def assert_same_records(blob: bytes) -> str:
     expected, expected_end = run(mrt_oracle.MRTDecoder(blob))
     records, end = run(MRTDecoder(blob))
     assert records == expected
+    assert end != "crashed", "production let an untyped exception out"
+    assert end == ("clean" if expected_end == "clean" else "rejected")
+    return end
+
+
+def assert_same_outcome(blob: bytes) -> str:
+    """Both views against the oracle; how the *records* view ended."""
+    assert_same_observations(blob)
+    return assert_same_records(blob)
+
+
+def assert_same_observations(blob: bytes) -> str:
+    """The routes view yields what the oracle's loop yields before it stops,
+    and stops the same way (it can stop where the records view does not: a
+    RIB record before its table, a peer index past it)."""
+    expected, expected_end = run(mrt_oracle.iter_observations(blob, "rrc00"), observation_detail)
+    observations, end = run(iter_observations_from_mrt(blob, "rrc00"), observation_detail)
+    assert observations == expected
     assert end != "crashed", "production let an untyped exception out"
     assert end == ("clean" if expected_end == "clean" else "rejected")
     return end
@@ -188,6 +214,7 @@ class TestWellFormedInputs:
     def test_record_by_record(self, name):
         blob = WELL_FORMED[name]
         assert assert_same_outcome(blob) == "clean"
+        assert assert_same_observations(blob) == "clean"
         assert len(mrt_oracle.decode_records(blob)) == len(split_records(blob))
 
     def test_the_catalogue_covers_what_it_claims(self):
@@ -204,6 +231,106 @@ class TestWellFormedInputs:
         assert [record.update for record in records[5:7]] == [None, None]
         segmented = mrt_oracle.decode_records(WELL_FORMED["rib"])[4].entries[1].attributes.as_path
         assert segmented.has_as_set and len(segmented.segments) == 5
+
+
+def _rib_entries(*entries) -> bytes:
+    return rib_entries_record(entries, timestamp=9)
+
+
+class TestRoutesView:
+    """What only the routes view decides: peer indexes, record order, resuming."""
+
+    TABLE = _encoded(lambda encoder: encoder.write_peer_index_table([3356, 1299], timestamp=9))
+    RICH_BLOB = encode_path_attributes(RICH)
+    PLAIN_BLOB = encode_path_attributes(PLAIN)
+
+    def test_bad_peer_index_in_a_later_entry_comes_after_the_earlier_ones(self):
+        record = _rib_entries(
+            (0, self.RICH_BLOB), (1, self.PLAIN_BLOB), (2, self.RICH_BLOB), (0, self.PLAIN_BLOB)
+        )
+        blob = self.TABLE + record + _rib_entries((1, self.PLAIN_BLOB))
+        assert assert_same_observations(blob) == "rejected"
+        routes = MRTDecoder(blob).routes()
+        assert [(route[1], route[3].as_path) for route in (next(routes), next(routes))] == [
+            (3356, RICH.as_path), (1299, PLAIN.as_path)
+        ]
+        with pytest.raises(MRTDecodeError, match="peer index 2"):
+            next(routes)
+
+    def test_a_framing_error_wins_over_a_missing_peer_table(self):
+        record = _rib_entries((0, self.RICH_BLOB), (0, self.PLAIN_BLOB))
+        assert assert_same_observations(record) == "rejected"
+        with pytest.raises(MRTDecodeError, match="before PEER_INDEX_TABLE"):
+            next(MRTDecoder(record).routes())
+        # The second entry claims more attribute bytes than the record holds.
+        broken = bytearray(record)
+        struct.pack_into("!H", broken, len(record) - len(self.PLAIN_BLOB) - 2, 4000)
+        assert assert_same_observations(bytes(broken)) == "rejected"
+        with pytest.raises(MRTDecodeError, match="truncated RIB entry attributes"):
+            next(MRTDecoder(bytes(broken)).routes())
+        # ... and after a table, not even the intact first entry comes out.
+        assert observations_from_mrt(self.TABLE + record, "rrc00")
+        routes = MRTDecoder(self.TABLE + bytes(broken)).routes()
+        with pytest.raises(MRTDecodeError, match="truncated RIB entry attributes"):
+            next(routes)
+
+    def test_a_later_peer_table_replaces_the_earlier_one(self):
+        other = _encoded(lambda encoder: encoder.write_peer_index_table([200000], timestamp=10))
+        blob = self.TABLE + _rib_entries((1, self.PLAIN_BLOB)) + other + _rib_entries((0, self.PLAIN_BLOB))
+        assert assert_same_observations(blob) == "clean"
+        assert [route[1] for route in MRTDecoder(blob).routes()] == [1299, 200000]
+        assert assert_same_observations(blob + _rib_entries((1, self.PLAIN_BLOB))) == "rejected"
+
+    def test_withdrawals_and_non_updates_yield_no_route(self):
+        blob = _encoded(
+            lambda encoder: (
+                encoder.write_update(BGPUpdate(peer_asn=1299, timestamp=101, withdrawn=V4[:1])),
+                encoder.write_update(BGPUpdate(peer_asn=1299, timestamp=104)),
+            )
+        ) + bgp4mp_message(b"", message_type=4) + bgp4mp_message(bytes(10), message_type=1)
+        assert len(mrt_oracle.decode_records(blob)) == 4
+        assert assert_same_observations(blob) == "clean"
+        assert list(MRTDecoder(blob).routes()) == []
+
+    def test_rib_and_update_routes_carry_the_record_fields(self):
+        routes = list(MRTDecoder(WELL_FORMED["rib-then-updates"]).routes())
+        assert routes[0] == (111, 3356, V4[0], RICH, True)  # originated time set
+        assert routes[1] == (9, 1299, V6[0], PLAIN, True)  # ... and not: the record's
+        first_update = [route for route in routes if not route[4]][: len(V4)]
+        assert first_update == [(100, 3356, prefix, RICH, False) for prefix in V4]
+
+    def test_both_views_resume_at_the_next_record_after_an_error(self):
+        good = _rib_entries((0, self.RICH_BLOB))
+        last = _rib_entries((1, self.PLAIN_BLOB))
+        blob = self.TABLE + good + mrt_record(13, 99, b"") + _rib_entries((7, self.PLAIN_BLOB)) + last
+
+        decoder = MRTDecoder(blob)
+        assert [type(next(decoder)).__name__ for _ in range(2)] == ["PeerIndexTable", "RIBEntryRecord"]
+        with pytest.raises(MRTDecodeError, match="subtype 99"):
+            next(decoder)
+        assert next(decoder).entries[0].peer_index == 7  # the records view does not resolve it
+        assert next(decoder).entries[0].attributes == PLAIN
+        with pytest.raises(StopIteration):
+            next(decoder)
+
+        decoder = MRTDecoder(blob)
+        routes = decoder.routes()
+        assert next(routes)[3] == RICH
+        with pytest.raises(MRTDecodeError, match="subtype 99"):
+            next(routes)
+        with pytest.raises(StopIteration):  # a generator that raised is spent ...
+            next(routes)
+        with pytest.raises(MRTDecodeError, match="peer index 7"):  # ... a new one resumes
+            next(decoder.routes())
+        assert list(decoder.routes()) == [(9, 1299, V4[0], PLAIN, True)]
+
+        # One position for both views: a rejected record is stepped over for either.
+        decoder = MRTDecoder(blob)
+        assert len(list(zip(range(2), decoder))) == 2
+        with pytest.raises(MRTDecodeError, match="subtype 99"):
+            next(decoder.routes())
+        assert next(decoder).entries[0].peer_index == 7
+        assert [route[1] for route in decoder.routes()] == [1299]
 
 
 class TestVerifySkillArchives:
@@ -294,12 +421,25 @@ class TestMutatedInputs:
         ends = {assert_same_outcome(blob[:cut]) for cut in range(len(blob))}
         assert ends == {"clean", "rejected"}
 
-    def test_every_single_bit_flip_of_the_update_stream(self):
-        blob = bytearray(WELL_FORMED["updates"])
+    @staticmethod
+    def _ends_of_every_single_bit_flip(name, outcome):
+        blob = bytearray(WELL_FORMED[name])
         ends = set()
         for index in range(len(blob)):
             for bit in range(8):
                 blob[index] ^= 1 << bit
-                ends.add(assert_same_outcome(bytes(blob)))
+                ends.add(outcome(bytes(blob)))
                 blob[index] ^= 1 << bit
-        assert ends == {"clean", "rejected"}
+        return ends
+
+    def test_every_single_bit_flip_of_the_update_stream(self):
+        assert self._ends_of_every_single_bit_flip("updates", assert_same_outcome) == {"clean", "rejected"}
+
+    def test_every_single_bit_flip_of_the_rib_dump(self):
+        # Where the routes view decides more than the records view: peer
+        # indexes, the table they point into, originated times.
+        def outcome(blob):
+            assert_same_records(blob)
+            return assert_same_observations(blob)
+
+        assert self._ends_of_every_single_bit_flip("rib", outcome) == {"clean", "rejected"}

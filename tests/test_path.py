@@ -1,5 +1,8 @@
 """Unit tests for repro.bgp.path."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.bgp.path import ASPath, PathSegment, SegmentType
@@ -124,6 +127,31 @@ class TestSegments:
         path = ASPath.from_segments(segments)
         assert path.has_as_set
         assert path.asns == (1,)
+
+    @pytest.mark.parametrize(
+        "segment_types, expected",
+        [
+            ([SegmentType.AS_SEQUENCE, SegmentType.AS_CONFED_SEQUENCE], False),
+            ([SegmentType.AS_SEQUENCE, SegmentType.AS_SET], True),
+            ([SegmentType.AS_CONFED_SET], True),
+            ([], False),
+        ],
+    )
+    def test_has_as_set_survives_every_way_a_path_is_rebuilt(self, segment_types, expected):
+        # ``from_segments`` settles the answer in a slot; pickle / deepcopy go
+        # through ``__reduce__`` -> ``__init__`` and must work it out again.
+        path = ASPath.from_segments([PathSegment(kind, (1, 2)) for kind in segment_types])
+        rebuilt = [
+            path,
+            pickle.loads(pickle.dumps(path)),
+            copy.deepcopy(path),
+            copy.copy(path),
+            ASPath(path.asns, path.segments),
+        ]
+        for _ in range(2):  # the second read is the cached one
+            assert [twin.has_as_set for twin in rebuilt] == [expected] * len(rebuilt)
+        assert [twin.segments for twin in rebuilt] == [path.segments] * len(rebuilt)
+        assert not ASPath(path.asns or [1]).has_as_set
 
     def test_segment_is_set_property(self):
         assert PathSegment(SegmentType.AS_SET, (1,)).is_set
