@@ -8,22 +8,10 @@ invocation is cheap.
 
 from __future__ import annotations
 
-import os
-import time
-
 import pytest
 
 from repro.collectors.archive import observations_from_mrt
-from repro.core.column import (
-    ColumnInference,
-    count_forwarding_phase,
-    count_forwarding_phase_packed,
-    count_tagging_phase,
-    count_tagging_phase_packed,
-    prepare_tuples,
-)
-from repro.core.counters import PackedCounterStore
-from repro.core.tuples import GroupCounts, TupleTable, materialize_groups
+from repro.core.column import ColumnInference
 from repro.mrt.decoder import decode_records
 from repro.mrt.encoder import MRTEncoder
 from repro.bgp.messages import PathAttributes
@@ -174,87 +162,3 @@ def test_bench_ingest_block_size_sweep(benchmark, context, block_size):
     benchmark.extra_info["events_per_sec"] = round(
         len(events) / benchmark.stats.stats.min
     )
-
-
-#: Acceptance floor for the columnar-over-object counting speedup (0 disables).
-MIN_COLUMNAR_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_COLUMNAR_SPEEDUP", "3.0"))
-
-
-@pytest.mark.benchmark(group="micro")
-def test_bench_counting_columnar_vs_object(benchmark, context):
-    """The counting hot path: packed/matrix kernels vs the object kernels.
-
-    Both representations are prepared outside the timer (as they are when a
-    warm window flush recounts), then one full multi-column counting pass —
-    tagging plus forwarding per column, against converged decisions — is
-    measured for each.  The columnar pass must hold a single-core speedup of
-    :data:`MIN_COLUMNAR_SPEEDUP` over the object pass.
-    """
-    tuples = context.aggregate_tuples
-    columns = range(1, 6)
-
-    # Object representation: prepared tuples + converged decision view.
-    prepared = prepare_tuples(tuples)
-    store = ColumnInference().run(tuples).store
-    decisions = store.decision_view()
-
-    # Columnar representation: interned groups (matrix prebuilt) + the same
-    # counters re-homed onto packed slots.
-    table = TupleTable()
-    counts: GroupCounts = {}
-    for item in tuples:
-        path_id, comm_id = table.intern_tuple(item)
-        key = (path_id, table.hits_of(path_id, comm_id))
-        counts[key] = counts.get(key, 0) + 1
-    groups = materialize_groups(table, counts)
-    groups.matrix()
-    packed = PackedCounterStore(slots=table.as_count)
-    packed.apply_delta(
-        {
-            index: store.get(asn).as_tuple()
-            for index, asn in enumerate(table.as_values())
-            if asn in store
-        }
-    )
-    tagger_flags, forward_flags = packed.decision_flags(table.as_count)
-
-    def object_pass():
-        for column in columns:
-            count_tagging_phase(prepared, column, decisions)
-            count_forwarding_phase(prepared, column, decisions)
-
-    def columnar_pass():
-        for column in columns:
-            count_tagging_phase_packed(groups, column, tagger_flags, forward_flags)
-            count_forwarding_phase_packed(groups, column, tagger_flags, forward_flags)
-
-    # Conformance guard: identical deltas before trusting the timing.
-    as_values = table.as_values()
-    for column in (1, 3):
-        object_delta, object_incr = count_tagging_phase(prepared, column, decisions)
-        packed_delta, packed_incr = count_tagging_phase_packed(
-            groups, column, tagger_flags, forward_flags
-        )
-        assert object_incr == packed_incr
-        assert {as_values[i]: v for i, v in packed_delta.items()} == object_delta
-
-    benchmark.pedantic(columnar_pass, rounds=5, iterations=1)
-    columnar_seconds = benchmark.stats.stats.min
-
-    object_best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        object_pass()
-        object_best = min(object_best, time.perf_counter() - start)
-    object_seconds = object_best
-
-    speedup = object_seconds / columnar_seconds
-    benchmark.extra_info["object_seconds"] = round(object_seconds, 4)
-    benchmark.extra_info["columnar_seconds"] = round(columnar_seconds, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    if MIN_COLUMNAR_SPEEDUP:
-        assert speedup >= MIN_COLUMNAR_SPEEDUP, (
-            f"columnar counting speedup {speedup:.2f}x is below the "
-            f"{MIN_COLUMNAR_SPEEDUP:.1f}x floor "
-            f"(override via REPRO_BENCH_MIN_COLUMNAR_SPEEDUP)"
-        )

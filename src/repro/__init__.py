@@ -31,6 +31,9 @@ Quickstart::
     tuples = internet.tuples_for_aggregate()
     result = ColumnInference().run(tuples)
     print(result.summary())
+
+(``run`` takes any iterable of ``PathCommTuple``; it lowers them to numpy in
+bulk and counts with the kernels the streaming engine uses.)
 """
 
 __version__ = "1.0.0"

@@ -13,43 +13,41 @@ performs two passes:
 
 Knowledge gained at lower indices (starting with the trivially observable
 collector peers at index 1) feeds the condition checks at higher indices.
-Within one pass the knowledge is pinned to a :class:`DecisionView` snapshot
-taken when the pass starts, which makes every pass a pure function of
-``(tuples, decisions)``; the streaming engine exploits this purity to count
-only newly arrived tuples when the decisions are unchanged.  The loop stops
-as soon as a column produces no new evidence, which in practice happens
-around index 7 (the paper makes the same observation).
+Within one pass the knowledge is pinned to the decision flags taken when the
+pass starts, which makes every pass a pure function of ``(tuples,
+decisions)``; the streaming engine exploits this purity to count only the
+turnover when the decisions are unchanged.  The loop stops as soon as a
+column produces no new evidence, which in practice happens around index 7
+(the paper makes the same observation).
+
+There is one set of counting kernels.  Tuples are counted as ``(AS-index
+row, hits bitmask, multiplicity)`` groups: :class:`ColumnInference` lowers
+its object tuples to a :class:`~repro.core.matrix.GroupMatrix` in bulk
+(:func:`~repro.core.matrix.lower_tuples`), the stream classifier groups its
+interned tuples, and both run the two ``count_*_phase_packed`` kernels below
+over dense per-slot counters.  The listing-shaped object-tuple implementation
+lives on as the differential oracle in ``tests/column_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
 from repro.core import matrix as _matrix
-from repro.core.counters import CounterStore, DecisionView
+from repro.core.counters import PackedCounterStore
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import CountingGroup
-
-#: The internal per-tuple form: ``(path ASNs, upper fields of output(A_1))``.
-PreparedTuple = Tuple[Tuple[ASN, ...], FrozenSet[ASN]]
 
 #: Per-AS two-component counter deltas produced by one counting phase
 #: (``[dt, ds]`` for tagging phases, ``[df, dc]`` for forwarding phases).
 PhaseDelta = Dict[ASN, List[int]]
 
-
-def prepare_tuple(item: PathCommTuple) -> PreparedTuple:
-    """Pre-compute the membership-test form of one ``(path, comm)`` tuple."""
-    return (item.path.asns, item.communities.upper_fields())
-
-
-def prepare_tuples(tuples: Iterable[PathCommTuple]) -> List[PreparedTuple]:
-    """Pre-compute the membership-test form of many tuples."""
-    return [prepare_tuple(item) for item in tuples]
+#: What the packed kernels count over: a group sequence, or its matrix form.
+Groups = Union[Sequence[CountingGroup], _matrix.GroupMatrix]
 
 
 def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
@@ -70,132 +68,43 @@ def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
             entry[1] += second
 
 
-def count_tagging_phase(
-    prepared: Sequence[PreparedTuple],
-    column: int,
-    decisions: DecisionView,
-) -> Tuple[PhaseDelta, int]:
-    """Phase 1 of one column: count tagging evidence.
-
-    Pure in ``(prepared, column, decisions)``; returns the per-AS
-    ``[dt, ds]`` deltas and the number of increments (the stall signal).
-    """
-    delta: PhaseDelta = {}
-    delta_get = delta.get
-    increments = 0
-    forward_ases = decisions.forward_ases
-    check_cond1 = column > 1
-    for asns, uppers in prepared:
-        if len(asns) < column:
-            continue
-        if check_cond1:
-            # Cond1: every AS between the collector and A_x must forward.
-            qualified = True
-            for i in range(column - 1):
-                if asns[i] not in forward_ases:
-                    qualified = False
-                    break
-            if not qualified:
-                continue
-        asn = asns[column - 1]
-        entry = delta_get(asn)
-        if entry is None:
-            entry = delta[asn] = [0, 0]
-        if asn in uppers:
-            entry[0] += 1
-        else:
-            entry[1] += 1
-        increments += 1
-    return delta, increments
-
-
-def count_forwarding_phase(
-    prepared: Sequence[PreparedTuple],
-    column: int,
-    decisions: DecisionView,
-) -> Tuple[PhaseDelta, int]:
-    """Phase 2 of one column: count forwarding evidence.
-
-    Pure in ``(prepared, column, decisions)``; returns the per-AS
-    ``[df, dc]`` deltas and the number of increments (the stall signal).
-    """
-    delta: PhaseDelta = {}
-    delta_get = delta.get
-    increments = 0
-    tagger_ases = decisions.tagger_ases
-    forward_ases = decisions.forward_ases
-    check_cond1 = column > 1
-    for asns, uppers in prepared:
-        if len(asns) < column:
-            continue
-        if check_cond1:
-            qualified = True
-            for i in range(column - 1):
-                if asns[i] not in forward_ases:
-                    qualified = False
-                    break
-            if not qualified:
-                continue
-        # Cond2: nearest downstream tagger reachable through forward ASes.
-        tagger_asn: Optional[ASN] = None
-        for position in range(column, len(asns)):
-            candidate = asns[position]
-            if candidate in tagger_ases:
-                tagger_asn = candidate
-                break
-            if candidate not in forward_ases:
-                break
-        if tagger_asn is None:
-            continue
-        asn = asns[column - 1]
-        entry = delta_get(asn)
-        if entry is None:
-            entry = delta[asn] = [0, 0]
-        if tagger_asn in uppers:
-            entry[0] += 1
-        else:
-            entry[1] += 1
-        increments += 1
-    return delta, increments
-
-
-def _group_matrix(groups: Sequence[CountingGroup]) -> Optional["_matrix.GroupMatrix"]:
-    """The vectorised form of *groups* if it is worth using, else ``None``."""
-    if len(groups) < _matrix.MIN_MATRIX_GROUPS:
-        return None
+def _kernel_form(groups: Groups) -> Groups:
+    """The matrix form of *groups* if there is one worth using, else *groups*."""
+    if isinstance(groups, _matrix.GroupMatrix) or len(groups) < _matrix.MIN_MATRIX_GROUPS:
+        return groups  # lowered in bulk by the batch path / too small to pay off
     matrix_of = getattr(groups, "matrix", None)  # GroupList carries the cache
-    return matrix_of() if matrix_of is not None else None
+    return matrix_of() if matrix_of is not None else groups
 
 
 def count_tagging_phase_packed(
-    groups: Sequence[CountingGroup],
+    groups: Groups,
     column: int,
     tagger_flags: Sequence[int],
     forward_flags: Sequence[int],
 ) -> Tuple[Dict[int, List[int]], int]:
-    """Columnar twin of :func:`count_tagging_phase`.
+    """Phase 1 of one column: count tagging evidence.
 
-    Operates on grouped ``(as-index row, hits, count)`` work units: the
-    Cond1 scan runs once per group and the contribution is multiplied by
-    the group's multiplicity, which is exactly the sum the object kernel
-    produces over the group's tuples (phase contributions are commutative).
-    The ``A_x in output(A_1)`` membership test is one bit test on ``hits``.
+    Pure in ``(groups, column, flags)``; returns the per-AS-index ``[dt,
+    ds]`` deltas and the number of increments (the stall signal).  Operates
+    on ``(as-index row, hits, count)`` work units: the Cond1 scan runs once
+    per group and the contribution is multiplied by the group's
+    multiplicity (phase contributions are commutative).  The ``A_x in
+    output(A_1)`` membership test is one bit test on ``hits``.
 
-    Large :class:`~repro.core.matrix.GroupList` inputs take the vectorised
-    bucket kernel; overflow groups (paths too long for an int64 bitmask)
-    and small inputs run the scalar loop below.
+    A :class:`~repro.core.matrix.GroupMatrix` and large
+    :class:`~repro.core.matrix.GroupList` inputs take the vectorised bucket
+    kernel; overflow groups (paths too long for an int64 bitmask) and small
+    group lists run the scalar loop below.
     """
-    matrix = _group_matrix(groups)
-    if matrix is not None:
-        delta, increments = _matrix.count_tagging_matrix(matrix, column, forward_flags)
-        if matrix.overflow:
-            extra, more = _count_tagging_groups(
-                matrix.overflow, column, tagger_flags, forward_flags
-            )
-            merge_phase_delta(delta, extra)
-            increments += more
-        return delta, increments
-    return _count_tagging_groups(groups, column, tagger_flags, forward_flags)
+    groups = _kernel_form(groups)
+    if not isinstance(groups, _matrix.GroupMatrix):
+        return _count_tagging_groups(groups, column, tagger_flags, forward_flags)
+    delta, increments = _matrix.count_tagging_matrix(groups, column, forward_flags)
+    if groups.overflow:
+        extra, more = _count_tagging_groups(groups.overflow, column, tagger_flags, forward_flags)
+        merge_phase_delta(delta, extra)
+        increments += more
+    return delta, increments
 
 
 def _count_tagging_groups(
@@ -236,34 +145,35 @@ def _count_tagging_groups(
 
 
 def count_forwarding_phase_packed(
-    groups: Sequence[CountingGroup],
+    groups: Groups,
     column: int,
     tagger_flags: Sequence[int],
     forward_flags: Sequence[int],
 ) -> Tuple[Dict[int, List[int]], int]:
-    """Columnar twin of :func:`count_forwarding_phase`.
+    """Phase 2 of one column: count forwarding evidence.
 
-    The Cond2 tagger search walks the AS-index row through the packed
-    decision flags; whether the found tagger's community is present is the
-    bit of ``hits`` at the tagger's path position (identical to the object
-    kernel's frozenset test, because the bitmask was computed per position).
+    Pure in ``(groups, column, flags)``; returns the per-AS-index ``[df,
+    dc]`` deltas and the number of increments.  The Cond2 tagger search
+    walks the AS-index row through the packed decision flags; whether the
+    found tagger's community is present is the bit of ``hits`` at the
+    tagger's path position (the bitmask was computed per position).
 
     Dispatches to the vectorised bucket kernel exactly like
     :func:`count_tagging_phase_packed`.
     """
-    matrix = _group_matrix(groups)
-    if matrix is not None:
-        delta, increments = _matrix.count_forwarding_matrix(
-            matrix, column, tagger_flags, forward_flags
+    groups = _kernel_form(groups)
+    if not isinstance(groups, _matrix.GroupMatrix):
+        return _count_forwarding_groups(groups, column, tagger_flags, forward_flags)
+    delta, increments = _matrix.count_forwarding_matrix(
+        groups, column, tagger_flags, forward_flags
+    )
+    if groups.overflow:
+        extra, more = _count_forwarding_groups(
+            groups.overflow, column, tagger_flags, forward_flags
         )
-        if matrix.overflow:
-            extra, more = _count_forwarding_groups(
-                matrix.overflow, column, tagger_flags, forward_flags
-            )
-            merge_phase_delta(delta, extra)
-            increments += more
-        return delta, increments
-    return _count_forwarding_groups(groups, column, tagger_flags, forward_flags)
+        merge_phase_delta(delta, extra)
+        increments += more
+    return delta, increments
 
 
 def _count_forwarding_groups(
@@ -345,34 +255,24 @@ class ColumnInference:
         self.stop_when_stalled = stop_when_stalled
         self.report = ColumnInferenceReport()
 
-    def run(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
+    def run(self, tuples: Iterable[PathCommTuple]) -> ClassificationResult:
         """Infer the community usage classification for every observed AS."""
-        store = CounterStore(self.thresholds)
-        observed: Set[ASN] = set()
-        # Pre-compute the upper-field sets once; membership tests dominate the
-        # inner loops.
-        prepared: List[PreparedTuple] = []
-        max_length = 0
-        for item in tuples:
-            asns = item.path.asns
-            observed.update(asns)
-            prepared.append((asns, item.communities.upper_fields()))
-            if len(asns) > max_length:
-                max_length = len(asns)
-
-        limit = max_length if self.max_columns is None else min(max_length, self.max_columns)
+        groups, as_values = _matrix.lower_tuples(tuples)
+        packed = PackedCounterStore(self.thresholds, slots=len(as_values))
+        longest = groups.max_length
+        limit = longest if self.max_columns is None else min(longest, self.max_columns)
         self.report = ColumnInferenceReport()
         for column in range(1, limit + 1):
             # The two kernels are looked up by module-level name on every
             # call: benchmarks/e2e times them by swapping those names.
-            tagging_delta, tagging_increments = count_tagging_phase(
-                prepared, column, store.decision_view()
+            tagging_delta, tagging_increments = count_tagging_phase_packed(
+                groups, column, *packed.decision_flags()
             )
-            store.apply_tagging_delta(tagging_delta)
-            forwarding_delta, forwarding_increments = count_forwarding_phase(
-                prepared, column, store.decision_view()
+            packed.apply_tagging_delta(tagging_delta)
+            forwarding_delta, forwarding_increments = count_forwarding_phase_packed(
+                groups, column, *packed.decision_flags()
             )
-            store.apply_forwarding_delta(forwarding_delta)
+            packed.apply_forwarding_delta(forwarding_delta)
             self.report.columns_processed = column
             self.report.tagging_counts_per_column.append(tagging_increments)
             self.report.forwarding_counts_per_column.append(forwarding_increments)
@@ -383,4 +283,6 @@ class ColumnInference:
                 and forwarding_increments == 0
             ):
                 break
-        return ClassificationResult(store=store, observed_ases=observed, algorithm="column")
+        return ClassificationResult(
+            store=packed.to_store(as_values), observed_ases=set(as_values), algorithm="column"
+        )

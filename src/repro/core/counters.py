@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -76,31 +76,6 @@ class ASCounters:
         return cls(tagger=tagger, silent=silent, forward=forward, cleaner=cleaner)
 
 
-@dataclass(frozen=True)
-class DecisionView:
-    """Frozen snapshot of the threshold predicates of a counter state.
-
-    The column algorithm consults ``is_tagger`` / ``is_forward`` while
-    counting; a :class:`DecisionView` pins the answers to the knowledge at a
-    well-defined point (the start of a counting phase), which makes every
-    phase a pure function of ``(tuples, decisions)``.  The streaming engine
-    relies on this purity: when the decision view of a phase is unchanged
-    between two runs, previously counted tuples contribute exactly the same
-    deltas and only new tuples need to be counted.
-    """
-
-    tagger_ases: FrozenSet[ASN]
-    forward_ases: FrozenSet[ASN]
-
-    def is_tagger(self, asn: ASN) -> bool:
-        """Snapshot answer to :meth:`CounterStore.is_tagger`."""
-        return asn in self.tagger_ases
-
-    def is_forward(self, asn: ASN) -> bool:
-        """Snapshot answer to :meth:`CounterStore.is_forward`."""
-        return asn in self.forward_ases
-
-
 class CounterStore:
     """The counters of all ASes plus the threshold queries over them."""
 
@@ -117,48 +92,14 @@ class CounterStore:
             self._counters[asn] = counters
         return counters
 
-    # -- incremental updates (streaming engine) --------------------------------------
-    def apply_tagging_delta(self, delta: Mapping[ASN, Sequence[int]]) -> None:
-        """Apply ``{asn: (dt, ds)}`` tagging deltas (may be negative)."""
-        for asn, (d_tagger, d_silent) in delta.items():
-            counters = self.counters_for(asn)
-            counters.tagger += d_tagger
-            counters.silent += d_silent
-
-    def apply_forwarding_delta(self, delta: Mapping[ASN, Sequence[int]]) -> None:
-        """Apply ``{asn: (df, dc)}`` forwarding deltas (may be negative)."""
-        for asn, (d_forward, d_cleaner) in delta.items():
-            counters = self.counters_for(asn)
-            counters.forward += d_forward
-            counters.cleaner += d_cleaner
-
     def apply_delta(self, delta: Mapping[ASN, Sequence[int]]) -> None:
-        """Apply full ``{asn: (dt, ds, df, dc)}`` deltas (may be negative).
-
-        Negative components retract previously counted evidence, which is how
-        the streaming engine evicts expired tuples without a full recount.
-        """
+        """Apply ``{asn: (dt, ds, df, dc)}`` deltas; a negative component retracts."""
         for asn, (d_tagger, d_silent, d_forward, d_cleaner) in delta.items():
             counters = self.counters_for(asn)
             counters.tagger += d_tagger
             counters.silent += d_silent
             counters.forward += d_forward
             counters.cleaner += d_cleaner
-
-    def decision_view(self) -> DecisionView:
-        """Snapshot the ``is_tagger`` / ``is_forward`` predicates of all ASes."""
-        tagger_threshold = self.thresholds.tagger
-        forward_threshold = self.thresholds.forward
-        taggers = []
-        forwards = []
-        for asn, counters in self._counters.items():
-            tagging_total = counters.tagger + counters.silent
-            if tagging_total and counters.tagger / tagging_total >= tagger_threshold:
-                taggers.append(asn)
-            forwarding_total = counters.forward + counters.cleaner
-            if forwarding_total and counters.forward / forwarding_total >= forward_threshold:
-                forwards.append(asn)
-        return DecisionView(frozenset(taggers), frozenset(forwards))
 
     # -- (de)serialisation (checkpointing) ------------------------------------------
     def state_dict(self) -> Dict[ASN, Tuple[int, int, int, int]]:
@@ -255,10 +196,6 @@ class CounterStore:
         return {asn: self.get_class(asn) for asn in self._counters}
 
 
-#: Per-AS-index phase deltas of the packed path (``idx -> [d1, d2]``).
-PackedPhaseDelta = Dict[int, Sequence[int]]
-
-
 def _share_flags(hit: "array[int]", miss: "array[int]", threshold: float) -> bytearray:
     """Per-slot ``total != 0 and hit / total >= threshold`` over two columns.
 
@@ -337,10 +274,13 @@ class PackedCounterStore:
     def decision_flags(self, slots: Optional[int] = None) -> Tuple[bytearray, bytearray]:
         """Per-index ``is_tagger`` / ``is_forward`` flags, zero-padded to *slots*.
 
-        The flag semantics are exactly :meth:`CounterStore.decision_view`'s:
-        a flag is set iff there is evidence and the share meets the
-        threshold.  Padding lets the kernels index by any AS the table has
-        interned, counted or not.
+        The flag semantics are exactly :meth:`CounterStore.is_tagger` /
+        :meth:`CounterStore.is_forward`'s: a flag is set iff there is
+        evidence and the share meets the threshold.  The flags are a
+        snapshot: they pin a counting phase to the knowledge at its start,
+        which makes the phase a pure function of ``(groups, flags)``.
+        Padding lets the kernels index by any AS the table has interned,
+        counted or not.
         """
         if slots is not None:
             self.ensure_slots(slots)

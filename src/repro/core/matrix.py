@@ -1,30 +1,47 @@
-"""Vectorised (numpy) twins of the packed counting kernels.
+"""The numpy counting kernels and the matrix form they count over.
 
-The pure-Python packed kernels in :mod:`repro.core.column` walk one
-counting group at a time.  The same sums can be computed bucket-wise: groups are split by path length into dense
-``(n, L)`` index matrices once, and every phase reduces whole buckets with
-boolean masks and ``bincount`` instead of a Python loop per group.  All arithmetic stays in integers (the ``bincount``
+The scalar packed kernels in :mod:`repro.core.column` walk one counting
+group at a time.  The same sums can be computed bucket-wise: groups are
+split by path length into dense ``(n, L)`` index matrices once, and every
+phase reduces whole buckets with boolean masks and ``bincount`` instead of a
+Python loop per group.  All arithmetic stays in integers (the ``bincount``
 weights are integer-valued float64, exact far beyond any realistic event
-count), so the deltas are *identical* to the scalar kernels — the
+count), so the deltas are *identical* to the scalar kernels -- the
 conformance suites run with this path active.
+
+Two producers build the matrix.  The stream classifier materialises its
+interned ``(path_id, hits) -> multiplicity`` aggregates as a
+:class:`GroupList` and lets it cache its matrix; the one-shot batch
+(:class:`~repro.core.column.ColumnInference`) has no table to intern into
+and lowers its object tuples directly with :func:`lower_tuples`, a handful
+of bulk numpy passes per block of tuples.
 
 Groups whose path is longer than :data:`MAX_MATRIX_LENGTH` cannot have
 their hits bitmask represented in an ``int64`` and are kept aside in
 :attr:`GroupMatrix.overflow` for the scalar kernels, which also serve
-inputs below :data:`MIN_MATRIX_GROUPS`.
+group lists below :data:`MIN_MATRIX_GROUPS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as _np
+
+from repro.bgp.announcement import PathCommTuple, iter_blocks
 
 #: Longest path representable as an int64 hits bitmask (sign bit spared).
 MAX_MATRIX_LENGTH = 62
 
 #: Below this many groups the scalar kernels win; matrix setup is overhead.
 MIN_MATRIX_GROUPS = 512
+
+#: Tuples lowered per bulk pass of :func:`lower_tuples`.  Bounds the transient
+#: arrays of the lowering (~330 B per tuple of the block) whatever the input
+#: size; throughput is flat from 4096 to one pass over everything, and the
+#: output never depends on it.
+LOWERING_BLOCK_SIZE = 8192
 
 
 class GroupList(list):
@@ -59,6 +76,10 @@ class GroupList(list):
             matrix.extend(other.matrix())
 
 
+#: One path-length bucket: ``(rows, hits, counts)``.
+Bucket = Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray"]
+
+
 class GroupMatrix:
     """Counting groups bucketed by path length into dense index matrices.
 
@@ -69,7 +90,7 @@ class GroupMatrix:
 
     __slots__ = ("buckets", "overflow")
 
-    def __init__(self, groups) -> None:
+    def __init__(self, groups=()) -> None:
         by_length: Dict[int, list] = {}
         overflow = []
         for group in groups:
@@ -79,7 +100,7 @@ class GroupMatrix:
             else:
                 by_length.setdefault(length, []).append(group)
         self.overflow: list = overflow
-        self.buckets: Dict[int, Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray"]] = {}
+        self.buckets: Dict[int, Bucket] = {}
         for length, bucket in by_length.items():
             self.buckets[length] = (
                 _np.array([g[0] for g in bucket], dtype=_np.int64),
@@ -87,24 +108,138 @@ class GroupMatrix:
                 _np.array([g[2] for g in bucket], dtype=_np.int64),
             )
 
-    def extend(self, other: "GroupMatrix") -> None:
-        """Concatenate *other*'s buckets onto this matrix in place.
+    def __len__(self) -> int:
+        """Number of counting groups held (bucket rows plus overflow)."""
+        return sum(len(counts) for _, _, counts in self.buckets.values()) + len(self.overflow)
+
+    @property
+    def max_length(self) -> int:
+        """Length of the longest path held (0 when empty)."""
+        return max(chain(self.buckets, (len(row) for row, _, _ in self.overflow)), default=0)
+
+    def extend(self, *others: "GroupMatrix") -> None:
+        """Concatenate the buckets of *others* onto this matrix in place.
 
         Sound because every kernel reduces buckets with commutative sums;
-        row order within a bucket never reaches the output.
+        row order within a bucket never reaches the output.  Each length is
+        concatenated once however many matrices contribute to it.
         """
-        buckets = self.buckets
-        for length, (rows, hits, counts) in other.buckets.items():
-            mine = buckets.get(length)
-            if mine is None:
-                buckets[length] = (rows, hits, counts)
+        extra: Dict[int, List[Bucket]] = {}
+        for other in others:
+            for length, bucket in other.buckets.items():
+                extra.setdefault(length, []).append(bucket)
+            self.overflow.extend(other.overflow)
+        for length, pieces in extra.items():
+            mine = self.buckets.get(length)
+            if mine is not None:
+                pieces = [mine, *pieces]
+            if len(pieces) == 1:
+                self.buckets[length] = pieces[0]
             else:
-                buckets[length] = (
-                    _np.concatenate((mine[0], rows)),
-                    _np.concatenate((mine[1], hits)),
-                    _np.concatenate((mine[2], counts)),
+                rows, hits, counts = zip(*pieces)
+                self.buckets[length] = (
+                    _np.concatenate(rows),
+                    _np.concatenate(hits),
+                    _np.concatenate(counts),
                 )
-        self.overflow.extend(other.overflow)
+
+
+def _refuse_misfits(runs: Sequence[Iterable[int]]) -> None:
+    """Raise for the first ASN an unsigned 64-bit slot cannot hold."""
+    for asn in chain.from_iterable(runs):
+        if not 0 <= asn < 1 << 64:
+            raise ValueError(f"ASN {asn} does not fit an unsigned 64-bit AS slot")
+
+
+def _asn_array(runs: Sequence[Iterable[int]], total: int) -> "_np.ndarray":
+    """The ASNs of *runs*, chained, as one ``uint64`` array of *total* items.
+
+    Nothing upstream validates what an ``ASPath`` carries, so an ASN the
+    dtype cannot hold is refused by name, never wrapped.
+    """
+    try:
+        flat = _np.fromiter(chain.from_iterable(runs), dtype=_np.uint64, count=total)
+    except OverflowError:
+        _refuse_misfits(runs)
+        raise
+    if total and int(flat.max()) >> 63:
+        # numpy < 2 wraps a negative into the upper half instead of raising.
+        _refuse_misfits(runs)
+    return flat
+
+
+def _in_sorted(values: "_np.ndarray", pool: "_np.ndarray") -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """``(mask, index)``: which *values* occur in the ascending *pool*, and where."""
+    index = _np.searchsorted(pool, values)
+    found = index < len(pool)
+    found[found] = pool[index[found]] == values[found]
+    return found, index
+
+
+def _lower_block(block: Sequence[PathCommTuple], slot_of: Dict[int, int]) -> GroupMatrix:
+    """One block of tuples as a matrix, one group per tuple.
+
+    ``slot_of`` maps ASN -> dense slot across blocks; the block's distinct
+    ASNs that it has not met yet get the next free slots.
+    """
+    paths = [item.path.asns for item in block]
+    uppers = [item.communities.upper_fields() for item in block]
+    tuple_ids = _np.arange(len(block))
+    lengths = _np.fromiter(map(len, paths), dtype=_np.int64, count=len(block))
+    ends = _np.cumsum(lengths)
+    starts = ends - lengths
+    flat = _asn_array(paths, int(ends[-1]))
+    distinct, local = _np.unique(flat, return_inverse=True)
+    slots = _np.fromiter(
+        (slot_of.setdefault(asn, len(slot_of)) for asn in distinct.tolist()),
+        dtype=_np.int64,
+        count=len(distinct),
+    )[local]
+
+    # Bit p of a tuple's hits: is path[p] an upper field of its community
+    # set?  One sorted search over (tuple, block-local AS index) codes; an
+    # upper field that is no path ASN of the block can hit nothing.
+    upper_sizes = _np.fromiter(map(len, uppers), dtype=_np.int64, count=len(block))
+    upper_flat = _asn_array(uppers, int(upper_sizes.sum()))
+    on_path, upper_local = _in_sorted(upper_flat, distinct)
+    upper_codes = _np.repeat(tuple_ids, upper_sizes) * len(distinct) + upper_local
+    upper_codes = _np.sort(upper_codes[on_path])
+    hit, _ = _in_sorted(_np.repeat(tuple_ids, lengths) * len(distinct) + local, upper_codes)
+
+    matrix = GroupMatrix()
+    for length in _np.unique(lengths).tolist():
+        members = _np.flatnonzero(lengths == length)
+        if length > MAX_MATRIX_LENGTH:
+            for start in starts[members].tolist():
+                row = tuple(slots[start : start + length].tolist())
+                bits = _np.flatnonzero(hit[start : start + length]).tolist()
+                matrix.overflow.append((row, sum(1 << bit for bit in bits), 1))
+            continue
+        positions = _np.arange(length)
+        cells = starts[members][:, None] + positions
+        matrix.buckets[length] = (
+            slots[cells],
+            (hit[cells].astype(_np.int64) << positions).sum(axis=1),
+            _np.ones(len(members), dtype=_np.int64),
+        )
+    return matrix
+
+
+def lower_tuples(tuples: Iterable[PathCommTuple]) -> Tuple[GroupMatrix, List[int]]:
+    """Lower object tuples straight into the kernels' matrix form, in bulk.
+
+    Returns the matrix -- one group of multiplicity 1 per tuple, so duplicate
+    tuples count as often as they occur -- and the slot -> ASN table its rows
+    index (plain ``int`` values: exactly the ASNs on the paths).  No
+    :class:`~repro.core.tuples.TupleTable` is involved: nothing is interned
+    per tuple, the blocks go through a handful of numpy passes each.
+    """
+    slot_of: Dict[int, int] = {}
+    matrix = GroupMatrix()
+    matrix.extend(
+        *[_lower_block(block, slot_of) for block in iter_blocks(tuples, LOWERING_BLOCK_SIZE)]
+    )
+    return matrix, list(slot_of)
 
 
 def _flags_array(flags) -> "_np.ndarray":

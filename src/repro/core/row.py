@@ -26,17 +26,24 @@ the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
-from repro.core.column import PreparedTuple, prepare_tuple
 from repro.core.counters import CounterStore
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 
+#: The per-tuple form counted here: ``(path ASNs, upper fields of output(A_1))``.
+PreparedTuple = Tuple[Tuple[ASN, ...], FrozenSet[ASN]]
+
 #: Per-AS four-component ``[dt, ds, df, dc]`` counter deltas.
 RowDelta = Dict[ASN, List[int]]
+
+
+def prepare_tuple(item: PathCommTuple) -> PreparedTuple:
+    """Pre-compute the membership-test form of one ``(path, comm)`` tuple."""
+    return (item.path.asns, item.communities.upper_fields())
 
 
 def row_tuple_delta(prepared: PreparedTuple, delta: Optional[RowDelta] = None) -> RowDelta:

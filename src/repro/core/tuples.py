@@ -1,14 +1,17 @@
 """Interned columnar representation of sanitized ``(path, comm)`` tuples.
 
-The batch pipeline carries every tuple as an :class:`~repro.bgp.path.ASPath`
-plus a :class:`~repro.bgp.community.CommunitySet` and answers the counting
-kernels' membership questions (``A_x in output(A_1)``) with frozenset
-lookups on boxed Python ints.  On a feed that re-announces the same tuples
-window after window that object overhead dominates the runtime.
+Upstream of counting every tuple is an :class:`~repro.bgp.path.ASPath` plus
+a :class:`~repro.bgp.community.CommunitySet`.  On a feed that re-announces
+the same tuples window after window, answering the counting kernels'
+membership questions (``A_x in output(A_1)``) on those objects again and
+again would dominate the runtime.
 
-This module provides the interned form the streaming classifiers count on
-(there is one representation per path: batch counts objects, streams count
-these):
+This module provides the interned form the streaming classifiers count on.
+(Both paths count ``(as-index row, hits, multiplicity)`` groups with one set
+of kernels; they differ in how they get there.  A stream interns, because
+it meets the same tuple again and retracts it later; the one-shot batch has
+nothing to remember and lowers its tuples in bulk instead --
+:func:`repro.core.matrix.lower_tuples`.)
 
 * :class:`TupleTable` interns each unique AS path and community set exactly
   once.  ASNs get dense indices into a flat ``array('Q')`` symbol table;
@@ -24,9 +27,10 @@ these):
   :mod:`repro.core.column` / :mod:`repro.core.row` consume.
 
 Because every counting phase is a pure function of ``(tuples, decisions)``
-and all phase contributions are commutative sums, swapping the
-representation cannot change a single output byte — the conformance tests
-pin the packed kernels against the object kernels tuple for tuple.
+and all phase contributions are commutative sums, the representation cannot
+change a single output byte — the conformance tests pin the packed kernels
+against the paper's listing over object tuples (``tests/column_oracle.py``)
+tuple for tuple.
 """
 
 from __future__ import annotations

@@ -9,9 +9,12 @@ recounting when the *knowledge* the algorithm relies on actually changed.
 
 Tuples are interned ``(path_id, comm_id)`` refs into the engine's shared
 :class:`~repro.core.tuples.TupleTable` and counting runs the packed kernels
-over ``(row, hits, multiplicity)`` groups; the batch object-tuple
-:class:`~repro.core.column.ColumnInference` / :class:`~repro.core.row.RowInference`
-are the oracle the stream tests compare against.
+over ``(row, hits, multiplicity)`` groups.  The batch
+:class:`~repro.core.column.ColumnInference` counts through the same two
+kernels (over a matrix it lowers in bulk), so the oracle the stream tests
+compare against is the paper's listing over object tuples,
+``tests/column_oracle.py``, and :class:`~repro.core.row.RowInference` for the
+row baseline.
 
 The key observation (see :mod:`repro.core.column`) is that every counting
 phase is a pure function of ``(tuple set, decision flags)``, linear in the

@@ -7,6 +7,8 @@ modules; tests must treat them as read-only.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.column import ColumnInference
@@ -14,6 +16,23 @@ from repro.datasets.synthetic import SyntheticConfig, SyntheticInternet
 from repro.topology.generator import InternetTopologyGenerator, TopologyConfig
 from repro.topology.routing import RoutingEngine
 from repro.usage.scenarios import ScenarioBuilder, ScenarioName
+
+
+@pytest.fixture(scope="session")
+def input_digest():
+    """``tuples -> (count, sha256 prefix)``, what the golden tests check first
+    so a generator change is told apart from a counting change.  Same line
+    format as benchmarks/e2e ``describe_tuples``."""
+
+    def digest_of(tuples):
+        digest = hashlib.sha256()
+        for item in tuples:
+            asns = " ".join(map(str, item.path.asns))
+            communities = ",".join(sorted(item.communities.to_strings()))
+            digest.update(f"{asns}|{communities}\n".encode())
+        return len(tuples), digest.hexdigest()[:16]
+
+    return digest_of
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,6 @@ the golden test pins literal counts so a counting change that flips a class
 fails here, whatever it does to the inequalities.
 """
 
-import hashlib
-
 import pytest
 
 from repro.bgp.announcement import PathCommTuple
@@ -142,29 +140,32 @@ class TestHandCraftedCases:
         self, monkeypatch, random_dataset, random_classification
     ):
         """``benchmarks/e2e`` (``KernelSpans``) times the two phases by swapping
-        the module-level kernel names, so ``run`` must resolve them at call
-        time: each wrapper sees one call per processed column."""
+        the module-level kernel names and reads ``len()`` of what they count
+        over as ``matrix.groups``, so ``run`` must resolve them at call time:
+        each wrapper sees one call per processed column, over one group per
+        tuple."""
         from repro.core import column
 
+        names = ("count_tagging_phase_packed", "count_forwarding_phase_packed")
         calls = []
 
         def spy(name):
             kernel = getattr(column, name)
 
-            def wrapped(prepared, index, decisions):
-                calls.append((index, name))
-                return kernel(prepared, index, decisions)
+            def wrapped(groups, index, tagger_flags, forward_flags):
+                calls.append((index, name, len(groups)))
+                return kernel(groups, index, tagger_flags, forward_flags)
 
             monkeypatch.setattr(column, name, wrapped)
 
-        spy("count_tagging_phase")
-        spy("count_forwarding_phase")
+        for name in names:
+            spy(name)
         inference = ColumnInference()
         result = inference.run(random_dataset.tuples)
         assert calls == [
-            (index, name)
+            (index, name, len(random_dataset.tuples))
             for index in range(1, inference.report.columns_processed + 1)
-            for name in ("count_tagging_phase", "count_forwarding_phase")
+            for name in names
         ]
         assert result.store.state_dict() == random_classification.store.state_dict()
 
@@ -218,16 +219,10 @@ class TestGoldenRandomScenario:
     """Literal counts on the session ``random_dataset`` (ROADMAP item 5(a))."""
 
     @pytest.fixture(scope="class")
-    def tuples(self, random_dataset):
+    def tuples(self, random_dataset, input_digest):
         # The input first, so a generator change is told apart from a counting
-        # change.  Same line format as benchmarks/e2e ``describe_tuples``.
-        digest = hashlib.sha256()
-        for item in random_dataset.tuples:
-            asns = " ".join(map(str, item.path.asns))
-            communities = ",".join(sorted(item.communities.to_strings()))
-            digest.update(f"{asns}|{communities}\n".encode())
-        assert len(random_dataset.tuples) == 30660
-        assert digest.hexdigest().startswith("0337142e7b0f7b72")
+        # change.
+        assert input_digest(random_dataset.tuples) == (30660, "0337142e7b0f7b72")
         return random_dataset.tuples
 
     CLASSES = ("tagger", "silent", "forward", "cleaner")

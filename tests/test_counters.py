@@ -73,14 +73,14 @@ class TestASCounters:
 class TestCounterStore:
     def test_counting_and_lookup(self):
         store = CounterStore()
-        store.apply_tagging_delta({10: (2, 1)})
+        store.apply_delta({10: (2, 1, 0, 0)})
         assert store.get(10).as_tuple() == (2, 1, 0, 0)
         assert store.get(99).as_tuple() == (0, 0, 0, 0)
         assert 10 in store and 99 not in store
 
     def test_threshold_queries(self):
         store = CounterStore(Thresholds.uniform(0.9))
-        store.apply_tagging_delta({1: (9, 1)})
+        store.apply_delta({1: (9, 1, 0, 0)})
         assert store.is_tagger(1)
         assert not store.is_silent(1)
 
@@ -93,7 +93,7 @@ class TestCounterStore:
 
     def test_undecided_when_between_thresholds(self):
         store = CounterStore(Thresholds.uniform(0.99))
-        store.apply_tagging_delta({1: (1, 1)})
+        store.apply_delta({1: (1, 1, 0, 0)})
         assert store.get_tagging(1) is TaggingClass.UNDECIDED
 
     def test_get_class_combines_both(self):
@@ -110,7 +110,7 @@ class TestCounterStore:
 
     def test_exactly_at_threshold_counts(self):
         store = CounterStore(Thresholds.uniform(0.99))
-        store.apply_forwarding_delta({7: (99, 1)})
+        store.apply_delta({7: (0, 0, 99, 1)})
         assert store.is_forward(7)
 
 

@@ -1,7 +1,10 @@
 """Integration tests for the experiment drivers (tiny scale).
 
 Each driver must run end to end and reproduce the qualitative findings of the
-corresponding paper table / figure.
+corresponding paper table / figure; the two golden classes pin Table 2 and
+Table 3 cell by cell at the test context's scale and seed (ROADMAP item 5(a),
+beside ``tests/test_column.py::TestGoldenRandomScenario``), so a counting
+change that flips a class fails here whatever it does to the inequalities.
 """
 
 import io
@@ -91,6 +94,52 @@ class TestTable2:
         assert "random-pp" in text
 
 
+class TestGoldenTable2:
+    """Literal Table 2 cells, one iteration per scenario (ROADMAP item 5(a))."""
+
+    #: scenario -> input digest, tagging (tp, fp, fn), forwarding (tp, fp, fn),
+    #: counts in ``Table2Row.counts`` order: full tc/sc/tf/sf, partial
+    #: tn/sn/nc/nf, nn, u*, *u, uu.
+    GOLDEN = {
+        "alltc": ("d4ebc8c3f8a242c1", (63, 0, 0), (59, 0, 4),
+                  [59, 0, 0, 0, 4, 0, 0, 0, 438, 0, 0, 0]),
+        "alltf": ("b3fed8f43aea6cc3", (493, 0, 8), (88, 0, 3),
+                  [0, 0, 88, 0, 405, 0, 0, 0, 8, 0, 0, 0]),
+        "random": ("5aef782b0082b8d5", (245, 0, 29), (53, 0, 22),
+                   [13, 10, 12, 18, 93, 99, 0, 0, 256, 0, 0, 0]),
+        "random+noise": ("55166f9212d25128", (200, 2, 74), (45, 0, 30),
+                         [10, 7, 12, 4, 95, 67, 0, 0, 256, 42, 7, 1]),
+        "random-p": ("dedc7e4380966042", (147, 31, 72), (36, 0, 32),
+                     [11, 8, 4, 13, 40, 95, 0, 0, 323, 0, 7, 0]),
+        "random-pp": ("4362d099d72cccc8", (125, 22, 94), (33, 1, 35),
+                      [11, 9, 3, 11, 31, 73, 0, 0, 354, 0, 9, 0]),
+    }
+    COUNT_KEYS = [
+        "full_tc", "full_sc", "full_tf", "full_sf",
+        "partial_tn", "partial_sn", "partial_nc", "partial_nf",
+        "nn", "u*", "*u", "uu",
+    ]
+
+    @pytest.fixture(scope="class")
+    def result(self, context, input_digest):
+        for scenario in table2.SCENARIO_ORDER:
+            dataset = context.scenario_builder(seed=context.seed).build(
+                scenario, seed=context.seed
+            )
+            assert input_digest(dataset.tuples) == (31563, self.GOLDEN[scenario.value][0])
+        return table2.run(context, iterations=1)
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN))
+    def test_cells(self, result, scenario):
+        _digest, tagging, forwarding, counts = self.GOLDEN[scenario]
+        (evaluation,) = result.evaluations[scenario]
+        for got, want in ((evaluation.tagging, tagging), (evaluation.forwarding, forwarding)):
+            assert (got.true_positives, got.false_positives, got.false_negatives) == want
+        row = result.row(scenario)
+        assert list(row.counts) == self.COUNT_KEYS
+        assert list(row.counts.values()) == counts
+
+
 class TestTable5and6:
     def test_matrices_have_no_cross_class_errors_in_random(self, context):
         result = table5_6.run(context, scenarios=(ScenarioName.RANDOM,))
@@ -137,6 +186,34 @@ class TestTable3:
 
     def test_format_text(self, result):
         assert "silent-cleaner" in result.format_text()
+
+
+class TestGoldenTable3:
+    """Literal Table 3 columns per collector project (ROADMAP item 5(a))."""
+
+    #: dataset -> (tuples, input digest), then the twelve ``table3.ROW_ORDER`` cells.
+    GOLDEN = {
+        "ripe": ((25050, "deb947163b8a21f1"), [18, 133, 0, 350, 12, 12, 6, 471, 1, 9, 11, 3]),
+        "routeviews": ((13527, "9d25e77b03eceb6f"), [13, 50, 0, 438, 3, 8, 6, 484, 1, 5, 2, 3]),
+        "isolario": ((5010, "b2fd580eb6f90f01"), [12, 41, 0, 448, 3, 4, 1, 493, 2, 3, 1, 1]),
+        "dMay21": ((31563, "00409fa4709a1b03"), [23, 184, 0, 294, 19, 15, 7, 460, 2, 10, 17, 5]),
+        "pch": ((42585, "669eacd4620d621d"), [28, 234, 0, 239, 28, 24, 7, 442, 2, 14, 26, 10]),
+    }
+
+    @pytest.fixture(scope="class")
+    def result(self, context, input_digest):
+        for name, (digest, _cells) in self.GOLDEN.items():
+            if name == "dMay21":
+                tuples = context.aggregate_tuples
+            else:
+                tuples = context.internet.tuples_for_project(name)
+            assert input_digest(tuples) == digest
+        return table3.run(context)
+
+    def test_cells(self, result):
+        assert list(result.columns) == list(self.GOLDEN)
+        for name, (_digest, cells) in self.GOLDEN.items():
+            assert [result.count(name, row) for row in table3.ROW_ORDER] == cells, name
 
 
 class TestFigures3Through6:

@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from column_oracle import ListingInference, assert_same_result
 from stream_oracle import engine_windows, reference_windows
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
@@ -23,7 +24,6 @@ from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
 from repro.core import matrix
-from repro.core.column import ColumnInference
 from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
@@ -67,17 +67,14 @@ OPS = st.one_of(
 def batch_inference(algorithm, thresholds, **options):
     if algorithm == "row":
         return RowInference(thresholds)
-    return ColumnInference(thresholds, **options)
+    return ListingInference(thresholds, **options)
 
 
 def assert_equals_batch(classifier, live, **options):
     """``classifier.update()`` == a fresh batch run over the *live* tuples."""
     batch = batch_inference(classifier.algorithm, classifier.thresholds, **options)
     want = batch.run(list(live))
-    got = classifier.update()
-    assert got.store.state_dict() == want.store.state_dict()
-    assert got.observed_ases == want.observed_ases
-    assert got.as_code_map() == want.as_code_map()
+    assert_same_result(classifier.update(), want)
     assert classifier.tuple_count == len(live)
     if classifier.algorithm == "column":
         assert classifier.report == batch.report

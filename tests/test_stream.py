@@ -12,13 +12,13 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from column_oracle import ListingInference, decision_view
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
-from repro.core.column import ColumnInference
 from repro.core.counters import CounterStore
 from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
@@ -349,7 +349,7 @@ class TestIncrementalColumn:
     ]
 
     def test_matches_batch_when_fed_incrementally(self):
-        batch = ColumnInference().run(tuples_from(*self.ITEMS))
+        batch = ListingInference().run(tuples_from(*self.ITEMS))
         classifier = ColumnarColumnClassifier()
         for item in tuples_from(*self.ITEMS):
             classifier.add_tuple(item)
@@ -376,7 +376,7 @@ class TestIncrementalColumn:
         add_all(classifier, tuples_from(([50], ["50:1"]), ([10, 50], ["50:1"])))
         classifier.update()
         assert classifier.stats.recount_phases > recounts_before
-        batch = ColumnInference().run(
+        batch = ListingInference().run(
             tuples_from(*self.ITEMS, ([50], ["50:1"]), ([10, 50], ["50:1"]))
         )
         assert fingerprint(classifier.result()) == fingerprint(batch)
@@ -396,7 +396,7 @@ class TestIncrementalColumn:
         assert classifier.stats.delta_phases > deltas_before
         assert classifier.tuple_count == 2
         assert fingerprint(classifier.result()) == fingerprint(
-            ColumnInference().run(all_items[:2])
+            ListingInference().run(all_items[:2])
         )
 
     def test_eviction_that_changes_a_view_recounts_from_that_phase(self):
@@ -413,7 +413,7 @@ class TestIncrementalColumn:
         assert classifier.stats.recount_phases > recounts_before
         assert classifier.stats.delta_phases == deltas_before + 1
         assert fingerprint(classifier.result()) == fingerprint(
-            ColumnInference().run(all_items[2:])
+            ListingInference().run(all_items[2:])
         )
 
     def test_state_roundtrip_mid_update(self):
@@ -596,7 +596,7 @@ class TestStreamEngine:
         engine = StreamEngine(StreamConfig(window=spec))
         streamed = engine.run(MemorySource(events))
         retained = [engine._table.tuple_of(ref) for ref in engine._last_seen]
-        assert fingerprint(streamed) == fingerprint(ColumnInference().run(retained))
+        assert fingerprint(streamed) == fingerprint(ListingInference().run(retained))
 
     def test_row_algorithm_end_to_end(self):
         engine = StreamEngine(StreamConfig(window=WindowSpec(size=100), algorithm="row"))
@@ -693,7 +693,7 @@ class TestCounterStreamingAPIs:
     def test_decision_view_matches_predicates(self):
         store = CounterStore(Thresholds.uniform(0.9))
         store.apply_delta({10: (10, 0, 0, 0), 20: (1, 9, 10, 0), 30: (0, 0, 5, 5)})
-        view = store.decision_view()
+        view = decision_view(store)
         for asn in (10, 20, 30):
             assert view.is_tagger(asn) == store.is_tagger(asn)
             assert view.is_forward(asn) == store.is_forward(asn)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from column_oracle import decision_view
 from stream_oracle import assert_packed_matches_batch
 
 from repro.bgp.announcement import PathCommTuple
@@ -162,7 +163,7 @@ class TestPackedCounterStore:
         assert packed.state_dict(as_values) == store.state_dict()
         assert packed.to_store(as_values).state_dict() == store.state_dict()
         tagger_flags, forward_flags = packed.decision_flags()
-        view = store.decision_view()
+        view = decision_view(store)
         assert {as_values[i] for i, flag in enumerate(tagger_flags) if flag} == view.tagger_ases
         assert {as_values[i] for i, flag in enumerate(forward_flags) if flag} == view.forward_ases
 
