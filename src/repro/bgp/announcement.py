@@ -4,14 +4,17 @@ The analytic unit of the paper is the tuple ``(path, comm)`` — an AS path
 together with the community set the collector peer exported
 (``output(A_1)``), see Section 4.  :class:`RouteObservation` carries the full
 provenance (collector, peer, prefix, timestamp) needed for the dataset
-statistics in Table 1; :class:`PathCommTuple` is the deduplicated form fed to
-the inference algorithm.
+statistics in Table 1; :class:`RouteBlock` is a run of observations held as
+parallel columns (what the MRT decoder fills and the streaming engine reads);
+:class:`PathCommTuple` is the deduplicated form fed to the inference
+algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Set, Tuple, TypeVar
+from itertools import repeat
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple, TypeVar, Union, overload
 
 from repro.bgp.asn import ASN
 from repro.bgp.community import CommunitySet
@@ -69,6 +72,78 @@ class RouteObservation:
     def to_tuple(self) -> PathCommTuple:
         """Project the observation onto its ``(path, comm)`` pair."""
         return PathCommTuple(self.path, self.communities)
+
+
+#: The columns of a :class:`RouteBlock`, one list each.
+_COLUMNS = ("timestamps", "peer_asns", "paths", "communities",
+            "from_rib", "afis", "prefix_lengths", "networks")
+
+
+class RouteBlock(Sequence[RouteObservation]):
+    """Consecutive route observations as parallel columns of plain values.
+
+    The MRT decoder fills one per block of announced routes; the streaming
+    engine reads its clock off ``timestamps`` and sanitizes and deduplicates
+    straight off ``peer_asns`` / ``paths`` / ``communities``, so a route it
+    already knows never becomes an object.  The NLRI stays as its checked
+    wire values (family, bit length, network bytes -- copies, never views of
+    the decoder's input) until :meth:`prefix` is asked.  To everyone else a
+    block is a ``Sequence[RouteObservation]``: ``block[i]`` and iteration
+    build observations on the way out, ``block[a:b]`` is a block.  Given
+    *observations*, it is that sequence lowered to the four columns the
+    engine reads, the sequence itself kept as the view.
+    """
+
+    def __init__(self, collector: str = "", observations: Sequence[RouteObservation] = ()) -> None:
+        self.collector = collector
+        self._observations = observations
+        self.timestamps: List[int] = [observation.timestamp for observation in observations]
+        self.peer_asns: List[ASN] = [observation.peer_asn for observation in observations]
+        self.paths: List[ASPath] = [observation.path for observation in observations]
+        self.communities: List[CommunitySet] = [item.communities for item in observations]
+        self.from_rib: List[bool] = []
+        self.afis: List[int] = []
+        self.prefix_lengths: List[int] = []
+        self.networks: List[bytes] = []
+
+    @classmethod
+    def from_observations(cls, observations: Sequence[RouteObservation]) -> "RouteBlock":
+        """*observations* lowered to columns; a block is its own lowering."""
+        return observations if isinstance(observations, RouteBlock) else cls("", observations)
+
+    def prefix(self, index: int) -> Prefix:
+        """The announced prefix of the route at *index*."""
+        if self._observations:
+            return self._observations[index].prefix
+        return Prefix.from_nlri(self.afis[index], self.prefix_lengths[index], self.networks[index])
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @overload
+    def __getitem__(self, index: int) -> RouteObservation: ...
+    @overload
+    def __getitem__(self, index: slice) -> "RouteBlock": ...
+    def __getitem__(self, index: Union[int, slice]) -> Union[RouteObservation, "RouteBlock"]:
+        if isinstance(index, slice):
+            block = RouteBlock(self.collector)
+            block._observations = self._observations[index]
+            for name in _COLUMNS:
+                setattr(block, name, getattr(self, name)[index])
+            return block
+        if self._observations:
+            return self._observations[index]
+        return RouteObservation(
+            self.collector, self.peer_asns[index], self.prefix(index), self.paths[index],
+            self.communities[index], self.timestamps[index], self.from_rib[index],
+        )
+
+    def __iter__(self) -> Iterator[RouteObservation]:
+        if self._observations:
+            return iter(self._observations)
+        prefixes = map(Prefix.from_nlri, self.afis, self.prefix_lengths, self.networks)
+        return map(RouteObservation, repeat(self.collector), self.peer_asns, prefixes,
+                   self.paths, self.communities, self.timestamps, self.from_rib)
 
 
 def unique_tuples(observations: Iterable[RouteObservation]) -> List[PathCommTuple]:

@@ -77,8 +77,16 @@ class ASPath:
 
         ASNs inside AS_SET segments are preserved in the segment list but are
         *not* part of the flattened ASN sequence; sanitation later decides
-        whether to drop the whole path (the paper removes AS_SETs).
+        whether to drop the whole path (the paper removes AS_SETs).  A path
+        that is one non-empty AS_SEQUENCE keeps no segment objects:
+        :attr:`segments` synthesises exactly that one.
         """
+        if (
+            len(segments) == 1
+            and segments[0].segment_type is SegmentType.AS_SEQUENCE
+            and segments[0].asns
+        ):
+            return cls(segments[0].asns)
         flat: List[ASN] = []
         has_set = False
         for segment in segments:

@@ -73,6 +73,16 @@ class Prefix:
         return str(self.to_network())
 
     @classmethod
+    def from_nlri(cls, afi: int, length: int, network: bytes) -> "Prefix":
+        """Build a prefix from wire NLRI: *length* bits in ``ceil(length / 8)`` bytes.
+
+        The last byte's bits past the length need not be zero on the wire (RFC
+        4271 section 4.3): shifted out, or equal prefixes compare unequal.
+        """
+        value = int.from_bytes(network, "big") >> (8 * len(network) - length)
+        return cls(value << ((32 if afi == 1 else 128) - length), length, afi)
+
+    @classmethod
     def from_string(cls, text: str) -> "Prefix":
         """Parse a textual prefix such as ``"10.0.0.0/8"``."""
         network = ipaddress.ip_network(text, strict=True)

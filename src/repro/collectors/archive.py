@@ -25,9 +25,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.bgp.announcement import RouteObservation, iter_blocks
+from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.asn import ASN
 from repro.bgp.community import CommunitySet, make_community
 from repro.bgp.messages import BGPUpdate, PathAttributes
@@ -35,6 +36,7 @@ from repro.bgp.path import ASPath
 from repro.collectors.collector import CollectorProject
 from repro.mrt.decoder import MRTDecoder
 from repro.mrt.encoder import MRTEncoder
+from repro.sanitize.filters import SANITIZE_BLOCK_SIZE
 from repro.topology.generator import Topology
 from repro.topology.routing import ValleyFreePath
 from repro.usage.propagation import CommunityPropagator
@@ -248,44 +250,40 @@ def read_mrt_files(paths: Sequence[Union[str, Path]]) -> Dict[str, bytes]:
     return blobs
 
 
-def iter_observations_from_mrt(blob: bytes, collector: str) -> Iterator[RouteObservation]:
-    """Lazily decode one collector's MRT blob into route observations.
+def iter_route_blocks_from_mrt(blobs: Mapping[str, bytes], size: int) -> Iterator[RouteBlock]:
+    """Lazily decode ``{collector: MRT blob}`` into route blocks, file after file.
 
-    Routes are decoded on demand (:meth:`repro.mrt.decoder.MRTDecoder.routes`:
-    no record object is built on the way), so a multi-gigabyte archive can
-    be streamed through the sanitizer (or the streaming engine) without ever
-    materialising the full observation list.  Observations decoded from
-    equal path-attribute blobs share one ``ASPath`` / ``CommunitySet``
-    object pair, and ones from blobs that only agree on their COMMUNITIES
-    value still share the ``CommunitySet`` (the decoder's per-file memos).
+    The blocks of :meth:`repro.mrt.decoder.MRTDecoder.blocks` in mapping
+    order, one materialised at a time (they never span collectors, so the last
+    of each file may be short), so arbitrarily large archives stream through
+    in bounded memory.  The files share one attribute / COMMUNITIES memo:
+    routes decoded from equal path-attribute blobs share one ``ASPath`` /
+    ``CommunitySet`` pair, from equal COMMUNITIES values the ``CommunitySet``.
     Anything the wire format forbids -- including a RIB record before its
     PEER_INDEX_TABLE or a peer index past it -- raises
     :class:`~repro.mrt.MRTDecodeError`.
     """
-    for timestamp, peer_asn, prefix, attributes, from_rib in MRTDecoder(blob).routes():
-        yield RouteObservation(
-            collector,
-            peer_asn,
-            prefix,
-            attributes.as_path,
-            attributes.communities,
-            timestamp,
-            from_rib,
-        )
+    decoder: Optional[MRTDecoder] = None
+    for collector, blob in blobs.items():
+        decoder = MRTDecoder(blob, share=decoder)
+        yield from decoder.blocks(collector, size)
 
 
 def iter_observation_blocks_from_mrt(
     blob: bytes, collector: str, size: int
-) -> Iterator[List[RouteObservation]]:
-    """Lazily decode one collector's MRT blob into observation blocks.
+) -> Iterator[Sequence[RouteObservation]]:
+    """One collector's MRT blob as observation blocks of up to *size*."""
+    return iter_route_blocks_from_mrt({collector: blob}, size)
 
-    Yields the observations of :func:`iter_observations_from_mrt` in the same
-    order, grouped into blocks of up to *size* (the final block may be
-    short).  Like the event iterator, only one block is materialised at a
-    time, so arbitrarily large archives stream through in bounded memory
-    while block consumers amortize their per-event dispatch.
+
+def iter_observations_from_mrt(blob: bytes, collector: str) -> Iterator[RouteObservation]:
+    """Lazily decode one collector's MRT blob into route observations.
+
+    The observation view of :func:`iter_route_blocks_from_mrt`, a block at a
+    time: a multi-gigabyte archive streams through the sanitizer without ever
+    materialising the full observation list.
     """
-    return iter_blocks(iter_observations_from_mrt(blob, collector), size)
+    return chain.from_iterable(iter_route_blocks_from_mrt({collector: blob}, SANITIZE_BLOCK_SIZE))
 
 
 def observations_from_mrt(blob: bytes, collector: str) -> List[RouteObservation]:

@@ -16,21 +16,23 @@ process; :mod:`repro.parallel` serves the streaming engine only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
-from repro.collectors.archive import iter_observations_from_mrt
+from repro.collectors.archive import iter_route_blocks_from_mrt
 from repro.core.column import ColumnInference
 from repro.core.results import ClassificationResult
 from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
-from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
-
-#: Observations sanitized per block by the batch path (purely a throughput
-#: constant, never changes the output).
-SANITIZE_BLOCK_SIZE = 4096
+from repro.sanitize.filters import (
+    SANITIZE_BLOCK_SIZE,
+    SanitationConfig,
+    SanitationStats,
+    Sanitizer,
+)
 
 
 @dataclass
@@ -142,12 +144,9 @@ class InferencePipeline:
     def run_from_mrt(self, blobs: Mapping[str, bytes]) -> PipelineResult:
         """Decode per-collector MRT blobs, then sanitize and classify.
 
-        Decoding is lazy: records stream straight from the decoder into the
-        sanitizer without materialising per-collector observation lists.
+        Decoding is lazy: route blocks stream from the decoder (one attribute
+        memo for the run) into the sanitizer as their observation view,
+        without materialising per-collector observation lists.
         """
-        observations = (
-            observation
-            for collector, blob in blobs.items()
-            for observation in iter_observations_from_mrt(blob, collector)
-        )
-        return self.run_from_observations(observations)
+        blocks = iter_route_blocks_from_mrt(blobs, SANITIZE_BLOCK_SIZE)
+        return self.run_from_observations(chain.from_iterable(blocks))

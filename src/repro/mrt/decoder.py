@@ -14,11 +14,11 @@ memos:
 * ``next(decoder)`` / :func:`decode_records` wrap the values in the record
   dataclasses of :mod:`repro.mrt.records` (the public API, what the encoder
   round-trips against);
-* :meth:`MRTDecoder.routes` yields one ``(timestamp, peer_asn, prefix,
-  attributes, from_rib)`` per announced route with no record object in
-  between.  It is what the pipeline reads
-  (:func:`repro.collectors.archive.iter_observations_from_mrt`): a record is
-  only ever a stop on the way to a route there.
+* :meth:`MRTDecoder.blocks` fills :class:`~repro.bgp.announcement.RouteBlock`
+  columns, one entry per announced route, with no record, ``Prefix`` or
+  ``RouteObservation`` in between.  It is what the pipeline reads
+  (:mod:`repro.collectors.archive`): the streaming engine straight off the
+  columns, everyone else as the ``Sequence[RouteObservation]`` a block is.
 
 Three things keep the walk cheap.  Every fixed-size header is framed with one
 ``struct.Struct.unpack_from`` behind one explicit bounds check, at absolute
@@ -29,6 +29,8 @@ update stream repeats it again, so :class:`MRTDecoder` memoises the decoded
 blob that does miss rarely carries a new community attribute (a collector
 day holds ~10x fewer distinct COMMUNITIES values than distinct blobs), so
 the COMMUNITIES value bytes are memoised as well, one level further down.
+The collector files of one replay share both memos (``MRTDecoder(blob,
+share=previous)``): a peer that feeds two collectors sends them the same blobs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import struct
 from itertools import chain, starmap
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.bgp.asn import ASN
+from repro.bgp.announcement import RouteBlock
 from repro.bgp.community import AnyCommunity, Community, CommunitySet, LargeCommunity
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
 from repro.bgp.path import ASPath, PathSegment, SegmentType
@@ -64,16 +66,15 @@ from repro.mrt.records import (
     RIBEntryRecord,
 )
 
-#: Distinct attribute blobs (and distinct COMMUNITIES values) one decoder
-#: remembers before it starts over.  A full-table RIB dump has millions of
-#: entries; the memos are a per-file working set, not a copy of the file.
+#: Distinct attribute blobs (and distinct COMMUNITIES values) the decoders of
+#: one replay remember before they start over.  A full-table RIB dump has
+#: millions of entries; the memos are a working set, not a copy of the files.
 ATTRIBUTE_MEMO_CAP = 65536
 
-#: One announced route, as :meth:`MRTDecoder.routes` yields it:
-#: ``(timestamp, peer_asn, prefix, attributes, from_rib)``.
-Route = Tuple[int, ASN, Prefix, PathAttributes, bool]
+#: One framed NLRI prefix, checked but not parsed: :meth:`Prefix.from_nlri`'s arguments.
+_NLRI = Tuple[int, int, bytes]
 #: A framed UPDATE body: ``(withdrawn, attributes, announced)``.
-_Update = Tuple[Tuple[Prefix, ...], Optional[PathAttributes], Tuple[Prefix, ...]]
+_Update = Tuple[Tuple[_NLRI, ...], Optional[PathAttributes], Tuple[_NLRI, ...]]
 
 _MRT_HEADER = struct.Struct("!IHHI")
 _PEER_TABLE_HEADER = struct.Struct("!IH")
@@ -124,10 +125,10 @@ def _truncated(what: str, wanted: int, available: int) -> MRTDecodeError:
     return MRTDecodeError(f"truncated {what}: wanted {wanted} bytes, {available} available")
 
 
-def _decode_prefix_nlri(data, pos: int, end: int, afi: int) -> Tuple[Prefix, int]:
-    """Decode one NLRI prefix (length byte + minimal network bytes) at *pos*.
+def _frame_nlri(data, pos: int, end: int, afi: int) -> Tuple[_NLRI, int]:
+    """Frame one NLRI prefix (length byte + minimal network bytes) at *pos*.
 
-    Returns the prefix and the offset just past it.
+    Returns the prefix (network bytes copied out) and the offset just past it.
     """
     total_bytes = _ADDRESS_BYTES.get(afi)
     if total_bytes is None:
@@ -141,18 +142,14 @@ def _decode_prefix_nlri(data, pos: int, end: int, afi: int) -> Tuple[Prefix, int
     n_bytes = (length + 7) >> 3
     if end - pos < n_bytes:
         raise _truncated("prefix", n_bytes, end - pos)
-    # The last byte's bits past the prefix length are "irrelevant" (RFC 4271
-    # section 4.3) and need not be zero on the wire: shift them out, or equal
-    # prefixes compare unequal and ``str()`` finds host bits set.
-    network = int.from_bytes(data[pos : pos + n_bytes], "big") >> (8 * n_bytes - length)
-    return Prefix(network << (8 * total_bytes - length), length, afi), pos + n_bytes
+    return (afi, length, bytes(data[pos : pos + n_bytes])), pos + n_bytes
 
 
-def _decode_prefixes(data, pos: int, end: int, afi: int) -> Tuple[Prefix, ...]:
-    """Decode the back-to-back NLRI prefixes filling ``data[pos:end]``."""
-    prefixes: List[Prefix] = []
+def _frame_prefixes(data, pos: int, end: int, afi: int) -> Tuple[_NLRI, ...]:
+    """Frame the back-to-back NLRI prefixes filling ``data[pos:end]``."""
+    prefixes: List[_NLRI] = []
     while pos < end:
-        prefix, pos = _decode_prefix_nlri(data, pos, end, afi)
+        prefix, pos = _frame_nlri(data, pos, end, afi)
         prefixes.append(prefix)
     return tuple(prefixes)
 
@@ -173,8 +170,13 @@ def _decode_as_path(data, pos: int, end: int, asn_size: int) -> ASPath:
         kind = _SEGMENT_TYPES.get(segment_type)
         if kind is None:
             raise MRTDecodeError(f"unknown AS path segment type {segment_type}")
-        segments.append(PathSegment(kind, struct.unpack_from(f"!{count}{code}", data, pos)))
+        asns = struct.unpack_from(f"!{count}{code}", data, pos)
         pos += size
+        if pos == end and count and kind is SegmentType.AS_SEQUENCE and not segments:
+            # One non-empty AS_SEQUENCE is the whole attribute: no segment
+            # objects (:attr:`ASPath.segments` synthesises exactly this one).
+            return ASPath(asns)
+        segments.append(PathSegment(kind, asns))
     return ASPath.from_segments(segments)
 
 
@@ -272,18 +274,19 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
 class MRTDecoder:
     """One framing walk over the MRT records of a bytes-like blob, two views.
 
-    Iterating the decoder yields the record dataclasses; :meth:`routes`
-    yields the announced routes without building them.  Both advance the same
-    position, so after a record was rejected (:class:`MRTDecodeError`) either
-    view resumes at the next one.
+    Iterating the decoder yields the record dataclasses; :meth:`blocks`
+    yields the announced routes as column blocks without building them.  Both
+    advance the same position, so after a record was rejected
+    (:class:`MRTDecodeError`) either view resumes at the next one.
 
     The decoder reads through one ``memoryview`` over *data* (``bytes``,
     ``bytearray``, ``mmap`` or another ``memoryview``); what it hands out
     holds plain values and copies, never views, so the blob's lifetime is
     not extended.
 
-    Path-attribute blobs are memoised per decoder -- that is, per file -- on
-    ``(asn_size, raw bytes)``: equal blobs decode to the *same* immutable
+    Path-attribute blobs are memoised per decoder -- per file, or per replay
+    when the files' decoders are chained with *share* -- on ``(asn_size, raw
+    bytes)``: equal blobs decode to the *same* immutable
     :class:`PathAttributes` object, so downstream dict probes on its
     ``ASPath`` / ``CommunitySet`` hit the identity shortcut and their cached
     hashes.  Beneath it, COMMUNITIES values are memoised on their raw bytes,
@@ -295,12 +298,15 @@ class MRTDecoder:
     ``attribute_memo_hits`` those answered from the blob memo.
     """
 
-    def __init__(self, data) -> None:
+    def __init__(self, data, *, share: Optional["MRTDecoder"] = None) -> None:
         self._view = memoryview(data)
         self._pos = 0
         self._peer_table: Optional[PeerIndexTable] = None
         self._attribute_memo: Dict[Tuple[int, bytes], PathAttributes] = {}
         self._community_memo: Dict[bytes, CommunitySet] = {}
+        if share is not None:
+            self._attribute_memo = share._attribute_memo
+            self._community_memo = share._community_memo
         self.attribute_blobs = 0
         self.attribute_memo_hits = 0
 
@@ -325,8 +331,8 @@ class MRTDecoder:
                 update = BGPUpdate(
                     peer_asn=peer_asn,
                     timestamp=timestamp,
-                    announced=announced,
-                    withdrawn=withdrawn,
+                    announced=tuple(starmap(Prefix.from_nlri, announced)),
+                    withdrawn=tuple(starmap(Prefix.from_nlri, withdrawn)),
                     attributes=attributes,
                 )
             return BGP4MPMessage(
@@ -349,48 +355,67 @@ class MRTDecoder:
             mrt_type=mrt_type,
             subtype=subtype,
             sequence=sequence,
-            prefix=prefix,
+            prefix=Prefix.from_nlri(*prefix),
             entries=tuple(starmap(RIBAfiEntry, entries)),
         )
 
-    # -- view 2: routes --------------------------------------------------------
-    def routes(self) -> Iterator[Route]:
-        """The announced routes of the remaining records, in archive order.
+    # -- view 2: route blocks --------------------------------------------------
+    def blocks(self, collector: str, size: int) -> Iterator[RouteBlock]:
+        """The announced routes of the remaining records as column blocks.
 
-        One ``(timestamp, peer_asn, prefix, attributes, from_rib)`` per RIB
-        entry and per announced prefix of an UPDATE; peer tables, withdrawals
-        and non-UPDATE messages are stepped over.  A RIB entry's
-        ``peer_index`` is resolved through the last PEER_INDEX_TABLE this
-        decoder met -- a RIB record before any table, or an index past it,
-        is an :class:`MRTDecodeError` like everything else the wire format
-        forbids.  A record is framed whole before its first route comes out,
-        so a framing error anywhere in it wins over both.
+        One entry per RIB entry and per announced prefix of an UPDATE, in
+        archive order, *size* to a block (the last may be short); peer
+        tables, withdrawals and non-UPDATE messages are stepped over.  A RIB
+        entry's ``peer_index`` is resolved through the last PEER_INDEX_TABLE
+        this decoder met -- a RIB record before any table, or an index past
+        it, is an :class:`MRTDecodeError` like everything else the wire format
+        forbids.  A record is framed whole and its peers resolved before its
+        first route goes in: a rejected record contributes nothing, what came
+        before it comes out ahead of the error, a new call resumes after it.
         """
-        while True:
-            frame = self._frame()
-            if frame is None:
-                return
-            timestamp, mrt_type, subtype, fields = frame
-            if mrt_type is not MRTType.TABLE_DUMP_V2:
-                update = fields[6]
-                if update is not None:
-                    peer_asn = fields[0]
-                    _withdrawn, attributes, announced = update
-                    for prefix in announced:
-                        yield timestamp, peer_asn, prefix, attributes, False
-            elif subtype is not TableDumpV2Subtype.PEER_INDEX_TABLE:
-                peer_table = self._peer_table
-                if peer_table is None:
-                    raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
-                _sequence, prefix, entries = fields
-                for peer_index, originated, attributes in entries:
-                    yield (
-                        originated or timestamp,
-                        peer_table.peer_asn_at(peer_index),
-                        prefix,
-                        attributes,
-                        True,
-                    )
+        if size < 1:
+            raise ValueError(f"block size must be >= 1, got {size}")
+        block = RouteBlock(collector)
+        try:
+            for timestamp, mrt_type, subtype, fields in iter(self._frame, None):
+                # Routes = (time, peer, attributes) entries x prefixes: an
+                # UPDATE has one entry, a RIB record one prefix.
+                rib = mrt_type is MRTType.TABLE_DUMP_V2
+                if not rib:
+                    if fields[6] is None:
+                        continue
+                    entries = [(timestamp, fields[0], fields[6][1])]
+                    prefixes = fields[6][2]
+                elif subtype is not TableDumpV2Subtype.PEER_INDEX_TABLE:
+                    peer_table = self._peer_table
+                    if peer_table is None:
+                        raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
+                    entries = [
+                        (originated or timestamp, peer_table.peer_asn_at(peer_index), attributes)
+                        for peer_index, originated, attributes in fields[2]
+                    ]
+                    prefixes = (fields[1],)
+                else:
+                    continue
+                for time, peer_asn, attributes in entries:
+                    for afi, length, network in prefixes:
+                        block.timestamps.append(time)
+                        block.peer_asns.append(peer_asn)
+                        block.paths.append(attributes.as_path)
+                        block.communities.append(attributes.communities)
+                        block.from_rib.append(rib)
+                        block.afis.append(afi)
+                        block.prefix_lengths.append(length)
+                        block.networks.append(network)
+                while len(block.timestamps) >= size:  # a record may run over
+                    yield block[:size]
+                    block = block[size:]
+        except MRTDecodeError:
+            if len(block):
+                yield block
+            raise
+        if len(block):
+            yield block
 
     # -- the framing walk ------------------------------------------------------
     def _frame(self) -> Optional[Tuple[int, MRTType, Any, Any]]:
@@ -468,13 +493,13 @@ class MRTDecoder:
     # -- TABLE_DUMP_V2 -------------------------------------------------------
     def _frame_rib(
         self, pos: int, end: int, afi: int
-    ) -> Tuple[int, Prefix, List[Tuple[int, int, PathAttributes]]]:
+    ) -> Tuple[int, _NLRI, List[Tuple[int, int, PathAttributes]]]:
         """``(sequence, prefix, [(peer_index, originated_time, attributes)])``."""
         view = self._view
         if end - pos < 4:
             raise _truncated("RIB sequence number", 4, end - pos)
         (sequence,) = _U32.unpack_from(view, pos)
-        prefix, pos = _decode_prefix_nlri(view, pos + 4, end, afi)
+        prefix, pos = _frame_nlri(view, pos + 4, end, afi)
         if end - pos < 2:
             raise _truncated("RIB entry count", 2, end - pos)
         (entry_count,) = _U16.unpack_from(view, pos)
@@ -573,14 +598,14 @@ class MRTDecoder:
         # The attribute length field must follow the withdrawn routes.
         if end - pos < withdrawn_len + 2:
             raise _truncated("withdrawn routes", withdrawn_len + 2, end - pos)
-        withdrawn = _decode_prefixes(view, pos, pos + withdrawn_len, afi)
+        withdrawn = _frame_prefixes(view, pos, pos + withdrawn_len, afi)
         pos += withdrawn_len
         (attr_len,) = _U16.unpack_from(view, pos)
         pos += 2
         if end - pos < attr_len:
             raise _truncated("path attributes", attr_len, end - pos)
         attributes = self._attributes(pos, pos + attr_len, asn_size) if attr_len else None
-        announced = _decode_prefixes(view, pos + attr_len, end, afi)
+        announced = _frame_prefixes(view, pos + attr_len, end, afi)
         if announced and attributes is None:
             raise MRTDecodeError("UPDATE announces NLRI without path attributes")
         return withdrawn, attributes, announced

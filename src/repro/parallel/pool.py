@@ -26,7 +26,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.sanitize.filters import SanitationConfig, SanitationStats
@@ -75,8 +75,9 @@ def _worker_loop(conn, shard_ids, asn_registry, prefix_allocation, sanitation) -
                 kept: List[WorkResult] = []
                 for shard_id, (seqs, observations) in by_shard.items():
                     shard_kept: List[Tuple[int, Tuple]] = []
+                    block = RouteBlock.from_observations(observations)
                     for local, pair in workers[shard_id].process_block(
-                        observations, shard_kept if want_kept else None
+                        block, shard_kept if want_kept else None
                     ):
                         news.append((seqs[local], shard_id, pair))
                     kept.extend([(seqs[local], shard_id, pair) for local, pair in shard_kept])

@@ -20,9 +20,9 @@ into pairs on the way out (eviction, state hand-off).
 from __future__ import annotations
 
 from contextlib import suppress
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.core.results import ClassificationResult
 from repro.sanitize.filters import SanitationStats
 from repro.stream.engine import StreamConfig, StreamEngine, TupleKey
@@ -88,7 +88,7 @@ class ParallelStreamEngine(StreamEngine):
 
     def _route(
         self,
-        span: Sequence[RouteObservation],
+        span: RouteBlock,
         kept: Optional[List[Tuple[int, int, TupleKey]]],
     ) -> List[Tuple[int, TupleKey]]:
         if self._pool is None:

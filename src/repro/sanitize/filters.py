@@ -9,6 +9,7 @@ of Section 4.1 and recording statistics about what was dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation, iter_blocks
@@ -34,7 +35,7 @@ class SanitationConfig:
     max_path_length: Optional[int] = None
 
 
-#: Path-level counters replayed when a block memo hit skips :meth:`sanitize_path`.
+#: Path-level counters a memo hit replays in place of :meth:`Sanitizer.sanitize_path`.
 _PATH_STAT_FIELDS: Tuple[str, ...] = (
     "dropped_as_set",
     "dropped_empty_path",
@@ -44,6 +45,13 @@ _PATH_STAT_FIELDS: Tuple[str, ...] = (
     "dropped_unallocated_asn",
     "dropped_too_long",
 )
+#: Observations decoded and sanitized per block by the batch path (purely a
+#: throughput constant, never changes the output).
+SANITIZE_BLOCK_SIZE = 4096
+#: One C-level call snapshotting all of them at once.
+_PATH_STATS = attrgetter(*_PATH_STAT_FIELDS)
+#: The counters one :meth:`Sanitizer.sanitize_path` call moved: ``(name, increment)`` pairs.
+StatDeltas = Tuple[Tuple[str, int], ...]
 
 
 @dataclass
@@ -140,6 +148,31 @@ class Sanitizer:
             return None
         return path
 
+    def sanitize_path_recorded(
+        self, path: ASPath, peer_asn: Optional[ASN]
+    ) -> Tuple[Optional[ASPath], StatDeltas]:
+        """:meth:`sanitize_path`, plus the stat increments it made.
+
+        What a memoising caller stores per distinct input; :meth:`replay` on
+        every hit keeps the counters identical to unmemoised sanitation.
+        """
+        before = _PATH_STATS(self.stats)
+        sanitized = self.sanitize_path(path, peer_asn)
+        after = _PATH_STATS(self.stats)
+        if after == before:  # kept unchanged, the common case
+            return sanitized, ()
+        return sanitized, tuple(
+            (name, now - previous)
+            for name, now, previous in zip(_PATH_STAT_FIELDS, after, before)
+            if now != previous
+        )
+
+    def replay(self, deltas: StatDeltas, hits: int = 1) -> None:
+        """Count *hits* more events with the recorded outcome *deltas*."""
+        stats = self.stats
+        for name, increment in deltas:
+            setattr(stats, name, getattr(stats, name) + increment * hits)
+
     def sanitize_observation(self, observation: RouteObservation) -> Optional[RouteObservation]:
         """Sanitize one observation; return ``None`` if it must be dropped."""
         self.stats.observations_in += 1
@@ -177,20 +210,18 @@ class Sanitizer:
         The returned list has one entry per input observation — the sanitized
         observation, or ``None`` where a filter dropped it — so callers can
         keep block positions (timestamps, shard assignments) aligned.  Within
-        the block, path sanitation is memoized per ``(path, peer_asn)`` with
-        the recorded stat increments replayed on each hit, so the counters
-        stay event-for-event identical to the per-observation path.  The memo
-        lives only for this call: registries and allocations cannot mutate
-        mid-call, so hits are always consistent, and nothing goes stale
-        across calls.
+        the block, path sanitation is memoized per distinct path and peer
+        (:meth:`sanitize_path_recorded`, replayed on each hit), so the
+        counters stay event-for-event identical to the per-observation path.
+        The memo lives only for this call: registries and allocations cannot
+        mutate mid-call, so hits are always consistent, and nothing goes
+        stale across calls.  (The streaming engine's memoised loop is
+        :meth:`repro.stream.sharding.ShardWorker.process_block`.)
         """
         stats = self.stats
         allocation = self.prefix_allocation
         check_prefix = self.config.drop_unallocated_prefixes
-        fields = _PATH_STAT_FIELDS
-        memo: Dict[
-            Tuple[ASPath, Optional[ASN]], Tuple[Optional[ASPath], Tuple[int, ...]]
-        ] = {}
+        memo: Dict[Tuple[ASPath, Optional[ASN], bool], Tuple[Optional[ASPath], StatDeltas]] = {}
         out: List[Optional[RouteObservation]] = []
         append = out.append
         for observation in observations:
@@ -203,23 +234,14 @@ class Sanitizer:
                 stats.dropped_unallocated_prefix += 1
                 append(None)
                 continue
-            key = (observation.path, observation.peer_asn)
+            # ``==`` on paths ignores the wire segments; an AS_SET does not.
+            key = (observation.path, observation.peer_asn, observation.path.has_as_set)
             hit = memo.get(key)
             if hit is None:
-                before = [getattr(stats, name) for name in fields]
-                path = self.sanitize_path(observation.path, observation.peer_asn)
-                memo[key] = (
-                    path,
-                    tuple(
-                        getattr(stats, name) - prior
-                        for name, prior in zip(fields, before)
-                    ),
-                )
-            else:
-                path, deltas = hit
-                for name, delta in zip(fields, deltas):
-                    if delta:
-                        setattr(stats, name, getattr(stats, name) + delta)
+                hit = memo[key] = self.sanitize_path_recorded(key[0], key[1])
+            elif hit[1]:
+                self.replay(hit[1])
+            path = hit[0]
             if path is None:
                 append(None)
                 continue

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.asn import ASN, ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.core.results import ClassificationResult, diff_code_maps
@@ -256,11 +256,13 @@ class StreamEngine:
         then ingestion continues — so snapshots (and therefore downstream
         publishes) are byte-identical to per-event ingest regardless of
         block size.  Each contiguous span between cuts takes one shard
-        partition pass through the router.
+        partition pass through the router.  Anything but a
+        :class:`~repro.bgp.announcement.RouteBlock` is lowered to one here, once.
         """
         count = len(events)
         if count == 0:
             return
+        events = RouteBlock.from_observations(events)
         self._note_block(count)
         if self.checkpoints is not None and self.config.checkpoint_every is not None:
             # Chunk at checkpoint boundaries BEFORE anything sees the block:
@@ -288,9 +290,9 @@ class StreamEngine:
             return
         self._ingest_span(events)
 
-    def _ingest_span(self, events: Sequence[RouteObservation]) -> None:
+    def _ingest_span(self, events: RouteBlock) -> None:
         """Advance the clock over one span, flushing windows at each cut."""
-        closes = self.clock.advance_block([event.timestamp for event in events])
+        closes = self.clock.advance_block(events.timestamps)
         if not closes:
             self._absorb_span(events)
             return
@@ -313,7 +315,7 @@ class StreamEngine:
             bucket += 1
         stats.block_size_buckets[bucket] += 1
 
-    def _absorb_span(self, span: Sequence[RouteObservation]) -> None:
+    def _absorb_span(self, span: RouteBlock) -> None:
         """Route one span through the shards and fold in what comes back.
 
         The shards hand back the newly seen tuples, which is all a
@@ -326,8 +328,9 @@ class StreamEngine:
         news = self._route(span, kept)
         if kept:
             last_seen = self._last_seen
+            timestamps = span.timestamps
             for index, shard_id, key in kept:
-                timestamp = span[index].timestamp
+                timestamp = timestamps[index]
                 previous = last_seen.get(key)
                 # A late out-of-order duplicate must not rewind retention.
                 if previous is None or timestamp > previous[0]:
@@ -340,7 +343,7 @@ class StreamEngine:
 
     def _route(
         self,
-        span: Sequence[RouteObservation],
+        span: RouteBlock,
         kept: Optional[List[Tuple[int, int, TupleKey]]],
     ) -> List[Tuple[int, TupleKey]]:
         """Sanitize + dedup one span wherever the shard state lives."""

@@ -15,6 +15,9 @@ A shard is driven a block at a time and hands back one thing: the
 :meth:`ShardRouter.process_block`).  Callers that also need every surviving
 observation's key — the engine's sliding-window retention map — pass a
 ``kept`` list to fill.  The process pool speaks the same contract over pipes.
+There is one sanitize → dedup loop, over the columns of a
+:class:`~repro.bgp.announcement.RouteBlock`: a route whose sanitation outcome
+is memoised (up to :data:`SHARD_MEMO_CAP`) costs one lookup and no object.
 
 Workers are plain objects; the engine drives them synchronously, and
 :class:`~repro.parallel.pool.ShardProcessPool` hosts the same class in
@@ -24,11 +27,10 @@ independently.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import RouteBlock
 from repro.bgp.asn import ASN, ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.core.tuples import TupleTable
@@ -38,18 +40,10 @@ from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
 #: dense ranges, so a plain modulo would skew the shard load badly.
 _HASH_MULTIPLIER = 2654435761
 
-#: SanitationStats counter fields captured in memo deltas.  The in/out
-#: totals are excluded: they change on *every* observation (in always, out
-#: when kept), so the workers account for them arithmetically per memo hit
-#: instead of replaying two recorded increments each time.
-_STAT_FIELDS = tuple(
-    name
-    for name in SanitationStats().as_dict()
-    if name not in ("observations_in", "observations_out")
-)
-
-#: One C-level call snapshotting every stat counter at once.
-_STAT_SNAPSHOT = operator.attrgetter(*_STAT_FIELDS)
+#: Distinct ``(path, comm, peer)`` inputs one worker's sanitation memo holds
+#: before it starts over (the decoder's ``ATTRIBUTE_MEMO_CAP`` twin): it
+#: memoises drops too, so a flap storm of garbage would grow it for ever.
+SHARD_MEMO_CAP = 65536
 
 
 def shard_of(peer_asn: ASN, shards: int) -> int:
@@ -97,34 +91,51 @@ class ShardWorker:
         #: dropped; ``stat_deltas`` are the per-stat increments to replay on
         #: every hit; ``pending_hits`` buffers hit counts within one
         #: :meth:`process_block` call so the replay happens once per block
-        #: instead of once per event.  Bounded by the number of distinct
-        #: inputs, like the dedup set itself.
+        #: instead of once per event.  Cleared at :data:`SHARD_MEMO_CAP`.
         self._memo: Dict[Tuple, List] = {}
 
     def process_block(
         self,
-        observations: Sequence[RouteObservation],
+        block: RouteBlock,
         kept: Optional[List[Tuple[int, Tuple]]] = None,
+        indices: Optional[Sequence[int]] = None,
     ) -> List[Tuple[int, Tuple]]:
-        """Sanitize and dedup one block of shard-local observations.
+        """Sanitize and dedup the shard-local routes of one block.
 
-        Returns ``(local_index, key)`` for the tuples new to this shard, in
-        input order; dropped and duplicate observations produce nothing.
-        When *kept* is a list it also receives ``(local_index, key)`` for
-        every observation that survived sanitation, new or duplicate (what
+        *indices* selects the positions of *block* that are this shard's, all
+        of them by default.  Returns ``(index, key)`` for the tuples new to
+        this shard, in input order; dropped and duplicate routes produce
+        nothing.  When *kept* is a list it also receives ``(index, key)`` for
+        every route that survived sanitation, new or duplicate (what
         sliding-window retention needs).  Memo-hit stat replays are buffered
         per entry and applied once at the end of the block; that is
         observationally identical to per-event replay because stats are only
         read between blocks, never inside one.
         """
+        if indices is None:
+            indices = range(len(block))
+            columns = zip(indices, block.peer_asns, block.paths, block.communities)
+        else:
+            columns = zip(
+                indices,
+                map(block.peer_asns.__getitem__, indices),
+                map(block.paths.__getitem__, indices),
+                map(block.communities.__getitem__, indices),
+            )
         sanitizer = self.sanitizer
+        stats = sanitizer.stats
+        allocation = (
+            sanitizer.prefix_allocation if sanitizer.config.drop_unallocated_prefixes else None
+        )
         # The registry / allocation objects are mutable mid-stream by design
         # (their lookups are deliberately uncached); memoising is only sound
-        # without them, so with either attached every lookup misses.
+        # without them, so with either attached the memo is not consulted.
         memoised = sanitizer.asn_registry is None and sanitizer.prefix_allocation is None
-        memo = self._memo
+        memo = self._memo if memoised else {}
         memo_get = memo.get
-        sanitize = self._sanitize_recorded
+        sanitize = sanitizer.sanitize_path_recorded
+        # The dedup key: the interned ref, or (pool workers, no table) the pair.
+        intern = (lambda *pair: pair) if self.table is None else self.table.intern
         seen = self._seen
         seen_add = seen.add
         news: List[Tuple[int, Tuple]] = []
@@ -132,76 +143,42 @@ class ShardWorker:
         keep = None if kept is None else kept.append
         touched: List[List] = []
         touched_append = touched.append
-        hit_in = 0
-        hit_out = 0
-        index = -1
-        for observation in observations:
-            index += 1
-            path = observation.path
-            memo_key = (
-                path,
-                observation.communities,
-                observation.peer_asn,
-                path.has_as_set,
-            )
+        kept_out = 0
+        for index, peer_asn, path, communities in columns:
+            memo_key = (path, communities, peer_asn, path.has_as_set)
             entry = memo_get(memo_key)
             if entry is None:
-                entry = [*sanitize(observation), 0]
+                if allocation is not None and not allocation.is_allocated(block.prefix(index)):
+                    stats.dropped_unallocated_prefix += 1
+                    continue
+                sanitized, deltas = sanitize(path, peer_asn)
+                key = None if sanitized is None else intern(sanitized, communities)
+                entry = [key, deltas, 0]
                 if memoised:
+                    if len(memo) >= SHARD_MEMO_CAP:
+                        memo.clear()
                     memo[memo_key] = entry
-                key = entry[0]
-                if key is None:
-                    continue
-            else:
-                if entry[1]:
-                    hits = entry[2]
-                    if hits == 0:
-                        touched_append(entry)
-                    entry[2] = hits + 1
-                key = entry[0]
-                hit_in += 1
-                if key is None:
-                    continue
-                hit_out += 1
+            elif entry[1]:
+                hits = entry[2]
+                if hits == 0:
+                    touched_append(entry)
+                entry[2] = hits + 1
+            key = entry[0]
+            if key is None:
+                continue
+            kept_out += 1
             if keep is not None:
                 keep((index, key))
             if key not in seen:
                 seen_add(key)
                 append((index, key))
-        stats = sanitizer.stats
-        stats.observations_in += hit_in
-        stats.observations_out += hit_out
+        stats.observations_in += len(indices)
+        stats.observations_out += kept_out
         for entry in touched:
-            hits = entry[2]
+            sanitizer.replay(entry[1], entry[2])
             entry[2] = 0
-            for name, increment in entry[1]:
-                setattr(stats, name, getattr(stats, name) + increment * hits)
-        self.events_processed += len(observations)
+        self.events_processed += len(indices)
         return news
-
-    def _sanitize_recorded(
-        self, observation: RouteObservation
-    ) -> Tuple[Optional[Tuple], Tuple[Tuple[str, int], ...]]:
-        """Run full sanitation once; capture the stat increments it made.
-
-        Returns the shard dedup key — the interned ref, or the sanitized
-        ``(path, comm)`` pair when the worker has no table — or ``None``
-        when the observation was dropped.
-        """
-        stats = self.sanitizer.stats
-        before = _STAT_SNAPSHOT(stats)
-        sanitized = self.sanitizer.sanitize_observation(observation)
-        after = _STAT_SNAPSHOT(stats)
-        changed: List[Tuple[str, int]] = []
-        for name, now, previous in zip(_STAT_FIELDS, after, before):
-            if now != previous:
-                changed.append((name, now - previous))
-        deltas = tuple(changed)
-        if sanitized is None:
-            return None, deltas
-        if self.table is not None:
-            return self.table.intern(sanitized.path, sanitized.communities), deltas
-        return (sanitized.path, sanitized.communities), deltas
 
     def evict(self, keys: Iterable[Tuple]) -> int:
         """Forget expired tuple keys so they may re-enter later."""
@@ -263,55 +240,37 @@ class ShardRouter:
     def __len__(self) -> int:
         return len(self.workers)
 
-    def _partition(
-        self, observations: Sequence[RouteObservation]
-    ) -> List[Tuple[ShardWorker, Sequence[int], Sequence[RouteObservation]]]:
-        """One sweep computing every shard assignment of a block up front.
-
-        Returns ``(worker, block indices, shard-local observations)`` per
-        shard that received anything, so each worker sees one contiguous
-        sub-block instead of interleaved per-event calls.
-        """
-        shard_count = len(self.workers)
-        if shard_count == 1:
-            return [(self.workers[0], range(len(observations)), observations)]
-        multiplier = _HASH_MULTIPLIER
-        grouped: List[Optional[Tuple[ShardWorker, List[int], List[RouteObservation]]]]
-        grouped = [None] * shard_count
-        for index, observation in enumerate(observations):
-            shard_id = ((observation.peer_asn * multiplier) & 0xFFFFFFFF) % shard_count
-            group = grouped[shard_id]
-            if group is None:
-                group = grouped[shard_id] = (self.workers[shard_id], [], [])
-            group[1].append(index)
-            group[2].append(observation)
-        return [group for group in grouped if group is not None]
-
     def process_block(
         self,
-        observations: Sequence[RouteObservation],
+        block: RouteBlock,
         kept: Optional[List[Tuple[int, int, Tuple]]] = None,
     ) -> List[Tuple[int, Tuple]]:
         """Partition one block across the shards; return its new tuples.
 
         Returns ``(index, key)`` for every tuple new to its shard, in event
-        order, exactly as if each observation had been routed to its shard's
+        order, exactly as if each route had been handed to its shard's
         worker on its own.  The order is observable: the classifiers'
         checkpoint state pickles their pending-tuple queues.  When *kept* is
-        a list it receives ``(index, shard_id, key)`` for every observation
-        that survived sanitation, also in event order.  Block indices are
-        unique, so neither sort ever compares keys.
+        a list it receives ``(index, shard_id, key)`` for every route that
+        survived sanitation, also in event order.  Block indices are unique,
+        so neither sort ever compares keys.
         """
+        shard_count = len(self.workers)
+        # One sweep computing every shard assignment of the block up front, so
+        # each worker sees one pass over its positions (a lone shard: all).
+        by_shard: List[Optional[List[int]]] = [None]
+        if shard_count > 1:
+            by_shard = [[] for _ in range(shard_count)]
+            for index, peer_asn in enumerate(block.peer_asns):
+                by_shard[((peer_asn * _HASH_MULTIPLIER) & 0xFFFFFFFF) % shard_count].append(index)
         news: List[Tuple[int, Tuple]] = []
         merged: List[Tuple[int, int, Tuple]] = []
-        for worker, indices, shard_observations in self._partition(observations):
+        for worker, indices in zip(self.workers, by_shard):
+            if indices == []:
+                continue
             shard_kept: List[Tuple[int, Tuple]] = []
-            for local, key in worker.process_block(
-                shard_observations, None if kept is None else shard_kept
-            ):
-                news.append((indices[local], key))
-            shard_id = worker.shard_id
-            merged.extend([(indices[local], shard_id, key) for local, key in shard_kept])
+            news.extend(worker.process_block(block, None if kept is None else shard_kept, indices))
+            merged.extend([(index, worker.shard_id, key) for index, key in shard_kept])
         news.sort()
         if kept is not None:
             merged.sort()

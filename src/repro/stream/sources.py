@@ -2,12 +2,13 @@
 
 An event source is simply an iterable of
 :class:`~repro.bgp.announcement.RouteObservation`; the engine pulls events
-one at a time, so sources can (and should) be lazy.  Three families ship
-with the engine, mirroring how a deployment would be fed:
+a block at a time (:class:`BlockSource`), so sources can (and should) be lazy.
+Three families ship with the engine, mirroring how a deployment would be fed:
 
 * :class:`MRTReplaySource` -- replays recorded MRT update/RIB archives
-  through the lazy decoder in :mod:`repro.collectors.archive`; this is the
-  BGPStream-style backfill path and the one the equivalence tests use;
+  through the lazy decoder in :mod:`repro.collectors.archive` as the route
+  blocks it fills; this is the BGPStream-style backfill path and the one the
+  equivalence tests use;
 * :class:`ScenarioSource` -- turns the synthetic ground-truth scenarios of
   :mod:`repro.usage` into a timed feed (load generation, benchmarks);
 * :class:`MemorySource` -- an in-memory buffer for tests and for bridging a
@@ -16,6 +17,7 @@ with the engine, mirroring how a deployment would be fed:
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import (
     Iterable,
@@ -31,12 +33,8 @@ from typing import (
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation, iter_blocks
 from repro.bgp.prefix import Prefix
-from repro.collectors.archive import (
-    DEFAULT_EPOCH,
-    iter_observation_blocks_from_mrt,
-    iter_observations_from_mrt,
-    read_mrt_files,
-)
+from repro.collectors.archive import DEFAULT_EPOCH, iter_route_blocks_from_mrt, read_mrt_files
+from repro.sanitize.filters import SANITIZE_BLOCK_SIZE
 
 
 @runtime_checkable
@@ -44,8 +42,9 @@ class BlockSource(Protocol):
     """An event source that can also hand out whole event blocks.
 
     ``iter_blocks(size)`` must yield the exact events of ``__iter__`` in the
-    exact same order, grouped into lists of at most *size* (blocks may come
-    up short, e.g. at collector boundaries).  The engine prefers this path —
+    exact same order, grouped into sequences of at most *size* (lists or
+    :class:`~repro.bgp.announcement.RouteBlock` columns; blocks may come up
+    short, e.g. at collector boundaries).  The engine prefers this path —
     one block flows through decode, sanitation, and sharding as a unit — and
     falls back to chunking ``__iter__`` for plain iterables via
     :func:`iter_event_blocks`.
@@ -53,12 +52,12 @@ class BlockSource(Protocol):
 
     def __iter__(self) -> Iterator[RouteObservation]: ...
 
-    def iter_blocks(self, size: int) -> Iterator[List[RouteObservation]]: ...
+    def iter_blocks(self, size: int) -> Iterator[Sequence[RouteObservation]]: ...
 
 
 def iter_event_blocks(
     source: Iterable[RouteObservation], size: int
-) -> Iterator[List[RouteObservation]]:
+) -> Iterator[Sequence[RouteObservation]]:
     """Drive any event source as a block stream.
 
     Sources conforming to :class:`BlockSource` yield their own blocks (lazy
@@ -140,16 +139,9 @@ class MRTReplaySource:
         """Build a replay source from MRT files on disk (one per collector)."""
         return cls(read_mrt_files(paths), order=order)
 
-    def _collector_streams(self) -> List[Iterator[RouteObservation]]:
-        return [
-            iter_observations_from_mrt(blob, collector)
-            for collector, blob in self.blobs.items()
-        ]
-
     def _merged_by_time(self) -> List[RouteObservation]:
-        merged: List[RouteObservation] = []
-        for stream in self._collector_streams():
-            merged.extend(stream)
+        blocks = iter_route_blocks_from_mrt(self.blobs, SANITIZE_BLOCK_SIZE)
+        merged = list(chain.from_iterable(blocks))
         # Stable sort on (timestamp, collector): ties across collectors break
         # on the collector name, ties within one collector keep record order.
         merged.sort(key=lambda observation: (observation.timestamp, observation.collector))
@@ -158,30 +150,22 @@ class MRTReplaySource:
     def __iter__(self) -> Iterator[RouteObservation]:
         if self.order == "time":
             return iter(self._merged_by_time())
+        return chain.from_iterable(self.iter_blocks(SANITIZE_BLOCK_SIZE))
 
-        def chained() -> Iterator[RouteObservation]:
-            for stream in self._collector_streams():
-                yield from stream
+    def iter_blocks(self, size: int) -> Iterator[Sequence[RouteObservation]]:
+        """Yield event blocks in exactly the event-iterator order.
 
-        return chained()
-
-    def iter_blocks(self, size: int) -> Iterator[List[RouteObservation]]:
-        """Yield observation blocks in exactly the event-iterator order.
-
-        ``"archive"`` order decodes lazily block-by-block per collector
-        (blocks never span collectors, so the tail block of each archive may
-        be short); ``"time"`` order chunks the same materialised merge that
-        ``__iter__`` replays.
+        ``"archive"`` order hands out the decoder's route blocks, lazily and
+        per collector (blocks never span collectors, so the tail block of
+        each archive may be short); ``"time"`` order chunks the same
+        materialised merge that ``__iter__`` replays.
         """
         if size < 1:
             raise ValueError(f"block size must be >= 1, got {size}")
         if self.order == "time":
             merged = self._merged_by_time()
-            for start in range(0, len(merged), size):
-                yield merged[start : start + size]
-            return
-        for collector, blob in self.blobs.items():
-            yield from iter_observation_blocks_from_mrt(blob, collector, size)
+            return (merged[start : start + size] for start in range(0, len(merged), size))
+        return iter_route_blocks_from_mrt(self.blobs, size)
 
 
 def _prefix_for_origin(origin: int) -> Prefix:

@@ -390,7 +390,10 @@ def split_records(blob: bytes) -> List[bytes]:
 
 
 def iter_observations(blob: bytes, collector: str) -> Iterator[RouteObservation]:
-    """``collectors.archive.iter_observations_from_mrt`` as it was before PR 16."""
+    """``collectors.archive.iter_observations_from_mrt`` as it was before PR 16,
+    but for one thing: a record is all or nothing (PR 21).  Every peer index
+    of a RIB record is resolved before its first observation comes out, so a
+    record with a bad index in a later entry contributes nothing."""
     peer_table: Optional[PeerIndexTable] = None
     for record in MRTDecoder(blob):
         if isinstance(record, PeerIndexTable):
@@ -398,17 +401,18 @@ def iter_observations(blob: bytes, collector: str) -> Iterator[RouteObservation]
         elif isinstance(record, RIBEntryRecord):
             if peer_table is None:
                 raise ValueError("RIB record before PEER_INDEX_TABLE")
-            for entry in record.entries:
-                attributes = entry.attributes
-                yield RouteObservation(
+            yield from [
+                RouteObservation(
                     collector=collector,
                     peer_asn=peer_table.peers[entry.peer_index].peer_asn,
                     prefix=record.prefix,
-                    path=attributes.as_path,
-                    communities=attributes.communities,
+                    path=entry.attributes.as_path,
+                    communities=entry.attributes.communities,
                     timestamp=entry.originated_time or record.timestamp,
                     from_rib=True,
                 )
+                for entry in record.entries
+            ]
         elif isinstance(record, BGP4MPMessage) and record.update is not None:
             update = record.update
             if update.attributes is None:

@@ -14,7 +14,7 @@ import random
 import pytest
 from stream_oracle import engine_windows, reference_windows
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import Prefix, PrefixAllocation
@@ -112,6 +112,9 @@ class TestEngineConformance:
             manager.load()
 
 
+lowered = RouteBlock.from_observations  # what ``ingest_block`` does to a list
+
+
 def _observation(item: PathCommTuple, timestamp: int) -> RouteObservation:
     return RouteObservation(
         collector="test",
@@ -134,8 +137,8 @@ class TestShardWorkerMemo:
         plain = ShardWorker(0)  # the process pool's table-less form
         columnar = ShardWorker(0, table=TupleTable())
         for observation in observations:
-            plain.process_block([observation])
-            columnar.process_block([observation])
+            plain.process_block(lowered([observation]))
+            columnar.process_block(lowered([observation]))
         assert columnar.sanitizer.stats.as_dict() == plain.sanitizer.stats.as_dict()
         assert columnar.events_processed == plain.events_processed
         assert columnar.unique_tuples == plain.unique_tuples
@@ -144,15 +147,15 @@ class TestShardWorkerMemo:
         allocation = PrefixAllocation.default_internet()
         worker = ShardWorker(0, table=TupleTable(), prefix_allocation=allocation)
         item = PathCommTuple(ASPath((101, 102)), CommunitySet())
-        worker.process_block([_observation(item, 1)])
-        worker.process_block([_observation(item, 2)])
+        worker.process_block(lowered([_observation(item, 1)]))
+        worker.process_block(lowered([_observation(item, 2)]))
         assert not worker._memo  # lookups stay live against the registry
         assert worker.sanitizer.stats.observations_in == 2
 
     def test_memo_cleared_on_state_restore(self):
         worker = ShardWorker(0, table=TupleTable())
         item = PathCommTuple(ASPath((101, 102)), CommunitySet())
-        worker.process_block([_observation(item, 1)])
+        worker.process_block(lowered([_observation(item, 1)]))
         assert worker._memo
         worker.load_state_dict(worker.state_dict())
         assert not worker._memo
@@ -168,9 +171,9 @@ class TestStateSnapshotsAreFrozen:
         worker = ShardWorker(0, table=TupleTable())
         first = PathCommTuple(ASPath((1, 2)), CommunitySet())
         second = PathCommTuple(ASPath((3, 4)), CommunitySet())
-        worker.process_block([_observation(first, 1)])
+        worker.process_block(lowered([_observation(first, 1)]))
         snapshot = worker.state_dict()
-        worker.process_block([_observation(second, 2)])
+        worker.process_block(lowered([_observation(second, 2)]))
         assert len(snapshot["seen"]) == 1  # must not grow with the live set
         assert snapshot["sanitation_stats"].observations_in == 1
         assert worker.unique_tuples == 2

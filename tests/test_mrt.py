@@ -7,7 +7,7 @@ from mrt_oracle import bgp4mp_message, mrt_record, rib_entries_record, rib_recor
 
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
-from repro.bgp.path import ASPath
+from repro.bgp.path import ASPath, PathSegment, SegmentType
 from repro.bgp.prefix import parse_prefix
 from repro.mrt import (
     BGP4MPMessage,
@@ -52,6 +52,31 @@ class TestPathAttributeCodec:
         blob = encode_path_attributes(attrs, asn_size=2)
         decoded = decode_path_attributes(blob, asn_size=2)
         assert decoded.as_path == attrs.as_path
+
+    @pytest.mark.parametrize("asn_size", [2, 4])
+    @pytest.mark.parametrize(
+        "shape, plain",
+        [
+            ([(SegmentType.AS_SEQUENCE, (3356, 1299, 2914))], True),
+            ([(SegmentType.AS_SEQUENCE, (3356,))], True),
+            ([(SegmentType.AS_SEQUENCE, ())], False),
+            ([(SegmentType.AS_SEQUENCE, (3356, 1299)), (SegmentType.AS_SEQUENCE, (2914,))], False),
+            ([(SegmentType.AS_CONFED_SEQUENCE, (64512, 64513))], False),
+            ([(SegmentType.AS_SET, (3356, 1299))], False),
+            ([(SegmentType.AS_SEQUENCE, (3356,)), (SegmentType.AS_SET, (1299, 2914))], False),
+            ([(SegmentType.AS_SEQUENCE, ()), (SegmentType.AS_SEQUENCE, (3356, 1299))], False),
+        ],
+    )
+    def test_only_a_lone_as_sequence_decodes_without_segment_objects(self, shape, plain, asn_size):
+        segments = tuple(PathSegment(kind, asns) for kind, asns in shape)
+        flat = [asn for segment in segments if not segment.is_set for asn in segment.asns]
+        blob = encode_path_attributes(PathAttributes(as_path=ASPath(flat, segments)), asn_size=asn_size)
+        path = decode_path_attributes(blob, asn_size=asn_size).as_path
+        assert (path._segments is None) == plain
+        assert path.segments == segments and path.asns == tuple(flat)
+        assert path.has_as_set == any(segment.is_set for segment in segments)
+        # Either way the wire form is what comes back out.
+        assert encode_path_attributes(PathAttributes(as_path=path), asn_size=asn_size) == blob
 
     def test_missing_as_path_rejected(self):
         with pytest.raises(MRTDecodeError):

@@ -4,9 +4,10 @@
 attribute blobs and frame headers with ``struct``.  Every well-formed input
 must decode to the same records, and every mutated one must end the same
 way: the same record prefix, then either a clean end or a rejection.  The
-same holds for the routes view production reads
-(``iter_observations_from_mrt``) against the oracle's record-by-record
-observation loop.
+same holds for the route blocks production reads (``MRTDecoder.blocks``, and
+``iter_observations_from_mrt`` on top of it) against the oracle's
+record-by-record observation loop: column by column, ``prefix(i)`` included,
+at every block size.
 """
 
 import struct
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mrt_oracle import bgp4mp_message, mrt_record, rib_entries_record, split_records
 
+from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
 from repro.bgp.path import ASPath, PathSegment, SegmentType
@@ -197,16 +199,71 @@ def assert_same_outcome(blob: bytes) -> str:
     return assert_same_records(blob)
 
 
+def block_rows(block: RouteBlock):
+    """A block read column by column: one observation (plus segments) per row."""
+    assert isinstance(block, RouteBlock) and len(block) > 0
+    columns = (block.timestamps, block.peer_asns, block.paths, block.communities,
+               block.from_rib, block.afis, block.prefix_lengths, block.networks)
+    assert {len(column) for column in columns} == {len(block)}
+    return [
+        observation_detail(
+            RouteObservation(
+                collector=block.collector,
+                peer_asn=block.peer_asns[index],
+                prefix=block.prefix(index),
+                path=block.paths[index],
+                communities=block.communities[index],
+                timestamp=block.timestamps[index],
+                from_rib=block.from_rib[index],
+            )
+        )
+        for index in range(len(block))
+    ]
+
+
+def drain_blocks(blob: bytes, size: int):
+    """``(rows, how it ended)`` of the block view, the whole blob in one call."""
+    rows = []
+    blocks, end = run(MRTDecoder(blob).blocks("rrc00", size), lambda block: block)
+    for block in blocks:
+        assert len(block) <= size
+        rows.extend(block_rows(block))
+        # The observation view of the same block: indexing, iteration, slices.
+        assert [observation_detail(item) for item in block] == block_rows(block)
+        assert [block[index] for index in range(len(block))] == list(block)
+    assert all(len(block) == size for block in blocks[:-1]) or end == "rejected"
+    return rows, end
+
+
 def assert_same_observations(blob: bytes) -> str:
-    """The routes view yields what the oracle's loop yields before it stops,
-    and stops the same way (it can stop where the records view does not: a
-    RIB record before its table, a peer index past it)."""
+    """The route blocks hold what the oracle's loop yields before it stops,
+    at every block size, and stop the same way (they can stop where the
+    records view does not: a RIB record before its table, a peer index past
+    it); so does the observation iterator on top of them."""
     expected, expected_end = run(mrt_oracle.iter_observations(blob, "rrc00"), observation_detail)
-    observations, end = run(iter_observations_from_mrt(blob, "rrc00"), observation_detail)
+    for size in (1, 3, 4096):
+        rows, end = drain_blocks(blob, size)
+        assert rows == expected
+        assert end != "crashed", "production let an untyped exception out"
+        assert end == ("clean" if expected_end == "clean" else "rejected")
+    observations, obs_end = run(iter_observations_from_mrt(blob, "rrc00"), observation_detail)
     assert observations == expected
-    assert end != "crashed", "production let an untyped exception out"
-    assert end == ("clean" if expected_end == "clean" else "rejected")
-    return end
+    assert obs_end != "crashed", "production let an untyped exception out"
+    assert obs_end == ("clean" if expected_end == "clean" else "rejected")
+    return obs_end
+
+
+def routes_of(blocks):
+    """``(timestamp, peer_asn, prefix, path, communities, from_rib)`` per route."""
+    return [
+        (item.timestamp, item.peer_asn, item.prefix, item.path, item.communities, item.from_rib)
+        for block in blocks
+        for item in block
+    ]
+
+
+def route_of(timestamp, peer_asn, prefix, attributes, from_rib):
+    return (timestamp, peer_asn, prefix, attributes.as_path, attributes.communities, from_rib)
 
 
 class TestWellFormedInputs:
@@ -238,47 +295,52 @@ def _rib_entries(*entries) -> bytes:
 
 
 class TestRoutesView:
-    """What only the routes view decides: peer indexes, record order, resuming."""
+    """What only the route-block view decides: peer indexes, record order, resuming."""
 
     TABLE = _encoded(lambda encoder: encoder.write_peer_index_table([3356, 1299], timestamp=9))
     RICH_BLOB = encode_path_attributes(RICH)
     PLAIN_BLOB = encode_path_attributes(PLAIN)
 
-    def test_bad_peer_index_in_a_later_entry_comes_after_the_earlier_ones(self):
+    def test_bad_peer_index_rejects_the_whole_record(self):
+        good = _rib_entries((1, self.PLAIN_BLOB), (0, self.RICH_BLOB))
         record = _rib_entries(
             (0, self.RICH_BLOB), (1, self.PLAIN_BLOB), (2, self.RICH_BLOB), (0, self.PLAIN_BLOB)
         )
-        blob = self.TABLE + record + _rib_entries((1, self.PLAIN_BLOB))
+        blob = self.TABLE + good + record + _rib_entries((1, self.PLAIN_BLOB))
         assert assert_same_observations(blob) == "rejected"
-        routes = MRTDecoder(blob).routes()
-        assert [(route[1], route[3].as_path) for route in (next(routes), next(routes))] == [
-            (3356, RICH.as_path), (1299, PLAIN.as_path)
+        decoder = MRTDecoder(blob)
+        blocks = decoder.blocks("rrc00", 4096)
+        # The record before it comes out whole, ahead of the error ...
+        assert [(route[1], route[3]) for route in routes_of([next(blocks)])] == [
+            (1299, PLAIN.as_path), (3356, RICH.as_path)
         ]
         with pytest.raises(MRTDecodeError, match="peer index 2"):
-            next(routes)
+            next(blocks)
+        # ... the rejected one contributes nothing, and the next one follows.
+        assert [route[1] for route in routes_of(decoder.blocks("rrc00", 4096))] == [1299]
 
     def test_a_framing_error_wins_over_a_missing_peer_table(self):
         record = _rib_entries((0, self.RICH_BLOB), (0, self.PLAIN_BLOB))
         assert assert_same_observations(record) == "rejected"
         with pytest.raises(MRTDecodeError, match="before PEER_INDEX_TABLE"):
-            next(MRTDecoder(record).routes())
+            next(MRTDecoder(record).blocks("rrc00", 1))
         # The second entry claims more attribute bytes than the record holds.
         broken = bytearray(record)
         struct.pack_into("!H", broken, len(record) - len(self.PLAIN_BLOB) - 2, 4000)
         assert assert_same_observations(bytes(broken)) == "rejected"
         with pytest.raises(MRTDecodeError, match="truncated RIB entry attributes"):
-            next(MRTDecoder(bytes(broken)).routes())
+            next(MRTDecoder(bytes(broken)).blocks("rrc00", 1))
         # ... and after a table, not even the intact first entry comes out.
         assert observations_from_mrt(self.TABLE + record, "rrc00")
-        routes = MRTDecoder(self.TABLE + bytes(broken)).routes()
+        blocks = MRTDecoder(self.TABLE + bytes(broken)).blocks("rrc00", 1)
         with pytest.raises(MRTDecodeError, match="truncated RIB entry attributes"):
-            next(routes)
+            next(blocks)
 
     def test_a_later_peer_table_replaces_the_earlier_one(self):
         other = _encoded(lambda encoder: encoder.write_peer_index_table([200000], timestamp=10))
         blob = self.TABLE + _rib_entries((1, self.PLAIN_BLOB)) + other + _rib_entries((0, self.PLAIN_BLOB))
         assert assert_same_observations(blob) == "clean"
-        assert [route[1] for route in MRTDecoder(blob).routes()] == [1299, 200000]
+        assert [route[1] for route in routes_of(MRTDecoder(blob).blocks("rrc00", 8))] == [1299, 200000]
         assert assert_same_observations(blob + _rib_entries((1, self.PLAIN_BLOB))) == "rejected"
 
     def test_withdrawals_and_non_updates_yield_no_route(self):
@@ -290,14 +352,30 @@ class TestRoutesView:
         ) + bgp4mp_message(b"", message_type=4) + bgp4mp_message(bytes(10), message_type=1)
         assert len(mrt_oracle.decode_records(blob)) == 4
         assert assert_same_observations(blob) == "clean"
-        assert list(MRTDecoder(blob).routes()) == []
+        assert list(MRTDecoder(blob).blocks("rrc00", 8)) == []
 
     def test_rib_and_update_routes_carry_the_record_fields(self):
-        routes = list(MRTDecoder(WELL_FORMED["rib-then-updates"]).routes())
-        assert routes[0] == (111, 3356, V4[0], RICH, True)  # originated time set
-        assert routes[1] == (9, 1299, V6[0], PLAIN, True)  # ... and not: the record's
-        first_update = [route for route in routes if not route[4]][: len(V4)]
-        assert first_update == [(100, 3356, prefix, RICH, False) for prefix in V4]
+        routes = routes_of(MRTDecoder(WELL_FORMED["rib-then-updates"]).blocks("rrc00", 5))
+        assert routes[0] == route_of(111, 3356, V4[0], RICH, True)  # originated time set
+        assert routes[1] == route_of(9, 1299, V6[0], PLAIN, True)  # ... and not: the record's
+        # A multi-entry RIB record: one prefix, each entry's own peer and time.
+        assert routes[3:6] == [
+            route_of(1, 3356, V4[1], RICH, True),
+            route_of(2, 1299, V4[1], SEGMENTED, True),
+            route_of(3, 200000, V4[1], RICH, True),
+        ]
+        # A multi-NLRI UPDATE: one peer, time and attribute set, each prefix.
+        first_update = [route for route in routes if not route[5]][: len(V4)]
+        assert first_update == [route_of(100, 3356, prefix, RICH, False) for prefix in V4]
+
+    def test_two_and_four_byte_peers_resolve_through_the_table(self):
+        rich = encode_path_attributes(RICH)
+        blob = split_records(WELL_FORMED["hand-framed"])[0] + b"".join(
+            rib_entries_record([(index, rich)], timestamp=9) for index in range(4)
+        )
+        assert assert_same_observations(blob) == "clean"
+        (block,) = MRTDecoder(blob).blocks("rrc00", 8)
+        assert block.peer_asns == [3356, 1299, 200000, 4200000000]
 
     def test_both_views_resume_at_the_next_record_after_an_error(self):
         good = _rib_entries((0, self.RICH_BLOB))
@@ -314,23 +392,101 @@ class TestRoutesView:
             next(decoder)
 
         decoder = MRTDecoder(blob)
-        routes = decoder.routes()
-        assert next(routes)[3] == RICH
+        blocks = decoder.blocks("rrc00", 4096)
+        assert next(blocks).paths == [RICH.as_path]  # what came before the error, cut short
         with pytest.raises(MRTDecodeError, match="subtype 99"):
-            next(routes)
+            next(blocks)
         with pytest.raises(StopIteration):  # a generator that raised is spent ...
-            next(routes)
+            next(blocks)
         with pytest.raises(MRTDecodeError, match="peer index 7"):  # ... a new one resumes
-            next(decoder.routes())
-        assert list(decoder.routes()) == [(9, 1299, V4[0], PLAIN, True)]
+            next(decoder.blocks("rrc00", 4096))
+        assert routes_of(decoder.blocks("rrc00", 4096)) == [route_of(9, 1299, V4[0], PLAIN, True)]
 
         # One position for both views: a rejected record is stepped over for either.
         decoder = MRTDecoder(blob)
         assert len(list(zip(range(2), decoder))) == 2
         with pytest.raises(MRTDecodeError, match="subtype 99"):
-            next(decoder.routes())
+            next(decoder.blocks("rrc00", 1))
         assert next(decoder).entries[0].peer_index == 7
-        assert [route[1] for route in decoder.routes()] == [1299]
+        assert [route[1] for route in routes_of(decoder.blocks("rrc00", 1))] == [1299]
+
+    def test_a_block_size_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="block size"):
+            next(MRTDecoder(WELL_FORMED["rib"]).blocks("rrc00", 0))
+
+
+class TestRouteBlocks:
+    """The block as a value: NLRI kept raw, slices, and its own lifetime."""
+
+    def test_prefix_masks_the_bits_past_its_length(self):
+        rich = encode_path_attributes(RICH)
+        cases = [
+            (1, b"\x00", "0.0.0.0/0"),
+            (1, b"\x20\x08\x08\x08\x08", "8.8.8.8/32"),
+            (1, b"\x15\x0a\xff\xff", "10.255.248.0/21"),  # 3 bits of the last byte are noise
+            (1, b"\x01\xff", "128.0.0.0/1"),
+            (2, b"\x00", "::/0"),
+            (2, b"\x25\x2a\x00\x14\x50\x47", "2a00:1450:4000::/37"),
+            (2, bytes([128]) + bytes(range(1, 17)), "102:304:506:708:90a:b0c:d0e:f10/128"),
+        ]
+        blob = TestRoutesView.TABLE + b"".join(
+            rib_entries_record([(0, rich)], nlri=nlri, subtype=2 if afi == 1 else 4) for afi, nlri, _ in cases
+        ) + b"".join(bgp4mp_message(_update_body(rich, nlri=nlri), afi=afi) for afi, nlri, _ in cases)
+        assert assert_same_observations(blob) == "clean"
+        (block,) = MRTDecoder(blob).blocks("rrc00", 64)
+        assert [str(block.prefix(index)) for index in range(len(block))] == [text for *_, text in cases] * 2
+        assert block.afis == [afi for afi, *_ in cases] * 2
+        assert block.prefix_lengths == [nlri[0] for _, nlri, _ in cases] * 2
+        assert block.networks == [nlri[1:] for _, nlri, _ in cases] * 2  # checked, not parsed
+        assert all(type(network) is bytes for network in block.networks)
+
+    @pytest.mark.parametrize("name", ["rib", "updates", "rib-then-updates", "hand-framed"])
+    def test_slices_are_blocks_over_the_same_events(self, name):
+        (block,) = MRTDecoder(WELL_FORMED[name]).blocks("rrc00", 4096)
+        rows = block_rows(block)
+        for start, stop in [(0, len(block)), (0, 1), (1, 4), (2, None), (len(block) - 1, len(block))]:
+            part = block[start:stop]
+            assert isinstance(part, RouteBlock) and part.collector == "rrc00"
+            assert block_rows(part) == rows[start:stop]
+            assert [observation_detail(item) for item in part] == rows[start:stop]
+        assert len(block[3:3]) == 0 and list(block[3:3]) == []
+        assert block[-1] == list(block)[-1]
+
+    def test_a_block_outlives_its_decoder_and_its_input(self):
+        blob = bytearray(WELL_FORMED["rib-then-updates"])
+        expected = [observation_detail(item) for item in mrt_oracle.iter_observations(bytes(blob), "rrc00")]
+        decoder = MRTDecoder(blob)
+        blocks = list(decoder.blocks("rrc00", 7))
+        del decoder
+        blob[:] = bytes(len(blob))  # a view into the buffer would read zeros now
+        del blob
+        assert [row for block in blocks for row in block_rows(block)] == expected
+
+    def test_an_observation_list_lowers_to_the_columns_the_engine_reads(self):
+        observations = observations_from_mrt(WELL_FORMED["rib-then-updates"], "rrc00")
+        block = RouteBlock.from_observations(observations)
+        assert len(block) == len(observations) and list(block) == observations
+        assert block.timestamps == [item.timestamp for item in observations]
+        assert block.peer_asns == [item.peer_asn for item in observations]
+        assert all(ours is theirs.path for ours, theirs in zip(block.paths, observations))
+        assert all(ours is theirs.communities for ours, theirs in zip(block.communities, observations))
+        assert [block.prefix(index) for index in range(len(block))] == [item.prefix for item in observations]
+        part = block[2:5]
+        assert isinstance(part, RouteBlock) and list(part) == observations[2:5]
+        assert part[0] is observations[2] and part.prefix(1) == observations[3].prefix
+
+    def test_the_files_of_one_replay_share_one_memo(self):
+        first = MRTDecoder(WELL_FORMED["rib"])
+        rib = list(first.blocks("a", 64))
+        second = MRTDecoder(WELL_FORMED["updates"], share=first)
+        updates = list(second.blocks("b", 64))
+        alone = list(MRTDecoder(WELL_FORMED["updates"]).blocks("b", 64))
+        assert routes_of(updates) == routes_of(alone)
+        assert second.attribute_memo_hits > MRTDecoder(WELL_FORMED["updates"]).attribute_memo_hits
+        by_value = {(path.asns, communities): path for path, communities in zip(rib[0].paths, rib[0].communities)}
+        shared = [path for path, communities in zip(updates[0].paths, updates[0].communities)
+                  if by_value.get((path.asns, communities)) is path]
+        assert shared, "no attribute blob of the update stream came from the RIB's memo"
 
 
 class TestVerifySkillArchives:

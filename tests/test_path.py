@@ -153,6 +153,34 @@ class TestSegments:
         assert [twin.segments for twin in rebuilt] == [path.segments] * len(rebuilt)
         assert not ASPath(path.asns or [1]).has_as_set
 
+    def test_one_as_sequence_keeps_no_segment_objects(self):
+        segment = PathSegment(SegmentType.AS_SEQUENCE, (3356, 1299, 2914))
+        path = ASPath.from_segments([segment])
+        assert path._segments is None  # nothing stored ...
+        assert path.segments == (segment,)  # ... exactly that one synthesised
+        assert not path.has_as_set and path.asns == segment.asns
+        explicit = ASPath(segment.asns, [segment])
+        assert path == explicit == segment.asns and hash(path) == hash(explicit) == hash(segment.asns)
+        twin = pickle.loads(pickle.dumps(path))
+        assert twin == path and twin._segments is None and twin.segments == (segment,)
+        assert pickle.dumps(path) == pickle.dumps(ASPath(segment.asns))
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [PathSegment(SegmentType.AS_SEQUENCE, ())],
+            [PathSegment(SegmentType.AS_SEQUENCE, (1, 2)), PathSegment(SegmentType.AS_SEQUENCE, (3,))],
+            [PathSegment(SegmentType.AS_CONFED_SEQUENCE, (64512, 64513))],
+            [PathSegment(SegmentType.AS_SET, (1, 2))],
+            [PathSegment(SegmentType.AS_SEQUENCE, (1, 2)), PathSegment(SegmentType.AS_SET, (3, 4))],
+            [],
+        ],
+    )
+    def test_every_other_shape_keeps_its_wire_segments(self, segments):
+        path = ASPath.from_segments(segments)
+        assert path._segments == tuple(segments) and path.segments == tuple(segments)
+        assert path.has_as_set == any(segment.is_set for segment in segments)
+
     def test_segment_is_set_property(self):
         assert PathSegment(SegmentType.AS_SET, (1,)).is_set
         assert PathSegment(SegmentType.AS_CONFED_SET, (1,)).is_set

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 from column_oracle import ListingInference, decision_view
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
@@ -40,6 +40,9 @@ from repro.stream import (
     WindowSpec,
     shard_of,
 )
+
+
+lowered = RouteBlock.from_observations  # what ``ingest_block`` does to a list
 
 
 def observation(asns, comms=(), timestamp=0, collector="rrc00"):
@@ -220,10 +223,12 @@ class TestSharding:
     def test_same_peer_lands_on_same_shard(self):
         router = ShardRouter(4)
         news = router.process_block(
-            [
-                observation([10, 30], ["30:1"], timestamp=1),
-                observation([10, 40], [], timestamp=2),
-            ]
+            lowered(
+                [
+                    observation([10, 30], ["30:1"], timestamp=1),
+                    observation([10, 40], [], timestamp=2),
+                ]
+            )
         )
         assert [index for index, _ in news] == [0, 1]
         worker = router.workers[shard_of(10, 4)]
@@ -232,8 +237,8 @@ class TestSharding:
     def test_duplicate_detection_across_events(self):
         router = ShardRouter(4)
         first, second = [], []
-        news1 = router.process_block([observation([10, 30], ["30:1"], timestamp=1)], first)
-        news2 = router.process_block([observation([10, 30], ["30:1"], timestamp=2)], second)
+        news1 = router.process_block(lowered([observation([10, 30], ["30:1"], timestamp=1)]), first)
+        news2 = router.process_block(lowered([observation([10, 30], ["30:1"], timestamp=2)]), second)
         ((_, key1),) = news1
         assert news2 == []  # duplicate: nothing new ...
         assert first == second == [(0, shard_of(10, 4), key1)]  # ... but kept both times
@@ -241,10 +246,10 @@ class TestSharding:
 
     def test_sanitation_stats_merge_across_shards(self):
         router = ShardRouter(4)
-        router.process_block([observation([10], [], timestamp=1)])
+        router.process_block(lowered([observation([10], [], timestamp=1)]))
         kept = []
         # private ASN: dropped, so neither new nor kept
-        assert router.process_block([observation([64512], [], timestamp=2)], kept) == []
+        assert router.process_block(lowered([observation([64512], [], timestamp=2)]), kept) == []
         assert kept == []
         stats = router.sanitation_stats()
         assert stats.observations_in == 2
@@ -316,7 +321,7 @@ class TestShardBlockContract:
         news, kept = [], []
         for start in range(0, len(events), block_size):
             block_kept = []
-            block_news = router.process_block(events[start : start + block_size], block_kept)
+            block_news = router.process_block(lowered(events[start : start + block_size]), block_kept)
             news.extend((start + index, pair(key)) for index, key in block_news)
             kept.extend((start + index, shard, pair(key)) for index, shard, key in block_kept)
 
@@ -333,7 +338,7 @@ class TestShardBlockContract:
     def test_kept_is_only_filled_on_request(self):
         events = contract_feed(50)
         asked, unasked = ShardRouter(4, table=TupleTable()), ShardRouter(4, table=TupleTable())
-        assert asked.process_block(events, []) == unasked.process_block(events)
+        assert asked.process_block(lowered(events), []) == unasked.process_block(lowered(events))
         assert asked.state_dict() == unasked.state_dict()
 
 
