@@ -113,3 +113,7 @@ class UsageClassification:
 
 #: The class assigned when an AS was never seen at all.
 UNCLASSIFIED = UsageClassification(TaggingClass.NONE, ForwardingClass.NONE)
+
+#: The 16 two-character codes, indexed ``4 * tagging + forwarding`` in enum
+#: order -- what :func:`repro.core.counters.class_code_indices` indexes into.
+CLASS_CODES = tuple(t.value + f.value for t in TaggingClass for f in ForwardingClass)

@@ -283,6 +283,4 @@ class ColumnInference:
                 and forwarding_increments == 0
             ):
                 break
-        return ClassificationResult(
-            store=packed.to_store(as_values), observed_ases=set(as_values), algorithm="column"
-        )
+        return ClassificationResult.from_packed(packed, as_values, set(as_values))

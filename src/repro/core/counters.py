@@ -9,6 +9,11 @@ The threshold queries ``is_tagger(A)`` etc. evaluate the share of the
 respective counter against the configured threshold; they are used both
 *during* counting (Cond1 / Cond2 need the knowledge gained so far) and for
 the final classification.
+
+:class:`CounterStore` states the rule per AS, over objects: what per-AS
+lookups read and the tests hold everything else to.  Kernels and results work
+on :class:`PackedCounterStore` columns: :func:`_share_mask` is the one
+vectorised threshold rule, :func:`class_code_indices` every AS's class from it.
 """
 
 from __future__ import annotations
@@ -196,19 +201,37 @@ class CounterStore:
         return {asn: self.get_class(asn) for asn in self._counters}
 
 
-def _share_flags(hit: "array[int]", miss: "array[int]", threshold: float) -> bytearray:
-    """Per-slot ``total != 0 and hit / total >= threshold`` over two columns.
+def _share_mask(hits: "_np.ndarray", misses: "_np.ndarray", threshold: float) -> "_np.ndarray":
+    """Per-slot ``total != 0 and hit / total >= threshold`` over two int64 columns.
 
     float64 true division of two int64 counts rounds exactly like Python's
-    ``int / int`` while both stay below 2**53, so the flags equal the scalar
-    rule's.  The numpy views over the ``array`` buffers are locals: they are
-    released on return, before anyone may resize the columns again.
+    ``int / int`` while both stay below 2**53, so the mask equals the scalar
+    rule's (:meth:`CounterStore.is_tagger` and its three siblings).
     """
-    hits = _np.frombuffer(hit, dtype=_np.int64)
-    totals = hits + _np.frombuffer(miss, dtype=_np.int64)
+    totals = hits + misses
     evidence = totals != 0
     shares = _np.divide(hits, totals, out=_np.zeros(len(hits)), where=evidence)
-    return bytearray((evidence & (shares >= threshold)).view(_np.uint8))
+    return evidence & (shares >= threshold)
+
+
+def class_code_indices(counters: "_np.ndarray", thresholds: Thresholds) -> "_np.ndarray":
+    """:meth:`CounterStore.get_class` for every column of a ``(4, n)`` ``t, s, f, c`` matrix.
+
+    One ``uint8`` index per AS into :data:`~repro.core.classes.CLASS_CODES`:
+    ``4 * tagging + forwarding``, each half in enum order (hit side 0, miss
+    side 1, undecided 2, none 3; the hit side -- tagger, forward -- wins).
+    """
+    tagger, silent, forward, cleaner = counters
+
+    def half(hit, miss, hit_threshold: float, miss_threshold: float):
+        index = 3 - ((hit + miss) != 0)
+        index[_share_mask(miss, hit, miss_threshold)] = 1
+        index[_share_mask(hit, miss, hit_threshold)] = 0
+        return index
+
+    tagging = half(tagger, silent, thresholds.tagger, thresholds.silent)
+    forwarding = half(forward, cleaner, thresholds.forward, thresholds.cleaner)
+    return (4 * tagging + forwarding).astype(_np.uint8)
 
 
 class PackedCounterStore:
@@ -217,7 +240,8 @@ class PackedCounterStore:
     Counters live in four flat ``array('q')`` columns indexed by the dense
     AS index a :class:`~repro.core.tuples.TupleTable` assigns, so the hot
     counting loops touch machine integers instead of per-AS objects.  The
-    delta/state APIs mirror the object store; a slot whose four
+    delta APIs mirror the object store; results copy the columns
+    (:meth:`columns`) and classify them in bulk, where a slot whose four
     counters are all zero reads as *absent*, which keeps the membership
     semantics identical to an object store that pruned retracted evidence.
     """
@@ -284,25 +308,28 @@ class PackedCounterStore:
         """
         if slots is not None:
             self.ensure_slots(slots)
+        tagger, silent, forward, cleaner = self._views()
         return (
-            _share_flags(self.tagger, self.silent, self.thresholds.tagger),
-            _share_flags(self.forward, self.cleaner, self.thresholds.forward),
+            bytearray(_share_mask(tagger, silent, self.thresholds.tagger)),
+            bytearray(_share_mask(forward, cleaner, self.thresholds.forward)),
         )
 
     # -- conversion / (de)serialisation -----------------------------------------------
-    def state_dict(self, as_values: Sequence[ASN]) -> Dict[ASN, Tuple[int, int, int, int]]:
-        """``{asn: (t, s, f, c)}`` of every non-zero slot (object-store parity)."""
-        state: Dict[ASN, Tuple[int, int, int, int]] = {}
-        tagger, silent, forward, cleaner = self.tagger, self.silent, self.forward, self.cleaner
-        for index in range(len(tagger)):
-            t, s, f, c = tagger[index], silent[index], forward[index], cleaner[index]
-            if t or s or f or c:
-                state[as_values[index]] = (t, s, f, c)
-        return state
+    def _views(self) -> "list[_np.ndarray]":
+        """Zero-copy int64 views of ``t, s, f, c``: drop them before the columns resize."""
+        columns = (self.tagger, self.silent, self.forward, self.cleaner)
+        return [_np.frombuffer(column, dtype=_np.int64) for column in columns]
 
-    def to_store(self, as_values: Sequence[ASN]) -> CounterStore:
-        """An equivalent object :class:`CounterStore` (the result boundary)."""
-        return CounterStore.from_state(self.state_dict(as_values), self.thresholds)
+    def columns(self, slots: int) -> "_np.ndarray":
+        """A ``(4, slots)`` int64 *copy* of ``t, s, f, c``, zero-padded past :attr:`slots`.
+
+        What a :class:`~repro.core.results.ClassificationResult` keeps, so
+        later deltas and column growth cannot move it.
+        """
+        columns = _np.zeros((4, slots), dtype=_np.int64)
+        held = min(slots, len(self.tagger))
+        columns[:, :held] = [view[:held] for view in self._views()]
+        return columns
 
     def arrays_state(self) -> Dict[str, "array[int]"]:
         """Raw column snapshot (checkpointing alongside the tuple table)."""

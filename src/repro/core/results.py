@@ -1,25 +1,32 @@
 """Classification results.
 
-Wraps the final counter store and provides the summaries the paper reports:
-per-class counts split by tagging and forwarding (Table 3), full
-classifications (tf / tc / sf / sc), and per-AS lookup with ``nn`` for ASes
-that were never counted.
+A result is per-AS columns -- ASN (ascending), class-code index and the four
+counters of every observed AS -- and each summary the paper reports (counts
+per tagging and forwarding class, Table 3; full classifications tf / tc / sf
+/ sc) or the stream publishes (code map, record rows) is one pass over them.
+The columnar algorithms hand over their packed counters as they are
+(:meth:`ClassificationResult.from_packed`); a result built from an object
+:class:`~repro.core.counters.CounterStore` lowers itself on first summary.
+Per-AS lookup (``nn`` for ASes never counted) reads the object store, which a
+packed result builds on first access only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as _np
 
 from repro.bgp.asn import ASN
 from repro.core.classes import (
+    CLASS_CODES,
     UNCLASSIFIED,
     ForwardingClass,
     TaggingClass,
     UsageClassification,
 )
-from repro.core.counters import ASCounters, CounterStore
+from repro.core.counters import ASCounters, CounterStore, PackedCounterStore, class_code_indices
 from repro.core.thresholds import Thresholds
 
 #: The four full classification codes in the paper's reporting order.
@@ -48,17 +55,81 @@ def diff_code_maps(
     return changes
 
 
-@dataclass
 class ClassificationResult:
-    """The outcome of one inference run."""
+    """The outcome of one inference run.
 
-    store: CounterStore
-    #: Every AS seen in the input paths (including those never counted).
-    observed_ases: Set[ASN] = field(default_factory=set)
-    #: Name of the algorithm that produced the result (column / row).
-    algorithm: str = "column"
+    A result is a finished value: its columns are taken (or lowered from
+    *store*) once and never follow later changes to the store, the observed
+    set or the classifier that produced it.
+    """
+
+    def __init__(
+        self,
+        store: CounterStore,
+        observed_ases: Optional[Set[ASN]] = None,
+        algorithm: str = "column",
+    ) -> None:
+        self._store: Optional[CounterStore] = store
+        #: ``(asns, code indices, (4, n) counters)``, rows in ascending ASN order.
+        self._columns: Optional[Tuple[List[ASN], _np.ndarray, _np.ndarray]] = None
+        #: Every AS seen in the input paths (including those never counted).
+        self.observed_ases: Set[ASN] = set() if observed_ases is None else observed_ases
+        #: Name of the algorithm that produced the result (column / row).
+        self.algorithm = algorithm
+        #: The thresholds the result was computed with.
+        self.thresholds: Thresholds = store.thresholds
+
+    @classmethod
+    def from_packed(
+        cls,
+        packed: PackedCounterStore,
+        as_values: Sequence[ASN],
+        observed_ases: Set[ASN],
+        algorithm: str = "column",
+    ) -> "ClassificationResult":
+        """The result over *packed*'s columns, slot ``i`` belonging to ``as_values[i]``.
+
+        Everything is copied here (a few memcpys and sorts, no per-AS loop):
+        the classifier may go on mutating *packed* and the table growing
+        *as_values* without moving the result.  Every observed AS must be in
+        *as_values*; slots off *observed_ases* hold no evidence (counters are
+        sums over the live tuples) and are left out.
+        """
+        asns = _np.array(as_values, dtype=_np.uint64)
+        order = _np.argsort(asns)
+        observed = _np.sort(_np.fromiter(observed_ases, _np.uint64, len(observed_ases)))
+        rows = order[_np.searchsorted(asns, observed, sorter=order)]
+        counters = packed.columns(len(asns))[:, rows]
+        codes = class_code_indices(counters, packed.thresholds)
+        result = cls.__new__(cls)
+        result._store = None
+        result._columns = (observed.tolist(), codes, counters)
+        result.observed_ases = observed_ases
+        result.algorithm = algorithm
+        result.thresholds = packed.thresholds
+        return result
+
+    def _lowered(self) -> Tuple[List[ASN], _np.ndarray, _np.ndarray]:
+        columns = self._columns
+        if columns is None:
+            assert self._store is not None
+            asns = sorted(self.observed_ases)
+            get = self._store.get
+            quads = [get(asn).as_tuple() for asn in asns]
+            counters = _np.array(quads, dtype=_np.int64).reshape(-1, 4).T
+            codes = class_code_indices(counters, self.thresholds)
+            columns = self._columns = (asns, codes, counters)
+        return columns
 
     # -- per-AS access -----------------------------------------------------------
+    @property
+    def store(self) -> CounterStore:
+        """The object counter store (built on first access by a packed result)."""
+        if self._store is None:
+            counted = {row[0]: row[2:] for row in self.records() if any(row[2:])}
+            self._store = CounterStore.from_state(counted, self.thresholds)
+        return self._store
+
     def classification_of(self, asn: ASN) -> UsageClassification:
         """The classification of *asn* (``nn`` when never counted)."""
         if asn in self.store:
@@ -75,78 +146,69 @@ class ClassificationResult:
     def __len__(self) -> int:
         return len(self.observed_ases)
 
-    @property
-    def thresholds(self) -> Thresholds:
-        """The thresholds the result was computed with."""
-        return self.store.thresholds
+    # -- summaries (one implementation each, over the columns) ------------------------
+    def _code_counts(self) -> _np.ndarray:
+        """ASes per code as a ``(tagging, forwarding)`` 4 x 4 matrix."""
+        return _np.bincount(self._lowered()[1], minlength=len(CLASS_CODES)).reshape(4, 4)
 
-    # -- summaries --------------------------------------------------------------------
     def classifications(self) -> Dict[ASN, UsageClassification]:
         """Classification of every observed AS."""
-        return {asn: self.classification_of(asn) for asn in self.observed_ases}
+        classes = {code: UsageClassification.from_code(code) for code in CLASS_CODES}
+        return {asn: classes[code] for asn, code in self.as_code_map().items()}
 
     def tagging_counts(self) -> Dict[TaggingClass, int]:
         """Number of ASes per inferred tagging class (Table 3, upper half)."""
-        counts: Dict[TaggingClass, int] = {cls: 0 for cls in TaggingClass}
-        for asn in self.observed_ases:
-            counts[self.classification_of(asn).tagging] += 1
-        return counts
+        return dict(zip(TaggingClass, self._code_counts().sum(axis=1).tolist()))
 
     def forwarding_counts(self) -> Dict[ForwardingClass, int]:
         """Number of ASes per inferred forwarding class (Table 3, middle)."""
-        counts: Dict[ForwardingClass, int] = {cls: 0 for cls in ForwardingClass}
-        for asn in self.observed_ases:
-            counts[self.classification_of(asn).forwarding] += 1
-        return counts
-
-    def full_class_counts(self) -> Dict[str, int]:
-        """Number of ASes per full classification (Table 3, lower part)."""
-        counts: Dict[str, int] = {code: 0 for code in FULL_CLASS_CODES}
-        for asn in self.observed_ases:
-            classification = self.classification_of(asn)
-            if classification.is_full:
-                counts[classification.code] += 1
-        return counts
-
-    def fully_classified_ases(self) -> Dict[ASN, UsageClassification]:
-        """Every AS whose tagging *and* forwarding behaviour was decided."""
-        result: Dict[ASN, UsageClassification] = {}
-        for asn in self.observed_ases:
-            classification = self.classification_of(asn)
-            if classification.is_full:
-                result[asn] = classification
-        return result
-
-    def ases_with_class(self, code: str) -> List[ASN]:
-        """Sorted list of ASes whose classification equals *code*."""
-        return sorted(
-            asn for asn in self.observed_ases if self.classification_of(asn).code == code
-        )
-
-    def ases_with_tagging(self, tagging: TaggingClass) -> List[ASN]:
-        """Sorted list of ASes with the given inferred tagging class."""
-        return sorted(
-            asn
-            for asn in self.observed_ases
-            if self.classification_of(asn).tagging is tagging
-        )
-
-    def ases_with_forwarding(self, forwarding: ForwardingClass) -> List[ASN]:
-        """Sorted list of ASes with the given inferred forwarding class."""
-        return sorted(
-            asn
-            for asn in self.observed_ases
-            if self.classification_of(asn).forwarding is forwarding
-        )
+        return dict(zip(ForwardingClass, self._code_counts().sum(axis=0).tolist()))
 
     def code_counter(self) -> Counter:
         """A :class:`collections.Counter` over two-character codes."""
-        return Counter(self.classification_of(asn).code for asn in self.observed_ases)
+        counts = zip(CLASS_CODES, self._code_counts().ravel().tolist())
+        return Counter({code: count for code, count in counts if count})
+
+    def full_class_counts(self) -> Dict[str, int]:
+        """Number of ASes per full classification (Table 3, lower part)."""
+        counter = self.code_counter()
+        return {code: counter[code] for code in FULL_CLASS_CODES}
+
+    def fully_classified_ases(self) -> Dict[ASN, UsageClassification]:
+        """Every AS whose tagging *and* forwarding behaviour was decided."""
+        return {asn: cls for asn, cls in self.classifications().items() if cls.is_full}
+
+    def ases_with_class(self, code: str) -> List[ASN]:
+        """Sorted list of ASes whose classification equals *code*."""
+        return [asn for asn, cls in self.as_code_map().items() if cls == code]
+
+    def ases_with_tagging(self, tagging: TaggingClass) -> List[ASN]:
+        """Sorted list of ASes with the given inferred tagging class."""
+        return [asn for asn, cls in self.classifications().items() if cls.tagging is tagging]
+
+    def ases_with_forwarding(self, forwarding: ForwardingClass) -> List[ASN]:
+        """Sorted list of ASes with the given inferred forwarding class."""
+        return [
+            asn for asn, cls in self.classifications().items() if cls.forwarding is forwarding
+        ]
 
     # -- incremental / streaming views -------------------------------------------------
     def as_code_map(self) -> Dict[ASN, str]:
-        """Flat ``{asn: code}`` view, the unit of streaming diffs."""
-        return {asn: self.classification_of(asn).code for asn in self.observed_ases}
+        """Flat ``{asn: code}`` view, the unit of streaming diffs.
+
+        Like :meth:`records`, in ascending ASN order -- whatever the shard
+        count, arrival order or hash seed, so stored rows and pickled code
+        maps are reproducible.
+        """
+        asns, codes, _ = self._lowered()
+        return dict(zip(asns, map(CLASS_CODES.__getitem__, codes.tolist())))
+
+    def records(self) -> List[Tuple[int, str, int, int, int, int]]:
+        """One ``(asn, code, t, s, f, c)`` row per observed AS: what backends persist."""
+        asns, codes, counters = self._lowered()
+        return list(
+            zip(asns, map(CLASS_CODES.__getitem__, codes.tolist()), *counters.tolist())
+        )
 
     def changed_since(self, previous: Mapping[ASN, str]) -> Dict[ASN, Tuple[str, str]]:
         """Classification changes relative to an earlier :meth:`as_code_map`.

@@ -429,22 +429,8 @@ class SnapshotBackend(ABC):
 
 
 def records_of(snapshot: WindowSnapshot) -> List[Tuple[int, str, int, int, int, int]]:
-    """Flatten a snapshot into the per-AS record rows every backend persists."""
-    result = snapshot.result
-    records = []
-    for asn in result.observed_ases:
-        counters = result.counters_of(asn)
-        records.append(
-            (
-                int(asn),
-                result.classification_of(asn).code,
-                counters.tagger,
-                counters.silent,
-                counters.forward,
-                counters.cleaner,
-            )
-        )
-    return records
+    """The per-AS record rows every backend persists, in ascending ASN order."""
+    return snapshot.result.records()
 
 
 def snapshot_from_records(

@@ -36,6 +36,14 @@ tests pin down.
 The row-based baseline is embarrassingly incremental: every tuple's
 contribution is independent of all counters, so tuples can be added *and
 retracted* with exact per-tuple deltas (no recounts, ever).
+
+What an update hands back stays columnar: both classifiers give
+:meth:`ClassificationResult.from_packed
+<repro.core.results.ClassificationResult.from_packed>` their packed counter
+columns, the table's AS array and the observed set, and it classifies every
+AS in one numpy pass.  It copies what it keeps, so a result (and the window
+snapshot holding it) does not move when later tuples intern new ASes, the row
+classifier retracts in place, or the next update rebinds the counters.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from repro.core.column import (
     count_tagging_phase_packed,
     merge_phase_delta,
 )
-from repro.core.counters import CounterStore, PackedCounterStore
+from repro.core.counters import PackedCounterStore
 from repro.core.matrix import GroupList
 from repro.core.results import ClassificationResult
 from repro.core.row import row_group_delta_packed
@@ -144,7 +152,10 @@ class ColumnarColumnClassifier:
     Tuples are held as ``(path_id, hits) -> multiplicity`` aggregates
     against a (usually engine-shared) :class:`TupleTable`; phases run the
     packed kernels over grouped work units and the per-phase memoisation
-    compares packed decision flags.
+    compares packed decision flags.  The first update after nothing was live
+    (a fresh classifier, or one whose tuples all expired) lowers its groups
+    once: the turnover is the live set, so its kernel form becomes the
+    counted cache as it is.
     """
 
     algorithm = "column"
@@ -176,7 +187,6 @@ class ColumnarColumnClassifier:
         self._tagging_records: List[PackedPhaseRecord] = []
         self._forwarding_records: List[PackedPhaseRecord] = []
         self._packed = PackedCounterStore(self.thresholds)
-        self._store = CounterStore(self.thresholds)
 
     # -- ingestion ---------------------------------------------------------------------
     @property
@@ -282,9 +292,13 @@ class ColumnarColumnClassifier:
         self._pending_groups = {}
         pending = materialize_groups(self.table, turnover)
         if turnover:
+            first = not self._groups
             merge_group_counts(self._groups, turnover)
             cache = self._counted_cache
-            if cache is not None:
+            if first:
+                # Nothing was live: the turnover *is* the live set, already lowered.
+                self._counted_cache = pending
+            elif cache is not None:
                 if len(cache) + len(pending) > _CACHE_COMPACTION_FACTOR * len(self._groups):
                     self._counted_cache = None
                 else:
@@ -325,15 +339,14 @@ class ColumnarColumnClassifier:
         del self._forwarding_records[report.columns_processed :]
 
         self._packed = packed
-        self._store = packed.to_store(self.table.as_values())
         self.report = report
         self.stats.updates += 1
         return self.result()
 
     def result(self) -> ClassificationResult:
         """The classification as of the last :meth:`update`."""
-        return ClassificationResult(
-            store=self._store, observed_ases=set(self._as_refs), algorithm="column"
+        return ClassificationResult.from_packed(
+            self._packed, self.table.as_values(), set(self._as_refs)
         )
 
     # -- checkpointing ------------------------------------------------------------------
@@ -378,7 +391,6 @@ class ColumnarColumnClassifier:
         classifier._packed = PackedCounterStore.from_arrays_state(
             state["store_arrays"], classifier.thresholds
         )
-        classifier._store = classifier._packed.to_store(table.as_values())
         classifier.stats = replace(state["stats"])
         classifier.report = state["report"]
         return classifier
@@ -391,7 +403,8 @@ class ColumnarRowClassifier:
     are exact packed-array deltas computed per ``(path, hits)`` group; a
     retracted group applies the same delta with multiplicity ``-1``, so the
     packed store is always the commutative sum of the live tuples (slots at
-    zero read as absent).
+    zero read as absent).  The store is mutated in place, which is why a
+    result copies the columns it is built from.
     """
 
     algorithm = "row"
@@ -449,10 +462,8 @@ class ColumnarRowClassifier:
 
     def result(self) -> ClassificationResult:
         """The current classification as an immutable snapshot."""
-        return ClassificationResult(
-            store=self._packed.to_store(self.table.as_values()),
-            observed_ases=set(self._as_refs),
-            algorithm="row",
+        return ClassificationResult.from_packed(
+            self._packed, self.table.as_values(), set(self._as_refs), algorithm="row"
         )
 
     # -- checkpointing ------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.stream import (
     WindowPolicy,
     WindowSpec,
 )
+from repro.stream import incremental
 from repro.stream.incremental import (
     _CACHE_COMPACTION_FACTOR,
     classifier_from_state,
@@ -246,3 +247,108 @@ class TestRetractionRegressions:
         assert_equals_batch(restored, live)
         assert_equals_batch(classifier, live)
         assert restored.stats == classifier.stats
+
+
+class TestFirstFlushLowersOnce:
+    """When nothing was live, the lowered turnover *is* the counted cache."""
+
+    @staticmethod
+    def lowering_spy():
+        """``(what materialize_groups returned, the patch that records it)``."""
+        lowered = []
+        real = incremental.materialize_groups
+
+        def spy(table, counts):
+            lowered.append(real(table, counts))
+            return lowered[-1]
+
+        return lowered, mock.patch.object(incremental, "materialize_groups", spy)
+
+    def pool(self, count=120, seed=23):
+        rng = random.Random(seed)
+        pool = {}
+        while len(pool) < count:
+            asns = rng.sample(range(1, 30), rng.randint(1, 5))
+            pool[make_tuple(asns, [asn for asn in asns if asn % 2 == 0])] = None
+        return list(pool)
+
+    def test_cache_identity_then_turnover_then_compaction(self):
+        pool = self.pool()
+        classifier = make_classifier("column", Thresholds.uniform(0.75))
+        live = dict.fromkeys(pool[:40])
+        for item in live:
+            classifier.add_tuple(item)
+        lowered, patched = self.lowering_spy()
+        with patched:
+            assert_equals_batch(classifier, live)
+        assert len(lowered) == 1  # not once for pending and again for the recount
+        assert classifier._counted_cache is lowered[0]
+        assert sorted(classifier._counted_cache) == sorted(
+            incremental.materialize_groups(classifier.table, classifier._groups)
+        )
+
+        # Turnover: the same object takes the signed rows ...
+        first = classifier._counted_cache
+        for item in pool[40:50]:
+            live[item] = None
+            classifier.add_tuple(item)
+        evicted = list(live)[:5]
+        for item in evicted:
+            del live[item]
+        classifier.evict_refs([classifier.table.intern_tuple(item) for item in evicted])
+        assert_equals_batch(classifier, live)
+        assert classifier._counted_cache is first and len(first) == 40 + 10 + 5
+
+        # ... until cancelled pairs outweigh the live groups and it is dropped.
+        evicted = list(live)[:35]
+        for item in evicted:
+            del live[item]
+        classifier.evict_refs([classifier.table.intern_tuple(item) for item in evicted])
+        for item in pool[50:90]:
+            live[item] = None
+            classifier.add_tuple(item)
+        assert len(first) + 75 > _CACHE_COMPACTION_FACTOR * len(live)
+        assert_equals_batch(classifier, live)
+        assert classifier._counted_cache is not first
+
+        # Everything leaves; the next arrivals are a first flush again, over
+        # whatever cancelled rows the cache still held.
+        classifier.evict_refs([classifier.table.intern_tuple(item) for item in live])
+        live.clear()
+        assert_equals_batch(classifier, live)
+        live = dict.fromkeys(pool[90:])
+        for item in live:
+            classifier.add_tuple(item)
+        lowered, patched = self.lowering_spy()
+        with patched:
+            assert_equals_batch(classifier, live)
+        assert len(lowered) == 1 and classifier._counted_cache is lowered[0]
+        assert_equals_batch(roundtrip(classifier), live)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_engine_windows_across_a_first_flush_turnover_and_compaction(self, shards):
+        rng = random.Random(31)
+        pool = self.pool(count=200)
+        events = []
+        for window in range(10):
+            arrivals = pool[:60] if window == 0 else rng.sample(pool, 45)
+            for step, item in enumerate(arrivals):
+                events.append(
+                    RouteObservation(
+                        collector="rrc00",
+                        peer_asn=item.path.asns[0],
+                        prefix=parse_prefix("8.8.8.0/24"),
+                        path=item.path,
+                        communities=item.communities,
+                        timestamp=100 * window + step,
+                    )
+                )
+        spec = WindowSpec(size=100, policy=WindowPolicy.SLIDING, horizon=200)
+        engine = StreamEngine(StreamConfig(window=spec, shards=shards))
+        caches = []
+        engine.on_window = lambda _snapshot: caches.append(engine.classifier._counted_cache)
+        engine.run(MemorySource(events))
+        windows, _ = reference_windows(events, spec)
+        assert engine_windows(engine) == windows
+        assert caches[0] is not None and caches[1] is caches[0]  # first flush, then turnover
+        assert any(after is not before for before, after in zip(caches, caches[1:]))
