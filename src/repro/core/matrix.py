@@ -9,12 +9,14 @@ weights are integer-valued float64, exact far beyond any realistic event
 count), so the deltas are *identical* to the scalar kernels -- the
 conformance suites run with this path active.
 
-Two producers build the matrix.  The stream classifier materialises its
-interned ``(path_id, hits) -> multiplicity`` aggregates as a
-:class:`GroupList` and lets it cache its matrix; the one-shot batch
-(:class:`~repro.core.column.ColumnInference`) has no table to intern into
-and lowers its object tuples directly with :func:`lower_tuples`, a handful
-of bulk numpy passes per block of tuples.
+Two producers build the matrix, both from flat columns and neither with a
+Python tuple per group.  The stream classifier materialises its interned
+``(path_id, hits) -> multiplicity`` aggregates as a :class:`GroupList`, whose
+matrix is filled from one gather over the table's packed paths
+(:meth:`GroupMatrix.from_cells`) once the set is big enough for these
+kernels; the one-shot batch (:class:`~repro.core.column.ColumnInference`)
+has no table to intern into and lowers its object tuples directly with
+:func:`lower_tuples`, a handful of bulk numpy passes per block of tuples.
 
 Groups whose path is longer than :data:`MAX_MATRIX_LENGTH` cannot have
 their hits bitmask represented in an ``int64`` and are kept aside in
@@ -25,7 +27,7 @@ group lists below :data:`MIN_MATRIX_GROUPS`.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -45,17 +47,29 @@ LOWERING_BLOCK_SIZE = 8192
 
 
 class GroupList(list):
-    """A list of counting groups carrying a lazily built matrix form.
+    """Counting groups in the form the kernels will read them in.
 
-    The matrix is cached on first use, so a group set is lowered to numpy
-    once, not once per phase.
+    Small sets are a plain list of ``(row, hits, multiplicity)`` tuples for
+    the scalar kernels, with a matrix built (once) on demand.  A set the
+    interned lowering already delivered as a matrix holds no tuples at all:
+    the list is empty and the group count is carried, so ``len()`` and
+    truthiness mean "groups held" whichever form that is.
     """
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_matrix", "_lowered")
+
+    def __init__(self, groups: Iterable = (), matrix: Optional["GroupMatrix"] = None) -> None:
+        super().__init__(groups)
+        self._matrix = matrix
+        #: Groups held by the matrix alone (no tuple was ever built for them).
+        self._lowered = 0 if matrix is None else len(matrix)
+
+    def __len__(self) -> int:
+        return self._lowered or super().__len__()
 
     def matrix(self) -> "GroupMatrix":
-        """The cached matrix form (built on first use)."""
-        matrix = getattr(self, "_matrix", None)
+        """The matrix form (built from the tuples on first use, then cached)."""
+        matrix = self._matrix
         if matrix is None:
             matrix = self._matrix = GroupMatrix(self)
         return matrix
@@ -67,13 +81,19 @@ class GroupList(list):
         or cancel them with a negative multiplicity (a retraction); kernels
         sum group contributions commutatively and emit deltas in ascending
         AS-index order, so such rows are indistinguishable from merged
-        multiplicities.  Keeping the matrix incrementally beats
-        rebuilding it from Python tuples on every streaming update.
+        multiplicities.  Once either side is matrix-only so is the result
+        (its tuples, if it had any, are lowered and let go).
         """
-        matrix = getattr(self, "_matrix", None)
-        self.extend(other)
-        if matrix is not None:
-            matrix.extend(other.matrix())
+        if self._lowered or other._lowered:
+            total = len(self) + len(other)
+            self.matrix().extend(other.matrix())
+            self.clear()
+            self._lowered = total
+        else:
+            matrix = self._matrix
+            self.extend(other)
+            if matrix is not None:
+                matrix.extend(other.matrix())
 
 
 #: One path-length bucket: ``(rows, hits, counts)``.
@@ -90,23 +110,53 @@ class GroupMatrix:
 
     __slots__ = ("buckets", "overflow")
 
-    def __init__(self, groups=()) -> None:
-        by_length: Dict[int, list] = {}
-        overflow = []
-        for group in groups:
-            length = len(group[0])
-            if length > MAX_MATRIX_LENGTH:
-                overflow.append(group)
-            else:
-                by_length.setdefault(length, []).append(group)
-        self.overflow: list = overflow
+    def __init__(self, groups: Iterable = ()) -> None:
         self.buckets: Dict[int, Bucket] = {}
-        for length, bucket in by_length.items():
-            self.buckets[length] = (
-                _np.array([g[0] for g in bucket], dtype=_np.int64),
-                _np.array([g[1] for g in bucket], dtype=_np.int64),
-                _np.array([g[2] for g in bucket], dtype=_np.int64),
+        self.overflow: list = []
+        columns = list(zip(*groups))
+        if columns:
+            rows, hits, counts = columns
+            lengths = _np.fromiter(map(len, rows), dtype=_np.int64, count=len(rows))
+            cells = _np.fromiter(
+                chain.from_iterable(rows), dtype=_np.int64, count=int(lengths.sum())
             )
+            lowered = self.from_cells(lengths, cells, hits, _np.array(counts, dtype=_np.int64))
+            self.buckets, self.overflow = lowered.buckets, lowered.overflow
+
+    @classmethod
+    def from_cells(
+        cls,
+        lengths: "_np.ndarray",
+        cells: "_np.ndarray",
+        hits: Sequence[int],
+        counts: "_np.ndarray",
+    ) -> "GroupMatrix":
+        """The matrix over groups given as flat columns, no tuple per group.
+
+        Group ``i`` is the ``lengths[i]`` AS indices of *cells* that follow
+        those of the groups before it, with bitmask ``hits[i]`` (Python ints:
+        an overflow path's does not fit an ``int64``) and multiplicity
+        ``counts[i]``.  Every bucket is a fresh array, no view of an input.
+        """
+        matrix = cls()
+        starts = _np.cumsum(lengths) - lengths
+        masks = _np.array(hits, dtype=object)
+        for length in _np.unique(lengths).tolist():
+            members = _np.flatnonzero(lengths == length)
+            if length > MAX_MATRIX_LENGTH:
+                matrix.overflow.extend(
+                    (tuple(cells[start : start + length].tolist()), masks[member], count)
+                    for member, start, count in zip(
+                        members.tolist(), starts[members].tolist(), counts[members].tolist()
+                    )
+                )
+                continue
+            matrix.buckets[length] = (
+                cells[starts[members][:, None] + _np.arange(length)],
+                masks[members].astype(_np.int64),
+                counts[members],
+            )
+        return matrix
 
     def __len__(self) -> int:
         """Number of counting groups held (bucket rows plus overflow)."""

@@ -22,9 +22,10 @@ nothing to remember and lowers its tuples in bulk instead --
   an upper field of the community set.  Every membership test the counting
   kernels perform afterwards is a single shift-and-mask on that bitmask.
 * :func:`materialize_groups` lowers ``(path_id, hits) -> multiplicity``
-  aggregates into :data:`CountingGroup` rows — ``(as-index row, hits,
-  multiplicity)`` — the form the packed kernels in
-  :mod:`repro.core.column` / :mod:`repro.core.row` consume.
+  aggregates into the form the packed kernels in :mod:`repro.core.column`
+  will count them in: :data:`CountingGroup` rows — ``(as-index row, hits,
+  multiplicity)`` — for a small set, matrix buckets gathered in bulk from
+  the packed paths (:meth:`TupleTable.path_cells`) for a large one.
 
 Because every counting phase is a pure function of ``(tuples, decisions)``
 and all phase contributions are commutative sums, the representation cannot
@@ -36,13 +37,16 @@ tuple for tuple.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
-from repro.core.matrix import GroupList
+from repro.core import matrix as _matrix
+from repro.core.matrix import GroupList, GroupMatrix
 
 #: A tuple interned into a :class:`TupleTable`: ``(path_id, comm_id)``.
 TupleRef = Tuple[int, int]
@@ -227,6 +231,22 @@ class TupleTable:
         """The ASN sequence of *path_id*."""
         return self._path_objs[path_id].asns
 
+    def path_cells(self, path_ids: Collection[int]) -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """``(lengths, cells)``: the AS-index rows of *path_ids*, concatenated.
+
+        One ragged gather over the packed runs instead of a row tuple per
+        path.  Both results are copies and the views they were read through
+        are gone on return: a live ``frombuffer`` view pins its ``array``, and
+        the next intern that appends to it would raise ``BufferError``.
+        """
+        ids = _np.fromiter(path_ids, dtype=_np.int64, count=len(path_ids))
+        offsets = _np.frombuffer(self._path_offsets, dtype=_np.uint64)
+        starts = offsets[ids].astype(_np.int64)
+        lengths = offsets[ids + 1].astype(_np.int64) - starts
+        firsts = _np.cumsum(lengths) - lengths
+        index = _np.arange(int(lengths.sum())) + _np.repeat(starts - firsts, lengths)
+        return lengths, _np.frombuffer(self._path_data, dtype=_np.uint64)[index].astype(_np.int64)
+
     # -- (de)serialisation (checkpointing) ---------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """Plain-data snapshot; ids are preserved by the append order."""
@@ -277,17 +297,30 @@ class TupleTable:
         return table
 
 
-def materialize_groups(table: TupleTable, counts: GroupCounts) -> GroupList:
+def materialize_groups(
+    table: TupleTable,
+    counts: GroupCounts,
+    cells: Optional[Tuple["_np.ndarray", "_np.ndarray"]] = None,
+) -> GroupList:
     """Lower ``(path_id, hits) -> count`` aggregates into kernel groups.
 
-    Returns a :class:`~repro.core.matrix.GroupList` so large group sets can
-    take the vectorised counting kernels (the matrix form is built lazily
-    and cached on the list).
+    The :class:`~repro.core.matrix.GroupList` comes back in the form the
+    kernels' size dispatch will read it in: below
+    :data:`~repro.core.matrix.MIN_MATRIX_GROUPS` groups the ``(row, hits,
+    count)`` tuples the scalar kernels walk; from there on matrix buckets
+    filled straight from the paths' *cells* (:meth:`TupleTable.path_cells`
+    over the keys, gathered here unless the caller already did), no tuple
+    per group.
     """
-    path_row = table.path_row
-    return GroupList(
-        (path_row(path_id), hits, count) for (path_id, hits), count in counts.items()
-    )
+    if len(counts) < _matrix.MIN_MATRIX_GROUPS:
+        path_row = table.path_row
+        return GroupList(
+            (path_row(path_id), hits, count) for (path_id, hits), count in counts.items()
+        )
+    lengths, flat = cells or table.path_cells([path_id for path_id, _ in counts])
+    multiplicities = _np.fromiter(counts.values(), dtype=_np.int64, count=len(counts))
+    hits = [hits for _, hits in counts]
+    return GroupList(matrix=GroupMatrix.from_cells(lengths, flat, hits, multiplicities))
 
 
 def merge_group_counts(target: GroupCounts, extra: GroupCounts) -> None:

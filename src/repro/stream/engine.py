@@ -335,9 +335,7 @@ class StreamEngine:
                 # A late out-of-order duplicate must not rewind retention.
                 if previous is None or timestamp > previous[0]:
                     last_seen[key] = (timestamp, shard_id)
-        add = self.classifier.add_ref
-        for _, key in news:
-            add(key)
+        self.classifier.add_refs([key for _, key in news])
         self.stats.events_in += len(span)
         self._events_since_checkpoint += len(span)
 
@@ -372,11 +370,9 @@ class StreamEngine:
     def finish(self) -> ClassificationResult:
         """Close the in-progress window and return the final classification."""
         closed = self.clock.close_current()
-        if closed is not None:
-            self._flush(closed)
-        else:
-            self.classifier.update()
-        return self.classifier.result()
+        if closed is None:
+            return self.classifier.update()
+        return self._flush(closed)
 
     def result(self) -> ClassificationResult:
         """The classification as of the last window flush."""
@@ -400,8 +396,8 @@ class StreamEngine:
         """Forget expired keys wherever the shard dedup state lives."""
         self.router.evict(by_shard)
 
-    def _flush(self, closed: ClosedWindow) -> None:
-        """Close one window: evict, reclassify, snapshot, notify."""
+    def _flush(self, closed: ClosedWindow) -> ClassificationResult:
+        """Close one window: evict, reclassify, snapshot, notify; the result it emitted."""
         if self.config.window.policy is WindowPolicy.SLIDING:
             self._evict_expired(closed.end - self.config.window.effective_horizon)
         result = self.classifier.update()
@@ -423,6 +419,7 @@ class StreamEngine:
         self.stats.windows_closed += 1
         if self.on_window is not None:
             self.on_window(snapshot)
+        return result
 
     # -- checkpointing ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:

@@ -33,6 +33,15 @@ identical* to a batch run over the live tuples, independent of arrival
 order, eviction order or sharding — the property the streaming equivalence
 tests pin down.
 
+Between the engine and the kernels a window's turnover stays columnar.  Per
+tuple the column classifier only folds the signed multiplicity into its
+pending ``(path_id, hits)`` group; at :meth:`~ColumnarColumnClassifier.update`
+one ragged gather over the table's packed paths
+(:meth:`TupleTable.path_cells <repro.core.tuples.TupleTable.path_cells>`)
+serves both the live per-AS / per-length counts -- two int64 columns, one
+``bincount`` each -- and, for a turnover the numpy kernels will take, the
+matrix lowering (:func:`~repro.core.tuples.materialize_groups`).
+
 The row-based baseline is embarrassingly incremental: every tuple's
 contribution is independent of all counters, so tuples can be added *and
 retracted* with exact per-tuple deltas (no recounts, ever).
@@ -49,7 +58,9 @@ classifier retracts in place, or the next update rebinds the counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
@@ -116,6 +127,22 @@ def _add_refs(refs: Dict[ASN, int], asns: Iterable[ASN], count: int) -> None:
             del refs[asn]
 
 
+def _fold_counts(
+    column: "_np.ndarray", indices: "_np.ndarray", weights: "_np.ndarray"
+) -> "_np.ndarray":
+    """*column* with the signed *weights* summed into its *indices* slots (grown to fit)."""
+    total = _np.bincount(indices, weights=weights, minlength=len(column)).astype(_np.int64)
+    total[: len(column)] += column
+    return total
+
+
+def _live_counts(column: "_np.ndarray", names: Optional[Sequence[int]] = None) -> Dict[int, int]:
+    """The non-zero slots of *column* as ``{names[slot] (or slot): count}``."""
+    slots = _np.flatnonzero(column)
+    keys = slots if names is None else _np.array(names, dtype=_np.uint64)[slots]
+    return dict(zip(keys.tolist(), column[slots].tolist()))
+
+
 @dataclass
 class PackedPhaseRecord:
     """Memoised outcome of one counting phase (one column, one pass).
@@ -143,7 +170,7 @@ def _strip_flags(tagger_flags: bytearray, forward_flags: bytearray) -> "tuple[by
 class ColumnarColumnClassifier:
     """Maintains a column-inference classification under tuple turnover.
 
-    Usage: :meth:`add_ref` newly deduplicated tuples as they arrive and
+    Usage: :meth:`add_refs` newly deduplicated tuples as they arrive and
     :meth:`evict_refs` the ones a sliding window expires, then :meth:`update`
     at every window boundary to obtain a :class:`ClassificationResult`
     identical to a batch :class:`~repro.core.column.ColumnInference` run over
@@ -152,7 +179,11 @@ class ColumnarColumnClassifier:
     Tuples are held as ``(path_id, hits) -> multiplicity`` aggregates
     against a (usually engine-shared) :class:`TupleTable`; phases run the
     packed kernels over grouped work units and the per-phase memoisation
-    compares packed decision flags.  The first update after nothing was live
+    compares packed decision flags.  The observed ASes and the column limit
+    are the non-zero slots of two reference-count columns that lag the
+    pending turnover until the next update; :meth:`result`, ``tuple_count``
+    and :meth:`state_dict` read as if they did not (format 3 keeps the
+    ``as_refs`` / ``length_refs`` dicts).  The first update after nothing was live
     (a fresh classifier, or one whose tuples all expired) lowers its groups
     once: the turnover is the live set, so its kernel form becomes the
     counted cache as it is.
@@ -180,10 +211,11 @@ class ColumnarColumnClassifier:
         self._pending_groups: GroupCounts = {}
         self._counted_cache: Optional[GroupList] = None
         self._tuple_count = 0
-        #: Live tuples (incl. pending) per AS on their path / per path length:
-        #: the keys are the observed ASes and the path lengths in use.
-        self._as_refs: Dict[ASN, int] = {}
-        self._length_refs: Dict[int, int] = {}
+        #: Live tuples per dense AS index / per path length as of the last
+        #: update (the pending turnover is folded in by :meth:`_ref_columns`):
+        #: the non-zero slots are the observed ASes and the lengths in use.
+        self._as_refs: "_np.ndarray" = _np.zeros(0, dtype=_np.int64)
+        self._length_refs: "_np.ndarray" = _np.zeros(0, dtype=_np.int64)
         self._tagging_records: List[PackedPhaseRecord] = []
         self._forwarding_records: List[PackedPhaseRecord] = []
         self._packed = PackedCounterStore(self.thresholds)
@@ -194,43 +226,32 @@ class ColumnarColumnClassifier:
         """Number of unique tuples currently live (incl. pending turnover)."""
         return self._tuple_count
 
-    def _queue(self, ref: TupleRef, count: int) -> None:
-        """Fold one tuple in with a signed multiplicity: ``+1`` arrives, ``-1`` leaves.
+    def _queue(self, refs: Sequence[TupleRef], count: int) -> None:
+        """Fold tuples in with a signed multiplicity: ``+1`` arrive, ``-1`` leave.
 
-        This runs for every new tuple of every feed, so the three signed
-        adds (pending group, ASes as in :func:`_add_refs`, path length) are
-        inlined; each drops its key at zero.
+        Only the pending group and the tuple count move per tuple; what the
+        turnover does to the per-AS and per-length columns is summed over
+        its path cells in bulk, by the next :meth:`update`.
         """
-        path_id = ref[0]
-        table = self.table
-        key = (path_id, table.hits_of(path_id, ref[1]))
+        hits_of = self.table.hits_of
         pending = self._pending_groups
-        total = pending.get(key, 0) + count
-        if total:
-            pending[key] = total
-        else:  # an arrival and an eviction of one group cancel without a trace
-            del pending[key]
-        asns = table.path_asns_of(path_id)
-        as_refs = self._as_refs
-        for asn in asns:
-            total = as_refs.get(asn, 0) + count
+        for path_id, comm_id in refs:
+            key = (path_id, hits_of(path_id, comm_id))
+            total = pending.get(key, 0) + count
             if total:
-                as_refs[asn] = total
-            else:
-                del as_refs[asn]
-        length = len(asns)
-        length_refs = self._length_refs
-        total = length_refs.get(length, 0) + count
-        if total:
-            length_refs[length] = total
-        else:
-            del length_refs[length]
-        self._tuple_count += count
+                pending[key] = total
+            else:  # an arrival and an eviction of one group cancel without a trace
+                del pending[key]
+        self._tuple_count += count * len(refs)
+
+    def add_refs(self, refs: Sequence[TupleRef]) -> None:
+        """Queue interned unique tuples for the next :meth:`update`."""
+        self._queue(refs, 1)
+        self.stats.tuples_added += len(refs)
 
     def add_ref(self, ref: TupleRef) -> None:
-        """Queue one interned unique tuple for the next :meth:`update`."""
-        self._queue(ref, 1)
-        self.stats.tuples_added += 1
+        """Queue one interned unique tuple (:meth:`add_refs` of one)."""
+        self.add_refs((ref,))
 
     def add_tuple(self, item: PathCommTuple) -> None:
         """Intern and queue one new unique tuple."""
@@ -245,8 +266,26 @@ class ColumnarColumnClassifier:
         whose decision view survived and recounts only from the first phase
         whose view the turnover actually changed.
         """
-        for ref in evicted:
-            self._queue(ref, -1)
+        self._queue(evicted, -1)
+
+    def _ref_columns(
+        self, counts: GroupCounts, cells: Optional[Tuple["_np.ndarray", "_np.ndarray"]] = None
+    ) -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """The per-AS-index and per-length columns with *counts* folded in.
+
+        Two ``bincount``s over the groups' path *cells* (gathered here unless
+        :meth:`update` already did), each cell weighted with its group's
+        signed multiplicity.  A reader between arrivals and the next update
+        folds the pending turnover on demand.
+        """
+        if not counts:
+            return self._as_refs, self._length_refs
+        lengths, flat = cells or self.table.path_cells([path_id for path_id, _ in counts])
+        weights = _np.fromiter(counts.values(), dtype=_np.int64, count=len(counts))
+        return (
+            _fold_counts(self._as_refs, flat, _np.repeat(weights, lengths)),
+            _fold_counts(self._length_refs, lengths, weights),
+        )
 
     # -- classification -----------------------------------------------------------------
     def _counted_groups(self) -> GroupList:
@@ -289,8 +328,12 @@ class ColumnarColumnClassifier:
     def update(self) -> ClassificationResult:
         """Fold the pending turnover in and return the up-to-date classification."""
         turnover = self._pending_groups
+        # One gather of the turnover's paths serves the reference columns
+        # and, for a set the numpy kernels will take, the matrix lowering.
+        cells = self.table.path_cells([path_id for path_id, _ in turnover]) if turnover else None
+        self._as_refs, self._length_refs = self._ref_columns(turnover, cells)
         self._pending_groups = {}
-        pending = materialize_groups(self.table, turnover)
+        pending = materialize_groups(self.table, turnover, cells)
         if turnover:
             first = not self._groups
             merge_group_counts(self._groups, turnover)
@@ -311,7 +354,7 @@ class ColumnarColumnClassifier:
 
         packed = PackedCounterStore(self.thresholds)
         report = ColumnInferenceReport()
-        max_length = max(self._length_refs, default=0)
+        max_length = int(_np.flatnonzero(self._length_refs).max(initial=0))
         limit = max_length if self.max_columns is None else min(max_length, self.max_columns)
         for column in range(1, limit + 1):
             tagging = self._run_phase(
@@ -345,13 +388,14 @@ class ColumnarColumnClassifier:
 
     def result(self) -> ClassificationResult:
         """The classification as of the last :meth:`update`."""
-        return ClassificationResult.from_packed(
-            self._packed, self.table.as_values(), set(self._as_refs)
-        )
+        as_values = self.table.as_values()
+        observed = set(_live_counts(self._ref_columns(self._pending_groups)[0], as_values))
+        return ClassificationResult.from_packed(self._packed, as_values, observed)
 
     # -- checkpointing ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """Plain-data snapshot (ids are relative to the shared table)."""
+        as_refs, length_refs = self._ref_columns(self._pending_groups)
         return {
             "algorithm": self.algorithm,
             "thresholds": self.thresholds,
@@ -360,8 +404,8 @@ class ColumnarColumnClassifier:
             "groups": dict(self._groups),
             "pending_groups": dict(self._pending_groups),
             "tuple_count": self._tuple_count,
-            "as_refs": dict(self._as_refs),
-            "length_refs": dict(self._length_refs),
+            "as_refs": _live_counts(as_refs, self.table.as_values()),
+            "length_refs": _live_counts(length_refs),
             "tagging_records": list(self._tagging_records),
             "forwarding_records": list(self._forwarding_records),
             "store_arrays": self._packed.arrays_state(),
@@ -384,8 +428,11 @@ class ColumnarColumnClassifier:
         classifier._groups = dict(state["groups"])
         classifier._pending_groups = dict(state["pending_groups"])
         classifier._tuple_count = state["tuple_count"]
-        classifier._as_refs = dict(state["as_refs"])
-        classifier._length_refs = dict(state["length_refs"])
+        # The columns lag the pending turnover, which the checkpointed
+        # ``as_refs`` / ``length_refs`` include: re-derived from the counted groups.
+        classifier._as_refs, classifier._length_refs = classifier._ref_columns(
+            classifier._groups
+        )
         classifier._tagging_records = list(state["tagging_records"])
         classifier._forwarding_records = list(state["forwarding_records"])
         classifier._packed = PackedCounterStore.from_arrays_state(
@@ -444,6 +491,11 @@ class ColumnarRowClassifier:
         self._apply_ref(ref, 1)
         self.stats.tuples_added += 1
         self.stats.delta_phases += 1
+
+    def add_refs(self, refs: Sequence[TupleRef]) -> None:
+        """Fold interned unique tuples in, one exact delta each."""
+        for ref in refs:
+            self.add_ref(ref)
 
     def add_tuple(self, item: PathCommTuple) -> None:
         """Intern and fold one new unique tuple."""
