@@ -12,7 +12,8 @@ Design points:
 * **constant-time comparison** -- :func:`check_token` compares through
   :func:`hmac.compare_digest`, so a probing client learns nothing about the
   token from response timing;
-* **one wire shape** -- clients send ``Authorization: Bearer <token>``;
+* **one wire shape** -- clients send ``Authorization: Bearer <token>``
+  (the scheme in any case);
   :class:`~repro.service.client.ServiceClient` adds the header on every
   request (replication pulls included) when built with ``token=``;
 * **explicit failures** -- a missing header is ``401 unauthorized``, a
@@ -35,7 +36,8 @@ from typing import Mapping, Optional
 #: Environment variable ``--auth-token`` falls back to on the CLI.
 AUTH_TOKEN_ENV = "REPRO_AUTH_TOKEN"
 
-_BEARER_PREFIX = "Bearer "
+#: The auth-scheme and its separator, lower-cased (schemes are case-insensitive).
+_BEARER_PREFIX = "bearer "
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,17 @@ def bearer_token(headers: Optional[Mapping[str, str]]) -> Optional[str]:
     """Extract the bearer token from request headers (``None`` if absent).
 
     Accepts any mapping with a ``get`` -- a plain dict in tests, the
-    ``email.message.Message`` of ``BaseHTTPRequestHandler`` in production
-    (whose ``get`` is already case-insensitive on header names).
+    server's :class:`~repro.service.server.RequestHeaders` in production
+    (whose ``get`` is case-insensitive on header names).  The scheme is
+    matched case-insensitively (RFC 7235 §2.1: ``bearer`` is ``Bearer``);
+    the token is returned exactly as sent.
     """
     if headers is None:
         return None
     value = headers.get("Authorization") or headers.get("authorization")
     if value is None:
         return None
-    if not value.startswith(_BEARER_PREFIX):
+    if value[: len(_BEARER_PREFIX)].lower() != _BEARER_PREFIX:
         # A present-but-unusable header is a credential, just a wrong one.
         return ""
     return value[len(_BEARER_PREFIX):]

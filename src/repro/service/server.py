@@ -32,19 +32,33 @@ entries (the latest snapshot, popular ASes) are served from memory without
 rebuilding multi-thousand-row payloads from the backend.  Requests are
 handled on a :class:`ThreadingHTTPServer`; the SQLite backend uses
 per-thread connections against the WAL, so readers never block the producer.
+
+The HTTP adapter (:class:`_Handler`) keeps the stdlib's request-line rules:
+keep-alive by default on ``HTTP/1.1`` only (``Connection: close`` /
+``keep-alive`` override), HTTP/0.9 ``GET`` with a bare body, 400 for a bad
+version or syntax, 505 for ``HTTP/2+``, 501 for any method but ``GET``,
+``Expect: 100-continue`` honoured, a leading ``//`` collapsed.  It reads the
+head itself: a line over 65 536 bytes is 414 (request line) or 431, more than
+100 header lines 431; names are case-insensitive, the first of duplicate
+headers wins, obs-fold lines continue the header above.  A response -- status
+line, ``Server``, ``Date``, ``Content-Type``, ``Content-Length``, body -- is one
+socket send.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 import threading
 import time
 from collections import OrderedDict
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -53,6 +67,7 @@ from typing import (
     Tuple,
     Type,
     Union,
+    cast,
 )
 from urllib.parse import parse_qs
 
@@ -80,14 +95,10 @@ class StatsSink(Protocol):
     its ``/metrics`` scrape.
     """
 
-    def record(self, worker_id: int, *, hit: bool, error: bool) -> None:
-        """Count one request handled by *worker_id*."""
-        ...
-
     def observe(
         self, worker_id: int, endpoint: str, *, hit: bool, error: bool, seconds: float
     ) -> None:
-        """Account one request against *endpoint*'s fleet-wide series."""
+        """Count one request handled by *worker_id* against *endpoint*."""
         ...
 
     def payload(self) -> Dict[str, object]:
@@ -124,36 +135,17 @@ class ApiError(Exception):
         self.code = code if code is not None else _ERROR_CODES.get(status, "error")
 
 
-class ServiceStats:
-    """Live request / cache counters of one service instance."""
+class ServiceStats(NamedTuple):
+    """One service's request / cache counters: its endpoint series summed."""
 
-    def __init__(self) -> None:
-        self.requests = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.errors = 0
-        self._lock = threading.Lock()
-
-    def record(self, *, hit: bool = False, error: bool = False) -> None:
-        """Count one handled request."""
-        with self._lock:
-            self.requests += 1
-            if error:
-                self.errors += 1
-            elif hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
+    requests: int
+    cache_hits: int
+    cache_misses: int
+    errors: int
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for ``/v1/stats``."""
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "errors": self.errors,
-            }
+        return dict(self._asdict())
 
 
 class LRUCache:
@@ -261,7 +253,6 @@ class ClassificationService:
     ) -> None:
         self.store = store
         self.cache = LRUCache(cache_size)
-        self.stats = ServiceStats()
         self.metrics = MetricsRecorder()
         self.worker_id = worker_id
         self.stats_sink = stats_sink
@@ -284,22 +275,14 @@ class ClassificationService:
     UNCACHED_PATHS = VOLATILE_PATHS | frozenset({"/v1/replication/changes"})
 
     # -- entry point --------------------------------------------------------------------
-    def _record(
-        self,
-        endpoint: str,
-        *,
-        hit: bool = False,
-        error: bool = False,
-        seconds: float = 0.0,
-    ) -> None:
-        """Count one request locally and (if fleet-attached) in the sink."""
-        self.stats.record(hit=hit, error=error)
-        self.metrics.observe(endpoint, hit=hit, error=error, seconds=seconds)
-        if self.stats_sink is not None:
-            self.stats_sink.record(self.worker_id, hit=hit, error=error)
-            self.stats_sink.observe(
-                self.worker_id, endpoint, hit=hit, error=error, seconds=seconds
-            )
+    @property
+    def stats(self) -> ServiceStats:
+        """This service's request / cache counters (one sum over its endpoint series)."""
+        totals = dict.fromkeys(ServiceStats._fields, 0)
+        for series in self.metrics.endpoint_stats().values():
+            for field in totals:
+                totals[field] += cast(int, series[field])
+        return ServiceStats(**totals)
 
     def resolve(self, path: str) -> Tuple[Optional[Route], Dict[str, str]]:
         """The route table row (and captured params) serving *path*."""
@@ -333,18 +316,19 @@ class ClassificationService:
         # the cache on the raw target would also store one entry per alias
         # of the same resource.
         path = "/" + "/".join(part for part in raw_path.split("/") if part)
-        route, _params = self.resolve(path)
+        route, params = self.resolve(path)
         endpoint = route.metric_name if route is not None else UNKNOWN_ENDPOINT
 
         def finish(
             status: int, body: bytes, content_type: str, *, hit: bool = False
         ) -> ServiceResponse:
-            self._record(
-                endpoint,
-                hit=hit,
-                error=status >= 400,
-                seconds=time.perf_counter() - started,
-            )
+            # Metrics see every outcome: locally, and fleet-wide if attached.
+            error, seconds = status >= 400, time.perf_counter() - started
+            self.metrics.observe(endpoint, hit=hit, error=error, seconds=seconds)
+            if self.stats_sink is not None:
+                self.stats_sink.observe(
+                    self.worker_id, endpoint, hit=hit, error=error, seconds=seconds
+                )
             return ServiceResponse(status, body, content_type)
 
         if self.auth_token is not None:
@@ -370,7 +354,9 @@ class ClassificationService:
             if cached is not None:
                 return finish(200, cached, JSON_CONTENT_TYPE, hit=True)
         try:
-            payload = self._route(path, parse_qs(query_text))
+            if route is None:
+                raise ApiError(404, f"unknown endpoint {path!r}")
+            payload = self._dispatch(route, params, parse_qs(query_text))
         except ApiError as error:
             return finish(
                 error.status,
@@ -404,11 +390,10 @@ class ClassificationService:
         return finish(200, body, JSON_CONTENT_TYPE)
 
     # -- routing ------------------------------------------------------------------------
-    def _route(self, path: str, query: Dict[str, List[str]]) -> RoutePayload:
-        """Resolve and invoke the handler of *path* (the dispatch step)."""
-        route, params = self.resolve(path)
-        if route is None:
-            raise ApiError(404, f"unknown endpoint {path!r}")
+    def _dispatch(
+        self, route: Route, params: Dict[str, str], query: Dict[str, List[str]]
+    ) -> RoutePayload:
+        """Invoke the handler of the route :meth:`handle` resolved."""
         return route.handler(self, params, query)
 
     # -- endpoints ----------------------------------------------------------------------
@@ -664,25 +649,151 @@ def _int_operand(text: str, name: str) -> int:
         raise ApiError(400, f"{name} must be an integer, got {text!r}") from None
 
 
+#: The stdlib's request-head limits: longest line, most lines before the blank one.
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+#: One line of a request head (a bare CR ends a line too), and a field's name.
+_HEAD_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+_FIELD_NAME = re.compile(r"[!-9;-~]*:")
+
+
+class RequestHeaders(Mapping[str, str]):
+    """One request's headers, keyed case-insensitively: the first duplicate wins."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Dict[str, str]) -> None:
+        self._values = values  # lower-cased name -> value
+
+    def __getitem__(self, name: str) -> str:
+        return self._values[name.lower()]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Socket adapter: one GET in, one cached body out."""
+    """Socket adapter: one request head parsed, one response written.
+
+    ``parse_request`` keeps the stdlib's request-line rules and head limits
+    but reads the header lines itself into :class:`RequestHeaders`;
+    ``do_GET`` writes status line, headers and body in one ``wfile.write``.
+    The module docstring states the whole wire contract.
+    """
 
     # Keep-alive matters for the queries/sec target: HTTP/1.1 + an explicit
     # Content-Length lets clients reuse one TCP connection for many queries.
     protocol_version = "HTTP/1.1"
-    # Headers and body go out as separate writes; with Nagle enabled the
-    # kernel holds the second one for the peer's delayed ACK (~40ms per
-    # request), capping a keep-alive connection at ~25 queries/sec.
+    # Error responses (``send_error``) still write headers and body apart;
+    # with Nagle enabled the kernel would hold the second one for the
+    # peer's delayed ACK (~40ms).
     disable_nagle_algorithm = True
     service: ClassificationService  # injected by ClassificationServer
+    request_headers: RequestHeaders
+    _date: Tuple[int, str] = (-1, "")  # (second, its Date value)
+
+    def parse_request(self) -> bool:
+        """Parse the request line and head; on failure the error is sent."""
+        self.command = ""  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            number = version[5:].split(".") if version.startswith("HTTP/") else []
+            if len(number) != 2 or not all(
+                part.isascii() and part.isdigit() and len(part) <= 10 for part in number
+            ):
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            if int(number[0]) >= 2:
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({version[5:]})"
+                )
+                return False
+            self.close_connection = (int(number[0]), int(number[1])) < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+        self.command = command
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        lines: List[bytes] = []
+        for count in range(_MAX_HEADERS + 1):  # the blank line counts too
+            line = self.rfile.readline(_MAX_LINE + 1)
+            too_long = len(line) > _MAX_LINE
+            if too_long or count == _MAX_HEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long" if too_long else "Too many headers",
+                    f"got more than {_MAX_LINE} bytes when reading header line"
+                    if too_long
+                    else f"got more than {_MAX_HEADERS} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            lines.append(line)
+        values: Dict[str, str] = {}
+        name: Optional[str] = None  # the header an obs-fold line continues
+        for text in _HEAD_LINE.findall(str(b"".join(lines), "iso-8859-1")):
+            if text[0] in " \t":
+                if name is not None:
+                    values[name] += text
+                continue
+            field = _FIELD_NAME.match(text)
+            if field is None:
+                if text.startswith("From "):  # an envelope line is skipped
+                    continue
+                break  # not a field: the rest of the head is no header
+            if field.end() > 1:  # a nameless field is skipped
+                key = field.group()[:-1].lower()
+                name = key if key not in values else None  # the first duplicate wins
+                if name is not None:
+                    values[name] = text[field.end():].lstrip(" \t")
+        headers = {key: value.rstrip("\r\n") for key, value in values.items()}
+        self.request_headers = RequestHeaders(headers)
+        connection = headers.get("connection", "").lower()
+        if connection in ("close", "keep-alive"):
+            self.close_connection = connection == "close"
+        if headers.get("expect", "").lower() == "100-continue" and (
+            self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        response = self.service.handle(self.path, self.headers)
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        self.wfile.write(response.body)
+        response = self.service.handle(self.path, self.request_headers)
+        head = b""
+        if self.request_version != "HTTP/0.9":  # HTTP/0.9 gets the bare body
+            head = (
+                f"{self.protocol_version} {response.status}"
+                f" {self.responses[response.status][0]}\r\n"
+                f"Server: {self.version_string()}\r\nDate: {self._http_date()}\r\n"
+                f"Content-Type: {response.content_type}\r\n"
+                f"Content-Length: {len(response.body)}\r\n\r\n"
+            ).encode("latin-1")
+        self.wfile.write(head + response.body)
+
+    def _http_date(self) -> str:
+        """The RFC 7231 ``Date`` value, formatted again only when the second changes."""
+        now, cached = int(time.time()), _Handler._date
+        if cached[0] != now:  # a whole tuple is swapped in: no lock needed
+            cached = _Handler._date = (now, self.date_time_string(now))
+        return cached[1]
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # keep the serving hot path quiet; stats live in /v1/stats

@@ -67,12 +67,6 @@ from repro.service.server import (
     build_handler,
 )
 
-#: Counter fields each worker owns on the shared board, in slot order.
-STAT_FIELDS = ("requests", "cache_hits", "cache_misses", "errors")
-
-_SLOT_FORMAT = "<" + "q" * len(STAT_FIELDS)
-_SLOT_SIZE = struct.calcsize(_SLOT_FORMAT)
-
 #: One endpoint's accounting on the board: the four integer counters, the
 #: latency sum (float64 seconds), and one count per histogram bucket
 #: (``len(LATENCY_BUCKETS)`` finite bounds + the ``+Inf`` overflow).
@@ -81,10 +75,9 @@ _ENDPOINT_FORMAT = (
 )
 _ENDPOINT_SIZE = struct.calcsize(_ENDPOINT_FORMAT)
 
-#: Full per-worker slot: the legacy aggregate counters first (their layout
-#: is unchanged, so readers of the old board region keep working), then one
-#: endpoint block per :data:`METRIC_ENDPOINTS` entry, in tuple order.
-_WORKER_SLOT_SIZE = _SLOT_SIZE + len(METRIC_ENDPOINTS) * _ENDPOINT_SIZE
+#: Full per-worker slot: one endpoint block per :data:`METRIC_ENDPOINTS`
+#: entry, in tuple order.
+_WORKER_SLOT_SIZE = len(METRIC_ENDPOINTS) * _ENDPOINT_SIZE
 
 _ENDPOINT_INDEX = {name: index for index, name in enumerate(METRIC_ENDPOINTS)}
 
@@ -113,10 +106,11 @@ def reuseport_supported() -> bool:
 class WorkerStatsBoard:
     """Per-worker request accounting in a file every worker process maps.
 
-    Each worker owns one slot: the four legacy aggregate counters (their
-    layout predates the metrics endpoint and is preserved), followed by one
-    block per :data:`~repro.service.metrics.METRIC_ENDPOINTS` entry holding
-    that endpoint's counters, latency sum, and histogram bucket counts.
+    Each worker owns one slot: one block per
+    :data:`~repro.service.metrics.METRIC_ENDPOINTS` entry holding that
+    endpoint's counters, latency sum, and histogram bucket counts; the
+    worker's aggregate counters are the sums of its blocks.  The board
+    lives in a per-fleet temporary file, so its layout is private.
     Exactly one worker writes each slot (its request threads serialise
     through a per-process lock), so there is no cross-process locking;
     concurrent readers may see a counter mid-increment, which is harmless
@@ -141,28 +135,12 @@ class WorkerStatsBoard:
         return cls(path, workers)
 
     # -- StatsSink ----------------------------------------------------------------------
-    def record(self, worker_id: int, *, hit: bool, error: bool) -> None:
-        """Count one request handled by *worker_id* (its own slot only)."""
-        offset = worker_id * _WORKER_SLOT_SIZE
-        with self._lock:
-            requests, hits, misses, errors = struct.unpack_from(
-                _SLOT_FORMAT, self._map, offset
-            )
-            requests += 1
-            if error:
-                errors += 1
-            elif hit:
-                hits += 1
-            else:
-                misses += 1
-            struct.pack_into(_SLOT_FORMAT, self._map, offset, requests, hits, misses, errors)
-
     def observe(
         self, worker_id: int, endpoint: str, *, hit: bool, error: bool, seconds: float
     ) -> None:
-        """Account one request against *endpoint*'s block of this worker."""
+        """Count one request of *worker_id* in its block for *endpoint*."""
         index = _ENDPOINT_INDEX.get(endpoint, _ENDPOINT_INDEX[UNKNOWN_ENDPOINT])
-        offset = worker_id * _WORKER_SLOT_SIZE + _SLOT_SIZE + index * _ENDPOINT_SIZE
+        offset = worker_id * _WORKER_SLOT_SIZE + index * _ENDPOINT_SIZE
         with self._lock:
             values = list(struct.unpack_from(_ENDPOINT_FORMAT, self._map, offset))
             values[0] += 1  # requests
@@ -177,19 +155,18 @@ class WorkerStatsBoard:
             struct.pack_into(_ENDPOINT_FORMAT, self._map, offset, *values)
 
     def per_worker(self) -> List[Dict[str, int]]:
-        """Each worker's legacy aggregate counters, indexed by worker id."""
+        """Each worker's aggregate counters (its endpoint blocks summed)."""
         rows: List[Dict[str, int]] = []
-        for worker_id in range(self.workers):
-            values = struct.unpack_from(
-                _SLOT_FORMAT, self._map, worker_id * _WORKER_SLOT_SIZE
-            )
-            rows.append(dict(zip(STAT_FIELDS, values)))
+        for start in range(0, self.workers * _WORKER_SLOT_SIZE, _WORKER_SLOT_SIZE):
+            slot = self._map[start:start + _WORKER_SLOT_SIZE]
+            sums = [sum(column) for column in zip(*struct.iter_unpack(_ENDPOINT_FORMAT, slot))]
+            rows.append(dict(zip(ENDPOINT_COUNTER_FIELDS, sums)))
         return rows
 
     def payload(self) -> Dict[str, object]:
         """JSON-friendly fleet aggregate for ``/v1/stats``."""
         rows = self.per_worker()
-        aggregate = {field: sum(row[field] for row in rows) for field in STAT_FIELDS}
+        aggregate = {field: sum(row[field] for row in rows) for field in ENDPOINT_COUNTER_FIELDS}
         return {"count": self.workers, "aggregate": aggregate, "per_worker": rows}
 
     def metrics_payload(self) -> Dict[str, Dict[str, object]]:
@@ -201,7 +178,7 @@ class WorkerStatsBoard:
         """
         endpoints = {name: empty_endpoint_stats() for name in METRIC_ENDPOINTS}
         for worker_id in range(self.workers):
-            base = worker_id * _WORKER_SLOT_SIZE + _SLOT_SIZE
+            base = worker_id * _WORKER_SLOT_SIZE
             for index, name in enumerate(METRIC_ENDPOINTS):
                 values = struct.unpack_from(
                     _ENDPOINT_FORMAT, self._map, base + index * _ENDPOINT_SIZE

@@ -10,11 +10,14 @@ Pins the production-hardening contract of ``repro.service.auth``:
   :class:`BadRequestError`) the client raises from it;
 * replication pulls against an auth-enabled leader (the follower's client
   sends the token on every page);
+* the auth-scheme matches in any case (``bearer`` is ``Bearer``, RFC 7235
+  §2.1), the token exactly;
 * token resolution precedence: flag first, ``REPRO_AUTH_TOKEN`` fallback.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 
 import pytest
@@ -31,7 +34,13 @@ from repro.service import (
     ServiceError,
     SnapshotStore,
 )
-from repro.service.auth import AUTH_TOKEN_ENV, bearer_token, check_token, resolve_token
+from repro.service.auth import (
+    AUTH_TOKEN_ENV,
+    BAD_TOKEN,
+    bearer_token,
+    check_token,
+    resolve_token,
+)
 from tests.test_backends import build_snapshots
 
 TOKEN = "s3cret-tok3n"
@@ -79,6 +88,16 @@ class TestTokenPlumbing:
         # Present but not a bearer scheme: a credential, just a wrong one.
         assert bearer_token({"Authorization": "Basic dXNlcg=="}) == ""
 
+    def test_bearer_scheme_is_case_insensitive(self):
+        """RFC 7235 §2.1: the auth-scheme is a case-insensitive token."""
+        for scheme in ("Bearer", "bearer", "BEARER", "bEaReR"):
+            assert bearer_token({"Authorization": f"{scheme} {TOKEN}"}) == TOKEN, scheme
+        # The token itself is compared exactly: only the scheme folds case.
+        assert bearer_token({"Authorization": f"bearer {TOKEN.upper()}"}) == TOKEN.upper()
+        assert check_token({"Authorization": f"BEARER {TOKEN.upper()}"}, TOKEN) == BAD_TOKEN
+        for value in ("Bearer", "Bearer" + TOKEN, f"Bearerx {TOKEN}", f"Basic {TOKEN}"):
+            assert bearer_token({"Authorization": value}) == "", value
+
     def test_check_token_statuses(self):
         assert check_token({"Authorization": f"Bearer {TOKEN}"}, TOKEN) is None
         missing = check_token(None, TOKEN)
@@ -113,6 +132,15 @@ class TestAuthMatrix:
             assert _envelope(wrong)["code"] == "forbidden"
             valid = service.handle(target, {"Authorization": f"Bearer {TOKEN}"})
             assert valid.status in (200, 404), target
+
+    def test_bearer_scheme_in_any_case(self, store):
+        service = ClassificationService(store, auth_token=TOKEN)
+        for scheme in ("bearer", "BEARER", "Bearer"):
+            response = service.handle("/v1/as/10", {"Authorization": f"{scheme} {TOKEN}"})
+            assert response.status == 200, scheme
+        basic = service.handle("/v1/as/10", {"Authorization": "Basic dXNlcg=="})
+        assert basic.status == 403
+        assert _envelope(basic)["code"] == "forbidden"
 
     def test_exempt_endpoints_need_no_credentials(self, store):
         service = ClassificationService(store, auth_token=TOKEN)
@@ -176,6 +204,20 @@ class TestAuthOverHttp:
             # Every typed error is still the base class for old callers.
             for excclass in (AuthError, BadRequestError, NotFoundError):
                 assert issubclass(excclass, ServiceError)
+
+    def test_bearer_scheme_in_any_case_over_http(self, served):
+        connection = http.client.HTTPConnection(*served.address, timeout=5)
+        try:
+            for scheme, status in (("bearer", 200), ("BEARER", 200), ("Bearer", 200),
+                                   ("Basic", 403)):
+                connection.request(
+                    "GET", "/v1/as/10", headers={"Authorization": f"{scheme} {TOKEN}"}
+                )
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == status, (scheme, body)
+        finally:
+            connection.close()
 
     def test_stats_reports_auth_enabled(self, served):
         with ServiceClient(served.url, token=TOKEN) as client:

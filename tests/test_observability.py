@@ -20,7 +20,12 @@ Pins the Prometheus contract of ``repro.service.metrics``:
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import re
+import time
+import types
 
 import pytest
 
@@ -44,6 +49,7 @@ from repro.service.metrics import (
     bucket_index,
     render_metrics,
 )
+import repro.service.server as server_module
 from repro.service.server import ClassificationService as Service
 from tests.test_backends import build_snapshots
 
@@ -299,3 +305,65 @@ class TestMetricsOverHttp:
         samples = parse_exposition(text)
         assert samples["repro_http_requests_total"]['endpoint="healthz"'] == 1
         assert samples["repro_http_request_errors_total"]['endpoint="snapshot_window"'] == 1
+
+
+# ---------------------------------------------------------------------------------------
+# The fleet board's bodies, pinned
+# ---------------------------------------------------------------------------------------
+class TestFleetBodiesPinned:
+    """``/v1/stats`` and ``/metrics`` of a two-worker board after a fixed
+    request sequence under a fake clock.  The literals were read off the
+    board that kept separate aggregate counters beside the endpoint blocks;
+    the board now sums the blocks, and every byte must stay the same (the
+    store's size gauge aside: it is the interpreter's ``getsizeof``).
+    """
+
+    SEQUENCE = (
+        "/healthz", "/v1/as/10", "/v1/as/10", "/v1/snapshot/latest", "/nope",
+        "/v1/diff", "/v1/as/x", "/metrics", "/v1/stats", "/v1/as/20?history=2",
+    )
+    STATS = {
+        "auth": {"enabled": False},
+        "server": {
+            "cache_entries": 1, "cache_hits": 2, "cache_misses": 7, "errors": 6,
+            "requests": 15, "worker_id": 0,
+        },
+        "workers": {
+            "aggregate": {"cache_hits": 10, "cache_misses": 14, "errors": 6, "requests": 30},
+            "count": 2,
+            "per_worker": [
+                {"cache_hits": 2, "cache_misses": 7, "errors": 6, "requests": 15},
+                {"cache_hits": 8, "cache_misses": 7, "errors": 0, "requests": 15},
+            ],
+        },
+    }
+    METRICS_LINES = 212
+    METRICS_SHA256 = "5dac8e5dd97b4be1d77947625fbf5fb34a35bbbcec60b0e58992979dd20ccf36"
+
+    def test_bodies_after_a_fixed_sequence(self, monkeypatch):
+        ticks = itertools.count()
+        clock = types.SimpleNamespace(
+            perf_counter=lambda: next(ticks) ** 2 * 1e-5, time=time.time
+        )
+        monkeypatch.setattr(server_module, "time", clock)
+        store = MemoryBackend()
+        for snapshot in build_snapshots(2):
+            store.append_snapshot(snapshot)
+        board = WorkerStatsBoard.create(2)
+        try:
+            services = [
+                ClassificationService(store, worker_id=worker, stats_sink=board)
+                for worker in (0, 1)
+            ]
+            for index, target in enumerate(self.SEQUENCE * 3):
+                services[index % 2].handle(target)
+            stats = json.loads(services[0].handle("/v1/stats").body)
+            metrics = services[1].handle("/metrics").body.decode()
+        finally:
+            board.close(unlink=True)
+        del stats["store"]
+        assert stats == self.STATS
+        lines = [line for line in metrics.splitlines() if "repro_store_size_bytes" not in line]
+        assert len(lines) == self.METRICS_LINES
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.METRICS_SHA256

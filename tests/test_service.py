@@ -676,22 +676,22 @@ class TestHttpApi:
         engine, store = drained
         service = ClassificationService(store)
         stale_generation = store.generation()
-        original_route = service._route
+        original_dispatch = service._dispatch
 
-        def racing_route(path, query):
+        def racing_dispatch(route, params, query):
             # A commit lands between the cache-key read and the payload
             # build: the body below reflects the *new* store state.
             publish_result(store, engine.result())
-            return original_route(path, query)
+            return original_dispatch(route, params, query)
 
-        service._route = racing_route
+        service._dispatch = racing_dispatch
         racy = service.handle("/v1/snapshot/latest")
         assert racy.status == 200
         # The put was skipped: nothing is cached under the stale key.
         assert len(service.cache) == 0
         assert service.cache.get((stale_generation, "/v1/snapshot/latest")) is None
         # The next read (no race) caches and serves the same fresh bytes.
-        service._route = original_route
+        service._dispatch = original_dispatch
         fresh = service.handle("/v1/snapshot/latest")
         assert (fresh.status, fresh.body) == (200, racy.body)
         cached = service.handle("/v1/snapshot/latest")

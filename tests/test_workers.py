@@ -86,9 +86,9 @@ class TestWorkerStatsBoard:
     def test_per_worker_slots_and_aggregate(self):
         board = WorkerStatsBoard.create(3)
         try:
-            board.record(0, hit=True, error=False)
-            board.record(0, hit=False, error=False)
-            board.record(2, hit=False, error=True)
+            board.observe(0, "as_info", hit=True, error=False, seconds=0.001)
+            board.observe(0, "healthz", hit=False, error=False, seconds=0.001)
+            board.observe(2, "no-such-endpoint", hit=False, error=True, seconds=0.5)
             rows = board.per_worker()
             assert rows[0] == {
                 "requests": 2,
@@ -108,7 +108,7 @@ class TestWorkerStatsBoard:
     def test_second_mapping_sees_first_writer(self):
         board = WorkerStatsBoard.create(2)
         try:
-            board.record(1, hit=False, error=False)
+            board.observe(1, "diff", hit=False, error=False, seconds=0.001)
             reader = WorkerStatsBoard(board.path, 2)
             assert reader.per_worker()[1]["requests"] == 1
             reader.close()
