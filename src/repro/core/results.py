@@ -100,16 +100,32 @@ class ClassificationResult:
         observed = _np.sort(_np.fromiter(observed_ases, _np.uint64, len(observed_ases)))
         rows = order[_np.searchsorted(asns, observed, sorter=order)]
         counters = packed.columns(len(asns))[:, rows]
-        codes = class_code_indices(counters, packed.thresholds)
+        return cls.from_columns(observed, counters, packed.thresholds, algorithm)
+
+    @classmethod
+    def from_columns(
+        cls,
+        asns: _np.ndarray,
+        counters: _np.ndarray,
+        thresholds: Thresholds,
+        algorithm: str = "column",
+    ) -> "ClassificationResult":
+        """The result over ascending *asns* and their ``(4, n)`` *counters*.
+
+        Codes are recomputed from *thresholds*; the arrays are kept as given,
+        so the caller must not mutate them afterwards.
+        """
         result = cls.__new__(cls)
         result._store = None
-        result._columns = (observed.tolist(), codes, counters)
-        result.observed_ases = observed_ases
+        as_list: List[ASN] = asns.tolist()
+        result._columns = (as_list, class_code_indices(counters, thresholds), counters)
+        result.observed_ases = set(as_list)
         result.algorithm = algorithm
-        result.thresholds = packed.thresholds
+        result.thresholds = thresholds
         return result
 
-    def _lowered(self) -> Tuple[List[ASN], _np.ndarray, _np.ndarray]:
+    def columns(self) -> Tuple[List[ASN], _np.ndarray, _np.ndarray]:
+        """``(asns, code indices, (4, n) counters)``, rows in ascending ASN order."""
         columns = self._columns
         if columns is None:
             assert self._store is not None
@@ -149,7 +165,7 @@ class ClassificationResult:
     # -- summaries (one implementation each, over the columns) ------------------------
     def _code_counts(self) -> _np.ndarray:
         """ASes per code as a ``(tagging, forwarding)`` 4 x 4 matrix."""
-        return _np.bincount(self._lowered()[1], minlength=len(CLASS_CODES)).reshape(4, 4)
+        return _np.bincount(self.columns()[1], minlength=len(CLASS_CODES)).reshape(4, 4)
 
     def classifications(self) -> Dict[ASN, UsageClassification]:
         """Classification of every observed AS."""
@@ -200,12 +216,12 @@ class ClassificationResult:
         count, arrival order or hash seed, so stored rows and pickled code
         maps are reproducible.
         """
-        asns, codes, _ = self._lowered()
+        asns, codes, _ = self.columns()
         return dict(zip(asns, map(CLASS_CODES.__getitem__, codes.tolist())))
 
     def records(self) -> List[Tuple[int, str, int, int, int, int]]:
         """One ``(asn, code, t, s, f, c)`` row per observed AS: what backends persist."""
-        asns, codes, counters = self._lowered()
+        asns, codes, counters = self.columns()
         return list(
             zip(asns, map(CLASS_CODES.__getitem__, codes.tolist()), *counters.tolist())
         )

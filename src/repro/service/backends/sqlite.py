@@ -12,8 +12,16 @@ concurrent readers can share one producer:
   store refuses to open an incompatible file instead of corrupting it;
 * **retention / compaction** -- an optional cap on retained window
   snapshots, applied at append time, plus an explicit :meth:`compact`;
-* **indexed per-AS history** -- ``(asn, snapshot)`` indexed records answer
-  "how was AS X classified over time" without scanning snapshots;
+* **one row of columns per snapshot** (schema v3) -- ``snapshot_columns``
+  holds a snapshot's per-AS rows as ``zlib.compress(asns <u8 || codes u1 ||
+  counters <i8 (4 x n, row-major), level 1)``, apart from the ``snapshots``
+  metadata so metadata scans never touch blob pages.  ``as_buckets (asn,
+  bucket)`` indexes which runs of ``2 ** _BUCKET_BITS`` snapshot ids held an
+  AS; per-AS history probes it and ``searchsorted``-s the ASN columns of
+  those runs' snapshots, newest first.  Decoded columns are cached on
+  ``(snapshot_id, generation)`` -- unique, so a pinned id re-used after a
+  drop never hits a stale entry -- up to ``_CACHE_ROWS`` AS rows.  Version-2
+  (one ``as_records`` row per AS) and version-1 files migrate on open;
 * **generation counter** -- every committed write bumps a monotonically
   increasing generation, which the HTTP server uses to key its read cache;
 * **generation-addressed changelog** -- every snapshot records the
@@ -37,11 +45,17 @@ import json
 import os
 import sqlite3
 import threading
-from contextlib import contextmanager
+import zlib
+from collections import OrderedDict
+from contextlib import closing, contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.bgp.asn import ASN
-from repro.core.counters import ASCounters, CounterStore
+from repro.core.classes import CLASS_CODES
+from repro.core.counters import ASCounters, class_code_indices
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.service.backends.base import (
@@ -49,7 +63,6 @@ from repro.service.backends.base import (
     SnapshotBackend,
     StoredSnapshot,
     StoreError,
-    records_of,
     require_current_epoch,
     require_valid_kind,
     require_valid_retention,
@@ -57,9 +70,41 @@ from repro.service.backends.base import (
 from repro.stream.engine import WindowSnapshot
 
 #: Version of the on-disk schema this module reads and writes.  Version 2
-#: added the per-snapshot commit ``generation`` column (replication feed);
-#: version-1 files are migrated in place on open.
-SCHEMA_VERSION = 2
+#: added the per-snapshot commit ``generation`` column (replication feed),
+#: version 3 replaced the per-AS ``as_records`` rows with one column blob per
+#: snapshot; older files are migrated in place on open.
+SCHEMA_VERSION = 3
+
+#: Decoded column sets stay cached until they hold this many AS rows in all
+#: (41 bytes a row: ~43 MB at most per store object).
+_CACHE_ROWS = 1 << 20
+
+#: ``as_buckets`` indexes runs of ``2 ** _BUCKET_BITS`` snapshot ids.  Part of
+#: the on-disk format: a file is only readable under the width it was written
+#: with.
+_BUCKET_BITS = 6
+
+#: One snapshot's decoded ``(asns <u8, codes u1, (4, n) counters <i8)``.
+_Columns = Tuple[NDArray[np.uint64], NDArray[np.uint8], NDArray[np.int64]]
+
+
+def _encode_columns(
+    asns: Sequence[int], codes: NDArray[np.uint8], counters: NDArray[np.int64]
+) -> bytes:
+    """The ``snapshot_columns.columns`` blob of one snapshot's rows."""
+    raw = np.asarray(asns, "<u8").tobytes() + np.asarray(codes, "u1").tobytes()
+    return zlib.compress(raw + np.asarray(counters, "<i8").tobytes(), 1)
+
+
+def _decode_columns(rows: int, blob: bytes) -> _Columns:
+    """Read-only views over the decompressed *blob* of *rows* AS rows."""
+    raw = zlib.decompress(blob)
+    return (
+        np.frombuffer(raw, "<u8", rows),
+        np.frombuffer(raw, "u1", rows, 8 * rows),
+        np.frombuffer(raw, "<i8", 4 * rows, 9 * rows).reshape(4, rows),
+    )
+
 
 #: SQLite's historic default variable cap is 999; retention prunes delete in
 #: chunks below it so one giant prune still batches instead of erroring.
@@ -88,18 +133,20 @@ _SCHEMA_STATEMENTS = (
     "CREATE INDEX IF NOT EXISTS idx_snapshots_window_end ON snapshots (window_end)",
     "CREATE INDEX IF NOT EXISTS idx_snapshots_generation ON snapshots (generation)",
     """
-    CREATE TABLE IF NOT EXISTS as_records (
-        snapshot_id INTEGER NOT NULL,
-        asn         INTEGER NOT NULL,
-        code        TEXT NOT NULL,
-        tagger      INTEGER NOT NULL,
-        silent      INTEGER NOT NULL,
-        forward     INTEGER NOT NULL,
-        cleaner     INTEGER NOT NULL,
-        PRIMARY KEY (snapshot_id, asn)
+    CREATE TABLE IF NOT EXISTS snapshot_columns (
+        snapshot_id INTEGER PRIMARY KEY,
+        rows        INTEGER NOT NULL,
+        columns     BLOB NOT NULL
+    )
+    """,
+    """
+    CREATE TABLE IF NOT EXISTS as_buckets (
+        asn    INTEGER NOT NULL,
+        bucket INTEGER NOT NULL,
+        PRIMARY KEY (asn, bucket)
     ) WITHOUT ROWID
     """,
-    "CREATE INDEX IF NOT EXISTS idx_as_records_asn ON as_records (asn, snapshot_id)",
+    "CREATE INDEX IF NOT EXISTS idx_as_buckets_bucket ON as_buckets (bucket)",
     """
     CREATE TABLE IF NOT EXISTS changes (
         snapshot_id INTEGER NOT NULL,
@@ -110,6 +157,24 @@ _SCHEMA_STATEMENTS = (
     ) WITHOUT ROWID
     """,
 )
+
+
+def _write_columns(
+    connection: sqlite3.Connection, snapshot_id: int, asns: List[int], blob: bytes
+) -> None:
+    """Store one snapshot's column *blob* and index its ASNs under its bucket.
+
+    ``json_each`` keeps the index insert one statement; ASNs already in the
+    bucket (most of them, window after window) cost a probe, not a write.
+    """
+    connection.execute(
+        "INSERT INTO snapshot_columns (snapshot_id, rows, columns) VALUES (?, ?, ?)",
+        (snapshot_id, len(asns), blob),
+    )
+    connection.execute(
+        "INSERT OR IGNORE INTO as_buckets (asn, bucket) SELECT value, ? FROM json_each(?)",
+        (snapshot_id >> _BUCKET_BITS, json.dumps(asns)),
+    )
 
 
 class SnapshotStore(SnapshotBackend):
@@ -134,6 +199,11 @@ class SnapshotStore(SnapshotBackend):
         # In-memory databases are per-connection; share one connection (and
         # serialise reads through the write lock) so tests can use ":memory:".
         self._shared: Optional[sqlite3.Connection] = None
+        self._column_cache: "OrderedDict[Tuple[int, int], _Columns]" = OrderedDict()
+        self._cached_rows = 0
+        self._cache_lock = threading.Lock()
+        # ``(generation, distinct ASes)`` of the last stats() scan.
+        self._distinct = (-1, 0)
         if self.path == ":memory:":
             self._shared = self._connect()
         self._initialise()
@@ -181,9 +251,12 @@ class SnapshotStore(SnapshotBackend):
                 row = connection.execute(
                     "SELECT value FROM meta WHERE key = 'schema_version'"
                 ).fetchone()
-                if row is not None and int(row[0]) == 1:
+                version = SCHEMA_VERSION if row is None else int(row[0])
+                if version == 1:
                     self._migrate_v1(connection)
-                elif row is not None and int(row[0]) != SCHEMA_VERSION:
+                if version in (1, 2):
+                    self._migrate_v2(connection)
+                elif version != SCHEMA_VERSION:
                     raise StoreError(
                         f"store {self.path!r} has schema version {row[0]}, "
                         f"this build reads version {SCHEMA_VERSION}"
@@ -232,6 +305,32 @@ class SnapshotStore(SnapshotBackend):
                 "UPDATE snapshots SET generation = ? WHERE id = ?",
                 (current - len(rows) + rank, snapshot_id),
             )
+
+    @staticmethod
+    def _migrate_v2(connection: sqlite3.Connection) -> None:
+        """In-place migration of a version-2 file to the version-3 schema.
+
+        Each snapshot's ``as_records`` rows, read in ascending ASN order,
+        become one ``snapshot_columns`` blob (a snapshot without rows gets an
+        empty one) whose codes are recomputed from the snapshot's thresholds,
+        as every append computed them, and are indexed like an append; then
+        the table goes, and its index with it.
+        """
+        for statement in _SCHEMA_STATEMENTS:
+            connection.execute(statement)
+        stored = connection.execute("SELECT id, thresholds FROM snapshots").fetchall()
+        for snapshot_id, thresholds in stored:
+            rows = connection.execute(
+                "SELECT asn, tagger, silent, forward, cleaner FROM as_records"
+                " WHERE snapshot_id = ? ORDER BY asn",
+                (snapshot_id,),
+            ).fetchall()
+            asns = [row[0] for row in rows]
+            counters = np.array([row[1:] for row in rows], np.int64).reshape(-1, 4).T
+            codes = class_code_indices(counters, Thresholds(*json.loads(thresholds)))
+            blob = _encode_columns(asns, codes, counters)
+            _write_columns(connection, snapshot_id, asns, blob)
+        connection.execute("DROP TABLE as_records")
         connection.execute(
             "UPDATE meta SET value = ? WHERE key = 'schema_version'",
             (str(SCHEMA_VERSION),),
@@ -272,8 +371,8 @@ class SnapshotStore(SnapshotBackend):
     ) -> int:
         """Durably persist one snapshot; returns its snapshot id.
 
-        The snapshot metadata, every observed AS's classification record,
-        and the per-window change set commit in a single transaction, and
+        The snapshot metadata, the result's column blob, and the per-window
+        change set commit in a single transaction, and
         the store generation is bumped with them: readers either see the
         whole snapshot at a newer generation or none of it.  The committed
         generation is recorded on the snapshot row, which is what makes the
@@ -306,7 +405,8 @@ class SnapshotStore(SnapshotBackend):
         require_valid_kind(kind)
         result = snapshot.result
         thresholds = result.thresholds
-        records = records_of(snapshot)
+        asns, codes, counters = result.columns()
+        blob = _encode_columns(asns, codes, counters)
         with self._write_lock:
             connection = self._conn()
             with connection:
@@ -380,11 +480,7 @@ class SnapshotStore(SnapshotBackend):
                     ),
                 )
                 snapshot_id = int(cursor.lastrowid or 0)
-                connection.executemany(
-                    "INSERT INTO as_records (snapshot_id, asn, code, tagger,"
-                    " silent, forward, cleaner) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    [(snapshot_id, *record) for record in records],
-                )
+                _write_columns(connection, snapshot_id, asns, blob)
                 connection.executemany(
                     "INSERT INTO changes (snapshot_id, asn, old_code, new_code)"
                     " VALUES (?, ?, ?, ?)",
@@ -408,19 +504,28 @@ class SnapshotStore(SnapshotBackend):
 
         One statement per table per chunk (instead of three statements per
         snapshot in a Python loop), so a large prune does not stall the
-        append path's write transaction.
+        append path's write transaction.  The ``as_buckets`` rows of a
+        bucket go with its last snapshot; until then a dropped snapshot's
+        ASNs stay indexed, and a read skips the bucket's other snapshots.
         """
         for start in range(0, len(snapshot_ids), _DELETE_CHUNK):
             chunk = list(snapshot_ids[start:start + _DELETE_CHUNK])
             placeholders = ",".join("?" * len(chunk))
             for table, column in (
-                ("as_records", "snapshot_id"),
+                ("snapshot_columns", "snapshot_id"),
                 ("changes", "snapshot_id"),
                 ("snapshots", "id"),
             ):
                 connection.execute(
                     f"DELETE FROM {table} WHERE {column} IN ({placeholders})", chunk
                 )
+        for bucket in {snapshot_id >> _BUCKET_BITS for snapshot_id in snapshot_ids}:
+            low = bucket << _BUCKET_BITS
+            if connection.execute(
+                "SELECT 1 FROM snapshots WHERE id BETWEEN ? AND ? LIMIT 1",
+                (low, low + (1 << _BUCKET_BITS) - 1),
+            ).fetchone() is None:
+                connection.execute("DELETE FROM as_buckets WHERE bucket = ?", (bucket,))
 
     def _apply_retention(self, connection: sqlite3.Connection) -> int:
         """Drop the oldest snapshots beyond the retention cap (returns count).
@@ -697,7 +802,7 @@ class SnapshotStore(SnapshotBackend):
 
         WAL gives snapshot isolation per transaction, not per statement; a
         concurrent retention prune between two autocommit SELECTs would
-        otherwise tear a multi-query read (metadata found, records already
+        otherwise tear a multi-query read (metadata found, columns already
         deleted).  On the shared in-memory connection the write lock stands
         in for the transaction.
         """
@@ -711,6 +816,44 @@ class SnapshotStore(SnapshotBackend):
             yield connection
         finally:
             connection.execute("COMMIT")
+
+    def _decoded(
+        self, connection: sqlite3.Connection, snapshot_id: int, generation: int
+    ) -> Optional[_Columns]:
+        """The decoded columns of one snapshot, through the column cache.
+
+        ``None`` when the snapshot no longer holds that commit *generation*:
+        the blob is read together with the generation, so the columns always
+        belong to the metadata the caller read, in a transaction or not.  A
+        hit moves the entry to the hot end; a miss evicts from the cold end
+        until it fits and goes in *at the cold end*, so a history walk
+        longer than the cache cycles through the cold slots instead of
+        flushing the entries other reads keep hitting.
+        """
+        key = (snapshot_id, generation)
+        with self._cache_lock:
+            columns = self._column_cache.get(key)
+            if columns is not None:
+                self._column_cache.move_to_end(key)
+                return columns
+        stored = connection.execute(
+            "SELECT c.rows, c.columns FROM snapshot_columns c"
+            " JOIN snapshots s ON s.id = c.snapshot_id WHERE s.id = ? AND s.generation = ?",
+            (snapshot_id, generation),
+        ).fetchone()
+        if stored is None:
+            return None
+        rows, blob = stored
+        columns = _decode_columns(rows, blob)
+        with self._cache_lock:
+            if key not in self._column_cache:
+                while self._column_cache and self._cached_rows + rows > _CACHE_ROWS:
+                    _, evicted = self._column_cache.popitem(last=False)
+                    self._cached_rows -= len(evicted[0])
+                self._column_cache[key] = columns
+                self._column_cache.move_to_end(key, last=False)
+                self._cached_rows += rows
+        return columns
 
     def load_snapshot(self, snapshot_id: int) -> WindowSnapshot:
         """Reconstruct the full :class:`WindowSnapshot` persisted under *snapshot_id*.
@@ -729,27 +872,12 @@ class SnapshotStore(SnapshotBackend):
             if row is None:
                 raise StoreError(f"no snapshot {snapshot_id} in {self.path!r}")
             meta = self._snapshot_from_row(row)
-            counter_state: Dict[ASN, Tuple[int, int, int, int]] = {}
-            observed: Set[ASN] = set()
-            for asn, tagger, silent, forward, cleaner in connection.execute(
-                "SELECT asn, tagger, silent, forward, cleaner FROM as_records"
-                " WHERE snapshot_id = ?",
-                (snapshot_id,),
-            ):
-                observed.add(asn)
-                if tagger or silent or forward or cleaner:
-                    counter_state[asn] = (tagger, silent, forward, cleaner)
-            changed = {
-                asn: (old, new)
-                for asn, old, new in connection.execute(
-                    "SELECT asn, old_code, new_code FROM changes WHERE snapshot_id = ?",
-                    (snapshot_id,),
-                )
-            }
-        result = ClassificationResult(
-            store=CounterStore.from_state(counter_state, meta.thresholds),
-            observed_ases=observed,
-            algorithm=meta.algorithm,
+            columns = self._decoded(connection, snapshot_id, meta.generation)
+            assert columns is not None  # one transaction: the row has its columns
+            changed = self.changes(snapshot_id)
+        asns, _, counters = columns
+        result = ClassificationResult.from_columns(
+            asns, counters, meta.thresholds, meta.algorithm
         )
         return WindowSnapshot(
             window_start=meta.window_start,
@@ -775,43 +903,81 @@ class SnapshotStore(SnapshotBackend):
     def as_history(self, asn: ASN, *, limit: Optional[int] = None) -> List[ASHistoryEntry]:
         """Classification history of one AS, newest snapshot first.
 
-        Served by the ``(asn, snapshot_id)`` index: cost is proportional to
-        the history length of this AS, not to the store size.
+        One ``as_buckets`` probe names the buckets that held the AS; their
+        snapshots are searched newest first, binary-searching each one's
+        (cached) ASN column.  The cost follows the AS's own history (in
+        buckets), not the store size: an AS the store never held costs the
+        probe alone.  The walk is one statement, so it needs no transaction
+        while the columns come from the cache; a snapshot that went away
+        before its columns were read sends the whole read again, in one.
         """
         if limit is not None and limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
-        query = (
-            "SELECT r.snapshot_id, s.window_start, s.window_end, r.code,"
-            " r.tagger, r.silent, r.forward, r.cleaner"
-            " FROM as_records r JOIN snapshots s ON s.id = r.snapshot_id"
-            " WHERE r.asn = ? ORDER BY r.snapshot_id DESC"
-        )
-        parameters: Tuple[int, ...] = (int(asn),)
-        if limit is not None:
-            query += " LIMIT ?"
-            parameters = (int(asn), limit)
-        return [
-            ASHistoryEntry(
-                snapshot_id=row[0],
-                window_start=row[1],
-                window_end=row[2],
-                code=row[3],
-                counters=ASCounters(
-                    tagger=row[4], silent=row[5], forward=row[6], cleaner=row[7]
-                ),
+        key = int(asn)
+        if not 0 <= key < 1 << 63:  # SQLite integers: nothing stored out there
+            return []
+        entries = self._history(self._conn(), key, limit)
+        while entries is None:
+            with self._read_txn() as connection:
+                entries = self._history(connection, key, limit)
+        return entries
+
+    def _history(
+        self, connection: sqlite3.Connection, key: int, limit: Optional[int]
+    ) -> Optional[List[ASHistoryEntry]]:
+        entries: List[ASHistoryEntry] = []
+        needle = np.uint64(key)  # in the column's dtype: a Python int is converted per search
+        # Nested-loop order (bucket, then id, both descending) is the ORDER
+        # BY, so rows stream without a sort and the walk can stop early; the
+        # cursor is closed on the way out, or it would pin the read snapshot.
+        with closing(
+            connection.execute(
+                "SELECT s.id, s.window_start, s.window_end, s.generation FROM as_buckets b"
+                " JOIN snapshots s ON s.id BETWEEN b.bucket << ? AND ((b.bucket + 1) << ?) - 1"
+                " WHERE b.asn = ? ORDER BY b.bucket DESC, s.id DESC",
+                (_BUCKET_BITS, _BUCKET_BITS, key),
             )
-            for row in self._conn().execute(query, parameters)
-        ]
+        ) as cursor:
+            for snapshot_id, window_start, window_end, generation in cursor:
+                columns = self._decoded(connection, snapshot_id, generation)
+                if columns is None:
+                    return None
+                asns, codes, counters = columns
+                row = asns.searchsorted(needle)
+                if row == len(asns) or asns[row] != needle:
+                    continue
+                code, quad = CLASS_CODES[codes[row]], counters[:, row].tolist()
+                entries.append(
+                    ASHistoryEntry(snapshot_id, window_start, window_end, code, ASCounters(*quad))
+                )
+                if len(entries) == limit:
+                    break
+        return entries
 
     # -- statistics ---------------------------------------------------------------------
+    def _distinct_ases(self, connection: sqlite3.Connection) -> int:
+        """ASes in any retained snapshot, recounted once per generation.
+
+        Decodes only the ASN prefix of each blob and bypasses the column
+        cache, so a stats scrape never evicts what per-AS reads use.
+        """
+        row = connection.execute("SELECT value FROM meta WHERE key = 'generation'").fetchone()
+        generation = int(row[0]) if row is not None else 0
+        if self._distinct[0] != generation:
+            seen: Set[int] = set()
+            for rows, blob in connection.execute("SELECT rows, columns FROM snapshot_columns"):
+                raw = zlib.decompressobj().decompress(blob, 8 * rows)
+                seen.update(np.frombuffer(raw, "<u8", rows).tolist())
+            self._distinct = (generation, len(seen))
+        return self._distinct[1]
+
     def stats(self) -> Dict[str, object]:
         """Store-level statistics for ``/v1/stats`` and operations."""
-        connection = self._conn()
-        snapshots = int(connection.execute("SELECT COUNT(*) FROM snapshots").fetchone()[0])
-        records = int(connection.execute("SELECT COUNT(*) FROM as_records").fetchone()[0])
-        distinct = int(
-            connection.execute("SELECT COUNT(DISTINCT asn) FROM as_records").fetchone()[0]
-        )
+        with self._read_txn() as connection:
+            snapshots, records = connection.execute(
+                "SELECT COUNT(*), COALESCE(SUM(rows), 0) FROM snapshot_columns"
+            ).fetchone()
+            distinct = self._distinct_ases(connection)
         size_bytes = 0
         if self.path != ":memory:":
             # Under WAL the main file alone can understate on-disk size by

@@ -71,6 +71,7 @@ from typing import (
 )
 from urllib.parse import parse_qs
 
+from repro.bgp.asn import MAX_ASN_32BIT
 from repro.service.auth import check_token
 from repro.service.backends.base import SnapshotBackend, StoreError, snapshot_payload
 from repro.service.metrics import (
@@ -482,7 +483,7 @@ class ClassificationService:
         self, params: Dict[str, str], query: Dict[str, List[str]]
     ) -> RoutePayload:
         asn = _int_operand(params["asn"], "asn")
-        if asn < 0:
+        if not 0 <= asn <= MAX_ASN_32BIT:
             raise ApiError(400, f"invalid asn {asn}")
         self._latest_or_404()
         history_limit = None
@@ -490,7 +491,9 @@ class ClassificationService:
             history_limit = _int_operand(query["history"][-1], "history")
             if history_limit < 1:
                 raise ApiError(400, "history must be >= 1")
-        latest = self.store.as_latest(asn)
+        # One store read: the newest entry of the history is the latest.
+        history = self.store.as_history(asn, limit=history_limit or 1)
+        latest = history[0] if history else None
         payload: Dict[str, object] = {
             "asn": asn,
             # An AS the store never saw is validly "nn": no evidence at all.
@@ -500,9 +503,7 @@ class ClassificationService:
         if latest is not None:
             payload["latest"] = latest.to_dict()
         if history_limit is not None:
-            payload["history"] = [
-                entry.to_dict() for entry in self.store.as_history(asn, limit=history_limit)
-            ]
+            payload["history"] = [entry.to_dict() for entry in history]
         return payload
 
     def _diff(

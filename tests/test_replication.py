@@ -5,11 +5,14 @@ pruning horizon), the follower syncer (convergence to byte-identical served
 payloads, exactly-once resume after a mid-sync kill, explicit errors when
 leader retention outruns a lagging follower, bootstrap of an empty follower
 from an already-pruned leader), the schema v1 -> v2 migration the
-generation column required, and the ``repro replicate`` CLI wiring.
+generation column required, the schema v2 -> v3 migration to one column
+blob per snapshot, and the ``repro replicate`` CLI wiring.
 """
 
 from __future__ import annotations
 
+import json
+import random
 import sqlite3
 from collections import Counter
 
@@ -17,6 +20,8 @@ import pytest
 
 from repro.service import (
     ClassificationServer,
+    ClassificationService,
+    MemoryBackend,
     ReplicaSyncer,
     ReplicationError,
     ServiceClient,
@@ -28,6 +33,8 @@ from repro.service import (
     snapshot_payload,
 )
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
+from tests.test_backends import build_snapshots
+from tests.test_columnar_store import random_snapshot
 from tests.test_stream import observation
 
 
@@ -413,7 +420,7 @@ class TestReplicaSyncer:
 
 
 # ---------------------------------------------------------------------------------------
-# Schema migration (v1 -> v2)
+# Schema migration (v1 -> v2 -> v3)
 # ---------------------------------------------------------------------------------------
 def _open_store_process(path, results):
     """Child-process entry: open (and possibly migrate) one store path.
@@ -455,6 +462,115 @@ CREATE TABLE changes (
 INSERT INTO meta (key, value) VALUES ('schema_version', '1');
 INSERT INTO meta (key, value) VALUES ('generation', '5');
 """
+
+#: The version-2 DDL, verbatim, to fabricate a pre-column store file.
+_V2_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE snapshots (
+    id              INTEGER PRIMARY KEY AUTOINCREMENT,
+    kind            TEXT NOT NULL,
+    window_start    INTEGER NOT NULL,
+    window_end      INTEGER NOT NULL,
+    skipped_windows INTEGER NOT NULL,
+    events_total    INTEGER NOT NULL,
+    unique_tuples   INTEGER NOT NULL,
+    algorithm       TEXT NOT NULL,
+    thresholds      TEXT NOT NULL,
+    generation      INTEGER NOT NULL DEFAULT 0
+);
+CREATE INDEX idx_snapshots_window_end ON snapshots (window_end);
+CREATE INDEX idx_snapshots_generation ON snapshots (generation);
+CREATE TABLE as_records (
+    snapshot_id INTEGER NOT NULL,
+    asn         INTEGER NOT NULL,
+    code        TEXT NOT NULL,
+    tagger      INTEGER NOT NULL,
+    silent      INTEGER NOT NULL,
+    forward     INTEGER NOT NULL,
+    cleaner     INTEGER NOT NULL,
+    PRIMARY KEY (snapshot_id, asn)
+) WITHOUT ROWID;
+CREATE INDEX idx_as_records_asn ON as_records (asn, snapshot_id);
+CREATE TABLE changes (
+    snapshot_id INTEGER NOT NULL,
+    asn         INTEGER NOT NULL,
+    old_code    TEXT NOT NULL,
+    new_code    TEXT NOT NULL,
+    PRIMARY KEY (snapshot_id, asn)
+) WITHOUT ROWID;
+INSERT INTO meta (key, value) VALUES ('schema_version', '2');
+INSERT INTO meta (key, value) VALUES ('pruned_through', '0');
+INSERT INTO meta (key, value) VALUES ('leader_epoch', '0');
+"""
+
+
+def _fabricate_v2(path, snapshots):
+    """A version-2 store holding *snapshots* the way a v2 build wrote them."""
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.executescript(_V2_SCHEMA)
+        for generation, snapshot in enumerate(snapshots, start=1):
+            result = snapshot.result
+            thresholds = result.thresholds
+            snapshot_id = connection.execute(
+                "INSERT INTO snapshots (kind, window_start, window_end,"
+                " skipped_windows, events_total, unique_tuples, algorithm,"
+                " thresholds, generation) VALUES ('window', ?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    snapshot.window_start,
+                    snapshot.window_end,
+                    snapshot.skipped_windows,
+                    snapshot.events_total,
+                    snapshot.unique_tuples,
+                    result.algorithm,
+                    json.dumps(
+                        [
+                            thresholds.tagger,
+                            thresholds.silent,
+                            thresholds.forward,
+                            thresholds.cleaner,
+                        ]
+                    ),
+                    generation,
+                ),
+            ).lastrowid
+            connection.executemany(
+                "INSERT INTO as_records VALUES (?, ?, ?, ?, ?, ?, ?)",
+                [(snapshot_id, *record) for record in result.records()],
+            )
+            connection.executemany(
+                "INSERT INTO changes VALUES (?, ?, ?, ?)",
+                [(snapshot_id, asn, old, new) for asn, (old, new) in snapshot.changed.items()],
+            )
+        connection.execute(
+            "INSERT INTO meta (key, value) VALUES ('generation', ?)", (str(len(snapshots)),)
+        )
+    connection.close()
+
+
+def _assert_columnar(path):
+    """The file at *path* is schema 3: column blobs, no per-AS table left."""
+    connection = sqlite3.connect(path)
+    try:
+        names = {name for (name,) in connection.execute("SELECT name FROM sqlite_master")}
+        version = connection.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchone()
+    finally:
+        connection.close()
+    assert version == ("3",)
+    assert "snapshot_columns" in names
+    assert not names & {"as_records", "idx_as_records_asn"}
+
+
+def _v2_snapshots():
+    """Engine windows plus edge-ASN, empty and other-threshold results."""
+    rng = random.Random(5)
+    return build_snapshots(4) + [
+        random_snapshot(rng, 10),
+        random_snapshot(rng, 11, empty=True),
+        random_snapshot(rng, 12),
+    ]
 
 
 class TestSchemaMigration:
@@ -515,6 +631,83 @@ class TestSchemaMigration:
         for process in processes:
             process.join(timeout=10)
         assert outcomes == [("ok", 3)] * 4, outcomes
+
+    def test_v1_chain_ends_at_columns(self, tmp_path):
+        path = tmp_path / "legacy.db"
+        self._fabricate_v1(path)
+        with SnapshotStore(path) as migrated:
+            assert migrated.stats()["schema_version"] == 3
+            assert [entry.snapshot_id for entry in migrated.as_history(10)] == [3, 2, 1]
+        _assert_columnar(path)
+
+    @pytest.mark.parametrize("reverse_scans", [False, True])
+    def test_v2_store_serves_the_bodies_of_the_reference(
+        self, tmp_path, monkeypatch, reverse_scans
+    ):
+        """A migrated v2 file answers every endpoint byte for byte like a
+        MemoryBackend fed the same snapshots -- also when SQLite hands back
+        the rows of any unordered read in reverse, so the migration must
+        order its rows itself."""
+        if reverse_scans:
+            connect = SnapshotStore._connect
+
+            def reversing(store):
+                connection = connect(store)
+                connection.execute("PRAGMA reverse_unordered_selects = ON")
+                return connection
+
+            monkeypatch.setattr(SnapshotStore, "_connect", reversing)
+        snapshots = _v2_snapshots()
+        path = tmp_path / "v2.db"
+        _fabricate_v2(path, snapshots)
+        reference = MemoryBackend()
+        for snapshot in snapshots:
+            reference.append_snapshot(snapshot)
+        ends = [snapshot.window_end for snapshot in snapshots]
+        asns = sorted(set().union(*(s.result.observed_ases for s in snapshots)))
+        targets = ["/v1/snapshot/latest", "/v1/diff", "/v1/replication/changes"]
+        targets += ["/v1/replication/changes?since=2&limit=3"]
+        targets += [f"/v1/snapshot/{end}" for end in ends]
+        targets += [f"/v1/diff?window={end}" for end in ends]
+        targets += [
+            f"/v1/as/{asn}{suffix}"
+            for asn in asns + [65000]
+            for suffix in ("", "?history=1", "?history=3", "?history=9")
+        ]
+        with SnapshotStore(path) as migrated:
+            assert migrated.stats()["schema_version"] == 3
+            ours, theirs = ClassificationService(migrated), ClassificationService(reference)
+            for target in targets:
+                got, want = ours.handle(target), theirs.handle(target)
+                assert (got.status, got.body) == (want.status, want.body), target
+                assert got.status == 200, target
+        _assert_columnar(path)
+
+    def test_concurrent_opens_race_the_v2_migration_safely(self, tmp_path):
+        """The v2 twin of the v1 race: one process rewrites the per-AS rows
+        into column blobs, the others open the already-migrated file."""
+        import multiprocessing
+
+        path = tmp_path / "contended-v2.db"
+        snapshots = _v2_snapshots()
+        _fabricate_v2(path, snapshots)
+        ctx = multiprocessing.get_context("spawn")
+        results = ctx.Queue()
+        processes = [
+            ctx.Process(target=_open_store_process, args=(str(path), results))
+            for _ in range(4)
+        ]
+        for process in processes:
+            process.start()
+        outcomes = [results.get(timeout=60) for _ in processes]
+        for process in processes:
+            process.join(timeout=10)
+        assert outcomes == [("ok", len(snapshots))] * 4, outcomes
+        _assert_columnar(path)
+        with SnapshotStore(path) as migrated:
+            for index, snapshot in enumerate(snapshots, start=1):
+                loaded = migrated.load_snapshot(index)
+                assert snapshot_payload(loaded) == snapshot_payload(snapshot)
 
 
 # ---------------------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.service import (
     ClassificationServer,
     ClassificationService,
     LRUCache,
+    MemoryBackend,
     ServiceClient,
     ServiceError,
     SnapshotStore,
@@ -731,6 +732,65 @@ class TestHttpApi:
             client.stats(),
         ):
             assert json.loads(json.dumps(payload)) == payload
+
+
+@pytest.fixture(params=["sqlite", "memory"])
+def filled_backend(request):
+    """An in-memory store of either backend holding two small windows."""
+    backend = SnapshotStore(":memory:") if request.param == "sqlite" else MemoryBackend()
+    events = [observation([10, 20], ["10:1"], timestamp=t) for t in (5, 130)]
+    engine = StreamEngine(StreamConfig(window=WindowSpec(size=100)))
+    attach_store(engine, backend)
+    engine.run(MemorySource(events))
+    yield backend
+    backend.close()
+
+
+class TestAsOperand:
+    """ASNs are 32-bit: anything past ``MAX_ASN_32BIT`` is a 400, on every
+    backend, at the service and over HTTP, with or without ``history``."""
+
+    OUT_OF_RANGE = (4294967296, 2**63, 10**20)
+
+    def test_service_bounds(self, filled_backend):
+        service = ClassificationService(filled_backend)
+        top = service.handle("/v1/as/4294967295")
+        assert top.status == 200
+        assert json.loads(top.body) == {"asn": 4294967295, "code": "nn", "observed": False}
+        for asn in self.OUT_OF_RANGE:
+            for suffix in ("", "?history=2"):
+                response = service.handle(f"/v1/as/{asn}{suffix}")
+                assert response.status == 400
+                error = json.loads(response.body)["error"]
+                assert (error["code"], error["message"]) == ("bad_request", f"invalid asn {asn}")
+
+    def test_http_bounds(self, filled_backend):
+        with ClassificationServer(filled_backend) as server:
+            server.start()
+            with ServiceClient(server.url) as client:
+                assert client.as_info(4294967295, history=2)["observed"] is False
+                for asn in self.OUT_OF_RANGE:
+                    for suffix in ("", "?history=2"):
+                        with pytest.raises(ServiceError) as excinfo:
+                            client.get(f"/v1/as/{asn}{suffix}")
+                        assert excinfo.value.status == 400
+
+    def test_history_is_one_store_read(self, filled_backend, monkeypatch):
+        calls = []
+        as_history = filled_backend.as_history
+
+        def counted(asn, *, limit=None):
+            calls.append(limit)
+            return as_history(asn, limit=limit)
+
+        monkeypatch.setattr(filled_backend, "as_history", counted)
+        service = ClassificationService(filled_backend)
+        body = json.loads(service.handle("/v1/as/10?history=2").body)
+        assert calls == [2]
+        assert body["latest"] == body["history"][0]
+        assert len(body["history"]) == 2
+        assert service.handle("/v1/as/10").status == 200
+        assert calls == [2, 1]
 
 
 class TestLRUCache:
