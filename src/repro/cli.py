@@ -49,6 +49,7 @@ from repro.core.export import ClassificationDatabase
 from repro.core.pipeline import InferencePipeline
 from repro.core.thresholds import Thresholds
 from repro.mrt import MRTDecodeError
+from repro.stream.checkpoint import CheckpointError
 
 
 def _positive_int(text: str) -> int:
@@ -174,7 +175,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     allowed_lateness=args.allowed_lateness,
                 ),
                 shards=shards,
-                algorithm=args.algorithm,
                 thresholds=Thresholds.uniform(args.threshold),
                 checkpoint_every=args.checkpoint_every,
                 ingest_block_size=args.ingest_block_size,
@@ -598,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("-o", "--output", help="output file (default: stdout)")
     stream.add_argument("--format", choices=("text", "json"), default="text")
     stream.add_argument("--threshold", type=float, default=0.99)
-    stream.add_argument("--algorithm", choices=("column", "row"), default="column")
     stream.add_argument(
         "--window", type=int, default=3600, help="window size in seconds of event time"
     )
@@ -848,9 +847,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (MRTDecodeError, OSError) as error:
-        # A corrupt or unreadable *input file* is the user's to fix.  Any
-        # other OSError (a socket, the store, the output path) is not.
+    except (MRTDecodeError, CheckpointError, OSError) as error:
+        # A corrupt or unreadable *input file* or checkpoint is the user's to
+        # fix.  Any other OSError (a socket, the store, the output path) is not.
         if isinstance(error, OSError) and error.filename not in getattr(args, "inputs", ()):
             raise
         print(f"error: {error}", file=sys.stderr)

@@ -14,14 +14,14 @@ Cond1 / Cond2 safeguards:
 Every tuple's contribution is independent of all counters, so the whole
 algorithm is one commutative sum of per-tuple deltas: :func:`row_tuple_delta`
 computes one tuple's contribution and :func:`count_row_phase` folds any
-number of them.  (The streaming row classifier relies on the same property
-through the packed twin :func:`row_group_delta_packed`: arrivals fold in
-with multiplicity +1, evictions with -1.)
+number of them.
 
 The paper argues (and Section 6 shows) that this approach cannot distinguish
 hidden behaviour from silence/cleaning and is therefore prone to
-misclassification; it is included as the comparison baseline and exercised by
-the ablation benchmark.
+misclassification; it is included as a batch comparison baseline (``repro
+classify --algorithm row``, ``InferencePipeline(algorithm="row")``) and
+exercised by the ablation benchmark.  The streaming engine runs the column
+algorithm only.
 """
 
 from __future__ import annotations
@@ -88,49 +88,6 @@ def count_row_phase(prepared: Sequence[PreparedTuple]) -> RowDelta:
     delta: RowDelta = {}
     for item in prepared:
         row_tuple_delta(item, delta)
-    return delta
-
-
-def row_group_delta_packed(
-    row: Sequence[int],
-    hits: int,
-    count: int,
-    delta: Optional[Dict[int, List[int]]] = None,
-) -> Dict[int, List[int]]:
-    """Columnar twin of :func:`row_tuple_delta` over one counting group.
-
-    The object kernel's forwarding pass is O(n²): for every *present*
-    downstream community it walks all upstream positions.  Per position
-    ``j`` that inner loop contributes exactly ``#{x > j : hits bit x set}``
-    forward counts, so one right-to-left suffix count produces identical
-    sums in O(n).  Multiplying by the group multiplicity folds all tuples
-    sharing ``(row, hits)`` in one pass (contributions are commutative).
-    """
-    if delta is None:
-        delta = {}
-
-    def entry(index: int) -> List[int]:
-        found = delta.get(index)
-        if found is None:
-            found = delta[index] = [0, 0, 0, 0]
-        return found
-
-    # Tagging: every position, tagger when its own community is present.
-    for position in range(len(row)):
-        if (hits >> position) & 1:
-            entry(row[position])[0] += count
-        else:
-            entry(row[position])[1] += count
-    # Forwarding: suffix-count of present downstream communities.
-    present_downstream = 0
-    for position in range(len(row) - 2, -1, -1):
-        next_present = (hits >> (position + 1)) & 1
-        present_downstream += next_present
-        slot = entry(row[position])
-        if present_downstream:
-            slot[2] += present_downstream * count
-        if not next_present:
-            slot[3] += count
     return delta
 
 

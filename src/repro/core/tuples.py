@@ -227,10 +227,6 @@ class TupleTable:
         """Reconstruct the :class:`PathCommTuple` behind *ref*."""
         return PathCommTuple(self._path_objs[ref[0]], self._comm_sets[ref[1]])
 
-    def path_asns_of(self, path_id: int) -> Tuple[ASN, ...]:
-        """The ASN sequence of *path_id*."""
-        return self._path_objs[path_id].asns
-
     def path_cells(self, path_ids: Collection[int]) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """``(lengths, cells)``: the AS-index rows of *path_ids*, concatenated.
 

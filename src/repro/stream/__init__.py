@@ -14,11 +14,7 @@ from repro.stream.engine import (
     StreamStats,
     WindowSnapshot,
 )
-from repro.stream.incremental import (
-    ColumnarColumnClassifier,
-    ColumnarRowClassifier,
-    IncrementalStats,
-)
+from repro.stream.incremental import ColumnarColumnClassifier, IncrementalStats
 from repro.stream.sharding import ShardRouter, ShardWorker, shard_of
 from repro.stream.sources import (
     BlockSource,
@@ -35,7 +31,6 @@ __all__ = [
     "CheckpointManager",
     "ClosedWindow",
     "ColumnarColumnClassifier",
-    "ColumnarRowClassifier",
     "DEFAULT_INGEST_BLOCK_SIZE",
     "IncrementalStats",
     "MemorySource",

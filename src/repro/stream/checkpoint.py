@@ -5,8 +5,9 @@ replaying days of updates.  The engine therefore periodically serialises its
 full state — shard dedup sets, window clock, incremental classifier records,
 counters — through a :class:`CheckpointManager`:
 
-* checkpoints are written atomically (temp file + ``os.replace``) so a crash
-  mid-write never corrupts the latest good checkpoint;
+* checkpoints are written atomically and durably (temp file, ``fsync``,
+  ``os.replace``, ``fsync`` of the directory) so neither a crash mid-write
+  nor a power loss after it leaves a truncated latest checkpoint;
 * files are sequence-numbered and pruned to the ``keep`` most recent;
 * every checkpoint embeds a format version and is rejected on mismatch.
 
@@ -77,6 +78,8 @@ class CheckpointManager:
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(temp_name, target)
         except BaseException:
             try:
@@ -84,6 +87,12 @@ class CheckpointManager:
             except OSError:
                 pass
             raise
+        # The rename itself is durable only once the directory entry is.
+        directory = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         self._prune()
         return target
 

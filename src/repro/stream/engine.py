@@ -31,7 +31,7 @@ from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleRef, TupleTable
 from repro.sanitize.filters import SanitationConfig, SanitationStats
 from repro.stream.checkpoint import CheckpointManager
-from repro.stream.incremental import classifier_from_state, make_classifier
+from repro.stream.incremental import ColumnarColumnClassifier, classifier_from_state
 from repro.stream.sharding import ShardRouter
 from repro.stream.sources import iter_event_blocks
 from repro.stream.window import ClosedWindow, WindowClock, WindowPolicy, WindowSpec
@@ -53,7 +53,6 @@ class StreamConfig:
 
     window: WindowSpec = field(default_factory=WindowSpec)
     shards: int = 1
-    algorithm: str = "column"
     thresholds: Thresholds = field(default_factory=Thresholds)
     sanitation: Optional[SanitationConfig] = None
     max_columns: Optional[int] = None
@@ -67,8 +66,6 @@ class StreamConfig:
     ingest_block_size: int = DEFAULT_INGEST_BLOCK_SIZE
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("column", "row"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.shards < 1:
             raise ValueError(f"need at least one shard, got {self.shards}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
@@ -183,8 +180,7 @@ class StreamEngine:
             table=self._table,
         )
         self.clock = WindowClock(self.config.window)
-        self.classifier = make_classifier(
-            self.config.algorithm,
+        self.classifier = ColumnarColumnClassifier(
             self.config.thresholds,
             max_columns=self.config.max_columns,
             table=self._table,

@@ -1,4 +1,4 @@
-"""Incremental (streaming) versions of the inference algorithms.
+"""Incremental (streaming) version of the column-based inference.
 
 The batch :class:`~repro.core.column.ColumnInference` recounts every tuple on
 every run.  The streaming engine cannot afford that: updates arrive
@@ -13,8 +13,10 @@ over ``(row, hits, multiplicity)`` groups.  The batch
 :class:`~repro.core.column.ColumnInference` counts through the same two
 kernels (over a matrix it lowers in bulk), so the oracle the stream tests
 compare against is the paper's listing over object tuples,
-``tests/column_oracle.py``, and :class:`~repro.core.row.RowInference` for the
-row baseline.
+``tests/column_oracle.py``.  The row-based baseline
+(:class:`~repro.core.row.RowInference`) is a batch comparison only;
+:func:`classifier_from_state` refuses a checkpoint whose classifier state
+says ``"row"``.
 
 The key observation (see :mod:`repro.core.column`) is that every counting
 phase is a pure function of ``(tuple set, decision flags)``, linear in the
@@ -42,28 +44,23 @@ serves both the live per-AS / per-length counts -- two int64 columns, one
 ``bincount`` each -- and, for a turnover the numpy kernels will take, the
 matrix lowering (:func:`~repro.core.tuples.materialize_groups`).
 
-The row-based baseline is embarrassingly incremental: every tuple's
-contribution is independent of all counters, so tuples can be added *and
-retracted* with exact per-tuple deltas (no recounts, ever).
-
-What an update hands back stays columnar: both classifiers give
+What an update hands back stays columnar: the classifier gives
 :meth:`ClassificationResult.from_packed
-<repro.core.results.ClassificationResult.from_packed>` their packed counter
+<repro.core.results.ClassificationResult.from_packed>` its packed counter
 columns, the table's AS array and the observed set, and it classifies every
 AS in one numpy pass.  It copies what it keeps, so a result (and the window
-snapshot holding it) does not move when later tuples intern new ASes, the row
-classifier retracts in place, or the next update rebinds the counters.
+snapshot holding it) does not move when later tuples intern new ASes or the
+next update rebinds the counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from repro.bgp.announcement import PathCommTuple
-from repro.bgp.asn import ASN
 from repro.core.column import (
     ColumnInferenceReport,
     count_forwarding_phase_packed,
@@ -73,7 +70,6 @@ from repro.core.column import (
 from repro.core.counters import PackedCounterStore
 from repro.core.matrix import GroupList
 from repro.core.results import ClassificationResult
-from repro.core.row import row_group_delta_packed
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import (
     CountingGroup,
@@ -83,6 +79,7 @@ from repro.core.tuples import (
     materialize_groups,
     merge_group_counts,
 )
+from repro.stream.checkpoint import CheckpointError
 
 #: The cached kernel form of the counted groups takes every update's signed
 #: rows; once it would hold more than this many rows per live group it is
@@ -110,21 +107,6 @@ class IncrementalStats:
             "delta_phases": self.delta_phases,
             "recount_phases": self.recount_phases,
         }
-
-
-def _add_refs(refs: Dict[ASN, int], asns: Iterable[ASN], count: int) -> None:
-    """Add the signed *count* to the live reference count of every AS.
-
-    An AS whose count returns to zero is dropped, so the key set is exactly
-    what the live tuples still reference — evicting the last tuple through
-    an AS makes it unobserved again.
-    """
-    for asn in asns:
-        total = refs.get(asn, 0) + count
-        if total:
-            refs[asn] = total
-        else:
-            del refs[asn]
 
 
 def _fold_counts(
@@ -443,142 +425,44 @@ class ColumnarColumnClassifier:
         return classifier
 
 
-class ColumnarRowClassifier:
-    """Streaming version of the row-based baseline.
-
-    Row counting is per-tuple independent, so arrivals *and* retractions
-    are exact packed-array deltas computed per ``(path, hits)`` group; a
-    retracted group applies the same delta with multiplicity ``-1``, so the
-    packed store is always the commutative sum of the live tuples (slots at
-    zero read as absent).  The store is mutated in place, which is why a
-    result copies the columns it is built from.
-    """
-
-    algorithm = "row"
-
-    def __init__(
-        self,
-        thresholds: Optional[Thresholds] = None,
-        *,
-        table: Optional[TupleTable] = None,
-    ) -> None:
-        self.thresholds = thresholds or Thresholds()
-        self.stats = IncrementalStats()
-        self.table = table if table is not None else TupleTable()
-        self._packed = PackedCounterStore(self.thresholds)
-        #: Live tuples per AS on their path; the keys are the observed ASes.
-        self._as_refs: Dict[ASN, int] = {}
-        self._tuple_count = 0
-
-    # -- ingestion ---------------------------------------------------------------------
-    @property
-    def tuple_count(self) -> int:
-        """Number of unique tuples currently folded in."""
-        return self._tuple_count
-
-    def _apply_ref(self, ref: TupleRef, count: int) -> None:
-        path_id = ref[0]
-        hits = self.table.hits_of(path_id, ref[1])
-        self._packed.ensure_slots(self.table.as_count)
-        self._packed.apply_delta(
-            row_group_delta_packed(self.table.path_row(path_id), hits, count)
-        )
-        _add_refs(self._as_refs, self.table.path_asns_of(path_id), count)
-        self._tuple_count += count
-
-    def add_ref(self, ref: TupleRef) -> None:
-        """Fold one interned unique tuple into the counters immediately."""
-        self._apply_ref(ref, 1)
-        self.stats.tuples_added += 1
-        self.stats.delta_phases += 1
-
-    def add_refs(self, refs: Sequence[TupleRef]) -> None:
-        """Fold interned unique tuples in, one exact delta each."""
-        for ref in refs:
-            self.add_ref(ref)
-
-    def add_tuple(self, item: PathCommTuple) -> None:
-        """Intern and fold one new unique tuple."""
-        self.add_ref(self.table.intern_tuple(item))
-
-    def evict_refs(self, evicted: Sequence[TupleRef]) -> None:
-        """Retract expired live tuples with exact negative deltas."""
-        for ref in evicted:
-            self._apply_ref(ref, -1)
-
-    # -- classification -----------------------------------------------------------------
-    def update(self) -> ClassificationResult:
-        """Return the up-to-date classification (counters are always live)."""
-        self.stats.updates += 1
-        return self.result()
-
-    def result(self) -> ClassificationResult:
-        """The current classification as an immutable snapshot."""
-        return ClassificationResult.from_packed(
-            self._packed, self.table.as_values(), set(self._as_refs), algorithm="row"
-        )
-
-    # -- checkpointing ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Plain-data snapshot (ids are relative to the shared table)."""
-        return {
-            "algorithm": self.algorithm,
-            "thresholds": self.thresholds,
-            "store_arrays": self._packed.arrays_state(),
-            "as_refs": dict(self._as_refs),
-            "tuple_count": self._tuple_count,
-            "stats": replace(self.stats),
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: Dict[str, object], table: TupleTable
-    ) -> "ColumnarRowClassifier":
-        """Rebuild against the restored table the ids were minted by."""
-        classifier = cls(state["thresholds"], table=table)
-        classifier._packed = PackedCounterStore.from_arrays_state(
-            state["store_arrays"], classifier.thresholds
-        )
-        classifier._as_refs = dict(state["as_refs"])
-        classifier._tuple_count = state["tuple_count"]
-        classifier.stats = replace(state["stats"])
-        return classifier
-
-
 def make_classifier(
     algorithm: str,
     thresholds: Optional[Thresholds] = None,
     *,
     max_columns: Optional[int] = None,
     stop_when_stalled: bool = True,
-    # Only benchmarks/e2e/adapter.py::replay_classifier_add still passes this
-    # keyword; remove it with the next benchmark PR.
+    # benchmarks/e2e/adapter.py::replay_classifier_add still passes
+    # ("column", representation="columnar"); the next benchmark PR drops both
+    # parameters, which accept nothing else.
     representation: str = "columnar",
     table: Optional[TupleTable] = None,
-):
-    """Instantiate the incremental classifier for *algorithm*."""
+) -> ColumnarColumnClassifier:
+    """Instantiate the incremental column classifier."""
+    if algorithm != "column":
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if representation != "columnar":
         raise ValueError(f"unknown representation {representation!r}")
-    if algorithm == "column":
-        return ColumnarColumnClassifier(
-            thresholds,
-            max_columns=max_columns,
-            stop_when_stalled=stop_when_stalled,
-            table=table,
-        )
-    if algorithm == "row":
-        return ColumnarRowClassifier(thresholds, table=table)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return ColumnarColumnClassifier(
+        thresholds,
+        max_columns=max_columns,
+        stop_when_stalled=stop_when_stalled,
+        table=table,
+    )
 
 
-def classifier_from_state(state: Dict[str, object], table: TupleTable):
-    """Rebuild whichever classifier a ``state_dict`` snapshot came from.
+def classifier_from_state(
+    state: Dict[str, object], table: TupleTable
+) -> ColumnarColumnClassifier:
+    """Rebuild the classifier a ``state_dict`` snapshot came from.
 
     *table* is the restored :class:`TupleTable` the state's ids were minted by.
     """
     algorithm = state.get("algorithm")
-    if algorithm == "column":
-        return ColumnarColumnClassifier.from_state(state, table)
     if algorithm == "row":
-        return ColumnarRowClassifier.from_state(state, table)
-    raise ValueError(f"unknown algorithm in classifier state: {algorithm!r}")
+        raise CheckpointError(
+            "checkpoint holds a streaming row-baseline state, which this version "
+            "no longer runs; run the baseline in batch: repro classify --algorithm row"
+        )
+    if algorithm != "column":
+        raise CheckpointError(f"unknown algorithm in classifier state: {algorithm!r}")
+    return ColumnarColumnClassifier.from_state(state, table)

@@ -16,13 +16,11 @@ from __future__ import annotations
 from column_oracle import ListingInference, assert_same_result
 
 from repro.bgp.announcement import PathCommTuple
-from repro.core.row import RowInference
 from repro.sanitize.filters import Sanitizer
-from repro.stream import WindowClock, WindowPolicy
-from repro.stream.incremental import make_classifier
+from repro.stream import ColumnarColumnClassifier, WindowClock, WindowPolicy
 
 
-def reference_windows(events, spec, algorithm="column", *, asn_registry=None):
+def reference_windows(events, spec, *, asn_registry=None):
     """``(windows, sanitation stats dict)`` of replaying *events* under *spec*.
 
     One ``(start, end, events_total, unique_tuples, code map, counters,
@@ -30,7 +28,7 @@ def reference_windows(events, spec, algorithm="column", *, asn_registry=None):
     """
     sanitizer = Sanitizer(asn_registry=asn_registry)
     clock = WindowClock(spec)
-    inference = RowInference() if algorithm == "row" else ListingInference()
+    inference = ListingInference()
     last_seen = {}  # sanitized (path, comm) -> newest event time it was seen at
     windows = []
     codes = {}
@@ -74,17 +72,16 @@ def engine_windows(engine):
     ]
 
 
-def assert_packed_matches_batch(algorithm, tuples):
+def assert_packed_matches_batch(tuples):
     """A fresh stream classifier fed *tuples* == the reference inference over them.
 
     This is "packed kernels over interned groups == object kernels" on whole
     inferences.
     """
-    batch = RowInference() if algorithm == "row" else ListingInference()
+    batch = ListingInference()
     want = batch.run(tuples)
-    classifier = make_classifier(algorithm)
+    classifier = ColumnarColumnClassifier()
     for item in tuples:
         classifier.add_tuple(item)
     assert_same_result(classifier.update(), want)
-    if algorithm == "column":
-        assert classifier.report == batch.report
+    assert classifier.report == batch.report

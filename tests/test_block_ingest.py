@@ -7,8 +7,9 @@ that makes it safe to ship:
 * per-event ``ingest()`` and block ingest of any size produce *identical*
   window snapshots, final classifications, sanitation statistics, and
   retention state — and both equal the batch oracle in
-  :mod:`stream_oracle` window by window — for both window policies, both
-  algorithms, 1 and 3 shards, and blocks that straddle window cuts
+  :mod:`stream_oracle` window by window — for both window policies,
+  1 and 3 shards, blocks of observation objects and column-only blocks as
+  the MRT decoder hands them over, and blocks that straddle window cuts
   (including late events inside a block);
 * auto-checkpoints fire at the same event positions with the same captured
   state, even when the boundary lands mid-block, and a restore from a
@@ -29,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from stream_oracle import engine_windows, reference_windows
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, PathAttributes
@@ -92,6 +93,33 @@ def varied_feed():
     return events
 
 
+def wire_block(events):
+    """*events* as the MRT decoder hands them over: one column-only block.
+
+    No observation objects stay behind it, so slicing, sanitizing and
+    deduplicating run straight off the columns and the prefix off its wire
+    NLRI (family, bit length, network bytes).
+    """
+    block = RouteBlock(events[0].collector)
+    for event in events:
+        prefix = event.prefix
+        size = (prefix.length + 7) // 8
+        width = 32 if prefix.is_ipv4 else 128
+        block.timestamps.append(event.timestamp)
+        block.peer_asns.append(event.peer_asn)
+        block.paths.append(event.path)
+        block.communities.append(event.communities)
+        block.from_rib.append(event.from_rib)
+        block.afis.append(prefix.afi)
+        block.prefix_lengths.append(prefix.length)
+        block.networks.append((prefix.network >> (width - 8 * size)).to_bytes(size, "big"))
+    return block
+
+
+#: How a test hands its feed to ``ingest_block``.
+FEEDS = {"objects": list, "wire": wire_block}
+
+
 def engine_fingerprint(engine, result):
     """Everything block size must not change, in comparable plain data."""
     return {
@@ -138,38 +166,33 @@ def run_blocked(config, events, block_size, **kwargs):
 def assert_matches_oracle(engine, events, **oracle_kwargs):
     """Every window the engine published equals the batch oracle's."""
     config = engine.config
-    windows, sanitation = reference_windows(
-        events, config.window, config.algorithm, **oracle_kwargs
-    )
+    windows, sanitation = reference_windows(events, config.window, **oracle_kwargs)
     assert engine_windows(engine) == windows
     assert engine.sanitation_stats().as_dict() == sanitation
 
 
 # ---------------------------------------------------------------------------------------
-# Per-event == block == oracle, across sizes, policies, algorithms and shard counts
+# Per-event == block == oracle, across sizes, policies, feeds and shard counts
 # ---------------------------------------------------------------------------------------
 class TestBlockEquivalence:
     @pytest.mark.parametrize("policy", sorted(WINDOW_SPECS))
-    @pytest.mark.parametrize("algorithm", ("column", "row"))
+    @pytest.mark.parametrize("feed", sorted(FEEDS))
     @pytest.mark.parametrize("shards", (1, 3))
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_blocks_equal_per_event_and_oracle(self, policy, algorithm, shards, block_size):
+    def test_blocks_equal_per_event_and_oracle(self, policy, feed, shards, block_size):
         events = varied_feed()
         # One tuple only announced once at the start: must age out identically.
         events.insert(0, observation([70, 30], ["30:1"], timestamp=0))
 
         def config():
-            return StreamConfig(
-                window=WINDOW_SPECS[policy], shards=shards, algorithm=algorithm
-            )
+            return StreamConfig(window=WINDOW_SPECS[policy], shards=shards)
 
         baseline, base_result = run_per_event(config(), events)
-        blocked, block_result = run_blocked(config(), events, block_size)
+        blocked, block_result = run_blocked(config(), FEEDS[feed](events), block_size)
         assert engine_fingerprint(blocked, block_result) == engine_fingerprint(
             baseline, base_result
         )
         assert_matches_oracle(blocked, events)
-        assert block_result.algorithm == algorithm
         assert blocked.late_events > 0
         assert (blocked.stats.tuples_evicted > 0) == (policy == "sliding")
 
@@ -325,10 +348,8 @@ class TestBlockCheckpoints:
         )
 
     @pytest.mark.parametrize("policy", sorted(WINDOW_SPECS))
-    @pytest.mark.parametrize("algorithm", ("column", "row"))
-    def test_restore_from_mid_block_checkpoint_is_transparent(
-        self, tmp_path, policy, algorithm
-    ):
+    @pytest.mark.parametrize("feed", sorted(FEEDS))
+    def test_restore_from_mid_block_checkpoint_is_transparent(self, tmp_path, feed, policy):
         """Crash after a mid-block auto checkpoint, resume, finish per-event:
         the result must equal an uninterrupted run over the whole feed."""
         events = varied_feed()
@@ -337,13 +358,12 @@ class TestBlockCheckpoints:
             return StreamConfig(
                 window=WINDOW_SPECS[policy],
                 shards=3,
-                algorithm=algorithm,
                 checkpoint_every=13,
             )
 
         manager = CheckpointManager(tmp_path, keep=1)
         first = StreamEngine(config(), checkpoints=manager)
-        first.ingest_block(events[:20])  # auto checkpoint fires at event 13
+        first.ingest_block(FEEDS[feed](events)[:20])  # auto checkpoint fires at event 13
 
 
         resumed = StreamEngine.restore(manager)
@@ -361,7 +381,7 @@ class TestBlockCheckpoints:
         base_snapshots = base_print.pop("snapshots")
         assert resumed_snapshots == base_snapshots[-len(resumed_snapshots) :]
         assert resumed_print == base_print
-        windows, _ = reference_windows(events, WINDOW_SPECS[policy], algorithm)
+        windows, _ = reference_windows(events, WINDOW_SPECS[policy])
         assert engine_windows(resumed) == windows[-len(resumed_snapshots) :]
 
 

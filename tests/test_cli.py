@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import pickle
 
 import pytest
 
@@ -130,6 +131,41 @@ class TestClassifyCommand:
         output = tmp_path / "db.txt"
         assert main(["classify", str(mrt_file), "--threshold", "0.6", "-o", str(output)]) == 0
         assert output.exists()
+
+
+class TestRowBaseline:
+    """The row baseline is a batch comparison: ``classify --algorithm row``."""
+
+    # AS20 never tags, so the missing 20:x on ``10 20`` says nothing about
+    # AS10 forwarding; the row baseline counts it as cleaner evidence.
+    UPDATES = [
+        ([10], ["10:1"]),
+        ([20], []),
+        ([30], ["30:1"]),
+        ([10, 30], ["10:1", "30:1"]),
+        ([20, 30], ["30:1"]),
+        ([10, 20], ["10:1"]),
+    ]
+
+    def test_classify_row_equals_the_row_pipeline(self, tmp_path, capsys):
+        from repro.collectors.archive import read_mrt_files
+        from repro.core.pipeline import InferencePipeline
+
+        mrt_file = write_mrt(tmp_path / "updates.mrt", self.UPDATES)
+        argv = ["classify", str(mrt_file), "--format", "json"]
+        assert main(argv + ["--algorithm", "row"]) == 0
+        row_json = capsys.readouterr().out
+        outcome = InferencePipeline(algorithm="row").run_from_mrt(read_mrt_files([str(mrt_file)]))
+        assert outcome.result.algorithm == "row"
+        assert row_json == ClassificationDatabase.from_result(outcome.result).to_json()
+        assert main(argv) == 0
+        assert capsys.readouterr().out != row_json  # the two algorithms disagree here
+
+    def test_stream_has_no_algorithm_option(self, mrt_file, capsys):
+        with pytest.raises(SystemExit) as usage_error:
+            main(["stream", str(mrt_file), "--algorithm", "row"])
+        assert usage_error.value.code == 2
+        assert "unrecognized arguments: --algorithm row" in capsys.readouterr().err
 
 
 class TestInputFiles:
@@ -411,3 +447,51 @@ class TestStreamResumeStore:
         # checkpointed and removed the WAL on the last connection close.
         assert not wal_path.exists()
         assert store_path.exists()
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _set_version(path):
+    payload = pickle.loads(path.read_bytes())
+    payload["version"] = 2
+    path.write_bytes(pickle.dumps(payload))
+
+
+def _set_row_state(path):
+    payload = pickle.loads(path.read_bytes())
+    payload["state"]["classifier"]["algorithm"] = "row"
+    path.write_bytes(pickle.dumps(payload))
+
+
+class TestResumeFromBadCheckpoint:
+    """A checkpoint ``stream --resume`` cannot use is one error line, rc 1."""
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (_truncate, "cannot read checkpoint"),
+            (_set_version, "has version 2"),
+            (_set_row_state, "repro classify --algorithm row"),
+        ],
+        ids=["truncated", "wrong-version", "row-state"],
+    )
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_checkpoint_is_an_error_line(
+        self, damage, message, workers, windowed_mrt_file, tmp_path, capsys
+    ):
+        checkpoints = tmp_path / "ckpt"
+        feed = [str(windowed_mrt_file), "--window", "100", "--checkpoint-dir", str(checkpoints)]
+        assert main(["stream", *feed, "-o", str(tmp_path / "first.txt")]) == 0
+        (latest,) = checkpoints.glob("stream-ckpt-*.pkl")
+        damage(latest)
+        capsys.readouterr()
+        output = tmp_path / "resumed.txt"
+        rc = main(["stream", *feed, "--resume", "--workers", workers, "-o", str(output)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not output.exists()

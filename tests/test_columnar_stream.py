@@ -18,7 +18,9 @@ from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import Prefix, PrefixAllocation
+from repro.core.export import ClassificationDatabase
 from repro.core.tuples import TupleTable
+from repro.parallel import ParallelStreamEngine
 from repro.stream.checkpoint import CheckpointError, CheckpointManager
 from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.sharding import ShardWorker
@@ -40,8 +42,8 @@ def _random_tuples(rng: random.Random, count: int) -> list:
 
 class TestEngineConformance:
     @pytest.mark.parametrize("policy", [WindowPolicy.CUMULATIVE, WindowPolicy.SLIDING])
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_engine_equals_oracle(self, policy, algorithm):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_engine_equals_oracle(self, shards, policy):
         rng = random.Random(11)
         source = list(
             ScenarioSource(_random_tuples(rng, 30), duration=3600, repeat=3)
@@ -51,8 +53,8 @@ class TestEngineConformance:
             policy=policy,
             horizon=600 if policy is WindowPolicy.SLIDING else None,
         )
-        windows, sanitation = reference_windows(source, spec, algorithm)
-        engine = StreamEngine(StreamConfig(window=spec, shards=3, algorithm=algorithm))
+        windows, sanitation = reference_windows(source, spec)
+        engine = StreamEngine(StreamConfig(window=spec, shards=shards))
         final = engine.run(iter(source))
         assert engine_windows(engine) == windows
         assert engine.sanitation_stats().as_dict() == sanitation
@@ -65,7 +67,7 @@ class TestEngineConformance:
             ScenarioSource(_random_tuples(rng, 25), duration=3600, repeat=3)
         )
         spec = WindowSpec(size=300, policy=WindowPolicy.SLIDING, horizon=600)
-        config = StreamConfig(window=spec, shards=2, algorithm="column")
+        config = StreamConfig(window=spec, shards=2)
 
         uninterrupted = StreamEngine(config)
         expected = uninterrupted.run(iter(source))
@@ -110,6 +112,59 @@ class TestEngineConformance:
             manager.save({"tagging_records": [PhaseRecord()]})
         with pytest.raises(CheckpointError, match="PhaseRecord"):
             manager.load()
+
+
+class TestOneStreamingAlgorithm:
+    """The engine streams the column algorithm only; the row baseline is batch."""
+
+    SPEC = WindowSpec(size=300, policy=WindowPolicy.SLIDING, horizon=600)
+
+    def feed(self):
+        rng = random.Random(14)
+        return list(ScenarioSource(_random_tuples(rng, 25), duration=3600, repeat=3))
+
+    def checkpoint(self, tmp_path, events, edit):
+        """A checkpoint after *events*, its state passed through *edit*."""
+        manager = CheckpointManager(tmp_path)
+        engine = StreamEngine(StreamConfig(window=self.SPEC, shards=2), checkpoints=manager)
+        engine.ingest_block(events)
+        path = engine.checkpoint()
+        payload = pickle.loads(path.read_bytes())
+        edit(payload["state"])
+        path.write_bytes(pickle.dumps(payload))
+        return manager
+
+    @pytest.mark.parametrize("engine_cls", [StreamEngine, ParallelStreamEngine])
+    def test_a_row_state_is_refused(self, tmp_path, engine_cls):
+        def to_row(state):
+            # A streaming row run's config carried the algorithm, too.
+            vars(state["config"])["algorithm"] = "row"
+            state["classifier"]["algorithm"] = "row"
+
+        manager = self.checkpoint(tmp_path, self.feed()[:40], to_row)
+        with pytest.raises(CheckpointError, match="repro classify --algorithm row"):
+            engine_cls.restore(manager)
+
+    def test_a_column_checkpoint_from_before_continues_unchanged(self, tmp_path):
+        """Checkpoints written while ``StreamConfig`` had an ``algorithm``
+        field pickle it in the config's ``__dict__`` (format 3 either way):
+        they restore and continue to the bytes of an uninterrupted run."""
+        events = self.feed()
+        cut = len(events) // 2
+        uninterrupted = StreamEngine(StreamConfig(window=self.SPEC, shards=2))
+        expected = uninterrupted.run(iter(events))
+
+        manager = self.checkpoint(
+            tmp_path, events[:cut], lambda state: vars(state["config"]).update(algorithm="column")
+        )
+        restored = StreamEngine.restore(manager)
+        assert restored.stats.events_in == cut
+        final = restored.run(iter(events[cut:]))
+        assert ClassificationDatabase.from_result(final).dumps() == (
+            ClassificationDatabase.from_result(expected).dumps()
+        )
+        tail = engine_windows(restored)
+        assert tail and tail == engine_windows(uninterrupted)[-len(tail) :]
 
 
 lowered = RouteBlock.from_observations  # what ``ingest_block`` does to a list
@@ -191,29 +246,30 @@ class TestStateSnapshotsAreFrozen:
             for i in range(count)
         ]
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_engine_snapshot_stays_at_its_event(self, algorithm):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_engine_snapshot_stays_at_its_event(self, shards):
         """Regression: a state dict taken at 5 events read ``events_in == 20``
         after 15 more were ingested (the live counter objects were shared)."""
         events = self._events()
-        engine = StreamEngine(StreamConfig(algorithm=algorithm))
+        engine = StreamEngine(StreamConfig(shards=shards))
         engine.ingest_block(events[:5])
         snapshot = engine.state_dict()
         engine.ingest_block(events[5:])
         assert engine.stats.events_in == 20
         assert snapshot["stats"].events_in == 5
         assert sum(snapshot["stats"].block_size_buckets) == 1
-        (shard,) = snapshot["router"]["workers"]
-        assert shard["sanitation_stats"].observations_in == 5
+        workers = snapshot["router"]["workers"]
+        assert len(workers) == shards
+        assert sum(shard["sanitation_stats"].observations_in for shard in workers) == 5
         assert snapshot["classifier"]["stats"].tuples_added == 5
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_engines_restored_from_one_state_are_independent(self, algorithm):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_engines_restored_from_one_state_are_independent(self, shards):
         """Regression: two engines restored from one in-memory state dict
         shared one ``StreamStats`` / ``SanitationStats`` with each other and
         with the engine the state came from."""
         events = self._events()
-        source = StreamEngine(StreamConfig(algorithm=algorithm))
+        source = StreamEngine(StreamConfig(shards=shards))
         source.ingest_block(events[:5])
         state = source.state_dict()
         twins = [StreamEngine(state["config"]) for _ in range(2)]

@@ -1,7 +1,7 @@
 """Tests for the multi-process execution layer (repro.parallel).
 
 The load-bearing property is *byte identity*: for any worker count, any
-shard count, and both algorithms, the parallel stream engine must produce
+and any shard count, the parallel stream engine must produce
 exactly what the serial engine produces — same counters, same codes, same
 observed ASes, same window snapshots, same checkpoints.
 """
@@ -92,12 +92,9 @@ class TestParallelStreamEngine:
             for s in engine.snapshots
         ]
 
-    @pytest.mark.parametrize(
-        "shards,workers,algorithm",
-        [(1, 1, "column"), (4, 2, "column"), (5, 3, "column"), (4, 2, "row")],
-    )
-    def test_identical_to_serial_engine(self, feed, shards, workers, algorithm):
-        config = StreamConfig(window=WindowSpec(size=3600), shards=shards, algorithm=algorithm)
+    @pytest.mark.parametrize("shards,workers", [(1, 1), (4, 2), (5, 3)])
+    def test_identical_to_serial_engine(self, feed, shards, workers):
+        config = StreamConfig(window=WindowSpec(size=3600), shards=shards)
         serial = StreamEngine(config)
         serial_result = serial.run(MemorySource(feed))
         # The block size reaches the fleet through the config, like the serial
@@ -110,11 +107,10 @@ class TestParallelStreamEngine:
         assert self.snapshot_fingerprints(parallel) == self.snapshot_fingerprints(serial)
 
     @staticmethod
-    def sliding_config(algorithm="column", shards=3, ingest_block_size=4096):
+    def sliding_config(shards=3, ingest_block_size=4096):
         return StreamConfig(
             window=WindowSpec(size=3600, policy="sliding", horizon=7200),
             shards=shards,
-            algorithm=algorithm,
             ingest_block_size=ingest_block_size,
         )
 
@@ -127,12 +123,12 @@ class TestParallelStreamEngine:
             for worker in engine.state_dict()["router"]["workers"]
         ]
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_sliding_policy_identical(self, feed, algorithm):
-        config = self.sliding_config(algorithm)
+    @pytest.mark.parametrize("shards,workers", [(3, 2), (5, 3)])
+    def test_sliding_policy_identical(self, feed, shards, workers):
+        config = self.sliding_config(shards=shards)
         serial = StreamEngine(config)
         serial_result = serial.run(MemorySource(feed))
-        parallel = ParallelStreamEngine(replace(config, ingest_block_size=64), workers=2)
+        parallel = ParallelStreamEngine(replace(config, ingest_block_size=64), workers=workers)
         parallel_result = parallel.run(MemorySource(feed))
         assert result_fingerprint(parallel_result) == result_fingerprint(serial_result)
         assert parallel.stats.tuples_evicted == serial.stats.tuples_evicted > 0

@@ -15,7 +15,14 @@ from repro.bgp.prefix import parse_prefix
 from repro.core.pipeline import InferencePipeline
 from repro.mrt.encoder import MRTEncoder
 from repro.sanitize.filters import SanitationStats
-from repro.stream import MemorySource, ScenarioSource, StreamConfig, StreamEngine, WindowSpec
+from repro.stream import (
+    DEFAULT_INGEST_BLOCK_SIZE,
+    MemorySource,
+    ScenarioSource,
+    StreamConfig,
+    StreamEngine,
+    WindowSpec,
+)
 
 #: (path, communities) inputs with a clear tagger/forwarder structure.
 SCENARIO = [
@@ -169,13 +176,13 @@ class TestStreamingEquivalence:
         dataset = scenario_builder.build(ScenarioName.RANDOM)
         return list(ScenarioSource(dataset.tuples, duration=86400, repeat=2))
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
+    @pytest.mark.parametrize("block_size", [64, DEFAULT_INGEST_BLOCK_SIZE])
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_stream_drain_equals_batch(self, feed, algorithm, shards):
-        batch = InferencePipeline(algorithm=algorithm).run_from_observations(feed)
+    def test_stream_drain_equals_batch(self, feed, shards, block_size):
+        batch = InferencePipeline().run_from_observations(feed)
         engine = StreamEngine(
             StreamConfig(
-                window=WindowSpec(size=3600), shards=shards, algorithm=algorithm
+                window=WindowSpec(size=3600), shards=shards, ingest_block_size=block_size
             )
         )
         streamed = engine.run(MemorySource(feed))

@@ -257,8 +257,7 @@ class TestInferenceProperties:
             )
             for asns, uppers in raw
         ]
-        for algorithm in ("column", "row"):
-            assert_packed_matches_batch(algorithm, tuples)
+        assert_packed_matches_batch(tuples)
 
     @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
@@ -337,17 +336,17 @@ class TestColumnarStreamProperties:
     """The interned stream path must equal the batch oracle end to end."""
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(observation_streams, st.sampled_from(["column", "row"]))
-    def test_sliding_stream_matches_oracle(self, raw, algorithm):
+    @given(observation_streams)
+    def test_sliding_stream_matches_oracle(self, raw):
         """Sliding windows evict (retract) tuples; every window must equal a
         batch run over the tuples live at its close."""
         observations = _build_observations(raw)
         spec = WindowSpec(size=200, policy=WindowPolicy.SLIDING, horizon=400)
-        engine = StreamEngine(StreamConfig(window=spec, shards=2, algorithm=algorithm))
+        engine = StreamEngine(StreamConfig(window=spec, shards=2))
         for observation in observations:
             engine.ingest(observation)
         engine.finish()
-        windows, sanitation = reference_windows(observations, spec, algorithm)
+        windows, sanitation = reference_windows(observations, spec)
         assert engine_windows(engine) == windows
         assert engine.sanitation_stats().as_dict() == sanitation
 
@@ -358,7 +357,7 @@ class TestColumnarStreamProperties:
         observations = _build_observations(raw)
         cut = data.draw(st.integers(0, len(observations)))
         spec = WindowSpec(size=200, policy=WindowPolicy.SLIDING, horizon=400)
-        config = StreamConfig(window=spec, shards=2, algorithm="column")
+        config = StreamConfig(window=spec, shards=2)
 
         straight = StreamEngine(config)
         for observation in observations:

@@ -4,7 +4,7 @@
 summary of a result is one numpy pass over them.  The oracle here is the
 loop they replaced: ``CounterStore.get_class`` / ``CounterStore.get`` per
 observed AS.  Results are built both ways -- from packed columns
-(``from_packed``, what the columnar algorithms hand over) and from an object
+(``from_packed``, what batch and stream column inference hand over) and from an object
 ``CounterStore`` (row batch, imported databases, stored snapshots) -- and
 both must equal the loops.  The rest pins what going lazy put at risk: an
 emitted snapshot never moves, and row order is ascending ASN whatever the
@@ -270,12 +270,12 @@ SLIDING = WindowSpec(size=100, policy=WindowPolicy.SLIDING, horizon=300)
 
 
 class TestSnapshotsDoNotMove:
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_an_emitted_snapshot_is_final(self, algorithm):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_an_emitted_snapshot_is_final(self, shards):
         """Later windows intern new ASes, change counters and evict tuples."""
         emitted = []
         engine = StreamEngine(
-            StreamConfig(window=SLIDING, algorithm=algorithm),
+            StreamConfig(window=SLIDING, shards=shards),
             on_window=lambda snapshot: emitted.append(views(snapshot.result)),
         )
         engine.run(MemorySource(feed()))
@@ -286,14 +286,13 @@ class TestSnapshotsDoNotMove:
 
         # A second run reads nothing at emission: every view, the object
         # store included, is first touched after the last window closed.
-        late = StreamEngine(StreamConfig(window=SLIDING, algorithm=algorithm))
+        late = StreamEngine(StreamConfig(window=SLIDING, shards=shards))
         late.run(MemorySource(feed()))
         assert [views(snapshot.result) for snapshot in late.snapshots] == emitted
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_a_result_survives_its_classifier(self, algorithm):
+    def test_a_result_survives_its_classifier(self):
         events = feed(windows=4)
-        classifier = make_classifier(algorithm)
+        classifier = make_classifier("column")
         refs = [classifier.table.intern(event.path, event.communities) for event in events]
         refs = list(dict.fromkeys(refs))
         for ref in refs[:40]:
@@ -302,7 +301,7 @@ class TestSnapshotsDoNotMove:
         held, untouched = views(result), classifier.update()
         for ref in refs[40:]:
             classifier.add_ref(ref)  # new ASes: the table's AS array grows
-        classifier.evict_refs(refs[:30])  # the row classifier retracts in place
+        classifier.evict_refs(refs[:30])
         moved = classifier.update()
         assert views(moved) != held
         assert views(result) == held

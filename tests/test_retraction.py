@@ -1,10 +1,10 @@
 """Retraction conformance: evicting a tuple is adding it with multiplicity -1.
 
-The incremental classifiers fold evictions into their phase records as
+The incremental classifier folds evictions into its phase records as
 signed deltas instead of rebuilding; whatever order arrivals, evictions,
 updates and checkpoint round-trips come in, every ``update()`` must equal a
 fresh *batch* inference over the tuples live at that point — counters,
-observed ASes, classes and, for the column algorithm, the per-column report.
+observed ASes, classes and the per-column report.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
 from repro.core import matrix
-from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
 from repro.stream import (
@@ -65,20 +64,13 @@ OPS = st.one_of(
 )
 
 
-def batch_inference(algorithm, thresholds, **options):
-    if algorithm == "row":
-        return RowInference(thresholds)
-    return ListingInference(thresholds, **options)
-
-
 def assert_equals_batch(classifier, live, **options):
     """``classifier.update()`` == a fresh batch run over the *live* tuples."""
-    batch = batch_inference(classifier.algorithm, classifier.thresholds, **options)
+    batch = ListingInference(classifier.thresholds, **options)
     want = batch.run(list(live))
     assert_same_result(classifier.update(), want)
     assert classifier.tuple_count == len(live)
-    if classifier.algorithm == "column":
-        assert classifier.report == batch.report
+    assert classifier.report == batch.report
 
 
 def roundtrip(classifier):
@@ -88,9 +80,9 @@ def roundtrip(classifier):
     return classifier_from_state(state, table)
 
 
-def replay(algorithm, pool, ops, thresholds, **options):
+def replay(pool, ops, thresholds, **options):
     """Apply *ops* to a fresh classifier, checking every update against batch."""
-    classifier = make_classifier(algorithm, thresholds, **options)
+    classifier = make_classifier("column", thresholds, **options)
     live = {}  # insertion-ordered set of live tuples
     for op in [*ops, "update"]:
         if op == "update":
@@ -137,22 +129,12 @@ class TestInterleavedTurnover:
     ):
         with mock.patch.object(matrix, "MIN_MATRIX_GROUPS", min_matrix_groups):
             replay(
-                "column",
                 pool,
                 ops,
                 Thresholds.uniform(threshold),
                 stop_when_stalled=stop_when_stalled,
                 max_columns=max_columns,
             )
-
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        pool=st.lists(tuples(), min_size=1, max_size=16, unique=True),
-        ops=st.lists(OPS, max_size=60),
-        threshold=st.sampled_from([0.51, 0.75, 0.99]),
-    )
-    def test_row_equals_batch_after_every_update(self, pool, ops, threshold):
-        replay("row", pool, ops, Thresholds.uniform(threshold))
 
     def test_turnover_across_the_matrix_threshold_and_cache_compaction(self):
         """A sliding-sized live set under the production matrix threshold.
@@ -227,8 +209,8 @@ class TestRetractionRegressions:
         assert any(window[3] == 0 for window in windows)  # the empty close happened
         assert final.counters_of(10).as_tuple() == (0, 1, 0, 0)
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_checkpoint_between_eviction_and_update(self, algorithm):
+    @pytest.mark.parametrize("max_columns", [None, 1])
+    def test_checkpoint_between_eviction_and_update(self, max_columns):
         """Signed pending groups in flight survive a checkpoint round-trip."""
         items = [
             make_tuple([3], [3]),
@@ -236,7 +218,7 @@ class TestRetractionRegressions:
             make_tuple([2, 3], []),
             make_tuple([2, 4, 3], [3]),
         ]
-        classifier = make_classifier(algorithm)
+        classifier = make_classifier("column", max_columns=max_columns)
         for item in items:
             classifier.add_tuple(item)
         classifier.update()
@@ -244,8 +226,8 @@ class TestRetractionRegressions:
         classifier.add_tuple(make_tuple([5, 3], [3]))
         restored = roundtrip(classifier)  # -1 and +1 groups still pending
         live = [*items[:2], make_tuple([5, 3], [3])]
-        assert_equals_batch(restored, live)
-        assert_equals_batch(classifier, live)
+        assert_equals_batch(restored, live, max_columns=max_columns)
+        assert_equals_batch(classifier, live, max_columns=max_columns)
         assert restored.stats == classifier.stats
 
 

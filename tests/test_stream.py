@@ -1,13 +1,15 @@
 """Tests for the streaming classification engine (repro.stream).
 
-Covers the window clock, event sources, sharding determinism, incremental
-classifiers (delta-vs-recount behaviour, eviction), checkpoint/restore
+Covers the window clock, event sources, sharding determinism, the incremental
+classifier (delta-vs-recount behaviour, eviction), checkpoint/restore
 round-trips, and the engine-level invariants that back the live deployment
 story: batch equivalence and checkpoint transparency.
 """
 
+import os
 import pickle
 import random
+import stat
 from collections import Counter
 from dataclasses import replace
 
@@ -20,7 +22,6 @@ from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
 from repro.core.counters import CounterStore
-from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
 from repro.sanitize.filters import Sanitizer
@@ -28,7 +29,6 @@ from repro.stream import (
     CheckpointError,
     CheckpointManager,
     ColumnarColumnClassifier,
-    ColumnarRowClassifier,
     MemorySource,
     MRTReplaySource,
     ScenarioSource,
@@ -432,29 +432,6 @@ class TestIncrementalColumn:
         assert fingerprint(restored.update()) == fingerprint(classifier.update())
 
 
-class TestIncrementalRow:
-    ITEMS = [
-        ([10], ["10:1"]),
-        ([10, 30], ["10:1", "30:1"]),
-        ([20, 30], ["30:1"]),
-    ]
-
-    def test_matches_batch_row_inference(self):
-        batch = RowInference().run(tuples_from(*self.ITEMS))
-        classifier = ColumnarRowClassifier()
-        add_all(classifier, tuples_from(*self.ITEMS))
-        assert fingerprint(classifier.update()) == fingerprint(batch)
-
-    def test_eviction_is_exact_retraction(self):
-        classifier = ColumnarRowClassifier()
-        all_items = tuples_from(*self.ITEMS)
-        add_all(classifier, all_items)
-        evict(classifier, all_items[1:])
-        assert fingerprint(classifier.update()) == fingerprint(
-            RowInference().run(all_items[:1])
-        )
-
-
 # ---------------------------------------------------------------------------------------
 # Checkpoint manager
 # ---------------------------------------------------------------------------------------
@@ -490,6 +467,30 @@ class TestCheckpointManager:
         target.write_bytes(pickle.dumps(payload))
         with pytest.raises(CheckpointError):
             manager.load()
+
+    def test_save_is_durable(self, tmp_path, monkeypatch):
+        """The temp file is fsynced before the rename and the directory
+        after it, so a power loss cannot leave a truncated newest file."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(source, target):
+            calls.append(("replace", os.path.getsize(source)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        target = CheckpointManager(tmp_path).save({"value": 42})
+        assert calls == [
+            ("fsync", "file"),
+            ("replace", target.stat().st_size),
+            ("fsync", "directory"),
+        ]
 
     def test_previous_format_version_is_refused(self, tmp_path):
         """A v2 classifier state has no live reference counts (and a
@@ -603,15 +604,9 @@ class TestStreamEngine:
         retained = [engine._table.tuple_of(ref) for ref in engine._last_seen]
         assert fingerprint(streamed) == fingerprint(ListingInference().run(retained))
 
-    def test_row_algorithm_end_to_end(self):
-        engine = StreamEngine(StreamConfig(window=WindowSpec(size=100), algorithm="row"))
-        result = engine.run(MemorySource(steady_feed()))
-        assert result.algorithm == "row"
-        assert len(result.observed_ases) > 0
-
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            StreamConfig(algorithm="diagonal")
+        with pytest.raises(TypeError):
+            StreamConfig(algorithm="row")  # the engine runs the column algorithm only
         with pytest.raises(ValueError):
             StreamConfig(shards=0)
         with pytest.raises(ValueError):

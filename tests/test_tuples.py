@@ -225,22 +225,19 @@ class TestPackedCounterStore:
 class TestPackedConformance:
     """The packed kernels and the object kernels agree tuple-for-tuple."""
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_fixture_conformance(self, random_dataset, algorithm):
+    def test_fixture_conformance(self, random_dataset):
         # ~30k counting groups: the numpy matrix kernels are on.
         assert len(random_dataset.tuples) >= matrix.MIN_MATRIX_GROUPS
-        assert_packed_matches_batch(algorithm, random_dataset.tuples)
+        assert_packed_matches_batch(random_dataset.tuples)
 
     def test_random_conformance(self):
         # Small inputs (scalar kernels), duplicates (multiplicity > 1), empty.
         rng = random.Random(7)
         for _ in range(10):
             tuples = _random_tuples(rng, rng.randint(0, 60))
-            for algorithm in ("column", "row"):
-                assert_packed_matches_batch(algorithm, tuples)
+            assert_packed_matches_batch(tuples)
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
-    def test_overflow_paths_beside_the_matrix(self, algorithm):
+    def test_overflow_paths_beside_the_matrix(self):
         """Paths too long for an int64 bitmask among >= 512 matrix groups.
 
         Every suffix of one 70-hop chain of taggers is announced, so each
@@ -255,9 +252,8 @@ class TestPackedConformance:
         tuples.extend(
             PathCommTuple(ASPath(chain[start:]), tagged) for start in range(len(chain))
         )
-        assert_packed_matches_batch(algorithm, tuples)
-        if algorithm == "column":
-            assert ColumnInference().run(tuples).as_code_map()[chain[0]] == "tf"
+        assert_packed_matches_batch(tuples)
+        assert ColumnInference().run(tuples).as_code_map()[chain[0]] == "tf"
 
 
 class TestMatrixKernels:

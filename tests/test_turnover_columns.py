@@ -40,7 +40,6 @@ from repro.bgp.prefix import parse_prefix
 from repro.core import matrix
 from repro.core.column import count_forwarding_phase_packed, count_tagging_phase_packed
 from repro.core.matrix import GroupList, GroupMatrix
-from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable, materialize_groups
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowPolicy, WindowSpec
@@ -411,12 +410,11 @@ class TestNoBufferStaysExported:
         asns = [base + step for step in range(rng.randint(2, 6))]  # new ASes, new path
         return make_tuple(asns, asns[-1:])
 
-    @pytest.mark.parametrize("algorithm", ["column", "row"])
     @pytest.mark.parametrize("min_matrix_groups", [1, matrix.MIN_MATRIX_GROUPS])
-    def test_update_result_intern_update(self, algorithm, min_matrix_groups):
+    def test_update_result_intern_update(self, min_matrix_groups):
         rng = random.Random(11)
         with mock.patch.object(matrix, "MIN_MATRIX_GROUPS", min_matrix_groups):
-            classifier = make_classifier(algorithm)
+            classifier = make_classifier("column")
             live = [self.fresh(rng, 10 * step) for step in range(1, 40)]
             for item in live:
                 classifier.add_tuple(item)
@@ -439,8 +437,7 @@ class TestNoBufferStaysExported:
                 pickle.loads(state), TupleTable.from_state(classifier.table.state_dict())
             )
             assert restored.result().as_code_map() == frozen[0]
-            batch = ListingInference() if algorithm == "column" else RowInference()
-            assert_same_result(classifier.update(), batch.run(live[5:] + grown))
+            assert_same_result(classifier.update(), ListingInference().run(live[5:] + grown))
             assert (held.as_code_map(), held.records(), held.store.state_dict()) == frozen
 
     def test_a_held_matrix_and_gather_survive_table_growth(self):
