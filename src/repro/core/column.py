@@ -20,34 +20,35 @@ turnover when the decisions are unchanged.  The loop stops as soon as a
 column produces no new evidence, which in practice happens around index 7
 (the paper makes the same observation).
 
-There is one set of counting kernels.  Tuples are counted as ``(AS-index
-row, hits bitmask, multiplicity)`` groups: :class:`ColumnInference` lowers
-its object tuples to a :class:`~repro.core.matrix.GroupMatrix` in bulk
-(:func:`~repro.core.matrix.lower_tuples`), the stream classifier groups its
-interned tuples, and both run the two ``count_*_phase_packed`` kernels below
-over dense per-slot counters.  The listing-shaped object-tuple implementation
-lives on as the differential oracle in ``tests/column_oracle.py``.
+There is one form and one pair of counting kernels.  Tuples are counted as
+``(AS-index row, hits, multiplicity)`` groups bucketed by path length into a
+:class:`~repro.core.matrix.GroupMatrix`: :class:`ColumnInference` lowers its
+object tuples in bulk (:func:`~repro.core.matrix.lower_tuples`), the stream
+classifier lowers its interned groups from the table's packed paths, and both
+run the two numpy ``count_*_phase_packed`` kernels below, which reduce a
+whole length bucket per step over dense per-slot counters.  The
+listing-shaped object-tuple implementation, and the per-group loops these
+kernels replaced, live on as differential oracles in
+``tests/column_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as _np
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
-from repro.core import matrix as _matrix
 from repro.core.counters import PackedCounterStore
+from repro.core.matrix import GroupMatrix, lower_tuples
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
-from repro.core.tuples import CountingGroup
 
 #: Per-AS two-component counter deltas produced by one counting phase
 #: (``[dt, ds]`` for tagging phases, ``[df, dc]`` for forwarding phases).
 PhaseDelta = Dict[ASN, List[int]]
-
-#: What the packed kernels count over: a group sequence, or its matrix form.
-Groups = Union[Sequence[CountingGroup], _matrix.GroupMatrix]
 
 
 def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
@@ -56,8 +57,7 @@ def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
     Phase deltas are per-AS commutative sums, so merging the deltas of
     disjoint tuple chunks is equivalent to counting the concatenated chunk in
     one pass — the property the incremental classifier relies on when it
-    counts only the turnover of a phase, and the packed kernels when they
-    add the overflow groups to a matrix count.
+    counts only the turnover of a phase.
     """
     for asn, (first, second) in extra.items():
         entry = target.get(asn)
@@ -68,157 +68,112 @@ def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
             entry[1] += second
 
 
-def _kernel_form(groups: Groups) -> Groups:
-    """The matrix form of *groups* if there is one worth using, else *groups*."""
-    if isinstance(groups, _matrix.GroupMatrix) or len(groups) < _matrix.MIN_MATRIX_GROUPS:
-        return groups  # lowered in bulk by the batch path / too small to pay off
-    matrix_of = getattr(groups, "matrix", None)  # GroupList carries the cache
-    return matrix_of() if matrix_of is not None else groups
+def _pair_delta(
+    codes: List["_np.ndarray"], weights: List["_np.ndarray"], slots: int
+) -> Dict[int, List[int]]:
+    """Sum the weights of ``2 * slot + component`` codes into the kernels' delta dict.
+
+    One ``bincount`` per phase over every bucket's codes; its weights are
+    integer-valued float64, exact far beyond any realistic event count.
+    """
+    if not codes:
+        return {}
+    totals = _np.bincount(
+        _np.concatenate(codes), weights=_np.concatenate(weights), minlength=2 * slots
+    ).astype(_np.int64)
+    pairs = totals.reshape(slots, 2)
+    nonzero = _np.flatnonzero(pairs[:, 0] | pairs[:, 1])
+    return dict(zip(nonzero.tolist(), pairs[nonzero].tolist()))
+
+
+def _qualified(rows: "_np.ndarray", position: int, forward: "_np.ndarray") -> "_np.ndarray":
+    """Cond1 per row: every AS upstream of *position* is a forward AS."""
+    return forward[rows[:, :position]].all(axis=1)
 
 
 def count_tagging_phase_packed(
-    groups: Groups,
+    groups: GroupMatrix,
     column: int,
-    tagger_flags: Sequence[int],
-    forward_flags: Sequence[int],
+    tagger_flags: bytearray,
+    forward_flags: bytearray,
 ) -> Tuple[Dict[int, List[int]], int]:
     """Phase 1 of one column: count tagging evidence.
 
     Pure in ``(groups, column, flags)``; returns the per-AS-index ``[dt,
-    ds]`` deltas and the number of increments (the stall signal).  Operates
-    on ``(as-index row, hits, count)`` work units: the Cond1 scan runs once
-    per group and the contribution is multiplied by the group's
-    multiplicity (phase contributions are commutative).  The ``A_x in
-    output(A_1)`` membership test is one bit test on ``hits``.
-
-    A :class:`~repro.core.matrix.GroupMatrix` and large
-    :class:`~repro.core.matrix.GroupList` inputs take the vectorised bucket
-    kernel; overflow groups (paths too long for an int64 bitmask) and small
-    group lists run the scalar loop below.
+    ds]`` deltas and the number of increments (the stall signal).  Every
+    length bucket at least *column* long is reduced at once: the Cond1 scan
+    is one mask over its upstream cells, the ``A_x in output(A_1)`` test is
+    the hit-plane column at ``x``, and each group's contribution is its
+    multiplicity (phase contributions are commutative).
     """
-    groups = _kernel_form(groups)
-    if not isinstance(groups, _matrix.GroupMatrix):
-        return _count_tagging_groups(groups, column, tagger_flags, forward_flags)
-    delta, increments = _matrix.count_tagging_matrix(groups, column, forward_flags)
-    if groups.overflow:
-        extra, more = _count_tagging_groups(groups.overflow, column, tagger_flags, forward_flags)
-        merge_phase_delta(delta, extra)
-        increments += more
-    return delta, increments
-
-
-def _count_tagging_groups(
-    groups: Sequence[CountingGroup],
-    column: int,
-    tagger_flags: Sequence[int],
-    forward_flags: Sequence[int],
-) -> Tuple[Dict[int, List[int]], int]:
-    """Scalar tagging kernel (also the conformance oracle for the matrix)."""
     del tagger_flags  # same signature as the forwarding kernel
-    delta: Dict[int, List[int]] = {}
-    delta_get = delta.get
+    forward = _np.frombuffer(forward_flags, dtype=_np.uint8)
+    codes: List["_np.ndarray"] = []
+    weights: List["_np.ndarray"] = []
     increments = 0
-    check_cond1 = column > 1
     position = column - 1
-    bit = 1 << position
-    for row, hits, count in groups:
-        if len(row) < column:
+    for length, (rows, hits, counts) in groups.buckets.items():
+        if length < column:
             continue
-        if check_cond1:
-            qualified = True
-            for i in range(position):
-                if not forward_flags[row[i]]:
-                    qualified = False
-                    break
-            if not qualified:
-                continue
-        index = row[position]
-        entry = delta_get(index)
-        if entry is None:
-            entry = delta[index] = [0, 0]
-        if hits & bit:
-            entry[0] += count
-        else:
-            entry[1] += count
-        increments += count
-    return delta, increments
+        if column > 1:
+            qualified = _qualified(rows, position, forward)
+            rows, hits, counts = rows[qualified], hits[qualified], counts[qualified]
+        if not counts.size:
+            continue
+        # Component 0 (t) when A_x's community is present, else 1 (s).
+        codes.append(2 * rows[:, position] + ~hits[:, position])
+        weights.append(counts)
+        increments += int(counts.sum())
+    return _pair_delta(codes, weights, len(forward)), increments
 
 
 def count_forwarding_phase_packed(
-    groups: Groups,
+    groups: GroupMatrix,
     column: int,
-    tagger_flags: Sequence[int],
-    forward_flags: Sequence[int],
+    tagger_flags: bytearray,
+    forward_flags: bytearray,
 ) -> Tuple[Dict[int, List[int]], int]:
     """Phase 2 of one column: count forwarding evidence.
 
     Pure in ``(groups, column, flags)``; returns the per-AS-index ``[df,
-    dc]`` deltas and the number of increments.  The Cond2 tagger search
-    walks the AS-index row through the packed decision flags; whether the
-    found tagger's community is present is the bit of ``hits`` at the
-    tagger's path position (the bitmask was computed per position).
-
-    Dispatches to the vectorised bucket kernel exactly like
-    :func:`count_tagging_phase_packed`.
+    dc]`` deltas and the number of increments.  The Cond2 scan ("nearest
+    downstream tagger reachable through forward ASes") becomes a per-bucket
+    reachability mask: position ``j`` is reachable while every earlier
+    downstream position was a non-tagger forwarder, and the first reachable
+    tagger position (``argmax`` over the eligibility mask) picks the
+    hit-plane cell that says whether the tagger's community is present.
     """
-    groups = _kernel_form(groups)
-    if not isinstance(groups, _matrix.GroupMatrix):
-        return _count_forwarding_groups(groups, column, tagger_flags, forward_flags)
-    delta, increments = _matrix.count_forwarding_matrix(
-        groups, column, tagger_flags, forward_flags
-    )
-    if groups.overflow:
-        extra, more = _count_forwarding_groups(
-            groups.overflow, column, tagger_flags, forward_flags
-        )
-        merge_phase_delta(delta, extra)
-        increments += more
-    return delta, increments
-
-
-def _count_forwarding_groups(
-    groups: Sequence[CountingGroup],
-    column: int,
-    tagger_flags: Sequence[int],
-    forward_flags: Sequence[int],
-) -> Tuple[Dict[int, List[int]], int]:
-    """Scalar forwarding kernel (also the matrix kernel's overflow path)."""
-    delta: Dict[int, List[int]] = {}
-    delta_get = delta.get
+    tagger = _np.frombuffer(tagger_flags, dtype=_np.uint8)
+    forward = _np.frombuffer(forward_flags, dtype=_np.uint8)
+    codes: List["_np.ndarray"] = []
+    weights: List["_np.ndarray"] = []
     increments = 0
-    check_cond1 = column > 1
     position = column - 1
-    for row, hits, count in groups:
-        length = len(row)
-        if length < column:
+    for length, (rows, hits, counts) in groups.buckets.items():
+        if length <= column:  # no downstream positions to search
             continue
-        if check_cond1:
-            qualified = True
-            for i in range(position):
-                if not forward_flags[row[i]]:
-                    qualified = False
-                    break
-            if not qualified:
-                continue
-        tagger_position = -1
-        for candidate in range(column, length):
-            if tagger_flags[row[candidate]]:
-                tagger_position = candidate
-                break
-            if not forward_flags[row[candidate]]:
-                break
-        if tagger_position < 0:
+        if column > 1:
+            qualified = _qualified(rows, position, forward)
+            rows, hits, counts = rows[qualified], hits[qualified], counts[qualified]
+        if not counts.size:
             continue
-        index = row[position]
-        entry = delta_get(index)
-        if entry is None:
-            entry = delta[index] = [0, 0]
-        if (hits >> tagger_position) & 1:
-            entry[0] += count
-        else:
-            entry[1] += count
-        increments += count
-    return delta, increments
+        downstream = rows[:, column:]
+        is_tagger = tagger[downstream] != 0
+        proceed = (~is_tagger) & (forward[downstream] != 0)
+        reachable = _np.empty(is_tagger.shape, dtype=bool)
+        reachable[:, 0] = True
+        if reachable.shape[1] > 1:
+            reachable[:, 1:] = _np.logical_and.accumulate(proceed[:, :-1], axis=1)
+        eligible = reachable & is_tagger
+        found = _np.flatnonzero(eligible.any(axis=1))
+        if not found.size:
+            continue
+        # Component 0 (f) when the tagger's community is present, else 1 (c).
+        tagged = hits[found, column + eligible[found].argmax(axis=1)]
+        codes.append(2 * rows[found, position] + ~tagged)
+        weights.append(counts[found])
+        increments += int(weights[-1].sum())
+    return _pair_delta(codes, weights, len(forward)), increments
 
 
 @dataclass
@@ -257,7 +212,7 @@ class ColumnInference:
 
     def run(self, tuples: Iterable[PathCommTuple]) -> ClassificationResult:
         """Infer the community usage classification for every observed AS."""
-        groups, as_values = _matrix.lower_tuples(tuples)
+        groups, as_values = lower_tuples(tuples)
         packed = PackedCounterStore(self.thresholds, slots=len(as_values))
         longest = groups.max_length
         limit = longest if self.max_columns is None else min(longest, self.max_columns)

@@ -19,13 +19,16 @@ nothing to remember and lowers its tuples in bulk instead --
   offset index (one slice per path); community sets keep their upper-field
   sets.  For every distinct ``(path, comm)`` pair the table computes a
   **hits bitmask** once: bit ``p`` is set iff ``path[p]``'s ASN appears as
-  an upper field of the community set.  Every membership test the counting
-  kernels perform afterwards is a single shift-and-mask on that bitmask.
+  an upper field of the community set.  Lowered, the bitmask is a row of
+  the matrix's hit plane, so every membership test the counting kernels
+  perform afterwards is one boolean cell.
 * :func:`materialize_groups` lowers ``(path_id, hits) -> multiplicity``
-  aggregates into the form the packed kernels in :mod:`repro.core.column`
-  will count them in: :data:`CountingGroup` rows — ``(as-index row, hits,
-  multiplicity)`` — for a small set, matrix buckets gathered in bulk from
-  the packed paths (:meth:`TupleTable.path_cells`) for a large one.
+  aggregates into the one form the kernels in :mod:`repro.core.column`
+  count: :class:`~repro.core.matrix.GroupMatrix` buckets gathered in bulk
+  from the packed paths (:meth:`TupleTable.path_cells`), whatever the size
+  of the set and the length of its paths.  Tuples sharing a path and a hits
+  bitmask are one group whose contribution is multiplied -- the kernels
+  never look at the community set again.
 
 Because every counting phase is a pure function of ``(tuples, decisions)``
 and all phase contributions are commutative sums, the representation cannot
@@ -45,17 +48,10 @@ from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
-from repro.core import matrix as _matrix
-from repro.core.matrix import GroupList, GroupMatrix
+from repro.core.matrix import GroupMatrix
 
 #: A tuple interned into a :class:`TupleTable`: ``(path_id, comm_id)``.
 TupleRef = Tuple[int, int]
-
-#: One unit of packed counting work: ``(as-index row, hits bitmask,
-#: multiplicity)``.  Tuples sharing a path and a hits bitmask are counted
-#: once and their contribution multiplied — the kernels never look at the
-#: community set again.
-CountingGroup = Tuple[Tuple[int, ...], int, int]
 
 #: Aggregated multiplicities of one batch: ``(path_id, hits) -> count``.
 GroupCounts = Dict[Tuple[int, int], int]
@@ -82,7 +78,6 @@ class TupleTable:
         "_as_ids",
         "_as_values",
         "_path_ids",
-        "_path_rows",
         "_path_objs",
         "_path_offsets",
         "_path_data",
@@ -97,8 +92,6 @@ class TupleTable:
         self._as_ids: Dict[ASN, int] = {}
         self._as_values: "array[int]" = array("Q")
         self._path_ids: Dict[Tuple[ASN, ...], int] = {}
-        #: Per-path tuple of AS indices (the kernels' row form).
-        self._path_rows: List[Tuple[int, ...]] = []
         #: Per-path interned :class:`ASPath` (reconstruction without rebuild).
         self._path_objs: List[ASPath] = []
         #: Packed persisted form: offsets into one flat AS-index run array.
@@ -120,7 +113,7 @@ class TupleTable:
     @property
     def path_count(self) -> int:
         """Number of distinct paths interned so far."""
-        return len(self._path_rows)
+        return len(self._path_objs)
 
     @property
     def comm_count(self) -> int:
@@ -149,7 +142,7 @@ class TupleTable:
         return path_id
 
     def _intern_path_asns(self, asns: Tuple[ASN, ...], path: Optional[ASPath]) -> int:
-        path_id = self._path_ids[asns] = len(self._path_rows)
+        path_id = self._path_ids[asns] = len(self._path_objs)
         # Inlined intern_asn: this loop runs once per ASN of every new path
         # and is the hottest part of interning.
         as_ids = self._as_ids
@@ -161,10 +154,8 @@ class TupleTable:
                 index = as_ids[asn] = len(as_values)
                 as_values.append(asn)
             indices.append(index)
-        row = tuple(indices)
-        self._path_rows.append(row)
         self._path_objs.append(path if path is not None else ASPath(asns))
-        self._path_data.extend(row)
+        self._path_data.extend(indices)
         self._path_offsets.append(len(self._path_data))
         if len(asns) > self.max_path_length:
             self.max_path_length = len(asns)
@@ -200,10 +191,6 @@ class TupleTable:
     def as_values(self) -> Sequence[ASN]:
         """Dense index -> ASN symbol table (index order)."""
         return self._as_values
-
-    def path_row(self, path_id: int) -> Tuple[int, ...]:
-        """The AS-index row of *path_id* (the kernels' path form)."""
-        return self._path_rows[path_id]
 
     def path_of(self, path_id: int) -> ASPath:
         """The interned :class:`ASPath` behind *path_id*."""
@@ -269,15 +256,12 @@ class TupleTable:
         self._as_ids = {asn: index for index, asn in enumerate(self._as_values)}
         self._path_offsets = array("Q", offsets)  # type: ignore[arg-type]
         self._path_data = array("Q", data)  # type: ignore[arg-type]
-        for path_id in range(len(self._path_offsets) - 1):
-            start, end = self._path_offsets[path_id], self._path_offsets[path_id + 1]
-            row = tuple(self._path_data[start:end])
-            asns = tuple(self._as_values[index] for index in row)
-            self._path_rows.append(row)
+        symbols, bounds = self._as_values, self._path_offsets
+        flat = [symbols[index] for index in self._path_data]
+        for path_id in range(len(bounds) - 1):
+            asns = tuple(flat[bounds[path_id] : bounds[path_id + 1]])
             self._path_objs.append(ASPath(asns))
             self._path_ids[asns] = path_id
-            if len(asns) > self.max_path_length:
-                self.max_path_length = len(asns)
         for comm_id, communities in enumerate(comm_sets):  # type: ignore[arg-type]
             self._comm_ids[communities] = comm_id
             self._comm_sets.append(communities)
@@ -297,26 +281,17 @@ def materialize_groups(
     table: TupleTable,
     counts: GroupCounts,
     cells: Optional[Tuple["_np.ndarray", "_np.ndarray"]] = None,
-) -> GroupList:
-    """Lower ``(path_id, hits) -> count`` aggregates into kernel groups.
+) -> GroupMatrix:
+    """Lower ``(path_id, hits) -> count`` aggregates into the kernels' matrix.
 
-    The :class:`~repro.core.matrix.GroupList` comes back in the form the
-    kernels' size dispatch will read it in: below
-    :data:`~repro.core.matrix.MIN_MATRIX_GROUPS` groups the ``(row, hits,
-    count)`` tuples the scalar kernels walk; from there on matrix buckets
-    filled straight from the paths' *cells* (:meth:`TupleTable.path_cells`
-    over the keys, gathered here unless the caller already did), no tuple
-    per group.
+    The buckets are filled straight from the paths' *cells*
+    (:meth:`TupleTable.path_cells` over the keys, gathered here unless the
+    caller already did), no tuple per group.
     """
-    if len(counts) < _matrix.MIN_MATRIX_GROUPS:
-        path_row = table.path_row
-        return GroupList(
-            (path_row(path_id), hits, count) for (path_id, hits), count in counts.items()
-        )
     lengths, flat = cells or table.path_cells([path_id for path_id, _ in counts])
     multiplicities = _np.fromiter(counts.values(), dtype=_np.int64, count=len(counts))
     hits = [hits for _, hits in counts]
-    return GroupList(matrix=GroupMatrix.from_cells(lengths, flat, hits, multiplicities))
+    return GroupMatrix.from_cells(lengths, flat, hits, multiplicities)
 
 
 def merge_group_counts(target: GroupCounts, extra: GroupCounts) -> None:

@@ -8,8 +8,9 @@ expired ones from — an existing classification and only fall back to
 recounting when the *knowledge* the algorithm relies on actually changed.
 
 Tuples are interned ``(path_id, comm_id)`` refs into the engine's shared
-:class:`~repro.core.tuples.TupleTable` and counting runs the packed kernels
-over ``(row, hits, multiplicity)`` groups.  The batch
+:class:`~repro.core.tuples.TupleTable` and counting runs the two kernels of
+:mod:`repro.core.column` over a :class:`~repro.core.matrix.GroupMatrix` of
+``(row, hits, multiplicity)`` groups.  The batch
 :class:`~repro.core.column.ColumnInference` counts through the same two
 kernels (over a matrix it lowers in bulk), so the oracle the stream tests
 compare against is the paper's listing over object tuples,
@@ -41,8 +42,10 @@ pending ``(path_id, hits)`` group; at :meth:`~ColumnarColumnClassifier.update`
 one ragged gather over the table's packed paths
 (:meth:`TupleTable.path_cells <repro.core.tuples.TupleTable.path_cells>`)
 serves both the live per-AS / per-length counts -- two int64 columns, one
-``bincount`` each -- and, for a turnover the numpy kernels will take, the
-matrix lowering (:func:`~repro.core.tuples.materialize_groups`).
+``bincount`` each -- and the turnover's matrix lowering
+(:func:`~repro.core.tuples.materialize_groups`), whatever its size.  The
+counted cache the recounts read is a matrix too, and each update's signed
+turnover is concatenated onto its buckets.
 
 What an update hands back stays columnar: the classifier gives
 :meth:`ClassificationResult.from_packed
@@ -68,11 +71,10 @@ from repro.core.column import (
     merge_phase_delta,
 )
 from repro.core.counters import PackedCounterStore
-from repro.core.matrix import GroupList
+from repro.core.matrix import GroupMatrix
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import (
-    CountingGroup,
     GroupCounts,
     TupleRef,
     TupleTable,
@@ -81,7 +83,7 @@ from repro.core.tuples import (
 )
 from repro.stream.checkpoint import CheckpointError
 
-#: The cached kernel form of the counted groups takes every update's signed
+#: The cached matrix of the counted groups takes every update's signed
 #: rows; once it would hold more than this many rows per live group it is
 #: mostly cancelled pairs, so it is dropped and rebuilt from the live set by
 #: the next recount.
@@ -167,8 +169,8 @@ class ColumnarColumnClassifier:
     and :meth:`state_dict` read as if they did not (format 3 keeps the
     ``as_refs`` / ``length_refs`` dicts).  The first update after nothing was live
     (a fresh classifier, or one whose tuples all expired) lowers its groups
-    once: the turnover is the live set, so its kernel form becomes the
-    counted cache as it is.
+    once: the turnover is the live set, so its matrix becomes the counted
+    cache as it is.
     """
 
     algorithm = "column"
@@ -191,7 +193,7 @@ class ColumnarColumnClassifier:
         self._groups: GroupCounts = {}
         #: Turnover since the last update: arrivals +1, evictions -1.
         self._pending_groups: GroupCounts = {}
-        self._counted_cache: Optional[GroupList] = None
+        self._counted_cache: Optional[GroupMatrix] = None
         self._tuple_count = 0
         #: Live tuples per dense AS index / per path length as of the last
         #: update (the pending turnover is folded in by :meth:`_ref_columns`):
@@ -270,7 +272,7 @@ class ColumnarColumnClassifier:
         )
 
     # -- classification -----------------------------------------------------------------
-    def _counted_groups(self) -> GroupList:
+    def _counted_groups(self) -> GroupMatrix:
         cache = self._counted_cache
         if cache is None:
             cache = self._counted_cache = materialize_groups(self.table, self._groups)
@@ -280,7 +282,7 @@ class ColumnarColumnClassifier:
         self,
         records: List[PackedPhaseRecord],
         count_phase,
-        pending: Sequence[CountingGroup],
+        pending: GroupMatrix,
         column: int,
         packed: PackedCounterStore,
     ) -> PackedPhaseRecord:
@@ -311,7 +313,7 @@ class ColumnarColumnClassifier:
         """Fold the pending turnover in and return the up-to-date classification."""
         turnover = self._pending_groups
         # One gather of the turnover's paths serves the reference columns
-        # and, for a set the numpy kernels will take, the matrix lowering.
+        # and the matrix lowering.
         cells = self.table.path_cells([path_id for path_id, _ in turnover]) if turnover else None
         self._as_refs, self._length_refs = self._ref_columns(turnover, cells)
         self._pending_groups = {}
@@ -327,12 +329,11 @@ class ColumnarColumnClassifier:
                 if len(cache) + len(pending) > _CACHE_COMPACTION_FACTOR * len(self._groups):
                     self._counted_cache = None
                 else:
-                    # Fold the signed groups (and their matrix buckets) into
-                    # the cached kernel form instead of rebuilding it from
-                    # scratch.  Appended rows may duplicate or cancel keys
-                    # already there — kernel sums commute, so that is
-                    # equivalent to merged counts.
-                    cache.extend_merged(pending)
+                    # Fold the signed rows into the cached matrix instead of
+                    # rebuilding it from scratch.  Appended rows may duplicate
+                    # or cancel keys already there — kernel sums commute, so
+                    # that is equivalent to merged counts.
+                    cache.extend(pending)
 
         packed = PackedCounterStore(self.thresholds)
         report = ColumnInferenceReport()

@@ -10,17 +10,27 @@ code with production -- only the plain
 ``prepare_tuple`` -- which is what makes "production == this" a statement
 about the lowering *and* the kernels, and what keeps the stream suites'
 "stream == batch" from comparing the matrix kernels with themselves.
+
+Below the listing sit the group-level references of the matrix form: the
+per-group loops :func:`count_tagging_groups` / :func:`count_forwarding_groups`
+(the scalar packed kernels production counted small group sets and paths
+over 62 hops with until the matrix became the only form) and
+:func:`group_matrix`, the tuple-per-group lowering into the kernels' bucket
+layout that ``GroupMatrix.from_cells`` and ``lower_tuples`` are held to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
 from repro.core.column import ColumnInferenceReport, PhaseDelta
 from repro.core.counters import CounterStore
+from repro.core.matrix import GroupMatrix
 from repro.core.results import ClassificationResult
 from repro.core.row import PreparedTuple, prepare_tuple
 from repro.core.thresholds import Thresholds
@@ -231,3 +241,126 @@ def assert_same_result(got: ClassificationResult, want: ClassificationResult) ->
     assert got.store.state_dict() == want.store.state_dict()
     assert got.observed_ases == want.observed_ases
     assert got.as_code_map() == want.as_code_map()
+
+
+# -- the matrix form, one group at a time ---------------------------------------------------
+#: One unit of packed counting work: ``(as-index row, hits bitmask, multiplicity)``.
+CountingGroup = Tuple[Tuple[int, ...], int, int]
+
+
+def count_tagging_groups(
+    groups: Sequence[CountingGroup],
+    column: int,
+    tagger_flags: Sequence[int],
+    forward_flags: Sequence[int],
+) -> Tuple[Dict[int, List[int]], int]:
+    """Phase 1 one group at a time: Cond1 walk, then one bit test on ``hits``."""
+    del tagger_flags  # same signature as the forwarding kernel
+    delta: Dict[int, List[int]] = {}
+    delta_get = delta.get
+    increments = 0
+    check_cond1 = column > 1
+    position = column - 1
+    bit = 1 << position
+    for row, hits, count in groups:
+        if len(row) < column:
+            continue
+        if check_cond1:
+            qualified = True
+            for i in range(position):
+                if not forward_flags[row[i]]:
+                    qualified = False
+                    break
+            if not qualified:
+                continue
+        index = row[position]
+        entry = delta_get(index)
+        if entry is None:
+            entry = delta[index] = [0, 0]
+        if hits & bit:
+            entry[0] += count
+        else:
+            entry[1] += count
+        increments += count
+    return delta, increments
+
+
+def count_forwarding_groups(
+    groups: Sequence[CountingGroup],
+    column: int,
+    tagger_flags: Sequence[int],
+    forward_flags: Sequence[int],
+) -> Tuple[Dict[int, List[int]], int]:
+    """Phase 2 one group at a time: the Cond2 walk picks the bit of ``hits``."""
+    delta: Dict[int, List[int]] = {}
+    delta_get = delta.get
+    increments = 0
+    check_cond1 = column > 1
+    position = column - 1
+    for row, hits, count in groups:
+        length = len(row)
+        if length < column:
+            continue
+        if check_cond1:
+            qualified = True
+            for i in range(position):
+                if not forward_flags[row[i]]:
+                    qualified = False
+                    break
+            if not qualified:
+                continue
+        tagger_position = -1
+        for candidate in range(column, length):
+            if tagger_flags[row[candidate]]:
+                tagger_position = candidate
+                break
+            if not forward_flags[row[candidate]]:
+                break
+        if tagger_position < 0:
+            continue
+        index = row[position]
+        entry = delta_get(index)
+        if entry is None:
+            entry = delta[index] = [0, 0]
+        if (hits >> tagger_position) & 1:
+            entry[0] += count
+        else:
+            entry[1] += count
+        increments += count
+    return delta, increments
+
+
+def group_matrix(groups: Iterable[CountingGroup]) -> GroupMatrix:
+    """*groups* in the kernels' bucket layout, one Python tuple at a time.
+
+    Rows of one path length share a bucket; a group's hits bitmask becomes
+    its row of the bucket's bool bit-plane, bit ``p`` at column ``p``.
+    """
+    by_length: Dict[int, List[CountingGroup]] = {}
+    for group in groups:
+        by_length.setdefault(len(group[0]), []).append(group)
+    lowered = GroupMatrix()
+    for length, bucket in by_length.items():
+        lowered.buckets[length] = (
+            np.array([row for row, _, _ in bucket], dtype=np.int64).reshape(len(bucket), length),
+            np.array(
+                [[bool(hits >> p & 1) for p in range(length)] for _, hits, _ in bucket], dtype=bool
+            ).reshape(len(bucket), length),
+            np.array([count for _, _, count in bucket], dtype=np.int64),
+        )
+    return lowered
+
+
+def canonical(lowered: GroupMatrix):
+    """Bucket for bucket, ``(row, hits bitmask, count)`` in a canonical order.
+
+    Row order within a bucket never reaches the kernels' output, so two
+    lowerings are the same matrix iff their canonical forms are equal.
+    """
+    buckets = {}
+    for length, (rows, hits, counts) in lowered.buckets.items():
+        assert rows.dtype == counts.dtype == np.int64 and hits.dtype == bool
+        assert rows.shape == hits.shape == (len(counts), length)
+        masks = [sum(1 << p for p, bit in enumerate(plane) if bit) for plane in hits.tolist()]
+        buckets[length] = sorted(zip(map(tuple, rows.tolist()), masks, counts.tolist()))
+    return buckets

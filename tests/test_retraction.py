@@ -16,14 +16,13 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from column_oracle import ListingInference, assert_same_result
+from column_oracle import ListingInference, assert_same_result, canonical
 from stream_oracle import engine_windows, reference_windows
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
-from repro.core import matrix
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
 from repro.stream import (
@@ -110,9 +109,6 @@ class TestInterleavedTurnover:
         threshold=st.sampled_from([0.51, 0.75, 0.99]),
         stop_when_stalled=st.booleans(),
         max_columns=st.sampled_from([None, 2]),
-        # 512 in production; 2 sends these small sets through the numpy
-        # matrix kernels (and its incrementally extended cache) as well.
-        min_matrix_groups=st.sampled_from([2, matrix.MIN_MATRIX_GROUPS]),
     )
     # The longest path is retracted (the column limit shrinks under records
     # that never saw the retraction), then a longer one regrows it.
@@ -122,22 +118,20 @@ class TestInterleavedTurnover:
         threshold=0.51,
         stop_when_stalled=False,
         max_columns=None,
-        min_matrix_groups=2,
     )
     def test_column_equals_batch_after_every_update(
-        self, pool, ops, threshold, stop_when_stalled, max_columns, min_matrix_groups
+        self, pool, ops, threshold, stop_when_stalled, max_columns
     ):
-        with mock.patch.object(matrix, "MIN_MATRIX_GROUPS", min_matrix_groups):
-            replay(
-                pool,
-                ops,
-                Thresholds.uniform(threshold),
-                stop_when_stalled=stop_when_stalled,
-                max_columns=max_columns,
-            )
+        replay(
+            pool,
+            ops,
+            Thresholds.uniform(threshold),
+            stop_when_stalled=stop_when_stalled,
+            max_columns=max_columns,
+        )
 
-    def test_turnover_across_the_matrix_threshold_and_cache_compaction(self):
-        """A sliding-sized live set under the production matrix threshold.
+    def test_sliding_sized_turnover_and_cache_compaction(self):
+        """A sliding-sized live set that drains to 100 tuples and regrows.
 
         Taggers (even ASes, 10 % of their tuples untagged) and cleaners
         (multiples of 7) keep shares near the threshold, so views flip and
@@ -157,9 +151,9 @@ class TestInterleavedTurnover:
         pool = list(pool)
         classifier = make_classifier("column", Thresholds.uniform(0.75))
         live = {}
-        compactions = matrix_updates = 0
+        compactions = 0
         for step in range(14):
-            if step == 9:  # drain below the matrix threshold, then regrow
+            if step == 9:  # drain to 100 live tuples, then regrow
                 arrivals, departures = [], list(live)[: len(live) - 100]
             else:
                 arrivals = rng.sample([item for item in pool if item not in live], 400)
@@ -176,8 +170,7 @@ class TestInterleavedTurnover:
             groups = len(classifier._groups)
             assert after is None or len(after) <= _CACHE_COMPACTION_FACTOR * groups
             compactions += before is not None and after is not before
-            matrix_updates += groups >= matrix.MIN_MATRIX_GROUPS
-        assert compactions >= 2 and 2 <= matrix_updates < 14
+        assert compactions >= 2
         assert classifier.report.columns_processed > 2
         assert classifier.stats.delta_phases > 20 and classifier.stats.recount_phases > 20
 
@@ -265,7 +258,7 @@ class TestFirstFlushLowersOnce:
             assert_equals_batch(classifier, live)
         assert len(lowered) == 1  # not once for pending and again for the recount
         assert classifier._counted_cache is lowered[0]
-        assert sorted(classifier._counted_cache) == sorted(
+        assert canonical(classifier._counted_cache) == canonical(
             incremental.materialize_groups(classifier.table, classifier._groups)
         )
 

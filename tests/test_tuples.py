@@ -13,23 +13,31 @@ from __future__ import annotations
 import random
 
 import pytest
-from column_oracle import decision_view
+from column_oracle import (
+    ListingInference,
+    assert_same_result,
+    canonical,
+    count_forwarding_groups,
+    count_tagging_groups,
+    decision_view,
+    group_matrix,
+)
 from stream_oracle import assert_packed_matches_batch
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
-from repro.core import matrix
 from repro.core.column import (
     ColumnInference,
     count_forwarding_phase_packed,
     count_tagging_phase_packed,
 )
 from repro.core.counters import CounterStore, PackedCounterStore
-from repro.core.matrix import GroupList, GroupMatrix
+from repro.core.matrix import GroupMatrix
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable, materialize_groups, merge_group_counts
+from repro.stream.incremental import make_classifier
 
 
 def _random_tuples(rng: random.Random, count: int) -> list:
@@ -124,8 +132,9 @@ class TestGroupCounts:
         merge_group_counts(merged, counts)
         assert sum(merged.values()) == 6
         groups = materialize_groups(table, merged)
-        assert sorted(count for _, _, count in groups) == [2, 4]
-        assert {row for row, _, _ in groups} == {table.path_row(tagged[0])}
+        assert len(groups) == 2 and groups.max_length == 2
+        # AS 5 is index 0 and AS 6 index 1; the tagged tuple hits position 1.
+        assert canonical(groups) == {2: [((0, 1), 0b00, 2), ((0, 1), 0b10, 4)]}
 
     def test_merge_is_signed_and_drops_keys_at_zero(self):
         live = {(0, 1): 2, (3, 0): 1}
@@ -226,42 +235,92 @@ class TestPackedConformance:
     """The packed kernels and the object kernels agree tuple-for-tuple."""
 
     def test_fixture_conformance(self, random_dataset):
-        # ~30k counting groups: the numpy matrix kernels are on.
-        assert len(random_dataset.tuples) >= matrix.MIN_MATRIX_GROUPS
+        # ~30k counting groups.
         assert_packed_matches_batch(random_dataset.tuples)
 
     def test_random_conformance(self):
-        # Small inputs (scalar kernels), duplicates (multiplicity > 1), empty.
+        # Small inputs, duplicates (multiplicity > 1), empty.
         rng = random.Random(7)
         for _ in range(10):
             tuples = _random_tuples(rng, rng.randint(0, 60))
             assert_packed_matches_batch(tuples)
 
-    def test_overflow_paths_beside_the_matrix(self):
-        """Paths too long for an int64 bitmask among >= 512 matrix groups.
 
-        Every suffix of one 70-hop chain of taggers is announced, so each
-        chain AS is learnt as a forwarding tagger at column 1 and the column
-        loop runs down the whole chain, past column 62.
-        """
-        rng = random.Random(23)
-        tuples = _random_tuples(rng, 1500)
-        assert len({item.path for item in tuples}) >= matrix.MIN_MATRIX_GROUPS
-        chain = tuple(range(1000, 1000 + matrix.MAX_MATRIX_LENGTH + 8))
-        tagged = CommunitySet([Community(asn, 1) for asn in chain])
-        tuples.extend(
-            PathCommTuple(ASPath(chain[start:]), tagged) for start in range(len(chain))
-        )
-        assert_packed_matches_batch(tuples)
+def chain_tuples(length: int) -> tuple:
+    """``(chain, tuples)``: every suffix of a *length*-hop chain of taggers.
+
+    Each chain AS tags at the front of its own suffix, so it is learnt as a
+    tagger at column 1 and -- its downstream neighbour's community reaching
+    the collector -- as a forwarder; the column loop then runs down the whole
+    chain, finding the deciding tagger at every position up to ``length - 1``.
+    Two more full-chain announcements each lack one community, which clears
+    the deciding hit bit of one deep column: bit ``length - 1``, and bit
+    ``min(64, length - 2)``.
+    """
+    chain = tuple(range(1000, 1000 + length))
+    tuples = [
+        PathCommTuple(ASPath(chain[start:]), CommunitySet([Community(asn, 1) for asn in chain]))
+        for start in range(length)
+    ]
+    for cleared in (length - 1, min(64, length - 2)):
+        kept = chain[:cleared] + chain[cleared + 1 :]
+        tuples.append(PathCommTuple(ASPath(chain), CommunitySet([Community(a, 2) for a in kept])))
+    return chain, tuples
+
+
+class TestLongPathsAreOrdinaryRows:
+    """Hit bits and tagger positions past bit 63 count like any other cell."""
+
+    @pytest.mark.parametrize("length", [62, 63, 64, 65, 130])
+    def test_batch_equals_the_listing(self, length):
+        _, tuples = chain_tuples(length)
+        tuples += _random_tuples(random.Random(length), 300)
+        batch, listing = ColumnInference(), ListingInference()
+        assert_same_result(batch.run(tuples), listing.run(tuples))
+        assert batch.report == listing.report
+        # Down the chain until a cleared bit's cleaner count breaks Cond1.
+        assert batch.report.columns_processed >= min(length - 1, 63)
+
+    @pytest.mark.parametrize("length", [62, 63, 64, 65, 130])
+    def test_sliding_classifier_equals_the_listing(self, length):
+        _, tuples = chain_tuples(length)
+        background = _random_tuples(random.Random(length), 300)
+        classifier = make_classifier("column")
+        live = dict.fromkeys(tuples + background)
+        steps = [
+            ((), ()),
+            # The longest paths leave (the column limit shrinks), then return.
+            (tuples[:2] + tuples[-2:] + background[:100], ()),
+            ((), tuples[:2] + tuples[-2:]),
+            (tuples[2:40:3], background[:100]),
+        ]
+        for item in live:
+            classifier.add_tuple(item)
+        for evicted, arrived in steps:
+            evicted = [item for item in dict.fromkeys(evicted) if item in live]
+            for item in evicted:
+                del live[item]
+            classifier.evict_refs([classifier.table.intern_tuple(item) for item in evicted])
+            for item in dict.fromkeys(arrived):
+                if item not in live:
+                    live[item] = None
+                    classifier.add_tuple(item)
+            listing = ListingInference()
+            assert_same_result(classifier.update(), listing.run(list(live)))
+            assert classifier.report == listing.report
+        assert classifier.stats.delta_phases and classifier.stats.recount_phases
+
+    def test_the_70_hop_chain_head_is_a_forwarding_tagger(self):
+        chain, tuples = chain_tuples(70)
         assert ColumnInference().run(tuples).as_code_map()[chain[0]] == "tf"
 
 
 class TestMatrixKernels:
-    """The numpy bucket kernels must match the scalar packed kernels."""
+    """The two matrix kernels against the per-group reference loops."""
 
     @staticmethod
-    def _random_groups(rng: random.Random, count: int, *, max_length: int = 8) -> GroupList:
-        groups = GroupList()
+    def _random_groups(rng: random.Random, count: int, *, max_length: int = 12) -> list:
+        groups = []
         for _ in range(count):
             length = rng.randint(1, max_length)
             row = tuple(rng.randrange(40) for _ in range(length))
@@ -277,45 +336,47 @@ class TestMatrixKernels:
         )  # taggers forward, like converged decisions
         return tagger, forward
 
-    def _dispatch_both(self, monkeypatch, kernel, *args):
-        monkeypatch.setattr(matrix, "MIN_MATRIX_GROUPS", 10**9)
-        scalar = kernel(*args)
-        monkeypatch.setattr(matrix, "MIN_MATRIX_GROUPS", 1)
-        vectorised = kernel(*args)
-        return scalar, vectorised
+    KERNELS = (
+        (count_tagging_phase_packed, count_tagging_groups),
+        (count_forwarding_phase_packed, count_forwarding_groups),
+    )
 
+    @pytest.mark.parametrize("size", [1, 10, 100, 400, 511])
     @pytest.mark.parametrize("column", [1, 2, 3, 9])
-    def test_column_kernels_match_scalar(self, monkeypatch, column):
-        rng = random.Random(7)
-        groups = self._random_groups(rng, 400)
-        tagger, forward = self._random_flags(rng)
-        for kernel in (count_tagging_phase_packed, count_forwarding_phase_packed):
-            scalar, vectorised = self._dispatch_both(
-                monkeypatch, kernel, groups, column, tagger, forward
-            )
-            assert vectorised == scalar
+    def test_kernels_match_the_group_loops(self, size, column):
+        rng = random.Random(1000 * size + column)
+        groups = self._random_groups(rng, size)
+        lowered = group_matrix(groups)
+        for _ in range(4):
+            tagger, forward = self._random_flags(rng)
+            for kernel, reference in self.KERNELS:
+                got = kernel(lowered, column, tagger, forward)
+                assert got == reference(groups, column, tagger, forward)
 
-    def test_overflow_groups_take_the_scalar_path(self, monkeypatch):
-        rng = random.Random(13)
+    @pytest.mark.parametrize("column", [1, 63, 64, 66, 100])
+    def test_long_rows_match_the_group_loops(self, column):
+        """Rows of 70 and 130 hops over forward ASes, so Cond1 holds deep down."""
+        rng = random.Random(column)
         groups = self._random_groups(rng, 64)
-        long_row = tuple(rng.randrange(40) for _ in range(matrix.MAX_MATRIX_LENGTH + 8))
-        groups.append((long_row, (1 << len(long_row)) - 1, 2))
-        assert len(GroupMatrix(groups).overflow) == 1
-        tagger, forward = self._random_flags(rng)
-        for column in (1, matrix.MAX_MATRIX_LENGTH + 4):
-            scalar, vectorised = self._dispatch_both(
-                monkeypatch,
-                count_forwarding_phase_packed,
-                groups,
-                column,
-                tagger,
-                forward,
-            )
-            assert vectorised == scalar
+        for length in (64, 65, 70, 130, 130):
+            row = tuple(rng.randrange(40, 60) for _ in range(length))
+            groups.append((row, rng.getrandbits(length), rng.randint(1, 5)))
+        tagger, forward = self._random_flags(rng, 60)
+        forward[40:] = b"\x01" * 20
+        for slot in range(40, 60):
+            tagger[slot] = rng.random() < 0.1
+        lowered = group_matrix(groups)
+        assert lowered.max_length == 130
+        for kernel, reference in self.KERNELS:
+            got = kernel(lowered, column, tagger, forward)
+            assert got == reference(groups, column, tagger, forward)
+            assert column > 1 or got[1]
 
-    def test_column_beyond_every_length_is_empty(self, monkeypatch):
-        monkeypatch.setattr(matrix, "MIN_MATRIX_GROUPS", 1)
+    def test_empty_columns(self):
         groups = self._random_groups(random.Random(17), 32, max_length=4)
         tagger, forward = self._random_flags(random.Random(17))
-        assert count_tagging_phase_packed(groups, 5, tagger, forward) == ({}, 0)
-        assert count_forwarding_phase_packed(groups, 4, tagger, forward) == ({}, 0)
+        lowered = group_matrix(groups)
+        assert count_tagging_phase_packed(lowered, 5, tagger, forward) == ({}, 0)
+        assert count_forwarding_phase_packed(lowered, 4, tagger, forward) == ({}, 0)
+        for kernel, _ in self.KERNELS:
+            assert kernel(GroupMatrix(), 1, tagger, forward) == ({}, 0)

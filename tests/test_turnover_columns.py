@@ -9,37 +9,39 @@ displaced lives on here as the oracle:
 
 * :class:`RefOracle` is the parent's ``_queue``: five dict updates per tuple,
   one per AS on its path (``_add_refs``);
-* ``tuple_lowering`` is the parent's ``materialize_groups`` +
-  ``GroupMatrix.__init__``: a ``(row, hits, count)`` tuple per group,
-  regrouped by length (``GroupMatrix(groups)`` itself now goes through the
-  same flat columns as the interned lowering, and is held to it too).
+* ``tuple_lowering`` is a ``(row, hits, count)`` tuple per group, regrouped
+  by length and unpacked bit by bit (``column_oracle.group_matrix``).
 
 Two deliberate mutations must each fail this file: dropping the ``weights=``
-multiplicity of the per-AS ``bincount`` (``_fold_counts``), and reading the
-list's own length instead of the carried group count in the cache compaction
-rule (``GroupList.__len__``).
+multiplicity of the per-AS ``bincount`` (``_fold_counts``), and leaving the
+cached matrix as it was instead of concatenating the turnover onto it
+(``cache.extend(pending)`` in ``update()``).
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from column_oracle import ListingInference, assert_same_result
+from column_oracle import (
+    ListingInference,
+    assert_same_result,
+    canonical,
+    count_forwarding_groups,
+    count_tagging_groups,
+    group_matrix,
+)
 from stream_oracle import engine_windows, reference_windows
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
-from repro.core import matrix
 from repro.core.column import count_forwarding_phase_packed, count_tagging_phase_packed
-from repro.core.matrix import GroupList, GroupMatrix
+from repro.core.matrix import GroupMatrix
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable, materialize_groups
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowPolicy, WindowSpec
@@ -148,45 +150,41 @@ class TestReferenceColumnsEqualThePerTupleDicts:
         ops=st.lists(OPS, max_size=40),
         stop_when_stalled=st.booleans(),
         max_columns=st.sampled_from([None, 2]),
-        min_matrix_groups=st.sampled_from([2, matrix.MIN_MATRIX_GROUPS]),
     )
-    def test_interleaved_sequences(
-        self, pool, ops, stop_when_stalled, max_columns, min_matrix_groups
-    ):
+    def test_interleaved_sequences(self, pool, ops, stop_when_stalled, max_columns):
         options = {"stop_when_stalled": stop_when_stalled, "max_columns": max_columns}
-        with mock.patch.object(matrix, "MIN_MATRIX_GROUPS", min_matrix_groups):
-            classifier = make_classifier("column", Thresholds.uniform(0.75), **options)
-            oracle = RefOracle()
-            for name, argument in [*ops, ("update", None)]:
-                if name == "update":
-                    assert_update_equals_batch(classifier, oracle, **options)
-                    continue
-                if name == "checkpoint":
-                    classifier = roundtrip(classifier)
-                elif name == "clear":
-                    items = list(oracle.live)
-                    classifier.evict_refs([classifier.table.intern_tuple(i) for i in items])
-                    for item in items:
-                        oracle.queue(item, -1)
-                elif name == "evict_refs":
-                    items = [pool[i % len(pool)] for i in argument]
-                    items = [item for item in dict.fromkeys(items) if item in oracle.live]
-                    classifier.evict_refs([classifier.table.intern_tuple(i) for i in items])
-                    for item in items:
-                        oracle.queue(item, -1)
+        classifier = make_classifier("column", Thresholds.uniform(0.75), **options)
+        oracle = RefOracle()
+        for name, argument in [*ops, ("update", None)]:
+            if name == "update":
+                assert_update_equals_batch(classifier, oracle, **options)
+                continue
+            if name == "checkpoint":
+                classifier = roundtrip(classifier)
+            elif name == "clear":
+                items = list(oracle.live)
+                classifier.evict_refs([classifier.table.intern_tuple(i) for i in items])
+                for item in items:
+                    oracle.queue(item, -1)
+            elif name == "evict_refs":
+                items = [pool[i % len(pool)] for i in argument]
+                items = [item for item in dict.fromkeys(items) if item in oracle.live]
+                classifier.evict_refs([classifier.table.intern_tuple(i) for i in items])
+                for item in items:
+                    oracle.queue(item, -1)
+            else:
+                indices = argument if name == "add_refs" else [argument]
+                items = [pool[i % len(pool)] for i in indices]
+                items = [item for item in dict.fromkeys(items) if item not in oracle.live]
+                refs = [classifier.table.intern_tuple(item) for item in items]
+                if name == "add_refs":
+                    classifier.add_refs(refs)
                 else:
-                    indices = argument if name == "add_refs" else [argument]
-                    items = [pool[i % len(pool)] for i in indices]
-                    items = [item for item in dict.fromkeys(items) if item not in oracle.live]
-                    refs = [classifier.table.intern_tuple(item) for item in items]
-                    if name == "add_refs":
-                        classifier.add_refs(refs)
-                    else:
-                        for ref in refs:
-                            classifier.add_ref(ref)
-                    for item in items:
-                        oracle.queue(item, 1)
-                assert_matches_oracle(classifier, oracle)
+                    for ref in refs:
+                        classifier.add_ref(ref)
+                for item in items:
+                    oracle.queue(item, 1)
+            assert_matches_oracle(classifier, oracle)
 
     def test_a_multiplicity_two_group_counts_twice_per_as(self):
         """Two tuples of one ``(path, hits)`` group: every AS on the path has 2."""
@@ -262,33 +260,19 @@ class TestReferenceColumnsEqualThePerTupleDicts:
 
 
 # -- the lowering ---------------------------------------------------------------------------
+def row_of(table, path_id):
+    """The AS-index row of an interned path, read through the ASN symbols."""
+    return tuple(map(table.intern_asn, table.path_of(path_id).asns))
+
+
+def counting_groups(table, counts):
+    """``(row, hits, count)`` per ``(path_id, hits) -> count`` aggregate."""
+    return [(row_of(table, path_id), hits, n) for (path_id, hits), n in counts.items()]
+
+
 def tuple_lowering(table, counts):
-    """The parent's lowering: a Python tuple per group, regrouped by length
-    (``materialize_groups`` + ``GroupMatrix.__init__`` as they were)."""
-    by_length, lowered = {}, GroupMatrix()
-    for (path_id, hits), count in counts.items():
-        group = (table.path_row(path_id), hits, count)
-        if len(group[0]) > matrix.MAX_MATRIX_LENGTH:
-            lowered.overflow.append(group)
-        else:
-            by_length.setdefault(len(group[0]), []).append(group)
-    for length, bucket in by_length.items():
-        lowered.buckets[length] = (
-            np.array([g[0] for g in bucket], dtype=np.int64).reshape(len(bucket), length),
-            np.array([g[1] for g in bucket], dtype=np.int64),
-            np.array([g[2] for g in bucket], dtype=np.int64),
-        )
-    return lowered
-
-
-def canonical(lowered: GroupMatrix):
-    """Bucket for bucket, rows in a canonical order (row order is not output)."""
-    buckets = {}
-    for length, (rows, hits, counts) in lowered.buckets.items():
-        assert rows.dtype == hits.dtype == counts.dtype == np.int64
-        assert rows.shape == (len(hits), length) and hits.shape == counts.shape
-        buckets[length] = sorted(zip(map(tuple, rows.tolist()), hits.tolist(), counts.tolist()))
-    return buckets, sorted(lowered.overflow)
+    """A Python tuple per group, regrouped by length and unpacked bit by bit."""
+    return group_matrix(counting_groups(table, counts))
 
 
 def nonzero(counted):
@@ -310,94 +294,65 @@ def group_counts(table, rng, count, lengths, *, ases=400):
 
 
 class TestNumpyLoweringEqualsTupleLowering:
-    @pytest.mark.parametrize("count", [511, 512, 513])
-    def test_around_the_matrix_threshold(self, count):
+    @pytest.mark.parametrize("count", [1, 10, 511, 513])
+    def test_lowering_equals_the_tuple_lowering(self, count):
         table = TupleTable()
         counts = group_counts(table, random.Random(count), count, [1, 2, 3, 5, 8])
         lowered = materialize_groups(table, counts)
+        assert isinstance(lowered, GroupMatrix)
         assert len(lowered) == count and bool(lowered)
-        if count < matrix.MIN_MATRIX_GROUPS:
-            assert list.__len__(lowered) == count  # the tuples the scalar kernels walk
-            assert sorted(lowered) == sorted(
-                (table.path_row(path_id), hits, n) for (path_id, hits), n in counts.items()
-            )
-        else:
-            assert list.__len__(lowered) == 0 and list(lowered) == []  # no tuple per group
-            assert len(lowered.matrix()) == count
-        assert canonical(lowered.matrix()) == canonical(tuple_lowering(table, counts))
-        from_tuples = GroupMatrix(
-            (table.path_row(path_id), hits, n) for (path_id, hits), n in counts.items()
-        )
-        assert canonical(from_tuples) == canonical(tuple_lowering(table, counts))
+        assert canonical(lowered) == canonical(tuple_lowering(table, counts))
 
-    def test_overflow_paths_mixed_into_one_turnover(self):
+    def test_long_paths_mixed_into_one_turnover(self):
+        """Paths past 63 hops are bucket rows like any other: hits past bit 63 too."""
         table = TupleTable()
         rng = random.Random(62)
-        counts = group_counts(table, rng, 600, [2, 4, 61, 62, 63, 64], ases=90)
-        lowered = materialize_groups(table, counts).matrix()
-        assert set(lowered.buckets) == {2, 4, 61, 62}
-        assert {len(row) for row, _, _ in lowered.overflow} == {63, 64}
-        assert any(hits >> 62 for _, hits, _ in lowered.overflow)  # past an int64 mask
-        assert all(type(hits) is int and type(n) is int for _, hits, n in lowered.overflow)
+        counts = group_counts(table, rng, 600, [2, 4, 61, 62, 63, 64, 65, 130], ases=200)
+        lowered = materialize_groups(table, counts)
+        assert set(lowered.buckets) == {2, 4, 61, 62, 63, 64, 65, 130}
+        assert lowered.buckets[130][1][:, 64:].any()  # past an int64 mask
         assert canonical(lowered) == canonical(tuple_lowering(table, counts))
-        assert lowered.max_length == 64 and len(lowered) == 600
-        from_tuples = GroupMatrix(
-            (table.path_row(path_id), hits, n) for (path_id, hits), n in counts.items()
-        )
-        assert canonical(from_tuples) == canonical(lowered)
-        assert canonical(GroupMatrix()) == canonical(GroupMatrix(iter(()))) == ({}, [])
+        assert lowered.max_length == 130 and len(lowered) == 600
+        assert canonical(GroupMatrix()) == canonical(materialize_groups(table, {})) == {}
+        assert GroupMatrix().max_length == 0 and len(GroupMatrix()) == 0
 
     def test_the_gather_matches_the_rows_whatever_the_id_order(self):
         table = TupleTable()
         counts = group_counts(table, random.Random(5), 40, [1, 3, 7])
         path_ids = [path_id for path_id, _ in counts][::-1] * 2  # repeated, descending
         lengths, cells = table.path_cells(path_ids)
-        assert lengths.tolist() == [len(table.path_row(path_id)) for path_id in path_ids]
-        assert cells.tolist() == [index for p in path_ids for index in table.path_row(p)]
+        assert lengths.tolist() == [len(row_of(table, path_id)) for path_id in path_ids]
+        assert cells.tolist() == [index for p in path_ids for index in row_of(table, p)]
         lengths, cells = table.path_cells([])
         assert lengths.tolist() == [] == cells.tolist()
         lengths, cells = TupleTable().path_cells([])
         assert lengths.tolist() == [] == cells.tolist()
 
     @pytest.mark.parametrize("small_first", [True, False])
-    def test_extend_merged_across_the_two_forms(self, small_first):
-        """Tuple-form cache + matrix-form pending, and the reverse."""
+    def test_extend_folds_a_turnover_into_the_cache(self, small_first):
+        """A small cache takes a large turnover, and the reverse."""
         table = TupleTable()
         rng = random.Random(9)
         small = group_counts(table, rng, 40, [1, 2, 3, 5])
         large = group_counts(table, rng, 700, [1, 2, 3, 5, 64])
         first, second = (small, large) if small_first else (large, small)
         cache = materialize_groups(table, first)
-        cache.extend_merged(materialize_groups(table, second))
-        assert len(cache) == len(first) + len(second) and list.__len__(cache) == 0
+        cache.extend(materialize_groups(table, second))
+        assert len(cache) == len(first) + len(second)
         want = tuple_lowering(table, first)
         want.extend(tuple_lowering(table, second))
-        assert canonical(cache.matrix()) == canonical(want)
-        # ... and the kernels read the merged cache like the scalar walk reads the tuples.
-        everything = GroupList(
-            (table.path_row(path_id), hits, n)
-            for counts in (first, second)
-            for (path_id, hits), n in counts.items()
-        )
+        assert canonical(cache) == canonical(want)
+        # ... and the kernels read the merged cache like the group loops read the tuples.
+        everything = counting_groups(table, first) + counting_groups(table, second)
         tagger = bytearray(rng.randint(0, 1) for _ in range(table.as_count))
         forward = bytearray(max(t, rng.randint(0, 1)) for t in tagger)
-        for kernel in (count_tagging_phase_packed, count_forwarding_phase_packed):
+        for kernel, reference in (
+            (count_tagging_phase_packed, count_tagging_groups),
+            (count_forwarding_phase_packed, count_forwarding_groups),
+        ):
             for column in (1, 2, 4):
-                with mock.patch.object(matrix, "MIN_MATRIX_GROUPS", 10**9):
-                    scalar = kernel(everything, column, tagger, forward)
-                assert nonzero(kernel(cache, column, tagger, forward)) == nonzero(scalar)
-
-    def test_two_tuple_form_lists_stay_tuples(self):
-        table = TupleTable()
-        rng = random.Random(3)
-        first = materialize_groups(table, group_counts(table, rng, 30, [2, 3]))
-        second = materialize_groups(table, group_counts(table, rng, 20, [2, 3]))
-        first.extend_merged(second)
-        assert len(first) == list.__len__(first) == 50
-        built = first.matrix()
-        first.extend_merged(materialize_groups(table, group_counts(table, rng, 10, [4])))
-        assert len(first) == list.__len__(first) == 60 and first.matrix() is built
-        assert len(built) == 60
+                want = reference(everything, column, tagger, forward)
+                assert nonzero(kernel(cache, column, tagger, forward)) == nonzero(want)
 
 
 # -- buffers ----------------------------------------------------------------------------------
@@ -410,41 +365,39 @@ class TestNoBufferStaysExported:
         asns = [base + step for step in range(rng.randint(2, 6))]  # new ASes, new path
         return make_tuple(asns, asns[-1:])
 
-    @pytest.mark.parametrize("min_matrix_groups", [1, matrix.MIN_MATRIX_GROUPS])
-    def test_update_result_intern_update(self, min_matrix_groups):
+    def test_update_result_intern_update(self):
         rng = random.Random(11)
-        with mock.patch.object(matrix, "MIN_MATRIX_GROUPS", min_matrix_groups):
-            classifier = make_classifier("column")
-            live = [self.fresh(rng, 10 * step) for step in range(1, 40)]
-            for item in live:
-                classifier.add_tuple(item)
-            held = classifier.update()
-            again = classifier.result()
-            state = pickle.dumps(classifier.state_dict())
-            frozen = (held.as_code_map(), held.records(), held.store.state_dict())
-            # The table grows under everything that was handed out.
-            grown = [self.fresh(rng, 1000 + 10 * step) for step in range(1, 40)]
-            for item in grown:
-                classifier.add_tuple(item)  # BufferError here if a view were still alive
-            classifier.evict_refs([classifier.table.intern_tuple(item) for item in live[:5]])
-            classifier.state_dict()
-            classifier.result()
-            for item in grown[:3]:
-                classifier.table.intern_tuple(self.fresh(rng, 5000 + item.path.asns[0]))
-            assert (held.as_code_map(), held.records(), held.store.state_dict()) == frozen
-            assert again.as_code_map() == frozen[0]
-            restored = classifier_from_state(
-                pickle.loads(state), TupleTable.from_state(classifier.table.state_dict())
-            )
-            assert restored.result().as_code_map() == frozen[0]
-            assert_same_result(classifier.update(), ListingInference().run(live[5:] + grown))
-            assert (held.as_code_map(), held.records(), held.store.state_dict()) == frozen
+        classifier = make_classifier("column")
+        live = [self.fresh(rng, 10 * step) for step in range(1, 40)]
+        for item in live:
+            classifier.add_tuple(item)
+        held = classifier.update()
+        again = classifier.result()
+        state = pickle.dumps(classifier.state_dict())
+        frozen = (held.as_code_map(), held.records(), held.store.state_dict())
+        # The table grows under everything that was handed out.
+        grown = [self.fresh(rng, 1000 + 10 * step) for step in range(1, 40)]
+        for item in grown:
+            classifier.add_tuple(item)  # BufferError here if a view were still alive
+        classifier.evict_refs([classifier.table.intern_tuple(item) for item in live[:5]])
+        classifier.state_dict()
+        classifier.result()
+        for item in grown[:3]:
+            classifier.table.intern_tuple(self.fresh(rng, 5000 + item.path.asns[0]))
+        assert (held.as_code_map(), held.records(), held.store.state_dict()) == frozen
+        assert again.as_code_map() == frozen[0]
+        restored = classifier_from_state(
+            pickle.loads(state), TupleTable.from_state(classifier.table.state_dict())
+        )
+        assert restored.result().as_code_map() == frozen[0]
+        assert_same_result(classifier.update(), ListingInference().run(live[5:] + grown))
+        assert (held.as_code_map(), held.records(), held.store.state_dict()) == frozen
 
     def test_a_held_matrix_and_gather_survive_table_growth(self):
         table = TupleTable()
         rng = random.Random(13)
         counts = group_counts(table, rng, 600, [1, 2, 3, 5, 64])
-        lowered = materialize_groups(table, counts).matrix()
+        lowered = materialize_groups(table, counts)
         lengths, cells = table.path_cells([path_id for path_id, _ in counts])
         frozen = (canonical(lowered), lengths.tobytes(), cells.tobytes())
         for arrays in lowered.buckets.values():
@@ -455,7 +408,7 @@ class TestNoBufferStaysExported:
 
 # -- the engine, window by window ---------------------------------------------------------
 class TestEngineWindowsAcrossACompaction:
-    """Sliding windows big enough for the numpy lowering, against the oracle."""
+    """Sliding windows whose cache grows, compacts and regrows, against the oracle."""
 
     @staticmethod
     def feed(windows=7, per_window=560, seed=41):
@@ -498,11 +451,11 @@ class TestEngineWindowsAcrossACompaction:
         windows, _ = reference_windows(events, spec)
         assert engine_windows(engine) == windows
         assert result is engine.snapshots[-1].result  # the final flush builds one result
-        # The turnover was lowered without tuples, the cache took it as a
-        # matrix, and the compaction rule saw the carried count.
+        # The cache took the turnover's rows, and the compaction rule read
+        # its group count.
         caches = [cache for cache, _, _ in seen]
-        assert all(cache is None or list.__len__(cache) == 0 for cache in caches[1:])
-        assert any(size is not None and size >= matrix.MIN_MATRIX_GROUPS for _, size, _ in seen)
+        assert all(cache is None or isinstance(cache, GroupMatrix) for cache in caches)
+        assert any(size is not None and size > groups for _, size, groups in seen)
         for cache, size, groups in seen:
             assert size is None or size <= _CACHE_COMPACTION_FACTOR * groups
         assert any(
