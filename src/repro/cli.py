@@ -24,7 +24,7 @@ Usage::
     python -m repro serve --store results.db --auth-token s3cret   # lock the API
 
 Store URLs: ``--store`` accepts a plain path (SQLite, the default), an
-explicit ``sqlite:path``, or ``memory:`` (in-process, tests/demos).  With
+explicit ``sqlite:path``, or ``memory:`` (an in-process SQLite store).  With
 ``--archive-dir`` retention *archives* pruned snapshots into checksummed
 segment files instead of deleting them, and reads fall through to them.
 
@@ -320,10 +320,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: expose a snapshot store over the JSON HTTP API."""
     from repro.service.auth import resolve_token
     from repro.service.backends import open_store, parse_store_url
+    from repro.service.workers import require_file_store
 
     auth_token = resolve_token(args.auth_token)
-    scheme, target = parse_store_url(args.store)
-    if scheme == "sqlite" and target != ":memory:" and not Path(target).exists():
+    if args.http_workers > 1:
+        try:
+            require_file_store(args.store)
+        except ValueError as error:
+            print(f"error: --http-workers {args.http_workers}: {error}", file=sys.stderr)
+            return 1
+    target = parse_store_url(args.store)
+    if target != ":memory:" and not Path(target).exists():
         print(f"error: store {args.store!r} does not exist", file=sys.stderr)
         return 1
     if args.retention is not None:
@@ -362,8 +369,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     )
     from repro.service.auth import resolve_token
     from repro.service.backends import open_store
+    from repro.service.workers import require_file_store
 
     auth_token = resolve_token(args.auth_token)
+    if args.serve and args.http_workers > 1:
+        try:
+            require_file_store(args.store)
+        except ValueError as error:
+            print(f"error: --http-workers {args.http_workers}: {error}", file=sys.stderr)
+            return 1
     with ExitStack() as stack:
         store = stack.enter_context(
             open_store(args.store, retention=args.retention, archive_dir=args.archive_dir)
@@ -587,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument(
         "--store",
         help="also materialize the result into this snapshot store "
-        "(path, sqlite:path, or memory:)",
+        "(path, sqlite:path, or memory: for an in-process SQLite store)",
     )
     classify.set_defaults(handler=cmd_classify)
 
@@ -637,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--store",
         help="persist every window snapshot into this snapshot store "
-        "(path, sqlite:path, or memory:); serve it afterwards with 'repro serve --store'",
+        "(path, sqlite:path, or memory: for an in-process SQLite store); "
+        "serve it afterwards with 'repro serve --store'",
     )
     stream.add_argument(
         "--store-retention",
@@ -671,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--store",
         help="also materialize the result into this snapshot store "
-        "(path, sqlite:path, or memory:)",
+        "(path, sqlite:path, or memory: for an in-process SQLite store)",
     )
     demo.set_defaults(handler=cmd_demo)
 
@@ -686,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         required=True,
-        help="snapshot store to serve (path, sqlite:path, or memory:)",
+        help="snapshot store to serve "
+        "(path, sqlite:path, or memory: for an in-process SQLite store)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)

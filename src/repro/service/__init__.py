@@ -7,14 +7,14 @@ as in-memory :class:`~repro.stream.engine.WindowSnapshot` objects capped at
 builds the *consumer* side:
 
 * :mod:`repro.service.backends` -- pluggable storage behind one
-  :class:`SnapshotBackend` contract: the SQLite-WAL :class:`SnapshotStore`
+  :class:`SnapshotBackend` contract: the SQLite :class:`SnapshotStore`
   (schema versioning, atomic writes, retention / compaction, indexed
-  per-AS history), the in-process :class:`MemoryBackend` (tests/demos and
-  the conformance-suite reference), and the :class:`TieredBackend` whose
-  retention *archives* pruned snapshots into checksummed segment files
+  per-AS history; a WAL file, or SQLite's own ``:memory:`` for throwaway
+  stores), and the :class:`TieredBackend` whose retention *archives*
+  pruned snapshots into checksummed segment files
   (:class:`SnapshotArchive`) instead of deleting them, with reads falling
-  through hot to cold; :func:`open_store` dispatches ``sqlite:`` /
-  ``memory:`` store URLs (plain paths stay SQLite);
+  through hot to cold; :func:`open_store` opens ``sqlite:path``, plain
+  path and ``memory:`` store URLs, all SQLite;
 * :mod:`repro.service.server` -- a stdlib-only JSON HTTP API over a store
   (``/v1/as/{asn}``, ``/v1/snapshot/latest``, ``/v1/snapshot/{window}``,
   ``/v1/diff``, ``/v1/stats``, ``/healthz``) with an LRU read cache keyed
@@ -59,7 +59,6 @@ from repro.service.backends import (
     SCHEMA_VERSION,
     ASHistoryEntry,
     FencedWriterError,
-    MemoryBackend,
     SnapshotArchive,
     SnapshotBackend,
     SnapshotStore,
@@ -68,6 +67,7 @@ from repro.service.backends import (
     TieredBackend,
     open_store,
     parse_store_url,
+    snapshot_from_payload,
     snapshot_payload,
 )
 from repro.service.client import (
@@ -93,7 +93,6 @@ from repro.service.replication import (
     ReplicaSyncer,
     ReplicationError,
     SyncReport,
-    snapshot_from_payload,
 )
 from repro.service.server import (
     ClassificationServer,
@@ -117,7 +116,6 @@ __all__ = [
     "ClassificationService",
     "FencedWriterError",
     "LRUCache",
-    "MemoryBackend",
     "MetricsRecorder",
     "MultiWorkerServer",
     "NotFoundError",

@@ -3,13 +3,13 @@
 The serving stack -- HTTP server, worker fan-out, publishers, replication,
 CLI -- is written against the :class:`SnapshotBackend` contract
 (:mod:`repro.service.backends.base`); this package holds the contract and
-its implementations, and :func:`open_store` dispatches a store URL to the
-right one:
+its implementations, and :func:`open_store` opens the SQLite store a URL
+names:
 
 ==================  ==============================================================
 ``path/to/db``      SQLite (the default; any plain path, plus ``:memory:``)
 ``sqlite:path``     SQLite, explicitly
-``memory:``         in-process :class:`MemoryBackend` (tests, demos)
+``memory:``         SQLite's in-process ``:memory:`` database (throwaway stores)
 ==================  ==============================================================
 
 Passing ``archive_dir=`` wraps the hot backend in a
@@ -32,7 +32,6 @@ from repro.service.backends.archive import (
 )
 from repro.service.backends.base import (
     SNAPSHOT_KINDS,
-    STORE_SCHEMES,
     ASHistoryEntry,
     FencedWriterError,
     SnapshotBackend,
@@ -42,8 +41,7 @@ from repro.service.backends.base import (
     snapshot_from_payload,
     snapshot_payload,
 )
-from repro.service.backends.memory import MemoryBackend
-from repro.service.backends.sqlite import SCHEMA_VERSION, SnapshotStore, SQLiteBackend
+from repro.service.backends.sqlite import SCHEMA_VERSION, SnapshotStore
 
 
 def open_store(
@@ -52,38 +50,31 @@ def open_store(
     retention: Optional[int] = None,
     archive_dir: Optional[Union[str, os.PathLike]] = None,
 ) -> SnapshotBackend:
-    """Open (creating if needed) the backend a store URL names.
+    """Open (creating if needed) the SQLite store a store URL names.
 
-    Plain paths stay SQLite-backed with their parent directory ensured, so
-    every pre-URL call site keeps working unchanged.  With *archive_dir*
-    the hot backend is built uncapped and wrapped in a
+    File paths get their parent directory ensured; ``memory:`` and
+    ``:memory:`` open an in-process database that dies with the store.
+    With *archive_dir* the hot backend is built uncapped and wrapped in a
     :class:`TieredBackend` carrying *retention*: the cap then demotes
     snapshots into the archive instead of deleting them.
     """
-    scheme, target = parse_store_url(url)
+    target = parse_store_url(url)
     hot_retention = None if archive_dir is not None else retention
-    backend: SnapshotBackend
-    if scheme == "memory":
-        backend = MemoryBackend(retention=hot_retention)
-    else:
-        path = Path(target)
-        if str(path) != ":memory:" and str(path.parent) not in ("", "."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        backend = SnapshotStore(path, retention=hot_retention)
+    path = Path(target)
+    if target != ":memory:" and str(path.parent) not in ("", "."):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    store = SnapshotStore(path, retention=hot_retention)
     if archive_dir is not None:
-        return TieredBackend(backend, archive_dir, retention=retention)
-    return backend
+        return TieredBackend(store, archive_dir, retention=retention)
+    return store
 
 
 __all__ = [
     "ASHistoryEntry",
     "FencedWriterError",
-    "MemoryBackend",
     "SCHEMA_VERSION",
     "SEGMENT_RECORDS",
     "SNAPSHOT_KINDS",
-    "SQLiteBackend",
-    "STORE_SCHEMES",
     "SnapshotArchive",
     "SnapshotBackend",
     "SnapshotStore",

@@ -21,10 +21,11 @@ captures everything the original SQLite store exposed:
   an explicit :meth:`~SnapshotBackend.compact`.
 
 Concrete implementations: :class:`~repro.service.backends.sqlite.SnapshotStore`
-(SQLite WAL, the production default), :class:`~repro.service.backends.memory.MemoryBackend`
-(the pure-Python reference the conformance suite is written against), and
+(SQLite, on a WAL file or in process as ``:memory:``) and
 :class:`~repro.service.backends.archive.TieredBackend` (hot backend + cold
-append-only archive segments).
+append-only archive segments).  The conformance suite also holds a
+dict-based reference store in ``tests/store_oracle.py`` to the contract,
+and the SQLite store to that reference read for read.
 
 This module also owns the canonical wire codec -- :func:`snapshot_payload`
 and its inverse :func:`snapshot_from_payload` -- because byte-identical
@@ -411,106 +412,55 @@ class SnapshotBackend(ABC):
         """Store-level statistics for ``/v1/stats`` and operations."""
 
     # -- ingest telemetry ---------------------------------------------------------------
+    @abstractmethod
     def set_ingest_stats(self, stats: Dict[str, object]) -> None:
         """Record the producing engine's ingest-batching telemetry.
 
-        Deliberately non-abstract: telemetry is additive and backends that
-        predate it (or don't care, like read-only replicas) inherit this
-        in-memory default.  Durable backends may override to persist the
-        payload so a scrape after a server restart still sees the last
-        producer's counters.  The payload is the engine's
-        :meth:`~repro.stream.engine.StreamEngine.ingest_stats` dict.
+        The payload is the engine's
+        :meth:`~repro.stream.engine.StreamEngine.ingest_stats` dict; a
+        durable backend persists it so a scrape after a server restart
+        still sees the last producer's counters.
         """
-        self._ingest_stats = dict(stats)
 
+    @abstractmethod
     def ingest_stats(self) -> Optional[Dict[str, object]]:
         """The last recorded ingest telemetry, or ``None`` if never set."""
-        return getattr(self, "_ingest_stats", None)
 
 
-def records_of(snapshot: WindowSnapshot) -> List[Tuple[int, str, int, int, int, int]]:
-    """The per-AS record rows every backend persists, in ascending ASN order."""
-    return snapshot.result.records()
+def parse_store_url(url: Union[str, os.PathLike]) -> str:
+    """The SQLite target (a file path or ``":memory:"``) a store URL names.
 
-
-def snapshot_from_records(
-    meta: StoredSnapshot,
-    records: List[Tuple[int, str, int, int, int, int]],
-    changed: Dict[ASN, Tuple[str, str]],
-) -> WindowSnapshot:
-    """Rebuild a :class:`WindowSnapshot` from persisted record rows.
-
-    The reconstruction is field-faithful and shared by the SQLite and
-    memory backends: per-AS codes recompute from the raw counters and the
-    persisted thresholds, the observed-AS set includes all-zero rows, and
-    the change map round-trips as stored.
-    """
-    counter_state: Dict[ASN, Tuple[int, int, int, int]] = {}
-    observed: Set[ASN] = set()
-    for asn, _code, tagger, silent, forward, cleaner in records:
-        observed.add(asn)
-        if tagger or silent or forward or cleaner:
-            counter_state[asn] = (tagger, silent, forward, cleaner)
-    result = ClassificationResult(
-        store=CounterStore.from_state(counter_state, meta.thresholds),
-        observed_ases=observed,
-        algorithm=meta.algorithm,
-    )
-    return WindowSnapshot(
-        window_start=meta.window_start,
-        window_end=meta.window_end,
-        skipped_windows=meta.skipped_windows,
-        events_total=meta.events_total,
-        unique_tuples=meta.unique_tuples,
-        result=result,
-        changed=dict(changed),
-    )
-
-
-#: URL schemes :func:`repro.service.backends.open_store` dispatches on.
-STORE_SCHEMES = ("sqlite", "memory")
-
-
-def parse_store_url(url: Union[str, os.PathLike]) -> Tuple[str, str]:
-    """Split a store URL into ``(scheme, target)``.
-
-    ``sqlite:path`` and ``memory:`` are explicit; anything else (including
-    the SQLite-native ``:memory:`` spelling) is a plain filesystem path and
-    defaults to the SQLite backend, so every pre-URL call site keeps
-    working unchanged.
+    ``sqlite:path`` is explicit, and ``memory:`` names SQLite's own
+    in-process ``:memory:`` database; anything else (including the
+    SQLite-native ``:memory:`` spelling) is a plain filesystem path, so
+    every pre-URL call site keeps working unchanged.
     """
     text = str(url)
-    if text == ":memory:":
-        return "sqlite", ":memory:"
     if text.startswith("memory:"):
-        rest = text[len("memory:"):]
-        if rest:
+        if text != "memory:":
             raise ValueError(
                 f"memory: stores are anonymous and per-process, got {text!r}"
             )
-        return "memory", ""
+        return ":memory:"
     if text.startswith("sqlite:"):
         target = text[len("sqlite:"):]
         if not target:
             raise ValueError(f"sqlite: store URL needs a path, got {text!r}")
-        return "sqlite", target
-    return "sqlite", text
+        return target
+    return text
 
 
 __all__ = [
     "ASHistoryEntry",
     "FencedWriterError",
     "SNAPSHOT_KINDS",
-    "STORE_SCHEMES",
     "SnapshotBackend",
     "StoreError",
     "StoredSnapshot",
     "parse_store_url",
-    "records_of",
     "require_current_epoch",
     "require_valid_kind",
     "require_valid_retention",
     "snapshot_from_payload",
-    "snapshot_from_records",
     "snapshot_payload",
 ]

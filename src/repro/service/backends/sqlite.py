@@ -197,7 +197,8 @@ class SnapshotStore(SnapshotBackend):
         self._connections: List[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
         # In-memory databases are per-connection; share one connection (and
-        # serialise reads through the write lock) so tests can use ":memory:".
+        # serialise reads through the write lock) so ":memory:" (what a
+        # ``memory:`` store URL opens) is one database.
         self._shared: Optional[sqlite3.Connection] = None
         self._column_cache: "OrderedDict[Tuple[int, int], _Columns]" = OrderedDict()
         self._cached_rows = 0
@@ -232,6 +233,23 @@ class SnapshotStore(SnapshotBackend):
             connection = self._connect()
             self._local.connection = connection
         return connection
+
+    def _rows(self, sql: str, parameters: Tuple[object, ...] = ()) -> List[Tuple]:
+        """Every row of one read statement.
+
+        On the shared in-memory connection a reader would see the rows of a
+        write still in progress (one connection, one uncommitted view), so
+        there the statement runs under the write lock.
+        """
+        if self._shared is None:
+            return self._conn().execute(sql, parameters).fetchall()
+        with self._write_lock:
+            return self._conn().execute(sql, parameters).fetchall()
+
+    def _row(self, sql: str, parameters: Tuple[object, ...] = ()) -> Optional[Tuple]:
+        """The first row of one read statement (``None`` when there is none)."""
+        rows = self._rows(sql, parameters)
+        return rows[0] if rows else None
 
     def _initialise(self) -> None:
         with self._write_lock:
@@ -604,9 +622,7 @@ class SnapshotStore(SnapshotBackend):
     # -- metadata reads -----------------------------------------------------------------
     def generation(self) -> int:
         """Monotonic write counter (the read-cache key of the server)."""
-        row = self._conn().execute(
-            "SELECT value FROM meta WHERE key = 'generation'"
-        ).fetchone()
+        row = self._row("SELECT value FROM meta WHERE key = 'generation'")
         return int(row[0]) if row is not None else 0
 
     def pruned_through(self) -> int:
@@ -616,9 +632,7 @@ class SnapshotStore(SnapshotBackend):
         below this may have missed pruned snapshots for good, and must
         surface that as a sync error instead of skipping them silently.
         """
-        row = self._conn().execute(
-            "SELECT value FROM meta WHERE key = 'pruned_through'"
-        ).fetchone()
+        row = self._row("SELECT value FROM meta WHERE key = 'pruned_through'")
         return int(row[0]) if row is not None else 0
 
     def applied_generation(self) -> int:
@@ -629,9 +643,7 @@ class SnapshotStore(SnapshotBackend):
         exactly-once contract resumed producers get, since re-applied
         snapshots land on the idempotent window key anyway.
         """
-        row = self._conn().execute(
-            "SELECT value FROM meta WHERE key = 'applied_generation'"
-        ).fetchone()
+        row = self._row("SELECT value FROM meta WHERE key = 'applied_generation'")
         return int(row[0]) if row is not None else 0
 
     def set_applied_generation(self, generation: int) -> None:
@@ -653,9 +665,7 @@ class SnapshotStore(SnapshotBackend):
 
     def leader_epoch(self) -> int:
         """The durable fencing epoch writers must carry (0 on a new store)."""
-        row = self._conn().execute(
-            "SELECT value FROM meta WHERE key = 'leader_epoch'"
-        ).fetchone()
+        row = self._row("SELECT value FROM meta WHERE key = 'leader_epoch'")
         return int(row[0]) if row is not None else 0
 
     def bump_leader_epoch(self) -> int:
@@ -681,7 +691,7 @@ class SnapshotStore(SnapshotBackend):
         return epoch
 
     def __len__(self) -> int:
-        row = self._conn().execute("SELECT COUNT(*) FROM snapshots").fetchone()
+        row = self._row("SELECT COUNT(*) FROM snapshots")
         return int(row[0])
 
     def _snapshot_from_row(
@@ -710,26 +720,24 @@ class SnapshotStore(SnapshotBackend):
 
     def latest(self) -> Optional[StoredSnapshot]:
         """Metadata of the newest snapshot, or ``None`` on an empty store."""
-        row = self._conn().execute(
-            f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots ORDER BY id DESC LIMIT 1"
-        ).fetchone()
+        row = self._row(f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots ORDER BY id DESC LIMIT 1")
         return self._snapshot_from_row(row) if row is not None else None
 
     def get(self, snapshot_id: int) -> Optional[StoredSnapshot]:
         """Metadata of one snapshot by id."""
-        row = self._conn().execute(
+        row = self._row(
             f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots WHERE id = ?",
             (snapshot_id,),
-        ).fetchone()
+        )
         return self._snapshot_from_row(row) if row is not None else None
 
     def by_window_end(self, window_end: int) -> Optional[StoredSnapshot]:
         """Metadata of the newest snapshot whose window ends at *window_end*."""
-        row = self._conn().execute(
+        row = self._row(
             f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots"
             " WHERE window_end = ? ORDER BY id DESC LIMIT 1",
             (window_end,),
-        ).fetchone()
+        )
         return self._snapshot_from_row(row) if row is not None else None
 
     def find_window(
@@ -741,12 +749,12 @@ class SnapshotStore(SnapshotBackend):
         ``(kind, window_start, window_end)`` triple identifies one published
         window of one producer run (or its exact re-emission after resume).
         """
-        row = self._conn().execute(
+        row = self._row(
             f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots"
             " WHERE kind = ? AND window_start = ? AND window_end = ?"
             " ORDER BY id DESC LIMIT 1",
             (kind, window_start, window_end),
-        ).fetchone()
+        )
         return self._snapshot_from_row(row) if row is not None else None
 
     def latest_window_end(self, kind: str = "window") -> Optional[int]:
@@ -756,16 +764,12 @@ class SnapshotStore(SnapshotBackend):
         or before it may already be in the store and need the idempotency
         check; windows past it are certainly new.
         """
-        row = self._conn().execute(
-            "SELECT MAX(window_end) FROM snapshots WHERE kind = ?", (kind,)
-        ).fetchone()
+        row = self._row("SELECT MAX(window_end) FROM snapshots WHERE kind = ?", (kind,))
         return int(row[0]) if row is not None and row[0] is not None else None
 
     def snapshots(self) -> List[StoredSnapshot]:
         """Metadata of every retained snapshot, oldest first."""
-        rows = self._conn().execute(
-            f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots ORDER BY id"
-        ).fetchall()
+        rows = self._rows(f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots ORDER BY id")
         return [self._snapshot_from_row(row) for row in rows]
 
     def snapshots_since(
@@ -792,7 +796,7 @@ class SnapshotStore(SnapshotBackend):
         if limit is not None:
             query += " LIMIT ?"
             parameters = (generation, limit)
-        rows = self._conn().execute(query, parameters).fetchall()
+        rows = self._rows(query, parameters)
         return [self._snapshot_from_row(row) for row in rows]
 
     # -- full snapshot reads ------------------------------------------------------------
@@ -874,7 +878,10 @@ class SnapshotStore(SnapshotBackend):
             meta = self._snapshot_from_row(row)
             columns = self._decoded(connection, snapshot_id, meta.generation)
             assert columns is not None  # one transaction: the row has its columns
-            changed = self.changes(snapshot_id)
+            changed = {
+                asn: (old, new)
+                for asn, old, new in connection.execute(self._CHANGES, (snapshot_id,))
+            }
         asns, _, counters = columns
         result = ClassificationResult.from_columns(
             asns, counters, meta.thresholds, meta.algorithm
@@ -889,15 +896,11 @@ class SnapshotStore(SnapshotBackend):
             changed=changed,
         )
 
+    _CHANGES = "SELECT asn, old_code, new_code FROM changes WHERE snapshot_id = ?"
+
     def changes(self, snapshot_id: int) -> Dict[ASN, Tuple[str, str]]:
         """The ``{asn: (old_code, new_code)}`` change set of one snapshot."""
-        return {
-            asn: (old, new)
-            for asn, old, new in self._conn().execute(
-                "SELECT asn, old_code, new_code FROM changes WHERE snapshot_id = ?",
-                (snapshot_id,),
-            )
-        }
+        return {asn: (old, new) for asn, old, new in self._rows(self._CHANGES, (snapshot_id,))}
 
     # -- per-AS queries -----------------------------------------------------------------
     def as_history(self, asn: ASN, *, limit: Optional[int] = None) -> List[ASHistoryEntry]:
@@ -916,7 +919,8 @@ class SnapshotStore(SnapshotBackend):
         key = int(asn)
         if not 0 <= key < 1 << 63:  # SQLite integers: nothing stored out there
             return []
-        entries = self._history(self._conn(), key, limit)
+        # The shared in-memory connection reads under the write lock only.
+        entries = self._history(self._conn(), key, limit) if self._shared is None else None
         while entries is None:
             with self._read_txn() as connection:
                 entries = self._history(connection, key, limit)
@@ -1023,9 +1027,7 @@ class SnapshotStore(SnapshotBackend):
 
     def ingest_stats(self) -> Optional[Dict[str, object]]:
         """The last persisted ingest telemetry, surviving server restarts."""
-        row = self._conn().execute(
-            "SELECT value FROM meta WHERE key = 'ingest_stats'"
-        ).fetchone()
+        row = self._row("SELECT value FROM meta WHERE key = 'ingest_stats'")
         if row is None:
             return None
         try:
@@ -1033,7 +1035,3 @@ class SnapshotStore(SnapshotBackend):
         except ValueError:
             return None
         return payload if isinstance(payload, dict) else None
-
-
-#: The SQLite backend under its interface-era name.
-SQLiteBackend = SnapshotStore

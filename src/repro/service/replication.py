@@ -58,7 +58,6 @@ __all__ = [
     "ReplicaSyncer",
     "ReplicationError",
     "SyncReport",
-    "snapshot_from_payload",  # canonical codec, re-exported for back-compat
 ]
 
 #: Snapshots fetched per changelog page by default (mirrors the server's

@@ -49,7 +49,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 from repro.service.backends import SnapshotBackend, open_store, parse_store_url
 from repro.service.metrics import (
@@ -318,6 +318,17 @@ def _serve_worker(
         store.close()
 
 
+def require_file_store(store_url: Union[str, os.PathLike]) -> None:
+    """Refuse an in-process store for worker processes.
+
+    Each worker opens the store by URL in its own process, so a ``memory:``
+    (or ``:memory:``) store would give every worker an empty database of
+    its own: raises :class:`ValueError` instead.
+    """
+    if parse_store_url(store_url) == ":memory:":
+        raise ValueError(f"worker processes need a file-backed store, not {str(store_url)!r}")
+
+
 class MultiWorkerServer:
     """Supervisor of an N-worker HTTP fan-out over one snapshot store.
 
@@ -352,9 +363,7 @@ class MultiWorkerServer:
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        scheme, target = parse_store_url(str(store_path))
-        if scheme == "memory" or target == ":memory:":
-            raise ValueError("multi-worker serving needs a file-backed store")
+        require_file_store(store_path)
         if mode not in ("auto", "process", "thread"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "process" and not reuseport_supported():

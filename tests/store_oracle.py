@@ -1,42 +1,79 @@
-"""In-process reference implementation of :class:`SnapshotBackend`.
+"""The dict-based snapshot store the SQLite store is held to.
 
-:class:`MemoryBackend` keeps every snapshot in plain Python structures
-behind one re-entrant lock.  It exists for two reasons:
+:class:`ReferenceStore` is the in-process backend ``repro.service`` shipped
+as ``MemoryBackend`` until ``memory:`` store URLs became SQLite's own
+``:memory:`` database.  It keeps every snapshot in plain Python structures
+behind one re-entrant lock, and each contract rule (id allocation,
+generation monotonicity, retention horizons, pinned-id divergence) is a few
+readable lines free of SQL.  It shares no storage code with production --
+only the wire codec and the shared validation helpers of
+:mod:`repro.service.backends.base` -- so the conformance suite
+(``tests/test_backends.py``) holds it to the contract, and
+``tests/test_columnar_store.py`` holds the SQLite store, file-backed and
+``:memory:``, to it read for read.
 
-* it is the **reference implementation** the backend-conformance suite
-  (``tests/test_backends.py``) is written against -- each contract rule
-  (id allocation, generation monotonicity, retention horizons, pinned-id
-  divergence) is expressed here in a few readable lines, free of SQL;
-* it is the cheapest store for tests and demos: ``--store memory:`` gives
-  ``repro stream``/``serve`` a fully working persistence layer with zero
-  filesystem footprint.
-
-Nothing survives the process.  Snapshot ids mirror SQLite's AUTOINCREMENT
-semantics -- monotonically increasing and never reused, and a pinned id
-advances the allocator past itself -- so replication and archival behave
-identically on top of either backend.
+Snapshot ids mirror SQLite's AUTOINCREMENT semantics -- monotonically
+increasing and never reused, and a pinned id advances the allocator past
+itself -- so replication and archival behave identically on top of either.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bgp.asn import ASN
-from repro.core.counters import ASCounters
+from repro.core.counters import ASCounters, CounterStore
+from repro.core.results import ClassificationResult
 from repro.service.backends.base import (
     ASHistoryEntry,
     SnapshotBackend,
     StoredSnapshot,
     StoreError,
-    records_of,
     require_current_epoch,
     require_valid_kind,
     require_valid_retention,
-    snapshot_from_records,
 )
 from repro.stream.engine import WindowSnapshot
+
+
+def records_of(snapshot: WindowSnapshot) -> List[Tuple[int, str, int, int, int, int]]:
+    """The per-AS record rows the reference keeps, in ascending ASN order."""
+    return snapshot.result.records()
+
+
+def snapshot_from_records(
+    meta: StoredSnapshot,
+    records: List[Tuple[int, str, int, int, int, int]],
+    changed: Dict[ASN, Tuple[str, str]],
+) -> WindowSnapshot:
+    """Rebuild a :class:`WindowSnapshot` from persisted record rows.
+
+    The reconstruction is field-faithful: per-AS codes recompute from the
+    raw counters and the persisted thresholds, the observed-AS set includes
+    all-zero rows, and the change map round-trips as stored.
+    """
+    counter_state: Dict[ASN, Tuple[int, int, int, int]] = {}
+    observed: Set[ASN] = set()
+    for asn, _code, tagger, silent, forward, cleaner in records:
+        observed.add(asn)
+        if tagger or silent or forward or cleaner:
+            counter_state[asn] = (tagger, silent, forward, cleaner)
+    result = ClassificationResult(
+        store=CounterStore.from_state(counter_state, meta.thresholds),
+        observed_ases=observed,
+        algorithm=meta.algorithm,
+    )
+    return WindowSnapshot(
+        window_start=meta.window_start,
+        window_end=meta.window_end,
+        skipped_windows=meta.skipped_windows,
+        events_total=meta.events_total,
+        unique_tuples=meta.unique_tuples,
+        result=result,
+        changed=dict(changed),
+    )
 
 
 class _Row:
@@ -55,8 +92,8 @@ class _Row:
         self.changed = changed
 
 
-class MemoryBackend(SnapshotBackend):
-    """Dictionary-backed snapshot store (per-process, test/demo grade)."""
+class ReferenceStore(SnapshotBackend):
+    """Dictionary-backed snapshot store: the contract in plain Python."""
 
     def __init__(self, *, retention: Optional[int] = None) -> None:
         require_valid_retention(retention)
@@ -69,12 +106,13 @@ class MemoryBackend(SnapshotBackend):
         self._pruned_through = 0
         self._applied_generation = 0
         self._leader_epoch = 0
+        self._ingest_stats: Optional[Dict[str, object]] = None
         self._closed = False
 
     @property
     def url(self) -> str:
-        """The ``memory:`` URL (anonymous: every open is a fresh store)."""
-        return "memory:"
+        """Anonymous: every instance is a fresh store, which no store URL opens."""
+        return "reference:"
 
     def _check_open(self) -> None:
         if self._closed:
@@ -363,7 +401,7 @@ class MemoryBackend(SnapshotBackend):
                 for row in self._rows.values()
             )
             return {
-                "backend": "memory",
+                "backend": "reference",
                 "path": self.url,
                 "generation": self._generation,
                 "snapshots": len(self._order),
@@ -375,3 +413,10 @@ class MemoryBackend(SnapshotBackend):
                 "applied_generation": self._applied_generation,
                 "leader_epoch": self._leader_epoch,
             }
+
+    # -- ingest telemetry ---------------------------------------------------------------
+    def set_ingest_stats(self, stats: Dict[str, object]) -> None:
+        self._ingest_stats = dict(stats)
+
+    def ingest_stats(self) -> Optional[Dict[str, object]]:
+        return self._ingest_stats

@@ -27,7 +27,6 @@ from repro.service import (
     BadRequestError,
     ClassificationServer,
     ClassificationService,
-    MemoryBackend,
     NotFoundError,
     ReplicaSyncer,
     ServiceClient,
@@ -231,7 +230,7 @@ class TestAuthedReplication:
     def test_follower_pulls_with_token(self, store):
         with ClassificationServer(store, auth_token=TOKEN) as server:
             server.start()
-            follower = MemoryBackend()
+            follower = SnapshotStore(":memory:")
             with ServiceClient(server.url, token=TOKEN) as client:
                 report = ReplicaSyncer(client, follower).sync_once()
             assert report.applied == 2 and report.caught_up
@@ -239,7 +238,7 @@ class TestAuthedReplication:
     def test_follower_without_token_is_rejected(self, store):
         with ClassificationServer(store, auth_token=TOKEN) as server:
             server.start()
-            follower = MemoryBackend()
+            follower = SnapshotStore(":memory:")
             with ServiceClient(server.url) as client:
                 with pytest.raises(AuthError):
                     ReplicaSyncer(client, follower).sync_once()

@@ -3,11 +3,14 @@
 Every :class:`~repro.service.backends.base.SnapshotBackend` implementation
 must honour the same contract -- the serving, publishing, and replication
 stacks are written against it, not against SQLite.  The suite runs each
-contract assertion against every backend (SQLite, memory, and both tiered
-combinations), then pins the cross-backend guarantees the tiers and the
-replication layer add on top:
+contract assertion against every backend (SQLite on a file and in
+``:memory:``, each bare and tiered) and against the dict-based
+:class:`~tests.store_oracle.ReferenceStore` the SQLite store is held to,
+then pins the cross-backend guarantees the tiers and the replication layer
+add on top:
 
-* a ``memory:`` follower converges byte-identically on a SQLite leader;
+* a ``memory:`` follower and a reference-store follower converge
+  byte-identically on a SQLite leader;
 * a tiered store serves windows beyond the retention cap byte-identically
   to what the hot store served before archival demoted them;
 * archive segments are checksummed, verifiable, and compactable, and a
@@ -27,7 +30,6 @@ from repro.service import (
     ClassificationServer,
     ClassificationService,
     FencedWriterError,
-    MemoryBackend,
     ReplicaSyncer,
     SnapshotArchive,
     SnapshotStore,
@@ -38,6 +40,7 @@ from repro.service import (
     snapshot_payload,
 )
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
+from tests.store_oracle import ReferenceStore
 from tests.test_stream import observation
 
 
@@ -57,7 +60,9 @@ def build_snapshots(count=5, *, size=100):
     return captured
 
 
-@pytest.fixture(params=["sqlite", "memory", "tiered-sqlite", "tiered-memory"])
+@pytest.fixture(
+    params=["sqlite", "sqlite-memory", "tiered-sqlite", "tiered-sqlite-memory", "reference"]
+)
 def make_backend(request, tmp_path):
     """A factory of fresh backends of one flavour (closed by the caller).
 
@@ -69,18 +74,15 @@ def make_backend(request, tmp_path):
 
     def make(retention=None):
         serial = next(counter)
-        if request.param == "sqlite":
-            backend = open_store(tmp_path / f"store{serial}.db", retention=retention)
-        elif request.param == "memory":
-            backend = MemoryBackend(retention=retention)
-        else:
-            if request.param == "tiered-memory":
-                hot = MemoryBackend()
-            else:
-                hot = open_store(tmp_path / f"store{serial}.db")
+        url = "memory:" if request.param.endswith("memory") else tmp_path / f"store{serial}.db"
+        if request.param == "reference":
+            backend = ReferenceStore(retention=retention)
+        elif request.param.startswith("tiered"):
             backend = TieredBackend(
-                hot, tmp_path / f"archive{serial}", retention=retention
+                open_store(url), tmp_path / f"archive{serial}", retention=retention
             )
+        else:
+            backend = open_store(url, retention=retention)
         opened.append(backend)
         return backend
 
@@ -110,8 +112,12 @@ class TestConformance:
 
     def test_url_scheme_parses(self, make_backend):
         store = make_backend()
-        scheme, _ = parse_store_url(store.url.split("+", 1)[0])
-        assert scheme in ("sqlite", "memory")
+        if isinstance(store, ReferenceStore):
+            pytest.skip("the reference store has no URL a production store opens")
+        hot_url = store.url.split("+", 1)[0]
+        with open_store(hot_url) as reopened:
+            assert isinstance(reopened, SnapshotStore)
+            assert reopened.url == hot_url
 
     def test_round_trip_fidelity(self, make_backend):
         store = make_backend()
@@ -256,6 +262,8 @@ class TestConformance:
     def test_concurrent_reader_during_writer(self, make_backend):
         store = make_backend(retention=4)
         snapshots = build_snapshots(12)
+        changed_by_window = {snapshot.window_end: snapshot.changed for snapshot in snapshots}
+        assert all(changed_by_window.values())  # an empty change set could not tear
         errors = []
         done = threading.Event()
 
@@ -264,6 +272,12 @@ class TestConformance:
                 try:
                     latest = store.latest()
                     if latest is not None:
+                        changed = store.changes(latest.snapshot_id)
+                        # Still retained after the read, so it was retained
+                        # during it: the change set must be whole, not one a
+                        # writer is still inserting.
+                        if store.get(latest.snapshot_id) is not None:
+                            assert changed == changed_by_window[latest.window_end]
                         store.load_snapshot(latest.snapshot_id)
                         store.as_history(20, limit=3)
                 except StoreError:
@@ -301,8 +315,10 @@ class TestOpenStore:
 
     def test_memory_scheme(self):
         with open_store("memory:", retention=3) as store:
-            assert isinstance(store, MemoryBackend)
+            assert isinstance(store, SnapshotStore)
+            assert store.url == "sqlite::memory:"
             assert store.retention == 3
+            assert store.stats()["backend"] == "sqlite"
 
     def test_legacy_memory_spelling_is_sqlite(self):
         with open_store(":memory:") as store:
@@ -332,13 +348,20 @@ class TestOpenStore:
 # Replication across heterogeneous backends
 # ---------------------------------------------------------------------------------------
 class TestHeterogeneousReplication:
-    def test_memory_follower_converges_byte_identically_on_sqlite_leader(self, tmp_path):
+    @pytest.mark.parametrize(
+        "make_follower",
+        [ReferenceStore, lambda: open_store("memory:")],
+        ids=["reference", "memory-url"],
+    )
+    def test_follower_converges_byte_identically_on_sqlite_leader(
+        self, tmp_path, make_follower
+    ):
         leader = SnapshotStore(tmp_path / "leader.db")
         snapshots = build_snapshots(4)
         for snapshot in snapshots:
             leader.append_snapshot(snapshot)
-        follower = MemoryBackend()
-        with leader, ClassificationServer(leader) as server:
+        follower = make_follower()
+        with leader, follower, ClassificationServer(leader) as server:
             server.start()
             syncer = ReplicaSyncer(server.url, follower, page_size=2)
             report = syncer.sync_once()

@@ -37,7 +37,7 @@ from repro.bgp.messages import BGPUpdate, PathAttributes
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
 from repro.mrt.encoder import MRTEncoder
-from repro.service import MemoryBackend, attach_store, render_metrics
+from repro.service import SnapshotStore, attach_store, render_metrics
 from repro.stream import (
     BlockSource,
     CheckpointManager,
@@ -623,7 +623,7 @@ class TestIngestTelemetry:
         assert stats["dropped"]["unallocated_asn"] > 0
 
     def test_publisher_bridges_stats_into_store(self):
-        store = MemoryBackend()
+        store = SnapshotStore(":memory:")
         engine = StreamEngine(StreamConfig(window=WindowSpec(size=100)))
         attach_store(engine, store)
         engine.run(MemorySource(varied_feed()))

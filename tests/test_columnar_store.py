@@ -3,11 +3,13 @@
 A snapshot is one compressed column blob; per-AS reads probe the
 ``as_buckets`` index and go through a per-store cache of decoded columns keyed
 on ``(snapshot_id, generation)``.
-These tests drive :class:`SnapshotStore` and :class:`MemoryBackend` through
-the same seeded sequences of appends (auto and pinned ids, an id re-used
-after its drop), retention prunes and drops, and require every read to
-agree after every step: per-AS history at every limit, the wire payload of
-every loaded snapshot, change sets and the ``stats()`` counts.
+These tests drive :class:`SnapshotStore` -- on a file and in ``:memory:``,
+where one shared connection serves every read under the write lock -- and
+the dict-based :class:`~tests.store_oracle.ReferenceStore` through the same
+seeded sequences of appends (auto and pinned ids, an id re-used after its
+drop), retention prunes and drops, and require every read to agree after
+every step: per-AS history at every limit, the wire payload of every loaded
+snapshot, change sets and the ``stats()`` counts.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from repro.core.classes import CLASS_CODES
 from repro.core.counters import CounterStore
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
-from repro.service import MemoryBackend, SnapshotStore, snapshot_payload
+from repro.service import SnapshotStore, snapshot_payload
 from repro.service.backends import sqlite as sqlite_backend
 from repro.stream.engine import WindowSnapshot
+from tests.store_oracle import ReferenceStore
 
 #: The ASN edges a column must carry: 0, the 16/32-bit boundaries, the top.
 EDGE_ASNS = (0, 1, 65535, 65536, 2**31, 4294967295)
@@ -71,6 +74,12 @@ def random_snapshot(rng: random.Random, window: int, *, empty: bool = False) -> 
     )
 
 
+@pytest.fixture(params=["file", "memory"])
+def location(request, tmp_path):
+    """Where the store held to the reference lives: a WAL file or ``:memory:``."""
+    return tmp_path / "store.db" if request.param == "file" else ":memory:"
+
+
 def assert_same_reads(store, reference) -> None:
     """Every read of *store* equals the reference backend's."""
     assert store.snapshots() == reference.snapshots()
@@ -93,13 +102,13 @@ def assert_same_reads(store, reference) -> None:
 @pytest.mark.parametrize("bucket_bits", [6, 1])
 @pytest.mark.parametrize("retention", [None, 3])
 @pytest.mark.parametrize("seed", range(4))
-def test_random_sequences_match_the_reference(tmp_path, monkeypatch, seed, retention, bucket_bits):
+def test_random_sequences_match_the_reference(location, monkeypatch, seed, retention, bucket_bits):
     """Width 1 puts two ids in a bucket: reads walk many buckets, and drops
     and prunes empty buckets or leave stale ASNs in live ones."""
     monkeypatch.setattr(sqlite_backend, "_BUCKET_BITS", bucket_bits)
     rng = random.Random(seed)
-    store = SnapshotStore(tmp_path / "columns.db", retention=retention)
-    reference = MemoryBackend(retention=retention)
+    store = SnapshotStore(location, retention=retention)
+    reference = ReferenceStore(retention=retention)
     dropped = []
     try:
         for window in range(30):
@@ -148,11 +157,11 @@ def test_reused_pinned_id_is_never_served_from_a_stale_cache(tmp_path):
         assert before != {asn: store.as_history(asn) for asn in QUERIED_ASNS}
 
 
-def test_cache_stays_within_its_row_bound(tmp_path, monkeypatch):
+def test_cache_stays_within_its_row_bound(location, monkeypatch):
     monkeypatch.setattr(sqlite_backend, "_CACHE_ROWS", 12)
     rng = random.Random(3)
-    store = SnapshotStore(tmp_path / "bounded.db")
-    reference = MemoryBackend()
+    store = SnapshotStore(location)
+    reference = ReferenceStore()
     try:
         for window in range(8):
             snapshot = random_snapshot(rng, window)
@@ -277,14 +286,14 @@ def test_emptied_buckets_leave_the_index(tmp_path, monkeypatch):
     assert buckets == [(2, 3), (2, 4), (3, 5)]
 
 
-def test_concurrent_readers_keep_the_cache_consistent(tmp_path, monkeypatch):
+def test_concurrent_readers_keep_the_cache_consistent(location, monkeypatch):
     """Eight reader threads churn a cache that holds two snapshots at most,
     with a short switch interval: every read stays right and the row count
     matches the cached entries (a lost update would break it)."""
     monkeypatch.setattr(sqlite_backend, "_CACHE_ROWS", 24)
     rng = random.Random(13)
-    store = SnapshotStore(tmp_path / "contended.db")
-    reference = MemoryBackend()
+    store = SnapshotStore(location)
+    reference = ReferenceStore()
     for window in range(6):
         snapshot = random_snapshot(rng, window)
         store.append_snapshot(snapshot)

@@ -24,7 +24,6 @@ import pytest
 from repro.service import (
     ClassificationServer,
     FencedWriterError,
-    MemoryBackend,
     PromotionReport,
     ReplicaSyncer,
     ServiceClient,
@@ -47,9 +46,9 @@ def make_store(request, tmp_path):
         if request.param == "sqlite":
             backend = open_store(tmp_path / f"{name}.db")
         elif request.param == "memory":
-            backend = MemoryBackend()
+            backend = open_store("memory:")
         else:
-            backend = TieredBackend(MemoryBackend(), tmp_path / f"{name}-cold")
+            backend = TieredBackend(open_store("memory:"), tmp_path / f"{name}-cold")
         opened.append(backend)
         return backend
 

@@ -32,7 +32,6 @@ import pytest
 from repro.service import (
     ClassificationServer,
     ClassificationService,
-    MemoryBackend,
     ReplicaSyncer,
     ServiceClient,
     SnapshotStore,
@@ -227,7 +226,7 @@ class TestCounters:
 # ---------------------------------------------------------------------------------------
 class TestFollowerLag:
     def test_named_follower_poll_appears_as_lag_gauge(self, store):
-        follower = MemoryBackend()
+        follower = SnapshotStore(":memory:")
         with ClassificationServer(store) as server:
             server.start()
             with ServiceClient(server.url) as client:
@@ -346,7 +345,7 @@ class TestFleetBodiesPinned:
             perf_counter=lambda: next(ticks) ** 2 * 1e-5, time=time.time
         )
         monkeypatch.setattr(server_module, "time", clock)
-        store = MemoryBackend()
+        store = SnapshotStore(":memory:")
         for snapshot in build_snapshots(2):
             store.append_snapshot(snapshot)
         board = WorkerStatsBoard.create(2)

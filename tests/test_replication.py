@@ -21,7 +21,6 @@ import pytest
 from repro.service import (
     ClassificationServer,
     ClassificationService,
-    MemoryBackend,
     ReplicaSyncer,
     ReplicationError,
     ServiceClient,
@@ -33,6 +32,7 @@ from repro.service import (
     snapshot_payload,
 )
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
+from tests.store_oracle import ReferenceStore
 from tests.test_backends import build_snapshots
 from tests.test_columnar_store import random_snapshot
 from tests.test_stream import observation
@@ -644,8 +644,8 @@ class TestSchemaMigration:
     def test_v2_store_serves_the_bodies_of_the_reference(
         self, tmp_path, monkeypatch, reverse_scans
     ):
-        """A migrated v2 file answers every endpoint byte for byte like a
-        MemoryBackend fed the same snapshots -- also when SQLite hands back
+        """A migrated v2 file answers every endpoint byte for byte like the
+        reference store fed the same snapshots -- also when SQLite hands back
         the rows of any unordered read in reverse, so the migration must
         order its rows itself."""
         if reverse_scans:
@@ -660,7 +660,7 @@ class TestSchemaMigration:
         snapshots = _v2_snapshots()
         path = tmp_path / "v2.db"
         _fabricate_v2(path, snapshots)
-        reference = MemoryBackend()
+        reference = ReferenceStore()
         for snapshot in snapshots:
             reference.append_snapshot(snapshot)
         ends = [snapshot.window_end for snapshot in snapshots]
@@ -744,3 +744,18 @@ class TestCliReplicate:
         )
         assert rc == 1
         assert "leader unreachable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("url", ["memory:", ":memory:"])
+    def test_in_memory_replica_cannot_serve_a_fleet(self, url, leader_served, capsys):
+        """Worker processes cannot open an in-process store: one error line,
+        rc 1, before the first sync reaches the leader."""
+        from repro.cli import main
+
+        _, _, server, _ = leader_served
+        argv = ["replicate", "--from", server.url, "--store", url]
+        rc = main(argv + ["--serve", "--http-workers", "2", "--port", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --http-workers 2: worker processes need a file-backed store, not {url!r}"
+        ]
+        assert server.service.stats.requests == 0

@@ -31,8 +31,7 @@ from repro.core.classes import CLASS_CODES, ForwardingClass, TaggingClass
 from repro.core.counters import CounterStore, PackedCounterStore, class_code_indices
 from repro.core.results import FULL_CLASS_CODES, ClassificationResult
 from repro.core.thresholds import Thresholds
-from repro.service.backends.base import snapshot_payload
-from repro.service.backends.memory import MemoryBackend
+from repro.service import SnapshotStore, snapshot_payload
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowPolicy, WindowSpec
 from repro.stream.incremental import make_classifier
 
@@ -330,7 +329,7 @@ class TestWireFormat:
         snapshot over an object store, and survives a backend unchanged."""
         engine = StreamEngine(StreamConfig(window=SLIDING))
         engine.run(MemorySource(feed(windows=5)))
-        store = MemoryBackend()
+        store = SnapshotStore(":memory:")
         for snapshot in engine.snapshots:
             rebuilt = ClassificationResult(
                 store=CounterStore.from_state(

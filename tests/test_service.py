@@ -23,7 +23,6 @@ from repro.service import (
     ClassificationServer,
     ClassificationService,
     LRUCache,
-    MemoryBackend,
     ServiceClient,
     ServiceError,
     SnapshotStore,
@@ -734,10 +733,10 @@ class TestHttpApi:
             assert json.loads(json.dumps(payload)) == payload
 
 
-@pytest.fixture(params=["sqlite", "memory"])
-def filled_backend(request):
-    """An in-memory store of either backend holding two small windows."""
-    backend = SnapshotStore(":memory:") if request.param == "sqlite" else MemoryBackend()
+@pytest.fixture
+def filled_backend():
+    """An in-memory store holding two small windows."""
+    backend = SnapshotStore(":memory:")
     events = [observation([10, 20], ["10:1"], timestamp=t) for t in (5, 130)]
     engine = StreamEngine(StreamConfig(window=WindowSpec(size=100)))
     attach_store(engine, backend)
@@ -747,8 +746,8 @@ def filled_backend(request):
 
 
 class TestAsOperand:
-    """ASNs are 32-bit: anything past ``MAX_ASN_32BIT`` is a 400, on every
-    backend, at the service and over HTTP, with or without ``history``."""
+    """ASNs are 32-bit: anything past ``MAX_ASN_32BIT`` is a 400, at the
+    service and over HTTP, with or without ``history``."""
 
     OUT_OF_RANGE = (4294967296, 2**63, 10**20)
 

@@ -310,6 +310,15 @@ class TestServeSigterm:
 
 
 class TestCliServeParser:
+    @pytest.mark.parametrize("url", ["memory:", ":memory:"])
+    def test_in_memory_store_cannot_serve_a_fleet(self, url, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--store", url, "--http-workers", "2", "--port", "0"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --http-workers 2: worker processes need a file-backed store, not {url!r}"
+        ]
+
     def test_http_workers_flag(self):
         from repro.cli import build_parser
 
