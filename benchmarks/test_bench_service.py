@@ -253,10 +253,7 @@ def test_bench_service_multi_worker_fanout(benchmark, warm_store, hot_ases):
             single_times.append(time.perf_counter() - started)
         single_qps = WORKER_FANOUT * QUERY_BATCH / min(single_times)
 
-    fanout_mode = "process" if reuseport_supported() else "thread"
-    with MultiWorkerServer(
-        store.path, workers=WORKER_FANOUT, mode=fanout_mode
-    ) as fanout:
+    with MultiWorkerServer(store.path, workers=WORKER_FANOUT) as fanout:
         fanout.start()
         # Byte-identity across the fleet: enough fresh connections per
         # target that every worker serves both its cold and its warm path.
@@ -271,7 +268,7 @@ def test_bench_service_multi_worker_fanout(benchmark, warm_store, hot_ases):
         fanout_qps = WORKER_FANOUT * QUERY_BATCH / benchmark.stats.stats.min
 
     speedup = fanout_qps / single_qps
-    benchmark.extra_info["mode"] = fanout_mode
+    benchmark.extra_info["mode"] = fanout.mode
     benchmark.extra_info["workers"] = WORKER_FANOUT
     benchmark.extra_info["single_worker_qps"] = round(single_qps)
     benchmark.extra_info["fanout_qps"] = round(fanout_qps)
@@ -295,10 +292,9 @@ def test_bench_service_replica_fanout(benchmark, warm_store, hot_ases, tmp_path)
     """
     store, engine = warm_store
     targets = ["/v1/snapshot/latest", "/v1/diff"] + [f"/v1/as/{asn}" for asn in hot_ases]
-    fanout_mode = "process" if reuseport_supported() else "thread"
     replica_path = tmp_path / "replica.db"
 
-    with MultiWorkerServer(store.path, workers=1, mode=fanout_mode) as leader:
+    with MultiWorkerServer(store.path, workers=1) as leader:
         leader.start()
         with SnapshotStore(replica_path) as replica:
             with ServiceClient(leader.url) as sync_client:
@@ -312,9 +308,7 @@ def test_bench_service_replica_fanout(benchmark, warm_store, hot_ases, tmp_path)
                 single_times.append(time.perf_counter() - started)
             single_qps = 2 * QUERY_BATCH / min(single_times)
 
-            with MultiWorkerServer(
-                str(replica_path), workers=1, mode=fanout_mode
-            ) as follower:
+            with MultiWorkerServer(str(replica_path), workers=1) as follower:
                 follower.start()
                 # Byte-identity across hosts, cold and warm path both.
                 for target in targets:
@@ -331,7 +325,7 @@ def test_bench_service_replica_fanout(benchmark, warm_store, hot_ases, tmp_path)
                 pair_qps = 2 * QUERY_BATCH / benchmark.stats.stats.min
 
     speedup = pair_qps / single_qps
-    benchmark.extra_info["mode"] = fanout_mode
+    benchmark.extra_info["mode"] = leader.mode
     benchmark.extra_info["single_store_qps"] = round(single_qps)
     benchmark.extra_info["replica_pair_qps"] = round(pair_qps)
     benchmark.extra_info["speedup"] = round(speedup, 2)

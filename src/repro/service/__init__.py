@@ -80,7 +80,7 @@ from repro.service.client import (
 from repro.service.failover import PromotionReport, promote
 from repro.service.metrics import (
     METRICS_CONTENT_TYPE,
-    MetricsRecorder,
+    WorkerStatsBoard,
     render_metrics,
 )
 from repro.service.publish import (
@@ -102,7 +102,6 @@ from repro.service.server import (
 )
 from repro.service.workers import (
     MultiWorkerServer,
-    WorkerStatsBoard,
     reuseport_supported,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "ClassificationService",
     "FencedWriterError",
     "LRUCache",
-    "MetricsRecorder",
     "MultiWorkerServer",
     "NotFoundError",
     "PromotionReport",

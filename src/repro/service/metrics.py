@@ -17,19 +17,23 @@ from stdlib primitives -- no client library.  What it exposes:
   change maps the publisher persists with every snapshot (total churn plus
   the top churning ASes, cardinality-capped).
 
-A multi-worker deployment aggregates all of this fleet-wide: each worker
-mirrors its counters into the mmap
-:class:`~repro.service.workers.WorkerStatsBoard` (whose slot layout is
-generated from :data:`METRIC_ENDPOINTS` and :data:`LATENCY_BUCKETS` here),
-and follower lag is merged from per-worker sidecar files
-(:class:`FileFollowerLag`), so any worker the kernel picks can answer a
-scrape for the whole deployment.
+Every served request is counted once, in one ledger: the serving worker's
+slot of a :class:`WorkerStatsBoard`, an mmap whose slot layout is generated
+from :data:`METRIC_ENDPOINTS` and :data:`LATENCY_BUCKETS` here.  A worker
+fleet shares one board file, so any worker the kernel picks answers
+``/v1/stats`` and a scrape for the whole deployment; a single server is a
+fleet of one, its board one slot over an anonymous map.  Follower lag is
+merged from per-worker sidecar files (:class:`FileFollowerLag`) the same
+way.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import struct
+import tempfile
 import threading
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -102,53 +106,121 @@ def bucket_index(seconds: float) -> int:
     return len(LATENCY_BUCKETS)
 
 
-class MetricsRecorder:
-    """In-process per-endpoint request accounting (single-worker serving).
+#: One endpoint's accounting on the board: the four integer counters, the
+#: latency sum (float64 seconds), and one count per histogram bucket
+#: (``len(LATENCY_BUCKETS)`` finite bounds + the ``+Inf`` overflow).
+_ENDPOINT = struct.Struct(
+    "<" + "q" * len(ENDPOINT_COUNTER_FIELDS) + "d" + "q" * (len(LATENCY_BUCKETS) + 1)
+)
 
-    The same aggregate shape the worker board renders fleet-wide, kept in
-    plain dicts behind one lock.  Every :class:`ClassificationService` owns
-    one; deployments with a stats sink additionally mirror into the shared
-    board, and ``/metrics`` prefers the board so any worker answers for the
-    fleet.
+#: Full per-worker slot: one endpoint block per :data:`METRIC_ENDPOINTS`
+#: entry, in tuple order.
+_WORKER_SLOT_SIZE = len(METRIC_ENDPOINTS) * _ENDPOINT.size
+
+_ENDPOINT_INDEX = {name: index for index, name in enumerate(METRIC_ENDPOINTS)}
+
+
+class WorkerStatsBoard:
+    """Per-worker request accounting in one mmap: the service's only ledger.
+
+    Each worker owns one slot: one block per :data:`METRIC_ENDPOINTS` entry
+    holding that endpoint's counters, latency sum, and histogram bucket
+    counts; the worker's aggregate counters are the sums of its blocks.  A
+    fleet's board lives in a per-fleet temporary file every worker process
+    maps (:meth:`create`); a board built without a *path* is one slot over
+    an anonymous map, the ledger of a single server.  Exactly one worker
+    writes each slot (its request threads serialise through a per-process
+    lock), so there is no cross-process locking; concurrent readers may see
+    a counter mid-increment, which is harmless for monotonically growing
+    statistics.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, path: Optional[str] = None, workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError(f"need at least one worker, got {workers}")
+        self.path = path
+        self.workers = workers
         self._lock = threading.Lock()
-        self._endpoints: Dict[str, Dict[str, object]] = {
-            name: empty_endpoint_stats() for name in METRIC_ENDPOINTS
-        }
+        size = workers * _WORKER_SLOT_SIZE
+        self._file = open(path, "r+b") if path is not None else None
+        self._map = mmap.mmap(-1 if self._file is None else self._file.fileno(), size)
+
+    @classmethod
+    def create(cls, workers: int) -> "WorkerStatsBoard":
+        """Allocate a zeroed board in a fresh temporary file."""
+        fd, path = tempfile.mkstemp(prefix="repro-serve-stats-", suffix=".bin")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(b"\x00" * workers * _WORKER_SLOT_SIZE)
+        return cls(path, workers)
 
     def observe(
-        self, endpoint: str, *, hit: bool, error: bool, seconds: float
+        self, worker_id: int, endpoint: str, *, hit: bool, error: bool, seconds: float
     ) -> None:
-        """Count one handled request against *endpoint*'s series."""
-        if endpoint not in self._endpoints:
-            endpoint = UNKNOWN_ENDPOINT
+        """Count one request of *worker_id* in its block for *endpoint*."""
+        index = _ENDPOINT_INDEX.get(endpoint, _ENDPOINT_INDEX[UNKNOWN_ENDPOINT])
+        offset = worker_id * _WORKER_SLOT_SIZE + index * _ENDPOINT.size
         with self._lock:
-            stats = self._endpoints[endpoint]
-            stats["requests"] = int(stats["requests"]) + 1  # type: ignore[call-overload]
+            values = list(_ENDPOINT.unpack_from(self._map, offset))
+            values[0] += 1  # requests
             if error:
-                stats["errors"] = int(stats["errors"]) + 1  # type: ignore[call-overload]
+                values[1] += 1  # errors
             elif hit:
-                stats["cache_hits"] = int(stats["cache_hits"]) + 1  # type: ignore[call-overload]
+                values[2] += 1  # cache_hits
             else:
-                stats["cache_misses"] = int(stats["cache_misses"]) + 1  # type: ignore[call-overload]
-            stats["latency_sum"] = float(stats["latency_sum"]) + seconds  # type: ignore[arg-type]
-            buckets = stats["buckets"]
-            assert isinstance(buckets, list)
-            buckets[bucket_index(seconds)] += 1
+                values[3] += 1  # cache_misses
+            values[4] += seconds  # latency_sum
+            values[5 + bucket_index(seconds)] += 1
+            _ENDPOINT.pack_into(self._map, offset, *values)
 
-    def endpoint_stats(self) -> Dict[str, Dict[str, object]]:
-        """A deep-copied ``{endpoint: stats}`` aggregate for rendering."""
-        with self._lock:
-            return {
-                name: {
-                    **{f: stats[f] for f in ENDPOINT_COUNTER_FIELDS},
-                    "latency_sum": stats["latency_sum"],
-                    "buckets": list(stats["buckets"]),  # type: ignore[call-overload]
-                }
-                for name, stats in self._endpoints.items()
-            }
+    def counters(self, worker_id: int) -> Dict[str, int]:
+        """One worker's aggregate counters (its endpoint blocks summed)."""
+        start = worker_id * _WORKER_SLOT_SIZE
+        slot = self._map[start:start + _WORKER_SLOT_SIZE]
+        sums = [sum(column) for column in zip(*_ENDPOINT.iter_unpack(slot))]
+        return dict(zip(ENDPOINT_COUNTER_FIELDS, sums))
+
+    def per_worker(self) -> List[Dict[str, int]]:
+        """Each worker's aggregate counters, in worker order."""
+        return [self.counters(worker_id) for worker_id in range(self.workers)]
+
+    def payload(self) -> Dict[str, object]:
+        """JSON-friendly fleet aggregate for ``/v1/stats``."""
+        rows = self.per_worker()
+        aggregate = {field: sum(row[field] for row in rows) for field in ENDPOINT_COUNTER_FIELDS}
+        return {"count": self.workers, "aggregate": aggregate, "per_worker": rows}
+
+    def metrics_payload(self) -> Dict[str, Dict[str, object]]:
+        """Fleet-wide per-endpoint aggregate (the ``/metrics`` data source).
+
+        Sums every worker's endpoint blocks into
+        :func:`empty_endpoint_stats` dicts, the shape :func:`render_metrics`
+        reads.
+        """
+        endpoints = {name: empty_endpoint_stats() for name in METRIC_ENDPOINTS}
+        for worker_id in range(self.workers):
+            base = worker_id * _WORKER_SLOT_SIZE
+            for index, name in enumerate(METRIC_ENDPOINTS):
+                values = _ENDPOINT.unpack_from(self._map, base + index * _ENDPOINT.size)
+                stats = endpoints[name]
+                for field_index, field in enumerate(ENDPOINT_COUNTER_FIELDS):
+                    stats[field] = int(stats[field]) + int(values[field_index])  # type: ignore[call-overload]
+                stats["latency_sum"] = float(stats["latency_sum"]) + float(values[4])  # type: ignore[arg-type]
+                buckets = stats["buckets"]
+                assert isinstance(buckets, list)
+                for bucket, count in enumerate(values[5:]):
+                    buckets[bucket] += int(count)
+        return endpoints
+
+    def close(self, *, unlink: bool = False) -> None:
+        """Unmap the board; the supervisor also unlinks the backing file."""
+        self._map.close()
+        if self._file is not None:
+            self._file.close()
+        if unlink and self.path is not None:
+            try:
+                os.unlink(self.path)
+            except OSError:
+                pass
 
 
 # ---------------------------------------------------------------------------------------
@@ -170,6 +242,10 @@ class MemoryFollowerLag:
                 "lag": float(max(0, generation - since)),
                 "updated": time.time(),
             }
+            self._persist()
+
+    def _persist(self) -> None:
+        """Run under the lock after every :meth:`record`; nothing to do in memory."""
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """The last-known state per follower name."""
@@ -193,14 +269,15 @@ class FileFollowerLag(MemoryFollowerLag):
         self.worker_id = worker_id
         self._path = os.path.join(directory, f"followers-{worker_id}.json")
 
-    def record(self, follower: str, *, since: int, generation: int) -> None:
-        super().record(follower, since=since, generation=generation)
-        with self._lock:
-            payload = json.dumps(self._followers, sort_keys=True)
+    def _persist(self) -> None:
+        # Dump, write and replace under the one lock acquisition of record():
+        # request threads of one worker share the temp path, so a dump
+        # written outside the lock could truncate another's temp file or
+        # replace a newer dump with an older one.
         temp = f"{self._path}.tmp"
         try:
             with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+                handle.write(json.dumps(self._followers, sort_keys=True))
             os.replace(temp, self._path)
         except OSError:
             # Telemetry must never fail the changelog request it rides on.
@@ -279,15 +356,16 @@ def render_metrics(
     followers: Mapping[str, Mapping[str, float]],
     churn_total: int,
     churn_top: Iterable[Tuple[int, int]],
-    workers: Optional[int] = None,
+    workers: int,
     ingest: Optional[Mapping[str, object]] = None,
 ) -> str:
     """Render one scrape of the whole service as Prometheus text.
 
-    *endpoints* is the per-endpoint aggregate (local recorder or fleet
-    board), *store_stats* the backend's :meth:`stats` dict, *followers* the
-    merged lag tracker snapshot, and *churn* the per-AS classification
-    change counts derived from the persisted change maps.  *ingest* is the
+    *endpoints* is the board's per-endpoint aggregate over its *workers*
+    slots (:meth:`WorkerStatsBoard.metrics_payload`), *store_stats* the
+    backend's :meth:`stats` dict, *followers* the merged lag tracker
+    snapshot, and *churn* the per-AS classification change counts derived
+    from the persisted change maps.  *ingest* is the
     producing engine's ingest-batching telemetry
     (:meth:`~repro.stream.engine.StreamEngine.ingest_stats`) as last
     recorded in the store -- ``None`` when no producer ever published.
@@ -406,11 +484,8 @@ def render_metrics(
         out.declare(name, "gauge", help_text)
         out.sample(name, None, float(value))  # type: ignore[arg-type]
 
-    if workers is not None:
-        out.declare(
-            "repro_serve_workers", "gauge", "Serving workers sharing this port."
-        )
-        out.sample("repro_serve_workers", None, float(workers))
+    out.declare("repro_serve_workers", "gauge", "Serving workers sharing this port.")
+    out.sample("repro_serve_workers", None, float(workers))
 
     out.declare(
         "repro_replication_follower_lag",
@@ -511,8 +586,8 @@ __all__ = [
     "METRICS_CONTENT_TYPE",
     "METRIC_ENDPOINTS",
     "MemoryFollowerLag",
-    "MetricsRecorder",
     "UNKNOWN_ENDPOINT",
+    "WorkerStatsBoard",
     "bucket_index",
     "empty_endpoint_stats",
     "escape_label_value",

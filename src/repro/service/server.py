@@ -63,7 +63,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Protocol,
     Tuple,
     Type,
     Union,
@@ -79,36 +78,12 @@ from repro.service.metrics import (
     METRICS_CONTENT_TYPE,
     UNKNOWN_ENDPOINT,
     MemoryFollowerLag,
-    MetricsRecorder,
+    WorkerStatsBoard,
     render_metrics,
 )
 
 #: Content type of every JSON endpoint (everything except ``/metrics``).
 JSON_CONTENT_TYPE = "application/json"
-
-
-class StatsSink(Protocol):
-    """Cross-worker request accounting (see :mod:`repro.service.workers`).
-
-    A multi-worker deployment hands every worker's service the same sink;
-    each request is mirrored into it under the worker's id, and any worker
-    can render the fleet-wide aggregate into its ``/v1/stats`` response and
-    its ``/metrics`` scrape.
-    """
-
-    def observe(
-        self, worker_id: int, endpoint: str, *, hit: bool, error: bool, seconds: float
-    ) -> None:
-        """Count one request handled by *worker_id* against *endpoint*."""
-        ...
-
-    def payload(self) -> Dict[str, object]:
-        """JSON-friendly fleet aggregate for ``/v1/stats``."""
-        ...
-
-    def metrics_payload(self) -> Dict[str, Dict[str, object]]:
-        """Fleet-wide per-endpoint aggregate for ``/metrics``."""
-        ...
 
 
 #: Error codes of the structured envelope, by status (fallback: the family).
@@ -240,6 +215,9 @@ class ClassificationService:
 
     Tests (and the benchmark's store-level mode) drive :meth:`handle`
     directly; the HTTP handler below is a thin socket adapter around it.
+    Every request is counted once, in slot *worker_id* of *stats_sink*: the
+    board a worker fleet shares, or by default a private one-slot board, so
+    a single service is a fleet of one.
     """
 
     def __init__(
@@ -248,15 +226,18 @@ class ClassificationService:
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
         worker_id: int = 0,
-        stats_sink: Optional[StatsSink] = None,
+        stats_sink: Optional[WorkerStatsBoard] = None,
         auth_token: Optional[str] = None,
         lag_tracker: Optional[MemoryFollowerLag] = None,
     ) -> None:
         self.store = store
         self.cache = LRUCache(cache_size)
-        self.metrics = MetricsRecorder()
+        self.board = stats_sink if stats_sink is not None else WorkerStatsBoard()
+        if not 0 <= worker_id < self.board.workers:
+            raise ValueError(
+                f"worker_id {worker_id} has no slot on a {self.board.workers}-worker board"
+            )
         self.worker_id = worker_id
-        self.stats_sink = stats_sink
         self.auth_token = auth_token
         self.lag_tracker = lag_tracker if lag_tracker is not None else MemoryFollowerLag()
         self._churn_lock = threading.Lock()
@@ -278,12 +259,8 @@ class ClassificationService:
     # -- entry point --------------------------------------------------------------------
     @property
     def stats(self) -> ServiceStats:
-        """This service's request / cache counters (one sum over its endpoint series)."""
-        totals = dict.fromkeys(ServiceStats._fields, 0)
-        for series in self.metrics.endpoint_stats().values():
-            for field in totals:
-                totals[field] += cast(int, series[field])
-        return ServiceStats(**totals)
+        """This service's request / cache counters: its slot of the board."""
+        return ServiceStats(**self.board.counters(self.worker_id))
 
     def resolve(self, path: str) -> Tuple[Optional[Route], Dict[str, str]]:
         """The route table row (and captured params) serving *path*."""
@@ -323,13 +300,14 @@ class ClassificationService:
         def finish(
             status: int, body: bytes, content_type: str, *, hit: bool = False
         ) -> ServiceResponse:
-            # Metrics see every outcome: locally, and fleet-wide if attached.
-            error, seconds = status >= 400, time.perf_counter() - started
-            self.metrics.observe(endpoint, hit=hit, error=error, seconds=seconds)
-            if self.stats_sink is not None:
-                self.stats_sink.observe(
-                    self.worker_id, endpoint, hit=hit, error=error, seconds=seconds
-                )
+            # Metrics see every outcome, once, in this service's board slot.
+            self.board.observe(
+                self.worker_id,
+                endpoint,
+                hit=hit,
+                error=status >= 400,
+                seconds=time.perf_counter() - started,
+            )
             return ServiceResponse(status, body, content_type)
 
         if self.auth_token is not None:
@@ -434,28 +412,17 @@ class ClassificationService:
     ) -> RoutePayload:
         """One Prometheus scrape of the whole deployment.
 
-        With a stats sink attached, the per-endpoint aggregate comes off
-        the shared worker board, so any worker the kernel picks answers
-        for the entire ``--http-workers N`` fleet.
+        The per-endpoint aggregate comes off the board, so any worker the
+        kernel picks answers for the entire ``--http-workers N`` fleet.
         """
-        workers: Optional[int] = None
-        if self.stats_sink is not None:
-            endpoints: Mapping[str, Mapping[str, object]] = (
-                self.stats_sink.metrics_payload()
-            )
-            board = self.stats_sink.payload()
-            count = board.get("count")
-            workers = int(count) if isinstance(count, int) else None
-        else:
-            endpoints = self.metrics.endpoint_stats()
         churn_total, churn_top = self._churn()
         return render_metrics(
-            endpoints=endpoints,
+            endpoints=self.board.metrics_payload(),
             store_stats=self.store.stats(),
             followers=self.lag_tracker.snapshot(),
             churn_total=churn_total,
             churn_top=churn_top,
-            workers=workers,
+            workers=self.board.workers,
             ingest=self.store.ingest_stats(),
         )
 
@@ -482,9 +449,7 @@ class ClassificationService:
     def _as_info(
         self, params: Dict[str, str], query: Dict[str, List[str]]
     ) -> RoutePayload:
-        asn = _int_operand(params["asn"], "asn")
-        if not 0 <= asn <= MAX_ASN_32BIT:
-            raise ApiError(400, f"invalid asn {asn}")
+        asn = _int_operand(params["asn"], "asn", 0, MAX_ASN_32BIT)
         self._latest_or_404()
         history_limit = None
         if "history" in query:
@@ -600,21 +565,16 @@ class ClassificationService:
     def _stats(
         self, params: Dict[str, str], query: Dict[str, List[str]]
     ) -> RoutePayload:
-        payload: Dict[str, object] = {
+        # Any worker answers for the whole fleet: the board aggregates every
+        # sibling's slot, and ``server`` is this worker's row of one reading.
+        workers = self.board.payload()
+        own = cast(List[Dict[str, int]], workers["per_worker"])[self.worker_id]
+        return {
             "store": self.store.stats(),
-            "server": {
-                **self.stats.as_dict(),
-                "cache_entries": len(self.cache),
-                "worker_id": self.worker_id,
-            },
+            "server": {**own, "cache_entries": len(self.cache), "worker_id": self.worker_id},
             "auth": {"enabled": self.auth_token is not None},
+            "workers": workers,
         }
-        if self.stats_sink is not None:
-            # Any worker of a fan-out deployment answers for the whole
-            # fleet: the supervisor's shared board aggregates every
-            # sibling's counters.
-            payload["workers"] = self.stats_sink.payload()
-        return payload
 
     #: The route table.  Order matters only where patterns overlap: the
     #: literal ``/v1/snapshot/latest`` must precede the ``{window_end}``
@@ -643,11 +603,19 @@ def _encode_error(status: int, code: str, message: str) -> bytes:
     )
 
 
-def _int_operand(text: str, name: str) -> int:
+#: SQLite's INTEGER range: an operand outside it cannot reach a query.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _int_operand(text: str, name: str, low: int = _INT64_MIN, high: int = _INT64_MAX) -> int:
+    """*text* as an integer in ``[low, high]``, else a 400."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ApiError(400, f"{name} must be an integer, got {text!r}") from None
+    if not low <= value <= high:
+        raise ApiError(400, f"invalid {name} {value}")
+    return value
 
 
 #: The stdlib's request-head limits: longest line, most lines before the blank one.

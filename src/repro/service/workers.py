@@ -13,15 +13,17 @@ generation-keyed LRU response cache.
 
 Pieces:
 
-* :class:`WorkerStatsBoard` -- a tiny mmap-backed counter board shared by
-  every worker.  Each worker mirrors its request counters into its own
-  slot; any worker can render the fleet-wide aggregate, which is how
-  ``/v1/stats`` answers for the whole deployment no matter which worker
-  the kernel picked.
-* :func:`reuseport_supported` -- capability probe; where ``SO_REUSEPORT``
-  is unavailable the fan-out falls back to N accept-loop threads sharing
-  one non-blocking listener in-process (still one service + store reader
-  + cache per worker, but a single Python process).
+* :class:`~repro.service.metrics.WorkerStatsBoard` -- the request ledger
+  (defined in :mod:`repro.service.metrics`).  The supervisor creates one
+  board file with a slot per worker; each worker counts its requests in its
+  own slot only, and any worker renders the fleet-wide aggregate, which is
+  how ``/v1/stats`` and ``/metrics`` answer for the whole deployment no
+  matter which worker the kernel picked.
+* :func:`reuseport_supported` -- capability probe that picks the fan-out:
+  N worker processes where ``SO_REUSEPORT`` load-balances, else N
+  accept-loop threads sharing one non-blocking listener in-process (still
+  one service + store reader + cache per worker, but a single Python
+  process).
 * :class:`MultiWorkerServer` -- the supervisor: resolves the port, spawns
   the workers, monitors them, respawns any that die, and tears the fleet
   down.  ``repro serve --http-workers N`` is a thin wrapper around it.
@@ -36,12 +38,10 @@ connections, so the placeholder is invisible to clients.
 
 from __future__ import annotations
 
-import mmap
 import multiprocessing
 import os
 import shutil
 import socket
-import struct
 import sys
 import tempfile
 import threading
@@ -52,35 +52,12 @@ from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Tuple, Type, Union
 
 from repro.service.backends import SnapshotBackend, open_store, parse_store_url
-from repro.service.metrics import (
-    ENDPOINT_COUNTER_FIELDS,
-    LATENCY_BUCKETS,
-    METRIC_ENDPOINTS,
-    UNKNOWN_ENDPOINT,
-    FileFollowerLag,
-    bucket_index,
-    empty_endpoint_stats,
-)
+from repro.service.metrics import FileFollowerLag, WorkerStatsBoard
 from repro.service.server import (
     DEFAULT_CACHE_SIZE,
     ClassificationService,
     build_handler,
 )
-
-#: One endpoint's accounting on the board: the four integer counters, the
-#: latency sum (float64 seconds), and one count per histogram bucket
-#: (``len(LATENCY_BUCKETS)`` finite bounds + the ``+Inf`` overflow).
-_ENDPOINT_FORMAT = (
-    "<" + "q" * len(ENDPOINT_COUNTER_FIELDS) + "d" + "q" * (len(LATENCY_BUCKETS) + 1)
-)
-_ENDPOINT_SIZE = struct.calcsize(_ENDPOINT_FORMAT)
-
-#: Full per-worker slot: one endpoint block per :data:`METRIC_ENDPOINTS`
-#: entry, in tuple order.
-_WORKER_SLOT_SIZE = len(METRIC_ENDPOINTS) * _ENDPOINT_SIZE
-
-_ENDPOINT_INDEX = {name: index for index, name in enumerate(METRIC_ENDPOINTS)}
-
 
 def reuseport_supported() -> bool:
     """Whether this platform can fan out with ``SO_REUSEPORT`` sockets.
@@ -101,107 +78,6 @@ def reuseport_supported() -> bool:
         return False
     finally:
         probe.close()
-
-
-class WorkerStatsBoard:
-    """Per-worker request accounting in a file every worker process maps.
-
-    Each worker owns one slot: one block per
-    :data:`~repro.service.metrics.METRIC_ENDPOINTS` entry holding that
-    endpoint's counters, latency sum, and histogram bucket counts; the
-    worker's aggregate counters are the sums of its blocks.  The board
-    lives in a per-fleet temporary file, so its layout is private.
-    Exactly one worker writes each slot (its request threads serialise
-    through a per-process lock), so there is no cross-process locking;
-    concurrent readers may see a counter mid-increment, which is harmless
-    for monotonically growing statistics.
-    """
-
-    def __init__(self, path: str, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self.path = path
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._file = open(path, "r+b")
-        self._map = mmap.mmap(self._file.fileno(), workers * _WORKER_SLOT_SIZE)
-
-    @classmethod
-    def create(cls, workers: int) -> "WorkerStatsBoard":
-        """Allocate a zeroed board in a fresh temporary file."""
-        fd, path = tempfile.mkstemp(prefix="repro-serve-stats-", suffix=".bin")
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(b"\x00" * workers * _WORKER_SLOT_SIZE)
-        return cls(path, workers)
-
-    # -- StatsSink ----------------------------------------------------------------------
-    def observe(
-        self, worker_id: int, endpoint: str, *, hit: bool, error: bool, seconds: float
-    ) -> None:
-        """Count one request of *worker_id* in its block for *endpoint*."""
-        index = _ENDPOINT_INDEX.get(endpoint, _ENDPOINT_INDEX[UNKNOWN_ENDPOINT])
-        offset = worker_id * _WORKER_SLOT_SIZE + index * _ENDPOINT_SIZE
-        with self._lock:
-            values = list(struct.unpack_from(_ENDPOINT_FORMAT, self._map, offset))
-            values[0] += 1  # requests
-            if error:
-                values[1] += 1  # errors
-            elif hit:
-                values[2] += 1  # cache_hits
-            else:
-                values[3] += 1  # cache_misses
-            values[4] += seconds  # latency_sum
-            values[5 + bucket_index(seconds)] += 1
-            struct.pack_into(_ENDPOINT_FORMAT, self._map, offset, *values)
-
-    def per_worker(self) -> List[Dict[str, int]]:
-        """Each worker's aggregate counters (its endpoint blocks summed)."""
-        rows: List[Dict[str, int]] = []
-        for start in range(0, self.workers * _WORKER_SLOT_SIZE, _WORKER_SLOT_SIZE):
-            slot = self._map[start:start + _WORKER_SLOT_SIZE]
-            sums = [sum(column) for column in zip(*struct.iter_unpack(_ENDPOINT_FORMAT, slot))]
-            rows.append(dict(zip(ENDPOINT_COUNTER_FIELDS, sums)))
-        return rows
-
-    def payload(self) -> Dict[str, object]:
-        """JSON-friendly fleet aggregate for ``/v1/stats``."""
-        rows = self.per_worker()
-        aggregate = {field: sum(row[field] for row in rows) for field in ENDPOINT_COUNTER_FIELDS}
-        return {"count": self.workers, "aggregate": aggregate, "per_worker": rows}
-
-    def metrics_payload(self) -> Dict[str, Dict[str, object]]:
-        """Fleet-wide per-endpoint aggregate (the ``/metrics`` data source).
-
-        Sums every worker's endpoint blocks into the same shape
-        :meth:`MetricsRecorder.endpoint_stats` returns, so the renderer
-        does not care whether a scrape is single- or multi-worker.
-        """
-        endpoints = {name: empty_endpoint_stats() for name in METRIC_ENDPOINTS}
-        for worker_id in range(self.workers):
-            base = worker_id * _WORKER_SLOT_SIZE
-            for index, name in enumerate(METRIC_ENDPOINTS):
-                values = struct.unpack_from(
-                    _ENDPOINT_FORMAT, self._map, base + index * _ENDPOINT_SIZE
-                )
-                stats = endpoints[name]
-                for field_index, field in enumerate(ENDPOINT_COUNTER_FIELDS):
-                    stats[field] = int(stats[field]) + int(values[field_index])  # type: ignore[call-overload]
-                stats["latency_sum"] = float(stats["latency_sum"]) + float(values[4])  # type: ignore[arg-type]
-                buckets = stats["buckets"]
-                assert isinstance(buckets, list)
-                for bucket, count in enumerate(values[5:]):
-                    buckets[bucket] += int(count)
-        return endpoints
-
-    def close(self, *, unlink: bool = False) -> None:
-        """Unmap the board; the supervisor also unlinks the backing file."""
-        self._map.close()
-        self._file.close()
-        if unlink:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
 
 
 class ReusePortHTTPServer(ThreadingHTTPServer):
@@ -332,14 +208,13 @@ def require_file_store(store_url: Union[str, os.PathLike]) -> None:
 class MultiWorkerServer:
     """Supervisor of an N-worker HTTP fan-out over one snapshot store.
 
-    ``mode`` selects the fan-out mechanism:
+    The platform picks the fan-out, read back as ``mode``:
 
-    * ``"process"`` -- N OS processes, each accepting on its own
-      ``SO_REUSEPORT`` socket (true parallelism; the production shape);
-    * ``"thread"`` -- N accept-loop threads sharing one non-blocking
-      listener in this process (the portable fallback);
-    * ``"auto"`` (default) -- ``"process"`` where ``SO_REUSEPORT`` works,
-      else ``"thread"``.
+    * ``"process"`` where :func:`reuseport_supported` -- N OS processes,
+      each accepting on its own ``SO_REUSEPORT`` socket (true parallelism;
+      the production shape);
+    * ``"thread"`` elsewhere -- N accept-loop threads sharing one
+      non-blocking listener in this process (the portable fallback).
 
     The supervisor monitors process workers and respawns any that die
     (``respawns`` counts them).  Always :meth:`close` when done; the class
@@ -357,19 +232,12 @@ class MultiWorkerServer:
         retention: Optional[int] = None,
         archive_dir: Optional[str] = None,
         auth_token: Optional[str] = None,
-        mode: str = "auto",
         poll_interval: float = 0.2,
         start_method: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         require_file_store(store_path)
-        if mode not in ("auto", "process", "thread"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "process" and not reuseport_supported():
-            raise RuntimeError("SO_REUSEPORT is unavailable; use mode='thread'")
-        if mode == "auto":
-            mode = "process" if reuseport_supported() else "thread"
         self.store_path = str(store_path)
         self.workers = workers
         self.host = host
@@ -378,7 +246,7 @@ class MultiWorkerServer:
         self.retention = retention
         self.archive_dir = str(archive_dir) if archive_dir is not None else None
         self.auth_token = auth_token
-        self.mode = mode
+        self.mode = "process" if reuseport_supported() else "thread"
         self.poll_interval = poll_interval
         self.respawns = 0
         self.respawn_failures = 0

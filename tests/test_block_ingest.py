@@ -644,6 +644,7 @@ class TestIngestTelemetry:
             followers={},
             churn_total=0,
             churn_top=[],
+            workers=1,
             ingest=engine.ingest_stats(),
         )
         assert "repro_ingest_blocks_total" in text
@@ -665,5 +666,6 @@ class TestIngestTelemetry:
             followers={},
             churn_total=0,
             churn_top=[],
+            workers=1,
         )
         assert "repro_ingest" not in text

@@ -87,6 +87,7 @@ CORPUS: Tuple[Tuple[str, bytes, int], ...] = (
     ("basic-scheme", get("/v1/as/10", b"Authorization: Basic d2lyZTp0b2s=\r\n"), 1),
     ("latin-1-header", get("/healthz", b"X-Name: caf\xe9\r\n"), 1),
     ("query-string", get("/v1/as/10?history=2", AUTH), 1),
+    ("window-past-int64", get("/v1/snapshot/100000000000000000000", AUTH), 1),
 )
 
 
@@ -251,6 +252,7 @@ def test_the_corpus_covers_what_it_claims(servers):
         "unauthenticated": ([b"401"], True),
         "bearer-lower-case": ([b"200"], True),
         "basic-scheme": ([b"403"], True),
+        "window-past-int64": ([b"400"], True),
     }
     cases = {case[0]: case[1:] for case in CORPUS}
     for name, (statuses, open_after) in expected.items():

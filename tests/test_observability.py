@@ -10,8 +10,9 @@ Pins the Prometheus contract of ``repro.service.metrics``:
 * the route table's ``metric_name`` values and the board slot layout come
   from one list (:data:`METRIC_ENDPOINTS`), so counters and the mmap board
   cannot drift apart;
-* request / cache counters and store gauges move with real traffic, both
-  single-worker (local recorder) and fleet-aggregated (worker board);
+* request / cache counters and store gauges move with real traffic, each
+  request counted once in the serving worker's board slot, whether the
+  board is a fleet's or a single service's private one;
 * per-follower replication-lag gauges appear when a follower identifies
   itself on changelog polls, across worker processes via the lag files;
 * per-AS classification churn is rendered from the persisted change maps,
@@ -23,7 +24,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import re
+import sys
+import threading
 import time
 import types
 
@@ -44,8 +48,9 @@ from repro.service.metrics import (
     METRIC_ENDPOINTS,
     METRICS_CONTENT_TYPE,
     FileFollowerLag,
-    MetricsRecorder,
+    MemoryFollowerLag,
     bucket_index,
+    empty_endpoint_stats,
     render_metrics,
 )
 import repro.service.server as server_module
@@ -136,11 +141,12 @@ class TestExpositionFormat:
 
     def test_label_values_are_escaped(self):
         text = render_metrics(
-            endpoints=MetricsRecorder().endpoint_stats(),
+            endpoints={name: empty_endpoint_stats() for name in METRIC_ENDPOINTS},
             store_stats={"generation": 1},
             followers={'evil"name\n': {"lag": 1.0}},
             churn_total=0,
             churn_top=[],
+            workers=1,
         )
         assert '\\"' in text and "\\n" in text
         parse_exposition(text)
@@ -222,6 +228,94 @@ class TestCounters:
 
 
 # ---------------------------------------------------------------------------------------
+# One ledger: each handled request is one board write
+# ---------------------------------------------------------------------------------------
+class SpyBoard(WorkerStatsBoard):
+    """A one-slot board that also lists every ledger write it takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def observe(self, worker_id, endpoint, *, hit, error, seconds):
+        self.writes.append((endpoint, hit, error))
+        super().observe(worker_id, endpoint, hit=hit, error=error, seconds=seconds)
+
+
+class TestOneLedger:
+    TOKEN = "ledger-tok3n"
+    AUTH = {"Authorization": f"Bearer {TOKEN}"}
+    HUGE = 10**20
+    #: ``(target, headers, status, the one write: (endpoint, hit, error))``.
+    CASES = (
+        ("/v1/as/10", None, 401, ("as_info", False, True)),
+        ("/v1/as/10", {"Authorization": "Bearer nope"}, 403, ("as_info", False, True)),
+        ("/v1/nowhere", None, 401, ("unknown", False, True)),
+        ("/v1/as/10", AUTH, 200, ("as_info", False, False)),
+        ("/v1/as/10", AUTH, 200, ("as_info", True, False)),
+        ("/v1/snapshot/999999", AUTH, 404, ("snapshot_window", False, True)),
+        ("/nope", None, 404, ("unknown", False, True)),
+        (f"/v1/snapshot/{HUGE}", AUTH, 400, ("snapshot_window", False, True)),
+        (f"/v1/snapshot/-{HUGE}", AUTH, 400, ("snapshot_window", False, True)),
+        (f"/v1/diff?window={HUGE}", AUTH, 400, ("diff", False, True)),
+        (f"/v1/replication/changes?since={HUGE}", AUTH, 400, ("replication_changes", False, True)),
+        ("/v1/as/x", AUTH, 400, ("as_info", False, True)),
+        ("/healthz", None, 200, ("healthz", False, False)),
+        ("/metrics", None, 200, ("metrics", False, False)),
+        ("/v1/stats", AUTH, 200, ("stats", False, False)),
+    )
+
+    def test_one_write_per_request_whatever_the_outcome(self, store):
+        board = SpyBoard()
+        service = ClassificationService(store, stats_sink=board, auth_token=self.TOKEN)
+        for count, (target, headers, status, write) in enumerate(self.CASES, 1):
+            assert service.handle(target, headers).status == status, target
+            assert len(board.writes) == count, target
+            assert board.writes[-1] == write, target
+        assert service.stats.requests == len(self.CASES)
+        board.close()
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["single", "fleet"])
+    def test_server_block_is_the_services_board_row(self, store, fleet):
+        board = WorkerStatsBoard.create(3) if fleet else None
+        try:
+            worker_id = 2 if fleet else 0
+            service = ClassificationService(store, worker_id=worker_id, stats_sink=board)
+            for target in ("/healthz", "/v1/as/10", "/v1/as/10", "/v1/as/x", "/nope"):
+                service.handle(target)
+            stats = json.loads(service.handle("/v1/stats").body)
+            row = stats["workers"]["per_worker"][stats["server"]["worker_id"]]
+            server = {key: stats["server"][key] for key in row}
+            assert server == row == {
+                "requests": 5, "cache_hits": 1, "cache_misses": 2, "errors": 2,
+            }
+            assert stats["workers"]["count"] == (3 if fleet else 1)
+            assert stats["workers"]["aggregate"] == row
+        finally:
+            if board is not None:
+                board.close(unlink=True)
+
+    def test_worker_id_names_a_slot_of_the_board(self, store):
+        with pytest.raises(ValueError):
+            ClassificationService(store, worker_id=1)
+        board = WorkerStatsBoard.create(2)
+        try:
+            with pytest.raises(ValueError):
+                ClassificationService(store, worker_id=2, stats_sink=board)
+        finally:
+            board.close(unlink=True)
+
+    def test_a_private_board_maps_no_file(self):
+        board = WorkerStatsBoard()
+        board.observe(0, "diff", hit=False, error=False, seconds=0.001)
+        assert (board.path, board.workers) == (None, 1)
+        assert board.payload()["per_worker"] == [
+            {"requests": 1, "errors": 0, "cache_hits": 0, "cache_misses": 1}
+        ]
+        board.close(unlink=True)
+
+
+# ---------------------------------------------------------------------------------------
 # Follower lag gauges
 # ---------------------------------------------------------------------------------------
 class TestFollowerLag:
@@ -248,11 +342,7 @@ class TestFollowerLag:
     def test_lag_files_merge_across_workers(self, tmp_path, store):
         """Polls landing on different workers are merged at scrape time."""
         services = [
-            ClassificationService(
-                store,
-                worker_id=worker_id,
-                lag_tracker=FileFollowerLag(str(tmp_path), worker_id),
-            )
+            ClassificationService(store, lag_tracker=FileFollowerLag(str(tmp_path), worker_id))
             for worker_id in range(2)
         ]
         services[0].handle("/v1/replication/changes?since=1&follower=replica-a")
@@ -261,6 +351,52 @@ class TestFollowerLag:
             lag = scrape(service)["repro_replication_follower_lag"]
             assert lag['follower="replica-a"'] == store.generation() - 1
             assert lag['follower="replica-b"'] == store.generation() - 2
+
+    def test_lag_file_keeps_the_newest_poll_under_threads(self, tmp_path):
+        """Request threads of one worker share one lag file: after every
+        round of concurrent polls, and after the threads join, the file
+        holds exactly the in-memory state (no older dump replaced a newer
+        one, no temp file truncated under another's write)."""
+        tracker = FileFollowerLag(str(tmp_path), 0)
+        path = os.path.join(str(tmp_path), "followers-0.json")
+        stale_rounds = []
+
+        def on_disk():
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)
+
+        def compare():
+            try:
+                if on_disk() != MemoryFollowerLag.snapshot(tracker):
+                    stale_rounds.append("stale")
+            except ValueError:
+                stale_rounds.append("torn")
+
+        threads, rounds = 8, 50
+        barrier = threading.Barrier(threads, action=compare, timeout=30)
+
+        finished = []
+
+        def poll(index):
+            for since in range(rounds):
+                tracker.record(f"replica-{index}", since=since, generation=since + index)
+                barrier.wait()
+            finished.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=poll, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(finished) == list(range(threads))
+        assert stale_rounds == []
+        assert on_disk() == MemoryFollowerLag.snapshot(tracker)
+        assert len(on_disk()) == threads
 
 
 # ---------------------------------------------------------------------------------------
@@ -363,6 +499,60 @@ class TestFleetBodiesPinned:
         del stats["store"]
         assert stats == self.STATS
         lines = [line for line in metrics.splitlines() if "repro_store_size_bytes" not in line]
+        assert len(lines) == self.METRICS_LINES
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.METRICS_SHA256
+
+
+class TestSingleBodiesPinned:
+    """The bodies of one service (no fleet) after :class:`TestFleetBodiesPinned`'s
+    request sequence, all sent to it, under the same fake clock.  ``STATS``,
+    ``METRICS_LINES`` and ``METRICS_SHA256`` were read off the server that
+    kept a private recorder and rendered no fleet view; a single server is
+    now a fleet of one, and the only difference is the ``workers`` block of
+    ``/v1/stats`` and the ``repro_serve_workers 1`` lines of ``/metrics``.
+    """
+
+    STATS = {
+        "auth": {"enabled": False},
+        "server": {
+            "cache_entries": 4, "cache_hits": 11, "cache_misses": 13, "errors": 6,
+            "requests": 30, "worker_id": 0,
+        },
+    }
+    WORKERS = {
+        "aggregate": {"cache_hits": 11, "cache_misses": 13, "errors": 6, "requests": 30},
+        "count": 1,
+        "per_worker": [{"cache_hits": 11, "cache_misses": 13, "errors": 6, "requests": 30}],
+    }
+    METRICS_LINES = 209
+    METRICS_SHA256 = "322c321d8497a185beda077e0117ffddb460c7bb1a5962be1625b28e5c8731e9"
+    WORKERS_LINES = [
+        "# HELP repro_serve_workers Serving workers sharing this port.",
+        "# TYPE repro_serve_workers gauge",
+        "repro_serve_workers 1",
+    ]
+
+    def test_bodies_after_a_fixed_sequence(self, monkeypatch):
+        ticks = itertools.count()
+        clock = types.SimpleNamespace(
+            perf_counter=lambda: next(ticks) ** 2 * 1e-5, time=time.time
+        )
+        monkeypatch.setattr(server_module, "time", clock)
+        store = SnapshotStore(":memory:")
+        for snapshot in build_snapshots(2):
+            store.append_snapshot(snapshot)
+        service = ClassificationService(store)
+        for target in TestFleetBodiesPinned.SEQUENCE * 3:
+            service.handle(target)
+        stats = json.loads(service.handle("/v1/stats").body)
+        metrics = service.handle("/metrics").body.decode()
+        del stats["store"]
+        assert stats.pop("workers") == self.WORKERS
+        assert stats == self.STATS
+        lines = [line for line in metrics.splitlines() if "repro_store_size_bytes" not in line]
+        assert [line for line in lines if "repro_serve_workers" in line] == self.WORKERS_LINES
+        lines = [line for line in lines if "repro_serve_workers" not in line]
         assert len(lines) == self.METRICS_LINES
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.METRICS_SHA256

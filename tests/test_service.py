@@ -792,6 +792,47 @@ class TestAsOperand:
         assert calls == [2, 1]
 
 
+class TestIntOperandBounds:
+    """Every integer operand is bounded to SQLite's signed 64-bit INTEGER
+    range: past it is a 400 ``bad_request``, never an ``OverflowError`` out
+    of :meth:`ClassificationService.handle`."""
+
+    HUGE = 10**20
+    OUT_OF_RANGE = (
+        (f"/v1/snapshot/{HUGE}", f"invalid window {HUGE}"),
+        (f"/v1/snapshot/-{HUGE}", f"invalid window -{HUGE}"),
+        (f"/v1/snapshot/{2**63}", f"invalid window {2**63}"),
+        (f"/v1/diff?window={HUGE}", f"invalid window {HUGE}"),
+        (f"/v1/diff?window=-{HUGE}", f"invalid window -{HUGE}"),
+        (f"/v1/replication/changes?since={HUGE}", f"invalid since {HUGE}"),
+        (f"/v1/as/10?history={HUGE}", f"invalid history {HUGE}"),
+    )
+
+    def test_service_answers_400(self, filled_backend):
+        service = ClassificationService(filled_backend)
+        for target, message in self.OUT_OF_RANGE:
+            response = service.handle(target)
+            assert response.status == 400, target
+            error = json.loads(response.body)["error"]
+            assert (error["code"], error["message"]) == ("bad_request", message)
+        assert service.stats.requests == service.stats.errors == len(self.OUT_OF_RANGE)
+        # The range's own ends reach the store.
+        for window in (2**63 - 1, -(2**63)):
+            assert service.handle(f"/v1/snapshot/{window}").status == 404
+            assert service.handle(f"/v1/diff?window={window}").status == 404
+        assert service.handle(f"/v1/replication/changes?since={2**63 - 1}").status == 200
+
+    def test_http_answers_400(self, filled_backend):
+        with ClassificationServer(filled_backend) as server:
+            server.start()
+            with ServiceClient(server.url) as client:
+                for target, _ in self.OUT_OF_RANGE:
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.get(target)
+                    assert excinfo.value.status == 400
+                assert client.health()["status"] == "ok"
+
+
 class TestLRUCache:
     def test_eviction_order(self):
         cache = LRUCache(2)

@@ -126,11 +126,9 @@ class TestMultiWorkerValidation:
             MultiWorkerServer(str(store_path), workers=0)
         with pytest.raises(ValueError):
             MultiWorkerServer(":memory:", workers=2)
-        with pytest.raises(ValueError):
-            MultiWorkerServer(str(store_path), workers=2, mode="fiber")
 
     def test_address_requires_start(self, store_path):
-        server = MultiWorkerServer(str(store_path), workers=2, mode="thread")
+        server = MultiWorkerServer(str(store_path), workers=2)
         with pytest.raises(RuntimeError):
             server.address
         server.close()
@@ -138,6 +136,11 @@ class TestMultiWorkerValidation:
 
 class TestThreadFallback:
     """The portable fallback must honor the same serving contracts."""
+
+    @pytest.fixture(autouse=True)
+    def without_reuseport(self, monkeypatch):
+        """Take the fallback on any platform: the fan-out follows the probe."""
+        monkeypatch.setattr("repro.service.workers.reuseport_supported", lambda: False)
 
     def test_byte_identical_to_single_worker(self, store_path):
         with SnapshotStore(store_path) as reference_store:
@@ -147,7 +150,7 @@ class TestThreadFallback:
                     target: fetch(reference.address, target)
                     for target in DETERMINISTIC_TARGETS
                 }
-                with MultiWorkerServer(str(store_path), workers=3, mode="thread") as fanout:
+                with MultiWorkerServer(str(store_path), workers=3) as fanout:
                     fanout.start()
                     assert fanout.mode == "thread"
                     for target in DETERMINISTIC_TARGETS:
@@ -157,7 +160,7 @@ class TestThreadFallback:
                             assert fetch(fanout.address, target) == expected[target]
 
     def test_stats_aggregate_counts_all_workers(self, store_path):
-        with MultiWorkerServer(str(store_path), workers=2, mode="thread") as fanout:
+        with MultiWorkerServer(str(store_path), workers=2) as fanout:
             fanout.start()
             for _ in range(8):
                 status, _ = fetch(fanout.address, "/healthz")
@@ -182,7 +185,7 @@ class TestProcessFanout:
                     target: fetch(reference.address, target)
                     for target in DETERMINISTIC_TARGETS
                 }
-        with MultiWorkerServer(str(store_path), workers=2, mode="process") as fanout:
+        with MultiWorkerServer(str(store_path), workers=2) as fanout:
             fanout.start()
             assert fanout.mode == "process"
             assert len(fanout.worker_pids()) == 2
@@ -194,7 +197,7 @@ class TestProcessFanout:
                 assert responses == {expected[target]}
 
     def test_stats_aggregates_across_processes(self, store_path):
-        with MultiWorkerServer(str(store_path), workers=2, mode="process") as fanout:
+        with MultiWorkerServer(str(store_path), workers=2) as fanout:
             fanout.start()
             issued = 10
             for _ in range(issued):
@@ -212,7 +215,7 @@ class TestProcessFanout:
 
     def test_supervisor_respawns_killed_worker(self, store_path):
         with MultiWorkerServer(
-            str(store_path), workers=2, mode="process", poll_interval=0.05
+            str(store_path), workers=2, poll_interval=0.05
         ) as fanout:
             fanout.start()
             before = set(fanout.worker_pids())
@@ -235,7 +238,7 @@ class TestProcessFanout:
                 assert json.loads(body.decode())["ases"]
 
     def test_port_stays_reserved_and_workers_share_it(self, store_path):
-        with MultiWorkerServer(str(store_path), workers=2, mode="process") as fanout:
+        with MultiWorkerServer(str(store_path), workers=2) as fanout:
             fanout.start()
             host, port = fanout.address
             assert port > 0
