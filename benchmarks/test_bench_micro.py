@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.announcement import RouteBlock, iter_blocks
 from repro.collectors.archive import observations_from_mrt
 from repro.core.column import ColumnInference
 from repro.mrt.decoder import decode_records
 from repro.mrt.encoder import MRTEncoder
 from repro.bgp.messages import PathAttributes
-from repro.sanitize.filters import Sanitizer
+from repro.sanitize.filters import SANITIZE_BLOCK_SIZE, Sanitizer
 from repro.stream import MemorySource, ScenarioSource, StreamConfig, StreamEngine, WindowSpec
 from repro.topology.cone import CustomerCones
 from repro.topology.routing import RoutingEngine
@@ -104,11 +105,16 @@ def test_bench_sanitizer_throughput(benchmark, context):
     archive = internet.archive_for("isolario").generate_day(0)
 
     def sanitize():
+        # The batch pipeline's sanitize + dedup stage: observation blocks
+        # lowered to columns, one dedup set for the run.
         sanitizer = Sanitizer(
             asn_registry=internet.topology.asn_registry,
             prefix_allocation=internet.topology.prefix_allocation,
         )
-        return len(sanitizer.to_unique_tuples(archive.observations))
+        seen = set()
+        for block in iter_blocks(archive.observations, SANITIZE_BLOCK_SIZE):
+            sanitizer.dedup_block(RouteBlock.from_observations(block), seen)
+        return len(seen)
 
     unique = benchmark(sanitize)
     assert unique > 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, List, Sequence, Set, Tuple, TypeVar, Union, overload
+from typing import Iterable, Iterator, List, Sequence, TypeVar, Union, overload
 
 from repro.bgp.asn import ASN
 from repro.bgp.community import CommunitySet
@@ -146,30 +146,13 @@ class RouteBlock(Sequence[RouteObservation]):
                    self.paths, self.communities, self.timestamps, self.from_rib)
 
 
-def unique_tuples(observations: Iterable[RouteObservation]) -> List[PathCommTuple]:
-    """Deduplicate observations into unique ``(path, comm)`` tuples.
-
-    The order of first appearance is preserved so downstream processing is
-    deterministic.
-    """
-    seen: Set[Tuple[ASPath, CommunitySet]] = set()
-    result: List[PathCommTuple] = []
-    for obs in observations:
-        key = (obs.path, obs.communities)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append(PathCommTuple(obs.path, obs.communities))
-    return result
-
-
 def iter_blocks(items: Iterable[_Item], size: int) -> Iterator[List[_Item]]:
     """Group *items* into consecutive lists of at most *size*, in order.
 
     The one chunker behind every block-oriented stage (MRT observation
-    blocks, blocked sanitation, the engine's fallback for plain iterables,
-    pool batches).  Lazy: one block is materialised at a time, and the final
-    block may be short.
+    blocks, the batch pipeline's observation input, the engine's fallback
+    for plain iterables, pool batches).  Lazy: one block is materialised at
+    a time, and the final block may be short.
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")

@@ -2,24 +2,26 @@
 
 Chains the stages the paper's measurement system performs:
 
-1. decode MRT archives (optional -- callers may start from observations),
-2. sanitize the observations (Section 4.1),
-3. deduplicate into unique ``(path, comm)`` tuples,
-4. run the column-based inference (Section 5),
-5. summarise the classification.
+1. decode MRT archives into route blocks (optional -- callers may start
+   from observations, lowered to blocks),
+2. sanitize the routes (Section 4.1) and deduplicate them into unique
+   ``(path, comm)`` tuples, in one loop,
+3. run the column-based inference (Section 5),
+4. summarise the classification.
 
 The pipeline object is what the examples and the Table 3 experiment drive;
-each stage can also be used on its own.  Every stage runs in the calling
-process; :mod:`repro.parallel` serves the streaming engine only.
+each stage can also be used on its own.  Step 2 is
+:meth:`~repro.sanitize.filters.Sanitizer.dedup_block`, the loop every shard
+of the streaming engine runs, with one dedup set for the whole run.  Every
+stage runs in the calling process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation, iter_blocks
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.collectors.archive import iter_route_blocks_from_mrt
@@ -102,26 +104,33 @@ class InferencePipeline:
             return RowInference(self.thresholds)
         return ColumnInference(self.thresholds)
 
+    def _run_blocks(self, blocks: Iterable[RouteBlock]) -> PipelineResult:
+        sanitizer = self._make_sanitizer()
+        seen: Set[Tuple] = set()
+        tuples = [
+            PathCommTuple(*key)
+            for block in blocks
+            for _index, key in sanitizer.dedup_block(block, seen)
+        ]
+        stats = sanitizer.stats
+        return PipelineResult(
+            result=self._make_inference().run(tuples),
+            tuples=tuples,
+            sanitation=stats,
+            observations_in=stats.observations_in,
+        )
+
     # -- entry points ----------------------------------------------------------------------
     def run_from_observations(self, observations: Iterable[RouteObservation]) -> PipelineResult:
         """Sanitize, deduplicate, and classify observations.
 
         *observations* may be any iterable, including a lazy generator: the
-        input is streamed through the sanitizer in blocks of
-        :data:`SANITIZE_BLOCK_SIZE`, so only one block plus the deduplicated
-        unique tuples are ever held in memory.
+        input is lowered to route blocks of :data:`SANITIZE_BLOCK_SIZE` one
+        at a time, so only one block plus the deduplicated unique tuples are
+        ever held in memory.
         """
-        sanitizer = self._make_sanitizer()
-        tuples = list(sanitizer.iter_unique_tuples_blocked(observations, SANITIZE_BLOCK_SIZE))
-        stats = sanitizer.stats
-        inference = self._make_inference()
-        result = inference.run(tuples)
-        return PipelineResult(
-            result=result,
-            tuples=tuples,
-            sanitation=stats,
-            observations_in=stats.observations_in,
-        )
+        blocks = iter_blocks(observations, SANITIZE_BLOCK_SIZE)
+        return self._run_blocks(map(RouteBlock.from_observations, blocks))
 
     def run_from_tuples(self, tuples: Iterable[PathCommTuple]) -> PipelineResult:
         """Classify pre-sanitized ``(path, comm)`` tuples directly.
@@ -144,9 +153,8 @@ class InferencePipeline:
     def run_from_mrt(self, blobs: Mapping[str, bytes]) -> PipelineResult:
         """Decode per-collector MRT blobs, then sanitize and classify.
 
-        Decoding is lazy: route blocks stream from the decoder (one attribute
-        memo for the run) into the sanitizer as their observation view,
-        without materialising per-collector observation lists.
+        Decoding is lazy: the decoder's route blocks (one attribute memo for
+        the run) go straight into the sanitizer's loop as columns, so a route
+        whose outcome is memoised never becomes an object.
         """
-        blocks = iter_route_blocks_from_mrt(blobs, SANITIZE_BLOCK_SIZE)
-        return self.run_from_observations(chain.from_iterable(blocks))
+        return self._run_blocks(iter_route_blocks_from_mrt(blobs, SANITIZE_BLOCK_SIZE))

@@ -1,19 +1,25 @@
 """The sanitation pipeline itself.
 
-:class:`Sanitizer` turns raw decoded collector data (RIB entries and update
-messages) into the deduplicated list of ``(path, comm)`` tuples that the
-inference algorithm consumes, applying the filtering and transformation steps
-of Section 4.1 and recording statistics about what was dropped.
+:class:`Sanitizer` turns decoded collector routes into the deduplicated
+``(path, comm)`` tuples that the inference algorithm consumes, applying the
+filtering and transformation steps of Section 4.1 and recording statistics
+about what was dropped.  Sanitation and dedup are one loop,
+:meth:`Sanitizer.dedup_block`, over the columns of a
+:class:`~repro.bgp.announcement.RouteBlock`: batch ``classify``
+(:class:`~repro.core.pipeline.InferencePipeline`) and every shard of the
+streaming engine (:class:`~repro.stream.sharding.ShardWorker`) run it, and a
+route whose outcome is memoised costs one lookup and no object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation, iter_blocks
+from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.asn import ASN, ASNRegistry, is_public_asn
+from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import PrefixAllocation
 
@@ -45,13 +51,19 @@ _PATH_STAT_FIELDS: Tuple[str, ...] = (
     "dropped_unallocated_asn",
     "dropped_too_long",
 )
-#: Observations decoded and sanitized per block by the batch path (purely a
+#: Routes decoded and sanitized per block by the batch path (purely a
 #: throughput constant, never changes the output).
 SANITIZE_BLOCK_SIZE = 4096
+#: Distinct ``(path, comm, peer)`` inputs a sanitizer's memo holds before it
+#: starts over (the decoder's ``ATTRIBUTE_MEMO_CAP`` twin): it memoises drops
+#: too, so a flap storm of garbage would grow it for ever.
+SHARD_MEMO_CAP = 65536
 #: One C-level call snapshotting all of them at once.
 _PATH_STATS = attrgetter(*_PATH_STAT_FIELDS)
 #: The counters one :meth:`Sanitizer.sanitize_path` call moved: ``(name, increment)`` pairs.
 StatDeltas = Tuple[Tuple[str, int], ...]
+#: Maps a sanitized ``(path, comm)`` to its dedup key: a table's ``intern``.
+DedupKey = Callable[[ASPath, CommunitySet], Tuple]
 
 
 @dataclass
@@ -108,8 +120,12 @@ class Sanitizer:
         # update streams, and registry allocation (which can change) is
         # deliberately NOT cached.
         self._public_asn_cache: Dict[ASN, bool] = {}
+        #: :meth:`dedup_block`'s outcome memo: input ``(path, comm, peer,
+        #: has_as_set)`` -> ``[dedup_key, stat_deltas, pending_hits]``, the
+        #: key ``None`` for a dropped input.
+        self._memo: Dict[Tuple, List] = {}
 
-    # -- single-observation path --------------------------------------------
+    # -- one path -----------------------------------------------------------
     def sanitize_path(self, path: ASPath, peer_asn: Optional[ASN] = None) -> Optional[ASPath]:
         """Sanitize one AS path; return ``None`` if it must be dropped."""
         config = self.config
@@ -173,168 +189,115 @@ class Sanitizer:
         for name, increment in deltas:
             setattr(stats, name, getattr(stats, name) + increment * hits)
 
-    def sanitize_observation(self, observation: RouteObservation) -> Optional[RouteObservation]:
-        """Sanitize one observation; return ``None`` if it must be dropped."""
-        self.stats.observations_in += 1
-        if (
-            self.config.drop_unallocated_prefixes
-            and self.prefix_allocation is not None
-            and not self.prefix_allocation.is_allocated(observation.prefix)
-        ):
-            self.stats.dropped_unallocated_prefix += 1
-            return None
+    def clear_memo(self) -> None:
+        """Forget every memoised outcome (their dedup keys may be stale)."""
+        self._memo.clear()
 
-        path = self.sanitize_path(observation.path, observation.peer_asn)
-        if path is None:
-            return None
+    # -- the block loop -------------------------------------------------------
+    def dedup_block(
+        self,
+        block: RouteBlock,
+        seen: Set[Tuple],
+        kept: Optional[List[Tuple[int, Tuple]]] = None,
+        indices: Optional[Sequence[int]] = None,
+        key: Optional[DedupKey] = None,
+    ) -> List[Tuple[int, Tuple]]:
+        """Sanitize the routes of one block and dedup the survivors into *seen*.
 
-        self.stats.observations_out += 1
-        if path is observation.path:
-            return observation
-        return RouteObservation(
-            collector=observation.collector,
-            peer_asn=observation.peer_asn,
-            prefix=observation.prefix,
-            path=path,
-            communities=observation.communities,
-            timestamp=observation.timestamp,
-            from_rib=observation.from_rib,
-        )
+        *indices* selects the positions of *block* to take, all of them by
+        default.  Returns ``(index, dedup_key)`` for the tuples not yet in
+        *seen*, in input order, and adds them to it; dropped and duplicate
+        routes produce nothing.  When *kept* is a list it also receives
+        ``(index, dedup_key)`` for every route that survived sanitation, new
+        or duplicate.  The dedup key of a sanitized route is
+        ``key(path, communities)`` -- a :class:`~repro.core.tuples.TupleTable`'s
+        ``intern`` -- or by default the ``(path, communities)`` pair itself.
 
-    # -- block path -----------------------------------------------------------
+        The outcome is memoised per distinct ``(path, comm, peer)`` input, and
+        each hit replays the recorded stat increments, so the counters stay
+        event-for-event identical to sanitizing every route on its own.  With
+        no ASN registry and no prefix allocation attached, sanitation is a
+        pure function of those fields and the memo lives across calls (cleared
+        at :data:`SHARD_MEMO_CAP`); with either attached -- both may change
+        between blocks by design -- it lives for this call only, and the
+        allocation is asked about every route before the memo.  The memo
+        holds *key*'s keys, so a sanitizer serves one key function.  Hit
+        replays are buffered per entry and applied once at the end of the
+        block; stats are only read between blocks, never inside one.
+        """
+        if indices is None:
+            indices = range(len(block))
+            columns = zip(indices, block.peer_asns, block.paths, block.communities)
+        else:
+            columns = zip(
+                indices,
+                map(block.peer_asns.__getitem__, indices),
+                map(block.paths.__getitem__, indices),
+                map(block.communities.__getitem__, indices),
+            )
+        stats = self.stats
+        allocation = self.prefix_allocation if self.config.drop_unallocated_prefixes else None
+        memo = self._memo if self.asn_registry is None and self.prefix_allocation is None else {}
+        memo_get = memo.get
+        sanitize = self.sanitize_path_recorded
+        dedup_key = _pair if key is None else key
+        seen_add = seen.add
+        news: List[Tuple[int, Tuple]] = []
+        append = news.append
+        keep = None if kept is None else kept.append
+        touched: List[List] = []
+        touched_append = touched.append
+        kept_out = 0
+        for index, peer_asn, path, communities in columns:
+            if allocation is not None and not allocation.is_allocated(block.prefix(index)):
+                stats.dropped_unallocated_prefix += 1
+                continue
+            memo_key = (path, communities, peer_asn, path.has_as_set)
+            entry = memo_get(memo_key)
+            if entry is None:
+                sanitized, deltas = sanitize(path, peer_asn)
+                entry = [None if sanitized is None else dedup_key(sanitized, communities), deltas, 0]
+                if len(memo) >= SHARD_MEMO_CAP:
+                    memo.clear()
+                memo[memo_key] = entry
+            elif entry[1]:
+                hits = entry[2]
+                if hits == 0:
+                    touched_append(entry)
+                entry[2] = hits + 1
+            found = entry[0]
+            if found is None:
+                continue
+            kept_out += 1
+            if keep is not None:
+                keep((index, found))
+            if found not in seen:
+                seen_add(found)
+                append((index, found))
+        stats.observations_in += len(indices)
+        stats.observations_out += kept_out
+        for entry in touched:
+            self.replay(entry[1], entry[2])
+            entry[2] = 0
+        return news
+
     def sanitize_block(
         self, observations: Sequence[RouteObservation]
     ) -> List[Optional[RouteObservation]]:
-        """Sanitize one decoded block; return a mask-aligned result list.
+        """:meth:`dedup_block` over *observations* as a mask-aligned list.
 
-        The returned list has one entry per input observation — the sanitized
-        observation, or ``None`` where a filter dropped it — so callers can
-        keep block positions (timestamps, shard assignments) aligned.  Within
-        the block, path sanitation is memoized per distinct path and peer
-        (:meth:`sanitize_path_recorded`, replayed on each hit), so the
-        counters stay event-for-event identical to the per-observation path.
-        The memo lives only for this call: registries and allocations cannot
-        mutate mid-call, so hits are always consistent, and nothing goes
-        stale across calls.  (The streaming engine's memoised loop is
-        :meth:`repro.stream.sharding.ShardWorker.process_block`.)
+        One entry per input observation: the sanitized observation, or
+        ``None`` where a filter dropped it.
         """
-        stats = self.stats
-        allocation = self.prefix_allocation
-        check_prefix = self.config.drop_unallocated_prefixes
-        memo: Dict[Tuple[ASPath, Optional[ASN], bool], Tuple[Optional[ASPath], StatDeltas]] = {}
-        out: List[Optional[RouteObservation]] = []
-        append = out.append
-        for observation in observations:
-            stats.observations_in += 1
-            if (
-                check_prefix
-                and allocation is not None
-                and not allocation.is_allocated(observation.prefix)
-            ):
-                stats.dropped_unallocated_prefix += 1
-                append(None)
-                continue
-            # ``==`` on paths ignores the wire segments; an AS_SET does not.
-            key = (observation.path, observation.peer_asn, observation.path.has_as_set)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = self.sanitize_path_recorded(key[0], key[1])
-            elif hit[1]:
-                self.replay(hit[1])
-            path = hit[0]
-            if path is None:
-                append(None)
-                continue
-            stats.observations_out += 1
-            if path is observation.path:
-                append(observation)
-            else:
-                append(
-                    RouteObservation(
-                        collector=observation.collector,
-                        peer_asn=observation.peer_asn,
-                        prefix=observation.prefix,
-                        path=path,
-                        communities=observation.communities,
-                        timestamp=observation.timestamp,
-                        from_rib=observation.from_rib,
-                    )
-                )
+        block = RouteBlock.from_observations(observations)
+        kept: List[Tuple[int, Tuple]] = []
+        self.dedup_block(block, set(), kept)
+        out: List[Optional[RouteObservation]] = [None] * len(block)
+        for index, (path, _communities) in kept:
+            observation = block[index]
+            out[index] = observation if path is observation.path else replace(observation, path=path)
         return out
 
-    def iter_unique_tuples_blocked(
-        self,
-        observations: Iterable[RouteObservation],
-        block_size: int,
-        deduper: Optional["TupleDeduper"] = None,
-    ) -> Iterator[PathCommTuple]:
-        """Blocked variant of :meth:`iter_unique_tuples`.
 
-        Buffers *observations* into blocks of *block_size* and runs
-        :meth:`sanitize_block` over each, amortizing per-event dispatch while
-        yielding exactly the same unique tuples in the same order.
-        """
-        deduper = deduper if deduper is not None else TupleDeduper()
-        for block in iter_blocks(observations, block_size):
-            for sanitized in self.sanitize_block(block):
-                if sanitized is not None:
-                    unique = deduper.add(sanitized)
-                    if unique is not None:
-                        yield unique
-
-    # -- bulk paths -----------------------------------------------------------
-    def sanitize_observations(
-        self, observations: Iterable[RouteObservation]
-    ) -> Iterator[RouteObservation]:
-        """Yield the sanitized subset of *observations*."""
-        for observation in observations:
-            sanitized = self.sanitize_observation(observation)
-            if sanitized is not None:
-                yield sanitized
-
-    def iter_unique_tuples(
-        self,
-        observations: Iterable[RouteObservation],
-        deduper: Optional["TupleDeduper"] = None,
-    ) -> Iterator[PathCommTuple]:
-        """Lazily sanitize and deduplicate into unique ``(path, comm)`` tuples.
-
-        This is the streaming fast path: observations are pulled one at a
-        time, so arbitrarily large inputs flow through in constant memory
-        (modulo the dedup set).  Passing a shared :class:`TupleDeduper` lets
-        several calls (e.g. successive stream batches) share dedup state.
-        """
-        deduper = deduper if deduper is not None else TupleDeduper()
-        for observation in self.sanitize_observations(observations):
-            unique = deduper.add(observation)
-            if unique is not None:
-                yield unique
-
-    def to_unique_tuples(self, observations: Iterable[RouteObservation]) -> List[PathCommTuple]:
-        """Sanitize and deduplicate into unique ``(path, comm)`` tuples."""
-        return list(self.iter_unique_tuples(observations))
-
-
-class TupleDeduper:
-    """Stateful first-appearance deduplication of ``(path, comm)`` pairs.
-
-    The batch sanitizer's dedup state; passing one deduper to several
-    :meth:`Sanitizer.iter_unique_tuples` calls shares it across them.  (The
-    streaming engine's shard workers own plain sets of interned ids instead.)
-    """
-
-    __slots__ = ("_seen",)
-
-    def __init__(self) -> None:
-        self._seen: Set[Tuple] = set()
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def add(self, observation: RouteObservation) -> Optional[PathCommTuple]:
-        """Return the observation's tuple if unseen so far, else ``None``."""
-        key = (observation.path, observation.communities)
-        if key in self._seen:
-            return None
-        self._seen.add(key)
-        return PathCommTuple(observation.path, observation.communities)
+def _pair(path: ASPath, communities: CommunitySet) -> Tuple[ASPath, CommunitySet]:
+    return path, communities

@@ -15,9 +15,9 @@ A shard is driven a block at a time and hands back one thing: the
 :meth:`ShardRouter.process_block`).  Callers that also need every surviving
 observation's key — the engine's sliding-window retention map — pass a
 ``kept`` list to fill.  The process pool speaks the same contract over pipes.
-There is one sanitize → dedup loop, over the columns of a
-:class:`~repro.bgp.announcement.RouteBlock`: a route whose sanitation outcome
-is memoised (up to :data:`SHARD_MEMO_CAP`) costs one lookup and no object.
+The sanitize → dedup loop itself is
+:meth:`~repro.sanitize.filters.Sanitizer.dedup_block`, the one batch
+``classify`` runs too; a worker adds the shard's dedup set to it.
 
 Workers are plain objects; the engine drives them synchronously, and
 :class:`~repro.parallel.pool.ShardProcessPool` hosts the same class in
@@ -40,11 +40,6 @@ from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
 #: dense ranges, so a plain modulo would skew the shard load badly.
 _HASH_MULTIPLIER = 2654435761
 
-#: Distinct ``(path, comm, peer)`` inputs one worker's sanitation memo holds
-#: before it starts over (the decoder's ``ATTRIBUTE_MEMO_CAP`` twin): it
-#: memoises drops too, so a flap storm of garbage would grow it for ever.
-SHARD_MEMO_CAP = 65536
-
 
 def shard_of(peer_asn: ASN, shards: int) -> int:
     """Deterministic shard index of *peer_asn* (stable across processes)."""
@@ -52,19 +47,15 @@ def shard_of(peer_asn: ASN, shards: int) -> int:
 
 
 class ShardWorker:
-    """One partition worker: sanitation plus tuple deduplication.
+    """One partition worker: the dedup set of one slice of the tuple space.
 
-    The dedup key of a sanitized tuple is its ``(path_id, comm_id)`` ref
-    into the engine's shared :class:`~repro.core.tuples.TupleTable`.  The
-    process pool's workers live in other address spaces and get no table:
-    they key on the sanitized ``(path, comm)`` pair and the parent engine
-    interns what they return.  The sanitation outcome is memoised per
-    distinct ``(path, comm, peer)`` input — update streams re-announce the
-    same tuples constantly, and sanitation is a pure function of those
-    fields when no mutable allocation context (ASN registry / prefix
-    allocation, which may change mid-stream by design) is attached.  Memo
-    hits replay the recorded per-stat increments, so the sanitation
-    statistics stay event-for-event identical to unmemoised sanitation.
+    Sanitation and dedup are its :class:`~repro.sanitize.filters.Sanitizer`'s
+    block loop (which owns the outcome memo); the worker holds the dedup set,
+    the event count and the checkpoint state.  The dedup key of a sanitized
+    tuple is its ``(path_id, comm_id)`` ref into the engine's shared
+    :class:`~repro.core.tuples.TupleTable`.  Without a table -- the process
+    pool's workers live in other address spaces -- it is the sanitized
+    ``(path, comm)`` pair, which the parent engine interns.
     """
 
     def __init__(
@@ -86,13 +77,6 @@ class ShardWorker:
         self._seen: Set[Tuple] = set()
         self.events_processed = 0
         self.table = table
-        #: Sanitation memo: input key -> ``[dedup_key, stat_deltas,
-        #: pending_hits]``.  ``dedup_key`` is ``None`` when the input is
-        #: dropped; ``stat_deltas`` are the per-stat increments to replay on
-        #: every hit; ``pending_hits`` buffers hit counts within one
-        #: :meth:`process_block` call so the replay happens once per block
-        #: instead of once per event.  Cleared at :data:`SHARD_MEMO_CAP`.
-        self._memo: Dict[Tuple, List] = {}
 
     def process_block(
         self,
@@ -104,80 +88,13 @@ class ShardWorker:
 
         *indices* selects the positions of *block* that are this shard's, all
         of them by default.  Returns ``(index, key)`` for the tuples new to
-        this shard, in input order; dropped and duplicate routes produce
-        nothing.  When *kept* is a list it also receives ``(index, key)`` for
-        every route that survived sanitation, new or duplicate (what
-        sliding-window retention needs).  Memo-hit stat replays are buffered
-        per entry and applied once at the end of the block; that is
-        observationally identical to per-event replay because stats are only
-        read between blocks, never inside one.
+        this shard, in input order; *kept*, when a list, also receives
+        ``(index, key)`` for every surviving route (what sliding-window
+        retention needs).  See :meth:`Sanitizer.dedup_block`.
         """
-        if indices is None:
-            indices = range(len(block))
-            columns = zip(indices, block.peer_asns, block.paths, block.communities)
-        else:
-            columns = zip(
-                indices,
-                map(block.peer_asns.__getitem__, indices),
-                map(block.paths.__getitem__, indices),
-                map(block.communities.__getitem__, indices),
-            )
-        sanitizer = self.sanitizer
-        stats = sanitizer.stats
-        allocation = (
-            sanitizer.prefix_allocation if sanitizer.config.drop_unallocated_prefixes else None
-        )
-        # The registry / allocation objects are mutable mid-stream by design
-        # (their lookups are deliberately uncached); memoising is only sound
-        # without them, so with either attached the memo is not consulted.
-        memoised = sanitizer.asn_registry is None and sanitizer.prefix_allocation is None
-        memo = self._memo if memoised else {}
-        memo_get = memo.get
-        sanitize = sanitizer.sanitize_path_recorded
-        # The dedup key: the interned ref, or (pool workers, no table) the pair.
-        intern = (lambda *pair: pair) if self.table is None else self.table.intern
-        seen = self._seen
-        seen_add = seen.add
-        news: List[Tuple[int, Tuple]] = []
-        append = news.append
-        keep = None if kept is None else kept.append
-        touched: List[List] = []
-        touched_append = touched.append
-        kept_out = 0
-        for index, peer_asn, path, communities in columns:
-            memo_key = (path, communities, peer_asn, path.has_as_set)
-            entry = memo_get(memo_key)
-            if entry is None:
-                if allocation is not None and not allocation.is_allocated(block.prefix(index)):
-                    stats.dropped_unallocated_prefix += 1
-                    continue
-                sanitized, deltas = sanitize(path, peer_asn)
-                key = None if sanitized is None else intern(sanitized, communities)
-                entry = [key, deltas, 0]
-                if memoised:
-                    if len(memo) >= SHARD_MEMO_CAP:
-                        memo.clear()
-                    memo[memo_key] = entry
-            elif entry[1]:
-                hits = entry[2]
-                if hits == 0:
-                    touched_append(entry)
-                entry[2] = hits + 1
-            key = entry[0]
-            if key is None:
-                continue
-            kept_out += 1
-            if keep is not None:
-                keep((index, key))
-            if key not in seen:
-                seen_add(key)
-                append((index, key))
-        stats.observations_in += len(indices)
-        stats.observations_out += kept_out
-        for entry in touched:
-            sanitizer.replay(entry[1], entry[2])
-            entry[2] = 0
-        self.events_processed += len(indices)
+        key = None if self.table is None else self.table.intern
+        news = self.sanitizer.dedup_block(block, self._seen, kept, indices, key)
+        self.events_processed += len(block) if indices is None else len(indices)
         return news
 
     def evict(self, keys: Iterable[Tuple]) -> int:
@@ -209,7 +126,7 @@ class ShardWorker:
         self.events_processed = state["events_processed"]
         # Memoised refs may point at ids interned after the checkpoint was
         # written; a restore rewinds the shared table, so drop them.
-        self._memo.clear()
+        self.sanitizer.clear_memo()
 
 
 class ShardRouter:

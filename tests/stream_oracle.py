@@ -14,9 +14,9 @@ statement about two implementations.
 from __future__ import annotations
 
 from column_oracle import ListingInference, assert_same_result
+from sanitize_oracle import ObservationSanitizer
 
 from repro.bgp.announcement import PathCommTuple
-from repro.sanitize.filters import Sanitizer
 from repro.stream import ColumnarColumnClassifier, WindowClock, WindowPolicy
 
 
@@ -26,7 +26,7 @@ def reference_windows(events, spec, *, asn_registry=None):
     One ``(start, end, events_total, unique_tuples, code map, counters,
     changed)`` tuple per closed window, the final close included.
     """
-    sanitizer = Sanitizer(asn_registry=asn_registry)
+    sanitizer = ObservationSanitizer(asn_registry=asn_registry)
     clock = WindowClock(spec)
     inference = ListingInference()
     last_seen = {}  # sanitized (path, comm) -> newest event time it was seen at

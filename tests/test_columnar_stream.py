@@ -204,16 +204,16 @@ class TestShardWorkerMemo:
         item = PathCommTuple(ASPath((101, 102)), CommunitySet())
         worker.process_block(lowered([_observation(item, 1)]))
         worker.process_block(lowered([_observation(item, 2)]))
-        assert not worker._memo  # lookups stay live against the registry
+        assert not worker.sanitizer._memo  # lookups stay live against the registry
         assert worker.sanitizer.stats.observations_in == 2
 
     def test_memo_cleared_on_state_restore(self):
         worker = ShardWorker(0, table=TupleTable())
         item = PathCommTuple(ASPath((101, 102)), CommunitySet())
         worker.process_block(lowered([_observation(item, 1)]))
-        assert worker._memo
+        assert worker.sanitizer._memo
         worker.load_state_dict(worker.state_dict())
-        assert not worker._memo
+        assert not worker.sanitizer._memo
 
 
 class TestStateSnapshotsAreFrozen:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.bgp.announcement import PathCommTuple, RouteObservation, unique_tuples
+from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes, RIBEntry
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
+from repro.core.pipeline import InferencePipeline
 
 
 @pytest.fixture()
@@ -94,16 +95,21 @@ class TestObservations:
         assert communities == CommunitySet.empty()
         assert len(item) == 2
 
+    @staticmethod
+    def unique_tuples(observations):
+        """The batch pipeline's unique ``(path, comm)`` tuples."""
+        return InferencePipeline().run_from_observations(observations).tuples
+
     def test_unique_tuples_deduplicates(self):
         a = self._observation([3356, 1299])
         b = self._observation([3356, 1299])
         c = self._observation([3356, 1299], comms=("1299:1",))
-        result = unique_tuples([a, b, c])
+        result = self.unique_tuples([a, b, c])
         assert len(result) == 2
 
     def test_unique_tuples_preserves_order(self):
         a = self._observation([1, 2])
         b = self._observation([3, 4])
-        result = unique_tuples([a, b, a])
+        result = self.unique_tuples([a, b, a])
         assert result[0].path == ASPath([1, 2])
         assert result[1].path == ASPath([3, 4])

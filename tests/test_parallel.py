@@ -9,10 +9,11 @@ observed ASes, same window snapshots, same checkpoints.
 from dataclasses import replace
 
 import pytest
+from sanitize_oracle import ObservationSanitizer
 
 from repro.bgp.announcement import PathCommTuple
 from repro.parallel import ParallelStreamEngine, ShardProcessPool
-from repro.sanitize.filters import SanitationConfig, Sanitizer
+from repro.sanitize.filters import SanitationConfig
 from repro.stream import (
     MemorySource,
     ScenarioSource,
@@ -44,7 +45,7 @@ def feed(scenario_builder):
 class TestShardProcessPool:
     def test_process_batch_matches_serial_sanitizer(self, feed):
         sample = feed[:500]
-        serial = Sanitizer()
+        serial = ObservationSanitizer()
         expected = serial.to_unique_tuples(sample)
         with ShardProcessPool(shards=4, workers=2) as pool:
             kept = []

@@ -7,10 +7,14 @@ this suite pins what the engine does with one:
   :mod:`stream_oracle` publishes over the observation view of the same bytes
   -- for block sizes that cut windows and checkpoints mid-block, one shard
   or eight, cumulative or sliding windows, interrupted and resumed or not;
-* the merged sanitize -> dedup loop moves every sanitation counter exactly as
-  per-observation ``Sanitizer.sanitize_observation`` does, on mutated input,
-  with and without the memo, and ``in - out`` is the sum of the drop reasons;
-* the shard memo is capped and the cap is unobservable.
+* the one sanitize -> dedup loop (``Sanitizer.dedup_block``) moves every
+  sanitation counter exactly as the per-observation reference in
+  :mod:`sanitize_oracle` does, on mutated input, with and without the memo,
+  and ``in - out`` is the sum of the drop reasons;
+* batch ``classify`` (``InferencePipeline``), which runs the same loop,
+  yields the reference's unique tuples in the same order and all of its
+  counters, from observations and from MRT bytes;
+* the memo is capped and the cap is unobservable.
 """
 
 from __future__ import annotations
@@ -20,17 +24,21 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sanitize_oracle import ObservationSanitizer
 from stream_oracle import engine_windows, reference_windows
 
 from repro.bgp.announcement import RouteBlock, RouteObservation
+from repro.bgp.asn import ASNRegistry, is_public_asn
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, PathAttributes
 from repro.bgp.path import ASPath, PathSegment, SegmentType
 from repro.bgp.prefix import PrefixAllocation, parse_prefix
 from repro.collectors.archive import observations_from_mrt
+from repro.core import pipeline
 from repro.core.pipeline import InferencePipeline
 from repro.core.tuples import TupleTable
 from repro.mrt import MRTDecoder, MRTEncoder
+from repro.sanitize import filters
 from repro.sanitize.filters import SanitationConfig, Sanitizer
 from repro.stream import (
     CheckpointManager,
@@ -40,7 +48,6 @@ from repro.stream import (
     WindowPolicy,
     WindowSpec,
 )
-from repro.stream import sharding
 from repro.stream.sharding import ShardWorker
 
 PREFIXES = tuple(
@@ -73,6 +80,10 @@ _PATHS = [
         [PathSegment(SegmentType.AS_CONFED_SEQUENCE, (64600,)), PathSegment(SegmentType.AS_SEQUENCE, (1299, 2914))]
     ),
 ]
+#: Every public ASN of the day but 174, which four of the paths carry.
+REGISTRY = ASNRegistry.from_asns(
+    asn for asn in {*PEERS, *(asn for path in _PATHS for asn in path.asns)} - {174} if is_public_asn(asn)
+)
 _COMMUNITIES = [
     CommunitySet.empty(),
     CommunitySet.from_strings(["3356:100", "1299:20000"]),
@@ -281,12 +292,8 @@ _DROP_REASONS = (
 
 def per_observation(observations, **sanitizer_options):
     """``(stats, unique sanitized pairs in first-appearance order)``, the slow way."""
-    sanitizer = Sanitizer(**sanitizer_options)
-    pairs = []
-    for observation in observations:
-        kept = sanitizer.sanitize_observation(observation)
-        if kept is not None and (kept.path, kept.communities) not in pairs:
-            pairs.append((kept.path, kept.communities))
+    sanitizer = ObservationSanitizer(**sanitizer_options)
+    pairs = [(item.path, item.communities) for item in sanitizer.to_unique_tuples(observations)]
     return sanitizer.stats.as_dict(), pairs
 
 
@@ -359,7 +366,7 @@ class TestSanitationCounters:
                 (path.asns, comm) for path, comm in expected_pairs
             ]
         assert Sanitizer(**options).sanitize_block(observations) == [
-            Sanitizer(**options).sanitize_observation(item) for item in observations
+            ObservationSanitizer(**options).sanitize_observation(item) for item in observations
         ]
 
     def test_the_day_drops_for_every_reason(self, day):
@@ -369,6 +376,50 @@ class TestSanitationCounters:
         )
         assert all(stats[reason] > 0 for reason in _DROP_REASONS)
         assert stats["peer_prepended"] > 0 and stats["prepending_collapsed"] > 0
+
+    @pytest.mark.parametrize("block_size", (7, 4096))
+    @pytest.mark.parametrize("attached", ("nothing", "registry", "allocation", "both"))
+    def test_batch_equals_the_oracle(self, day, monkeypatch, attached, block_size):
+        """``run_from_observations`` and ``run_from_mrt``: the reference's
+        unique tuples in order, and all ten counters."""
+        blob, observations = day
+        options = {
+            "asn_registry": REGISTRY if attached in ("registry", "both") else None,
+            "prefix_allocation": ALLOCATION if attached in ("allocation", "both") else None,
+        }
+        reference = ObservationSanitizer(**options)
+        expected = [(item.path.asns, item.communities) for item in reference.to_unique_tuples(observations)]
+        monkeypatch.setattr(pipeline, "SANITIZE_BLOCK_SIZE", block_size)
+        batch = InferencePipeline(**options)
+        for outcome in (batch.run_from_observations(iter(observations)), batch.run_from_mrt({"rrc00": blob})):
+            assert [(item.path.asns, item.communities) for item in outcome.tuples] == expected
+            assert outcome.sanitation.as_dict() == reference.stats.as_dict()
+            assert outcome.observations_in == len(observations)
+        assert expected and reference.stats.dropped_total > 0
+        if options["asn_registry"] is not None:
+            unregistered = ObservationSanitizer(prefix_allocation=options["prefix_allocation"])
+            unregistered.to_unique_tuples(observations)
+            assert reference.stats.dropped_unallocated_asn > unregistered.stats.dropped_unallocated_asn
+
+    def test_a_memo_hit_still_asks_the_allocation(self):
+        """Inside one block the same ``(path, comm, peer)`` arrives with an
+        allocated prefix, then with an unallocated one: the second is
+        dropped although its outcome is memoised."""
+        path, communities = ASPath([3356, 1299, 2914]), _COMMUNITIES[1]
+        rows = [(1000 + index, 3356, prefix, path, communities, False) for index, prefix in enumerate(PREFIXES[:3])]
+        observations = [
+            RouteObservation("rrc00", peer, prefix, path, communities, timestamp)
+            for timestamp, peer, prefix, path, communities, _rib in rows
+        ]
+        assert [ALLOCATION.is_allocated(item.prefix) for item in observations] == [True, True, False]
+        batch = InferencePipeline(prefix_allocation=ALLOCATION)
+        for outcome in (batch.run_from_observations(observations), batch.run_from_mrt({"rrc00": to_mrt(rows)})):
+            assert outcome.sanitation.dropped_unallocated_prefix == 1
+            assert outcome.sanitation.observations_out == 2
+        engine = StreamEngine(StreamConfig(window=WindowSpec(size=86400)), prefix_allocation=ALLOCATION)
+        engine.ingest_block(observations)
+        assert engine.sanitation_stats().dropped_unallocated_prefix == 1
+        assert engine.sanitation_stats().observations_out == 2
 
     def test_an_allocation_attached_mid_stream_is_consulted_at_once(self, day):
         """Entries memoised while nothing was attached must not answer for
@@ -381,7 +432,7 @@ class TestSanitationCounters:
         worker.sanitizer.prefix_allocation = ALLOCATION
         before = worker.sanitizer.stats.observations_out
         worker.process_block(block)
-        reference = Sanitizer(prefix_allocation=ALLOCATION)
+        reference = ObservationSanitizer(prefix_allocation=ALLOCATION)
         kept = [reference.sanitize_observation(item) for item in observations]
         assert worker.sanitizer.stats.dropped_unallocated_prefix == reference.stats.dropped_unallocated_prefix > 0
         assert worker.sanitizer.stats.observations_out - before == sum(item is not None for item in kept)
@@ -392,7 +443,7 @@ class TestSanitationCounters:
         (block,) = MRTDecoder(blob).blocks("rrc00", 4096)
         engine.ingest_block(block)
         newest = {}
-        reference = Sanitizer()
+        reference = ObservationSanitizer()
         for item in observations:
             kept = reference.sanitize_observation(item)
             if kept is not None:
@@ -430,7 +481,7 @@ class TestShardMemoCap:
             for feed in (block, block, observations[: start + 16 : 5]):
                 kept = []
                 outputs.append((worker.process_block(RouteBlock.from_observations(feed), kept), kept))
-                largest = max(largest, len(worker._memo))
+                largest = max(largest, len(worker.sanitizer._memo))
         return outputs, worker.sanitizer.stats.as_dict(), worker.unique_tuples, largest
 
     @pytest.mark.parametrize("table", (True, False))
@@ -438,7 +489,7 @@ class TestShardMemoCap:
         observations = self.storm(200)
         uncapped = self.run(observations, table)
         assert uncapped[3] == 200 and uncapped[1]["dropped_unallocated_asn"] > 0
-        monkeypatch.setattr(sharding, "SHARD_MEMO_CAP", 24)
+        monkeypatch.setattr(filters, "SHARD_MEMO_CAP", 24)
         capped = self.run(observations, table)
         assert capped[3] <= 24
         assert capped[:3] == uncapped[:3]
@@ -446,4 +497,4 @@ class TestShardMemoCap:
     def test_the_default_cap_is_the_decoders(self):
         from repro.mrt.decoder import ATTRIBUTE_MEMO_CAP
 
-        assert sharding.SHARD_MEMO_CAP == ATTRIBUTE_MEMO_CAP == 65536
+        assert filters.SHARD_MEMO_CAP == ATTRIBUTE_MEMO_CAP == 65536

@@ -7,6 +7,7 @@ from repro.bgp.asn import ASNRegistry
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import PrefixAllocation, parse_prefix
+from repro.core.pipeline import InferencePipeline
 from repro.sanitize.filters import SanitationConfig, Sanitizer
 
 
@@ -78,18 +79,22 @@ class TestPathSanitation:
 
 
 class TestObservationSanitation:
+    """The block loop's per-observation outcomes, through the mask-aligned
+    :meth:`Sanitizer.sanitize_block` view and the batch pipeline."""
+
     def test_unallocated_prefix_dropped(self, sanitizer):
         observation = make_observation([10, 20], prefix="10.1.2.0/24")
-        assert sanitizer.sanitize_observation(observation) is None
+        assert sanitizer.sanitize_block([observation]) == [None]
         assert sanitizer.stats.dropped_unallocated_prefix == 1
 
     def test_clean_observation_returned_as_is(self, sanitizer):
         observation = make_observation([10, 20])
-        assert sanitizer.sanitize_observation(observation) is observation
+        (result,) = sanitizer.sanitize_block([observation])
+        assert result is observation
 
     def test_rewritten_observation_keeps_metadata(self, sanitizer):
         observation = make_observation([10, 10, 20], comms=["10:1"])
-        result = sanitizer.sanitize_observation(observation)
+        (result,) = sanitizer.sanitize_block([observation])
         assert result.path.asns == (10, 20)
         assert result.collector == observation.collector
         assert result.communities == observation.communities
@@ -100,16 +105,20 @@ class TestObservationSanitation:
             make_observation([10, 99]),
             make_observation([10, 20, 30]),
         ]
-        clean = list(sanitizer.sanitize_observations(observations))
+        clean = [item for item in sanitizer.sanitize_block(observations) if item is not None]
         assert len(clean) == 2
         assert sanitizer.stats.observations_in == 3
         assert sanitizer.stats.observations_out == 2
         assert sanitizer.stats.dropped_total == 1
 
-    def test_to_unique_tuples_deduplicates(self, sanitizer):
+    def test_the_pipeline_deduplicates(self, registry):
         observations = [make_observation([10, 20]), make_observation([10, 20])]
-        tuples = sanitizer.to_unique_tuples(observations)
-        assert len(tuples) == 1
+        pipeline = InferencePipeline(
+            asn_registry=registry, prefix_allocation=PrefixAllocation.default_internet()
+        )
+        outcome = pipeline.run_from_observations(observations)
+        assert len(outcome.tuples) == 1
+        assert outcome.sanitation.observations_out == 2
 
     def test_stats_as_dict_keys(self, sanitizer):
         data = sanitizer.stats.as_dict()

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 from column_oracle import ListingInference, decision_view
+from sanitize_oracle import ObservationSanitizer
 
 from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation
 from repro.bgp.asn import ASNRegistry
@@ -24,7 +25,6 @@ from repro.bgp.prefix import parse_prefix
 from repro.core.counters import CounterStore
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
-from repro.sanitize.filters import Sanitizer
 from repro.stream import (
     CheckpointError,
     CheckpointManager,
@@ -279,7 +279,7 @@ def contract_feed(count=600, seed=29):
 
 def reference_route(events, shards, registry):
     """Per-event sanitation into one set: what any block split must equal."""
-    sanitizers = [Sanitizer(asn_registry=registry) for _ in range(shards)]
+    sanitizers = [ObservationSanitizer(asn_registry=registry) for _ in range(shards)]
     loads = [0] * shards
     seen, news, kept = set(), [], []
     for index, event in enumerate(events):
@@ -333,7 +333,7 @@ class TestShardBlockContract:
         assert router.unique_tuples == len(want_news)
         assert want_stats["observations_in"] > want_stats["observations_out"] > len(want_news)
         assert all(want_loads)
-        assert any(worker._memo for worker in router.workers) != with_registry
+        assert any(worker.sanitizer._memo for worker in router.workers) != with_registry
 
     def test_kept_is_only_filled_on_request(self):
         events = contract_feed(50)
