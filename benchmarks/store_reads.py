@@ -22,7 +22,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.counters import CounterStore
+import numpy as np
+
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.service import SnapshotStore
@@ -57,8 +58,9 @@ def main() -> None:
             for _ in range(args.rows // 20):
                 gone, back = rng.randrange(len(live)), rng.randrange(len(spare))
                 live[gone], spare[back] = spare[back], live[gone]
-            state = {asn: (window, 1, 2, 3) for asn in live}
-            result = ClassificationResult(CounterStore.from_state(state, Thresholds()), set(live))
+            asns = sorted(live)
+            counters = np.array([[window], [1], [2], [3]], dtype=np.int64).repeat(len(asns), 1)
+            result = ClassificationResult(asns, counters, Thresholds())
             snapshot = WindowSnapshot(window * 10, window * 10 + 10, 0, 1, 1, result, {})
             began = time.perf_counter()
             store.append_snapshot(snapshot)

@@ -85,7 +85,7 @@ def main() -> None:
     print("\nverifying streamed result against the batch pipeline...")
     batch = InferencePipeline().run_from_mrt(blobs)
     same_classes = streamed.as_code_map() == batch.result.as_code_map()
-    same_counters = streamed.store.state_dict() == batch.result.store.state_dict()
+    same_counters = streamed.records() == batch.result.records()
     print(f"  classifications identical: {same_classes}")
     print(f"  evidence counters identical: {same_counters}")
     if not (same_classes and same_counters):

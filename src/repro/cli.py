@@ -560,11 +560,15 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_show(args: argparse.Namespace) -> int:
     """``show``: inspect an exported classification database."""
     text = Path(args.database).read_text()
-    database = (
-        ClassificationDatabase.from_json(text)
-        if text.lstrip().startswith("[")
-        else ClassificationDatabase.loads(text)
-    )
+    try:
+        database = (
+            ClassificationDatabase.from_json(text)
+            if text.lstrip().startswith(("[", "{"))
+            else ClassificationDatabase.loads(text)
+        )
+    except ValueError as error:
+        print(f"error: {args.database}: {error}", file=sys.stderr)
+        return 1
     if args.asn is not None:
         record = database.get(args.asn)
         if record is None:

@@ -3,13 +3,13 @@
 * :mod:`repro.core.classes` -- the inferred classes (tagger / silent /
   undecided / none and forward / cleaner / undecided / none),
 * :mod:`repro.core.thresholds` -- the counting thresholds (default 99%),
-* :mod:`repro.core.counters` -- per-AS evidence counters and the threshold
-  queries ``is_tagger`` / ``is_silent`` / ``is_forward`` / ``is_cleaner``,
-* :mod:`repro.core.conditions` -- Cond1 and Cond2 (Section 5.2),
+* :mod:`repro.core.counters` -- per-AS evidence counters as packed columns
+  and the one threshold rule over them (``class_code_indices``),
 * :mod:`repro.core.column` -- the column-based inference algorithm
-  (Section 5.6, Listing 1),
+  (Section 5.6, Listing 1), Cond1 and Cond2 (Section 5.2) included,
 * :mod:`repro.core.row` -- the row-based baseline (Listing 2),
-* :mod:`repro.core.results` -- classification results and summaries,
+* :mod:`repro.core.results` -- classification results (per-AS columns)
+  and summaries,
 * :mod:`repro.core.attribution` -- the future-work extension that attributes
   concrete community values to inferred taggers,
 * :mod:`repro.core.pipeline` -- the end-to-end pipeline from raw collector
@@ -18,8 +18,7 @@
 
 from repro.core.classes import ForwardingClass, TaggingClass, UsageClassification
 from repro.core.thresholds import Thresholds
-from repro.core.counters import ASCounters, CounterStore
-from repro.core.conditions import cond1, cond2, find_downstream_tagger
+from repro.core.counters import ASCounters
 from repro.core.column import ColumnInference
 from repro.core.row import RowInference
 from repro.core.results import ClassificationResult
@@ -33,10 +32,6 @@ __all__ = [
     "UsageClassification",
     "Thresholds",
     "ASCounters",
-    "CounterStore",
-    "cond1",
-    "cond2",
-    "find_downstream_tagger",
     "ColumnInference",
     "RowInference",
     "ClassificationResult",

@@ -117,3 +117,6 @@ UNCLASSIFIED = UsageClassification(TaggingClass.NONE, ForwardingClass.NONE)
 #: The 16 two-character codes, indexed ``4 * tagging + forwarding`` in enum
 #: order -- what :func:`repro.core.counters.class_code_indices` indexes into.
 CLASS_CODES = tuple(t.value + f.value for t in TaggingClass for f in ForwardingClass)
+
+#: Each of :data:`CLASS_CODES` parsed once, keyed by its code.
+CLASSIFICATIONS = {code: UsageClassification.from_code(code) for code in CLASS_CODES}

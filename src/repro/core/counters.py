@@ -5,28 +5,29 @@ Four counters are maintained per AS:
 * ``t`` / ``s`` -- occurrences counted as tagger / silent evidence,
 * ``f`` / ``c`` -- occurrences counted as forward / cleaner evidence.
 
-The threshold queries ``is_tagger(A)`` etc. evaluate the share of the
-respective counter against the configured threshold; they are used both
-*during* counting (Cond1 / Cond2 need the knowledge gained so far) and for
-the final classification.
-
-:class:`CounterStore` states the rule per AS, over objects: what per-AS
-lookups read and the tests hold everything else to.  Kernels and results work
-on :class:`PackedCounterStore` columns: :func:`_share_mask` is the one
-vectorised threshold rule, :func:`class_code_indices` every AS's class from it.
+An AS is a tagger when ``t / (t + s)`` meets the tagger threshold (with
+evidence), and likewise for silent, forward and cleaner.  The counting
+phases read ``is_tagger`` / ``is_forward`` of every AS (Cond1 / Cond2 need
+the knowledge gained so far, :meth:`PackedCounterStore.decision_flags`) and
+the final classification reads all four (Section 5.5,
+:func:`class_code_indices`).  Both are :func:`_share_mask`, the one threshold
+rule, over the :class:`PackedCounterStore` columns; :class:`ASCounters` is
+the per-AS value a result hands out.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.bgp.asn import ASN
-from repro.core.classes import ForwardingClass, TaggingClass, UsageClassification
 from repro.core.thresholds import Thresholds
+
+
+#: The four counters in ``t, s, f, c`` order, as exports and payloads name them.
+COUNTER_NAMES = ("tagger", "silent", "forward", "cleaner")
 
 
 @dataclass
@@ -76,137 +77,17 @@ class ASCounters:
 
     @classmethod
     def from_tuple(cls, values: Sequence[int]) -> "ASCounters":
-        """Inverse of :meth:`as_tuple` (used by checkpoint restore)."""
+        """Inverse of :meth:`as_tuple`."""
         tagger, silent, forward, cleaner = values
         return cls(tagger=tagger, silent=silent, forward=forward, cleaner=cleaner)
-
-
-class CounterStore:
-    """The counters of all ASes plus the threshold queries over them."""
-
-    def __init__(self, thresholds: Optional[Thresholds] = None) -> None:
-        self.thresholds = thresholds or Thresholds()
-        self._counters: Dict[ASN, ASCounters] = {}
-
-    # -- mutation -------------------------------------------------------------------
-    def counters_for(self, asn: ASN) -> ASCounters:
-        """The (mutable) counters of *asn*, created on first access."""
-        counters = self._counters.get(asn)
-        if counters is None:
-            counters = ASCounters()
-            self._counters[asn] = counters
-        return counters
-
-    def apply_delta(self, delta: Mapping[ASN, Sequence[int]]) -> None:
-        """Apply ``{asn: (dt, ds, df, dc)}`` deltas; a negative component retracts."""
-        for asn, (d_tagger, d_silent, d_forward, d_cleaner) in delta.items():
-            counters = self.counters_for(asn)
-            counters.tagger += d_tagger
-            counters.silent += d_silent
-            counters.forward += d_forward
-            counters.cleaner += d_cleaner
-
-    # -- (de)serialisation (checkpointing) ------------------------------------------
-    def state_dict(self) -> Dict[ASN, Tuple[int, int, int, int]]:
-        """Plain-data snapshot of every AS's counters."""
-        return {asn: counters.as_tuple() for asn, counters in self._counters.items()}
-
-    @classmethod
-    def from_state(
-        cls,
-        state: Mapping[ASN, Sequence[int]],
-        thresholds: Optional[Thresholds] = None,
-    ) -> "CounterStore":
-        """Rebuild a store from a :meth:`state_dict` snapshot."""
-        store = cls(thresholds)
-        for asn, values in state.items():
-            store._counters[asn] = ASCounters.from_tuple(values)
-        return store
-
-    # -- lookup ----------------------------------------------------------------------
-    def get(self, asn: ASN) -> ASCounters:
-        """The counters of *asn* (zeroes if the AS was never counted)."""
-        return self._counters.get(asn, ASCounters())
-
-    def __contains__(self, asn: object) -> bool:
-        return asn in self._counters
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __iter__(self) -> Iterator[ASN]:
-        return iter(self._counters)
-
-    def items(self) -> Iterable[Tuple[ASN, ASCounters]]:
-        return self._counters.items()
-
-    # -- threshold queries (Section 5.3) ------------------------------------------------
-    def is_tagger(self, asn: ASN) -> bool:
-        """``t[A] / (t[A] + s[A]) >= tagger_threshold`` (with evidence)."""
-        counters = self._counters.get(asn)
-        if counters is None or counters.tagging_total == 0:
-            return False
-        return counters.tagger_share() >= self.thresholds.tagger
-
-    def is_silent(self, asn: ASN) -> bool:
-        """``s[A] / (t[A] + s[A]) >= silent_threshold`` (with evidence)."""
-        counters = self._counters.get(asn)
-        if counters is None or counters.tagging_total == 0:
-            return False
-        return counters.silent_share() >= self.thresholds.silent
-
-    def is_forward(self, asn: ASN) -> bool:
-        """``f[A] / (f[A] + c[A]) >= forward_threshold`` (with evidence)."""
-        counters = self._counters.get(asn)
-        if counters is None or counters.forwarding_total == 0:
-            return False
-        return counters.forward_share() >= self.thresholds.forward
-
-    def is_cleaner(self, asn: ASN) -> bool:
-        """``c[A] / (f[A] + c[A]) >= cleaner_threshold`` (with evidence)."""
-        counters = self._counters.get(asn)
-        if counters is None or counters.forwarding_total == 0:
-            return False
-        return counters.cleaner_share() >= self.thresholds.cleaner
-
-    # -- classification (Section 5.5) ------------------------------------------------------
-    def get_tagging(self, asn: ASN) -> TaggingClass:
-        """``get_tagging(A)``: tagger, silent, undecided, or none."""
-        counters = self._counters.get(asn)
-        if counters is None or counters.tagging_total == 0:
-            return TaggingClass.NONE
-        if self.is_tagger(asn):
-            return TaggingClass.TAGGER
-        if self.is_silent(asn):
-            return TaggingClass.SILENT
-        return TaggingClass.UNDECIDED
-
-    def get_forwarding(self, asn: ASN) -> ForwardingClass:
-        """``get_forwarding(A)``: forward, cleaner, undecided, or none."""
-        counters = self._counters.get(asn)
-        if counters is None or counters.forwarding_total == 0:
-            return ForwardingClass.NONE
-        if self.is_forward(asn):
-            return ForwardingClass.FORWARD
-        if self.is_cleaner(asn):
-            return ForwardingClass.CLEANER
-        return ForwardingClass.UNDECIDED
-
-    def get_class(self, asn: ASN) -> UsageClassification:
-        """``get_class(A)``: the two-character classification of *asn*."""
-        return UsageClassification(self.get_tagging(asn), self.get_forwarding(asn))
-
-    def classify_all(self) -> Dict[ASN, UsageClassification]:
-        """Classification of every AS with at least one counter."""
-        return {asn: self.get_class(asn) for asn in self._counters}
 
 
 def _share_mask(hits: "_np.ndarray", misses: "_np.ndarray", threshold: float) -> "_np.ndarray":
     """Per-slot ``total != 0 and hit / total >= threshold`` over two int64 columns.
 
     float64 true division of two int64 counts rounds exactly like Python's
-    ``int / int`` while both stay below 2**53, so the mask equals the scalar
-    rule's (:meth:`CounterStore.is_tagger` and its three siblings).
+    ``int / int`` while both stay below 2**53, so the mask equals the per-AS
+    rule ``total and hit / total >= threshold`` over :class:`ASCounters`.
     """
     totals = hits + misses
     evidence = totals != 0
@@ -215,7 +96,7 @@ def _share_mask(hits: "_np.ndarray", misses: "_np.ndarray", threshold: float) ->
 
 
 def class_code_indices(counters: "_np.ndarray", thresholds: Thresholds) -> "_np.ndarray":
-    """:meth:`CounterStore.get_class` for every column of a ``(4, n)`` ``t, s, f, c`` matrix.
+    """``get_class(A)`` (Section 5.5) for every column of a ``(4, n)`` ``t, s, f, c`` matrix.
 
     One ``uint8`` index per AS into :data:`~repro.core.classes.CLASS_CODES`:
     ``4 * tagging + forwarding``, each half in enum order (hit side 0, miss
@@ -235,15 +116,13 @@ def class_code_indices(counters: "_np.ndarray", thresholds: Thresholds) -> "_np.
 
 
 class PackedCounterStore:
-    """Dense ``array``-backed twin of :class:`CounterStore`.
+    """The counters of all ASes as four dense ``array('q')`` columns.
 
-    Counters live in four flat ``array('q')`` columns indexed by the dense
-    AS index a :class:`~repro.core.tuples.TupleTable` assigns, so the hot
-    counting loops touch machine integers instead of per-AS objects.  The
-    delta APIs mirror the object store; results copy the columns
-    (:meth:`columns`) and classify them in bulk, where a slot whose four
-    counters are all zero reads as *absent*, which keeps the membership
-    semantics identical to an object store that pruned retracted evidence.
+    Columns are indexed by the dense AS index a
+    :class:`~repro.core.tuples.TupleTable` assigns, so the hot counting loops
+    touch machine integers instead of per-AS objects.  Results copy the
+    columns (:meth:`columns`) and classify them in bulk; a slot whose four
+    counters are all zero reads as never counted.
     """
 
     __slots__ = ("thresholds", "tagger", "silent", "forward", "cleaner")
@@ -298,9 +177,8 @@ class PackedCounterStore:
     def decision_flags(self, slots: Optional[int] = None) -> Tuple[bytearray, bytearray]:
         """Per-index ``is_tagger`` / ``is_forward`` flags, zero-padded to *slots*.
 
-        The flag semantics are exactly :meth:`CounterStore.is_tagger` /
-        :meth:`CounterStore.is_forward`'s: a flag is set iff there is
-        evidence and the share meets the threshold.  The flags are a
+        A flag is set iff there is evidence and the share meets the
+        threshold (:func:`_share_mask`).  The flags are a
         snapshot: they pin a counting phase to the knowledge at its start,
         which makes the phase a pure function of ``(groups, flags)``.
         Padding lets the kernels index by any AS the table has interned,

@@ -13,6 +13,13 @@ Format (one AS per line, ``|``-separated)::
     # asn|class|t|s|f|c
     3356|tf|412|3|371|0
     64496|sn|0|57|0|0
+
+Export and :meth:`ClassificationDatabase.to_result` both go through the
+result's columns, so the classes they carry are the ones
+:func:`~repro.core.counters.class_code_indices` computes.  Import refuses
+what an export never writes -- an unknown class code, a non-integer or
+negative counter, a JSON entry without ``asn`` / ``class``, a JSON document
+that is not a list -- with a :class:`ValueError` naming the line or entry.
 """
 
 from __future__ import annotations
@@ -21,14 +28,32 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, TextIO
 
+import numpy as _np
+
 from repro.bgp.asn import ASN
-from repro.core.classes import UsageClassification
-from repro.core.counters import ASCounters, CounterStore
+from repro.core.classes import CLASSIFICATIONS, UsageClassification
+from repro.core.counters import COUNTER_NAMES, ASCounters
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 
 #: Format magic written as the first header line.
 FORMAT_HEADER = "# as-community-usage v1"
+
+def _count(name: str, value: object) -> int:
+    """*value* as a non-negative integer, or :class:`ValueError` naming *name*.
+
+    Accepts ints and decimal strings; refuses floats and bools, which
+    ``int()`` would silently truncate or coerce.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    try:
+        count = int(value)
+    except ValueError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if count < 0:
+        raise ValueError(f"{name} {value!r} is negative")
+    return count
 
 
 @dataclass(frozen=True)
@@ -46,16 +71,29 @@ class ClassificationRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "ClassificationRecord":
-        """Parse one data line."""
+        """Parse one data line; :class:`ValueError` names the line."""
         parts = line.strip().split("|")
-        if len(parts) != 6:
-            raise ValueError(f"malformed classification line: {line!r}")
-        asn = int(parts[0])
-        classification = UsageClassification.from_code(parts[1])
-        counters = ASCounters(
-            tagger=int(parts[2]), silent=int(parts[3]), forward=int(parts[4]), cleaner=int(parts[5])
-        )
-        return cls(asn=asn, classification=classification, counters=counters)
+        try:
+            if len(parts) != 6:
+                raise ValueError(f"expected 6 fields, got {len(parts)}")
+            asn, code, *counts = parts
+            return cls.from_fields(asn, code, counts)
+        except ValueError as error:
+            raise ValueError(f"malformed classification line {line.strip()!r}: {error}") from None
+
+    @classmethod
+    def from_fields(cls, asn: object, code: object, counts: List[object]) -> "ClassificationRecord":
+        """A record from raw field values, rejecting anything :meth:`to_line` never writes.
+
+        The ASN and the ``t, s, f, c`` counters must be non-negative integers
+        (or their decimal strings) and *code* one of the 16 class codes.
+        """
+        classification = CLASSIFICATIONS.get(code) if isinstance(code, str) else None
+        if classification is None:
+            raise ValueError(f"unknown class code {code!r}")
+        names = ("asn", *COUNTER_NAMES)
+        values = [_count(name, value) for name, value in zip(names, [asn, *counts])]
+        return cls(values[0], classification, ASCounters.from_tuple(values[1:]))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly representation."""
@@ -78,15 +116,15 @@ class ClassificationDatabase:
     # -- construction ----------------------------------------------------------------
     @classmethod
     def from_result(cls, result: ClassificationResult) -> "ClassificationDatabase":
-        """Build a database from a finished classification result."""
-        records: Dict[ASN, ClassificationRecord] = {}
-        for asn in sorted(result.observed_ases):
-            records[asn] = ClassificationRecord(
-                asn=asn,
-                classification=result.classification_of(asn),
-                counters=result.counters_of(asn),
-            )
-        return cls(records)
+        """Build a database from a finished classification result (one pass over its rows)."""
+        return cls(
+            {
+                asn: ClassificationRecord(
+                    asn, CLASSIFICATIONS[code], ASCounters(tagger, silent, forward, cleaner)
+                )
+                for asn, code, tagger, silent, forward, cleaner in result.records()
+            }
+        )
 
     # -- mapping protocol --------------------------------------------------------------
     def __len__(self) -> int:
@@ -138,17 +176,18 @@ class ClassificationDatabase:
     def load(cls, stream: TextIO) -> "ClassificationDatabase":
         """Read a database from the line format."""
         records: Dict[ASN, ClassificationRecord] = {}
-        first_line = True
-        for raw in stream:
+        for number, raw in enumerate(stream, 1):
             line = raw.strip()
-            if first_line:
-                first_line = False
+            if number == 1:
                 if line != FORMAT_HEADER:
                     raise ValueError(f"unexpected header {line!r}; expected {FORMAT_HEADER!r}")
                 continue
             if not line or line.startswith("#"):
                 continue
-            record = ClassificationRecord.from_line(line)
+            try:
+                record = ClassificationRecord.from_line(line)
+            except ValueError as error:
+                raise ValueError(f"line {number}: {error}") from None
             records[record.asn] = record
         return cls(records)
 
@@ -166,19 +205,22 @@ class ClassificationDatabase:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassificationDatabase":
-        """Parse the JSON serialisation."""
+        """Parse the JSON serialisation; :class:`ValueError` names a bad entry."""
+        entries = json.loads(text)
+        if not isinstance(entries, list):
+            raise ValueError(f"expected a JSON list of per-AS objects, got {type(entries).__name__}")
         records: Dict[ASN, ClassificationRecord] = {}
-        for entry in json.loads(text):
-            record = ClassificationRecord(
-                asn=int(entry["asn"]),
-                classification=UsageClassification.from_code(entry["class"]),
-                counters=ASCounters(
-                    tagger=int(entry.get("tagger_count", 0)),
-                    silent=int(entry.get("silent_count", 0)),
-                    forward=int(entry.get("forward_count", 0)),
-                    cleaner=int(entry.get("cleaner_count", 0)),
-                ),
-            )
+        for index, entry in enumerate(entries):
+            try:
+                if not isinstance(entry, dict):
+                    raise ValueError(f"expected an object, got {type(entry).__name__}")
+                missing = [key for key in ("asn", "class") if key not in entry]
+                if missing:
+                    raise ValueError(f"missing key {missing[0]!r}")
+                counts = [entry.get(f"{name}_count", 0) for name in COUNTER_NAMES]
+                record = ClassificationRecord.from_fields(entry["asn"], entry["class"], counts)
+            except ValueError as error:
+                raise ValueError(f"entry {index}: {error}") from None
             records[record.asn] = record
         return cls(records)
 
@@ -190,11 +232,7 @@ class ClassificationDatabase:
         with the same thresholds reproduces the original classification; with
         different thresholds this doubles as an offline re-thresholding tool.
         """
-        store = CounterStore(thresholds or Thresholds())
-        for record in self._records.values():
-            counters = store.counters_for(record.asn)
-            counters.tagger = record.counters.tagger
-            counters.silent = record.counters.silent
-            counters.forward = record.counters.forward
-            counters.cleaner = record.counters.cleaner
-        return ClassificationResult(store=store, observed_ases=set(self._records), algorithm="imported")
+        asns = sorted(self._records)
+        quads = [self._records[asn].counters.as_tuple() for asn in asns]
+        counters = _np.array(quads, dtype=_np.int64).reshape(-1, 4).T
+        return ClassificationResult(asns, counters, thresholds or Thresholds(), "imported")

@@ -5,14 +5,17 @@ counters of every observed AS -- and each summary the paper reports (counts
 per tagging and forwarding class, Table 3; full classifications tf / tc / sf
 / sc) or the stream publishes (code map, record rows) is one pass over them.
 The columnar algorithms hand over their packed counters as they are
-(:meth:`ClassificationResult.from_packed`); a result built from an object
-:class:`~repro.core.counters.CounterStore` lowers itself on first summary.
-Per-AS lookup (``nn`` for ASes never counted) reads the object store, which a
-packed result builds on first access only.
+(:meth:`ClassificationResult.from_packed`); everything else (the row
+baseline, imported databases, stored and replicated snapshots) builds the
+columns itself.  Codes always come from
+:func:`~repro.core.counters.class_code_indices`, and a per-AS lookup is a
+binary search into the sorted ASN column (``nn`` and zero counters for an AS
+never observed).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -21,12 +24,13 @@ import numpy as _np
 from repro.bgp.asn import ASN
 from repro.core.classes import (
     CLASS_CODES,
+    CLASSIFICATIONS,
     UNCLASSIFIED,
     ForwardingClass,
     TaggingClass,
     UsageClassification,
 )
-from repro.core.counters import ASCounters, CounterStore, PackedCounterStore, class_code_indices
+from repro.core.counters import ASCounters, PackedCounterStore, class_code_indices
 from repro.core.thresholds import Thresholds
 
 #: The four full classification codes in the paper's reporting order.
@@ -58,26 +62,36 @@ def diff_code_maps(
 class ClassificationResult:
     """The outcome of one inference run.
 
-    A result is a finished value: its columns are taken (or lowered from
-    *store*) once and never follow later changes to the store, the observed
-    set or the classifier that produced it.
+    A result is a finished value: its columns are taken once and never
+    follow later changes to the counters, the observed set or the classifier
+    that produced it.  It pickles as those columns (its ``__dict__``).
     """
 
     def __init__(
         self,
-        store: CounterStore,
-        observed_ases: Optional[Set[ASN]] = None,
+        asns: Sequence[ASN],
+        counters: _np.ndarray,
+        thresholds: Thresholds,
         algorithm: str = "column",
     ) -> None:
-        self._store: Optional[CounterStore] = store
+        """The result over ascending *asns* and their ``(4, n)`` *counters*.
+
+        Codes are computed from *thresholds*; *counters* is kept as given, so
+        the caller must not mutate it afterwards.
+        """
+        as_list: List[ASN] = _np.asarray(asns, dtype=_np.uint64).tolist()
         #: ``(asns, code indices, (4, n) counters)``, rows in ascending ASN order.
-        self._columns: Optional[Tuple[List[ASN], _np.ndarray, _np.ndarray]] = None
+        self._columns: Tuple[List[ASN], _np.ndarray, _np.ndarray] = (
+            as_list,
+            class_code_indices(counters, thresholds),
+            counters,
+        )
         #: Every AS seen in the input paths (including those never counted).
-        self.observed_ases: Set[ASN] = set() if observed_ases is None else observed_ases
+        self.observed_ases: Set[ASN] = set(as_list)
         #: Name of the algorithm that produced the result (column / row).
         self.algorithm = algorithm
         #: The thresholds the result was computed with.
-        self.thresholds: Thresholds = store.thresholds
+        self.thresholds: Thresholds = thresholds
 
     @classmethod
     def from_packed(
@@ -100,61 +114,32 @@ class ClassificationResult:
         observed = _np.sort(_np.fromiter(observed_ases, _np.uint64, len(observed_ases)))
         rows = order[_np.searchsorted(asns, observed, sorter=order)]
         counters = packed.columns(len(asns))[:, rows]
-        return cls.from_columns(observed, counters, packed.thresholds, algorithm)
-
-    @classmethod
-    def from_columns(
-        cls,
-        asns: _np.ndarray,
-        counters: _np.ndarray,
-        thresholds: Thresholds,
-        algorithm: str = "column",
-    ) -> "ClassificationResult":
-        """The result over ascending *asns* and their ``(4, n)`` *counters*.
-
-        Codes are recomputed from *thresholds*; the arrays are kept as given,
-        so the caller must not mutate them afterwards.
-        """
-        result = cls.__new__(cls)
-        result._store = None
-        as_list: List[ASN] = asns.tolist()
-        result._columns = (as_list, class_code_indices(counters, thresholds), counters)
-        result.observed_ases = set(as_list)
-        result.algorithm = algorithm
-        result.thresholds = thresholds
-        return result
+        return cls(observed, counters, packed.thresholds, algorithm)
 
     def columns(self) -> Tuple[List[ASN], _np.ndarray, _np.ndarray]:
         """``(asns, code indices, (4, n) counters)``, rows in ascending ASN order."""
-        columns = self._columns
-        if columns is None:
-            assert self._store is not None
-            asns = sorted(self.observed_ases)
-            get = self._store.get
-            quads = [get(asn).as_tuple() for asn in asns]
-            counters = _np.array(quads, dtype=_np.int64).reshape(-1, 4).T
-            codes = class_code_indices(counters, self.thresholds)
-            columns = self._columns = (asns, codes, counters)
-        return columns
+        return self._columns
 
     # -- per-AS access -----------------------------------------------------------
-    @property
-    def store(self) -> CounterStore:
-        """The object counter store (built on first access by a packed result)."""
-        if self._store is None:
-            counted = {row[0]: row[2:] for row in self.records() if any(row[2:])}
-            self._store = CounterStore.from_state(counted, self.thresholds)
-        return self._store
+    def _row(self, asn: ASN) -> Optional[int]:
+        """The row of *asn*, or ``None`` when it was never observed."""
+        asns = self._columns[0]
+        row = bisect_left(asns, asn)
+        return row if row < len(asns) and asns[row] == asn else None
 
     def classification_of(self, asn: ASN) -> UsageClassification:
         """The classification of *asn* (``nn`` when never counted)."""
-        if asn in self.store:
-            return self.store.get_class(asn)
-        return UNCLASSIFIED
+        row = self._row(asn)
+        if row is None:
+            return UNCLASSIFIED
+        return CLASSIFICATIONS[CLASS_CODES[self._columns[1][row]]]
 
     def counters_of(self, asn: ASN) -> ASCounters:
-        """The raw evidence counters of *asn*."""
-        return self.store.get(asn)
+        """The raw evidence counters of *asn* (zeroes when never counted)."""
+        row = self._row(asn)
+        if row is None:
+            return ASCounters()
+        return ASCounters.from_tuple(self._columns[2][:, row].tolist())
 
     def __getitem__(self, asn: ASN) -> UsageClassification:
         return self.classification_of(asn)
@@ -169,8 +154,7 @@ class ClassificationResult:
 
     def classifications(self) -> Dict[ASN, UsageClassification]:
         """Classification of every observed AS."""
-        classes = {code: UsageClassification.from_code(code) for code in CLASS_CODES}
-        return {asn: classes[code] for asn, code in self.as_code_map().items()}
+        return {asn: CLASSIFICATIONS[code] for asn, code in self.as_code_map().items()}
 
     def tagging_counts(self) -> Dict[TaggingClass, int]:
         """Number of ASes per inferred tagging class (Table 3, upper half)."""

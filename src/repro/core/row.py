@@ -26,11 +26,12 @@ algorithm only.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
-from repro.core.counters import CounterStore
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 
@@ -83,7 +84,7 @@ def row_tuple_delta(prepared: PreparedTuple, delta: Optional[RowDelta] = None) -
 def count_row_phase(prepared: Sequence[PreparedTuple]) -> RowDelta:
     """Summed per-AS deltas of a chunk of prepared tuples.
 
-    Pure in *prepared*; apply the result with :meth:`CounterStore.apply_delta`.
+    Pure in *prepared*: what :meth:`RowInference.run` turns into a result.
     """
     delta: RowDelta = {}
     for item in prepared:
@@ -98,15 +99,12 @@ class RowInference:
         self.thresholds = thresholds or Thresholds()
 
     def run(self, tuples: Sequence[PathCommTuple]) -> ClassificationResult:
-        """Infer classifications with the row-based counting rules."""
-        store = CounterStore(self.thresholds)
-        observed: Set[ASN] = set()
+        """Infer classifications with the row-based counting rules.
 
-        prepared: List[PreparedTuple] = []
-        for item in tuples:
-            asns = item.path.asns
-            observed.update(asns)
-            prepared.append(prepare_tuple(item))
-
-        store.apply_delta(count_row_phase(prepared))
-        return ClassificationResult(store=store, observed_ases=observed, algorithm="row")
+        Every AS of a path gets tagging evidence, so the summed delta holds
+        one row per observed AS.
+        """
+        delta = count_row_phase([prepare_tuple(item) for item in tuples])
+        asns = sorted(delta)
+        counters = _np.array([delta[asn] for asn in asns], dtype=_np.int64).reshape(-1, 4).T
+        return ClassificationResult(asns, counters, self.thresholds, algorithm="row")

@@ -30,7 +30,9 @@ and the SQLite store to that reference read for read.
 This module also owns the canonical wire codec -- :func:`snapshot_payload`
 and its inverse :func:`snapshot_from_payload` -- because byte-identical
 payloads across backends (and across replicated hosts) are part of the
-contract, not a property of any one implementation.
+contract, not a property of any one implementation.  Both sides work on a
+result's columns: the encoder is one pass over its record rows, the decoder
+rebuilds the columns and lets the result recompute the codes.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
+
+import numpy as _np
 
 from repro.bgp.asn import ASN
-from repro.core.counters import ASCounters, CounterStore
+from repro.core.counters import COUNTER_NAMES, ASCounters
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.stream.engine import WindowSnapshot
@@ -120,12 +124,7 @@ class ASHistoryEntry:
 
 
 def _counters_dict(counters: ASCounters) -> Dict[str, int]:
-    return {
-        "tagger": counters.tagger,
-        "silent": counters.silent,
-        "forward": counters.forward,
-        "cleaner": counters.cleaner,
-    }
+    return dict(zip(COUNTER_NAMES, counters.as_tuple()))
 
 
 def _shares_dict(counters: ASCounters) -> Dict[str, float]:
@@ -148,10 +147,10 @@ def snapshot_payload(snapshot: WindowSnapshot) -> Dict[str, object]:
     """
     result = snapshot.result
     ases: Dict[str, object] = {}
-    for asn in sorted(result.observed_ases):
-        counters = result.counters_of(asn)
+    for asn, code, *quad in result.records():
+        counters = ASCounters.from_tuple(quad)
         ases[str(asn)] = {
-            "code": result.classification_of(asn).code,
+            "code": code,
             "counters": _counters_dict(counters),
             "shares": _shares_dict(counters),
         }
@@ -182,25 +181,12 @@ def snapshot_from_payload(
     archived cold-tier record) round-trips byte-identically back out of the
     serving API.
     """
-    observed: Set[ASN] = set()
-    state: Dict[ASN, Tuple[int, int, int, int]] = {}
-    for asn_text, info in payload["ases"].items():
-        asn = int(asn_text)
-        observed.add(asn)
-        counters = info["counters"]
-        values = (
-            int(counters["tagger"]),
-            int(counters["silent"]),
-            int(counters["forward"]),
-            int(counters["cleaner"]),
-        )
-        if any(values):
-            state[asn] = values
-    result = ClassificationResult(
-        store=CounterStore.from_state(state, thresholds),
-        observed_ases=observed,
-        algorithm=str(payload["algorithm"]),
-    )
+    quads = {int(asn_text): info["counters"] for asn_text, info in payload["ases"].items()}
+    asns = sorted(quads)
+    counters = _np.array(
+        [[int(quads[asn][name]) for name in COUNTER_NAMES] for asn in asns], dtype=_np.int64
+    ).reshape(-1, 4).T
+    result = ClassificationResult(asns, counters, thresholds, str(payload["algorithm"]))
     changed: Dict[ASN, Tuple[str, str]] = {
         int(asn_text): (str(codes[0]), str(codes[1]))
         for asn_text, codes in payload["changed"].items()

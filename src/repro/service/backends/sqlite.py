@@ -883,9 +883,7 @@ class SnapshotStore(SnapshotBackend):
                 for asn, old, new in connection.execute(self._CHANGES, (snapshot_id,))
             }
         asns, _, counters = columns
-        result = ClassificationResult.from_columns(
-            asns, counters, meta.thresholds, meta.algorithm
-        )
+        result = ClassificationResult(asns, counters, meta.thresholds, meta.algorithm)
         return WindowSnapshot(
             window_start=meta.window_start,
             window_end=meta.window_end,

@@ -5,11 +5,18 @@ This is the object-tuple implementation of Section 5.6 / Listing 1 that
 bucket kernels: two pure-Python passes per column over prepared
 ``(path ASNs, upper fields)`` tuples, frozenset membership tests, the
 decisions pinned to a :class:`DecisionView` per pass.  It shares no counting
-code with production -- only the plain
-:class:`~repro.core.counters.CounterStore`, the report dataclass and
-``prepare_tuple`` -- which is what makes "production == this" a statement
-about the lowering *and* the kernels, and what keeps the stream suites'
-"stream == batch" from comparing the matrix kernels with themselves.
+code with production -- only the report dataclass and ``prepare_tuple`` --
+which is what makes "production == this" a statement about the lowering
+*and* the kernels, and what keeps the stream suites' "stream == batch" from
+comparing the matrix kernels with themselves.
+
+It counts into :class:`CounterStore`, the per-AS statement of Section 5.3 /
+5.5 that ``repro.core.counters`` shipped beside the packed columns until a
+result became its columns: a dict of :class:`ASCounters` with the scalar
+threshold queries ``is_tagger`` ... ``get_class``, plus the Cond1 / Cond2
+helpers of Section 5.2 over it.  :func:`result_from_store` lowers a store
+into a result one AS at a time, and :func:`counter_state` reads a result back
+as the ``{asn: (t, s, f, c)}`` of its counted rows.
 
 Below the listing sit the group-level references of the matrix form: the
 per-group loops :func:`count_tagging_groups` / :func:`count_forwarding_groups`
@@ -22,18 +29,200 @@ layout that ``GroupMatrix.from_cells`` and ``lower_tuples`` are held to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
+from repro.bgp.path import ASPath
+from repro.core.classes import ForwardingClass, TaggingClass, UsageClassification
 from repro.core.column import ColumnInferenceReport, PhaseDelta
-from repro.core.counters import CounterStore
+from repro.core.counters import ASCounters
 from repro.core.matrix import GroupMatrix
 from repro.core.results import ClassificationResult
 from repro.core.row import PreparedTuple, prepare_tuple
 from repro.core.thresholds import Thresholds
+
+
+class CounterStore:
+    """The counters of all ASes plus the threshold queries over them."""
+
+    def __init__(self, thresholds: Optional[Thresholds] = None) -> None:
+        self.thresholds = thresholds or Thresholds()
+        self._counters: Dict[ASN, ASCounters] = {}
+
+    # -- mutation -------------------------------------------------------------------
+    def counters_for(self, asn: ASN) -> ASCounters:
+        """The (mutable) counters of *asn*, created on first access."""
+        counters = self._counters.get(asn)
+        if counters is None:
+            counters = ASCounters()
+            self._counters[asn] = counters
+        return counters
+
+    def apply_delta(self, delta: Mapping[ASN, Sequence[int]]) -> None:
+        """Apply ``{asn: (dt, ds, df, dc)}`` deltas; a negative component retracts."""
+        for asn, (d_tagger, d_silent, d_forward, d_cleaner) in delta.items():
+            counters = self.counters_for(asn)
+            counters.tagger += d_tagger
+            counters.silent += d_silent
+            counters.forward += d_forward
+            counters.cleaner += d_cleaner
+
+    # -- (de)serialisation -------------------------------------------------------------
+    def state_dict(self) -> Dict[ASN, Tuple[int, int, int, int]]:
+        """Plain-data snapshot of every AS's counters."""
+        return {asn: counters.as_tuple() for asn, counters in self._counters.items()}
+
+    @classmethod
+    def from_state(
+        cls,
+        state: Mapping[ASN, Sequence[int]],
+        thresholds: Optional[Thresholds] = None,
+    ) -> "CounterStore":
+        """Rebuild a store from a :meth:`state_dict` snapshot."""
+        store = cls(thresholds)
+        for asn, values in state.items():
+            store._counters[asn] = ASCounters.from_tuple(values)
+        return store
+
+    # -- lookup ----------------------------------------------------------------------
+    def get(self, asn: ASN) -> ASCounters:
+        """The counters of *asn* (zeroes if the AS was never counted)."""
+        return self._counters.get(asn, ASCounters())
+
+    def __contains__(self, asn: object) -> bool:
+        return asn in self._counters
+
+    def __len__(self) -> int:
+        return len(self._counters)
+
+    def __iter__(self) -> Iterator[ASN]:
+        return iter(self._counters)
+
+    def items(self) -> Iterable[Tuple[ASN, ASCounters]]:
+        return self._counters.items()
+
+    # -- threshold queries (Section 5.3) ------------------------------------------------
+    def is_tagger(self, asn: ASN) -> bool:
+        """``t[A] / (t[A] + s[A]) >= tagger_threshold`` (with evidence)."""
+        counters = self._counters.get(asn)
+        if counters is None or counters.tagging_total == 0:
+            return False
+        return counters.tagger_share() >= self.thresholds.tagger
+
+    def is_silent(self, asn: ASN) -> bool:
+        """``s[A] / (t[A] + s[A]) >= silent_threshold`` (with evidence)."""
+        counters = self._counters.get(asn)
+        if counters is None or counters.tagging_total == 0:
+            return False
+        return counters.silent_share() >= self.thresholds.silent
+
+    def is_forward(self, asn: ASN) -> bool:
+        """``f[A] / (f[A] + c[A]) >= forward_threshold`` (with evidence)."""
+        counters = self._counters.get(asn)
+        if counters is None or counters.forwarding_total == 0:
+            return False
+        return counters.forward_share() >= self.thresholds.forward
+
+    def is_cleaner(self, asn: ASN) -> bool:
+        """``c[A] / (f[A] + c[A]) >= cleaner_threshold`` (with evidence)."""
+        counters = self._counters.get(asn)
+        if counters is None or counters.forwarding_total == 0:
+            return False
+        return counters.cleaner_share() >= self.thresholds.cleaner
+
+    # -- classification (Section 5.5) ------------------------------------------------------
+    def get_tagging(self, asn: ASN) -> TaggingClass:
+        """``get_tagging(A)``: tagger, silent, undecided, or none."""
+        counters = self._counters.get(asn)
+        if counters is None or counters.tagging_total == 0:
+            return TaggingClass.NONE
+        if self.is_tagger(asn):
+            return TaggingClass.TAGGER
+        if self.is_silent(asn):
+            return TaggingClass.SILENT
+        return TaggingClass.UNDECIDED
+
+    def get_forwarding(self, asn: ASN) -> ForwardingClass:
+        """``get_forwarding(A)``: forward, cleaner, undecided, or none."""
+        counters = self._counters.get(asn)
+        if counters is None or counters.forwarding_total == 0:
+            return ForwardingClass.NONE
+        if self.is_forward(asn):
+            return ForwardingClass.FORWARD
+        if self.is_cleaner(asn):
+            return ForwardingClass.CLEANER
+        return ForwardingClass.UNDECIDED
+
+    def get_class(self, asn: ASN) -> UsageClassification:
+        """``get_class(A)``: the two-character classification of *asn*."""
+        return UsageClassification(self.get_tagging(asn), self.get_forwarding(asn))
+
+    def classify_all(self) -> Dict[ASN, UsageClassification]:
+        """Classification of every AS with at least one counter."""
+        return {asn: self.get_class(asn) for asn in self._counters}
+
+
+# -- the counting conditions (Section 5.2), over a store ------------------------------------
+def cond1(path: ASPath, index: int, store: CounterStore) -> bool:
+    """Cond1: ``is_forward(A_i)`` for every upstream ``A_i`` (``i < index``).
+
+    *index* is 1-based (the paper's ``x``).  At ``index == 1`` there is no
+    upstream AS and the condition holds trivially.
+    """
+    asns = path.asns
+    for i in range(index - 1):
+        if not store.is_forward(asns[i]):
+            return False
+    return True
+
+
+def find_downstream_tagger(path: ASPath, index: int, store: CounterStore) -> Optional[int]:
+    """The 1-based index of the nearest qualifying downstream tagger.
+
+    Scans downstream of *index* for the first AS ``A_t`` with
+    ``is_tagger(A_t)``; every AS strictly between *index* and ``t`` must be a
+    forward AS.  Returns ``None`` when no such tagger exists (Cond2 fails).
+    """
+    asns = path.asns
+    for t in range(index + 1, len(asns) + 1):
+        candidate = asns[t - 1]
+        if store.is_tagger(candidate):
+            return t
+        if not store.is_forward(candidate):
+            return None
+    return None
+
+
+def cond2(path: ASPath, index: int, store: CounterStore) -> bool:
+    """Cond2: a downstream tagger reachable through forward ASes exists."""
+    return find_downstream_tagger(path, index, store) is not None
+
+
+# -- between stores and results -------------------------------------------------------------
+def result_from_store(
+    store: CounterStore, observed: Optional[Iterable[ASN]] = None, algorithm: str = "column"
+) -> ClassificationResult:
+    """The result over *store*, lowered one AS at a time.
+
+    One row per AS of *observed* (default: every counted AS), zeroes where
+    the store never counted it.
+    """
+    asns = sorted(store if observed is None else set(observed))
+    quads = [store.get(asn).as_tuple() for asn in asns]
+    counters = np.array(quads, dtype=np.int64).reshape(-1, 4).T
+    return ClassificationResult(asns, counters, store.thresholds, algorithm)
+
+
+def counter_state(result: ClassificationResult) -> Dict[ASN, Tuple[int, int, int, int]]:
+    """``{asn: (t, s, f, c)}`` of every row of *result* with evidence.
+
+    What :meth:`CounterStore.state_dict` answers for the store a result was
+    counted into (all-zero rows are observed ASes never counted).
+    """
+    return {row[0]: tuple(row[2:]) for row in result.records() if any(row[2:])}
 
 
 @dataclass(frozen=True)
@@ -233,12 +422,12 @@ class ListingInference:
                 and forwarding_increments == 0
             ):
                 break
-        return ClassificationResult(store=store, observed_ases=observed, algorithm="column")
+        return result_from_store(store, observed)
 
 
 def assert_same_result(got: ClassificationResult, want: ClassificationResult) -> None:
     """Two classification results agree on counters, observed ASes and codes."""
-    assert got.store.state_dict() == want.store.state_dict()
+    assert counter_state(got) == counter_state(want)
     assert got.observed_ases == want.observed_ases
     assert got.as_code_map() == want.as_code_map()
 

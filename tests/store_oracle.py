@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bgp.asn import ASN
-from repro.core.counters import ASCounters, CounterStore
+from repro.core.counters import ASCounters
 from repro.core.results import ClassificationResult
 from repro.service.backends.base import (
     ASHistoryEntry,
@@ -54,17 +56,9 @@ def snapshot_from_records(
     raw counters and the persisted thresholds, the observed-AS set includes
     all-zero rows, and the change map round-trips as stored.
     """
-    counter_state: Dict[ASN, Tuple[int, int, int, int]] = {}
-    observed: Set[ASN] = set()
-    for asn, _code, tagger, silent, forward, cleaner in records:
-        observed.add(asn)
-        if tagger or silent or forward or cleaner:
-            counter_state[asn] = (tagger, silent, forward, cleaner)
-    result = ClassificationResult(
-        store=CounterStore.from_state(counter_state, meta.thresholds),
-        observed_ases=observed,
-        algorithm=meta.algorithm,
-    )
+    asns = [row[0] for row in records]
+    counters = np.array([row[2:] for row in records], dtype=np.int64).reshape(-1, 4).T
+    result = ClassificationResult(asns, counters, meta.thresholds, meta.algorithm)
     return WindowSnapshot(
         window_start=meta.window_start,
         window_end=meta.window_end,

@@ -13,7 +13,7 @@ statement about two implementations.
 
 from __future__ import annotations
 
-from column_oracle import ListingInference, assert_same_result
+from column_oracle import ListingInference, assert_same_result, counter_state
 from sanitize_oracle import ObservationSanitizer
 
 from repro.bgp.announcement import PathCommTuple
@@ -45,7 +45,7 @@ def reference_windows(events, spec, *, asn_registry=None):
         codes = result.as_code_map()
         windows.append(
             (closed.start, closed.end, events_total, len(last_seen), codes,
-             result.store.state_dict(), changed)
+             counter_state(result), changed)
         )
 
     for event in events:
@@ -67,7 +67,7 @@ def engine_windows(engine):
     """The engine's retained snapshots in :func:`reference_windows` form."""
     return [
         (s.window_start, s.window_end, s.events_total, s.unique_tuples,
-         s.result.as_code_map(), s.result.store.state_dict(), dict(s.changed))
+         s.result.as_code_map(), counter_state(s.result), dict(s.changed))
         for s in engine.snapshots
     ]
 

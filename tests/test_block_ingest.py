@@ -26,6 +26,7 @@ that makes it safe to ship:
 from __future__ import annotations
 
 import pytest
+from column_oracle import counter_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from stream_oracle import engine_windows, reference_windows
@@ -125,7 +126,7 @@ def engine_fingerprint(engine, result):
     return {
         "result": (
             result.as_code_map(),
-            result.store.state_dict(),
+            counter_state(result),
             set(result.observed_ases),
         ),
         "snapshots": [

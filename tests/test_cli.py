@@ -10,7 +10,7 @@ from repro.bgp.messages import BGPUpdate, PathAttributes
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
 from repro.cli import build_parser, main
-from repro.core.export import ClassificationDatabase
+from repro.core.export import FORMAT_HEADER, ClassificationDatabase
 from repro.mrt.encoder import MRTEncoder
 
 
@@ -232,6 +232,28 @@ class TestShowCommand:
         output = tmp_path / "db.json"
         main(["classify", str(mrt_file), "--format", "json", "-o", str(output)])
         assert main(["show", str(output)]) == 0
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (f"{FORMAT_HEADER}\n1|tf|a|0|0|0\n", "line 2: malformed classification line"),
+            (f"{FORMAT_HEADER}\n1|zz|1|0|0|0\n", "unknown class code 'zz'"),
+            (f"{FORMAT_HEADER}\n1|tf|-5|0|0|0\n", "tagger '-5' is negative"),
+            ('[{"class": "tf"}]', "entry 0: missing key 'asn'"),
+            ('{"asn": 1, "class": "tf"}', "expected a JSON list"),
+        ],
+        ids=["non-integer", "unknown-code", "negative", "json-missing-asn", "json-not-a-list"],
+    )
+    def test_show_reports_a_malformed_database_as_one_error_line(
+        self, content, reason, tmp_path, capsys
+    ):
+        database = tmp_path / "db.txt"
+        database.write_text(content)
+        assert main(["show", str(database)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {database}: ") and reason in captured.err
 
 
 class TestStreamCommand:

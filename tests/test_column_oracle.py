@@ -17,7 +17,7 @@ import pickle
 from unittest import mock
 
 import pytest
-from column_oracle import ListingInference, assert_same_result
+from column_oracle import ListingInference, assert_same_result, counter_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -173,7 +173,7 @@ class TestFuzzed:
         tuples.append(make_tuple(chain, chain[: length // 2]))  # far end untagged
         result = assert_matches_listing(tuples, stop_when_stalled=False)
         assert result.classification_of(chain[0]).code == "tf"
-        assert result.store.get(chain[-1]).tagging_total > 0
+        assert result.counters_of(chain[-1]).tagging_total > 0
 
 
 class TestOddInput:
@@ -217,17 +217,19 @@ class TestOddInput:
 
     def test_only_plain_ints_cross_the_result_boundary(self, random_dataset):
         result = ColumnInference().run(random_dataset.tuples[:2000])
-        assert result.observed_ases and len(result.store)
+        state = counter_state(result)
+        assert result.observed_ases and len(state)
         assert {type(asn) for asn in result.observed_ases} == {int}
-        assert {type(asn) for asn in result.store} == {int}
-        for _asn, counters in result.store.items():
-            assert {type(value) for value in counters.as_tuple()} == {int}
+        assert {type(asn) for asn in state} == {int}
+        for asn, counters in state.items():
+            assert {type(value) for value in counters} == {int}
+            assert {type(value) for value in result.counters_of(asn).as_tuple()} == {int}
         json.dumps({"observed": sorted(result.observed_ases), "codes": result.as_code_map()})
         restored = pickle.loads(pickle.dumps(result))
-        assert restored.store.state_dict() == result.store.state_dict()
+        assert counter_state(restored) == counter_state(result)
 
     def test_empty_sequence_paths_are_neither_counted_nor_observed(self):
         result = assert_matches_listing(
             [PathCommTuple(EMPTY_SEQUENCE, CommunitySet([Community(1, 1)]))] * 3
         )
-        assert len(result) == 0 and len(result.store) == 0
+        assert len(result) == 0 and len(counter_state(result)) == 0

@@ -20,10 +20,9 @@ import sys
 import threading
 
 import pytest
+from column_oracle import CounterStore, result_from_store
 
 from repro.core.classes import CLASS_CODES
-from repro.core.counters import CounterStore
-from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.service import SnapshotStore, snapshot_payload
 from repro.service.backends import sqlite as sqlite_backend
@@ -54,9 +53,9 @@ def random_snapshot(rng: random.Random, window: int, *, empty: bool = False) -> 
             scale = rng.choice((3, 1000, 2**31 + 5, 2**40))
             state[asn] = tuple(rng.randrange(0, scale) for _ in range(4))
     thresholds = Thresholds(*(rng.choice((0.99, 0.75, 0.6)) for _ in range(4)))
-    result = ClassificationResult(
-        store=CounterStore.from_state(state, thresholds),
-        observed_ases=observed,
+    result = result_from_store(
+        CounterStore.from_state(state, thresholds),
+        observed,
         algorithm=rng.choice(("column", "row")),
     )
     changed = {
@@ -196,9 +195,7 @@ class CountingDecoder:
 
 def uniform_snapshot(window: int, asns) -> WindowSnapshot:
     state = {asn: (window + 1, 1, 2, 3) for asn in asns}
-    result = ClassificationResult(
-        store=CounterStore.from_state(state, Thresholds()), observed_ases=set(asns)
-    )
+    result = result_from_store(CounterStore.from_state(state, Thresholds()), asns)
     return WindowSnapshot(window * 100, (window + 1) * 100, 0, 1, 1, result, {})
 
 

@@ -1,11 +1,12 @@
-"""Unit tests for counters, thresholds, classes, and conditions."""
+"""Unit tests for counters, thresholds and classes, and for the per-AS oracle
+(``CounterStore``, Cond1 / Cond2) in ``tests/column_oracle.py``."""
 
 import pytest
+from column_oracle import CounterStore, cond1, cond2, find_downstream_tagger
 
 from repro.bgp.path import ASPath
 from repro.core.classes import ForwardingClass, TaggingClass, UNCLASSIFIED, UsageClassification
-from repro.core.conditions import cond1, cond2, find_downstream_tagger
-from repro.core.counters import ASCounters, CounterStore
+from repro.core.counters import ASCounters
 from repro.core.thresholds import Thresholds
 
 

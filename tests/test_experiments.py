@@ -10,6 +10,7 @@ change that flips a class fails here whatever it does to the inequalities.
 import io
 
 import pytest
+from column_oracle import counter_state
 
 from repro.experiments import figure2, figure3, figure4, figure5, figure6, table1, table2, table3, table4, table5_6
 from repro.experiments.context import ExperimentContext, ExperimentScale
@@ -336,8 +337,8 @@ class TestContextCache:
             cold.aggregate_classification.as_code_map() == classification.as_code_map()
         )
         assert (
-            cold.aggregate_classification.store.state_dict()
-            == classification.store.state_dict()
+            counter_state(cold.aggregate_classification)
+            == counter_state(classification)
         )
 
     def test_cache_key_separates_scales_seeds_and_thresholds(self, tmp_path):

@@ -36,6 +36,23 @@ class TestRecord:
         with pytest.raises(ValueError):
             ClassificationRecord.from_line("3356|tf|1")
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("1|tf|a|0|0|0", "tagger 'a' is not an integer"),
+            ("1|tf|0|0|1.5|0", "forward '1.5' is not an integer"),
+            ("x|tf|0|0|0|0", "asn 'x' is not an integer"),
+            ("1|zz|1|0|0|0", "unknown class code 'zz'"),
+            ("1|t|1|0|0|0", "unknown class code 't'"),
+            ("1|tf|-5|0|0|0", "tagger '-5' is negative"),
+            ("1|tf|0|0|0|-1", "cleaner '-1' is negative"),
+        ],
+    )
+    def test_bad_fields_are_refused_naming_the_line(self, line, reason):
+        with pytest.raises(ValueError) as caught:
+            ClassificationRecord.from_line(line)
+        assert str(caught.value) == f"malformed classification line {line!r}: {reason}"
+
     def test_to_dict(self):
         record = ClassificationRecord.from_line("1|sc|0|5|0|9")
         data = record.to_dict()
@@ -70,6 +87,37 @@ class TestDatabase:
     def test_load_rejects_wrong_header(self):
         with pytest.raises(ValueError):
             ClassificationDatabase.load(io.StringIO("# something else\n1|tf|1|0|1|0\n"))
+
+    @pytest.mark.parametrize("line", ["1|tf|a|0|0|0", "1|zz|1|0|0|0", "1|tf|-5|0|0|0"])
+    def test_load_names_the_bad_line(self, line):
+        text = f"{FORMAT_HEADER}\n# asn|class|t|s|f|c\n10|tf|5|0|5|0\n{line}\n"
+        with pytest.raises(ValueError) as caught:
+            ClassificationDatabase.loads(text)
+        assert str(caught.value).startswith(f"line 4: malformed classification line {line!r}: ")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"asn": 1, "class": "tf"}', "expected a JSON list of per-AS objects, got dict"),
+            ('[{"asn": 1, "class": "tf"}, {"class": "tf"}]', "entry 1: missing key 'asn'"),
+            ('[{"asn": 1}]', "entry 0: missing key 'class'"),
+            ('[{"asn": 1, "class": "zz"}]', "entry 0: unknown class code 'zz'"),
+            ('[{"asn": 1, "class": "tf", "tagger_count": -5}]', "entry 0: tagger -5 is negative"),
+            (
+                '[{"asn": 1, "class": "tf", "silent_count": 2.5}]',
+                "entry 0: silent 2.5 is not an integer",
+            ),
+            (
+                '[{"asn": 1, "class": "tf", "forward_count": "a"}]',
+                "entry 0: forward 'a' is not an integer",
+            ),
+            ("[7]", "entry 0: expected an object, got int"),
+        ],
+    )
+    def test_from_json_names_the_bad_entry(self, text, reason):
+        with pytest.raises(ValueError) as caught:
+            ClassificationDatabase.from_json(text)
+        assert str(caught.value) == reason
 
     def test_comments_and_blank_lines_ignored(self):
         text = FORMAT_HEADER + "\n# comment\n\n10|tf|5|0|5|0\n"

@@ -1,9 +1,9 @@
 """Tests for scenario evaluation metrics, ROC sweeps, and stability analyses."""
 
 import pytest
+from column_oracle import CounterStore, result_from_store
 
 from repro.core.column import ColumnInference
-from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.eval.metrics import ConfusionMatrix, evaluate_scenario
 from repro.eval.roc import roc_series, threshold_sweep
@@ -98,8 +98,6 @@ class TestROCSweep:
 class TestStability:
     def _result_with(self, codes):
         """Build a fake classification result with given full classes."""
-        from repro.core.counters import CounterStore
-
         store = CounterStore(Thresholds())
         observed = set()
         for asn, code in codes.items():
@@ -114,7 +112,7 @@ class TestStability:
                     )
                 }
             )
-        return ClassificationResult(store=store, observed_ases=observed)
+        return result_from_store(store, observed)
 
     def test_new_stable_recurring(self):
         day1 = self._result_with({1: "tf", 2: "sc"})

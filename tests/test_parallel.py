@@ -9,6 +9,7 @@ observed ASes, same window snapshots, same checkpoints.
 from dataclasses import replace
 
 import pytest
+from column_oracle import counter_state
 from sanitize_oracle import ObservationSanitizer
 
 from repro.bgp.announcement import PathCommTuple
@@ -28,7 +29,7 @@ def result_fingerprint(result):
     """Everything that defines a classification outcome."""
     return (
         result.as_code_map(),
-        result.store.state_dict(),
+        counter_state(result),
         set(result.observed_ases),
     )
 
@@ -181,7 +182,7 @@ class TestParallelStreamEngine:
         assert serial.classifier.tuple_count == len(tuples)
         assert parallel.classifier.tuple_count == serial.classifier.tuple_count
         assert parallel.classifier.stats.tuples_added == serial.classifier.stats.tuples_added
-        assert parallel_result.store.state_dict() == serial_result.store.state_dict()
+        assert counter_state(parallel_result) == counter_state(serial_result)
         assert self.seen_pairs(parallel) == self.seen_pairs(serial)
 
     @pytest.mark.parametrize("resume_parallel", [False, True])

@@ -6,6 +6,7 @@ produce a classification identical to the batch pipeline over the same data.
 """
 
 import pytest
+from column_oracle import counter_state
 
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import CommunitySet
@@ -54,7 +55,7 @@ def result_fingerprint(result):
     """Everything that defines a classification outcome."""
     return (
         result.as_code_map(),
-        result.store.state_dict(),
+        counter_state(result),
         set(result.observed_ases),
     )
 

@@ -2,6 +2,7 @@
 
 import pickle
 
+from column_oracle import CounterStore, counter_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from stream_oracle import assert_packed_matches_batch, engine_windows, reference_windows
@@ -13,7 +14,7 @@ from repro.bgp.path import ASPath
 from repro.bgp.prefix import Prefix
 from repro.core.classes import ForwardingClass, TaggingClass
 from repro.core.column import ColumnInference
-from repro.core.counters import ASCounters, CounterStore
+from repro.core.counters import ASCounters
 from repro.core.thresholds import Thresholds
 from repro.mrt.decoder import decode_path_attributes, decode_records
 from repro.mrt.encoder import encode_path_attributes, encode_records
@@ -236,7 +237,7 @@ class TestInferenceProperties:
             assert classification.tagging in TaggingClass
             assert classification.forwarding in ForwardingClass
         # Counters only exist for observed ASes.
-        for asn in result.store:
+        for asn in counter_state(result):
             assert asn in observed
 
     @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
@@ -322,10 +323,10 @@ def _build_observations(raw):
 def _engine_outcome(engine):
     result = engine.finish()
     return (
-        result.store.state_dict(),
+        counter_state(result),
         sorted(result.observed_ases),
         [
-            (s.window_start, s.window_end, s.events_total, s.result.store.state_dict())
+            (s.window_start, s.window_end, s.events_total, counter_state(s.result))
             for s in engine.snapshots
         ],
         engine.sanitation_stats().as_dict(),

@@ -2,37 +2,45 @@
 
 ``class_code_indices`` states Section 5.5 once over columns and every
 summary of a result is one numpy pass over them.  The oracle here is the
-loop they replaced: ``CounterStore.get_class`` / ``CounterStore.get`` per
-observed AS.  Results are built both ways -- from packed columns
-(``from_packed``, what batch and stream column inference hand over) and from an object
-``CounterStore`` (row batch, imported databases, stored snapshots) -- and
-both must equal the loops.  The rest pins what going lazy put at risk: an
-emitted snapshot never moves, and row order is ascending ASN whatever the
-shard count.
+per-AS loop of ``tests/column_oracle.py``: ``CounterStore.get_class`` /
+``CounterStore.get`` per observed AS.  Results are built every way production
+builds them -- from packed columns (``from_packed``, what batch and stream
+column inference hand over), by the constructor, from a wire payload
+(``snapshot_from_payload``), from an imported database (``to_result``) and by
+the row baseline (``RowInference``) -- and each must equal the loops, its
+wire payload and exported database included, byte for byte.  The rest pins
+what going columnar put at risk: an emitted snapshot never moves, and row
+order is ascending ASN whatever the shard count.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from column_oracle import CounterStore, counter_state, result_from_store
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.announcement import RouteObservation
+from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
 from repro.core.classes import CLASS_CODES, ForwardingClass, TaggingClass
-from repro.core.counters import CounterStore, PackedCounterStore, class_code_indices
+from repro.core.counters import PackedCounterStore, class_code_indices
+from repro.core.export import ClassificationDatabase, ClassificationRecord
 from repro.core.results import FULL_CLASS_CODES, ClassificationResult
+from repro.core.row import RowInference, prepare_tuple, row_tuple_delta
 from repro.core.thresholds import Thresholds
 from repro.service import SnapshotStore, snapshot_payload
+from repro.service.backends.base import snapshot_from_payload
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowPolicy, WindowSpec
+from repro.stream.engine import WindowSnapshot
 from repro.stream.incremental import make_classifier
 
 #: Shares that sit exactly on a threshold as ``(hit, miss, threshold)``.
@@ -68,13 +76,15 @@ THRESHOLDS = st.builds(
 )
 
 
-def both_ways(quads, thresholds, uncounted=0, retract=False):
-    """``(store, observed, packed-built result, store-built result)`` over *quads*.
+def built_ways(quads, thresholds, uncounted=0, retract=False):
+    """``(store, observed, {way: result})`` over *quads*, one result per way.
 
     AS ``100 + 3 * i`` holds ``quads[i]``, in a shuffled slot as a table would
     intern it.  *uncounted* more ASes are observed without evidence: their
     slots lie past the packed columns, or -- with *retract* -- inside them,
-    counted once and retracted to zero again.
+    counted once and retracted to zero again.  Besides the packed columns,
+    the result is built by the constructor and decoded from the oracle's
+    wire payload and exported database.
     """
     counted = len(quads)
     asns = [100 + 3 * index for index in range(counted + uncounted)]
@@ -93,12 +103,97 @@ def both_ways(quads, thresholds, uncounted=0, retract=False):
             packed.apply_delta({slot: (4, 3, 2, 1)})
             packed.apply_delta({slot: (-4, -3, -2, -1)})
     observed = set(asns)
-    return (
-        store,
-        observed,
-        ClassificationResult.from_packed(packed, as_values, set(observed)),
-        ClassificationResult(store=store, observed_ases=set(observed)),
+    counters = np.array(list(quads) + [(0, 0, 0, 0)] * uncounted, dtype=np.int64)
+    return store, observed, {
+        "from_packed": ClassificationResult.from_packed(packed, as_values, set(observed)),
+        "constructor": ClassificationResult(asns, counters.reshape(-1, 4).T, thresholds),
+        "payload": snapshot_from_payload(
+            oracle_payload(store, observed, "column"), thresholds
+        ).result,
+        "imported": oracle_database(store, observed).to_result(thresholds),
+    }
+
+
+# -- the encoders, per AS over the oracle store ------------------------------------------
+#: The window fields of the snapshots the encoders are held to.
+WINDOW = dict(window_start=3600, window_end=7200, skipped_windows=1, events_total=9, unique_tuples=4)
+CHANGED = {100: ("nn", "tf"), 7: ("sc", "nn")}
+
+
+def oracle_summary(store, observed):
+    """:meth:`ClassificationResult.summary`, one ``get_class`` per observed AS."""
+    classes = [store.get_class(asn) for asn in observed]
+    summary = {"ases_observed": len(classes)}
+    for key, tagging in zip(
+        ("tagger", "silent", "tagging_undecided", "tagging_none"), TaggingClass
+    ):
+        summary[key] = sum(cls.tagging is tagging for cls in classes)
+    for key, forwarding in zip(
+        ("forward", "cleaner", "forwarding_undecided", "forwarding_none"), ForwardingClass
+    ):
+        summary[key] = sum(cls.forwarding is forwarding for cls in classes)
+    for code in FULL_CLASS_CODES:
+        summary[f"full_{code}"] = sum(cls.code == code for cls in classes)
+    return summary
+
+
+def oracle_payload(store, observed, algorithm):
+    """:func:`snapshot_payload` of a :data:`WINDOW` snapshot, one AS at a time."""
+    ases = {}
+    for asn in sorted(observed):
+        counters = store.get(asn)
+        ases[str(asn)] = {
+            "code": store.get_class(asn).code,
+            "counters": dict(zip(("tagger", "silent", "forward", "cleaner"), counters.as_tuple())),
+            "shares": {
+                "tagger": counters.tagger_share(),
+                "silent": counters.silent_share(),
+                "forward": counters.forward_share(),
+                "cleaner": counters.cleaner_share(),
+            },
+        }
+    summary = {
+        "window_start": WINDOW["window_start"],
+        "window_end": WINDOW["window_end"],
+        "events_total": WINDOW["events_total"],
+        "unique_tuples": WINDOW["unique_tuples"],
+        "changed_ases": len(CHANGED),
+        **oracle_summary(store, observed),
+    }
+    changed = {str(asn): list(codes) for asn, codes in sorted(CHANGED.items())}
+    return {
+        **WINDOW,
+        "algorithm": algorithm,
+        "summary": summary,
+        "ases": ases,
+        "changed": changed,
+    }
+
+
+def oracle_database(store, observed):
+    """:meth:`ClassificationDatabase.from_result`, one AS at a time."""
+    return ClassificationDatabase(
+        {
+            asn: ClassificationRecord(asn, store.get_class(asn), store.get(asn))
+            for asn in sorted(observed)
+        }
     )
+
+
+def assert_encodes_like_the_oracle(result, store, observed):
+    """Payload, text and JSON export of *result* == the per-AS encodings."""
+    snapshot = WindowSnapshot(**WINDOW, result=result, changed=dict(CHANGED))
+    assert json.dumps(snapshot_payload(snapshot), sort_keys=True) == json.dumps(
+        oracle_payload(store, observed, result.algorithm), sort_keys=True
+    )
+    exported, want = ClassificationDatabase.from_result(result), oracle_database(store, observed)
+    assert exported.dumps() == want.dumps()
+    assert exported.to_json() == want.to_json()
+    # An AS never observed reads nn and zero counters.
+    for never in (0, 99, max(observed, default=0) + 1, 2**64 - 1):
+        if never not in observed:
+            assert result.classification_of(never).code == "nn" and result[never].code == "nn"
+            assert result.counters_of(never).as_tuple() == (0, 0, 0, 0)
 
 
 def assert_equals_the_loops(result, store, observed):
@@ -144,8 +239,8 @@ def assert_equals_the_loops(result, store, observed):
         assert result.ases_with_forwarding(cls) == [
             a for a in order if classes[a].forwarding is cls
         ]
-    # Per-AS access (the lazily built object store) agrees too.
-    assert result.store.state_dict() == store.state_dict()
+    # Per-AS access (a binary search into the columns) agrees too.
+    assert counter_state(result) == store.state_dict()
     for asn in order[:5]:
         assert result.classification_of(asn) == classes[asn]
         assert result.counters_of(asn).as_tuple() == store.get(asn).as_tuple()
@@ -161,12 +256,38 @@ class TestVectorisedRule:
         retract=st.booleans(),
     )
     def test_columns_equal_the_per_as_loops(self, quads, thresholds, uncounted, retract):
-        store, observed, from_packed, from_store = both_ways(
-            quads, thresholds, uncounted, retract
-        )
-        assert_equals_the_loops(from_packed, store, observed)
-        assert_equals_the_loops(from_store, store, observed)
-        assert from_packed.thresholds == from_store.thresholds == thresholds
+        store, observed, results = built_ways(quads, thresholds, uncounted, retract)
+        for result in results.values():
+            assert_equals_the_loops(result, store, observed)
+            assert_encodes_like_the_oracle(result, store, observed)
+            assert result.thresholds == thresholds
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        paths=st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 12), min_size=1, max_size=5),
+                st.lists(st.integers(1, 14), max_size=4),
+            ),
+            max_size=30,
+        ),
+        thresholds=THRESHOLDS,
+    )
+    def test_the_row_baseline_equals_the_per_as_loops(self, paths, thresholds):
+        """``RowInference`` sums one delta and builds its result from it; the
+        oracle applies each tuple's delta to a store and reads it AS by AS."""
+        tuples = [
+            PathCommTuple(ASPath(asns), CommunitySet(Community(upper, 1) for upper in uppers))
+            for asns, uppers in paths
+        ]
+        store = CounterStore(thresholds)
+        for item in tuples:
+            store.apply_delta(row_tuple_delta(prepare_tuple(item)))
+        observed = {asn for asns, _ in paths for asn in asns}
+        result = RowInference(thresholds).run(tuples)
+        assert result.algorithm == "row" and result.observed_ases == observed
+        assert_equals_the_loops(result, store, observed)
+        assert_encodes_like_the_oracle(result, store, observed)
 
     @settings(max_examples=200, deadline=None)
     @given(quads=QUADS, thresholds=THRESHOLDS)
@@ -187,17 +308,17 @@ class TestVectorisedRule:
         tagging = {"t": (3, 1), "s": (1, 99), "u": (74, 26), "n": (0, 0)}
         forwarding = {"f": (9, 1), "c": (49, 51), "u": (89, 11), "n": (0, 0)}
         quads = [(*tagging[t], *forwarding[f]) for t in "tsun" for f in "fcun"]
-        store, observed, from_packed, from_store = both_ways(quads, thresholds)
+        store, observed, results = built_ways(quads, thresholds)
         want = [t + f for t in "tsun" for f in "fcun"]
         assert list(CLASS_CODES) == want
-        for result in (from_packed, from_store):
+        for result in results.values():
             assert list(result.as_code_map().values()) == want
             assert_equals_the_loops(result, store, observed)
+            assert_encodes_like_the_oracle(result, store, observed)
         # One below each threshold is undecided.
         below = [(74, 26, 0, 0), (1, 98, 0, 0), (0, 0, 89, 11), (0, 0, 50, 50)]
-        assert list(both_ways(below, thresholds)[2].as_code_map().values()) == [
-            "un", "un", "nu", "nu"
-        ]
+        for result in built_ways(below, thresholds)[2].values():
+            assert list(result.as_code_map().values()) == ["un", "un", "nu", "nu"]
 
     def test_the_hit_side_is_tested_first(self):
         """Valid thresholds (> 0.5) make tagger and silent exclusive, so the order
@@ -212,14 +333,17 @@ class TestVectorisedRule:
 
     def test_empty_results(self):
         for result in (
-            ClassificationResult(CounterStore()),
+            result_from_store(CounterStore()),
+            ClassificationResult([], np.zeros((4, 0), dtype=np.int64), Thresholds()),
             ClassificationResult.from_packed(PackedCounterStore(), [], set()),
             ClassificationResult.from_packed(PackedCounterStore(slots=2), [7, 8], set()),
         ):
             assert result.as_code_map() == {} and result.records() == []
             assert result.summary()["ases_observed"] == 0 and len(result) == 0
             assert sum(result.tagging_counts().values()) == 0
-            assert len(result.store) == 0
+            assert counter_state(result) == {}
+            assert result.classification_of(1).code == "nn"
+            assert result.counters_of(1).as_tuple() == (0, 0, 0, 0)
 
     def test_observed_slots_past_the_packed_columns_read_zero(self):
         """ASes interned after the counters were last sized (pending arrivals)."""
@@ -229,7 +353,22 @@ class TestVectorisedRule:
         assert result.records() == [
             (10, "nn", 0, 0, 0, 0), (20, "tn", 5, 0, 0, 0), (30, "nn", 0, 0, 0, 0)
         ]
-        assert result.store.state_dict() == {20: (5, 0, 0, 0)}
+        assert counter_state(result) == {20: (5, 0, 0, 0)}
+
+    def test_a_result_pickles_as_its_columns(self):
+        """The pickled state is the ``_columns`` triple plus three plain fields.
+        An experiments ``--cache-dir`` pickle whose ``__dict__`` also carries
+        ``_store`` (``None`` on a packed-built result) still loads."""
+        result = built_ways([(3, 1, 0, 2), (0, 0, 0, 0), (1, 99, 5, 0)], Thresholds(), 1)[2][
+            "from_packed"
+        ]
+        assert set(vars(result)) == {"_columns", "observed_ases", "algorithm", "thresholds"}
+        assert views(pickle.loads(pickle.dumps(result))) == views(result)
+        older = ClassificationResult.__new__(ClassificationResult)
+        older.__dict__.update(vars(result), _store=None)
+        restored = pickle.loads(pickle.dumps(older, protocol=pickle.HIGHEST_PROTOCOL))
+        assert views(restored) == views(result)
+        assert restored.classification_of(100).code == result.classification_of(100).code
 
 
 def feed(seed=3, windows=12, per_window=25):
@@ -260,7 +399,7 @@ def views(result):
         result.as_code_map(),
         result.records(),
         result.summary(),
-        result.store.state_dict(),
+        counter_state(result),
         set(result.observed_ases),
     )
 
@@ -283,8 +422,8 @@ class TestSnapshotsDoNotMove:
         assert len({len(view[1]) for view in emitted}) > 1  # the AS set did move
         assert [views(snapshot.result) for snapshot in engine.snapshots] == emitted
 
-        # A second run reads nothing at emission: every view, the object
-        # store included, is first touched after the last window closed.
+        # A second run reads nothing at emission: every view is first
+        # touched after the last window closed.
         late = StreamEngine(StreamConfig(window=SLIDING, shards=shards))
         late.run(MemorySource(feed()))
         assert [views(snapshot.result) for snapshot in late.snapshots] == emitted
@@ -304,7 +443,7 @@ class TestSnapshotsDoNotMove:
         moved = classifier.update()
         assert views(moved) != held
         assert views(result) == held
-        assert views(untouched) == held  # its store is first built here
+        assert views(untouched) == held  # first read here
 
 
 class TestRowOrder:
@@ -326,17 +465,14 @@ class TestRowOrder:
 class TestWireFormat:
     def test_payload_and_store_round_trip_of_a_packed_built_snapshot(self):
         """A snapshot over packed columns serialises exactly like the same
-        snapshot over an object store, and survives a backend unchanged."""
+        snapshot lowered from the oracle store, and survives a backend unchanged."""
         engine = StreamEngine(StreamConfig(window=SLIDING))
         engine.run(MemorySource(feed(windows=5)))
         store = SnapshotStore(":memory:")
         for snapshot in engine.snapshots:
-            rebuilt = ClassificationResult(
-                store=CounterStore.from_state(
-                    {record[0]: record[2:] for record in snapshot.result.records() if any(record[2:])},
-                    snapshot.result.thresholds,
-                ),
-                observed_ases=set(snapshot.result.observed_ases),
+            rebuilt = result_from_store(
+                CounterStore.from_state(counter_state(snapshot.result), snapshot.result.thresholds),
+                snapshot.result.observed_ases,
                 algorithm=snapshot.result.algorithm,
             )
             want = json.dumps(snapshot_payload(snapshot))

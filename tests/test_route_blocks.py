@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from column_oracle import counter_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sanitize_oracle import ObservationSanitizer
@@ -171,7 +172,7 @@ def fingerprint(engine, result):
     return (
         engine_windows(engine),
         result.as_code_map(),
-        result.store.state_dict(),
+        counter_state(result),
         engine.stats.events_in,
         engine.unique_tuples,
         engine.late_events,
@@ -274,7 +275,7 @@ class TestRouteBlockFeed:
         engine = StreamEngine(StreamConfig(window=WindowSpec(size=86400), shards=4))
         final = engine.run(MRTReplaySource({"rrc00": blob}))
         assert final.as_code_map() == batch.result.as_code_map()
-        assert final.store.state_dict() == batch.result.store.state_dict()
+        assert counter_state(final) == counter_state(batch.result)
         assert engine.sanitation_stats().as_dict() == batch.sanitation.as_dict()
         assert engine.unique_tuples == batch.unique_tuples
 

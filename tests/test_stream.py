@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from column_oracle import ListingInference, decision_view
+from column_oracle import CounterStore, ListingInference, counter_state, decision_view
 from sanitize_oracle import ObservationSanitizer
 
 from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation
@@ -22,7 +22,6 @@ from repro.bgp.asn import ASNRegistry
 from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
-from repro.core.counters import CounterStore
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
 from repro.stream import (
@@ -74,7 +73,7 @@ def evict(classifier, evicted):
 
 
 def fingerprint(result):
-    return (result.as_code_map(), result.store.state_dict(), set(result.observed_ases))
+    return (result.as_code_map(), counter_state(result), set(result.observed_ases))
 
 
 # ---------------------------------------------------------------------------------------

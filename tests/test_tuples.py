@@ -14,11 +14,13 @@ import random
 
 import pytest
 from column_oracle import (
+    CounterStore,
     ListingInference,
     assert_same_result,
     canonical,
     count_forwarding_groups,
     count_tagging_groups,
+    counter_state,
     decision_view,
     group_matrix,
 )
@@ -32,7 +34,7 @@ from repro.core.column import (
     count_forwarding_phase_packed,
     count_tagging_phase_packed,
 )
-from repro.core.counters import CounterStore, PackedCounterStore
+from repro.core.counters import PackedCounterStore
 from repro.core.matrix import GroupMatrix
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
@@ -161,7 +163,7 @@ def scalar_decision_flags(packed):
 def packed_state(packed, as_values):
     """``{asn: (t, s, f, c)}`` of the non-zero slots, through the result boundary."""
     result = ClassificationResult.from_packed(packed, as_values, set(as_values))
-    return result.store.state_dict()
+    return counter_state(result)
 
 
 class TestPackedCounterStore:
