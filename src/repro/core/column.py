@@ -21,12 +21,16 @@ column produces no new evidence, which in practice happens around index 7
 (the paper makes the same observation).
 
 There is one form and one pair of counting kernels.  Tuples are counted as
-``(AS-index row, hits, multiplicity)`` groups bucketed by path length into a
-:class:`~repro.core.matrix.GroupMatrix`: :class:`ColumnInference` lowers its
-object tuples in bulk (:func:`~repro.core.matrix.lower_tuples`), the stream
-classifier lowers its interned groups from the table's packed paths, and both
-run the two numpy ``count_*_phase_packed`` kernels below, which reduce a
-whole length bucket per step over dense per-slot counters.  The
+``(AS-index row, hits, multiplicity)`` groups in the padded position-major
+width-class buckets of a :class:`~repro.core.matrix.GroupMatrix`:
+:class:`ColumnInference` lowers its object tuples in bulk
+(:func:`~repro.core.matrix.lower_tuples`), the stream classifier lowers its
+interned groups from the table's packed paths, and both run the two numpy
+``count_*_phase_packed`` kernels below.  They walk a bucket the way the
+listing walks its tuples, path position by path position, each step one
+contiguous vector op over every group of the bucket, and return their
+per-slot deltas as ``(slots, 2)`` int64 arrays that the
+:class:`~repro.core.counters.PackedCounterStore` matrix adds.  The
 listing-shaped object-tuple implementation, and the per-group loops these
 kernels replaced, live on as differential oracles in
 ``tests/column_oracle.py``.
@@ -35,145 +39,128 @@ kernels replaced, live on as differential oracles in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as _np
 
 from repro.bgp.announcement import PathCommTuple
-from repro.bgp.asn import ASN
 from repro.core.counters import PackedCounterStore
 from repro.core.matrix import GroupMatrix, lower_tuples
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 
-#: Per-AS two-component counter deltas produced by one counting phase
-#: (``[dt, ds]`` for tagging phases, ``[df, dc]`` for forwarding phases).
-PhaseDelta = Dict[ASN, List[int]]
 
-
-def merge_phase_delta(target: PhaseDelta, extra: PhaseDelta) -> None:
-    """Fold *extra* phase deltas into *target* in place.
+def merge_phase_delta(target: "_np.ndarray", extra: "_np.ndarray") -> "_np.ndarray":
+    """``target + extra`` over two ``(slots, 2)`` phase deltas, the shorter zero-grown.
 
     Phase deltas are per-AS commutative sums, so merging the deltas of
     disjoint tuple chunks is equivalent to counting the concatenated chunk in
     one pass — the property the incremental classifier relies on when it
-    counts only the turnover of a phase.
+    counts only the turnover of a phase.  The sum is taken in place in the
+    longer of the two arrays, which is returned.
     """
-    for asn, (first, second) in extra.items():
-        entry = target.get(asn)
-        if entry is None:
-            target[asn] = [first, second]
-        else:
-            entry[0] += first
-            entry[1] += second
+    if len(target) < len(extra):
+        target, extra = extra, target
+    target[: len(extra)] += extra
+    return target
 
 
 def _pair_delta(
     codes: List["_np.ndarray"], weights: List["_np.ndarray"], slots: int
-) -> Dict[int, List[int]]:
-    """Sum the weights of ``2 * slot + component`` codes into the kernels' delta dict.
+) -> "_np.ndarray":
+    """The ``(slots, 2)`` int64 weight sums of ``2 * slot + component`` codes.
 
     One ``bincount`` per phase over every bucket's codes; its weights are
     integer-valued float64, exact far beyond any realistic event count.
     """
     if not codes:
-        return {}
+        return _np.zeros((slots, 2), dtype=_np.int64)
     totals = _np.bincount(
         _np.concatenate(codes), weights=_np.concatenate(weights), minlength=2 * slots
-    ).astype(_np.int64)
-    pairs = totals.reshape(slots, 2)
-    nonzero = _np.flatnonzero(pairs[:, 0] | pairs[:, 1])
-    return dict(zip(nonzero.tolist(), pairs[nonzero].tolist()))
+    )
+    return totals.astype(_np.int64).reshape(slots, 2)
 
 
 def _qualified(rows: "_np.ndarray", position: int, forward: "_np.ndarray") -> "_np.ndarray":
-    """Cond1 per row: every AS upstream of *position* is a forward AS."""
-    return forward[rows[:, :position]].all(axis=1)
+    """Per group: it has a cell at *position* and Cond1 holds (every AS upstream forwards)."""
+    qualified = rows[position] >= 0
+    for upstream in rows[:position]:
+        qualified &= forward[upstream]
+    return qualified
 
 
 def count_tagging_phase_packed(
     groups: GroupMatrix,
     column: int,
-    tagger_flags: bytearray,
-    forward_flags: bytearray,
-) -> Tuple[Dict[int, List[int]], int]:
+    tagger_flags: "_np.ndarray",
+    forward_flags: "_np.ndarray",
+) -> Tuple["_np.ndarray", int]:
     """Phase 1 of one column: count tagging evidence.
 
-    Pure in ``(groups, column, flags)``; returns the per-AS-index ``[dt,
-    ds]`` deltas and the number of increments (the stall signal).  Every
-    length bucket at least *column* long is reduced at once: the Cond1 scan
-    is one mask over its upstream cells, the ``A_x in output(A_1)`` test is
-    the hit-plane column at ``x``, and each group's contribution is its
+    Pure in ``(groups, column, flags)``; returns the ``(slots, 2)`` per-AS-index
+    ``[dt, ds]`` deltas and the number of increments (the stall signal).  The
+    flags are bool vectors over the slots plus one trailing ``False``, so the
+    padding slot ``-1`` is neither tagger nor forwarder.  Each bucket wide
+    enough for *column* is walked position by position: Cond1 is an AND of
+    the forward flags of the upstream rows, the ``A_x in output(A_1)`` test is
+    the hit-plane row at ``x``, and each group's contribution is its
     multiplicity (phase contributions are commutative).
     """
     del tagger_flags  # same signature as the forwarding kernel
-    forward = _np.frombuffer(forward_flags, dtype=_np.uint8)
     codes: List["_np.ndarray"] = []
     weights: List["_np.ndarray"] = []
     increments = 0
     position = column - 1
-    for length, (rows, hits, counts) in groups.buckets.items():
-        if length < column:
+    for width, (rows, hits, counts, _) in groups.buckets.items():
+        if width < column:
             continue
-        if column > 1:
-            qualified = _qualified(rows, position, forward)
-            rows, hits, counts = rows[qualified], hits[qualified], counts[qualified]
-        if not counts.size:
+        qualified = _qualified(rows, position, forward_flags)
+        if not qualified.any():
             continue
         # Component 0 (t) when A_x's community is present, else 1 (s).
-        codes.append(2 * rows[:, position] + ~hits[:, position])
-        weights.append(counts)
-        increments += int(counts.sum())
-    return _pair_delta(codes, weights, len(forward)), increments
+        codes.append(2 * rows[position][qualified] + ~hits[position][qualified])
+        weights.append(counts[qualified])
+        increments += int(weights[-1].sum())
+    return _pair_delta(codes, weights, len(forward_flags) - 1), increments
 
 
 def count_forwarding_phase_packed(
     groups: GroupMatrix,
     column: int,
-    tagger_flags: bytearray,
-    forward_flags: bytearray,
-) -> Tuple[Dict[int, List[int]], int]:
+    tagger_flags: "_np.ndarray",
+    forward_flags: "_np.ndarray",
+) -> Tuple["_np.ndarray", int]:
     """Phase 2 of one column: count forwarding evidence.
 
-    Pure in ``(groups, column, flags)``; returns the per-AS-index ``[df,
-    dc]`` deltas and the number of increments.  The Cond2 scan ("nearest
-    downstream tagger reachable through forward ASes") becomes a per-bucket
-    reachability mask: position ``j`` is reachable while every earlier
-    downstream position was a non-tagger forwarder, and the first reachable
-    tagger position (``argmax`` over the eligibility mask) picks the
-    hit-plane cell that says whether the tagger's community is present.
+    Pure in ``(groups, column, flags)``; returns the ``(slots, 2)`` per-AS-index
+    ``[df, dc]`` deltas and the number of increments.  The Cond2 scan
+    ("nearest downstream tagger reachable through forward ASes") walks the
+    downstream rows over a shrinking set of searching groups: reaching a
+    tagger ends a group's search and its hit-plane cell says whether the
+    tagger's community is present; reaching a non-forwarder (the padding
+    slot included) ends it without a count.
     """
-    tagger = _np.frombuffer(tagger_flags, dtype=_np.uint8)
-    forward = _np.frombuffer(forward_flags, dtype=_np.uint8)
     codes: List["_np.ndarray"] = []
     weights: List["_np.ndarray"] = []
     increments = 0
     position = column - 1
-    for length, (rows, hits, counts) in groups.buckets.items():
-        if length <= column:  # no downstream positions to search
+    for width, (rows, hits, counts, _) in groups.buckets.items():
+        if width <= column:  # no downstream positions to search
             continue
-        if column > 1:
-            qualified = _qualified(rows, position, forward)
-            rows, hits, counts = rows[qualified], hits[qualified], counts[qualified]
-        if not counts.size:
-            continue
-        downstream = rows[:, column:]
-        is_tagger = tagger[downstream] != 0
-        proceed = (~is_tagger) & (forward[downstream] != 0)
-        reachable = _np.empty(is_tagger.shape, dtype=bool)
-        reachable[:, 0] = True
-        if reachable.shape[1] > 1:
-            reachable[:, 1:] = _np.logical_and.accumulate(proceed[:, :-1], axis=1)
-        eligible = reachable & is_tagger
-        found = _np.flatnonzero(eligible.any(axis=1))
-        if not found.size:
-            continue
-        # Component 0 (f) when the tagger's community is present, else 1 (c).
-        tagged = hits[found, column + eligible[found].argmax(axis=1)]
-        codes.append(2 * rows[found, position] + ~tagged)
-        weights.append(counts[found])
-        increments += int(weights[-1].sum())
-    return _pair_delta(codes, weights, len(forward)), increments
+        searching = _np.flatnonzero(_qualified(rows, position, forward_flags))
+        for downstream in range(column, width):
+            if not searching.size:
+                break
+            slots = rows[downstream][searching]
+            is_tagger = tagger_flags[slots]
+            found = searching[is_tagger]
+            if found.size:
+                # Component 0 (f) when the tagger's community is present, else 1 (c).
+                codes.append(2 * rows[position][found] + ~hits[downstream][found])
+                weights.append(counts[found])
+                increments += int(weights[-1].sum())
+            searching = searching[~is_tagger & forward_flags[slots]]
+    return _pair_delta(codes, weights, len(forward_flags) - 1), increments
 
 
 @dataclass

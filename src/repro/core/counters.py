@@ -116,88 +116,68 @@ def class_code_indices(counters: "_np.ndarray", thresholds: Thresholds) -> "_np.
 
 
 class PackedCounterStore:
-    """The counters of all ASes as four dense ``array('q')`` columns.
+    """The counters of all ASes as one ``(4, slots)`` int64 ``t, s, f, c`` matrix.
 
     Columns are indexed by the dense AS index a
-    :class:`~repro.core.tuples.TupleTable` assigns, so the hot counting loops
-    touch machine integers instead of per-AS objects.  Results copy the
-    columns (:meth:`columns`) and classify them in bulk; a slot whose four
-    counters are all zero reads as never counted.
+    :class:`~repro.core.tuples.TupleTable` assigns, so the counting phases
+    add their ``(slots, 2)`` deltas as whole arrays instead of touching
+    per-AS objects.  Results copy the columns (:meth:`columns`) and classify
+    them in bulk; a slot whose four counters are all zero reads as never
+    counted.
     """
 
-    __slots__ = ("thresholds", "tagger", "silent", "forward", "cleaner")
+    __slots__ = ("thresholds", "counters")
 
     def __init__(self, thresholds: Optional[Thresholds] = None, slots: int = 0) -> None:
         self.thresholds = thresholds or Thresholds()
-        self.tagger: "array[int]" = array("q", bytes(8 * slots))
-        self.silent: "array[int]" = array("q", bytes(8 * slots))
-        self.forward: "array[int]" = array("q", bytes(8 * slots))
-        self.cleaner: "array[int]" = array("q", bytes(8 * slots))
+        self.counters = _np.zeros((4, slots), dtype=_np.int64)
 
     @property
     def slots(self) -> int:
         """Number of AS-index slots currently allocated."""
-        return len(self.tagger)
+        return self.counters.shape[1]
 
     def ensure_slots(self, count: int) -> None:
         """Grow to at least *count* zero-initialised slots."""
-        grow = count - len(self.tagger)
-        if grow > 0:
-            pad = bytes(8 * grow)
-            self.tagger.frombytes(pad)
-            self.silent.frombytes(pad)
-            self.forward.frombytes(pad)
-            self.cleaner.frombytes(pad)
+        if count > self.slots:
+            grown = _np.zeros((4, count), dtype=_np.int64)
+            grown[:, : self.slots] = self.counters
+            self.counters = grown
 
     # -- incremental updates ----------------------------------------------------------
-    def apply_tagging_delta(self, delta: Mapping[int, Sequence[int]]) -> None:
-        """Apply ``{as_index: (dt, ds)}`` deltas (may be negative)."""
-        tagger, silent = self.tagger, self.silent
-        for index, (d_tagger, d_silent) in delta.items():
-            tagger[index] += d_tagger
-            silent[index] += d_silent
+    def _add(self, first: int, delta: "_np.ndarray") -> None:
+        self.ensure_slots(len(delta))
+        self.counters[first : first + 2, : len(delta)] += delta.T
 
-    def apply_forwarding_delta(self, delta: Mapping[int, Sequence[int]]) -> None:
-        """Apply ``{as_index: (df, dc)}`` deltas (may be negative)."""
-        forward, cleaner = self.forward, self.cleaner
-        for index, (d_forward, d_cleaner) in delta.items():
-            forward[index] += d_forward
-            cleaner[index] += d_cleaner
+    def apply_tagging_delta(self, delta: "_np.ndarray") -> None:
+        """Add a ``(slots, 2)`` ``[dt, ds]`` phase delta (may be negative)."""
+        self._add(0, delta)
 
-    def apply_delta(self, delta: Mapping[int, Sequence[int]]) -> None:
-        """Apply full ``{as_index: (dt, ds, df, dc)}`` deltas (may be negative)."""
-        tagger, silent, forward, cleaner = self.tagger, self.silent, self.forward, self.cleaner
-        for index, (d_tagger, d_silent, d_forward, d_cleaner) in delta.items():
-            tagger[index] += d_tagger
-            silent[index] += d_silent
-            forward[index] += d_forward
-            cleaner[index] += d_cleaner
+    def apply_forwarding_delta(self, delta: "_np.ndarray") -> None:
+        """Add a ``(slots, 2)`` ``[df, dc]`` phase delta (may be negative)."""
+        self._add(2, delta)
 
     # -- decisions ---------------------------------------------------------------------
-    def decision_flags(self, slots: Optional[int] = None) -> Tuple[bytearray, bytearray]:
-        """Per-index ``is_tagger`` / ``is_forward`` flags, zero-padded to *slots*.
+    def decision_flags(self, slots: Optional[int] = None) -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """Per-index ``is_tagger`` / ``is_forward`` bool flags, zero-padded to *slots*.
 
         A flag is set iff there is evidence and the share meets the
         threshold (:func:`_share_mask`).  The flags are a
         snapshot: they pin a counting phase to the knowledge at its start,
         which makes the phase a pure function of ``(groups, flags)``.
         Padding lets the kernels index by any AS the table has interned,
-        counted or not.
+        counted or not, and one trailing ``False`` past the slots makes the
+        matrix padding slot ``-1`` neither tagger nor forwarder.
         """
         if slots is not None:
             self.ensure_slots(slots)
-        tagger, silent, forward, cleaner = self._views()
-        return (
-            bytearray(_share_mask(tagger, silent, self.thresholds.tagger)),
-            bytearray(_share_mask(forward, cleaner, self.thresholds.forward)),
-        )
+        tagger, silent, forward, cleaner = self.counters
+        flags = _np.zeros((2, self.slots + 1), dtype=bool)
+        flags[0, :-1] = _share_mask(tagger, silent, self.thresholds.tagger)
+        flags[1, :-1] = _share_mask(forward, cleaner, self.thresholds.forward)
+        return flags[0], flags[1]
 
     # -- conversion / (de)serialisation -----------------------------------------------
-    def _views(self) -> "list[_np.ndarray]":
-        """Zero-copy int64 views of ``t, s, f, c``: drop them before the columns resize."""
-        columns = (self.tagger, self.silent, self.forward, self.cleaner)
-        return [_np.frombuffer(column, dtype=_np.int64) for column in columns]
-
     def columns(self, slots: int) -> "_np.ndarray":
         """A ``(4, slots)`` int64 *copy* of ``t, s, f, c``, zero-padded past :attr:`slots`.
 
@@ -205,17 +185,15 @@ class PackedCounterStore:
         later deltas and column growth cannot move it.
         """
         columns = _np.zeros((4, slots), dtype=_np.int64)
-        held = min(slots, len(self.tagger))
-        columns[:, :held] = [view[:held] for view in self._views()]
+        held = min(slots, self.slots)
+        columns[:, :held] = self.counters[:, :held]
         return columns
 
     def arrays_state(self) -> Dict[str, "array[int]"]:
         """Raw column snapshot (checkpointing alongside the tuple table)."""
         return {
-            "tagger": array("q", self.tagger),
-            "silent": array("q", self.silent),
-            "forward": array("q", self.forward),
-            "cleaner": array("q", self.cleaner),
+            name: array("q", column.tobytes())
+            for name, column in zip(COUNTER_NAMES, self.counters)
         }
 
     @classmethod
@@ -224,8 +202,5 @@ class PackedCounterStore:
     ) -> "PackedCounterStore":
         """Rebuild from :meth:`arrays_state` output (same table required)."""
         store = cls(thresholds)
-        store.tagger = array("q", state["tagger"])
-        store.silent = array("q", state["silent"])
-        store.forward = array("q", state["forward"])
-        store.cleaner = array("q", state["cleaner"])
+        store.counters = _np.array([state[name] for name in COUNTER_NAMES], dtype=_np.int64)
         return store

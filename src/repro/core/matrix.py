@@ -1,12 +1,19 @@
 """The matrix form the counting kernels read.
 
-The two counting kernels in :mod:`repro.core.column` reduce whole buckets of
+The two counting kernels in :mod:`repro.core.column` count whole buckets of
 counting groups with boolean masks and ``bincount`` instead of walking one
-group at a time: groups are split by path length into dense ``(n, L)`` index
-matrices once, and each bucket keeps its hits as an ``(n, L)`` boolean
-bit-plane beside the index matrix (cell ``[i, p]``: is ``path[p]`` an upper
-field of group ``i``'s community set).  A path of any length is an ordinary
-row; nothing is kept aside.
+group at a time, and they walk them the way the paper's listing does: column
+by column.  Groups are split by path-length width class (the next power of
+two, at least 8 -- every path of the benchmark's 1-8 hops shares one bucket)
+into padded *position-major* ``(W, n)`` index matrices once: row ``j`` holds
+the AS slot at path position ``j`` of every group of the bucket, so one
+column of the listing is one contiguous vector.  Beside it each bucket keeps
+its hits as a ``(W, n)`` boolean bit-plane (cell ``[p, i]``: is ``path[p]``
+an upper field of group ``i``'s community set), the multiplicities and the
+path lengths.  Cells past a group's length hold slot ``-1`` and no hit; the
+kernels read slot ``-1`` as neither tagger nor forwarder.  A path of any
+length is an ordinary group; nothing is kept aside, and one hostile long
+path pads only its own bucket, by less than 2x.
 
 Two producers build the matrix, both from flat columns and neither with a
 Python tuple per group.  The stream classifier materialises its interned
@@ -33,24 +40,57 @@ from repro.bgp.announcement import PathCommTuple, iter_blocks
 LOWERING_BLOCK_SIZE = 8192
 
 
-#: One path-length bucket: ``(rows, hits, counts)``.
-Bucket = Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray"]
+#: One width-class bucket: ``(rows, hits, counts, lengths)``.
+Bucket = Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"]
+
+#: The narrowest width class: every path of up to this many hops shares one bucket.
+MIN_WIDTH = 8
 
 
-def _hit_planes(hits: Sequence[int], width: int) -> "_np.ndarray":
-    """``(len(hits), >= width)`` bool plane: bit ``p`` of ``hits[i]`` at ``[i, p]``."""
-    size = (width + 7) // 8
-    raw = b"".join([mask.to_bytes(size, "little") for mask in hits])
-    octets = _np.frombuffer(raw, dtype=_np.uint8).reshape(len(hits), size)
-    return _np.unpackbits(octets, axis=1, bitorder="little").view(bool)
+def _width_classes(lengths: "_np.ndarray") -> "_np.ndarray":
+    """Per path length ``max(MIN_WIDTH, next power of two >= length)``."""
+    # frexp's exponent of ``length - 1`` is its bit length (0 for 0 and 1).
+    return _np.maximum(MIN_WIDTH, _np.left_shift(1, _np.frexp(lengths - 1)[1]))
+
+
+def _bucketed(
+    lengths: "_np.ndarray", slots: "_np.ndarray", hits: "_np.ndarray", counts: "_np.ndarray"
+) -> "GroupMatrix":
+    """Groups given as flat per-cell columns, in padded position-major buckets.
+
+    Group ``i`` owns the ``lengths[i]`` cells of *slots* / *hits* that follow
+    those of the groups before it; cells past its length read slot ``-1`` and
+    hit ``False``.  Every bucket is a fresh array, no view of an input.
+    """
+    matrix = GroupMatrix()
+    if not len(lengths):
+        return matrix
+    starts = _np.cumsum(lengths) - lengths
+    widths = _width_classes(lengths)
+    for width in _np.unique(widths).tolist():
+        members = _np.flatnonzero(widths == width)
+        member_lengths = lengths[members]
+        offsets = _np.arange(width)[:, None]
+        inside = offsets < member_lengths
+        cells = (starts[members] + offsets)[inside]
+        rows = _np.full(inside.shape, -1, dtype=_np.int64)
+        rows[inside] = slots[cells]
+        plane = _np.zeros(inside.shape, dtype=bool)
+        plane[inside] = hits[cells]
+        matrix.buckets[width] = (rows, plane, counts[members], member_lengths)
+    return matrix
 
 
 class GroupMatrix:
-    """Counting groups bucketed by path length into dense index matrices.
+    """Counting groups in padded position-major buckets, keyed by width class.
 
-    Per length ``L`` the bucket holds ``rows`` (``(n, L)`` int64 AS-index
-    matrix), ``hits`` (``(n, L)`` bool bit-plane), and ``counts`` (``(n,)``
-    int64 multiplicities).
+    A path of ``L`` hops sits in the bucket of width ``W = max(8, next power
+    of two >= L)``, which holds ``rows`` (``(W, n)`` int64: row ``j`` is the
+    AS slot at path position ``j`` of every group), ``hits`` (``(W, n)``
+    bool bit-plane), ``counts`` (``(n,)`` int64 multiplicities) and
+    ``lengths`` (``(n,)`` int64 path lengths).  Cells past a group's length
+    hold slot ``-1`` and hit ``False``; a path of more than 8 hops is padded
+    by less than 2x.
     """
 
     __slots__ = ("buckets",)
@@ -70,58 +110,55 @@ class GroupMatrix:
 
         Group ``i`` is the ``lengths[i]`` AS indices of *cells* that follow
         those of the groups before it, with hits bitmask ``hits[i]`` (a
-        Python int, any length) and multiplicity ``counts[i]``.  Every bucket
-        is a fresh array, no view of an input.
+        Python int of at most ``lengths[i]`` bits) and multiplicity
+        ``counts[i]``.
         """
-        matrix = cls()
-        if not len(lengths):
-            return matrix
+        # Each mask as its own run of little-endian octets, unpacked bit by
+        # bit; cell p of group i is bit p of its run.
+        sizes = (lengths + 7) // 8
+        raw = b"".join([mask.to_bytes(size, "little") for mask, size in zip(hits, sizes.tolist())])
+        bits = _np.unpackbits(_np.frombuffer(raw, dtype=_np.uint8), bitorder="little")
         starts = _np.cumsum(lengths) - lengths
-        planes = _hit_planes(hits, int(lengths.max()))
-        for length in _np.unique(lengths).tolist():
-            members = _np.flatnonzero(lengths == length)
-            matrix.buckets[length] = (
-                cells[starts[members][:, None] + _np.arange(length)],
-                planes[members, :length],
-                counts[members],
-            )
-        return matrix
+        positions = _np.arange(len(cells)) - _np.repeat(starts, lengths)
+        flat_hits = bits[_np.repeat(8 * (_np.cumsum(sizes) - sizes), lengths) + positions]
+        return _bucketed(lengths, cells, flat_hits.view(bool), counts)
 
     def __len__(self) -> int:
         """Number of counting groups held."""
-        return sum(len(counts) for _, _, counts in self.buckets.values())
+        return sum(len(bucket[2]) for bucket in self.buckets.values())
 
     @property
     def max_length(self) -> int:
         """Length of the longest path held (0 when empty)."""
-        return max(self.buckets, default=0)
+        return max((int(bucket[3].max()) for bucket in self.buckets.values()), default=0)
 
     def extend(self, *others: "GroupMatrix") -> None:
         """Concatenate the buckets of *others* onto this matrix in place.
 
         Sound because every kernel reduces buckets with commutative sums;
-        row order within a bucket never reaches the output, and rows that
+        group order within a bucket never reaches the output, and groups that
         duplicate a ``(row, hits)`` already held, or cancel it with a
         negative multiplicity (a retraction), count like merged
-        multiplicities.  Each length is concatenated once however many
-        matrices contribute to it.
+        multiplicities.  Each width class is concatenated once (along the
+        group axis) however many matrices contribute to it.
         """
         extra: Dict[int, List[Bucket]] = {}
         for other in others:
-            for length, bucket in other.buckets.items():
-                extra.setdefault(length, []).append(bucket)
-        for length, pieces in extra.items():
-            mine = self.buckets.get(length)
+            for width, bucket in other.buckets.items():
+                extra.setdefault(width, []).append(bucket)
+        for width, pieces in extra.items():
+            mine = self.buckets.get(width)
             if mine is not None:
                 pieces = [mine, *pieces]
             if len(pieces) == 1:
-                self.buckets[length] = pieces[0]
+                self.buckets[width] = pieces[0]
             else:
-                rows, hits, counts = zip(*pieces)
-                self.buckets[length] = (
-                    _np.concatenate(rows),
-                    _np.concatenate(hits),
+                rows, hits, counts, lengths = zip(*pieces)
+                self.buckets[width] = (
+                    _np.concatenate(rows, axis=1),
+                    _np.concatenate(hits, axis=1),
                     _np.concatenate(counts),
+                    _np.concatenate(lengths),
                 )
 
 
@@ -167,9 +204,7 @@ def _lower_block(block: Sequence[PathCommTuple], slot_of: Dict[int, int]) -> Gro
     uppers = [item.communities.upper_fields() for item in block]
     tuple_ids = _np.arange(len(block))
     lengths = _np.fromiter(map(len, paths), dtype=_np.int64, count=len(block))
-    ends = _np.cumsum(lengths)
-    starts = ends - lengths
-    flat = _asn_array(paths, int(ends[-1]))
+    flat = _asn_array(paths, int(lengths.sum()))
     distinct, local = _np.unique(flat, return_inverse=True)
     slots = _np.fromiter(
         (slot_of.setdefault(asn, len(slot_of)) for asn in distinct.tolist()),
@@ -187,16 +222,7 @@ def _lower_block(block: Sequence[PathCommTuple], slot_of: Dict[int, int]) -> Gro
     upper_codes = _np.sort(upper_codes[on_path])
     hit, _ = _in_sorted(_np.repeat(tuple_ids, lengths) * len(distinct) + local, upper_codes)
 
-    matrix = GroupMatrix()
-    for length in _np.unique(lengths).tolist():
-        members = _np.flatnonzero(lengths == length)
-        cells = starts[members][:, None] + _np.arange(length)
-        matrix.buckets[length] = (
-            slots[cells],
-            hit[cells],
-            _np.ones(len(members), dtype=_np.int64),
-        )
-    return matrix
+    return _bucketed(lengths, slots, hit, _np.ones(len(block), dtype=_np.int64))
 
 
 def lower_tuples(tuples: Iterable[PathCommTuple]) -> Tuple[GroupMatrix, List[int]]:

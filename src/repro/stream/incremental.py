@@ -43,9 +43,13 @@ one ragged gather over the table's packed paths
 (:meth:`TupleTable.path_cells <repro.core.tuples.TupleTable.path_cells>`)
 serves both the live per-AS / per-length counts -- two int64 columns, one
 ``bincount`` each -- and the turnover's matrix lowering
-(:func:`~repro.core.tuples.materialize_groups`), whatever its size.  The
-counted cache the recounts read is a matrix too, and each update's signed
-turnover is concatenated onto its buckets.
+(:func:`~repro.core.tuples.materialize_groups`, padded position-major
+width-class buckets), whatever its size.  The counted cache the recounts read
+is a matrix too, and each update's signed turnover is concatenated onto its
+buckets along the group axis.  Phase deltas stay ``(slots, 2)`` int64 arrays
+from the kernels through the phase records to the counter matrix; only a
+checkpoint turns them into the sparse ``{slot: [a, b]}`` dicts format 3 has
+always held.
 
 What an update hands back stays columnar: the classifier gives
 :meth:`ClassificationResult.from_packed
@@ -131,24 +135,49 @@ def _live_counts(column: "_np.ndarray", names: Optional[Sequence[int]] = None) -
 class PackedPhaseRecord:
     """Memoised outcome of one counting phase (one column, one pass).
 
-    ``delta`` holds the summed per-AS-index contributions of *all* tuples
-    counted under ``decisions``; ``increments`` is the total number of
-    counter increments (the stall signal of the column loop).
+    ``delta`` holds the summed ``(slots, 2)`` per-AS-index contributions of
+    *all* tuples counted under ``decisions``; ``increments`` is the total
+    number of counter increments (the stall signal of the column loop).
     ``decisions`` is the pair of per-AS-index decision flag vectors with
     trailing zeros stripped: two snapshots are equal iff they set the same
     flag for the same AS, regardless of how many ASes the shared tuple
     table interned in between (new ASes have no evidence, hence zero
-    flags — exactly what the stripped encoding makes implicit).
+    flags — exactly what the stripped encoding makes implicit).  A
+    checkpoint holds ``delta`` as ``{slot: [a, b]}`` over its non-zero slots
+    (:func:`_sparse_records`).
     """
 
     decisions: "tuple[bytes, bytes]"
-    delta: Dict[int, List[int]]
+    delta: "_np.ndarray"
     increments: int
 
 
-def _strip_flags(tagger_flags: bytearray, forward_flags: bytearray) -> "tuple[bytes, bytes]":
+def _strip_flags(
+    tagger_flags: "_np.ndarray", forward_flags: "_np.ndarray"
+) -> "tuple[bytes, bytes]":
     """Growth-invariant equality key of a decision flag snapshot."""
-    return (bytes(tagger_flags).rstrip(b"\x00"), bytes(forward_flags).rstrip(b"\x00"))
+    return (tagger_flags.tobytes().rstrip(b"\x00"), forward_flags.tobytes().rstrip(b"\x00"))
+
+
+def _sparse_records(records: List[PackedPhaseRecord]) -> List[PackedPhaseRecord]:
+    """*records* with each delta as the checkpoint's ``{slot: [a, b]}`` of non-zero slots."""
+    sparse = []
+    for record in records:
+        slots = _np.flatnonzero(record.delta.any(axis=1))
+        delta = dict(zip(slots.tolist(), record.delta[slots].tolist()))
+        sparse.append(replace(record, delta=delta))
+    return sparse
+
+
+def _dense_records(records: List[PackedPhaseRecord]) -> List[PackedPhaseRecord]:
+    """Inverse of :func:`_sparse_records`; zero pairs and any key order are fine."""
+    dense = []
+    for record in records:
+        pairs = _np.zeros((max(record.delta, default=-1) + 1, 2), dtype=_np.int64)
+        values = _np.array(list(record.delta.values()), dtype=_np.int64).reshape(-1, 2)
+        pairs[list(record.delta)] = values
+        dense.append(replace(record, delta=pairs))
+    return dense
 
 
 class ColumnarColumnClassifier:
@@ -294,7 +323,7 @@ class ColumnarColumnClassifier:
         if record is not None and record.decisions == decisions:
             if pending:
                 delta, increments = count_phase(pending, column, tagger_flags, forward_flags)
-                merge_phase_delta(record.delta, delta)
+                record.delta = merge_phase_delta(record.delta, delta)
                 record.increments += increments
             self.stats.delta_phases += 1
         else:
@@ -389,8 +418,8 @@ class ColumnarColumnClassifier:
             "tuple_count": self._tuple_count,
             "as_refs": _live_counts(as_refs, self.table.as_values()),
             "length_refs": _live_counts(length_refs),
-            "tagging_records": list(self._tagging_records),
-            "forwarding_records": list(self._forwarding_records),
+            "tagging_records": _sparse_records(self._tagging_records),
+            "forwarding_records": _sparse_records(self._forwarding_records),
             "store_arrays": self._packed.arrays_state(),
             "stats": replace(self.stats),
             # Rebound by every update(), never mutated in place: safe to share.
@@ -416,8 +445,8 @@ class ColumnarColumnClassifier:
         classifier._as_refs, classifier._length_refs = classifier._ref_columns(
             classifier._groups
         )
-        classifier._tagging_records = list(state["tagging_records"])
-        classifier._forwarding_records = list(state["forwarding_records"])
+        classifier._tagging_records = _dense_records(state["tagging_records"])
+        classifier._forwarding_records = _dense_records(state["forwarding_records"])
         classifier._packed = PackedCounterStore.from_arrays_state(
             state["store_arrays"], classifier.thresholds
         )

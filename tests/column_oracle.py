@@ -22,8 +22,11 @@ Below the listing sit the group-level references of the matrix form: the
 per-group loops :func:`count_tagging_groups` / :func:`count_forwarding_groups`
 (the scalar packed kernels production counted small group sets and paths
 over 62 hops with until the matrix became the only form) and
-:func:`group_matrix`, the tuple-per-group lowering into the kernels' bucket
-layout that ``GroupMatrix.from_cells`` and ``lower_tuples`` are held to.
+:func:`group_matrix`, the tuple-per-group lowering into the kernels' padded
+position-major width-class buckets that ``GroupMatrix.from_cells`` and
+``lower_tuples`` are held to (:func:`canonical` checks the layout), with the
+helpers that hold the kernels' ``(slots, 2)`` array deltas to those loops'
+dicts.
 """
 
 from __future__ import annotations
@@ -37,12 +40,17 @@ from repro.bgp.announcement import PathCommTuple
 from repro.bgp.asn import ASN
 from repro.bgp.path import ASPath
 from repro.core.classes import ForwardingClass, TaggingClass, UsageClassification
-from repro.core.column import ColumnInferenceReport, PhaseDelta
+from repro.core.column import ColumnInferenceReport
 from repro.core.counters import ASCounters
 from repro.core.matrix import GroupMatrix
 from repro.core.results import ClassificationResult
 from repro.core.row import PreparedTuple, prepare_tuple
 from repro.core.thresholds import Thresholds
+
+
+#: Per-AS two-component counter deltas produced by one counting phase
+#: (``[dt, ds]`` for tagging phases, ``[df, dc]`` for forwarding phases).
+PhaseDelta = Dict[ASN, List[int]]
 
 
 class CounterStore:
@@ -519,23 +527,34 @@ def count_forwarding_groups(
     return delta, increments
 
 
+def width_class(length: int) -> int:
+    """The bucket a path of *length* hops lives in: the next power of two, at least 8."""
+    return max(8, 1 << (length - 1).bit_length())
+
+
 def group_matrix(groups: Iterable[CountingGroup]) -> GroupMatrix:
     """*groups* in the kernels' bucket layout, one Python tuple at a time.
 
-    Rows of one path length share a bucket; a group's hits bitmask becomes
-    its row of the bucket's bool bit-plane, bit ``p`` at column ``p``.
+    Rows of one width class share a bucket, transposed to position-major
+    ``(width, n)`` planes; a group's hits bitmask becomes its column of the
+    bucket's bool bit-plane, bit ``p`` at row ``p``, and the cells past its
+    length read slot ``-1`` / ``False``.
     """
-    by_length: Dict[int, List[CountingGroup]] = {}
+    by_width: Dict[int, List[CountingGroup]] = {}
     for group in groups:
-        by_length.setdefault(len(group[0]), []).append(group)
+        by_width.setdefault(width_class(len(group[0])), []).append(group)
     lowered = GroupMatrix()
-    for length, bucket in by_length.items():
-        lowered.buckets[length] = (
-            np.array([row for row, _, _ in bucket], dtype=np.int64).reshape(len(bucket), length),
-            np.array(
-                [[bool(hits >> p & 1) for p in range(length)] for _, hits, _ in bucket], dtype=bool
-            ).reshape(len(bucket), length),
+    for width, bucket in by_width.items():
+        rows = [list(row) + [-1] * (width - len(row)) for row, _, _ in bucket]
+        hits = [
+            [bool(hits >> p & 1) and p < len(row) for p in range(width)]
+            for row, hits, _ in bucket
+        ]
+        lowered.buckets[width] = (
+            np.array(rows, dtype=np.int64).reshape(len(bucket), width).T.copy(),
+            np.array(hits, dtype=bool).reshape(len(bucket), width).T.copy(),
             np.array([count for _, _, count in bucket], dtype=np.int64),
+            np.array([len(row) for row, _, _ in bucket], dtype=np.int64),
         )
     return lowered
 
@@ -543,13 +562,55 @@ def group_matrix(groups: Iterable[CountingGroup]) -> GroupMatrix:
 def canonical(lowered: GroupMatrix):
     """Bucket for bucket, ``(row, hits bitmask, count)`` in a canonical order.
 
-    Row order within a bucket never reaches the kernels' output, so two
-    lowerings are the same matrix iff their canonical forms are equal.
+    Group order within a bucket never reaches the kernels' output, so two
+    lowerings are the same matrix iff their canonical forms are equal.  The
+    layout is checked on the way: int64 / bool planes of shape ``(width,
+    n)``, C-contiguous so a path position is one contiguous row, every group
+    in the bucket of its width class, and its padding cells exactly ``-1`` /
+    ``False``.
     """
     buckets = {}
-    for length, (rows, hits, counts) in lowered.buckets.items():
-        assert rows.dtype == counts.dtype == np.int64 and hits.dtype == bool
-        assert rows.shape == hits.shape == (len(counts), length)
-        masks = [sum(1 << p for p, bit in enumerate(plane) if bit) for plane in hits.tolist()]
-        buckets[length] = sorted(zip(map(tuple, rows.tolist()), masks, counts.tolist()))
+    for width, (rows, hits, counts, lengths) in lowered.buckets.items():
+        assert rows.dtype == counts.dtype == lengths.dtype == np.int64 and hits.dtype == bool
+        assert rows.shape == hits.shape == (width, len(counts)) and lengths.shape == counts.shape
+        assert rows.flags.c_contiguous and hits.flags.c_contiguous
+        entries = []
+        columns = zip(rows.T.tolist(), hits.T.tolist(), lengths.tolist(), counts.tolist())
+        for cells, plane, length, count in columns:
+            assert width_class(length) == width
+            assert min(cells[:length]) >= 0
+            assert cells[length:] == [-1] * (width - length)
+            assert plane[length:] == [False] * (width - length)
+            mask = sum(1 << p for p, bit in enumerate(plane) if bit)
+            entries.append((tuple(cells[:length]), mask, count))
+        buckets[width] = sorted(entries)
     return buckets
+
+
+def flag_vector(flags: Iterable[int]) -> np.ndarray:
+    """Per-slot decision flags as the kernels take them: bool, one trailing ``False``."""
+    return np.array([*map(bool, flags), False], dtype=bool)
+
+
+def pair_dict(counted: Tuple[np.ndarray, int]) -> Tuple[Dict[int, List[int]], int]:
+    """A kernel's ``((slots, 2) delta, increments)`` as ``({slot: [a, b]}, increments)``
+    over the non-zero slots, the form the group loops return."""
+    delta, increments = counted
+    assert delta.dtype == np.int64 and delta.ndim == 2 and delta.shape[1] == 2
+    return {slot: pair for slot, pair in enumerate(delta.tolist()) if any(pair)}, increments
+
+
+def nonzero(counted: Tuple[Dict[int, List[int]], int]) -> Tuple[Dict[int, List[int]], int]:
+    """A group loop's ``(delta, increments)`` without the ``[0, 0]`` entries a scalar
+    walk leaves where signed (or zero) multiplicities cancel."""
+    delta, increments = counted
+    return {index: pair for index, pair in delta.items() if any(pair)}, increments
+
+
+def fill_packed(packed, quads: Mapping[int, Sequence[int]]) -> None:
+    """Add ``{slot: (dt, ds, df, dc)}`` to a ``PackedCounterStore`` through its two phase adds."""
+    pairs = np.zeros((max(quads, default=-1) + 1, 4), dtype=np.int64)
+    for slot, quad in quads.items():
+        pairs[slot] += quad
+    packed.apply_tagging_delta(pairs[:, :2])
+    packed.apply_forwarding_delta(pairs[:, 2:])

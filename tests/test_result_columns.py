@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from column_oracle import CounterStore, counter_state, result_from_store
+from column_oracle import CounterStore, counter_state, fill_packed, result_from_store
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,13 +95,13 @@ def built_ways(quads, thresholds, uncounted=0, retract=False):
     packed = PackedCounterStore(thresholds, slots=counted + (uncounted if retract else 0))
     store = CounterStore(thresholds)
     for asn, slot, quad in zip(asns, slots, quads):
-        packed.apply_delta({slot: quad})
+        fill_packed(packed, {slot: quad})
         if any(quad):
             store.apply_delta({asn: quad})
     if retract:
         for slot in slots[counted:]:
-            packed.apply_delta({slot: (4, 3, 2, 1)})
-            packed.apply_delta({slot: (-4, -3, -2, -1)})
+            fill_packed(packed, {slot: (4, 3, 2, 1)})
+            fill_packed(packed, {slot: (-4, -3, -2, -1)})
     observed = set(asns)
     counters = np.array(list(quads) + [(0, 0, 0, 0)] * uncounted, dtype=np.int64)
     return store, observed, {
@@ -348,7 +348,7 @@ class TestVectorisedRule:
     def test_observed_slots_past_the_packed_columns_read_zero(self):
         """ASes interned after the counters were last sized (pending arrivals)."""
         packed = PackedCounterStore(slots=1)
-        packed.apply_delta({0: [5, 0, 0, 0]})
+        fill_packed(packed, {0: [5, 0, 0, 0]})
         result = ClassificationResult.from_packed(packed, [20, 10, 30], {10, 20, 30})
         assert result.records() == [
             (10, "nn", 0, 0, 0, 0), (20, "tn", 5, 0, 0, 0), (30, "nn", 0, 0, 0, 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from column_oracle import (
     CounterStore,
@@ -22,7 +23,10 @@ from column_oracle import (
     count_tagging_groups,
     counter_state,
     decision_view,
+    fill_packed,
+    flag_vector,
     group_matrix,
+    pair_dict,
 )
 from stream_oracle import assert_packed_matches_batch
 
@@ -33,13 +37,14 @@ from repro.core.column import (
     ColumnInference,
     count_forwarding_phase_packed,
     count_tagging_phase_packed,
+    merge_phase_delta,
 )
 from repro.core.counters import PackedCounterStore
 from repro.core.matrix import GroupMatrix
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable, materialize_groups, merge_group_counts
-from repro.stream.incremental import make_classifier
+from repro.stream.incremental import _strip_flags, make_classifier
 
 
 def _random_tuples(rng: random.Random, count: int) -> list:
@@ -136,7 +141,7 @@ class TestGroupCounts:
         groups = materialize_groups(table, merged)
         assert len(groups) == 2 and groups.max_length == 2
         # AS 5 is index 0 and AS 6 index 1; the tagged tuple hits position 1.
-        assert canonical(groups) == {2: [((0, 1), 0b00, 2), ((0, 1), 0b10, 4)]}
+        assert canonical(groups) == {8: [((0, 1), 0b00, 2), ((0, 1), 0b10, 4)]}
 
     def test_merge_is_signed_and_drops_keys_at_zero(self):
         live = {(0, 1): 2, (3, 0): 1}
@@ -148,16 +153,23 @@ class TestGroupCounts:
 
 def scalar_decision_flags(packed):
     """The rule ``decision_flags`` vectorises, one slot at a time."""
-    tagger_flags, forward_flags = bytearray(packed.slots), bytearray(packed.slots)
+    tagger, silent, forward, cleaner = packed.counters.tolist()
+    tagger_flags, forward_flags = [0] * packed.slots, [0] * packed.slots
     for index in range(packed.slots):
-        t, f = packed.tagger[index], packed.forward[index]
-        total = t + packed.silent[index]
+        t, f = tagger[index], forward[index]
+        total = t + silent[index]
         if total and t / total >= packed.thresholds.tagger:
             tagger_flags[index] = 1
-        total = f + packed.cleaner[index]
+        total = f + cleaner[index]
         if total and f / total >= packed.thresholds.forward:
             forward_flags[index] = 1
-    return tagger_flags, forward_flags
+    return flag_vector(tagger_flags).tolist(), flag_vector(forward_flags).tolist()
+
+
+def flag_lists(flags):
+    """``decision_flags`` output as two lists, after checking its form."""
+    assert all(column.dtype == bool and not column[-1] for column in flags)
+    return tuple(column.tolist() for column in flags)
 
 
 def packed_state(packed, as_values):
@@ -176,10 +188,10 @@ class TestPackedCounterStore:
         for _ in range(200):
             idx = rng.randrange(len(as_values))
             delta = [rng.randint(0, 5) for _ in range(4)]
-            packed.apply_delta({idx: delta})
+            fill_packed(packed, {idx: delta})
             store.apply_delta({as_values[idx]: delta})
         assert packed_state(packed, as_values) == store.state_dict()
-        tagger_flags, forward_flags = packed.decision_flags()
+        tagger_flags, forward_flags = flag_lists(packed.decision_flags())
         view = decision_view(store)
         assert {as_values[i] for i, flag in enumerate(tagger_flags) if flag} == view.tagger_ases
         assert {as_values[i] for i, flag in enumerate(forward_flags) if flag} == view.forward_ases
@@ -190,10 +202,11 @@ class TestPackedCounterStore:
         packed = PackedCounterStore(Thresholds.uniform(threshold), slots=400)
         for index in range(0, 300):
             scale = rng.choice([1, 10, 1000, 10**6, 2**50])
-            packed.apply_delta({index: [rng.randint(0, scale) for _ in range(4)]})
+            fill_packed(packed, {index: [rng.randint(0, scale) for _ in range(4)]})
         # Shares exactly at a threshold, one evidence short of it, lone
         # components, and (from slot 306 on) no evidence at all.
-        packed.apply_delta(
+        fill_packed(
+            packed,
             {
                 300: [99, 1, 75, 25],
                 301: [98, 2, 74, 26],
@@ -201,34 +214,61 @@ class TestPackedCounterStore:
                 303: [0, 7, 7, 0],
                 304: [7, 0, 0, 7],
                 305: [0, 0, 1, 0],
-            }
+            },
         )
-        flags = packed.decision_flags()
+        flags = flag_lists(packed.decision_flags())
         assert flags == scalar_decision_flags(packed)
-        assert all(isinstance(column, bytearray) and len(column) == 400 for column in flags)
+        assert all(len(column) == 401 for column in flags)
         assert any(flags[0]) and any(flags[1]) and not any(flags[0][306:])
         # Zero-padding to the table's AS count happens before the flags are
-        # taken, and the columns stay resizable afterwards (no exported view).
-        padded = packed.decision_flags(450)
-        assert [len(column) for column in padded] == [450, 450]
+        # taken (the trailing False stays last), and the columns stay
+        # resizable afterwards.
+        padded = flag_lists(packed.decision_flags(450))
+        assert [len(column) for column in padded] == [451, 451]
         assert padded == scalar_decision_flags(packed)
         packed.ensure_slots(500)
 
     def test_decision_flags_at_the_threshold(self):
         packed = PackedCounterStore(Thresholds.uniform(0.99), slots=3)
-        packed.apply_delta({0: [99, 1, 98, 2], 1: [98, 2, 99, 1]})
-        assert packed.decision_flags() == (bytearray(b"\x01\x00\x00"), bytearray(b"\x00\x01\x00"))
-        assert PackedCounterStore().decision_flags() == (bytearray(), bytearray())
+        fill_packed(packed, {0: [99, 1, 98, 2], 1: [98, 2, 99, 1]})
+        flags = flag_lists(packed.decision_flags())
+        assert flags == ([True, False, False, False], [False, True, False, False])
+        assert flag_lists(PackedCounterStore().decision_flags()) == ([False], [False])
+
+    def test_the_flag_keys_are_the_byte_flags_stripped(self):
+        """A phase record's decision key is the bytes of the flags with trailing
+        zeros stripped, whether the flags were a ``bytearray`` or a bool array."""
+        packed = PackedCounterStore(Thresholds.uniform(0.75), slots=6)
+        fill_packed(packed, {1: [3, 1, 0, 2], 3: [0, 1, 5, 0]})
+        tagger, forward = packed.decision_flags(9)
+        assert _strip_flags(tagger, forward) == (b"\x00\x01", b"\x00\x00\x00\x01")
+        assert _strip_flags(tagger, forward) == tuple(
+            bytes(bytearray(column.tolist())).rstrip(b"\x00") for column in (tagger, forward)
+        )
+
+    def test_phase_deltas_add_and_grow(self):
+        packed = PackedCounterStore(slots=2)
+        packed.apply_tagging_delta(np.array([[1, 2]], dtype=np.int64))
+        packed.apply_forwarding_delta(np.array([[0, 0], [0, 0], [3, -4]], dtype=np.int64))
+        packed.apply_tagging_delta(np.zeros((0, 2), dtype=np.int64))
+        assert packed.slots == 3
+        assert packed.counters.tolist() == [[1, 0, 0], [2, 0, 0], [0, 0, 3], [0, 0, -4]]
+        merged = merge_phase_delta(np.array([[1, 1]]), np.array([[1, 0], [0, 5]]))
+        assert merged.tolist() == [[2, 1], [0, 5]]
+        merged = merge_phase_delta(np.array([[1, 1], [2, 2]]), np.array([[-1, 0]]))
+        assert merged.tolist() == [[0, 1], [2, 2]]
 
     def test_zero_slots_read_as_absent(self):
         packed = PackedCounterStore(slots=4)
-        packed.apply_delta({2: [1, 0, 0, 0]})
+        fill_packed(packed, {2: [1, 0, 0, 0]})
         assert set(packed_state(packed, (10, 11, 12, 13))) == {12}
 
     def test_arrays_state_round_trip(self):
         packed = PackedCounterStore(slots=3)
-        packed.apply_delta({0: [1, 2, 3, 4], 2: [5, 6, 7, 8]})
-        restored = PackedCounterStore.from_arrays_state(packed.arrays_state())
+        fill_packed(packed, {0: [1, 2, 3, 4], 2: [5, 6, 7, 8]})
+        state = packed.arrays_state()
+        assert all(column.typecode == "q" for column in state.values())
+        restored = PackedCounterStore.from_arrays_state(state)
         assert packed_state(restored, (1, 2, 3)) == packed_state(packed, (1, 2, 3))
         assert packed_state(packed, (1, 2, 3)) == {1: (1, 2, 3, 4), 3: (5, 6, 7, 8)}
 
@@ -332,11 +372,10 @@ class TestMatrixKernels:
 
     @staticmethod
     def _random_flags(rng: random.Random, slots: int = 40):
-        tagger = bytearray(rng.randint(0, 1) for _ in range(slots))
-        forward = bytearray(
-            max(t, rng.randint(0, 1)) for t in tagger
-        )  # taggers forward, like converged decisions
-        return tagger, forward
+        tagger = [rng.randint(0, 1) for _ in range(slots)]
+        # Taggers forward, like converged decisions.
+        forward = [max(t, rng.randint(0, 1)) for t in tagger]
+        return flag_vector(tagger), flag_vector(forward)
 
     KERNELS = (
         (count_tagging_phase_packed, count_tagging_groups),
@@ -353,7 +392,7 @@ class TestMatrixKernels:
             tagger, forward = self._random_flags(rng)
             for kernel, reference in self.KERNELS:
                 got = kernel(lowered, column, tagger, forward)
-                assert got == reference(groups, column, tagger, forward)
+                assert pair_dict(got) == reference(groups, column, tagger, forward)
 
     @pytest.mark.parametrize("column", [1, 63, 64, 66, 100])
     def test_long_rows_match_the_group_loops(self, column):
@@ -364,21 +403,21 @@ class TestMatrixKernels:
             row = tuple(rng.randrange(40, 60) for _ in range(length))
             groups.append((row, rng.getrandbits(length), rng.randint(1, 5)))
         tagger, forward = self._random_flags(rng, 60)
-        forward[40:] = b"\x01" * 20
+        forward[40:60] = True
         for slot in range(40, 60):
             tagger[slot] = rng.random() < 0.1
         lowered = group_matrix(groups)
         assert lowered.max_length == 130
         for kernel, reference in self.KERNELS:
             got = kernel(lowered, column, tagger, forward)
-            assert got == reference(groups, column, tagger, forward)
+            assert pair_dict(got) == reference(groups, column, tagger, forward)
             assert column > 1 or got[1]
 
     def test_empty_columns(self):
         groups = self._random_groups(random.Random(17), 32, max_length=4)
         tagger, forward = self._random_flags(random.Random(17))
         lowered = group_matrix(groups)
-        assert count_tagging_phase_packed(lowered, 5, tagger, forward) == ({}, 0)
-        assert count_forwarding_phase_packed(lowered, 4, tagger, forward) == ({}, 0)
+        assert pair_dict(count_tagging_phase_packed(lowered, 5, tagger, forward)) == ({}, 0)
+        assert pair_dict(count_forwarding_phase_packed(lowered, 4, tagger, forward)) == ({}, 0)
         for kernel, _ in self.KERNELS:
-            assert kernel(GroupMatrix(), 1, tagger, forward) == ({}, 0)
+            assert pair_dict(kernel(GroupMatrix(), 1, tagger, forward)) == ({}, 0)

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import pickle
 import random
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,7 +35,10 @@ from column_oracle import (
     count_forwarding_groups,
     count_tagging_groups,
     counter_state,
+    flag_vector,
     group_matrix,
+    nonzero,
+    pair_dict,
 )
 from stream_oracle import engine_windows, reference_windows
 
@@ -48,6 +53,7 @@ from repro.core.tuples import TupleTable, materialize_groups
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowPolicy, WindowSpec
 from repro.stream.incremental import (
     _CACHE_COMPACTION_FACTOR,
+    PackedPhaseRecord,
     classifier_from_state,
     make_classifier,
 )
@@ -276,13 +282,6 @@ def tuple_lowering(table, counts):
     return group_matrix(counting_groups(table, counts))
 
 
-def nonzero(counted):
-    """A kernel's ``(delta, increments)`` without the ``[0, 0]`` entries a scalar
-    walk leaves where signed multiplicities cancel (the bucket kernels leave none)."""
-    delta, increments = counted
-    return {index: pair for index, pair in delta.items() if any(pair)}, increments
-
-
 def group_counts(table, rng, count, lengths, *, ases=400):
     """*count* distinct ``(path_id, hits) -> multiplicity`` groups over random paths."""
     counts = {}
@@ -310,8 +309,8 @@ class TestNumpyLoweringEqualsTupleLowering:
         rng = random.Random(62)
         counts = group_counts(table, rng, 600, [2, 4, 61, 62, 63, 64, 65, 130], ases=200)
         lowered = materialize_groups(table, counts)
-        assert set(lowered.buckets) == {2, 4, 61, 62, 63, 64, 65, 130}
-        assert lowered.buckets[130][1][:, 64:].any()  # past an int64 mask
+        assert set(lowered.buckets) == {8, 64, 128, 256}
+        assert lowered.buckets[256][1][64:].any()  # past an int64 mask
         assert canonical(lowered) == canonical(tuple_lowering(table, counts))
         assert lowered.max_length == 130 and len(lowered) == 600
         assert canonical(GroupMatrix()) == canonical(materialize_groups(table, {})) == {}
@@ -345,15 +344,16 @@ class TestNumpyLoweringEqualsTupleLowering:
         assert canonical(cache) == canonical(want)
         # ... and the kernels read the merged cache like the group loops read the tuples.
         everything = counting_groups(table, first) + counting_groups(table, second)
-        tagger = bytearray(rng.randint(0, 1) for _ in range(table.as_count))
-        forward = bytearray(max(t, rng.randint(0, 1)) for t in tagger)
+        tagger = [rng.randint(0, 1) for _ in range(table.as_count)]
+        forward = flag_vector(max(t, rng.randint(0, 1)) for t in tagger)
+        tagger = flag_vector(tagger)
         for kernel, reference in (
             (count_tagging_phase_packed, count_tagging_groups),
             (count_forwarding_phase_packed, count_forwarding_groups),
         ):
             for column in (1, 2, 4):
                 want = reference(everything, column, tagger, forward)
-                assert nonzero(kernel(cache, column, tagger, forward)) == nonzero(want)
+                assert pair_dict(kernel(cache, column, tagger, forward)) == nonzero(want)
 
 
 # -- buffers ----------------------------------------------------------------------------------
@@ -462,3 +462,70 @@ class TestEngineWindowsAcrossACompaction:
         assert any(
             before is not None and after is not before for before, after in zip(caches, caches[1:])
         )
+
+
+# -- checkpoint format 3: the phase deltas ------------------------------------------------------
+def parent_form(record, as_count):
+    """*record* as a checkpoint of the dict-delta classifier holds it: the delta a
+    ``{slot: [a, b]}`` dict in merge order, where a pair cancelled to ``[0, 0]``
+    may stay behind, and the decisions the stripped bytes of ``bytearray`` flags."""
+    delta = {slot: list(pair) for slot, pair in reversed(list(record.delta.items()))}
+    cancelled = [slot for slot in range(as_count) if slot not in delta]
+    if cancelled:
+        delta[cancelled[0]] = [0, 0]
+    decisions = tuple(bytes(bytearray(list(key))).rstrip(b"\x00") for key in record.decisions)
+    return PackedPhaseRecord(decisions=decisions, delta=delta, increments=record.increments)
+
+
+class TestCheckpointPhaseDeltas:
+    """Checkpoints hold each phase record's delta as ``{slot: [a, b]}`` over its
+    non-zero slots; a restore densifies it, whoever wrote it."""
+
+    SPEC = WindowSpec(size=1000, policy=WindowPolicy.SLIDING, horizon=2000)
+
+    def test_a_dict_delta_state_resumes_to_the_same_windows(self):
+        events = TestEngineWindowsAcrossACompaction.feed(windows=6, per_window=300)
+        cut = 3 * 300 + 120  # mid-window, after evictions
+        engine = StreamEngine(StreamConfig(window=self.SPEC))
+        engine.ingest_block(events[:cut])
+        state = pickle.loads(pickle.dumps(engine.state_dict()))
+        as_count = engine.classifier.table.as_count
+        classifier = state["classifier"]
+        for name in ("tagging_records", "forwarding_records"):
+            assert classifier[name]
+            classifier[name] = [parent_form(record, as_count) for record in classifier[name]]
+        resumed = StreamEngine(StreamConfig(window=self.SPEC))
+        resumed.load_state_dict(pickle.loads(pickle.dumps(state)))
+        closed = len(engine.snapshots)
+        for candidate in (engine, resumed):
+            candidate.ingest_block(events[cut:])
+            candidate.finish()
+        windows = engine_windows(engine)
+        assert windows == reference_windows(events, self.SPEC)[0]
+        assert engine_windows(resumed) == windows[closed:]
+        # Every record was reused where the live engine reused it: the keys
+        # matched and the densified deltas were folded into, not recounted.
+        assert resumed.classifier.stats == engine.classifier.stats
+        assert pickle.dumps(resumed.classifier.state_dict()) == pickle.dumps(
+            engine.classifier.state_dict()
+        )
+
+    def test_a_state_holds_int_pairs_of_the_non_zero_slots(self):
+        events = TestEngineWindowsAcrossACompaction.feed(windows=5, per_window=300)
+        engine = StreamEngine(StreamConfig(window=self.SPEC))
+        engine.run(MemorySource(events))
+        live = engine.classifier._tagging_records + engine.classifier._forwarding_records
+        state = engine.classifier.state_dict()
+        saved = state["tagging_records"] + state["forwarding_records"]
+        assert live and len(saved) == len(live)
+        for record, kept in zip(saved, live):
+            assert type(record.delta) is dict and isinstance(kept.delta, np.ndarray)
+            for slot, pair in record.delta.items():
+                assert type(slot) is int and type(pair) is list and len(pair) == 2
+                assert all(type(value) is int for value in pair) and any(pair)
+            want = {slot: pair for slot, pair in enumerate(kept.delta.tolist()) if any(pair)}
+            assert record.delta == want
+            assert all(type(key) is bytes for key in record.decisions)
+        assert all(type(column) is array for column in state["store_arrays"].values())
+        assert {column.typecode for column in state["store_arrays"].values()} == {"q"}
+
