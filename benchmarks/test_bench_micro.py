@@ -13,7 +13,7 @@ import pytest
 from repro.bgp.announcement import RouteBlock, iter_blocks
 from repro.collectors.archive import observations_from_mrt
 from repro.core.column import ColumnInference
-from repro.mrt.decoder import decode_records
+from repro.mrt.decoder import MRTDecoder, decode_records
 from repro.mrt.encoder import MRTEncoder
 from repro.bgp.messages import PathAttributes
 from repro.sanitize.filters import SANITIZE_BLOCK_SIZE, Sanitizer
@@ -64,6 +64,32 @@ def test_bench_mrt_observations(benchmark, context):
 
     observations = benchmark(observations_from_mrt, blob, "isolario")
     assert [(observation.peer_asn, observation.path) for observation in observations] == sample
+
+
+@pytest.mark.benchmark(group="micro")
+def test_bench_mrt_multi_peer_rib(benchmark, context):
+    """A collector's first RIB of the day: one record per origin prefix
+    carrying every isolario peer's route, drained through the blocks view."""
+    internet = context.internet
+    peers = internet.collector_peers(["isolario"])
+    origins = sorted(set.intersection(*(set(internet.paths_by_peer[peer]) for peer in peers)))
+    encoder = MRTEncoder()
+    encoder.write_peer_index_table(peers)
+    for sequence, origin in enumerate(origins):
+        entries = []
+        for peer in peers:
+            path = internet.paths_by_peer[peer][origin].path
+            attributes = PathAttributes(as_path=path, communities=internet.propagator.output(path))
+            entries.append((peer, 0, attributes))
+        encoder.write_rib_entry(internet.topology.prefixes_of(origin)[0], entries, sequence=sequence)
+    blob = encoder.getvalue()
+
+    def drain():
+        return sum(len(block) for block in MRTDecoder(blob).blocks("isolario", SANITIZE_BLOCK_SIZE))
+
+    routes = benchmark(drain)
+    assert routes == len(origins) * len(peers) and len(peers) > 1
+    benchmark.extra_info["entries_per_record"] = len(peers)
 
 
 @pytest.mark.benchmark(group="micro")

@@ -111,6 +111,14 @@ class RouteBlock(Sequence[RouteObservation]):
         """*observations* lowered to columns; a block is its own lowering."""
         return observations if isinstance(observations, RouteBlock) else cls("", observations)
 
+    @classmethod
+    def from_rows(cls, collector: str, rows: Sequence[tuple]) -> "RouteBlock":
+        """A block of *rows*, one tuple of the eight column values per route."""
+        block = cls(collector)
+        for name, column in zip(_COLUMNS, zip(*rows)):
+            setattr(block, name, list(column))
+        return block
+
     def prefix(self, index: int) -> Prefix:
         """The announced prefix of the route at *index*."""
         if self._observations:

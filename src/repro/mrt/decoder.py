@@ -7,9 +7,9 @@ before sanitation and inference.
 
 **One framing walk, two views.**  The header / RIB / BGP4MP / UPDATE framing
 -- every ``struct`` layout, bounds check and :class:`MRTDecodeError` -- lives
-once (:meth:`MRTDecoder._frame` and below) and produces plain values.  On top
-of it sit two thin views that share the decoder's position, peer table and
-memos:
+once, in :meth:`MRTDecoder._walk`, a generator that frames one record per
+step into plain values.  On top of it sit two thin views that share the
+decoder's position, peer table and memos:
 
 * ``next(decoder)`` / :func:`decode_records` wrap the values in the record
   dataclasses of :mod:`repro.mrt.records` (the public API, what the encoder
@@ -20,21 +20,28 @@ memos:
   (:mod:`repro.collectors.archive`): the streaming engine straight off the
   columns, everyone else as the ``Sequence[RouteObservation]`` a block is.
 
-Three things keep the walk cheap.  Every fixed-size header is framed with one
-``struct.Struct.unpack_from`` behind one explicit bounds check, at absolute
-offsets into a single ``memoryview`` of the input.  A path-attribute blob is
-parsed once per file: a RIB dump repeats one blob across prefixes and the
-update stream repeats it again, so :class:`MRTDecoder` memoises the decoded
-:class:`~repro.bgp.messages.PathAttributes` on the blob's raw bytes.  And a
-blob that does miss rarely carries a new community attribute (a collector
-day holds ~10x fewer distinct COMMUNITIES values than distinct blobs), so
-the COMMUNITIES value bytes are memoised as well, one level further down.
-The collector files of one replay share both memos (``MRTDecoder(blob,
-share=previous)``): a peer that feeds two collectors sends them the same blobs.
+Three things keep the walk cheap.  It is one loop: the input, the
+``struct`` unpackers and the memo's ``get`` stay in locals across records,
+type and subtype stay integers (only the records view looks up their enum
+members), and the NLRI and RIB entries are framed inline behind explicit
+bounds checks.  A path-attribute blob is parsed once per replay: a RIB dump
+repeats one blob across prefixes and the update stream repeats it again, so
+the decoded :class:`~repro.bgp.messages.PathAttributes` is memoised on the
+blob's bytes -- one slice, since ``bytes`` and ``mmap`` input is read in
+place and other bytes-like input copied once.  And a blob that misses
+rarely carries a new community attribute (~10x fewer distinct COMMUNITIES
+values than distinct blobs on a collector day), so those value bytes are
+memoised one level further down.  On the benchmark's isolario day (2-core
+host, memo warm) a record costs the blocks view ~3.5 us where the framing
+methods the walk replaced took ~5.4 us, and a blob that misses ~5.9 us
+instead of ~7.7 us.  The files of one replay share both memos
+(``MRTDecoder(blob, share=previous)``): a peer that feeds two collectors
+sends them the same blobs.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from itertools import chain, starmap
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -71,10 +78,10 @@ from repro.mrt.records import (
 #: millions of entries; the memos are a working set, not a copy of the files.
 ATTRIBUTE_MEMO_CAP = 65536
 
-#: One framed NLRI prefix, checked but not parsed: :meth:`Prefix.from_nlri`'s arguments.
+#: One checked NLRI prefix: ``(afi, length, network bytes)``.
 _NLRI = Tuple[int, int, bytes]
-#: A framed UPDATE body: ``(withdrawn, attributes, announced)``.
-_Update = Tuple[Tuple[_NLRI, ...], Optional[PathAttributes], Tuple[_NLRI, ...]]
+#: One framed record, as :meth:`MRTDecoder._walk` yields it.
+_Frame = Tuple[int, int, int, List[Tuple[int, int, PathAttributes]], List[_NLRI], Any]
 
 _MRT_HEADER = struct.Struct("!IHHI")
 _PEER_TABLE_HEADER = struct.Struct("!IH")
@@ -87,10 +94,10 @@ _PEER_ENTRIES = (
     struct.Struct("!BI16sI"),
 )
 _RIB_ENTRY = struct.Struct("!HIH")
-#: BGP4MP peer header (peer AS, local AS, interface index, AFI) by subtype.
+#: BGP4MP peer header (peer AS, local AS, interface index, AFI), ASN size by subtype.
 _BGP4MP_PEER_HEADERS = {
-    BGP4MPSubtype.BGP4MP_MESSAGE: struct.Struct("!HHHH"),
-    BGP4MPSubtype.BGP4MP_MESSAGE_AS4: struct.Struct("!IIHH"),
+    int(BGP4MPSubtype.BGP4MP_MESSAGE): (struct.Struct("!HHHH"), 2),
+    int(BGP4MPSubtype.BGP4MP_MESSAGE_AS4): (struct.Struct("!IIHH"), 4),
 }
 #: Peer IP, local IP, BGP marker, message length, message type.
 _BGP4MP_MESSAGE_V4 = struct.Struct("!4s4s16sHB")
@@ -105,12 +112,18 @@ _BGP4MP_SUBTYPES = {int(member): member for member in BGP4MPSubtype}
 _SEGMENT_TYPES = {int(member): member for member in SegmentType}
 _ORIGINS = {int(member): member for member in Origin}
 _RIB_AFI = {
-    TableDumpV2Subtype.RIB_IPV4_UNICAST: AFI_IPV4,
-    TableDumpV2Subtype.RIB_IPV6_UNICAST: AFI_IPV6,
+    int(TableDumpV2Subtype.RIB_IPV4_UNICAST): AFI_IPV4,
+    int(TableDumpV2Subtype.RIB_IPV6_UNICAST): AFI_IPV6,
 }
-_ADDRESS_BYTES = {AFI_IPV4: 4, AFI_IPV6: 16}
+_MAX_PREFIX_LENGTH = {AFI_IPV4: 32, AFI_IPV6: 128}
 _ASN_FORMAT = {2: "H", 4: "I"}
+#: ``Struct`` of an AS_SEQUENCE's ASNs by ``(count, asn_size)``, made on first use.
+_SEQUENCE_LAYOUTS: Dict[Tuple[int, int], struct.Struct] = {}
 
+_TABLE_DUMP_V2 = int(MRTType.TABLE_DUMP_V2)
+_BGP4MP = int(MRTType.BGP4MP)
+_BGP4MP_ET = int(MRTType.BGP4MP_ET)
+_PEER_INDEX_TABLE = int(TableDumpV2Subtype.PEER_INDEX_TABLE)
 _ATTR_ORIGIN = int(PathAttributeType.ORIGIN)
 _ATTR_AS_PATH = int(PathAttributeType.AS_PATH)
 _ATTR_NEXT_HOP = int(PathAttributeType.NEXT_HOP)
@@ -120,43 +133,34 @@ _ATTR_COMMUNITIES = int(PathAttributeType.COMMUNITIES)
 _ATTR_LARGE_COMMUNITIES = int(PathAttributeType.LARGE_COMMUNITIES)
 _MSG_UPDATE = int(BGPMessageType.UPDATE)
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 def _truncated(what: str, wanted: int, available: int) -> MRTDecodeError:
     return MRTDecodeError(f"truncated {what}: wanted {wanted} bytes, {available} available")
 
 
-def _frame_nlri(data, pos: int, end: int, afi: int) -> Tuple[_NLRI, int]:
-    """Frame one NLRI prefix (length byte + minimal network bytes) at *pos*.
-
-    Returns the prefix (network bytes copied out) and the offset just past it.
-    """
-    total_bytes = _ADDRESS_BYTES.get(afi)
-    if total_bytes is None:
-        raise MRTDecodeError(f"unsupported address family {afi}")
-    if pos >= end:
-        raise _truncated("prefix length", 1, 0)
-    length = data[pos]
-    if length > total_bytes * 8:
-        raise MRTDecodeError(f"prefix length {length} exceeds maximum {total_bytes * 8}")
-    pos += 1
-    n_bytes = (length + 7) >> 3
-    if end - pos < n_bytes:
-        raise _truncated("prefix", n_bytes, end - pos)
-    return (afi, length, bytes(data[pos : pos + n_bytes])), pos + n_bytes
+def _unsupported(mrt_type: int, subtype: int) -> MRTDecodeError:
+    """The error for a record type or subtype the walk does not frame."""
+    kind = _MRT_TYPES.get(mrt_type)
+    if kind is None:
+        return MRTDecodeError(f"unsupported MRT type {mrt_type}")
+    if kind is MRTType.TABLE_DUMP_V2:
+        table_subtype = _TABLE_DUMP_V2_SUBTYPES.get(subtype)
+        if table_subtype is None:
+            return MRTDecodeError(f"unknown TABLE_DUMP_V2 subtype {subtype}")
+        return MRTDecodeError(f"TABLE_DUMP_V2 subtype {table_subtype.name} not supported")
+    if kind is MRTType.BGP4MP or kind is MRTType.BGP4MP_ET:
+        message_subtype = _BGP4MP_SUBTYPES.get(subtype)
+        if message_subtype is None:
+            return MRTDecodeError(f"unknown BGP4MP subtype {subtype}")
+        return MRTDecodeError(f"BGP4MP subtype {message_subtype.name} not supported")
+    return MRTDecodeError(f"MRT type {kind.name} not supported by this decoder")
 
 
-def _frame_prefixes(data, pos: int, end: int, afi: int) -> Tuple[_NLRI, ...]:
-    """Frame the back-to-back NLRI prefixes filling ``data[pos:end]``."""
-    prefixes: List[_NLRI] = []
-    while pos < end:
-        prefix, pos = _frame_nlri(data, pos, end, afi)
-        prefixes.append(prefix)
-    return tuple(prefixes)
-
-
-def _decode_as_path(data, pos: int, end: int, asn_size: int) -> ASPath:
+def _decode_as_path(data: bytes, pos: int, end: int, asn_size: int) -> ASPath:
     """Decode the AS_PATH attribute value in ``data[pos:end]``."""
-    code = _ASN_FORMAT[asn_size]
     segments: List[PathSegment] = []
     while pos < end:
         if end - pos < 2:
@@ -170,7 +174,10 @@ def _decode_as_path(data, pos: int, end: int, asn_size: int) -> ASPath:
         kind = _SEGMENT_TYPES.get(segment_type)
         if kind is None:
             raise MRTDecodeError(f"unknown AS path segment type {segment_type}")
-        asns = struct.unpack_from(f"!{count}{code}", data, pos)
+        layout = _SEQUENCE_LAYOUTS.get((count, asn_size))
+        if layout is None:
+            layout = _SEQUENCE_LAYOUTS[count, asn_size] = struct.Struct(f"!{count}{_ASN_FORMAT[asn_size]}")
+        asns = layout.unpack_from(data, pos)
         pos += size
         if pos == end and count and kind is SegmentType.AS_SEQUENCE and not segments:
             # One non-empty AS_SEQUENCE is the whole attribute: no segment
@@ -181,7 +188,7 @@ def _decode_as_path(data, pos: int, end: int, asn_size: int) -> ASPath:
 
 
 def _decode_attributes(
-    value, asn_size: int, community_memo: Dict[bytes, CommunitySet]
+    value: bytes, asn_size: int, community_memo: Dict[bytes, CommunitySet]
 ) -> PathAttributes:
     """:func:`decode_path_attributes` over the caller's COMMUNITIES memo.
 
@@ -218,7 +225,7 @@ def _decode_attributes(
         if type_code == _ATTR_AS_PATH:
             as_path = _decode_as_path(value, pos, pos + length, asn_size)
         elif type_code == _ATTR_COMMUNITIES:
-            body = bytes(value[pos : pos + length])
+            body = value[pos : pos + length]
             known = community_memo.get(body)
             if known is None:
                 if length % 4:
@@ -250,14 +257,15 @@ def _decode_attributes(
         communities = regular[0]
     else:
         communities = CommunitySet(chain(large, *regular))
-    return PathAttributes(
-        as_path=as_path,
-        communities=communities,
-        origin=origin,
-        next_hop=next_hop,
-        med=med,
-        local_pref=local_pref,
-    )
+    # The frozen dataclass, filled as its ``__init__`` would, minus the lookups.
+    attributes = _new(PathAttributes)
+    _set(attributes, "as_path", as_path)
+    _set(attributes, "communities", communities)
+    _set(attributes, "origin", origin)
+    _set(attributes, "next_hop", next_hop)
+    _set(attributes, "local_pref", local_pref)
+    _set(attributes, "med", med)
+    return attributes
 
 
 def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
@@ -268,7 +276,45 @@ def decode_path_attributes(value, *, asn_size: int = 4) -> PathAttributes:
     AS_PATH, a truncated attribute, and a COMMUNITIES / LARGE_COMMUNITIES
     body that is not a whole number of values raise :class:`MRTDecodeError`.
     """
-    return _decode_attributes(value, asn_size, {})
+    return _decode_attributes(bytes(value), asn_size, {})
+
+
+def _record(frame: _Frame) -> MRTRecord:
+    """The record dataclass of one frame of :meth:`MRTDecoder._walk`."""
+    timestamp, mrt_type, subtype, entries, prefixes, extra = frame
+    if mrt_type == _TABLE_DUMP_V2:
+        if subtype == _PEER_INDEX_TABLE:
+            return extra
+        return RIBEntryRecord(
+            timestamp=timestamp,
+            mrt_type=MRTType.TABLE_DUMP_V2,
+            subtype=_TABLE_DUMP_V2_SUBTYPES[subtype],
+            sequence=extra,
+            prefix=Prefix.from_nlri(*prefixes[0]),
+            entries=tuple(starmap(RIBAfiEntry, entries)),
+        )
+    peer_asn, local_asn, interface_index, afi, peer_ip, local_ip, withdrawn = extra
+    update = None
+    if withdrawn is not None:
+        update = BGPUpdate(
+            peer_asn=peer_asn,
+            timestamp=timestamp,
+            announced=tuple(starmap(Prefix.from_nlri, prefixes)),
+            withdrawn=tuple(starmap(Prefix.from_nlri, withdrawn)),
+            attributes=entries[0][2] if entries else None,
+        )
+    return BGP4MPMessage(
+        timestamp=timestamp,
+        mrt_type=_MRT_TYPES[mrt_type],
+        subtype=_BGP4MP_SUBTYPES[subtype],
+        peer_asn=peer_asn,
+        local_asn=local_asn,
+        interface_index=interface_index,
+        afi=afi,
+        peer_ip=int.from_bytes(peer_ip, "big"),
+        local_ip=int.from_bytes(local_ip, "big"),
+        update=update,
+    )
 
 
 class MRTDecoder:
@@ -279,85 +325,54 @@ class MRTDecoder:
     advance the same position, so after a record was rejected
     (:class:`MRTDecodeError`) either view resumes at the next one.
 
-    The decoder reads through one ``memoryview`` over *data* (``bytes``,
-    ``bytearray``, ``mmap`` or another ``memoryview``); what it hands out
-    holds plain values and copies, never views, so the blob's lifetime is
-    not extended.
+    *data* is ``bytes``, ``bytearray``, ``mmap`` or a ``memoryview``;
+    ``bytes`` and ``mmap`` are read in place, anything else is copied once.
+    What the decoder hands out holds plain values and copies, never views,
+    so the blob's lifetime is not extended.
 
     Path-attribute blobs are memoised per decoder -- per file, or per replay
-    when the files' decoders are chained with *share* -- on ``(asn_size, raw
-    bytes)``: equal blobs decode to the *same* immutable
-    :class:`PathAttributes` object, so downstream dict probes on its
-    ``ASPath`` / ``CommunitySet`` hit the identity shortcut and their cached
-    hashes.  Beneath it, COMMUNITIES values are memoised on their raw bytes,
-    so blobs that differ elsewhere (path, MED, next hop) still share one
-    ``CommunitySet``.  Each memo holds about :data:`ATTRIBUTE_MEMO_CAP`
-    entries and both are cleared together when one is full; a blob or value
-    that fails to decode is never stored and raises :class:`MRTDecodeError`
-    every time it is met.  ``attribute_blobs`` counts the blobs met and
-    ``attribute_memo_hits`` those answered from the blob memo.
+    when the files' decoders are chained with *share* -- on their raw bytes
+    (and on ``(2, raw bytes)`` for a blob of 2-byte ASNs): equal blobs decode
+    to the *same* immutable :class:`PathAttributes` object, so downstream
+    dict probes on its ``ASPath`` / ``CommunitySet`` hit the identity
+    shortcut and their cached hashes.  Beneath it, COMMUNITIES values are
+    memoised on their raw bytes, so blobs that differ elsewhere (path, MED,
+    next hop) still share one ``CommunitySet``.  Each memo holds about
+    :data:`ATTRIBUTE_MEMO_CAP` entries and both are cleared together when one
+    is full; a blob or value that fails to decode is never stored and raises
+    :class:`MRTDecodeError` every time it is met.  ``attribute_blobs`` counts
+    the blobs met and ``attribute_memo_hits`` those answered from the blob
+    memo.
     """
 
     def __init__(self, data, *, share: Optional["MRTDecoder"] = None) -> None:
-        self._view = memoryview(data)
+        self._data = data if isinstance(data, (bytes, mmap.mmap)) else bytes(data)
         self._pos = 0
         self._peer_table: Optional[PeerIndexTable] = None
-        self._attribute_memo: Dict[Tuple[int, bytes], PathAttributes] = {}
+        self._attribute_memo: Dict[Any, PathAttributes] = {}
         self._community_memo: Dict[bytes, CommunitySet] = {}
         if share is not None:
             self._attribute_memo = share._attribute_memo
             self._community_memo = share._community_memo
         self.attribute_blobs = 0
-        self.attribute_memo_hits = 0
+        self._attribute_misses = 0
 
     @property
     def peer_table(self) -> Optional[PeerIndexTable]:
         """The most recently decoded PEER_INDEX_TABLE, if any."""
         return self._peer_table
 
+    @property
+    def attribute_memo_hits(self) -> int:
+        """How many of the ``attribute_blobs`` the blob memo answered."""
+        return self.attribute_blobs - self._attribute_misses
+
     # -- view 1: records -------------------------------------------------------
     def __iter__(self) -> Iterator[MRTRecord]:
-        return self
+        return map(_record, self._walk())
 
     def __next__(self) -> MRTRecord:
-        frame = self._frame()
-        if frame is None:
-            raise StopIteration
-        timestamp, mrt_type, subtype, fields = frame
-        if mrt_type is not MRTType.TABLE_DUMP_V2:
-            peer_asn, local_asn, interface_index, afi, peer_ip, local_ip, update = fields
-            if update is not None:
-                withdrawn, attributes, announced = update
-                update = BGPUpdate(
-                    peer_asn=peer_asn,
-                    timestamp=timestamp,
-                    announced=tuple(starmap(Prefix.from_nlri, announced)),
-                    withdrawn=tuple(starmap(Prefix.from_nlri, withdrawn)),
-                    attributes=attributes,
-                )
-            return BGP4MPMessage(
-                timestamp=timestamp,
-                mrt_type=mrt_type,
-                subtype=subtype,
-                peer_asn=peer_asn,
-                local_asn=local_asn,
-                interface_index=interface_index,
-                afi=afi,
-                peer_ip=int.from_bytes(peer_ip, "big"),
-                local_ip=int.from_bytes(local_ip, "big"),
-                update=update,
-            )
-        if subtype is TableDumpV2Subtype.PEER_INDEX_TABLE:
-            return fields
-        sequence, prefix, entries = fields
-        return RIBEntryRecord(
-            timestamp=timestamp,
-            mrt_type=mrt_type,
-            subtype=subtype,
-            sequence=sequence,
-            prefix=Prefix.from_nlri(*prefix),
-            entries=tuple(starmap(RIBAfiEntry, entries)),
-        )
+        return _record(next(self._walk()))
 
     # -- view 2: route blocks --------------------------------------------------
     def blocks(self, collector: str, size: int) -> Iterator[RouteBlock]:
@@ -375,114 +390,201 @@ class MRTDecoder:
         """
         if size < 1:
             raise ValueError(f"block size must be >= 1, got {size}")
-        block = RouteBlock(collector)
+        # One row per route, in the order of the block's columns.
+        rows: List[tuple] = []
+        append = rows.append
+        table = self._peer_table
         try:
-            for timestamp, mrt_type, subtype, fields in iter(self._frame, None):
-                # Routes = (time, peer, attributes) entries x prefixes: an
-                # UPDATE has one entry, a RIB record one prefix.
-                rib = mrt_type is MRTType.TABLE_DUMP_V2
-                if not rib:
-                    if fields[6] is None:
-                        continue
-                    entries = [(timestamp, fields[0], fields[6][1])]
-                    prefixes = fields[6][2]
-                elif subtype is not TableDumpV2Subtype.PEER_INDEX_TABLE:
-                    peer_table = self._peer_table
-                    if peer_table is None:
-                        raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
-                    entries = [
-                        (originated or timestamp, peer_table.peer_asn_at(peer_index), attributes)
-                        for peer_index, originated, attributes in fields[2]
-                    ]
-                    prefixes = (fields[1],)
+            for timestamp, mrt_type, subtype, entries, prefixes, extra in self._walk():
+                if mrt_type != _TABLE_DUMP_V2:
+                    # An UPDATE's one attribute set, for each announced prefix.
+                    for peer_asn, _, attributes in entries:
+                        path, communities = attributes.as_path, attributes.communities
+                        for afi, length, network in prefixes:
+                            append((timestamp, peer_asn, path, communities, False, afi, length, network))
+                elif subtype == _PEER_INDEX_TABLE:
+                    table = extra
                 else:
-                    continue
-                for time, peer_asn, attributes in entries:
-                    for afi, length, network in prefixes:
-                        block.timestamps.append(time)
-                        block.peer_asns.append(peer_asn)
-                        block.paths.append(attributes.as_path)
-                        block.communities.append(attributes.communities)
-                        block.from_rib.append(rib)
-                        block.afis.append(afi)
-                        block.prefix_lengths.append(length)
-                        block.networks.append(network)
-                while len(block.timestamps) >= size:  # a record may run over
-                    yield block[:size]
-                    block = block[size:]
+                    if table is None:
+                        raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
+                    peers = table.peers
+                    ((afi, length, network),) = prefixes
+                    mark = len(rows)
+                    for peer_index, originated, attributes in entries:
+                        if peer_index >= len(peers):
+                            del rows[mark:]  # all or nothing
+                            table.peer_asn_at(peer_index)  # raises: past the table
+                        append((originated or timestamp, peers[peer_index].peer_asn, attributes.as_path,
+                                attributes.communities, True, afi, length, network))
+                while len(rows) >= size:  # a record may run over
+                    yield RouteBlock.from_rows(collector, rows[:size])
+                    del rows[:size]
         except MRTDecodeError:
-            if len(block):
-                yield block
+            if rows:
+                yield RouteBlock.from_rows(collector, rows)
             raise
-        if len(block):
-            yield block
+        if rows:
+            yield RouteBlock.from_rows(collector, rows)
 
     # -- the framing walk ------------------------------------------------------
-    def _frame(self) -> Optional[Tuple[int, MRTType, Any, Any]]:
-        """Frame the next record: ``(timestamp, mrt_type, subtype, fields)``.
+    def _walk(self) -> Iterator[_Frame]:
+        """Frame the records from the decoder's position on, one per step:
+        ``(timestamp, mrt_type, subtype, entries, prefixes, extra)``, type and
+        subtype as integers, each prefix a checked ``(afi, length, network)``.
 
-        ``None`` at the end of the input.  *mrt_type* and *subtype* are the
-        enum members; *fields* is the decoded :class:`PeerIndexTable` (kept as
-        :attr:`peer_table`), :meth:`_frame_rib`'s or :meth:`_frame_bgp4mp`'s
-        tuple.
+        A RIB record gives its ``(peer_index, originated_time, attributes)``
+        entries, its one prefix and its sequence number; a BGP4MP message
+        ``[(peer_asn, timestamp, attributes)]`` for an UPDATE with path
+        attributes, its announced prefixes and ``(peer_asn, local_asn,
+        interface_index, afi, peer_ip, local_ip, withdrawn)`` (raw address
+        bytes; *withdrawn* ``None`` for a non-UPDATE); a PEER_INDEX_TABLE the
+        table, kept as :attr:`peer_table`.  Each step moves the decoder's
+        position past its record first, so a rejected record is stepped over
+        and any walk, of either view, resumes after it.
         """
-        view = self._view
-        pos = self._pos
-        available = len(view) - pos
-        if available == 0:
-            return None
-        if available < MRT_COMMON_HEADER_SIZE:
-            raise MRTDecodeError("trailing bytes shorter than an MRT header")
-        timestamp, mrt_type, subtype, length = _MRT_HEADER.unpack_from(view, pos)
-        pos += MRT_COMMON_HEADER_SIZE
-        if available - MRT_COMMON_HEADER_SIZE < length:
-            raise _truncated("record", length, available - MRT_COMMON_HEADER_SIZE)
-        end = pos + length
-        # A record that fails to decode is still stepped over.
-        self._pos = end
+        data = self._data
+        size = len(data)
+        unpack_header = _MRT_HEADER.unpack_from
+        unpack_u16 = _U16.unpack_from
+        unpack_u32 = _U32.unpack_from
+        unpack_entry = _RIB_ENTRY.unpack_from
+        entry_size = _RIB_ENTRY.size
+        memo_get = self._attribute_memo.get
+        while True:
+            pos = self._pos
+            available = size - pos
+            if available == 0:
+                return
+            if available < MRT_COMMON_HEADER_SIZE:
+                raise MRTDecodeError("trailing bytes shorter than an MRT header")
+            timestamp, mrt_type, subtype, length = unpack_header(data, pos)
+            pos += MRT_COMMON_HEADER_SIZE
+            if available - MRT_COMMON_HEADER_SIZE < length:
+                raise _truncated("record", length, available - MRT_COMMON_HEADER_SIZE)
+            end = pos + length
+            # A record that fails to decode is still stepped over.
+            self._pos = end
 
-        mrt_type_enum = _MRT_TYPES.get(mrt_type)
-        if mrt_type_enum is None:
-            raise MRTDecodeError(f"unsupported MRT type {mrt_type}")
-        if mrt_type_enum is MRTType.TABLE_DUMP_V2:
-            table_subtype = _TABLE_DUMP_V2_SUBTYPES.get(subtype)
-            if table_subtype is None:
-                raise MRTDecodeError(f"unknown TABLE_DUMP_V2 subtype {subtype}")
-            if table_subtype is TableDumpV2Subtype.PEER_INDEX_TABLE:
-                return (
-                    timestamp,
-                    mrt_type_enum,
-                    table_subtype,
-                    self._frame_peer_index_table(timestamp, pos, end),
-                )
-            afi = _RIB_AFI.get(table_subtype)
-            if afi is None:
-                raise MRTDecodeError(f"TABLE_DUMP_V2 subtype {table_subtype.name} not supported")
-            return timestamp, mrt_type_enum, table_subtype, self._frame_rib(pos, end, afi)
-        if mrt_type_enum is MRTType.BGP4MP or mrt_type_enum is MRTType.BGP4MP_ET:
-            message_subtype = _BGP4MP_SUBTYPES.get(subtype)
-            if message_subtype is None:
-                raise MRTDecodeError(f"unknown BGP4MP subtype {subtype}")
-            if mrt_type_enum is MRTType.BGP4MP_ET:
-                pos += 4  # microsecond timestamp, ignored
-            return (
-                timestamp,
-                mrt_type_enum,
-                message_subtype,
-                self._frame_bgp4mp(message_subtype, pos, end),
-            )
-        raise MRTDecodeError(f"MRT type {mrt_type_enum.name} not supported by this decoder")
+            if mrt_type == _TABLE_DUMP_V2:
+                afi = _RIB_AFI.get(subtype)
+                if afi is None:
+                    if subtype != _PEER_INDEX_TABLE:
+                        raise _unsupported(mrt_type, subtype)
+                    table = self._frame_peer_index_table(timestamp, pos, end)
+                    yield timestamp, mrt_type, subtype, [], [], table
+                    continue
+                rib = True
+                asn_size = 4
+                if end - pos < 4:
+                    raise _truncated("RIB sequence number", 4, end - pos)
+                (extra,) = unpack_u32(data, pos)
+                spans: Tuple[Tuple[int, int], ...] = ((pos + 4, end),)
+            elif mrt_type == _BGP4MP or mrt_type == _BGP4MP_ET:
+                peer_header = _BGP4MP_PEER_HEADERS.get(subtype)
+                if peer_header is None:
+                    raise _unsupported(mrt_type, subtype)
+                layout, asn_size = peer_header
+                if mrt_type == _BGP4MP_ET:
+                    pos += 4  # microsecond timestamp, ignored
+                if end - pos < layout.size:
+                    raise _truncated("BGP4MP header", layout.size, end - pos)
+                peer_asn, local_asn, interface_index, afi = layout.unpack_from(data, pos)
+                pos += layout.size
+                message = _BGP4MP_MESSAGE_V4 if afi == AFI_IPV4 else _BGP4MP_MESSAGE_V6
+                if end - pos < message.size:
+                    raise _truncated("BGP4MP message header", message.size, end - pos)
+                peer_ip, local_ip, marker, message_length, message_type = message.unpack_from(data, pos)
+                pos += message.size
+                if marker != BGP_MARKER:
+                    raise MRTDecodeError("BGP message marker mismatch")
+                body_length = message_length - _BGP_HEADER_SIZE
+                if body_length < 0 or end - pos < body_length:
+                    raise _truncated("BGP message", body_length, end - pos)
+                if message_type != _MSG_UPDATE:
+                    # Non-UPDATE messages (keepalives, opens) carry no routing data.
+                    extra = (peer_asn, local_asn, interface_index, afi, peer_ip, local_ip, None)
+                    yield timestamp, mrt_type, subtype, [], [], extra
+                    continue
+                rib = False
+                end = pos + body_length  # bytes after the BGP message are not ours
+                if end - pos < 2:
+                    raise _truncated("withdrawn routes length", 2, end - pos)
+                (withdrawn_len,) = unpack_u16(data, pos)
+                pos += 2
+                # The attribute length field must follow the withdrawn routes.
+                if end - pos < withdrawn_len + 2:
+                    raise _truncated("withdrawn routes", withdrawn_len + 2, end - pos)
+                (attr_len,) = unpack_u16(data, pos + withdrawn_len)
+                attr_pos = pos + withdrawn_len + 2
+                if end - attr_pos < attr_len:
+                    raise _truncated("path attributes", attr_len, end - attr_pos)
+                spans = ((pos, pos + withdrawn_len), (attr_pos + attr_len, end))
+            else:
+                raise _unsupported(mrt_type, subtype)
 
-    def _attributes(self, pos: int, end: int, asn_size: int) -> PathAttributes:
-        """The attributes encoded in ``view[pos:end]``, parsed once per blob."""
-        self.attribute_blobs += 1
-        raw = bytes(self._view[pos:end])
-        key = (asn_size, raw)
+            # The NLRI, each prefix a length byte and its minimal network
+            # bytes: a RIB record's one prefix, an UPDATE's withdrawn routes
+            # and its announced ones.
+            max_length = _MAX_PREFIX_LENGTH.get(afi)
+            nlri = []
+            for start, stop in spans:
+                prefixes = []
+                while start < stop:
+                    if max_length is None:
+                        raise MRTDecodeError(f"unsupported address family {afi}")
+                    prefix_length = data[start]
+                    if prefix_length > max_length:
+                        raise MRTDecodeError(f"prefix length {prefix_length} exceeds maximum {max_length}")
+                    start += 1
+                    n_bytes = (prefix_length + 7) >> 3
+                    if stop - start < n_bytes:
+                        raise _truncated("prefix", n_bytes, stop - start)
+                    prefixes.append((afi, prefix_length, data[start : start + n_bytes]))
+                    start += n_bytes
+                    if rib:
+                        break
+                nlri.append(prefixes)
+
+            # The attribute blobs: a RIB record's entries, an UPDATE's one set.
+            if rib:
+                if not prefixes:
+                    raise _truncated("prefix length", 1, 0)
+                pos = start
+                if end - pos < 2:
+                    raise _truncated("RIB entry count", 2, end - pos)
+                (count,) = unpack_u16(data, pos)
+                pos += 2
+            else:
+                withdrawn, prefixes = nlri
+                extra = (peer_asn, local_asn, interface_index, afi, peer_ip, local_ip, withdrawn)
+                if prefixes and not attr_len:
+                    raise MRTDecodeError("UPDATE announces NLRI without path attributes")
+                pos = attr_pos
+                count = 1 if attr_len else 0
+                peer, originated = peer_asn, timestamp
+            entries = []
+            for _ in range(count):
+                if rib:
+                    if end - pos < entry_size:
+                        raise _truncated("RIB entry", entry_size, end - pos)
+                    peer, originated, attr_len = unpack_entry(data, pos)
+                    pos += entry_size
+                    if end - pos < attr_len:
+                        raise _truncated("RIB entry attributes", attr_len, end - pos)
+                raw = data[pos : pos + attr_len]
+                key = raw if asn_size == 4 else (asn_size, raw)
+                self.attribute_blobs += 1
+                attributes = memo_get(key)
+                if attributes is None:
+                    attributes = self._parse(key, raw, asn_size)
+                entries.append((peer, originated, attributes))
+                pos += attr_len
+            yield timestamp, mrt_type, subtype, entries, prefixes, extra
+
+    def _parse(self, key: Any, raw: bytes, asn_size: int) -> PathAttributes:
+        """A blob the memo does not know: parsed, and kept unless it fails."""
+        self._attribute_misses += 1
         memo = self._attribute_memo
-        attributes = memo.get(key)
-        if attributes is not None:
-            self.attribute_memo_hits += 1
-            return attributes
         community_memo = self._community_memo
         if len(memo) >= ATTRIBUTE_MEMO_CAP or len(community_memo) >= ATTRIBUTE_MEMO_CAP:
             memo.clear()
@@ -491,50 +593,25 @@ class MRTDecoder:
         return attributes
 
     # -- TABLE_DUMP_V2 -------------------------------------------------------
-    def _frame_rib(
-        self, pos: int, end: int, afi: int
-    ) -> Tuple[int, _NLRI, List[Tuple[int, int, PathAttributes]]]:
-        """``(sequence, prefix, [(peer_index, originated_time, attributes)])``."""
-        view = self._view
-        if end - pos < 4:
-            raise _truncated("RIB sequence number", 4, end - pos)
-        (sequence,) = _U32.unpack_from(view, pos)
-        prefix, pos = _frame_nlri(view, pos + 4, end, afi)
-        if end - pos < 2:
-            raise _truncated("RIB entry count", 2, end - pos)
-        (entry_count,) = _U16.unpack_from(view, pos)
-        pos += 2
-        entries: List[Tuple[int, int, PathAttributes]] = []
-        for _ in range(entry_count):
-            if end - pos < _RIB_ENTRY.size:
-                raise _truncated("RIB entry", _RIB_ENTRY.size, end - pos)
-            peer_index, originated, attr_len = _RIB_ENTRY.unpack_from(view, pos)
-            pos += _RIB_ENTRY.size
-            if end - pos < attr_len:
-                raise _truncated("RIB entry attributes", attr_len, end - pos)
-            entries.append((peer_index, originated, self._attributes(pos, pos + attr_len, 4)))
-            pos += attr_len
-        return sequence, prefix, entries
-
     def _frame_peer_index_table(self, timestamp: int, pos: int, end: int) -> PeerIndexTable:
-        view = self._view
+        data = self._data
         if end - pos < _PEER_TABLE_HEADER.size:
             raise _truncated("PEER_INDEX_TABLE", _PEER_TABLE_HEADER.size, end - pos)
-        collector_id, view_len = _PEER_TABLE_HEADER.unpack_from(view, pos)
+        collector_id, view_len = _PEER_TABLE_HEADER.unpack_from(data, pos)
         pos += _PEER_TABLE_HEADER.size
         if end - pos < view_len + 2:
             raise _truncated("PEER_INDEX_TABLE view name", view_len + 2, end - pos)
-        view_name = bytes(view[pos : pos + view_len]).decode(errors="replace")
-        (peer_count,) = _U16.unpack_from(view, pos + view_len)
+        view_name = data[pos : pos + view_len].decode(errors="replace")
+        (peer_count,) = _U16.unpack_from(data, pos + view_len)
         pos += view_len + 2
         peers: List[PeerEntry] = []
         for _ in range(peer_count):
             if pos >= end:
                 raise _truncated("peer type", 1, 0)
-            layout = _PEER_ENTRIES[view[pos] & 0x03]
+            layout = _PEER_ENTRIES[data[pos] & 0x03]
             if end - pos < layout.size:
                 raise _truncated("peer entry", layout.size, end - pos)
-            peer_type, bgp_id, peer_ip, peer_asn = layout.unpack_from(view, pos)
+            peer_type, bgp_id, peer_ip, peer_asn = layout.unpack_from(data, pos)
             pos += layout.size
             peers.append(
                 PeerEntry(
@@ -554,61 +631,6 @@ class MRTDecoder:
         )
         self._peer_table = table
         return table
-
-    # -- BGP4MP ---------------------------------------------------------------
-    def _frame_bgp4mp(self, subtype: BGP4MPSubtype, pos: int, end: int) -> Tuple[Any, ...]:
-        """``(peer_asn, local_asn, interface_index, afi, peer_ip, local_ip,
-        update)``: the addresses as raw bytes, *update* as
-        :meth:`_frame_bgp_update` returns it, ``None`` for a non-UPDATE."""
-        peer_header = _BGP4MP_PEER_HEADERS.get(subtype)
-        if peer_header is None:
-            raise MRTDecodeError(f"BGP4MP subtype {subtype.name} not supported")
-        asn_size = 4 if subtype is BGP4MPSubtype.BGP4MP_MESSAGE_AS4 else 2
-
-        view = self._view
-        if end - pos < peer_header.size:
-            raise _truncated("BGP4MP header", peer_header.size, end - pos)
-        peer_asn, local_asn, interface_index, afi = peer_header.unpack_from(view, pos)
-        pos += peer_header.size
-
-        message = _BGP4MP_MESSAGE_V4 if afi == AFI_IPV4 else _BGP4MP_MESSAGE_V6
-        if end - pos < message.size:
-            raise _truncated("BGP4MP message header", message.size, end - pos)
-        peer_ip, local_ip, marker, message_length, message_type = message.unpack_from(view, pos)
-        pos += message.size
-        if marker != BGP_MARKER:
-            raise MRTDecodeError("BGP message marker mismatch")
-        body_length = message_length - _BGP_HEADER_SIZE
-        if body_length < 0 or end - pos < body_length:
-            raise _truncated("BGP message", body_length, end - pos)
-
-        # Non-UPDATE messages (keepalives, opens) carry no routing data.
-        update: Optional[_Update] = None
-        if message_type == _MSG_UPDATE:
-            update = self._frame_bgp_update(pos, pos + body_length, asn_size, afi)
-        return peer_asn, local_asn, interface_index, afi, peer_ip, local_ip, update
-
-    def _frame_bgp_update(self, pos: int, end: int, asn_size: int, afi: int) -> _Update:
-        """``(withdrawn, attributes, announced)`` of the UPDATE in ``view[pos:end]``."""
-        view = self._view
-        if end - pos < 2:
-            raise _truncated("withdrawn routes length", 2, end - pos)
-        (withdrawn_len,) = _U16.unpack_from(view, pos)
-        pos += 2
-        # The attribute length field must follow the withdrawn routes.
-        if end - pos < withdrawn_len + 2:
-            raise _truncated("withdrawn routes", withdrawn_len + 2, end - pos)
-        withdrawn = _frame_prefixes(view, pos, pos + withdrawn_len, afi)
-        pos += withdrawn_len
-        (attr_len,) = _U16.unpack_from(view, pos)
-        pos += 2
-        if end - pos < attr_len:
-            raise _truncated("path attributes", attr_len, end - pos)
-        attributes = self._attributes(pos, pos + attr_len, asn_size) if attr_len else None
-        announced = _frame_prefixes(view, pos + attr_len, end, afi)
-        if announced and attributes is None:
-            raise MRTDecodeError("UPDATE announces NLRI without path attributes")
-        return withdrawn, attributes, announced
 
 
 def decode_records(data) -> List[MRTRecord]:

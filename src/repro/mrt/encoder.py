@@ -190,7 +190,15 @@ class MRTEncoder:
         local_asn: ASN = 0,
         as4: bool = True,
     ) -> None:
-        """Write one BGP4MP_MESSAGE(_AS4) record wrapping a BGP UPDATE."""
+        """Write one BGP4MP_MESSAGE(_AS4) record wrapping a BGP UPDATE.
+
+        The header AFI is the prefixes' family (IPv4 when there are none), so
+        an UPDATE mixing families raises :class:`ValueError`.
+        """
+        families = {prefix.afi for prefix in update.announced + update.withdrawn}
+        if len(families) > 1:
+            raise ValueError("an UPDATE cannot mix IPv4 and IPv6 prefixes: one header AFI frames them all")
+        afi = families.pop() if families else AFI_IPV4
         asn_size = 4 if as4 else 2
         subtype = BGP4MPSubtype.BGP4MP_MESSAGE_AS4 if as4 else BGP4MPSubtype.BGP4MP_MESSAGE
         fmt = "!I" if as4 else "!H"
@@ -217,9 +225,10 @@ class MRTEncoder:
         body += struct.pack(fmt, update.peer_asn)
         body += struct.pack(fmt, local_asn)
         body += struct.pack("!H", 0)  # interface index
-        body += struct.pack("!H", AFI_IPV4)
-        body += struct.pack("!I", 0)  # peer IP (synthetic)
-        body += struct.pack("!I", 0)  # local IP (synthetic)
+        body += struct.pack("!H", afi)
+        address = bytes(4 if afi == AFI_IPV4 else 16)
+        body += address  # peer IP (synthetic)
+        body += address  # local IP (synthetic)
         body += bgp_message
         self._write_record(update.timestamp, MRTType.BGP4MP, subtype, bytes(body))
 

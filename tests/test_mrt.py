@@ -1,5 +1,8 @@
 """Unit tests for the MRT encoder and decoder."""
 
+import copy
+import dataclasses
+import pickle
 import struct
 
 import pytest
@@ -473,3 +476,49 @@ class TestCommunityMemo:
         assert decode_path_attributes(self.PATH_A + self._communities("3356:100")).communities is not (
             one.entries[0].attributes.communities
         )
+
+
+class TestDecodedAttributes:
+    """A :class:`PathAttributes` the decoder builds on a blob-memo miss is an
+    ordinary instance of the frozen dataclass, however the walk fills it."""
+
+    @pytest.fixture(params=["plain", "rich", "segmented"])
+    def built(self, request, attributes):
+        return {
+            "plain": PathAttributes(as_path=ASPath([3356, 1299])),
+            "rich": attributes,
+            "segmented": PathAttributes(
+                as_path=ASPath.from_segments(
+                    [PathSegment(SegmentType.AS_SEQUENCE, (3356,)), PathSegment(SegmentType.AS_SET, (1, 2))]
+                ),
+                origin=Origin.INCOMPLETE,
+                local_pref=0,
+            ),
+        }[request.param]
+
+    @pytest.fixture()
+    def decoded(self, built):
+        decoder = MRTDecoder(rib_record(encode_path_attributes(built)))
+        (record,) = decoder
+        assert (decoder.attribute_blobs, decoder.attribute_memo_hits) == (1, 0)  # a miss
+        return record.entries[0].attributes
+
+    def test_equal_and_hash_equal_to_a_constructed_one(self, built, decoded):
+        assert type(decoded) is PathAttributes
+        assert decoded == built and built == decoded
+        assert hash(decoded) == hash(built)
+        assert repr(decoded) == repr(built)
+        assert {decoded: 1}[built] == 1
+
+    def test_pickles_and_copies_like_a_constructed_one(self, built, decoded):
+        assert pickle.loads(pickle.dumps(decoded)) == built
+        assert pickle.dumps(decoded) == pickle.dumps(built)
+        assert copy.copy(decoded) == built and copy.deepcopy(decoded) == built
+
+    def test_is_frozen_and_derives_copies(self, built, decoded):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decoded.med = 1
+        other = CommunitySet.from_strings(["1:1"])
+        assert decoded.with_communities(other) == built.with_communities(other)
+        assert dataclasses.replace(decoded, med=9) == dataclasses.replace(built, med=9)
+        assert dataclasses.asdict(decoded) == dataclasses.asdict(built)

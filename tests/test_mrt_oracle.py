@@ -22,11 +22,12 @@ from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.community import CommunitySet
 from repro.bgp.messages import BGPUpdate, Origin, PathAttributes
 from repro.bgp.path import ASPath, PathSegment, SegmentType
-from repro.bgp.prefix import parse_prefix
+from repro.bgp.prefix import Prefix, parse_prefix
 from repro.collectors.archive import iter_observations_from_mrt, observations_from_mrt
 from repro.datasets.synthetic import SyntheticConfig, SyntheticInternet
-from repro.mrt import MRTDecodeError, MRTDecoder, MRTEncoder
+from repro.mrt import MRTDecodeError, MRTDecoder, MRTEncoder, decode_records
 from repro.mrt.encoder import encode_path_attributes
+from repro.mrt.records import BGP4MPMessage, RIBEntryRecord
 
 V4 = (parse_prefix("8.8.8.0/24"), parse_prefix("9.9.0.0/16"), parse_prefix("0.0.0.0/0"))
 V6 = (parse_prefix("2001:db8::/32"), parse_prefix("2a00:1450:4000::/37"))
@@ -140,6 +141,69 @@ WELL_FORMED = {
     "hand-framed": _hand_framed(),
     "empty": b"",
 }
+
+
+def _multi_peer_day():
+    """``(day, cut)``: a first-RIB-of-the-day dump and an update stream of a
+    synthetic Internet, and a few-KB cut of it.
+
+    The peer table holds 2- and 4-byte peer ASNs; each RIB record carries
+    every peer's route to one origin prefix (tens of entries: distinct blobs
+    across peers, shared ones across an origin's prefixes), some records are
+    IPv6 and one entry's path ends in an AS_SET.  The UPDATEs that follow are
+    time-ordered multi-prefix announcements and withdrawals in both families,
+    over 2-byte sessions where the peer and path allow it, else 4-byte ones.
+    """
+    internet = SyntheticInternet.build(SyntheticConfig.small(seed=3))
+    peers = internet.collector_peers(["isolario", "routeviews"])
+    origins = sorted({origin for peer in peers for origin in internet.paths_by_peer[peer]})[::40]
+
+    def v6(origin, index=0):
+        return Prefix((0x20010DB8 << 96) | (origin << 64) | (index << 48), 64, afi=2)
+
+    def attributes(peer, origin):
+        path = internet.paths_by_peer[peer][origin].path
+        if origin == origins[0] and peer == peers[0]:
+            path = ASPath.from_segments(
+                [PathSegment(SegmentType.AS_SEQUENCE, path.asns), PathSegment(SegmentType.AS_SET, (64512, 64513))]
+            )
+        return PathAttributes(as_path=path, communities=internet.propagator.output(path), med=origin % 7 or None)
+
+    rib = MRTEncoder()
+    rib.write_peer_index_table(peers, timestamp=1000, collector_bgp_id=7, view_name="multi")
+    sequence = 0
+    for origin in origins:
+        prefixes = internet.topology.prefixes_of(origin) + (v6(origin),) * (origin % 2)
+        for prefix in prefixes:
+            entries = [(peer, 900 + index, attributes(peer, origin)) for index, peer in enumerate(peers)]
+            rib.write_rib_entry(prefix, entries, sequence=sequence, timestamp=1000)
+            sequence += 1
+
+    updates = MRTEncoder()
+    for step, origin in enumerate(origins):
+        peer = peers[step * 5 % len(peers)]
+        routes = attributes(peer, origin)
+        narrow = peer < 65536 and max(routes.as_path.asns) < 65536
+        other = origins[step - 1]
+        for announced, withdrawn in [
+            (internet.topology.prefixes_of(origin), internet.topology.prefixes_of(other)[:2]),
+            ((v6(origin), v6(origin, 1)), (v6(other),)),
+            ((), internet.topology.prefixes_of(origin)[:1]),
+        ]:
+            update = BGPUpdate(
+                peer_asn=peer,
+                timestamp=2000 + step,
+                announced=announced,
+                withdrawn=withdrawn,
+                attributes=routes if announced else None,
+            )
+            updates.write_update(update, as4=not narrow, local_asn=64500)
+
+    rib_records, update_records = split_records(rib.getvalue()), split_records(updates.getvalue())
+    return b"".join(rib_records + update_records), b"".join(rib_records[:3] + update_records[:6])
+
+
+MULTI_PEER_DAY, MULTI_PEER_CUT = _multi_peer_day()
 
 
 def detail(record):
@@ -515,8 +579,66 @@ class TestVerifySkillArchives:
             assert observation.communities is first.communities
 
 
+class TestMultiPeerDay:
+    """The shape of a real collector's first RIB of the day, and its update
+    stream: tens of peers per RIB record, both ASN widths, both families."""
+
+    def test_both_views_equal_the_oracle(self):
+        assert assert_same_records(MULTI_PEER_DAY) == "clean"
+        assert assert_same_observations(MULTI_PEER_DAY) == "clean"
+        assert assert_same_outcome(MULTI_PEER_CUT) == "clean"
+
+    def test_the_day_has_the_shape_it_claims(self):
+        table, *records = mrt_oracle.decode_records(MULTI_PEER_DAY)
+        ribs = [record for record in records if isinstance(record, RIBEntryRecord)]
+        messages = [record for record in records if isinstance(record, BGP4MPMessage)]
+        assert {peer.peer_asn < 65536 for peer in table.peers} == {True, False}
+        assert min(len(record.entries) for record in ribs) >= 20
+        assert {record.prefix.afi for record in ribs} == {1, 2}
+        assert any(entry.attributes.as_path.has_as_set for record in ribs for entry in record.entries)
+        blobs = [encode_path_attributes(entry.attributes) for record in ribs for entry in record.entries]
+        assert len(blobs) // 4 < len(set(blobs)) < len(blobs)  # mostly distinct, some shared
+        assert {(record.is_as4, record.afi) for record in messages} == {
+            (as4, afi) for as4 in (False, True) for afi in (1, 2)
+        }
+        assert any(len(record.update.announced) > 1 and record.update.withdrawn for record in messages)
+        assert [record.timestamp for record in messages] == sorted(record.timestamp for record in messages)
+        assert 2000 < len(MULTI_PEER_CUT) < 6000
+
+    def test_blocks_carry_every_peer_of_a_record(self):
+        decoder = MRTDecoder(MULTI_PEER_DAY)
+        (block,) = decoder.blocks("multi", 1 << 20)
+        peers = [peer.peer_asn for peer in decoder.peer_table.peers]
+        assert block.peer_asns[: len(peers)] == peers
+        assert block.from_rib.count(True) == len(peers) * sum(
+            1 for record in mrt_oracle.decode_records(MULTI_PEER_DAY) if isinstance(record, RIBEntryRecord)
+        )
+        assert set(block.afis) == {1, 2}
+
+
+class TestIPv6Updates:
+    """The encoder frames an UPDATE in its prefixes' family."""
+
+    def test_an_ipv6_update_round_trips(self):
+        update = BGPUpdate(peer_asn=3356, timestamp=100, announced=V6, withdrawn=V6[:1], attributes=RICH)
+        blob = _encoded(lambda encoder: encoder.write_update(update))
+        assert assert_same_outcome(blob) == "clean"
+        (record,) = decode_records(blob)
+        assert record.afi == 2 and record.update == update
+        (block,) = MRTDecoder(blob).blocks("rrc00", 8)
+        assert [block.prefix(index) for index in range(len(block))] == list(V6)
+
+    @pytest.mark.parametrize("announced, withdrawn", [(V4[:1], V6[:1]), (V4[:1] + V6[:1], ())])
+    def test_mixed_families_are_refused(self, announced, withdrawn):
+        encoder = MRTEncoder()
+        update = BGPUpdate(peer_asn=3356, timestamp=100, announced=announced, withdrawn=withdrawn, attributes=RICH)
+        with pytest.raises(ValueError, match="cannot mix IPv4 and IPv6"):
+            encoder.write_update(update)
+        assert encoder.getvalue() == b""
+
+
 # -- mutated inputs ---------------------------------------------------------------------
-_SEEDS = [blob for name, blob in sorted(WELL_FORMED.items()) if blob]
+_SEEDS = [blob for name, blob in sorted(WELL_FORMED.items()) if blob] + [MULTI_PEER_CUT]
 
 
 @st.composite
