@@ -12,12 +12,11 @@ Measures what the consumer side of the system cares about:
 * cold store reads (cache disabled by rotating ASes), pinning the indexed
   per-AS lookup path;
 * producer-side write throughput: snapshots persisted per second;
-* the multi-worker fan-out: 4 ``SO_REUSEPORT`` worker processes under
-  concurrent client load must sustain at least 2x the single-worker
-  queries/sec while answering byte-identically — the floor only makes
-  sense with >= 4 CPUs and working ``SO_REUSEPORT``, so elsewhere it is
-  disabled by default (override via ``REPRO_BENCH_MIN_WORKER_SPEEDUP``,
-  0 disables);
+* the multi-worker fan-out: 4 worker processes sharing one listening
+  socket under concurrent client load must sustain at least 2x the
+  single-worker queries/sec while answering byte-identically — the floor
+  only makes sense with >= 4 CPUs, so below that it is disabled by
+  default (override via ``REPRO_BENCH_MIN_WORKER_SPEEDUP``, 0 disables);
 * the replica fan-out: a leader plus one synced read replica, each served
   from its own worker process (simulating two hosts), must sustain at
   least 1.5x the single-store queries/sec under the same total client
@@ -43,7 +42,6 @@ from repro.service import (
     ServiceClient,
     SnapshotStore,
     attach_store,
-    reuseport_supported,
 )
 from repro.stream import MemorySource, ScenarioSource, StreamConfig, StreamEngine, WindowSpec
 
@@ -60,21 +58,17 @@ WORKER_FANOUT = 4
 MIN_WORKER_SPEEDUP = float(
     os.environ.get(
         "REPRO_BENCH_MIN_WORKER_SPEEDUP",
-        "2.0"
-        if (os.cpu_count() or 1) >= WORKER_FANOUT and reuseport_supported()
-        else "0",
+        "2.0" if (os.cpu_count() or 1) >= WORKER_FANOUT else "0",
     )
 )
 
 #: Acceptance floor for 1 leader + 1 synced replica over the leader alone.
 #: Needs one process per simulated host plus the client processes, so the
-#: floor is only meaningful with spare cores and working ``SO_REUSEPORT``.
+#: floor is only meaningful with spare cores.
 MIN_REPLICA_SPEEDUP = float(
     os.environ.get(
         "REPRO_BENCH_MIN_REPLICA_SPEEDUP",
-        "1.5"
-        if (os.cpu_count() or 1) >= WORKER_FANOUT and reuseport_supported()
-        else "0",
+        "1.5" if (os.cpu_count() or 1) >= WORKER_FANOUT else "0",
     )
 )
 
@@ -229,7 +223,7 @@ def _fetch(address, target):
 
 @pytest.mark.benchmark(group="service")
 def test_bench_service_multi_worker_fanout(benchmark, warm_store, hot_ases):
-    """4 SO_REUSEPORT workers vs one server under concurrent client load.
+    """4 worker processes vs one server under concurrent client load.
 
     Also pins the fan-out contract the speedup is worthless without:
     every deterministic endpoint answers byte-identically from the fleet,
@@ -268,7 +262,6 @@ def test_bench_service_multi_worker_fanout(benchmark, warm_store, hot_ases):
         fanout_qps = WORKER_FANOUT * QUERY_BATCH / benchmark.stats.stats.min
 
     speedup = fanout_qps / single_qps
-    benchmark.extra_info["mode"] = fanout.mode
     benchmark.extra_info["workers"] = WORKER_FANOUT
     benchmark.extra_info["single_worker_qps"] = round(single_qps)
     benchmark.extra_info["fanout_qps"] = round(fanout_qps)
@@ -325,7 +318,6 @@ def test_bench_service_replica_fanout(benchmark, warm_store, hot_ases, tmp_path)
                 pair_qps = 2 * QUERY_BATCH / benchmark.stats.stats.min
 
     speedup = pair_qps / single_qps
-    benchmark.extra_info["mode"] = leader.mode
     benchmark.extra_info["single_store_qps"] = round(single_qps)
     benchmark.extra_info["replica_pair_qps"] = round(pair_qps)
     benchmark.extra_info["speedup"] = round(speedup, 2)

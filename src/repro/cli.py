@@ -15,7 +15,7 @@ Usage::
     python -m repro stream updates.mrt --workers 4       # multi-process shard workers
     python -m repro stream updates.mrt --store results.db   # materialize snapshots
     python -m repro serve --store results.db --port 8080    # HTTP query API
-    python -m repro serve --store results.db --http-workers 4   # SO_REUSEPORT fan-out
+    python -m repro serve --store results.db --http-workers 4   # 4 worker processes, one port
     python -m repro serve --store results.db --retention 32 --archive-dir cold/
     python -m repro archive cold/ list                      # inspect archive segments
     python -m repro replicate --from http://leader:8080 --store replica.db --serve
@@ -255,7 +255,7 @@ def _start_http(
 ) -> Tuple[Any, Optional[str]]:
     """Put the HTTP server ``--http-workers`` asks for on *stack*.
 
-    N > 1 starts the worker fleet and returns ``(fleet, "N <mode> workers")``.
+    N > 1 starts the worker fleet and returns ``(fleet, "N worker processes")``.
     Otherwise returns ``(server, None)``: one in-process server over *store*
     (opened here when the caller holds none), left for the caller to run --
     ``serve_forever()`` on this thread, or ``start()`` when this thread has
@@ -277,7 +277,7 @@ def _start_http(
                 auth_token=auth_token,
             )
         ).start()
-        return fleet, f"{fleet.workers} {fleet.mode} workers"
+        return fleet, f"{fleet.workers} worker processes"
     # Store and server both live on the stack: a failed bind (port already
     # in use) must unwind the store's handles instead of leaking them, and
     # ClassificationServer.close() is safe before serve_forever ran.
@@ -718,9 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="serving workers: 1 (default) runs one threaded server in-process; "
-        "N > 1 fans out across N SO_REUSEPORT worker processes sharing the port "
-        "(accept-loop threads where SO_REUSEPORT is unavailable), supervised "
-        "and respawned on crash",
+        "N > 1 fans out across N worker processes accepting on one listening "
+        "socket the supervisor holds, supervised and respawned on crash",
     )
     serve.add_argument(
         "--retention",

@@ -9,7 +9,8 @@ re-runs the inference for thresholds between 50% and 100%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class Thresholds:
     def with_forwarding(self, value: float) -> "Thresholds":
         """Copy with only the forwarding-side thresholds changed."""
         return replace(self, forward=value, cleaner=value)
+
+    def as_list(self) -> List[float]:
+        """``[tagger, silent, forward, cleaner]``: the stored and served form,
+        read back by ``Thresholds(*values)``."""
+        return list(astuple(self))
 
 
 #: The paper's default configuration.

@@ -485,7 +485,9 @@ class MRTDecoder:
                     raise _unsupported(mrt_type, subtype)
                 layout, asn_size = peer_header
                 if mrt_type == _BGP4MP_ET:
-                    pos += 4  # microsecond timestamp, ignored
+                    if end - pos < 4:
+                        raise _truncated("BGP4MP_ET microsecond timestamp", 4, end - pos)
+                    pos += 4  # ignored
                 if end - pos < layout.size:
                     raise _truncated("BGP4MP header", layout.size, end - pos)
                 peer_asn, local_asn, interface_index, afi = layout.unpack_from(data, pos)
@@ -498,7 +500,12 @@ class MRTDecoder:
                 if marker != BGP_MARKER:
                     raise MRTDecodeError("BGP message marker mismatch")
                 body_length = message_length - _BGP_HEADER_SIZE
-                if body_length < 0 or end - pos < body_length:
+                if body_length < 0:
+                    raise MRTDecodeError(
+                        f"BGP message length {message_length} is shorter than its"
+                        f" {_BGP_HEADER_SIZE}-byte header"
+                    )
+                if end - pos < body_length:
                     raise _truncated("BGP message", body_length, end - pos)
                 if message_type != _MSG_UPDATE:
                     # Non-UPDATE messages (keepalives, opens) carry no routing data.

@@ -193,11 +193,18 @@ class MRTEncoder:
         """Write one BGP4MP_MESSAGE(_AS4) record wrapping a BGP UPDATE.
 
         The header AFI is the prefixes' family (IPv4 when there are none), so
-        an UPDATE mixing families raises :class:`ValueError`.
+        an UPDATE mixing families raises :class:`ValueError`; so does, with
+        ``as4=False``, a peer, local or path ASN that needs 4 bytes.  Nothing
+        is written when it raises.
         """
         families = {prefix.afi for prefix in update.announced + update.withdrawn}
         if len(families) > 1:
             raise ValueError("an UPDATE cannot mix IPv4 and IPv6 prefixes: one header AFI frames them all")
+        if not as4:
+            path = update.attributes.as_path if update.attributes is not None else ()
+            for asn in (update.peer_asn, local_asn, *path):
+                if asn > 0xFFFF:
+                    raise ValueError(f"ASN {asn} does not fit a 2-byte BGP4MP_MESSAGE: write it with as4=True")
         afi = families.pop() if families else AFI_IPV4
         asn_size = 4 if as4 else 2
         subtype = BGP4MPSubtype.BGP4MP_MESSAGE_AS4 if as4 else BGP4MPSubtype.BGP4MP_MESSAGE

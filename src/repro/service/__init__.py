@@ -25,9 +25,9 @@ builds the *consumer* side:
   materialise results as they run;
 * :mod:`repro.service.client` -- a small stdlib HTTP client for the API;
 * :mod:`repro.service.workers` -- horizontal fan-out: N supervised
-  ``SO_REUSEPORT`` worker processes (accept-loop threads where that is
-  unavailable) serving one store on one port, respawned on crash, with
-  fleet-aggregated ``/v1/stats``;
+  worker processes accepting on the supervisor's one listening socket,
+  serving one store on one port, respawned on crash (connections wait in
+  the listen backlog meanwhile), with fleet-aggregated ``/v1/stats``;
 * :mod:`repro.service.replication` -- cross-host fan-out: any served store
   is a replication leader (``/v1/replication/changes`` changelog pages),
   and a :class:`ReplicaSyncer` converges a follower store on it with
@@ -100,10 +100,7 @@ from repro.service.server import (
     LRUCache,
     ServiceStats,
 )
-from repro.service.workers import (
-    MultiWorkerServer,
-    reuseport_supported,
-)
+from repro.service.workers import MultiWorkerServer
 
 __all__ = [
     "METRICS_CONTENT_TYPE",
@@ -139,7 +136,6 @@ __all__ = [
     "promote",
     "publish_result",
     "render_metrics",
-    "reuseport_supported",
     "snapshot_from_payload",
     "snapshot_payload",
 ]

@@ -95,7 +95,6 @@ def _segment_name(index: int) -> str:
 
 def _meta_of_record(record: Dict[str, Any]) -> StoredSnapshot:
     payload = record["payload"]
-    thresholds = record["thresholds"]
     return StoredSnapshot(
         snapshot_id=int(record["snapshot_id"]),
         kind=str(record["kind"]),
@@ -105,12 +104,7 @@ def _meta_of_record(record: Dict[str, Any]) -> StoredSnapshot:
         events_total=int(payload["events_total"]),
         unique_tuples=int(payload["unique_tuples"]),
         algorithm=str(payload["algorithm"]),
-        thresholds=Thresholds(
-            tagger=thresholds[0],
-            silent=thresholds[1],
-            forward=thresholds[2],
-            cleaner=thresholds[3],
-        ),
+        thresholds=Thresholds(*record["thresholds"]),
         generation=int(record["generation"]),
     )
 
@@ -224,12 +218,7 @@ class SnapshotArchive:
                 "snapshot_id": meta.snapshot_id,
                 "kind": meta.kind,
                 "generation": meta.generation,
-                "thresholds": [
-                    meta.thresholds.tagger,
-                    meta.thresholds.silent,
-                    meta.thresholds.forward,
-                    meta.thresholds.cleaner,
-                ],
+                "thresholds": meta.thresholds.as_list(),
                 "payload": payload,
             }
             line = _encode_line(record)

@@ -422,7 +422,6 @@ class SnapshotStore(SnapshotBackend):
         """
         require_valid_kind(kind)
         result = snapshot.result
-        thresholds = result.thresholds
         asns, codes, counters = result.columns()
         blob = _encode_columns(asns, codes, counters)
         with self._write_lock:
@@ -486,14 +485,7 @@ class SnapshotStore(SnapshotBackend):
                         snapshot.events_total,
                         snapshot.unique_tuples,
                         result.algorithm,
-                        json.dumps(
-                            [
-                                thresholds.tagger,
-                                thresholds.silent,
-                                thresholds.forward,
-                                thresholds.cleaner,
-                            ]
-                        ),
+                        json.dumps(result.thresholds.as_list()),
                         generation,
                     ),
                 )
@@ -697,7 +689,6 @@ class SnapshotStore(SnapshotBackend):
     def _snapshot_from_row(
         self, row: Tuple[int, str, int, int, int, int, int, str, str, int]
     ) -> StoredSnapshot:
-        tagger, silent, forward, cleaner = json.loads(row[8])
         return StoredSnapshot(
             snapshot_id=int(row[0]),
             kind=row[1],
@@ -707,9 +698,7 @@ class SnapshotStore(SnapshotBackend):
             events_total=int(row[5]),
             unique_tuples=int(row[6]),
             algorithm=row[7],
-            thresholds=Thresholds(
-                tagger=tagger, silent=silent, forward=forward, cleaner=cleaner
-            ),
+            thresholds=Thresholds(*json.loads(row[8])),
             generation=int(row[9]),
         )
 

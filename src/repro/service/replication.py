@@ -1,9 +1,9 @@
 """Generation-addressed changelog replication between snapshot stores.
 
 PR 4 scaled reads on *one* host: ``repro serve --http-workers N`` fans one
-store out across ``SO_REUSEPORT`` worker processes.  This module scales
-reads across *hosts*: any store served over the HTTP API is a **leader**
-whose commit history is a generation-addressed changelog
+store out across worker processes sharing one listening socket.  This
+module scales reads across *hosts*: any store served over the HTTP API is a
+**leader** whose commit history is a generation-addressed changelog
 (``/v1/replication/changes?since=G``), and a :class:`ReplicaSyncer` turns
 any other host's store into a **follower** that converges on it.
 
@@ -146,12 +146,9 @@ class ReplicaSyncer:
 
     def _apply_entry(self, entry: Dict[str, Any]) -> bool:
         """Apply one changelog entry; returns whether it was new."""
-        tagger, silent, forward, cleaner = cast(
-            List[float], entry["thresholds"]
-        )
         snapshot = snapshot_from_payload(
             cast(Dict[str, Any], entry["payload"]),
-            Thresholds(tagger=tagger, silent=silent, forward=forward, cleaner=cleaner),
+            Thresholds(*entry["thresholds"]),
         )
         try:
             _, was_new = ensure_snapshot(

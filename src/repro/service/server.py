@@ -537,18 +537,12 @@ class ClassificationService:
         more = len(metas) > limit
         changes: List[Dict[str, object]] = []
         for meta in metas[:limit]:
-            thresholds = meta.thresholds
             changes.append(
                 {
                     "generation": meta.generation,
                     "snapshot_id": meta.snapshot_id,
                     "kind": meta.kind,
-                    "thresholds": [
-                        thresholds.tagger,
-                        thresholds.silent,
-                        thresholds.forward,
-                        thresholds.cleaner,
-                    ],
+                    "thresholds": meta.thresholds.as_list(),
                     "payload": snapshot_payload(
                         self.store.load_snapshot(meta.snapshot_id)
                     ),

@@ -5,11 +5,11 @@ One :class:`~repro.service.server.ClassificationServer` is a single
 the encode/route/cache hot path is GIL-bound no matter how many client
 connections arrive.  This module scales the same socket-free
 :class:`~repro.service.server.ClassificationService` across **N worker
-processes** that all accept on the same ``(host, port)`` via
-``SO_REUSEPORT`` -- the kernel load-balances incoming connections across
-the workers, each of which owns its own SQLite reader connections (the
-store is WAL, readers never block the producer) and its own
-generation-keyed LRU response cache.
+processes** that all accept on **one shared listening socket** (the
+pre-fork design): the supervisor binds and listens once, and every worker
+inherits that socket and accepts on it.  Each worker owns its own SQLite
+reader connections (the store is WAL, readers never block the producer)
+and its own generation-keyed LRU response cache.
 
 Pieces:
 
@@ -18,22 +18,19 @@ Pieces:
   board file with a slot per worker; each worker counts its requests in its
   own slot only, and any worker renders the fleet-wide aggregate, which is
   how ``/v1/stats`` and ``/metrics`` answer for the whole deployment no
-  matter which worker the kernel picked.
-* :func:`reuseport_supported` -- capability probe that picks the fan-out:
-  N worker processes where ``SO_REUSEPORT`` load-balances, else N
-  accept-loop threads sharing one non-blocking listener in-process (still
-  one service + store reader + cache per worker, but a single Python
-  process).
-* :class:`MultiWorkerServer` -- the supervisor: resolves the port, spawns
+  matter which worker accepted the connection.
+* :class:`MultiWorkerServer` -- the supervisor: binds the listener, spawns
   the workers, monitors them, respawns any that die, and tears the fleet
   down.  ``repro serve --http-workers N`` is a thin wrapper around it.
 
-The supervisor holds a bound (but never listening) ``SO_REUSEPORT``
-placeholder socket for the whole lifetime of the fleet: it resolves
-``port=0`` to a concrete port before any worker starts, and it keeps the
-port reserved across worker crashes, so a respawned worker can always
-rebind.  A non-listening member of a reuseport group receives no
-connections, so the placeholder is invisible to clients.
+The listener is non-blocking: every idle worker wakes for a new
+connection, one wins the ``accept`` and the others get ``BlockingIOError``,
+which :mod:`socketserver` treats as "no request after all".  Because the
+supervisor keeps listening for the fleet's whole lifetime, ``port=0``
+resolves before any worker starts, and a connection that arrives while a
+worker is dead or respawning waits in the listen backlog instead of being
+refused.  The design needs nothing beyond POSIX ``fork``/``exec`` fd
+inheritance, so every POSIX platform gets real worker processes.
 """
 
 from __future__ import annotations
@@ -51,43 +48,13 @@ from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Tuple, Type, Union
 
-from repro.service.backends import SnapshotBackend, open_store, parse_store_url
+from repro.service.backends import open_store, parse_store_url
 from repro.service.metrics import FileFollowerLag, WorkerStatsBoard
 from repro.service.server import (
     DEFAULT_CACHE_SIZE,
     ClassificationService,
     build_handler,
 )
-
-def reuseport_supported() -> bool:
-    """Whether this platform can fan out with ``SO_REUSEPORT`` sockets.
-
-    Requires more than the option merely existing: only Linux load-balances
-    incoming connections across a reuseport group.  BSD-family kernels
-    (including macOS) accept the option but deliver every connection to the
-    most recently bound listener, which would turn the "fan-out" into one
-    busy worker -- those platforms use the shared-listener thread fallback.
-    """
-    if not sys.platform.startswith("linux") or not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        return True
-    except OSError:
-        return False
-    finally:
-        probe.close()
-
-
-class ReusePortHTTPServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` that joins an ``SO_REUSEPORT`` group."""
-
-    daemon_threads = True
-
-    def server_bind(self) -> None:
-        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        super().server_bind()
 
 
 class _SharedListenerHTTPServer(ThreadingHTTPServer):
@@ -106,6 +73,7 @@ class _SharedListenerHTTPServer(ThreadingHTTPServer):
     ) -> None:
         super().__init__(listener.getsockname()[:2], handler, bind_and_activate=False)
         self.socket.close()  # replace the unused fresh socket
+        listener.setblocking(False)
         self.socket = listener
 
     def get_request(self) -> Tuple[socket.socket, object]:
@@ -117,20 +85,14 @@ class _SharedListenerHTTPServer(ThreadingHTTPServer):
         request.setblocking(True)
         return request, client_address
 
-    def server_close(self) -> None:
-        # The shared listener belongs to the supervisor; closing it once
-        # (idempotently) is the supervisor's job, so double closes from
-        # several workers are harmless.
-        self.socket.close()
-
 
 def _watch_supervisor(httpd: ThreadingHTTPServer, supervisor_pid: int) -> None:
     """Shut the worker down once its supervisor is gone.
 
     Daemon-process cleanup only runs when the supervisor exits *normally*;
     a SIGTERM'd or SIGKILL'd supervisor would otherwise orphan workers
-    that keep the port alive forever.  Orphaning reparents this process,
-    so a changed ``getppid`` is the death certificate.
+    that keep the listener open forever.  Orphaning reparents this
+    process, so a changed ``getppid`` is the death certificate.
     """
     while True:
         if os.getppid() != supervisor_pid:
@@ -143,25 +105,25 @@ def _serve_worker(
     worker_id: int,
     workers: int,
     store_path: str,
-    host: str,
-    port: int,
+    listener: socket.socket,
     cache_size: int,
     retention: Optional[int],
     archive_dir: Optional[str],
     board_path: str,
     supervisor_pid: int,
-    ready: Optional[Connection],
+    ready: Connection,
     auth_token: Optional[str] = None,
     lag_dir: Optional[str] = None,
 ) -> None:
-    """Worker process entry point: open the store, bind, accept forever.
+    """Worker process entry point: open the store, accept forever.
 
     Module-level (not a closure) so the ``spawn`` start method can import
-    it; everything it needs arrives as plain picklable values.  *retention*
-    is carried for ``/v1/stats`` visibility only -- serving never appends,
-    so it never prunes here.  *archive_dir* makes every worker open the
-    same tiered view, so cold (beyond-retention) reads answer on any
-    worker the kernel picks.  *lag_dir* is the supervisor's shared
+    it.  *listener* is the supervisor's listening socket, inherited as a
+    duplicated file descriptor; everything else arrives as plain picklable
+    values.  *retention* is carried for ``/v1/stats`` visibility only --
+    serving never appends, so it never prunes here.  *archive_dir* makes
+    every worker open the same tiered view, so cold (beyond-retention)
+    reads answer on any worker.  *lag_dir* is the supervisor's shared
     follower-lag directory: each worker persists the changelog polls it
     saw, so the ``/metrics`` scrape of any worker reports every follower.
     """
@@ -177,16 +139,15 @@ def _serve_worker(
             FileFollowerLag(lag_dir, worker_id) if lag_dir is not None else None
         ),
     )
-    httpd = ReusePortHTTPServer((host, port), build_handler(service))
+    httpd = _SharedListenerHTTPServer(listener, build_handler(service))
     threading.Thread(
         target=_watch_supervisor,
         args=(httpd, supervisor_pid),
         name="repro-serve-parent-watch",
         daemon=True,
     ).start()
-    if ready is not None:
-        ready.send(("ready", httpd.server_address[1]))
-        ready.close()
+    ready.send("ready")
+    ready.close()
     try:
         httpd.serve_forever(poll_interval=0.1)
     finally:
@@ -208,17 +169,12 @@ def require_file_store(store_url: Union[str, os.PathLike]) -> None:
 class MultiWorkerServer:
     """Supervisor of an N-worker HTTP fan-out over one snapshot store.
 
-    The platform picks the fan-out, read back as ``mode``:
-
-    * ``"process"`` where :func:`reuseport_supported` -- N OS processes,
-      each accepting on its own ``SO_REUSEPORT`` socket (true parallelism;
-      the production shape);
-    * ``"thread"`` elsewhere -- N accept-loop threads sharing one
-      non-blocking listener in this process (the portable fallback).
-
-    The supervisor monitors process workers and respawns any that die
-    (``respawns`` counts them).  Always :meth:`close` when done; the class
-    is also a context manager.
+    The supervisor binds and listens on one socket; N spawned worker
+    processes inherit it and accept on it (true parallelism: one
+    interpreter per worker).  It monitors the workers and respawns any
+    that die (``respawns`` counts them); connections that arrive in the
+    meantime wait in the listen backlog.  Always :meth:`close` when done;
+    the class is also a context manager.
     """
 
     def __init__(
@@ -233,7 +189,6 @@ class MultiWorkerServer:
         archive_dir: Optional[str] = None,
         auth_token: Optional[str] = None,
         poll_interval: float = 0.2,
-        start_method: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -246,27 +201,23 @@ class MultiWorkerServer:
         self.retention = retention
         self.archive_dir = str(archive_dir) if archive_dir is not None else None
         self.auth_token = auth_token
-        self.mode = "process" if reuseport_supported() else "thread"
         self.poll_interval = poll_interval
         self.respawns = 0
         self.respawn_failures = 0
         self.last_respawn_error: Optional[str] = None
         #: worker_id -> (monotonic time before which no retry, current delay).
         self._respawn_backoff: Dict[int, Tuple[float, float]] = {}
-        self._mp = multiprocessing.get_context(start_method)
+        # Spawn, not fork: a worker must not inherit the supervisor's
+        # threads or SQLite handles.  The listener still reaches it, as an
+        # fd the spawn launcher passes to the child.
+        self._mp = multiprocessing.get_context("spawn")
         self._closing = threading.Event()
         self._monitor_thread: Optional[threading.Thread] = None
-        self._placeholder: Optional[socket.socket] = None
+        self._listener: Optional[socket.socket] = None
         self._board: Optional[WorkerStatsBoard] = None
         self._lag_dir: Optional[str] = None
         self._port: Optional[int] = None
-        # Process mode state.
         self._processes: List[Optional[BaseProcess]] = []
-        # Thread mode state.
-        self._listener: Optional[socket.socket] = None
-        self._thread_servers: List[_SharedListenerHTTPServer] = []
-        self._thread_stores: List[SnapshotBackend] = []
-        self._accept_threads: List[threading.Thread] = []
 
     # -- addressing ---------------------------------------------------------------------
     @property
@@ -283,7 +234,7 @@ class MultiWorkerServer:
         return f"http://{host}:{port}"
 
     def worker_pids(self) -> List[int]:
-        """Live worker process ids (empty in thread mode)."""
+        """Live worker process ids."""
         pids: List[int] = []
         for process in self._processes:
             if process is None or not process.is_alive():
@@ -300,15 +251,13 @@ class MultiWorkerServer:
         return self._board.payload()
 
     # -- lifecycle ----------------------------------------------------------------------
-    def _reserve_port(self) -> int:
-        """Bind the non-listening placeholder and resolve the served port."""
-        placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        if self.mode == "process":
-            placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        placeholder.bind((self.host, self.requested_port))
-        self._placeholder = placeholder
-        return int(placeholder.getsockname()[1])
+    def _listen(self) -> int:
+        """Bind and listen on the shared socket; returns the served port."""
+        self._listener = listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((self.host, self.requested_port))
+        listener.listen(128)
+        return int(listener.getsockname()[1])
 
     def start(self) -> "MultiWorkerServer":
         """Bring up every worker; returns once all of them are accepting."""
@@ -316,13 +265,10 @@ class MultiWorkerServer:
             raise RuntimeError("server already started")
         self._board = WorkerStatsBoard.create(self.workers)
         self._lag_dir = tempfile.mkdtemp(prefix="repro-serve-lag-")
-        if self.mode == "process":
-            self._port = self._reserve_port()
-            self._processes = [None] * self.workers
-            for worker_id in range(self.workers):
-                self._spawn(worker_id)
-        else:
-            self._start_thread_mode()
+        self._port = self._listen()
+        self._processes = [None] * self.workers
+        for worker_id in range(self.workers):
+            self._spawn(worker_id)
         self._monitor_thread = threading.Thread(
             target=self._monitor, name="repro-serve-supervisor", daemon=True
         )
@@ -331,7 +277,7 @@ class MultiWorkerServer:
 
     def _spawn(self, worker_id: int) -> None:
         """Start (or restart) one worker process and wait until it accepts."""
-        assert self._port is not None and self._board is not None
+        assert self._listener is not None and self._board is not None
         parent_end, child_end = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=_serve_worker,
@@ -340,8 +286,7 @@ class MultiWorkerServer:
                 worker_id,
                 self.workers,
                 self.store_path,
-                self.host,
-                self._port,
+                self._listener,
                 self.cache_size,
                 self.retention,
                 self.archive_dir,
@@ -359,13 +304,11 @@ class MultiWorkerServer:
             try:
                 if not parent_end.poll(timeout=30):
                     raise RuntimeError(f"worker {worker_id} never reported ready")
-                message = parent_end.recv()
+                parent_end.recv()
             except (EOFError, OSError) as error:
                 raise RuntimeError(f"worker {worker_id} died during startup") from error
             finally:
                 parent_end.close()
-            if message[0] != "ready" or int(message[1]) != self._port:
-                raise RuntimeError(f"worker {worker_id} failed to bind: {message!r}")
         except RuntimeError:
             if process.is_alive():
                 process.terminate()
@@ -380,50 +323,6 @@ class MultiWorkerServer:
             return
         self._processes[worker_id] = process
 
-    def _start_thread_mode(self) -> None:
-        """Fallback: N accept loops over one shared non-blocking listener."""
-        assert self._board is not None
-        self._port = self._reserve_port()
-        listener = self._placeholder
-        assert listener is not None
-        listener.listen(128)
-        listener.setblocking(False)
-        self._listener = listener
-        for worker_id in range(self.workers):
-            store = open_store(
-                self.store_path,
-                retention=self.retention,
-                archive_dir=self.archive_dir,
-            )
-            service = ClassificationService(
-                store,
-                cache_size=self.cache_size,
-                worker_id=worker_id,
-                stats_sink=self._board,
-                auth_token=self.auth_token,
-                lag_tracker=(
-                    FileFollowerLag(self._lag_dir, worker_id)
-                    if self._lag_dir is not None
-                    else None
-                ),
-            )
-            server = _SharedListenerHTTPServer(listener, build_handler(service))
-            self._thread_stores.append(store)
-            self._thread_servers.append(server)
-            self._accept_threads.append(self._start_accept_loop(worker_id, server))
-
-    def _start_accept_loop(
-        self, worker_id: int, server: _SharedListenerHTTPServer
-    ) -> threading.Thread:
-        thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name=f"repro-serve-worker-{worker_id}",
-            daemon=True,
-        )
-        thread.start()
-        return thread
-
     #: Longest pause between respawn attempts of one crash-looping worker.
     MAX_RESPAWN_BACKOFF = 30.0
 
@@ -435,44 +334,36 @@ class MultiWorkerServer:
         the store file was deleted -- must not become a tight fork loop.
         """
         while not self._closing.wait(self.poll_interval):
-            if self.mode == "process":
-                for worker_id, process in enumerate(self._processes):
-                    if self._closing.is_set():
-                        return
-                    if process is None or process.is_alive():
-                        continue
-                    next_try, delay = self._respawn_backoff.get(worker_id, (0.0, 0.0))
-                    if time.monotonic() < next_try:
-                        continue
-                    process.join(timeout=1)
-                    try:
-                        self._spawn(worker_id)
-                    except Exception as error:  # noqa: BLE001 - the monitor
-                        # must survive *any* spawn failure (OSError from a
-                        # fork under resource pressure, a racing teardown),
-                        # or respawning is silently disabled forever.
-                        self.respawn_failures += 1
-                        self.last_respawn_error = str(error)
-                        delay = min(self.MAX_RESPAWN_BACKOFF, max(2 * delay, 0.5))
-                        self._respawn_backoff[worker_id] = (
-                            time.monotonic() + delay,
-                            delay,
-                        )
-                        print(
-                            f"repro serve: respawn of worker {worker_id} failed"
-                            f" ({error}); retrying in {delay:.1f}s",
-                            file=sys.stderr,
-                        )
-                        continue
-                    self._respawn_backoff.pop(worker_id, None)
-                    self.respawns += 1
-            else:
-                for worker_id, thread in enumerate(self._accept_threads):
-                    if not thread.is_alive() and not self._closing.is_set():
-                        self._accept_threads[worker_id] = self._start_accept_loop(
-                            worker_id, self._thread_servers[worker_id]
-                        )
-                        self.respawns += 1
+            for worker_id, process in enumerate(self._processes):
+                if self._closing.is_set():
+                    return
+                if process is None or process.is_alive():
+                    continue
+                next_try, delay = self._respawn_backoff.get(worker_id, (0.0, 0.0))
+                if time.monotonic() < next_try:
+                    continue
+                process.join(timeout=1)
+                try:
+                    self._spawn(worker_id)
+                except Exception as error:  # noqa: BLE001 - the monitor
+                    # must survive *any* spawn failure (OSError from a
+                    # fork under resource pressure, a racing teardown),
+                    # or respawning is silently disabled forever.
+                    self.respawn_failures += 1
+                    self.last_respawn_error = str(error)
+                    delay = min(self.MAX_RESPAWN_BACKOFF, max(2 * delay, 0.5))
+                    self._respawn_backoff[worker_id] = (
+                        time.monotonic() + delay,
+                        delay,
+                    )
+                    print(
+                        f"repro serve: respawn of worker {worker_id} failed"
+                        f" ({error}); retrying in {delay:.1f}s",
+                        file=sys.stderr,
+                    )
+                    continue
+                self._respawn_backoff.pop(worker_id, None)
+                self.respawns += 1
 
     def serve_forever(self) -> None:
         """Block the calling thread until :meth:`close` (the CLI path)."""
@@ -491,19 +382,9 @@ class MultiWorkerServer:
             if process is not None:
                 process.join(timeout=5)
         self._processes = []
-        for server in self._thread_servers:
-            server.shutdown()
-        for thread in self._accept_threads:
-            thread.join(timeout=5)
-        for store in self._thread_stores:
-            store.close()
-        self._thread_servers = []
-        self._accept_threads = []
-        self._thread_stores = []
-        if self._placeholder is not None:
-            self._placeholder.close()
-            self._placeholder = None
-        self._listener = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
         if self._board is not None:
             self._board.close(unlink=True)
             self._board = None

@@ -164,6 +164,25 @@ class TestUpdateRoundTrip:
         assert not message.is_as4
         assert message.update.attributes.as_path == attrs.as_path
 
+    @pytest.mark.parametrize(
+        "peer, local, path",
+        [(200000, 0, [3356]), (3356, 70000, [3356]), (3356, 0, [3356, 200000])],
+    )
+    def test_2byte_update_refuses_a_4byte_asn_before_writing(self, peer, local, path):
+        update = BGPUpdate(
+            peer_asn=peer,
+            timestamp=5,
+            announced=(parse_prefix("8.8.8.0/24"),),
+            attributes=PathAttributes(as_path=ASPath(path)),
+        )
+        encoder = MRTEncoder()
+        encoder.write_peer_index_table([3356])
+        before = encoder.getvalue()
+        wide = max(asn for asn in (peer, local, *path) if asn > 0xFFFF)
+        with pytest.raises(ValueError, match=f"ASN {wide} "):
+            encoder.write_update(update, local_asn=local, as4=False)
+        assert encoder.getvalue() == before
+
     def test_withdrawal_only_update(self):
         update = BGPUpdate(peer_asn=1, timestamp=0, withdrawn=(parse_prefix("8.8.8.0/24"),))
         encoder = MRTEncoder()
@@ -209,6 +228,24 @@ class TestDecoderErrors:
         assert len(decode_records(blob)) == 1
         with pytest.raises(MRTDecodeError, match="before PEER_INDEX_TABLE"):
             observations_from_mrt(blob, "rrc00")
+
+    def test_extended_timestamp_shorter_than_its_microseconds(self):
+        # The 4-byte microsecond field is checked before it is skipped, so
+        # the error names what is missing and never a negative count.
+        blob = struct.pack("!IHHI", 0, 17, 4, 2) + b"\x00\x01"
+        with pytest.raises(
+            MRTDecodeError,
+            match="^truncated BGP4MP_ET microsecond timestamp: wanted 4 bytes, 2 available$",
+        ):
+            decode_records(blob)
+
+    def test_bgp_message_length_below_its_header(self):
+        record = bytearray(bgp4mp_message(struct.pack("!HH", 0, 0)))
+        struct.pack_into("!H", record, len(record) - 7, 7)  # the length field
+        with pytest.raises(
+            MRTDecodeError, match="^BGP message length 7 is shorter than its 19-byte header$"
+        ):
+            decode_records(bytes(record))
 
     def test_nlri_without_attributes_is_a_decode_error(self):
         body = struct.pack("!HH", 0, 0) + b"\x18\x08\x08\x08"

@@ -28,9 +28,11 @@ from repro.service import (
     SnapshotStore,
     StoreError,
     attach_store,
+    open_store,
     snapshot_from_payload,
     snapshot_payload,
 )
+from repro.core.thresholds import Thresholds
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
 from tests.store_oracle import ReferenceStore
 from tests.test_backends import build_snapshots
@@ -212,6 +214,40 @@ class TestReplicationEndpoint:
 # Payload round trip
 # ---------------------------------------------------------------------------------------
 class TestPayloadRoundTrip:
+    def test_thresholds_keep_their_wire_form_everywhere(self, tmp_path):
+        """``[tagger, silent, forward, cleaner]`` in the stored row, the
+        archive line and the replication page, read back field by field."""
+        thresholds = Thresholds(tagger=0.6, silent=0.7, forward=0.8, cleaner=0.9)
+        engine = StreamEngine(
+            StreamConfig(window=WindowSpec(size=100), thresholds=thresholds)
+        )
+        with open_store(
+            tmp_path / "leader.db", retention=1, archive_dir=tmp_path / "cold"
+        ) as store:
+            attach_store(engine, store)
+            engine.run(MemorySource(feed(8)))
+            assert len(engine.snapshots) >= 2
+            store.compact()  # everything but the newest window goes cold
+            with sqlite3.connect(tmp_path / "leader.db") as raw:
+                rows = raw.execute("SELECT thresholds FROM snapshots").fetchall()
+            assert rows == [("[0.6, 0.7, 0.8, 0.9]",)]
+            (segment,) = (tmp_path / "cold").glob("segment-*.jsonl")
+            lines = segment.read_bytes().splitlines()
+            assert len(lines) == len(engine.snapshots) - 1
+            assert all(b'"thresholds":[0.6,0.7,0.8,0.9]' in line for line in lines)
+            hot = store.snapshots_since(0)
+            page = ClassificationService(store).handle("/v1/replication/changes")
+            assert page.body.count(b'"thresholds":[0.6,0.7,0.8,0.9]') == len(hot)
+            with ClassificationServer(store) as server, ServiceClient(
+                server.start().url
+            ) as client, SnapshotStore(tmp_path / "replica.db") as replica:
+                assert ReplicaSyncer(client, replica).sync_once().applied == len(hot)
+                copied = replica.snapshots()
+        with open_store(tmp_path / "leader.db", archive_dir=tmp_path / "cold") as reopened:
+            stored = reopened.snapshots()  # the cold ones decoded from their lines
+        assert len(stored) == len(engine.snapshots)
+        assert {meta.thresholds for meta in stored + copied} == {thresholds}
+
     def test_snapshot_from_payload_inverts_snapshot_payload(self, leader):
         import json
 

@@ -1,9 +1,9 @@
 """Tests for the multi-worker serving fan-out (repro.service.workers).
 
-Covers the shared stats board, both fan-out modes (``SO_REUSEPORT`` worker
-processes and the shared-listener thread fallback), the contracts the
-fan-out is built on -- byte-identical responses no matter which worker the
-kernel picks -- and the supervisor's respawn of killed workers.
+Covers the shared stats board, the worker processes sharing the
+supervisor's listening socket, the contracts the fan-out is built on --
+byte-identical responses no matter which worker accepts -- and the
+supervisor's respawn of killed workers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -26,14 +27,9 @@ from repro.service import (
     SnapshotStore,
     WorkerStatsBoard,
     attach_store,
-    reuseport_supported,
 )
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
 from tests.test_stream import observation
-
-requires_reuseport = pytest.mark.skipif(
-    not reuseport_supported(), reason="SO_REUSEPORT unavailable on this platform"
-)
 
 #: Deterministic endpoints: identical bytes regardless of serving worker.
 #: (/v1/stats is volatile by design -- request counters differ per worker.)
@@ -69,8 +65,8 @@ def store_path(tmp_path):
 def fetch(address, target):
     """One request on a *fresh* connection; returns ``(status, body bytes)``.
 
-    A fresh connection per request is the point: ``SO_REUSEPORT`` hashes the
-    connection 4-tuple, so distinct source ports spread across the workers.
+    A fresh connection per request is the point: each one is a new race
+    for the shared listener, so the requests spread across the workers.
     """
     host, port = address
     connection = http.client.HTTPConnection(host, port, timeout=10)
@@ -134,48 +130,8 @@ class TestMultiWorkerValidation:
         server.close()
 
 
-class TestThreadFallback:
-    """The portable fallback must honor the same serving contracts."""
-
-    @pytest.fixture(autouse=True)
-    def without_reuseport(self, monkeypatch):
-        """Take the fallback on any platform: the fan-out follows the probe."""
-        monkeypatch.setattr("repro.service.workers.reuseport_supported", lambda: False)
-
-    def test_byte_identical_to_single_worker(self, store_path):
-        with SnapshotStore(store_path) as reference_store:
-            with ClassificationServer(reference_store) as reference:
-                reference.start()
-                expected = {
-                    target: fetch(reference.address, target)
-                    for target in DETERMINISTIC_TARGETS
-                }
-                with MultiWorkerServer(str(store_path), workers=3) as fanout:
-                    fanout.start()
-                    assert fanout.mode == "thread"
-                    for target in DETERMINISTIC_TARGETS:
-                        # Uncached then cached: every worker, both paths,
-                        # must produce the single-worker bytes.
-                        for _ in range(6):
-                            assert fetch(fanout.address, target) == expected[target]
-
-    def test_stats_aggregate_counts_all_workers(self, store_path):
-        with MultiWorkerServer(str(store_path), workers=2) as fanout:
-            fanout.start()
-            for _ in range(8):
-                status, _ = fetch(fanout.address, "/healthz")
-                assert status == 200
-            status, body = fetch(fanout.address, "/v1/stats")
-            assert status == 200
-            workers = json.loads(body.decode())["workers"]
-            assert workers["count"] == 2
-            assert workers["aggregate"]["requests"] >= 8
-            assert fanout.stats()["aggregate"]["requests"] >= 9
-
-
-@requires_reuseport
 class TestProcessFanout:
-    """The production shape: N ``SO_REUSEPORT`` worker processes."""
+    """N worker processes accepting on the supervisor's listening socket."""
 
     def test_byte_identical_across_workers(self, store_path):
         with SnapshotStore(store_path) as reference_store:
@@ -187,7 +143,6 @@ class TestProcessFanout:
                 }
         with MultiWorkerServer(str(store_path), workers=2) as fanout:
             fanout.start()
-            assert fanout.mode == "process"
             assert len(fanout.worker_pids()) == 2
             for target in DETERMINISTIC_TARGETS:
                 # Enough fresh connections that, with overwhelming
@@ -199,7 +154,7 @@ class TestProcessFanout:
     def test_stats_aggregates_across_processes(self, store_path):
         with MultiWorkerServer(str(store_path), workers=2) as fanout:
             fanout.start()
-            issued = 10
+            issued = 24
             for _ in range(issued):
                 status, _ = fetch(fanout.address, "/v1/snapshot/latest")
                 assert status == 200
@@ -210,8 +165,34 @@ class TestProcessFanout:
             assert workers["count"] == 2
             assert workers["aggregate"]["requests"] >= issued
             assert len(workers["per_worker"]) == 2
+            # Both processes accepted on the one listener (a fair split
+            # leaves a worker idle with probability 2 * 2**-24).
+            assert all(row["requests"] > 0 for row in workers["per_worker"])
             # The supervisor reads the same board without HTTP.
             assert fanout.stats()["aggregate"]["requests"] >= issued
+
+    def test_concurrent_clients_lose_no_connection(self, store_path):
+        """More workers than cores racing for one listener, under concurrent
+        fresh connections: every request is answered once, and the board
+        (each slot written only by its worker) counts exactly that many."""
+        workers = (os.cpu_count() or 1) + 1
+        clients, per_client = 4, 30
+        with MultiWorkerServer(str(store_path), workers=workers) as fanout:
+            fanout.start()
+            statuses = []
+
+            def hammer():
+                for _ in range(per_client):
+                    statuses.append(fetch(fanout.address, "/v1/as/10")[0])
+
+            threads = [threading.Thread(target=hammer) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert statuses == [200] * (clients * per_client)
+            assert fanout.stats()["aggregate"]["requests"] == clients * per_client
 
     def test_supervisor_respawns_killed_worker(self, store_path):
         with MultiWorkerServer(
@@ -236,6 +217,31 @@ class TestProcessFanout:
                 status, body = fetch(fanout.address, "/v1/snapshot/latest")
                 assert status == 200
                 assert json.loads(body.decode())["ases"]
+
+    def test_connection_waits_in_backlog_while_worker_respawns(self, store_path):
+        """The supervisor keeps listening with no worker alive: a connection
+        opened before the respawn completes is queued, then answered."""
+        with MultiWorkerServer(
+            str(store_path), workers=1, poll_interval=0.5
+        ) as fanout:
+            fanout.start()
+            (victim,) = fanout.worker_pids()
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while fanout.worker_pids() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert fanout.worker_pids() == []
+            connection = http.client.HTTPConnection(*fanout.address, timeout=30)
+            try:
+                connection.connect()
+                assert fanout.respawns == 0
+                connection.request("GET", "/v1/snapshot/latest")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read().decode())["ases"]
+            finally:
+                connection.close()
+            assert fanout.respawns == 1
 
     def test_port_stays_reserved_and_workers_share_it(self, store_path):
         with MultiWorkerServer(str(store_path), workers=2) as fanout:
@@ -279,7 +285,6 @@ def serve_cli(store_path, *flags, stderr=subprocess.DEVNULL):
             process.wait(timeout=10)
 
 
-@requires_reuseport
 class TestSupervisorDeath:
     def test_workers_die_with_killed_supervisor(self, store_path):
         """SIGKILL on `repro serve --http-workers` must not orphan workers.
