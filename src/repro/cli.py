@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import signal
+import socket
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -319,7 +320,7 @@ def _run_until_interrupted(block: Callable[[], None]) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: expose a snapshot store over the JSON HTTP API."""
     from repro.service.auth import resolve_token
-    from repro.service.backends import open_store, parse_store_url
+    from repro.service.backends import SnapshotArchive, StoreError, open_store, parse_store_url
     from repro.service.workers import require_file_store
 
     auth_token = resolve_token(args.auth_token)
@@ -333,19 +334,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if target != ":memory:" and not Path(target).exists():
         print(f"error: store {args.store!r} does not exist", file=sys.stderr)
         return 1
-    if args.retention is not None:
-        # The serving processes never append, so retention only takes effect
-        # through an explicit prune here at startup.  With --archive-dir the
-        # prune demotes into the archive instead of deleting.
-        with open_store(
-            args.store, retention=args.retention, archive_dir=args.archive_dir
-        ) as pruning:
-            dropped = pruning.compact()
-        if dropped:
-            verb = "archived" if args.archive_dir else "pruned"
-            print(f"{verb} {dropped} snapshots beyond --retention", file=sys.stderr)
     with ExitStack() as stack:
-        server, fleet = _start_http(args, stack, auth_token, retention=args.retention)
+        try:
+            if args.archive_dir is not None:
+                SnapshotArchive(args.archive_dir)  # unreadable: refused before any worker
+            if args.retention is not None:
+                # The serving processes never append, so retention only takes
+                # effect through an explicit prune here at startup.  With
+                # --archive-dir the prune demotes into the archive instead.
+                with open_store(
+                    args.store, retention=args.retention, archive_dir=args.archive_dir
+                ) as pruning:
+                    dropped = pruning.compact()
+                if dropped:
+                    verb = "archived" if args.archive_dir else "pruned"
+                    print(f"{verb} {dropped} snapshots beyond --retention", file=sys.stderr)
+            server, fleet = _start_http(args, stack, auth_token, retention=args.retention)
+        except StoreError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+        except socket.gaierror as error:
+            print(f"error: --host {args.host!r}: {error.strerror}", file=sys.stderr)
+            return 1
         with_workers = f" with {fleet}" if fleet else ""
         locked = " [token auth]" if auth_token is not None else ""
         print(

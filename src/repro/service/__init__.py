@@ -67,7 +67,6 @@ from repro.service.backends import (
     TieredBackend,
     open_store,
     parse_store_url,
-    snapshot_from_payload,
     snapshot_payload,
 )
 from repro.service.client import (
@@ -136,6 +135,5 @@ __all__ = [
     "promote",
     "publish_result",
     "render_metrics",
-    "snapshot_from_payload",
     "snapshot_payload",
 ]

@@ -38,7 +38,6 @@ from repro.service.backends.base import (
     StoredSnapshot,
     StoreError,
     parse_store_url,
-    snapshot_from_payload,
     snapshot_payload,
 )
 from repro.service.backends.sqlite import SCHEMA_VERSION, SnapshotStore
@@ -83,6 +82,5 @@ __all__ = [
     "TieredBackend",
     "open_store",
     "parse_store_url",
-    "snapshot_from_payload",
     "snapshot_payload",
 ]

@@ -6,10 +6,15 @@ many windows.  This module turns retention into **archival**:
 
 * :class:`SnapshotArchive` manages a directory of immutable, log-structured
   JSON-lines segment files (``segment-000001.jsonl`` ...).  Each line holds
-  one archived snapshot as ``{"record": {...}, "sha256": "..."}`` where the
-  checksum covers the canonical JSON encoding of the record, so corruption
-  (a flipped bit, a truncated rewrite) is detected on read and by
-  ``repro archive verify`` instead of silently serving wrong history.
+  one archived snapshot as ``{"record": {...}, "sha256": "..."}``: the
+  record is :func:`~repro.service.backends.base.snapshot_record`'s (the
+  snapshot's metadata, change set and base64 column blob, ``"format": 2``)
+  and the checksum covers its canonical JSON encoding, so corruption (a
+  flipped bit, a truncated rewrite) is detected on read and by
+  ``repro archive verify`` instead of silently serving wrong history.  A
+  line in any other format (every archive written before format 2) is
+  refused with :class:`~repro.service.backends.base.RecordFormatError`
+  naming its segment and byte offset; there is no second reader.
   Appends are idempotent by snapshot id, fsynced, and only ever touch the
   newest segment.  A crash mid-append leaves at most one unterminated
   trailing line; scans tolerate it (the append never completed, so the hot
@@ -17,14 +22,13 @@ many windows.  This module turns retention into **archival**:
   a fresh segment rather than writing after the torn bytes.
 * :class:`TieredBackend` wraps any *hot* :class:`SnapshotBackend` and owns
   the retention cap itself: when the hot tier exceeds the cap, the oldest
-  snapshots are serialised with the canonical wire codec
-  (:func:`~repro.service.backends.base.snapshot_payload`), appended to the
-  archive, and only then dropped from the hot tier
+  snapshots are recorded, appended to the archive, and only then dropped
+  from the hot tier
   (:meth:`~repro.service.backends.base.SnapshotBackend.drop_snapshot`).
   Reads fall through hot to cold, so ``/v1/as/{asn}?history=N`` and
   ``/v1/snapshot/{window}`` answer beyond the cap -- byte-identically to
-  what the hot tier served before pruning, because the archived payload is
-  the exact wire payload and the codec round-trips.
+  what the hot tier served before pruning, because the record carries the
+  hot tier's own columns and is read back the way the hot tier reads them.
 
 Many processes may read one archive while one producer appends (every
 serving worker opens the same tiered view): demoting a snapshot bumps the
@@ -46,19 +50,23 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from repro.bgp.asn import ASN
-from repro.core.counters import ASCounters
-from repro.core.thresholds import Thresholds
 from repro.service.backends.base import (
     ASHistoryEntry,
+    RecordFormatError,
     SnapshotBackend,
     StoredSnapshot,
     StoreError,
+    column_history_entry,
+    record_columns,
+    record_meta,
     require_valid_retention,
-    snapshot_from_payload,
-    snapshot_payload,
+    snapshot_from_record,
+    snapshot_record,
 )
 from repro.stream.engine import WindowSnapshot
 
@@ -79,34 +87,30 @@ def _checksum(record: Dict[str, Any]) -> str:
 
 
 def _encode_line(record: Dict[str, Any]) -> bytes:
-    return (
-        json.dumps(
-            {"record": record, "sha256": _checksum(record)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    ).encode("utf-8")
+    return (_canonical({"record": record, "sha256": _checksum(record)}) + "\n").encode("utf-8")
 
 
 def _segment_name(index: int) -> str:
     return f"{_SEGMENT_PREFIX}{index:06d}{_SEGMENT_SUFFIX}"
 
 
-def _meta_of_record(record: Dict[str, Any]) -> StoredSnapshot:
-    payload = record["payload"]
-    return StoredSnapshot(
-        snapshot_id=int(record["snapshot_id"]),
-        kind=str(record["kind"]),
-        window_start=int(payload["window_start"]),
-        window_end=int(payload["window_end"]),
-        skipped_windows=int(payload["skipped_windows"]),
-        events_total=int(payload["events_total"]),
-        unique_tuples=int(payload["unique_tuples"]),
-        algorithm=str(payload["algorithm"]),
-        thresholds=Thresholds(*record["thresholds"]),
-        generation=int(record["generation"]),
-    )
+def _parse_line(
+    name: str, offset: int, line: bytes
+) -> Tuple[Dict[str, Any], StoredSnapshot, str]:
+    """The record, its metadata and its stated checksum of one segment line."""
+    try:
+        entry = json.loads(line)
+        record = entry["record"]
+        return record, record_meta(record), str(entry["sha256"])
+    except RecordFormatError as error:
+        raise RecordFormatError(
+            f"archive line in {name} at byte {offset}: {error} -- an older version"
+            " wrote this archive"
+        ) from None
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise StoreError(
+            f"corrupt archive line in {name} at byte {offset} (see `repro archive verify`)"
+        ) from None
 
 
 class SnapshotArchive:
@@ -128,6 +132,8 @@ class SnapshotArchive:
         self._locations: Dict[int, Tuple[str, int]] = {}
         self._metas: Dict[int, StoredSnapshot] = {}
         self._order: List[int] = []  # ascending snapshot ids
+        #: Lines indexed per segment (what decides where an append goes).
+        self._counts: Dict[str, int] = {}
         #: Per segment: how many bytes have been cleanly indexed.  A torn
         #: trailing line (crash mid-append) keeps this *before* the tear,
         #: so a refresh after the writer completes the line picks it up.
@@ -167,23 +173,19 @@ class SnapshotArchive:
                         # it complete).  Do not advance past it.
                         self._dirty.add(name)
                         break
-                    try:
-                        entry = json.loads(line)
-                        record = entry["record"]
-                        snapshot_id = int(record["snapshot_id"])
-                        meta = _meta_of_record(record)
-                    except (ValueError, KeyError, TypeError, IndexError):
-                        raise StoreError(
-                            f"corrupt archive line in {name} at byte {offset}"
-                            " (see `repro archive verify`)"
-                        ) from None
-                    if snapshot_id not in self._locations:
-                        self._order.append(snapshot_id)
-                    self._locations[snapshot_id] = (name, offset)
-                    self._metas[snapshot_id] = meta
+                    _, meta, _ = _parse_line(name, offset, line)
+                    self._index(meta, name, offset)
                     offset += len(line)
                     self._scanned[name] = offset
         self._order.sort()
+
+    def _index(self, meta: StoredSnapshot, name: str, offset: int) -> None:
+        """Index *meta*'s line (callers keep ``_order`` sorted)."""
+        if meta.snapshot_id not in self._locations:
+            self._order.append(meta.snapshot_id)
+        self._locations[meta.snapshot_id] = (name, offset)
+        self._metas[meta.snapshot_id] = meta
+        self._counts[name] = self._counts.get(name, 0) + 1
 
     def refresh(self) -> None:
         """Index whatever another process appended since the last scan."""
@@ -191,11 +193,8 @@ class SnapshotArchive:
             self._refresh_locked()
 
     # -- appends ------------------------------------------------------------------------
-    def _record_count(self, name: str) -> int:
-        return sum(1 for location in self._locations.values() if location[0] == name)
-
-    def append(self, meta: StoredSnapshot, payload: Dict[str, Any]) -> bool:
-        """Append one snapshot record; idempotent by snapshot id.
+    def append(self, meta: StoredSnapshot, snapshot: WindowSnapshot) -> bool:
+        """Append one snapshot's record; idempotent by snapshot id.
 
         Returns whether a record was written.  The line is flushed and
         fsynced before the index is updated, so a snapshot is never
@@ -209,27 +208,18 @@ class SnapshotArchive:
             if (
                 names
                 and names[-1] not in self._dirty
-                and self._record_count(names[-1]) < SEGMENT_RECORDS
+                and self._counts.get(names[-1], 0) < SEGMENT_RECORDS
             ):
                 name = names[-1]
             else:
                 name = _segment_name(len(names) + 1)
-            record = {
-                "snapshot_id": meta.snapshot_id,
-                "kind": meta.kind,
-                "generation": meta.generation,
-                "thresholds": meta.thresholds.as_list(),
-                "payload": payload,
-            }
-            line = _encode_line(record)
+            line = _encode_line(snapshot_record(meta, snapshot))
             with open(self.root / name, "ab") as handle:
                 offset = handle.tell()
                 handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._locations[meta.snapshot_id] = (name, offset)
-            self._metas[meta.snapshot_id] = meta
-            self._order.append(meta.snapshot_id)
+            self._index(meta, name, offset)
             self._order.sort()
             self._scanned[name] = offset + len(line)
         return True
@@ -261,21 +251,16 @@ class SnapshotArchive:
         with open(self.root / name, "rb") as handle:
             handle.seek(offset)
             line = handle.readline()
-        try:
-            entry = json.loads(line)
-            record = entry["record"]
-            expected = str(entry["sha256"])
-        except (ValueError, KeyError, TypeError):
-            raise StoreError(f"corrupt archive line in {name} at byte {offset}") from None
+        record, meta, expected = _parse_line(name, offset, line)
         if _checksum(record) != expected:
             raise StoreError(
                 f"archive checksum mismatch in {name} at byte {offset}"
-                f" (snapshot {record.get('snapshot_id')})"
+                f" (snapshot {meta.snapshot_id})"
             )
-        return dict(record)
+        return record
 
-    def load(self, snapshot_id: int) -> Tuple[StoredSnapshot, Dict[str, Any]]:
-        """The metadata and canonical wire payload of one archived snapshot.
+    def load(self, snapshot_id: int) -> Dict[str, Any]:
+        """The checksum-verified record of one archived snapshot.
 
         The record's checksum is verified on every read: serving corrupted
         history would be silently wrong in exactly the longitudinal queries
@@ -285,8 +270,7 @@ class SnapshotArchive:
             location = self._locations.get(snapshot_id)
         if location is None:
             raise StoreError(f"no snapshot {snapshot_id} in archive {self.root}")
-        record = self._read_record(*location)
-        return _meta_of_record(record), dict(record["payload"])
+        return self._read_record(*location)
 
     # -- maintenance --------------------------------------------------------------------
     def segments(self) -> List[Dict[str, object]]:
@@ -294,18 +278,14 @@ class SnapshotArchive:
         with self._lock:
             inventory: List[Dict[str, object]] = []
             for name in self._segment_names():
-                ids = sorted(
-                    snapshot_id
-                    for snapshot_id, location in self._locations.items()
-                    if location[0] == name
-                )
+                ids = [key for key, (segment, _) in self._locations.items() if segment == name]
                 inventory.append(
                     {
                         "segment": name,
-                        "records": len(ids),
+                        "records": self._counts.get(name, 0),
                         "bytes": (self.root / name).stat().st_size,
-                        "min_snapshot_id": ids[0] if ids else None,
-                        "max_snapshot_id": ids[-1] if ids else None,
+                        "min_snapshot_id": min(ids, default=None),
+                        "max_snapshot_id": max(ids, default=None),
                         "torn_tail": name in self._dirty,
                     }
                 )
@@ -353,14 +333,14 @@ class SnapshotArchive:
             ]
             new_locations: Dict[int, Tuple[str, int]] = {}
             new_scanned: Dict[str, int] = {}
-            new_count = 0
+            new_counts: Dict[str, int] = {}
             for start in range(0, len(records), SEGMENT_RECORDS):
-                new_count += 1
-                name = _segment_name(new_count)
+                name = _segment_name(len(new_counts) + 1)
                 temp = self.root / (name + ".tmp")
+                chunk = records[start:start + SEGMENT_RECORDS]
                 offset = 0
                 with open(temp, "wb") as handle:
-                    for record in records[start:start + SEGMENT_RECORDS]:
+                    for record in chunk:
                         line = _encode_line(record)
                         handle.write(line)
                         new_locations[int(record["snapshot_id"])] = (name, offset)
@@ -369,14 +349,15 @@ class SnapshotArchive:
                     os.fsync(handle.fileno())
                 os.replace(temp, self.root / name)
                 new_scanned[name] = offset
-            kept = {_segment_name(index + 1) for index in range(new_count)}
+                new_counts[name] = len(chunk)
             for name in old_names:
-                if name not in kept:
+                if name not in new_counts:
                     os.unlink(self.root / name)
             self._locations = new_locations
             self._scanned = new_scanned
+            self._counts = new_counts
             self._dirty = set()
-            return len(old_names) - new_count
+            return len(old_names) - len(new_counts)
 
     def stats(self) -> Dict[str, object]:
         """Archive-level statistics (tier totals for ``/v1/stats``)."""
@@ -462,8 +443,7 @@ class TieredBackend(SnapshotBackend):
 
     def _demote(self, meta: StoredSnapshot) -> None:
         """Archive one hot snapshot, then drop it from the hot tier."""
-        payload = snapshot_payload(self.hot.load_snapshot(meta.snapshot_id))
-        self.archive.append(meta, payload)
+        self.archive.append(meta, self.hot.load_snapshot(meta.snapshot_id))
         self.hot.drop_snapshot(meta.snapshot_id)
 
     def _archive_overflow(self) -> int:
@@ -529,49 +509,35 @@ class TieredBackend(SnapshotBackend):
     def __len__(self) -> int:
         return len(self.hot) + len(self._cold())
 
+    # A hot answer wins; a StoredSnapshot is always truthy.
+    def _newest_cold(
+        self, match: Callable[[StoredSnapshot], bool]
+    ) -> Optional[StoredSnapshot]:
+        return next((meta for meta in reversed(self._cold().metas()) if match(meta)), None)
+
     def latest(self) -> Optional[StoredSnapshot]:
-        newest = self.hot.latest()
-        if newest is not None:
-            return newest
-        metas = self._cold().metas()
-        return metas[-1] if metas else None
+        return self.hot.latest() or self._newest_cold(lambda cold: True)
 
     def get(self, snapshot_id: int) -> Optional[StoredSnapshot]:
-        meta = self.hot.get(snapshot_id)
-        return meta if meta is not None else self._cold().get(snapshot_id)
+        return self.hot.get(snapshot_id) or self._cold().get(snapshot_id)
 
     def by_window_end(self, window_end: int) -> Optional[StoredSnapshot]:
-        meta = self.hot.by_window_end(window_end)
-        if meta is not None:
-            return meta
-        for cold in reversed(self._cold().metas()):
-            if cold.window_end == window_end:
-                return cold
-        return None
+        return self.hot.by_window_end(window_end) or self._newest_cold(
+            lambda cold: cold.window_end == window_end
+        )
 
     def find_window(
         self, kind: str, window_start: int, window_end: int
     ) -> Optional[StoredSnapshot]:
-        meta = self.hot.find_window(kind, window_start, window_end)
-        if meta is not None:
-            return meta
-        for cold in reversed(self._cold().metas()):
-            if (cold.kind, cold.window_start, cold.window_end) == (
-                kind,
-                window_start,
-                window_end,
-            ):
-                return cold
-        return None
+        key = (kind, window_start, window_end)
+        return self.hot.find_window(*key) or self._newest_cold(
+            lambda cold: (cold.kind, cold.window_start, cold.window_end) == key
+        )
 
     def latest_window_end(self, kind: str = "window") -> Optional[int]:
+        ends = [meta.window_end for meta in self._cold().metas() if meta.kind == kind]
         hot_end = self.hot.latest_window_end(kind)
-        cold_ends = [
-            meta.window_end for meta in self._cold().metas() if meta.kind == kind
-        ]
-        candidates = [hot_end, max(cold_ends) if cold_ends else None]
-        known = [end for end in candidates if end is not None]
-        return max(known) if known else None
+        return max(ends + ([] if hot_end is None else [hot_end]), default=None)
 
     def snapshots(self) -> List[StoredSnapshot]:
         return sorted(
@@ -584,21 +550,16 @@ class TieredBackend(SnapshotBackend):
         try:
             return self.hot.load_snapshot(snapshot_id)
         except StoreError:
-            # Demoted (possibly concurrently): the archived record is the
-            # canonical wire payload, and the codec round-trips it, so the
-            # serving layer re-emits byte-identical bodies for cold reads.
-            meta, payload = self._cold().load(snapshot_id)
-            return snapshot_from_payload(payload, meta.thresholds)
+            # Demoted (possibly concurrently): the record holds the hot
+            # tier's columns and is rebuilt the way the hot tier rebuilds
+            # them, so cold reads serve byte-identical bodies.
+            return snapshot_from_record(self._cold().load(snapshot_id))[1]
 
     def changes(self, snapshot_id: int) -> Dict[ASN, Tuple[str, str]]:
         if self.hot.get(snapshot_id) is not None:
             return self.hot.changes(snapshot_id)
         if snapshot_id in self._cold():
-            _, payload = self.archive.load(snapshot_id)
-            return {
-                int(asn_text): (str(codes[0]), str(codes[1]))
-                for asn_text, codes in payload["changed"].items()
-            }
+            return snapshot_from_record(self.archive.load(snapshot_id))[1].changed
         return {}
 
     # -- per-AS queries -----------------------------------------------------------------
@@ -608,31 +569,18 @@ class TieredBackend(SnapshotBackend):
         if limit is not None and limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         entries = self.hot.as_history(asn, limit=limit)
-        if limit is not None and len(entries) >= limit:
+        if not 0 <= int(asn) < 1 << 64:  # outside the ASN column's dtype
             return entries
-        key = str(int(asn))
+        needle = np.uint64(asn)
         for meta in reversed(self._cold().metas()):
             if limit is not None and len(entries) >= limit:
                 break
-            _, payload = self.archive.load(meta.snapshot_id)
-            info = payload["ases"].get(key)
-            if info is None:
-                continue
-            counters = info["counters"]
-            entries.append(
-                ASHistoryEntry(
-                    snapshot_id=meta.snapshot_id,
-                    window_start=meta.window_start,
-                    window_end=meta.window_end,
-                    code=str(info["code"]),
-                    counters=ASCounters(
-                        tagger=int(counters["tagger"]),
-                        silent=int(counters["silent"]),
-                        forward=int(counters["forward"]),
-                        cleaner=int(counters["cleaner"]),
-                    ),
-                )
+            columns = record_columns(self.archive.load(meta.snapshot_id))
+            entry = column_history_entry(
+                columns, needle, meta.snapshot_id, meta.window_start, meta.window_end
             )
+            if entry is not None:
+                entries.append(entry)
         return entries
 
     # -- statistics ---------------------------------------------------------------------

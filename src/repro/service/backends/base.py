@@ -27,24 +27,30 @@ append-only archive segments).  The conformance suite also holds a
 dict-based reference store in ``tests/store_oracle.py`` to the contract,
 and the SQLite store to that reference read for read.
 
-This module also owns the canonical wire codec -- :func:`snapshot_payload`
-and its inverse :func:`snapshot_from_payload` -- because byte-identical
-payloads across backends (and across replicated hosts) are part of the
-contract, not a property of any one implementation.  Both sides work on a
-result's columns: the encoder is one pass over its record rows, the decoder
-rebuilds the columns and lets the result recompute the codes.
+This module also owns the one snapshot encoding below the HTTP edge: a
+result's column blob (``_encode_columns``: ascending ASNs, class codes and
+the ``(4, n)`` counters, zlib'd) that the SQLite store keeps per snapshot,
+wrapped by :func:`snapshot_record` in a flat record with the snapshot's
+metadata and change set.  The archive tier persists that record in its
+segment files and replication pages carry it; :func:`snapshot_from_record`
+is its one reader.  :func:`snapshot_payload`, the per-AS JSON the HTTP API
+serves, is built from a loaded snapshot at the edge only.
 """
 
 from __future__ import annotations
 
+import base64
 import os
+import zlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as _np
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.bgp.asn import ASN
+from repro.core.classes import CLASS_CODES
 from repro.core.counters import COUNTER_NAMES, ASCounters
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
@@ -52,6 +58,12 @@ from repro.stream.engine import WindowSnapshot
 
 #: Snapshot kinds accepted by every backend.
 SNAPSHOT_KINDS = ("window", "batch")
+
+#: The ``"format"`` of a :func:`snapshot_record`; a reader refuses any other.
+RECORD_FORMAT = 2
+
+#: One snapshot's decoded ``(asns <u8, codes u1, (4, n) counters <i8)``.
+Columns = Tuple[NDArray[np.uint64], NDArray[np.uint8], NDArray[np.int64]]
 
 
 class StoreError(Exception):
@@ -68,6 +80,10 @@ class FencedWriterError(StoreError):
     re-attaching to the store (which captures the new epoch) -- or, for a
     deposed leader, by demoting it to a follower of the promoted host.
     """
+
+
+class RecordFormatError(StoreError):
+    """A snapshot record is not in :data:`RECORD_FORMAT` (another version wrote it)."""
 
 
 @dataclass(frozen=True)
@@ -87,19 +103,6 @@ class StoredSnapshot:
     #: store: a replica applying this snapshot gets its *own* generation, and
     #: tracks the leader's separately (see ``applied_generation``).
     generation: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly metadata view."""
-        return {
-            "snapshot_id": self.snapshot_id,
-            "kind": self.kind,
-            "window_start": self.window_start,
-            "window_end": self.window_end,
-            "skipped_windows": self.skipped_windows,
-            "events_total": self.events_total,
-            "unique_tuples": self.unique_tuples,
-            "algorithm": self.algorithm,
-        }
 
 
 @dataclass(frozen=True)
@@ -137,13 +140,11 @@ def _shares_dict(counters: ASCounters) -> Dict[str, float]:
 
 
 def snapshot_payload(snapshot: WindowSnapshot) -> Dict[str, object]:
-    """Canonical JSON-friendly encoding of one window snapshot.
+    """The per-AS JSON body of one window snapshot, as the HTTP API serves it.
 
-    This is *the* wire format of the serving layer: the HTTP server emits it
-    for snapshots loaded from any backend, the archive tier persists it in
-    its segment files, and tests compare it against the payload of the
-    engine's in-memory snapshot to pin down store round-trip fidelity field
-    by field.
+    Built at the HTTP edge only, from a snapshot loaded from any backend;
+    tests compare it against the payload of the engine's in-memory snapshot
+    to pin down store round-trip fidelity field by field.
     """
     result = snapshot.result
     ases: Dict[str, object] = {}
@@ -169,37 +170,99 @@ def snapshot_payload(snapshot: WindowSnapshot) -> Dict[str, object]:
     }
 
 
-def snapshot_from_payload(
-    payload: Dict[str, Any], thresholds: Thresholds
-) -> WindowSnapshot:
-    """Rebuild a :class:`WindowSnapshot` from its canonical wire payload.
+def _encode_columns(
+    asns: Sequence[int], codes: NDArray[np.uint8], counters: NDArray[np.int64]
+) -> bytes:
+    """One snapshot's column blob: ``zlib(asns <u8 || codes u1 || counters <i8)``."""
+    raw = np.asarray(asns, "<u8").tobytes() + np.asarray(codes, "u1").tobytes()
+    return zlib.compress(raw + np.asarray(counters, "<i8").tobytes(), 1)
 
-    The inverse of :func:`snapshot_payload` for every field the backends
-    persist.  Per-AS codes are *recomputed* from the counters and thresholds
-    -- exactly how the SQLite backend reconstructs local rows -- so a
-    payload applied through this function (a replicated leader snapshot, an
-    archived cold-tier record) round-trips byte-identically back out of the
-    serving API.
+
+def _decode_columns(rows: int, blob: bytes) -> Columns:
+    """Read-only views over the decompressed *blob* of *rows* AS rows."""
+    raw = zlib.decompress(blob)
+    return (
+        np.frombuffer(raw, "<u8", rows),
+        np.frombuffer(raw, "u1", rows, 8 * rows),
+        np.frombuffer(raw, "<i8", 4 * rows, 9 * rows).reshape(4, rows),
+    )
+
+
+def column_history_entry(
+    columns: Columns, asn: np.uint64, snapshot_id: int, window_start: int, window_end: int
+) -> Optional[ASHistoryEntry]:
+    """*asn*'s entry in one snapshot's columns (``None`` if absent), by binary search.
+
+    *asn* comes in the column's dtype (a Python int is converted per search).
     """
-    quads = {int(asn_text): info["counters"] for asn_text, info in payload["ases"].items()}
-    asns = sorted(quads)
-    counters = _np.array(
-        [[int(quads[asn][name]) for name in COUNTER_NAMES] for asn in asns], dtype=_np.int64
-    ).reshape(-1, 4).T
-    result = ClassificationResult(asns, counters, thresholds, str(payload["algorithm"]))
-    changed: Dict[ASN, Tuple[str, str]] = {
-        int(asn_text): (str(codes[0]), str(codes[1]))
-        for asn_text, codes in payload["changed"].items()
-    }
+    asns, codes, counters = columns
+    row = asns.searchsorted(asn)
+    if row == len(asns) or asns[row] != asn:
+        return None
+    quad = counters[:, row].tolist()
+    return ASHistoryEntry(
+        snapshot_id, window_start, window_end, CLASS_CODES[codes[row]], ASCounters(*quad)
+    )
+
+
+def stored_window(
+    meta: StoredSnapshot, columns: Columns, changed: Dict[ASN, Tuple[str, str]]
+) -> WindowSnapshot:
+    """The snapshot *meta* describes, rebuilt over its decoded *columns*.
+
+    Codes are recomputed from the counters and *meta*'s thresholds; every
+    stored snapshot (hot, cold or replicated) is read back through here.
+    """
+    asns, _, counters = columns
     return WindowSnapshot(
-        window_start=int(payload["window_start"]),
-        window_end=int(payload["window_end"]),
-        skipped_windows=int(payload["skipped_windows"]),
-        events_total=int(payload["events_total"]),
-        unique_tuples=int(payload["unique_tuples"]),
-        result=result,
+        window_start=meta.window_start,
+        window_end=meta.window_end,
+        skipped_windows=meta.skipped_windows,
+        events_total=meta.events_total,
+        unique_tuples=meta.unique_tuples,
+        result=ClassificationResult(asns, counters, meta.thresholds, meta.algorithm),
         changed=changed,
     )
+
+
+def snapshot_record(meta: StoredSnapshot, snapshot: WindowSnapshot) -> Dict[str, Any]:
+    """The flat, JSON-ready record of one stored snapshot: *meta*'s fields,
+    the change set and the result's column blob (base64)."""
+    asns, codes, counters = snapshot.result.columns()
+    return {
+        "format": RECORD_FORMAT,
+        **{field.name: getattr(meta, field.name) for field in fields(meta)},
+        "thresholds": meta.thresholds.as_list(),
+        "changed": {str(asn): [old, new] for asn, (old, new) in snapshot.changed.items()},
+        "rows": len(asns),
+        "columns": base64.b64encode(_encode_columns(asns, codes, counters)).decode("ascii"),
+    }
+
+
+def record_meta(record: Dict[str, Any]) -> StoredSnapshot:
+    """The :class:`StoredSnapshot` of a :func:`snapshot_record`.
+
+    Raises :class:`RecordFormatError` for any other format.
+    """
+    if record.get("format") != RECORD_FORMAT:
+        raise RecordFormatError(
+            f"snapshot record format {record.get('format')!r}, this version reads"
+            f" format {RECORD_FORMAT} only"
+        )
+    values = {field.name: record[field.name] for field in fields(StoredSnapshot)}
+    return StoredSnapshot(**{**values, "thresholds": Thresholds(*values["thresholds"])})
+
+
+def record_columns(record: Dict[str, Any]) -> Columns:
+    """The decoded columns of a :func:`snapshot_record`."""
+    return _decode_columns(record["rows"], base64.b64decode(record["columns"]))
+
+
+def snapshot_from_record(record: Dict[str, Any]) -> Tuple[StoredSnapshot, WindowSnapshot]:
+    """The metadata and the snapshot of a :func:`snapshot_record`."""
+    meta = record_meta(record)
+    changed = {int(asn): (old, new) for asn, (old, new) in record["changed"].items()}
+    return meta, stored_window(meta, record_columns(record), changed)
 
 
 def require_valid_kind(kind: str) -> None:
@@ -439,6 +502,8 @@ def parse_store_url(url: Union[str, os.PathLike]) -> str:
 __all__ = [
     "ASHistoryEntry",
     "FencedWriterError",
+    "RECORD_FORMAT",
+    "RecordFormatError",
     "SNAPSHOT_KINDS",
     "SnapshotBackend",
     "StoreError",
@@ -447,6 +512,8 @@ __all__ = [
     "require_current_epoch",
     "require_valid_kind",
     "require_valid_retention",
-    "snapshot_from_payload",
+    "snapshot_from_record",
     "snapshot_payload",
+    "snapshot_record",
+    "stored_window",
 ]

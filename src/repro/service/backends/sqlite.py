@@ -51,21 +51,23 @@ from contextlib import closing, contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
-from numpy.typing import NDArray
 
 from repro.bgp.asn import ASN
-from repro.core.classes import CLASS_CODES
-from repro.core.counters import ASCounters, class_code_indices
-from repro.core.results import ClassificationResult
+from repro.core.counters import class_code_indices
 from repro.core.thresholds import Thresholds
 from repro.service.backends.base import (
     ASHistoryEntry,
+    Columns,
     SnapshotBackend,
     StoredSnapshot,
     StoreError,
+    _decode_columns,
+    _encode_columns,
+    column_history_entry,
     require_current_epoch,
     require_valid_kind,
     require_valid_retention,
+    stored_window,
 )
 from repro.stream.engine import WindowSnapshot
 
@@ -83,28 +85,6 @@ _CACHE_ROWS = 1 << 20
 #: the on-disk format: a file is only readable under the width it was written
 #: with.
 _BUCKET_BITS = 6
-
-#: One snapshot's decoded ``(asns <u8, codes u1, (4, n) counters <i8)``.
-_Columns = Tuple[NDArray[np.uint64], NDArray[np.uint8], NDArray[np.int64]]
-
-
-def _encode_columns(
-    asns: Sequence[int], codes: NDArray[np.uint8], counters: NDArray[np.int64]
-) -> bytes:
-    """The ``snapshot_columns.columns`` blob of one snapshot's rows."""
-    raw = np.asarray(asns, "<u8").tobytes() + np.asarray(codes, "u1").tobytes()
-    return zlib.compress(raw + np.asarray(counters, "<i8").tobytes(), 1)
-
-
-def _decode_columns(rows: int, blob: bytes) -> _Columns:
-    """Read-only views over the decompressed *blob* of *rows* AS rows."""
-    raw = zlib.decompress(blob)
-    return (
-        np.frombuffer(raw, "<u8", rows),
-        np.frombuffer(raw, "u1", rows, 8 * rows),
-        np.frombuffer(raw, "<i8", 4 * rows, 9 * rows).reshape(4, rows),
-    )
-
 
 #: SQLite's historic default variable cap is 999; retention prunes delete in
 #: chunks below it so one giant prune still batches instead of erroring.
@@ -200,7 +180,7 @@ class SnapshotStore(SnapshotBackend):
         # serialise reads through the write lock) so ":memory:" (what a
         # ``memory:`` store URL opens) is one database.
         self._shared: Optional[sqlite3.Connection] = None
-        self._column_cache: "OrderedDict[Tuple[int, int], _Columns]" = OrderedDict()
+        self._column_cache: "OrderedDict[Tuple[int, int], Columns]" = OrderedDict()
         self._cached_rows = 0
         self._cache_lock = threading.Lock()
         # ``(generation, distinct ASes)`` of the last stats() scan.
@@ -689,45 +669,32 @@ class SnapshotStore(SnapshotBackend):
     def _snapshot_from_row(
         self, row: Tuple[int, str, int, int, int, int, int, str, str, int]
     ) -> StoredSnapshot:
-        return StoredSnapshot(
-            snapshot_id=int(row[0]),
-            kind=row[1],
-            window_start=int(row[2]),
-            window_end=int(row[3]),
-            skipped_windows=int(row[4]),
-            events_total=int(row[5]),
-            unique_tuples=int(row[6]),
-            algorithm=row[7],
-            thresholds=Thresholds(*json.loads(row[8])),
-            generation=int(row[9]),
-        )
+        return StoredSnapshot(*row[:8], Thresholds(*json.loads(row[8])), row[9])
 
     _SNAPSHOT_COLUMNS = (
         "id, kind, window_start, window_end, skipped_windows,"
         " events_total, unique_tuples, algorithm, thresholds, generation"
     )
 
+    def _newest(self, where: str, parameters: Tuple[object, ...] = ()) -> Optional[StoredSnapshot]:
+        """Metadata of the newest snapshot matching the SQL *where* clause."""
+        row = self._row(
+            f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots {where} ORDER BY id DESC LIMIT 1",
+            parameters,
+        )
+        return self._snapshot_from_row(row) if row is not None else None
+
     def latest(self) -> Optional[StoredSnapshot]:
         """Metadata of the newest snapshot, or ``None`` on an empty store."""
-        row = self._row(f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots ORDER BY id DESC LIMIT 1")
-        return self._snapshot_from_row(row) if row is not None else None
+        return self._newest("")
 
     def get(self, snapshot_id: int) -> Optional[StoredSnapshot]:
         """Metadata of one snapshot by id."""
-        row = self._row(
-            f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots WHERE id = ?",
-            (snapshot_id,),
-        )
-        return self._snapshot_from_row(row) if row is not None else None
+        return self._newest("WHERE id = ?", (snapshot_id,))
 
     def by_window_end(self, window_end: int) -> Optional[StoredSnapshot]:
         """Metadata of the newest snapshot whose window ends at *window_end*."""
-        row = self._row(
-            f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots"
-            " WHERE window_end = ? ORDER BY id DESC LIMIT 1",
-            (window_end,),
-        )
-        return self._snapshot_from_row(row) if row is not None else None
+        return self._newest("WHERE window_end = ?", (window_end,))
 
     def find_window(
         self, kind: str, window_start: int, window_end: int
@@ -738,13 +705,10 @@ class SnapshotStore(SnapshotBackend):
         ``(kind, window_start, window_end)`` triple identifies one published
         window of one producer run (or its exact re-emission after resume).
         """
-        row = self._row(
-            f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots"
-            " WHERE kind = ? AND window_start = ? AND window_end = ?"
-            " ORDER BY id DESC LIMIT 1",
+        return self._newest(
+            "WHERE kind = ? AND window_start = ? AND window_end = ?",
             (kind, window_start, window_end),
         )
-        return self._snapshot_from_row(row) if row is not None else None
 
     def latest_window_end(self, kind: str = "window") -> Optional[int]:
         """The largest persisted ``window_end`` of *kind* (``None`` when empty).
@@ -812,7 +776,7 @@ class SnapshotStore(SnapshotBackend):
 
     def _decoded(
         self, connection: sqlite3.Connection, snapshot_id: int, generation: int
-    ) -> Optional[_Columns]:
+    ) -> Optional[Columns]:
         """The decoded columns of one snapshot, through the column cache.
 
         ``None`` when the snapshot no longer holds that commit *generation*:
@@ -871,17 +835,7 @@ class SnapshotStore(SnapshotBackend):
                 asn: (old, new)
                 for asn, old, new in connection.execute(self._CHANGES, (snapshot_id,))
             }
-        asns, _, counters = columns
-        result = ClassificationResult(asns, counters, meta.thresholds, meta.algorithm)
-        return WindowSnapshot(
-            window_start=meta.window_start,
-            window_end=meta.window_end,
-            skipped_windows=meta.skipped_windows,
-            events_total=meta.events_total,
-            unique_tuples=meta.unique_tuples,
-            result=result,
-            changed=changed,
-        )
+        return stored_window(meta, columns, changed)
 
     _CHANGES = "SELECT asn, old_code, new_code FROM changes WHERE snapshot_id = ?"
 
@@ -917,7 +871,7 @@ class SnapshotStore(SnapshotBackend):
         self, connection: sqlite3.Connection, key: int, limit: Optional[int]
     ) -> Optional[List[ASHistoryEntry]]:
         entries: List[ASHistoryEntry] = []
-        needle = np.uint64(key)  # in the column's dtype: a Python int is converted per search
+        needle = np.uint64(key)
         # Nested-loop order (bucket, then id, both descending) is the ORDER
         # BY, so rows stream without a sort and the walk can stop early; the
         # cursor is closed on the way out, or it would pin the read snapshot.
@@ -929,20 +883,15 @@ class SnapshotStore(SnapshotBackend):
                 (_BUCKET_BITS, _BUCKET_BITS, key),
             )
         ) as cursor:
-            for snapshot_id, window_start, window_end, generation in cursor:
+            for snapshot_id, window_start, end, generation in cursor:
                 columns = self._decoded(connection, snapshot_id, generation)
                 if columns is None:
                     return None
-                asns, codes, counters = columns
-                row = asns.searchsorted(needle)
-                if row == len(asns) or asns[row] != needle:
-                    continue
-                code, quad = CLASS_CODES[codes[row]], counters[:, row].tolist()
-                entries.append(
-                    ASHistoryEntry(snapshot_id, window_start, window_end, code, ASCounters(*quad))
-                )
-                if len(entries) == limit:
-                    break
+                entry = column_history_entry(columns, needle, snapshot_id, window_start, end)
+                if entry is not None:
+                    entries.append(entry)
+                    if len(entries) == limit:
+                        break
         return entries
 
     # -- statistics ---------------------------------------------------------------------

@@ -222,11 +222,14 @@ class ServiceClient:
     ) -> Dict[str, object]:
         """``/v1/replication/changes`` -- one changelog page after *since*.
 
-        Returns the leader's page: ``changes`` (snapshot payloads in commit
-        order), ``generation`` (the leader's current generation), ``horizon``
-        (newest generation its retention pruned), and ``more`` (another page
-        is waiting).  :class:`~repro.service.replication.ReplicaSyncer`
-        drives this in a loop; it is exposed here for tooling and tests.
+        Returns the leader's page: ``changes`` (snapshot records in commit
+        order: metadata plus the base64 column blob of
+        :func:`~repro.service.backends.base.snapshot_record`, not the
+        per-AS JSON of ``/v1/snapshot``), ``generation`` (the leader's
+        current generation), ``horizon`` (newest generation its retention
+        pruned), and ``more`` (another page is waiting).
+        :class:`~repro.service.replication.ReplicaSyncer` drives this in a
+        loop; it is exposed here for tooling and tests.
         *follower* self-identifies the poller, feeding the leader's
         per-follower replication-lag gauges on ``/metrics``.
         """

@@ -12,6 +12,10 @@ The contract, piece by piece:
 * **generation addressing** -- every snapshot records the store generation
   it committed at (:meth:`SnapshotBackend.snapshots_since`), so "everything
   after G" is a single indexed range read, paged to keep responses bounded;
+* **one encoding** -- each page entry is a snapshot record (metadata plus
+  the store's column blob, :func:`~repro.service.backends.base.snapshot_record`);
+  an entry without columns (a leader on the older format) raises
+  :class:`ReplicationError`: leader and followers upgrade together;
 * **idempotent apply** -- each fetched snapshot lands through the same
   :func:`~repro.service.publish.ensure_snapshot` path resumed producers
   use: window identity is ``(kind, window_start, window_end)``, never a
@@ -43,12 +47,11 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union, cast
 
-from repro.core.thresholds import Thresholds
 from repro.service.backends.base import (
     FencedWriterError,
     SnapshotBackend,
     StoreError,
-    snapshot_from_payload,
+    snapshot_from_record,
 )
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.publish import ensure_snapshot
@@ -145,17 +148,20 @@ class ReplicaSyncer:
         self.last_error: Optional[str] = None
 
     def _apply_entry(self, entry: Dict[str, Any]) -> bool:
-        """Apply one changelog entry; returns whether it was new."""
-        snapshot = snapshot_from_payload(
-            cast(Dict[str, Any], entry["payload"]),
-            Thresholds(*entry["thresholds"]),
-        )
+        """Apply one changelog entry (a snapshot record); returns whether it was new."""
+        if "columns" not in entry:
+            raise ReplicationError(
+                f"leader snapshot {entry.get('snapshot_id')} arrived without columns:"
+                " the leader and this follower are on different formats -- upgrade"
+                " leader and followers together"
+            )
         try:
+            meta, snapshot = snapshot_from_record(entry)
             _, was_new = ensure_snapshot(
                 self.store,
                 snapshot,
-                kind=str(entry["kind"]),
-                snapshot_id=int(entry["snapshot_id"]),
+                kind=meta.kind,
+                snapshot_id=meta.snapshot_id,
                 epoch=self.epoch,
             )
         except FencedWriterError:
@@ -174,7 +180,7 @@ class ReplicaSyncer:
         # Progress is durable per entry: a follower killed here resumes at
         # this generation and re-fetches at most the rest of the page,
         # which the idempotent window key deduplicates (exactly-once).
-        self.store.set_applied_generation(int(entry["generation"]))
+        self.store.set_applied_generation(meta.generation)
         return was_new
 
     def sync_once(self) -> SyncReport:

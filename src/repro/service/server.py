@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import sqlite3
 import threading
 import time
@@ -72,7 +73,12 @@ from urllib.parse import parse_qs
 
 from repro.bgp.asn import MAX_ASN_32BIT
 from repro.service.auth import check_token
-from repro.service.backends.base import SnapshotBackend, StoreError, snapshot_payload
+from repro.service.backends.base import (
+    SnapshotBackend,
+    StoreError,
+    snapshot_payload,
+    snapshot_record,
+)
 from repro.service.metrics import (
     CHURN_TOP_N,
     METRICS_CONTENT_TYPE,
@@ -502,7 +508,7 @@ class ClassificationService:
     def _replication_changes(
         self, params: Dict[str, str], query: Dict[str, List[str]]
     ) -> RoutePayload:
-        """The changelog page a follower polls: snapshots after ``since``.
+        """The changelog page a follower polls: snapshot records after ``since``.
 
         Deterministic given the store state, but deliberately *not* cached
         (``cacheable=False`` in the route table): pages are large and each
@@ -535,19 +541,10 @@ class ClassificationService:
             )
         metas = self.store.snapshots_since(since, limit=limit + 1)
         more = len(metas) > limit
-        changes: List[Dict[str, object]] = []
-        for meta in metas[:limit]:
-            changes.append(
-                {
-                    "generation": meta.generation,
-                    "snapshot_id": meta.snapshot_id,
-                    "kind": meta.kind,
-                    "thresholds": meta.thresholds.as_list(),
-                    "payload": snapshot_payload(
-                        self.store.load_snapshot(meta.snapshot_id)
-                    ),
-                }
-            )
+        changes = [
+            snapshot_record(meta, self.store.load_snapshot(meta.snapshot_id))
+            for meta in metas[:limit]
+        ]
         return {
             "since": since,
             "generation": generation,
@@ -772,8 +769,55 @@ def build_handler(service: ClassificationService) -> Type[BaseHTTPRequestHandler
     return type("BoundHandler", (_Handler,), {"service": service})
 
 
+def listen_socket(host: str, port: int) -> socket.socket:
+    """A TCP socket listening on *host*:*port*, in the family *host* resolves to.
+
+    ``::1`` gets an IPv6 socket and ``127.0.0.1`` an IPv4 one; a host that
+    does not resolve raises :class:`socket.gaierror`.
+    """
+    family, _, _, _, address = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0]
+    return socket.create_server(address, family=family, backlog=128)
+
+
+def http_url(host: str, port: int) -> str:
+    """The base URL of a server on *host*:*port* (an IPv6 host in brackets)."""
+    return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+
+
+class _SharedListenerHTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` accepting on a listener from :func:`listen_socket`.
+
+    One server is a fleet of one; the workers of
+    :class:`~repro.service.workers.MultiWorkerServer` share the supervisor's
+    listener.  The listener is non-blocking: when several accept loops wake
+    for the same connection, the losers' ``accept`` raises
+    ``BlockingIOError``, which ``socketserver`` swallows
+    (``_handle_request_noblock`` treats any ``OSError`` from
+    ``get_request`` as "no request after all").
+    """
+
+    daemon_threads = True
+
+    def __init__(
+        self, listener: socket.socket, handler: Type[BaseHTTPRequestHandler]
+    ) -> None:
+        super().__init__(listener.getsockname()[:2], handler, bind_and_activate=False)
+        self.socket.close()  # replace the unused fresh socket
+        listener.setblocking(False)
+        self.socket = listener
+
+    def get_request(self) -> Tuple[socket.socket, object]:
+        request, client_address = self.socket.accept()
+        # Some platforms (Winsock, classic BSD) make accepted sockets
+        # inherit the listener's non-blocking flag, and CPython does not
+        # reset it for a zero-timeout listener; request handling assumes
+        # a blocking connection.
+        request.setblocking(True)
+        return request, client_address
+
+
 class ClassificationServer:
-    """A :class:`ThreadingHTTPServer` bound to one store.
+    """A :class:`_SharedListenerHTTPServer` over one store.
 
     ``start()`` serves from a daemon thread (tests, examples, embedding into
     a producer process); ``serve_forever()`` blocks (the ``repro serve``
@@ -792,8 +836,9 @@ class ClassificationServer:
         self.service = ClassificationService(
             store, cache_size=cache_size, auth_token=auth_token
         )
-        self.httpd = ThreadingHTTPServer((host, port), build_handler(self.service))
-        self.httpd.daemon_threads = True
+        self.httpd = _SharedListenerHTTPServer(
+            listen_socket(host, port), build_handler(self.service)
+        )
         self._thread: Optional[threading.Thread] = None
         self._served = False
 
@@ -805,8 +850,7 @@ class ClassificationServer:
     @property
     def url(self) -> str:
         """Base URL clients should talk to."""
-        host, port = self.address
-        return f"http://{host}:{port}"
+        return http_url(*self.address)
 
     def start(self) -> "ClassificationServer":
         """Serve requests from a background daemon thread."""

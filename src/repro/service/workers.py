@@ -43,47 +43,21 @@ import sys
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.service.backends import open_store, parse_store_url
 from repro.service.metrics import FileFollowerLag, WorkerStatsBoard
 from repro.service.server import (
     DEFAULT_CACHE_SIZE,
     ClassificationService,
+    _SharedListenerHTTPServer,
     build_handler,
+    http_url,
+    listen_socket,
 )
-
-
-class _SharedListenerHTTPServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` accepting on a pre-bound shared listener.
-
-    The listener is non-blocking: when several accept loops wake for the
-    same connection, the losers' ``accept`` raises ``BlockingIOError``,
-    which ``socketserver`` swallows (``_handle_request_noblock`` treats any
-    ``OSError`` from ``get_request`` as "no request after all").
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self, listener: socket.socket, handler: Type[BaseHTTPRequestHandler]
-    ) -> None:
-        super().__init__(listener.getsockname()[:2], handler, bind_and_activate=False)
-        self.socket.close()  # replace the unused fresh socket
-        listener.setblocking(False)
-        self.socket = listener
-
-    def get_request(self) -> Tuple[socket.socket, object]:
-        request, client_address = self.socket.accept()
-        # Some platforms (Winsock, classic BSD) make accepted sockets
-        # inherit the listener's non-blocking flag, and CPython does not
-        # reset it for a zero-timeout listener; request handling assumes
-        # a blocking connection.
-        request.setblocking(True)
-        return request, client_address
 
 
 def _watch_supervisor(httpd: ThreadingHTTPServer, supervisor_pid: int) -> None:
@@ -230,8 +204,7 @@ class MultiWorkerServer:
     @property
     def url(self) -> str:
         """Base URL clients should talk to."""
-        host, port = self.address
-        return f"http://{host}:{port}"
+        return http_url(*self.address)
 
     def worker_pids(self) -> List[int]:
         """Live worker process ids."""
@@ -253,11 +226,8 @@ class MultiWorkerServer:
     # -- lifecycle ----------------------------------------------------------------------
     def _listen(self) -> int:
         """Bind and listen on the shared socket; returns the served port."""
-        self._listener = listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.requested_port))
-        listener.listen(128)
-        return int(listener.getsockname()[1])
+        self._listener = listen_socket(self.host, self.requested_port)
+        return int(self._listener.getsockname()[1])
 
     def start(self) -> "MultiWorkerServer":
         """Bring up every worker; returns once all of them are accepting."""

@@ -39,6 +39,8 @@ from repro.service import (
     parse_store_url,
     snapshot_payload,
 )
+from repro.service.backends import archive as archive_module
+from repro.service.backends.base import RecordFormatError
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
 from tests.store_oracle import ReferenceStore
 from tests.test_stream import observation
@@ -424,7 +426,10 @@ class TestTieredArchive:
                         snapshot_payload(snapshots[index])
                     )
 
-    def test_archive_verify_detects_corruption(self, tmp_path):
+    @pytest.mark.parametrize("field", ["columns", "kind"])
+    def test_archive_verify_detects_corruption(self, tmp_path, field):
+        """One character flipped inside the record -- in the base64 column
+        blob or in the metadata -- fails the checksum on every read."""
         with open_store(
             tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
         ) as store:
@@ -434,13 +439,54 @@ class TestTieredArchive:
         assert archive.verify() == []
         segment = tmp_path / "cold" / archive.segments()[0]["segment"]
         raw = bytearray(segment.read_bytes())
-        flip = raw.index(b'"tagger"')  # corrupt inside the checksummed record
-        raw[flip + 1] ^= 0x01
+        flip = raw.index(f'"{field}":"'.encode()) + len(field) + 8  # inside the value
+        raw[flip] = ord("A") if raw[flip] != ord("A") else ord("B")
         segment.write_bytes(bytes(raw))
         corrupted = SnapshotArchive(tmp_path / "cold")
-        assert corrupted.verify() != []
-        with pytest.raises(StoreError):
-            corrupted.load(corrupted.ids()[0])
+        (problem,) = corrupted.verify()
+        assert "checksum mismatch" in problem
+        first = corrupted.ids()[0]
+        with pytest.raises(StoreError, match="checksum mismatch"):
+            corrupted.load(first)
+        with open_store(tmp_path / "hot.db", archive_dir=tmp_path / "cold") as tiered:
+            with pytest.raises(StoreError, match="checksum mismatch"):
+                tiered.load_snapshot(first)
+
+    def test_segment_counts_follow_append_refresh_and_compact(self, tmp_path, monkeypatch):
+        """Where an append goes is decided by a per-segment count, not a scan:
+        it must agree with the lines on disk in the writer and in a second
+        reader, across segment roll-overs and a compaction."""
+
+        def assert_counts_match_lines(archive):
+            segments = archive.segments()
+            for segment in segments:
+                lines = (archive.root / segment["segment"]).read_bytes().count(b"\n")
+                assert segment["records"] == lines, segment
+            assert sum(segment["records"] for segment in segments) == len(archive)
+
+        monkeypatch.setattr(archive_module, "SEGMENT_RECORDS", 3)
+        snapshots = build_snapshots(11)
+        archive = SnapshotArchive(tmp_path / "cold")
+        with open_store(tmp_path / "hot.db") as hot:
+            tiered = TieredBackend(hot, archive, retention=1)
+            for snapshot in snapshots[:3]:
+                tiered.append_snapshot(snapshot)
+            reader = SnapshotArchive(tmp_path / "cold")
+            for snapshot in snapshots[3:9]:
+                tiered.append_snapshot(snapshot)
+            assert [segment["records"] for segment in archive.segments()] == [3, 3, 2]
+            reader.refresh()
+            for view in (archive, reader):
+                assert_counts_match_lines(view)
+            monkeypatch.setattr(archive_module, "SEGMENT_RECORDS", 5)
+            archive.compact()
+            assert [segment["records"] for segment in archive.segments()] == [5, 3]
+            assert_counts_match_lines(archive)
+            for snapshot in snapshots[9:]:
+                tiered.append_snapshot(snapshot)
+            assert [segment["records"] for segment in archive.segments()] == [5, 5]
+            assert_counts_match_lines(archive)
+            assert SnapshotArchive(tmp_path / "cold").segments() == archive.segments()
 
     def test_truncated_tail_is_tolerated_and_rearchived(self, tmp_path):
         with open_store(
@@ -482,3 +528,60 @@ class TestTieredArchive:
         assert ": OK" in capsys.readouterr().out
         assert main(["archive", str(tmp_path / "cold"), "compact"]) == 0
         assert main(["archive", str(tmp_path / "missing"), "verify"]) == 1
+
+
+#: A segment line verbatim as the archive wrote it before snapshot records
+#: (format 2): the record nested the per-AS wire payload.
+PAYLOAD_LINE = (
+    '{"record":{"generation":1,"kind":"window","payload":{"algorithm":"column","ases":{"10":'
+    '{"code":"tn","counters":{"cleaner":0,"forward":0,"silent":0,"tagger":1},"shares":'
+    '{"cleaner":0.0,"forward":0.0,"silent":0.0,"tagger":1.0}},"20":{"code":"sn","counters":'
+    '{"cleaner":0,"forward":0,"silent":1,"tagger":0},"shares":{"cleaner":0.0,"forward":0.0,'
+    '"silent":1.0,"tagger":0.0}}},"changed":{"10":["nn","tn"],"20":["nn","sn"]},'
+    '"events_total":2,"skipped_windows":0,"summary":{"ases_observed":2,"changed_ases":2,'
+    '"cleaner":0,"events_total":2,"forward":0,"forwarding_none":2,"forwarding_undecided":0,'
+    '"full_sc":0,"full_sf":0,"full_tc":0,"full_tf":0,"silent":1,"tagger":1,"tagging_none":0,'
+    '"tagging_undecided":0,"unique_tuples":2,"window_end":100,"window_start":0},'
+    '"unique_tuples":2,"window_end":100,"window_start":0},"snapshot_id":1,'
+    '"thresholds":[0.99,0.99,0.99,0.99]},'
+    '"sha256":"39c8217eed157eb16cc17950c1c0f7478abc998d21c4f4b9b29779e8ae98c88c"}\n'
+)
+
+
+class TestOlderArchiveFormat:
+    """An archive line without ``"format": 2`` is refused, never read."""
+
+    @pytest.fixture()
+    def older(self, tmp_path):
+        """A hot store plus an archive whose second line is in the older format."""
+        with open_store(tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold") as store:
+            for snapshot in build_snapshots(2):
+                store.append_snapshot(snapshot)
+        (segment,) = (tmp_path / "cold").glob("segment-*.jsonl")
+        offset = segment.stat().st_size
+        with open(segment, "a") as handle:
+            handle.write(PAYLOAD_LINE)
+        where = f"archive line in {segment.name} at byte {offset}: snapshot record format None"
+        return tmp_path, where
+
+    def test_opening_the_archive_names_segment_offset_and_format(self, older):
+        tmp_path, where = older
+        with pytest.raises(RecordFormatError) as excinfo:
+            SnapshotArchive(tmp_path / "cold")
+        assert str(excinfo.value).startswith(where)
+        assert isinstance(excinfo.value, StoreError)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["archive", "{cold}", "list"], ["archive", "{cold}", "verify"],
+         ["serve", "--store", "{hot}", "--archive-dir", "{cold}", "--port", "0"],
+         ["serve", "--store", "{hot}", "--archive-dir", "{cold}", "--port", "0",
+          "--http-workers", "2"]],
+        ids=["archive-list", "archive-verify", "serve", "serve-fleet"],
+    )
+    def test_cli_prints_one_error_line(self, older, argv, capsys):
+        tmp_path, where = older
+        paths = {"cold": str(tmp_path / "cold"), "hot": str(tmp_path / "hot.db")}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {where}")

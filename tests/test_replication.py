@@ -16,8 +16,13 @@ import random
 import sqlite3
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.classes import CLASS_CODES
+from repro.core.results import ClassificationResult
 from repro.service import (
     ClassificationServer,
     ClassificationService,
@@ -26,14 +31,23 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     SnapshotStore,
+    SnapshotArchive,
     StoreError,
+    TieredBackend,
     attach_store,
     open_store,
-    snapshot_from_payload,
     snapshot_payload,
 )
 from repro.core.thresholds import Thresholds
+from repro.service.backends.base import (
+    RECORD_FORMAT,
+    SNAPSHOT_KINDS,
+    StoredSnapshot,
+    snapshot_from_record,
+    snapshot_record,
+)
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
+from repro.stream.engine import WindowSnapshot
 from tests.store_oracle import ReferenceStore
 from tests.test_backends import build_snapshots
 from tests.test_columnar_store import random_snapshot
@@ -150,6 +164,53 @@ class TestGenerationAddressing:
             assert store.append_snapshot(engine.snapshots[1]) == 42
 
 
+def make_stored(
+    asns, quads, thresholds, changed, *, window=(3600, 7200, 2, 9, 4),
+    algorithm="column", snapshot_id=3, kind="window", generation=5,
+):
+    """A ``(StoredSnapshot, WindowSnapshot)`` pair over ascending *asns*.
+
+    *window* is ``(start, end, skipped windows, events, unique tuples)``.
+    """
+    names = ("window_start", "window_end", "skipped_windows", "events_total", "unique_tuples")
+    fields = dict(zip(names, window))
+    counters = np.array(quads, dtype=np.int64).reshape(-1, 4).T
+    meta = StoredSnapshot(
+        snapshot_id=snapshot_id, kind=kind, algorithm=algorithm, thresholds=thresholds,
+        generation=generation, **fields,
+    )
+    result = ClassificationResult(asns, counters, thresholds, algorithm)
+    return meta, WindowSnapshot(result=result, changed=changed, **fields)
+
+
+#: The explicit edge cases of the record property: an empty result, and
+#: ASNs 0 and 2^32 - 1 with counters of 2^40.
+EDGE_THRESHOLDS = Thresholds(0.55, 0.6, 0.9, 1.0)
+EDGE_CHANGES = {2**32 - 1: ("nn", "tf"), 5: ("sc", "nn")}
+EDGE_QUAD = (2**40, 0, 1, 2**40 - 1)
+
+BIG = st.integers(0, 2**40)
+ASN32 = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+SHARE = st.floats(0.5, 1.0, exclude_min=True)
+CODE = st.sampled_from(CLASS_CODES)
+
+
+@st.composite
+def stored_snapshots(draw):
+    """Random stored snapshots: ASNs 0 .. 2^32 - 1, counters up to 2^40,
+    non-uniform thresholds, any change set (empty results included)."""
+    asns = sorted(draw(st.lists(ASN32, unique=True, max_size=30)))
+    quads = draw(st.lists(st.tuples(BIG, BIG, BIG, BIG), min_size=len(asns), max_size=len(asns)))
+    changed = draw(st.dictionaries(ASN32, st.tuples(CODE, CODE), max_size=6))
+    start = draw(BIG)
+    return make_stored(
+        asns, quads, Thresholds(*(draw(SHARE) for _ in range(4))), changed,
+        window=(start, start + draw(BIG), draw(BIG), draw(BIG), draw(BIG)),
+        algorithm=draw(st.sampled_from(["column", "row"])), snapshot_id=draw(BIG),
+        kind=draw(st.sampled_from(SNAPSHOT_KINDS)), generation=draw(BIG),
+    )
+
+
 # ---------------------------------------------------------------------------------------
 # Leader endpoint
 # ---------------------------------------------------------------------------------------
@@ -165,8 +226,8 @@ class TestReplicationEndpoint:
         generations = [entry["generation"] for entry in page["changes"]]
         assert generations == sorted(generations)
         for entry, snapshot in zip(page["changes"], engine.snapshots):
-            assert entry["kind"] == "window"
-            assert entry["payload"] == snapshot_payload(snapshot)
+            assert (entry["format"], entry["kind"]) == (RECORD_FORMAT, "window")
+            assert snapshot_payload(snapshot_from_record(entry)[1]) == snapshot_payload(snapshot)
 
     def test_paging_and_since(self, leader_served):
         engine, _, _, client = leader_served
@@ -213,7 +274,7 @@ class TestReplicationEndpoint:
 # ---------------------------------------------------------------------------------------
 # Payload round trip
 # ---------------------------------------------------------------------------------------
-class TestPayloadRoundTrip:
+class TestRecordRoundTrip:
     def test_thresholds_keep_their_wire_form_everywhere(self, tmp_path):
         """``[tagger, silent, forward, cleaner]`` in the stored row, the
         archive line and the replication page, read back field by field."""
@@ -248,17 +309,66 @@ class TestPayloadRoundTrip:
         assert len(stored) == len(engine.snapshots)
         assert {meta.thresholds for meta in stored + copied} == {thresholds}
 
-    def test_snapshot_from_payload_inverts_snapshot_payload(self, leader):
-        import json
+    @settings(max_examples=60, deadline=None)
+    @given(stored=stored_snapshots())
+    @example(stored=make_stored([], [], EDGE_THRESHOLDS, EDGE_CHANGES))
+    @example(stored=make_stored([0, 7, 2**32 - 1], [EDGE_QUAD] * 3, EDGE_THRESHOLDS, EDGE_CHANGES))
+    def test_snapshot_from_record_inverts_snapshot_record(self, stored):
+        meta, snapshot = stored
+        # Through a JSON round trip, like an archive line or a page does it.
+        record = json.loads(json.dumps(snapshot_record(meta, snapshot)))
+        rebuilt_meta, rebuilt = snapshot_from_record(record)
+        assert rebuilt_meta == meta
+        assert rebuilt.changed == snapshot.changed
+        assert snapshot_payload(rebuilt) == snapshot_payload(snapshot)
 
-        engine, _ = leader
-        for snapshot in engine.snapshots:
-            # Through a JSON round trip, like the wire does it.
-            wire = json.loads(json.dumps(snapshot_payload(snapshot)))
-            rebuilt = snapshot_from_payload(wire, snapshot.result.thresholds)
-            assert snapshot_payload(rebuilt) == snapshot_payload(snapshot)
-            assert rebuilt.changed == snapshot.changed
-            assert rebuilt.result.thresholds == snapshot.result.thresholds
+
+class TestOneEncoding:
+    """A hot leader, a follower synced through the changelog and the cold
+    tier after demotion serve the same bytes on every read endpoint."""
+
+    EDGES = (0, 7, 2**32 - 1)
+    THRESHOLDS = Thresholds(0.6, 0.7, 0.8, 0.95)
+
+    def snapshots(self):
+        built = []
+        for index in range(4):
+            quads = [(index + 1, 3 - index % 2, 2**40 - index, index), (9, 1, 0, 0),
+                     (0, 0, 5, 5 * index)]
+            changed = {2**32 - 1: ("nn", "sc"), 0: ("tf", "tn")} if index else {}
+            window = (index * 100, index * 100 + 100, index % 2, 10 + index, 3)
+            _, snapshot = make_stored(self.EDGES, quads, self.THRESHOLDS, changed, window=window)
+            built.append(snapshot)
+        return built
+
+    def test_leader_follower_and_cold_tier_serve_identical_bytes(self, tmp_path):
+        snapshots = self.snapshots()
+        targets = ["/v1/snapshot/latest", "/v1/diff"]
+        for snapshot in snapshots:
+            targets += [f"/v1/snapshot/{snapshot.window_end}",
+                        f"/v1/diff?window={snapshot.window_end}"]
+        targets += [f"/v1/as/{asn}?history=10" for asn in self.EDGES]
+        with SnapshotStore(tmp_path / "leader.db") as leader:
+            for snapshot in snapshots:
+                leader.append_snapshot(snapshot)
+            hot = {target: ClassificationService(leader).handle(target) for target in targets}
+            assert {response.status for response in hot.values()} == {200}
+            with ClassificationServer(leader) as server, ServiceClient(
+                server.start().url
+            ) as client, SnapshotStore(tmp_path / "follower.db") as follower:
+                assert ReplicaSyncer(client, follower).sync_once().applied == len(snapshots)
+                replicated = ClassificationService(follower)
+                for target in targets:
+                    assert replicated.handle(target).body == hot[target].body, target
+            tiered = TieredBackend(leader, SnapshotArchive(tmp_path / "cold"))
+            for meta in leader.snapshots():
+                assert tiered.drop_snapshot(meta.snapshot_id)
+            assert len(leader) == 0 and len(tiered) == len(snapshots)
+            cold = ClassificationService(tiered)
+            for target in targets:
+                assert cold.handle(target).body == hot[target].body, target
+        history = json.loads(hot["/v1/as/4294967295?history=10"].body)["history"]
+        assert [entry["counters"]["cleaner"] for entry in history] == [15, 10, 5, 0]
 
 
 # ---------------------------------------------------------------------------------------
@@ -435,6 +545,22 @@ class TestReplicaSyncer:
                 assert not worker.is_alive()
             assert reports and reports[0].applied == len(engine.snapshots)
             assert syncer.last_error is None
+
+    def test_an_entry_without_columns_names_the_format_split(self, tmp_path):
+        """A leader on the older changelog (per-AS payloads) is refused
+        before anything is written, not half-applied."""
+
+        class OlderLeader:
+            def replication_changes(self, **_):
+                entry = {"generation": 1, "snapshot_id": 1, "kind": "window",
+                         "thresholds": [0.99] * 4, "payload": {"ases": {}}}
+                return {"since": 0, "generation": 1, "horizon": 0, "changes": [entry],
+                        "more": False}
+
+        with SnapshotStore(tmp_path / "replica.db") as replica:
+            with pytest.raises(ReplicationError, match="different formats"):
+                ReplicaSyncer(OlderLeader(), replica).sync_once()
+            assert (len(replica), replica.applied_generation()) == (0, 0)
 
     def test_rejects_bad_page_size(self, tmp_path):
         with SnapshotStore(tmp_path / "follower.db") as follower:

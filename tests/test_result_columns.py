@@ -5,8 +5,8 @@ summary of a result is one numpy pass over them.  The oracle here is the
 per-AS loop of ``tests/column_oracle.py``: ``CounterStore.get_class`` /
 ``CounterStore.get`` per observed AS.  Results are built every way production
 builds them -- from packed columns (``from_packed``, what batch and stream
-column inference hand over), by the constructor, from a wire payload
-(``snapshot_from_payload``), from an imported database (``to_result``) and by
+column inference hand over), by the constructor, from a snapshot record
+(``snapshot_from_record``), from an imported database (``to_result``) and by
 the row baseline (``RowInference``) -- and each must equal the loops, its
 wire payload and exported database included, byte for byte.  The rest pins
 what going columnar put at risk: an emitted snapshot never moves, and row
@@ -38,7 +38,7 @@ from repro.core.results import FULL_CLASS_CODES, ClassificationResult
 from repro.core.row import RowInference, prepare_tuple, row_tuple_delta
 from repro.core.thresholds import Thresholds
 from repro.service import SnapshotStore, snapshot_payload
-from repro.service.backends.base import snapshot_from_payload
+from repro.service.backends.base import StoredSnapshot, snapshot_from_record, snapshot_record
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowPolicy, WindowSpec
 from repro.stream.engine import WindowSnapshot
 from repro.stream.incremental import make_classifier
@@ -83,8 +83,9 @@ def built_ways(quads, thresholds, uncounted=0, retract=False):
     intern it.  *uncounted* more ASes are observed without evidence: their
     slots lie past the packed columns, or -- with *retract* -- inside them,
     counted once and retracted to zero again.  Besides the packed columns,
-    the result is built by the constructor and decoded from the oracle's
-    wire payload and exported database.
+    the result is built by the constructor, read back from the snapshot
+    record of the constructor's result, and decoded from the oracle's
+    exported database.
     """
     counted = len(quads)
     asns = [100 + 3 * index for index in range(counted + uncounted)]
@@ -104,12 +105,11 @@ def built_ways(quads, thresholds, uncounted=0, retract=False):
             fill_packed(packed, {slot: (-4, -3, -2, -1)})
     observed = set(asns)
     counters = np.array(list(quads) + [(0, 0, 0, 0)] * uncounted, dtype=np.int64)
+    constructed = ClassificationResult(asns, counters.reshape(-1, 4).T, thresholds)
     return store, observed, {
         "from_packed": ClassificationResult.from_packed(packed, as_values, set(observed)),
-        "constructor": ClassificationResult(asns, counters.reshape(-1, 4).T, thresholds),
-        "payload": snapshot_from_payload(
-            oracle_payload(store, observed, "column"), thresholds
-        ).result,
+        "constructor": constructed,
+        "record": through_record(constructed),
         "imported": oracle_database(store, observed).to_result(thresholds),
     }
 
@@ -118,6 +118,16 @@ def built_ways(quads, thresholds, uncounted=0, retract=False):
 #: The window fields of the snapshots the encoders are held to.
 WINDOW = dict(window_start=3600, window_end=7200, skipped_windows=1, events_total=9, unique_tuples=4)
 CHANGED = {100: ("nn", "tf"), 7: ("sc", "nn")}
+
+
+def through_record(result):
+    """*result* written by :func:`snapshot_record`, through JSON, and read back."""
+    meta = StoredSnapshot(
+        snapshot_id=1, kind="window", **WINDOW, algorithm=result.algorithm,
+        thresholds=result.thresholds,
+    )
+    snapshot = WindowSnapshot(**WINDOW, result=result, changed=dict(CHANGED))
+    return snapshot_from_record(json.loads(json.dumps(snapshot_record(meta, snapshot))))[1].result
 
 
 def oracle_summary(store, observed):

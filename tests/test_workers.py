@@ -62,6 +62,19 @@ def store_path(tmp_path):
     return path
 
 
+def _binds(host):
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_STREAM) as probe:
+            probe.bind((host, 0))
+    except OSError:
+        return False
+    return True
+
+
+#: Whether this host has an IPv6 loopback to serve on.
+IPV6_LOOPBACK = socket.has_ipv6 and _binds("::1")
+
+
 def fetch(address, target):
     """One request on a *fresh* connection; returns ``(status, body bytes)``.
 
@@ -255,15 +268,16 @@ class TestProcessFanout:
 
 
 @contextlib.contextmanager
-def serve_cli(store_path, *flags, stderr=subprocess.DEVNULL):
-    """``repro serve`` on a free port as a subprocess, yielded once it answers
-    ``/healthz``: ``(process, port)``.  Killed on exit if still running."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind(("127.0.0.1", 0))
+def serve_cli(store_path, *flags, stderr=subprocess.DEVNULL, host="127.0.0.1"):
+    """``repro serve --host`` *host* on a free port as a subprocess, yielded once
+    it answers ``/healthz``: ``(process, port)``.  Killed on exit if still running."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.socket(family, socket.SOCK_STREAM) as probe:
+        probe.bind((host, 0))
         port = probe.getsockname()[1]
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--store", str(store_path),
-         "--port", str(port), *flags],
+         "--host", host, "--port", str(port), *flags],
         stdout=subprocess.DEVNULL,
         stderr=stderr,
         env=os.environ.copy(),
@@ -272,7 +286,7 @@ def serve_cli(store_path, *flags, stderr=subprocess.DEVNULL):
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             try:
-                if fetch(("127.0.0.1", port), "/healthz")[0] == 200:
+                if fetch((host, port), "/healthz")[0] == 200:
                     break
             except OSError:
                 time.sleep(0.2)
@@ -317,7 +331,44 @@ class TestServeSigterm:
             assert b"shutting down" in err
 
 
+@pytest.mark.skipif(not IPV6_LOOPBACK, reason="no IPv6 loopback on this host")
+class TestIPv6:
+    """``--host ::1`` serves on an IPv6 listener, one server or a fleet."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_and_query_on_the_ipv6_loopback(self, store_path, workers, capsys):
+        from repro.cli import main
+
+        with serve_cli(store_path, "--http-workers", workers, host="::1") as (_, port):
+            assert main(["query", f"http://[::1]:{port}", "health"]) == 0
+            assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+    def test_urls_bracket_an_ipv6_host(self, store_path):
+        with SnapshotStore(store_path) as store, ClassificationServer(store, host="::1") as server:
+            assert server.url == f"http://[::1]:{server.address[1]}"
+            assert fetch(server.start().address, "/healthz")[0] == 200
+        with MultiWorkerServer(str(store_path), workers=1, host="::1") as fleet:
+            assert fleet.start().url == f"http://[::1]:{fleet.address[1]}"
+            assert fetch(fleet.address, "/healthz")[0] == 200
+
+
 class TestCliServeParser:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unresolvable_host_is_one_error_line(self, store_path, workers, capsys, monkeypatch):
+        from repro.cli import main
+
+        def unresolvable(host, *args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", unresolvable)
+        argv = ["serve", "--store", str(store_path), "--host", "no-such-host.invalid",
+                "--port", "0", "--http-workers", workers]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --host 'no-such-host.invalid': Name or service not known"
+        ]
+
+
     @pytest.mark.parametrize("url", ["memory:", ":memory:"])
     def test_in_memory_store_cannot_serve_a_fleet(self, url, capsys):
         from repro.cli import main
