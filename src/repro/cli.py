@@ -17,7 +17,7 @@ Usage::
     python -m repro serve --store results.db --port 8080    # HTTP query API
     python -m repro serve --store results.db --http-workers 4   # 4 worker processes, one port
     python -m repro serve --store results.db --retention 32 --archive-dir cold/
-    python -m repro archive cold/ list                      # inspect archive segments
+    python -m repro archive cold/ list                      # inspect the cold tier
     python -m repro replicate --from http://leader:8080 --store replica.db --serve
     python -m repro replicate --from http://leader:8080 --store replica.db --promote
     python -m repro query http://localhost:8080 as 3356     # ask the running service
@@ -25,8 +25,9 @@ Usage::
 
 Store URLs: ``--store`` accepts a plain path (SQLite, the default), an
 explicit ``sqlite:path``, or ``memory:`` (an in-process SQLite store).  With
-``--archive-dir`` retention *archives* pruned snapshots into checksummed
-segment files instead of deleting them, and reads fall through to them.
+``--archive-dir`` retention *archives* pruned snapshots into a second,
+digest-checked SQLite store instead of deleting them, and reads fall through
+to it.
 
 Auth: ``--auth-token`` (or the ``REPRO_AUTH_TOKEN`` environment variable)
 makes ``serve``/``replicate`` require ``Authorization: Bearer <token>`` on
@@ -320,7 +321,7 @@ def _run_until_interrupted(block: Callable[[], None]) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: expose a snapshot store over the JSON HTTP API."""
     from repro.service.auth import resolve_token
-    from repro.service.backends import SnapshotArchive, StoreError, open_store, parse_store_url
+    from repro.service.backends import StoreError, open_store, parse_store_url
     from repro.service.workers import require_file_store
 
     auth_token = resolve_token(args.auth_token)
@@ -336,8 +337,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 1
     with ExitStack() as stack:
         try:
-            if args.archive_dir is not None:
-                SnapshotArchive(args.archive_dir)  # unreadable: refused before any worker
+            # An unusable store or archive is refused before any worker starts.
+            open_store(args.store, archive_dir=args.archive_dir).close()
             if args.retention is not None:
                 # The serving processes never append, so retention only takes
                 # effect through an explicit prune here at startup.  With
@@ -480,51 +481,36 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 def cmd_archive(args: argparse.Namespace) -> int:
     """``archive``: inspect and maintain a cold-tier snapshot archive."""
-    from repro.service.backends import SnapshotArchive, StoreError
+    from repro.service.backends import StoreError, open_archive
 
-    root = Path(args.archive_dir)
-    if not root.is_dir():
+    if not Path(args.archive_dir).is_dir():
         print(f"error: archive directory {args.archive_dir!r} does not exist", file=sys.stderr)
         return 1
     try:
-        archive = SnapshotArchive(root)
+        archive = open_archive(args.archive_dir)
     except StoreError as error:
-        # Unreadable segments must not hide behind a stack trace: point at
-        # the broken line and exit like any other CLI failure.
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if args.action == "list":
-        segments = archive.segments()
-        for segment in segments:
-            id_range = (
-                f"ids {segment['min_snapshot_id']}..{segment['max_snapshot_id']}"
-                if segment["records"]
-                else "empty"
-            )
-            torn = "  [torn tail]" if segment["torn_tail"] else ""
+    with archive:
+        if args.action == "list":
+            metas = archive.snapshots()
+            ids = f"ids {metas[0].snapshot_id}..{metas[-1].snapshot_id}" if metas else "empty"
             print(
-                f"{segment['segment']}: {segment['records']} records, "
-                f"{segment['bytes']} bytes, {id_range}{torn}"
+                f"{len(metas)} archived snapshots in {archive.path}: {ids}, "
+                f"{archive.size_bytes()} bytes"
             )
-        print(f"{len(archive)} archived snapshots in {len(segments)} segments")
-        return 0
-    if args.action == "verify":
-        problems = archive.verify()
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        if problems:
-            print(f"{len(problems)} problems in {args.archive_dir}", file=sys.stderr)
-            return 1
-        print(
-            f"verified {len(archive)} records in {len(archive.segments())} segments: OK"
-        )
-        return 0
-    # compact
-    before = len(archive.segments())
-    removed = archive.compact()
-    print(
-        f"compacted {len(archive)} records: {before} -> {before - removed} segments"
-    )
+        elif args.action == "verify":
+            problems = archive.verify()
+            for problem in problems:
+                print(f"error: {problem}", file=sys.stderr)
+            if problems:
+                print(f"{len(problems)} problems in {archive.path}", file=sys.stderr)
+                return 1
+            print(f"verified {len(archive)} snapshots in {archive.path}: OK")
+        else:
+            before = archive.size_bytes()
+            archive.compact()
+            print(f"compacted {archive.path}: {before} -> {archive.size_bytes()} bytes")
     return 0
 
 
@@ -677,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--archive-dir",
         default=None,
-        help="with --store-retention: archive pruned snapshots into segment "
-        "files under this directory instead of deleting them",
+        help="with --store-retention: archive pruned snapshots into a second "
+        "snapshot store (archive.db) under this directory instead of deleting them",
     )
     stream.add_argument(
         "--ingest-block-size",
@@ -842,8 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
     archive.add_argument(
         "action",
         choices=("list", "verify", "compact"),
-        help="list segments, verify every record checksum, or rewrite into "
-        "densely packed segments (offline only)",
+        help="list the archived snapshots, re-check every snapshot's digest, "
+        "or reclaim free pages (VACUUM)",
     )
     archive.set_defaults(handler=cmd_archive)
 

@@ -11,9 +11,9 @@ builds the *consumer* side:
   (schema versioning, atomic writes, retention / compaction, indexed
   per-AS history; a WAL file, or SQLite's own ``:memory:`` for throwaway
   stores), and the :class:`TieredBackend` whose retention *archives*
-  pruned snapshots into checksummed segment files
-  (:class:`SnapshotArchive`) instead of deleting them, with reads falling
-  through hot to cold; :func:`open_store` opens ``sqlite:path``, plain
+  pruned snapshots into a second, digest-checked :class:`SnapshotStore`
+  instead of deleting them, with reads falling through hot to cold;
+  :func:`open_store` opens ``sqlite:path``, plain
   path and ``memory:`` store URLs, all SQLite;
 * :mod:`repro.service.server` -- a stdlib-only JSON HTTP API over a store
   (``/v1/as/{asn}``, ``/v1/snapshot/latest``, ``/v1/snapshot/{window}``,
@@ -59,7 +59,6 @@ from repro.service.backends import (
     SCHEMA_VERSION,
     ASHistoryEntry,
     FencedWriterError,
-    SnapshotArchive,
     SnapshotBackend,
     SnapshotStore,
     StoredSnapshot,
@@ -119,7 +118,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceStats",
-    "SnapshotArchive",
     "SnapshotBackend",
     "SnapshotPublisher",
     "SnapshotStore",

@@ -14,9 +14,10 @@ names:
 
 Passing ``archive_dir=`` wraps the hot backend in a
 :class:`~repro.service.backends.archive.TieredBackend`: the retention cap
-moves onto the wrapper and pruned snapshots are *archived* into checksummed
-segment files under that directory instead of deleted, so reads fall
-through hot to cold beyond the cap (see :mod:`repro.service.backends.archive`).
+moves onto the wrapper and pruned snapshots are *archived* into a second,
+uncapped SQLite store (``archive.db`` under that directory) instead of
+deleted, so reads fall through hot to cold beyond the cap (see
+:mod:`repro.service.backends.archive`).
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.service.backends.archive import (
-    SEGMENT_RECORDS,
-    SnapshotArchive,
-    TieredBackend,
-)
+from repro.service.backends.archive import ARCHIVE_DB, TieredBackend, open_archive
 from repro.service.backends.base import (
     SNAPSHOT_KINDS,
     ASHistoryEntry,
@@ -69,17 +66,17 @@ def open_store(
 
 
 __all__ = [
+    "ARCHIVE_DB",
     "ASHistoryEntry",
     "FencedWriterError",
     "SCHEMA_VERSION",
-    "SEGMENT_RECORDS",
     "SNAPSHOT_KINDS",
-    "SnapshotArchive",
     "SnapshotBackend",
     "SnapshotStore",
     "StoreError",
     "StoredSnapshot",
     "TieredBackend",
+    "open_archive",
     "open_store",
     "parse_store_url",
     "snapshot_payload",

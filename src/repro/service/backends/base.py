@@ -22,19 +22,19 @@ captures everything the original SQLite store exposed:
 
 Concrete implementations: :class:`~repro.service.backends.sqlite.SnapshotStore`
 (SQLite, on a WAL file or in process as ``:memory:``) and
-:class:`~repro.service.backends.archive.TieredBackend` (hot backend + cold
-append-only archive segments).  The conformance suite also holds a
+:class:`~repro.service.backends.archive.TieredBackend` (a hot backend whose
+cold tier is a second ``SnapshotStore``).  The conformance suite also holds a
 dict-based reference store in ``tests/store_oracle.py`` to the contract,
 and the SQLite store to that reference read for read.
 
 This module also owns the one snapshot encoding below the HTTP edge: a
 result's column blob (``_encode_columns``: ascending ASNs, class codes and
 the ``(4, n)`` counters, zlib'd) that the SQLite store keeps per snapshot,
-wrapped by :func:`snapshot_record` in a flat record with the snapshot's
-metadata and change set.  The archive tier persists that record in its
-segment files and replication pages carry it; :func:`snapshot_from_record`
-is its one reader.  :func:`snapshot_payload`, the per-AS JSON the HTTP API
-serves, is built from a loaded snapshot at the edge only.
+in the hot tier and the cold one alike.  Replication pages carry it wrapped
+by :func:`snapshot_record` in a flat record with the snapshot's metadata and
+change set; :func:`snapshot_from_record` is its one reader.
+:func:`snapshot_payload`, the per-AS JSON the HTTP API serves, is built from
+a loaded snapshot at the edge only.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.bgp.asn import ASN
-from repro.core.classes import CLASS_CODES
 from repro.core.counters import COUNTER_NAMES, ASCounters
 from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
@@ -188,23 +187,6 @@ def _decode_columns(rows: int, blob: bytes) -> Columns:
     )
 
 
-def column_history_entry(
-    columns: Columns, asn: np.uint64, snapshot_id: int, window_start: int, window_end: int
-) -> Optional[ASHistoryEntry]:
-    """*asn*'s entry in one snapshot's columns (``None`` if absent), by binary search.
-
-    *asn* comes in the column's dtype (a Python int is converted per search).
-    """
-    asns, codes, counters = columns
-    row = asns.searchsorted(asn)
-    if row == len(asns) or asns[row] != asn:
-        return None
-    quad = counters[:, row].tolist()
-    return ASHistoryEntry(
-        snapshot_id, window_start, window_end, CLASS_CODES[codes[row]], ASCounters(*quad)
-    )
-
-
 def stored_window(
     meta: StoredSnapshot, columns: Columns, changed: Dict[ASN, Tuple[str, str]]
 ) -> WindowSnapshot:
@@ -253,16 +235,12 @@ def record_meta(record: Dict[str, Any]) -> StoredSnapshot:
     return StoredSnapshot(**{**values, "thresholds": Thresholds(*values["thresholds"])})
 
 
-def record_columns(record: Dict[str, Any]) -> Columns:
-    """The decoded columns of a :func:`snapshot_record`."""
-    return _decode_columns(record["rows"], base64.b64decode(record["columns"]))
-
-
 def snapshot_from_record(record: Dict[str, Any]) -> Tuple[StoredSnapshot, WindowSnapshot]:
     """The metadata and the snapshot of a :func:`snapshot_record`."""
     meta = record_meta(record)
     changed = {int(asn): (old, new) for asn, (old, new) in record["changed"].items()}
-    return meta, stored_window(meta, record_columns(record), changed)
+    columns = _decode_columns(record["rows"], base64.b64decode(record["columns"]))
+    return meta, stored_window(meta, columns, changed)
 
 
 def require_valid_kind(kind: str) -> None:

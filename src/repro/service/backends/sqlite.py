@@ -20,8 +20,17 @@ concurrent readers can share one producer:
   AS; per-AS history probes it and ``searchsorted``-s the ASN columns of
   those runs' snapshots, newest first.  Decoded columns are cached on
   ``(snapshot_id, generation)`` -- unique, so a pinned id re-used after a
-  drop never hits a stale entry -- up to ``_CACHE_ROWS`` AS rows.  Version-2
-  (one ``as_records`` row per AS) and version-1 files migrate on open;
+  drop never hits a stale entry -- up to ``_CACHE_ROWS`` AS rows;
+* **a digest per snapshot** (schema v4) -- ``snapshots.digest`` is the
+  32-byte sha256 of the snapshot's metadata row (its store-local
+  ``generation`` excepted), its column blob and its change set, kept on the
+  small metadata row rather than beside the blob.  It is the same on a
+  leader, its followers and a tiered store's cold tier.  Every read that
+  decodes a blob (a cache miss) and every :meth:`changes` read check it
+  first, and :meth:`verify` re-checks every row, so a changed byte raises
+  :class:`StoreError` instead of serving wrong history.  Version-3 (no
+  digest), version-2 (one ``as_records`` row per AS) and version-1 files
+  migrate on open;
 * **generation counter** -- every committed write bumps a monotonically
   increasing generation, which the HTTP server uses to key its read cache;
 * **generation-addressed changelog** -- every snapshot records the
@@ -41,6 +50,7 @@ serialised through a lock.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -48,12 +58,13 @@ import threading
 import zlib
 from collections import OrderedDict
 from contextlib import closing, contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.bgp.asn import ASN
-from repro.core.counters import class_code_indices
+from repro.core.classes import CLASS_CODES
+from repro.core.counters import ASCounters, class_code_indices
 from repro.core.thresholds import Thresholds
 from repro.service.backends.base import (
     ASHistoryEntry,
@@ -63,7 +74,6 @@ from repro.service.backends.base import (
     StoreError,
     _decode_columns,
     _encode_columns,
-    column_history_entry,
     require_current_epoch,
     require_valid_kind,
     require_valid_retention,
@@ -74,8 +84,9 @@ from repro.stream.engine import WindowSnapshot
 #: Version of the on-disk schema this module reads and writes.  Version 2
 #: added the per-snapshot commit ``generation`` column (replication feed),
 #: version 3 replaced the per-AS ``as_records`` rows with one column blob per
-#: snapshot; older files are migrated in place on open.
-SCHEMA_VERSION = 3
+#: snapshot, version 4 added the per-snapshot ``digest``; older files are
+#: migrated in place on open.
+SCHEMA_VERSION = 4
 
 #: Decoded column sets stay cached until they hold this many AS rows in all
 #: (41 bytes a row: ~43 MB at most per store object).
@@ -89,6 +100,9 @@ _BUCKET_BITS = 6
 #: SQLite's historic default variable cap is 999; retention prunes delete in
 #: chunks below it so one giant prune still batches instead of erroring.
 _DELETE_CHUNK = 500
+
+#: One snapshot's digest-checked columns and change set (a cache entry).
+Stored = Tuple[Columns, Dict[ASN, Tuple[str, str]]]
 
 
 # Individual statements (not one script) so initialisation can run them
@@ -107,7 +121,8 @@ _SCHEMA_STATEMENTS = (
         unique_tuples   INTEGER NOT NULL,
         algorithm       TEXT NOT NULL,
         thresholds      TEXT NOT NULL,
-        generation      INTEGER NOT NULL DEFAULT 0
+        generation      INTEGER NOT NULL DEFAULT 0,
+        digest          BLOB
     )
     """,
     "CREATE INDEX IF NOT EXISTS idx_snapshots_window_end ON snapshots (window_end)",
@@ -139,6 +154,40 @@ _SCHEMA_STATEMENTS = (
 )
 
 
+#: One snapshot as its digest covers it: the ``snapshots`` row (``generation``
+#: excepted), the column row count, then the digest, the blob and the change
+#: set (as JSON), read in one statement so a concurrent drop cannot tear it.
+_STORED = (
+    "SELECT s.id, s.kind, s.window_start, s.window_end, s.skipped_windows,"
+    " s.events_total, s.unique_tuples, s.algorithm, s.thresholds, c.rows, s.digest,"
+    " c.columns, (SELECT json_group_array(json_array(asn, old_code, new_code))"
+    " FROM changes WHERE snapshot_id = s.id)"
+    " FROM snapshots s LEFT JOIN snapshot_columns c ON c.snapshot_id = s.id"
+)
+
+
+def _digest(header: Sequence[object], blob: bytes, changes: Sequence[Sequence[object]]) -> bytes:
+    """The sha256 of one snapshot: *header* (``_STORED``'s leading columns), its
+    change set in ascending ASN order, and its column *blob*."""
+    text = json.dumps([list(header), sorted(changes)], separators=(",", ":"))
+    return hashlib.sha256(text.encode() + blob).digest()
+
+
+def _checked(row: Tuple[Any, ...]) -> Tuple[int, bytes, Dict[ASN, Tuple[str, str]]]:
+    """The row count, blob and change set of one ``_STORED`` row.
+
+    Raises :class:`StoreError` unless the row's digest matches what it holds.
+    """
+    *header, digest, blob, text = row
+    changes = sorted(json.loads(text))
+    if blob is None or digest != _digest(header, blob, changes):
+        raise StoreError(
+            f"snapshot {header[0]} does not match its digest: its columns, metadata"
+            " or change set changed after it was written"
+        )
+    return header[-1], blob, {asn: (old, new) for asn, old, new in changes}
+
+
 def _write_columns(
     connection: sqlite3.Connection, snapshot_id: int, asns: List[int], blob: bytes
 ) -> None:
@@ -165,10 +214,18 @@ class SnapshotStore(SnapshotBackend):
         path: Union[str, os.PathLike],
         *,
         retention: Optional[int] = None,
+        durable: bool = False,
     ) -> None:
+        """Open (creating if needed) the store at *path*.
+
+        *durable* fsyncs every commit (``PRAGMA synchronous=FULL``) instead
+        of at WAL checkpoints: a tiered store's cold tier, whose copy of a
+        snapshot must be on disk before the hot copy is dropped.
+        """
         require_valid_retention(retention)
         self.path = str(path)
         self.retention = retention
+        self._synchronous = "FULL" if durable else "NORMAL"
         self._write_lock = threading.Lock()
         self._local = threading.local()
         self._closed = False
@@ -180,7 +237,7 @@ class SnapshotStore(SnapshotBackend):
         # serialise reads through the write lock) so ":memory:" (what a
         # ``memory:`` store URL opens) is one database.
         self._shared: Optional[sqlite3.Connection] = None
-        self._column_cache: "OrderedDict[Tuple[int, int], Columns]" = OrderedDict()
+        self._column_cache: "OrderedDict[Tuple[int, int], Stored]" = OrderedDict()
         self._cached_rows = 0
         self._cache_lock = threading.Lock()
         # ``(generation, distinct ASes)`` of the last stats() scan.
@@ -197,8 +254,12 @@ class SnapshotStore(SnapshotBackend):
     # -- connection management ----------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
         connection = sqlite3.connect(self.path, check_same_thread=False)
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.DatabaseError as error:  # "file is not a database"
+            connection.close()
+            raise StoreError(f"store {self.path!r} is unreadable: {error}") from None
+        connection.execute(f"PRAGMA synchronous={self._synchronous}")
         with self._connections_lock:
             self._connections.append(connection)
         return connection
@@ -254,6 +315,8 @@ class SnapshotStore(SnapshotBackend):
                     self._migrate_v1(connection)
                 if version in (1, 2):
                     self._migrate_v2(connection)
+                if version in (1, 2, 3):
+                    self._migrate_v3(connection)
                 elif version != SCHEMA_VERSION:
                     raise StoreError(
                         f"store {self.path!r} has schema version {row[0]}, "
@@ -329,6 +392,24 @@ class SnapshotStore(SnapshotBackend):
             blob = _encode_columns(asns, codes, counters)
             _write_columns(connection, snapshot_id, asns, blob)
         connection.execute("DROP TABLE as_records")
+
+    @staticmethod
+    def _migrate_v3(connection: sqlite3.Connection) -> None:
+        """In-place migration of a version-3 file to the version-4 schema.
+
+        Every snapshot gets the digest of what it holds now, as an append
+        would have written it; the migration is the last step, so it sets
+        the schema version.
+        """
+        connection.execute("ALTER TABLE snapshots ADD COLUMN digest BLOB")
+        for (snapshot_id,) in connection.execute("SELECT id FROM snapshots").fetchall():
+            *header, _, blob, changes = connection.execute(
+                _STORED + " WHERE s.id = ?", (snapshot_id,)
+            ).fetchone()
+            connection.execute(
+                "UPDATE snapshots SET digest = ? WHERE id = ?",
+                (_digest(header, blob, json.loads(changes)), snapshot_id),
+            )
         connection.execute(
             "UPDATE meta SET value = ? WHERE key = 'schema_version'",
             (str(SCHEMA_VERSION),),
@@ -369,12 +450,13 @@ class SnapshotStore(SnapshotBackend):
     ) -> int:
         """Durably persist one snapshot; returns its snapshot id.
 
-        The snapshot metadata, the result's column blob, and the per-window
-        change set commit in a single transaction, and
-        the store generation is bumped with them: readers either see the
-        whole snapshot at a newer generation or none of it.  The committed
-        generation is recorded on the snapshot row, which is what makes the
-        store a generation-addressed changelog (:meth:`snapshots_since`).
+        The snapshot metadata, the result's column blob, the per-window
+        change set and the digest over all three commit in a single
+        transaction, and the store generation is bumped with them: readers
+        either see the whole snapshot at a newer generation or none of it.
+        The committed generation is recorded on the snapshot row, which is
+        what makes the store a generation-addressed changelog
+        (:meth:`snapshots_since`).
 
         With ``if_absent=True`` the append is idempotent per
         ``(kind, window_start, window_end)``: if the store already holds a
@@ -452,32 +534,33 @@ class SnapshotStore(SnapshotBackend):
                     "SELECT value FROM meta WHERE key = 'generation'"
                 ).fetchone()
                 generation = (int(row[0]) if row is not None else 0) + 1
+                header = [
+                    kind,
+                    snapshot.window_start,
+                    snapshot.window_end,
+                    snapshot.skipped_windows,
+                    snapshot.events_total,
+                    snapshot.unique_tuples,
+                    result.algorithm,
+                    json.dumps(result.thresholds.as_list()),
+                ]
                 cursor = connection.execute(
                     "INSERT INTO snapshots (id, kind, window_start, window_end,"
                     " skipped_windows, events_total, unique_tuples, algorithm,"
                     " thresholds, generation) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        snapshot_id,
-                        kind,
-                        snapshot.window_start,
-                        snapshot.window_end,
-                        snapshot.skipped_windows,
-                        snapshot.events_total,
-                        snapshot.unique_tuples,
-                        result.algorithm,
-                        json.dumps(result.thresholds.as_list()),
-                        generation,
-                    ),
+                    (snapshot_id, *header, generation),
                 )
                 snapshot_id = int(cursor.lastrowid or 0)
                 _write_columns(connection, snapshot_id, asns, blob)
+                changes = [(int(asn), old, new) for asn, (old, new) in snapshot.changed.items()]
                 connection.executemany(
                     "INSERT INTO changes (snapshot_id, asn, old_code, new_code)"
                     " VALUES (?, ?, ?, ?)",
-                    [
-                        (snapshot_id, int(asn), old, new)
-                        for asn, (old, new) in snapshot.changed.items()
-                    ],
+                    [(snapshot_id, *change) for change in changes],
+                )
+                connection.execute(
+                    "UPDATE snapshots SET digest = ? WHERE id = ?",
+                    (_digest([snapshot_id, *header, len(asns)], blob, changes), snapshot_id),
                 )
                 if self.retention is not None:
                     self._apply_retention(connection)
@@ -776,41 +859,41 @@ class SnapshotStore(SnapshotBackend):
 
     def _decoded(
         self, connection: sqlite3.Connection, snapshot_id: int, generation: int
-    ) -> Optional[Columns]:
-        """The decoded columns of one snapshot, through the column cache.
+    ) -> Optional[Stored]:
+        """The decoded columns and change set of one snapshot, through the cache.
 
         ``None`` when the snapshot no longer holds that commit *generation*:
         the blob is read together with the generation, so the columns always
         belong to the metadata the caller read, in a transaction or not.  A
-        hit moves the entry to the hot end; a miss evicts from the cold end
-        until it fits and goes in *at the cold end*, so a history walk
-        longer than the cache cycles through the cold slots instead of
-        flushing the entries other reads keep hitting.
+        miss checks the snapshot's digest before decoding (:class:`StoreError`
+        if it fails), so only checked snapshots enter the cache.  A hit moves
+        the entry to the hot end; a miss evicts from the cold end until it
+        fits and goes in *at the cold end*, so a history walk longer than the
+        cache cycles through the cold slots instead of flushing the entries
+        other reads keep hitting.
         """
         key = (snapshot_id, generation)
         with self._cache_lock:
-            columns = self._column_cache.get(key)
-            if columns is not None:
+            cached = self._column_cache.get(key)
+            if cached is not None:
                 self._column_cache.move_to_end(key)
-                return columns
-        stored = connection.execute(
-            "SELECT c.rows, c.columns FROM snapshot_columns c"
-            " JOIN snapshots s ON s.id = c.snapshot_id WHERE s.id = ? AND s.generation = ?",
-            (snapshot_id, generation),
+                return cached
+        row = connection.execute(
+            _STORED + " WHERE s.id = ? AND s.generation = ?", (snapshot_id, generation)
         ).fetchone()
-        if stored is None:
+        if row is None:
             return None
-        rows, blob = stored
-        columns = _decode_columns(rows, blob)
+        rows, blob, changed = _checked(row)
+        stored = (_decode_columns(rows, blob), changed)
         with self._cache_lock:
             if key not in self._column_cache:
                 while self._column_cache and self._cached_rows + rows > _CACHE_ROWS:
-                    _, evicted = self._column_cache.popitem(last=False)
+                    _, (evicted, _) = self._column_cache.popitem(last=False)
                     self._cached_rows -= len(evicted[0])
-                self._column_cache[key] = columns
+                self._column_cache[key] = stored
                 self._column_cache.move_to_end(key, last=False)
                 self._cached_rows += rows
-        return columns
+        return stored
 
     def load_snapshot(self, snapshot_id: int) -> WindowSnapshot:
         """Reconstruct the full :class:`WindowSnapshot` persisted under *snapshot_id*.
@@ -819,7 +902,8 @@ class SnapshotStore(SnapshotBackend):
         (hence shares), the observed-AS set, the algorithm, the thresholds,
         and the per-window change map all round-trip.  All reads happen in
         one transaction, so a snapshot pruned concurrently either loads
-        whole or raises :class:`StoreError` -- never a torn half.
+        whole or raises :class:`StoreError` -- never a torn half -- and so
+        does one that fails its digest.
         """
         with self._read_txn() as connection:
             row = connection.execute(
@@ -829,19 +913,21 @@ class SnapshotStore(SnapshotBackend):
             if row is None:
                 raise StoreError(f"no snapshot {snapshot_id} in {self.path!r}")
             meta = self._snapshot_from_row(row)
-            columns = self._decoded(connection, snapshot_id, meta.generation)
-            assert columns is not None  # one transaction: the row has its columns
-            changed = {
-                asn: (old, new)
-                for asn, old, new in connection.execute(self._CHANGES, (snapshot_id,))
-            }
-        return stored_window(meta, columns, changed)
-
-    _CHANGES = "SELECT asn, old_code, new_code FROM changes WHERE snapshot_id = ?"
+            stored = self._decoded(connection, snapshot_id, meta.generation)
+        assert stored is not None  # one transaction: the row has its columns
+        columns, changed = stored
+        return stored_window(meta, columns, dict(changed))
 
     def changes(self, snapshot_id: int) -> Dict[ASN, Tuple[str, str]]:
-        """The ``{asn: (old_code, new_code)}`` change set of one snapshot."""
-        return {asn: (old, new) for asn, old, new in self._rows(self._CHANGES, (snapshot_id,))}
+        """The ``{asn: (old_code, new_code)}`` change set of one snapshot
+        (empty for an unknown id).
+
+        Checked against the snapshot's digest on every call, without
+        decoding the columns: a churn scan over every snapshot neither pays
+        the decodes nor evicts the columns per-AS reads keep hitting.
+        """
+        row = self._row(_STORED + " WHERE s.id = ?", (snapshot_id,))
+        return {} if row is None else _checked(row)[2]
 
     # -- per-AS queries -----------------------------------------------------------------
     def as_history(self, asn: ASN, *, limit: Optional[int] = None) -> List[ASHistoryEntry]:
@@ -884,15 +970,34 @@ class SnapshotStore(SnapshotBackend):
             )
         ) as cursor:
             for snapshot_id, window_start, end, generation in cursor:
-                columns = self._decoded(connection, snapshot_id, generation)
-                if columns is None:
+                stored = self._decoded(connection, snapshot_id, generation)
+                if stored is None:
                     return None
-                entry = column_history_entry(columns, needle, snapshot_id, window_start, end)
-                if entry is not None:
-                    entries.append(entry)
+                asns, codes, counters = stored[0]
+                row = asns.searchsorted(needle)
+                if row < len(asns) and asns[row] == needle:
+                    code = CLASS_CODES[codes[row]]
+                    quad = ASCounters(*counters[:, row].tolist())
+                    entries.append(ASHistoryEntry(snapshot_id, window_start, end, code, quad))
                     if len(entries) == limit:
                         break
         return entries
+
+    def verify(self) -> List[str]:
+        """Re-check every snapshot against its digest; returns the problems.
+
+        An empty list means every snapshot's metadata row, column blob and
+        change set are what its append wrote.  Problems are collected, not
+        raised, so one bad snapshot does not hide the state of the others.
+        """
+        problems: List[str] = []
+        with self._read_txn() as connection:
+            for row in connection.execute(_STORED + " ORDER BY s.id"):
+                try:
+                    _checked(row)
+                except StoreError as error:
+                    problems.append(str(error))
+        return problems
 
     # -- statistics ---------------------------------------------------------------------
     def _distinct_ases(self, connection: sqlite3.Connection) -> int:
@@ -911,6 +1016,22 @@ class SnapshotStore(SnapshotBackend):
             self._distinct = (generation, len(seen))
         return self._distinct[1]
 
+    def size_bytes(self) -> int:
+        """Bytes of the store's files (0 in memory).
+
+        Under WAL the main file alone can understate on-disk size by the
+        whole uncheckpointed log; retention and replication-lag operations
+        read this number, so the sidecars count too.
+        """
+        size_bytes = 0
+        if self.path != ":memory:":
+            for path in (self.path, self.path + "-wal", self.path + "-shm"):
+                try:
+                    size_bytes += os.stat(path).st_size
+                except OSError:
+                    pass
+        return size_bytes
+
     def stats(self) -> Dict[str, object]:
         """Store-level statistics for ``/v1/stats`` and operations."""
         with self._read_txn() as connection:
@@ -918,16 +1039,6 @@ class SnapshotStore(SnapshotBackend):
                 "SELECT COUNT(*), COALESCE(SUM(rows), 0) FROM snapshot_columns"
             ).fetchone()
             distinct = self._distinct_ases(connection)
-        size_bytes = 0
-        if self.path != ":memory:":
-            # Under WAL the main file alone can understate on-disk size by
-            # the whole uncheckpointed log; retention and replication-lag
-            # operations read this number, so count the sidecars too.
-            for path in (self.path, self.path + "-wal", self.path + "-shm"):
-                try:
-                    size_bytes += os.stat(path).st_size
-                except OSError:
-                    pass
         return {
             "backend": "sqlite",
             "path": self.path,
@@ -937,7 +1048,7 @@ class SnapshotStore(SnapshotBackend):
             "as_records": records,
             "distinct_ases": distinct,
             "retention": self.retention,
-            "size_bytes": size_bytes,
+            "size_bytes": self.size_bytes(),
             "pruned_through": self.pruned_through(),
             "applied_generation": self.applied_generation(),
             "leader_epoch": self.leader_epoch(),

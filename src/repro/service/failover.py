@@ -33,7 +33,7 @@ from typing import Dict, Optional
 
 from repro.service.backends.base import FencedWriterError, SnapshotBackend
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.replication import DEFAULT_PAGE_SIZE, ReplicaSyncer
+from repro.service.replication import DEFAULT_PAGE_SIZE, ReplicaSyncer, ReplicationError
 
 __all__ = [
     "FencedWriterError",  # re-exported: the failover-facing name of the fence
@@ -86,8 +86,9 @@ def promote(
     With *leader_url* a final :meth:`~repro.service.replication.ReplicaSyncer.sync_once`
     drains whatever the old leader can still serve -- best effort, because
     the usual reason to promote is that the old leader is *dead*; an
-    unreachable leader is recorded in :attr:`PromotionReport.sync_error`
-    and promotion proceeds on the follower's converged state.  The epoch
+    unreachable leader, or one whose retention pruned its changelog past
+    this follower, is recorded in :attr:`PromotionReport.sync_error` and
+    promotion proceeds on the follower's state.  The epoch
     bump is the promotion: it commits durably before this function returns,
     after which appends stamped with the previous epoch raise
     :class:`FencedWriterError` on every backend.
@@ -100,7 +101,7 @@ def promote(
         syncer = ReplicaSyncer(client, store, page_size=page_size)
         try:
             report = syncer.sync_once()
-        except (ServiceError, OSError) as error:
+        except (ServiceError, OSError, ReplicationError) as error:
             sync_error = str(error)
         else:
             synced = True

@@ -193,7 +193,7 @@ class Route(NamedTuple):
 def _match_route(pattern: str, parts: List[str]) -> Optional[Dict[str, str]]:
     """Match normalized path segments against a route pattern.
 
-    Patterns are segment-literal except ``{name}`` placeholders, which
+    Pattern segments match literally, except ``{name}`` placeholders, which
     capture one segment into the returned params dict.  ``None``: no match.
     """
     expected = [segment for segment in pattern.split("/") if segment]

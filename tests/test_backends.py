@@ -13,15 +13,21 @@ add on top:
   byte-identically on a SQLite leader;
 * a tiered store serves windows beyond the retention cap byte-identically
   to what the hot store served before archival demoted them;
-* archive segments are checksummed, verifiable, and compactable, and a
-  second process's archive view picks up fresh demotions via refresh.
+* the cold store's digests catch a changed byte on every read and in
+  ``repro archive verify``, a demotion cut short re-demotes once, a second
+  process's view sees fresh demotions, and a directory of the older segment
+  archive is refused.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import sqlite3
 import threading
+import zlib
+from contextlib import closing
 
 import pytest
 
@@ -31,7 +37,6 @@ from repro.service import (
     ClassificationService,
     FencedWriterError,
     ReplicaSyncer,
-    SnapshotArchive,
     SnapshotStore,
     StoreError,
     TieredBackend,
@@ -39,8 +44,10 @@ from repro.service import (
     parse_store_url,
     snapshot_payload,
 )
-from repro.service.backends import archive as archive_module
-from repro.service.backends.base import RecordFormatError
+from repro.service.backends import ARCHIVE_DB, open_archive
+from repro.service.backends import base as base_module
+from repro.service.backends import sqlite as sqlite_module
+from repro.service.backends.base import snapshot_record
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
 from tests.store_oracle import ReferenceStore
 from tests.test_stream import observation
@@ -378,8 +385,65 @@ class TestHeterogeneousReplication:
 
 
 # ---------------------------------------------------------------------------------------
-# Tiered archive: beyond-retention serving and segment maintenance
+# Tiered archive: beyond-retention serving, the cold store's digests, demotion
 # ---------------------------------------------------------------------------------------
+class BlobSpy:
+    """Stands in for ``zlib`` in the store modules and records every blob
+    they decompress (column decodes and the distinct-AS scan alike)."""
+
+    compress = staticmethod(zlib.compress)
+
+    def __init__(self, monkeypatch):
+        self.blobs = []
+        for module in (base_module, sqlite_module):
+            monkeypatch.setattr(module, "zlib", self)
+
+    def decompress(self, blob, *args):
+        self.blobs.append(bytes(blob))
+        return zlib.decompress(blob, *args)
+
+    def decompressobj(self):
+        spy, inner = self, zlib.decompressobj()
+
+        class Recording:
+            def decompress(self, blob, *args):
+                spy.blobs.append(bytes(blob))
+                return inner.decompress(blob, *args)
+
+        return Recording()
+
+
+def cold_blobs(archive_dir):
+    """Every column blob in the cold store under *archive_dir*."""
+    with closing(sqlite3.connect(archive_dir / ARCHIVE_DB)) as connection:
+        return {blob for (blob,) in connection.execute("SELECT columns FROM snapshot_columns")}
+
+
+def flip_one_byte(value):
+    """*value* (text or blob) with the low bit of its middle byte flipped."""
+    raw = bytearray(value.encode() if isinstance(value, str) else value)
+    raw[len(raw) // 2] ^= 1
+    return raw.decode() if isinstance(value, str) else bytes(raw)
+
+
+#: Per corrupted field: read one cold snapshot's value (plus the rest of its
+#: row key), then write it back with one byte flipped.
+FLIPS = {
+    "columns": (
+        "SELECT columns FROM snapshot_columns WHERE snapshot_id = ?",
+        "UPDATE snapshot_columns SET columns = ? WHERE snapshot_id = ?",
+    ),
+    "kind": (
+        "SELECT kind FROM snapshots WHERE id = ?",
+        "UPDATE snapshots SET kind = ? WHERE id = ?",
+    ),
+    "new_code": (
+        "SELECT new_code, asn FROM changes WHERE snapshot_id = ? ORDER BY asn LIMIT 1",
+        "UPDATE changes SET new_code = ? WHERE snapshot_id = ? AND asn = ?",
+    ),
+}
+
+
 class TestTieredArchive:
     def test_beyond_retention_reads_are_byte_identical(self, tmp_path):
         """The acceptance criterion: a window older than the cap serves the
@@ -416,8 +480,8 @@ class TestTieredArchive:
                 tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
             ) as worker:
                 assert len(worker) == 3
-                # ... sees later demotions: the hot generation moves, so the
-                # tiered view re-scans the archive tail.
+                # ... sees later demotions: each read is a fresh WAL read
+                # of both stores.
                 for snapshot in snapshots[3:]:
                     producer.append_snapshot(snapshot)
                 assert len(worker) == 5
@@ -426,95 +490,103 @@ class TestTieredArchive:
                         snapshot_payload(snapshots[index])
                     )
 
-    @pytest.mark.parametrize("field", ["columns", "kind"])
-    def test_archive_verify_detects_corruption(self, tmp_path, field):
-        """One character flipped inside the record -- in the base64 column
-        blob or in the metadata -- fails the checksum on every read."""
+    @pytest.mark.parametrize("field", sorted(FLIPS))
+    def test_archive_verify_detects_corruption(self, tmp_path, field, capsys):
+        """One byte flipped in the cold copy of a snapshot -- in its column
+        blob, its metadata or its change set -- fails that snapshot's digest:
+        ``verify()`` and ``repro archive verify`` report it, and every cold
+        read of it raises."""
         with open_store(
             tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
         ) as store:
             for snapshot in build_snapshots(3):
                 store.append_snapshot(snapshot)
-        archive = SnapshotArchive(tmp_path / "cold")
-        assert archive.verify() == []
-        segment = tmp_path / "cold" / archive.segments()[0]["segment"]
-        raw = bytearray(segment.read_bytes())
-        flip = raw.index(f'"{field}":"'.encode()) + len(field) + 8  # inside the value
-        raw[flip] = ord("A") if raw[flip] != ord("A") else ord("B")
-        segment.write_bytes(bytes(raw))
-        corrupted = SnapshotArchive(tmp_path / "cold")
-        (problem,) = corrupted.verify()
-        assert "checksum mismatch" in problem
-        first = corrupted.ids()[0]
-        with pytest.raises(StoreError, match="checksum mismatch"):
-            corrupted.load(first)
+            first = store.cold.snapshots()[0].snapshot_id
+            assert store.cold.verify() == []
+        select, update = FLIPS[field]
+        with closing(sqlite3.connect(tmp_path / "cold" / ARCHIVE_DB)) as connection:
+            with connection:
+                value, *key = connection.execute(select, (first,)).fetchone()
+                connection.execute(update, (flip_one_byte(value), first, *key))
         with open_store(tmp_path / "hot.db", archive_dir=tmp_path / "cold") as tiered:
-            with pytest.raises(StoreError, match="checksum mismatch"):
-                tiered.load_snapshot(first)
+            (problem,) = tiered.cold.verify()
+            assert f"snapshot {first} does not match its digest" in problem
+            for read in (tiered.load_snapshot, tiered.changes):
+                with pytest.raises(StoreError, match="does not match its digest"):
+                    read(first)
+            with pytest.raises(StoreError, match="does not match its digest"):
+                tiered.as_history(20)
+        assert main(["archive", str(tmp_path / "cold"), "verify"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"error: snapshot {first} does not match its digest")
+        assert len(err) == 2
 
-    def test_segment_counts_follow_append_refresh_and_compact(self, tmp_path, monkeypatch):
-        """Where an append goes is decided by a per-segment count, not a scan:
-        it must agree with the lines on disk in the writer and in a second
-        reader, across segment roll-overs and a compaction."""
-
-        def assert_counts_match_lines(archive):
-            segments = archive.segments()
-            for segment in segments:
-                lines = (archive.root / segment["segment"]).read_bytes().count(b"\n")
-                assert segment["records"] == lines, segment
-            assert sum(segment["records"] for segment in segments) == len(archive)
-
-        monkeypatch.setattr(archive_module, "SEGMENT_RECORDS", 3)
-        snapshots = build_snapshots(11)
-        archive = SnapshotArchive(tmp_path / "cold")
-        with open_store(tmp_path / "hot.db") as hot:
-            tiered = TieredBackend(hot, archive, retention=1)
-            for snapshot in snapshots[:3]:
+    def test_crash_between_append_and_drop_redemotes_once(self, tmp_path, monkeypatch):
+        """A demotion that copied a snapshot into the cold store but died
+        before dropping the hot copy is finished by the next demotion: the
+        re-append under the pinned id writes nothing, and every snapshot
+        ends up once, in one tier, with its bytes."""
+        snapshots = build_snapshots(4)
+        with open_store(
+            tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
+        ) as tiered:
+            for snapshot in snapshots[:2]:
                 tiered.append_snapshot(snapshot)
-            reader = SnapshotArchive(tmp_path / "cold")
-            for snapshot in snapshots[3:9]:
-                tiered.append_snapshot(snapshot)
-            assert [segment["records"] for segment in archive.segments()] == [3, 3, 2]
-            reader.refresh()
-            for view in (archive, reader):
-                assert_counts_match_lines(view)
-            monkeypatch.setattr(archive_module, "SEGMENT_RECORDS", 5)
-            archive.compact()
-            assert [segment["records"] for segment in archive.segments()] == [5, 3]
-            assert_counts_match_lines(archive)
-            for snapshot in snapshots[9:]:
-                tiered.append_snapshot(snapshot)
-            assert [segment["records"] for segment in archive.segments()] == [5, 5]
-            assert_counts_match_lines(archive)
-            assert SnapshotArchive(tmp_path / "cold").segments() == archive.segments()
 
-    def test_truncated_tail_is_tolerated_and_rearchived(self, tmp_path):
+            def crash(snapshot_id):
+                raise RuntimeError(f"killed before dropping hot snapshot {snapshot_id}")
+
+            monkeypatch.setattr(tiered.hot, "drop_snapshot", crash)
+            with pytest.raises(RuntimeError, match="killed"):
+                tiered.append_snapshot(snapshots[2])
+            assert [meta.snapshot_id for meta in tiered.cold.snapshots()] == [1, 2]
+            assert [meta.snapshot_id for meta in tiered.hot.snapshots()] == [2, 3]
+            cold_generation = tiered.cold.generation()
+        with open_store(
+            tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
+        ) as reopened:
+            reopened.append_snapshot(snapshots[3])
+            assert [meta.snapshot_id for meta in reopened.cold.snapshots()] == [1, 2, 3]
+            assert [meta.snapshot_id for meta in reopened.hot.snapshots()] == [4]
+            # Snapshot 2's second append wrote nothing; snapshot 3's did.
+            assert reopened.cold.generation() == cold_generation + 1
+            assert reopened.cold.verify() == []
+            assert len(reopened) == 4
+            for meta, snapshot in zip(reopened.snapshots(), snapshots):
+                assert snapshot_payload(reopened.load_snapshot(meta.snapshot_id)) == (
+                    snapshot_payload(snapshot)
+                )
+
+    def test_cold_history_of_an_absent_as_decodes_no_blob(self, tmp_path, monkeypatch):
+        """An AS the archive never held costs the cold store's index probe,
+        not a decode of every archived snapshot."""
         with open_store(
             tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
         ) as store:
-            for snapshot in build_snapshots(3):
+            for snapshot in build_snapshots(6):
                 store.append_snapshot(snapshot)
-        archive = SnapshotArchive(tmp_path / "cold")
-        complete = len(archive)
-        segment = tmp_path / "cold" / archive.segments()[-1]["segment"]
-        raw = segment.read_bytes()
-        segment.write_bytes(raw[: len(raw) - 20])  # crash mid-append
-        reopened = SnapshotArchive(tmp_path / "cold")
-        assert len(reopened) == complete - 1
-        assert reopened.verify() == []
+        with open_store(tmp_path / "hot.db", archive_dir=tmp_path / "cold") as tiered:
+            spy = BlobSpy(monkeypatch)
+            assert tiered.as_history(9999, limit=10) == []
+            assert spy.blobs == []
+            assert len(tiered.as_history(20, limit=10)) == 6  # present: the 5 cold decode
+            assert len(set(spy.blobs) & cold_blobs(tmp_path / "cold")) == 5
 
-    def test_compact_coalesces_segments(self, tmp_path):
-        archive = SnapshotArchive(tmp_path / "cold")
-        with open_store(tmp_path / "hot.db") as hot:
-            tiered = TieredBackend(hot, archive, retention=1)
-            for snapshot in build_snapshots(5):
+    def test_stats_after_a_demotion_decodes_no_cold_blob(self, tmp_path, monkeypatch):
+        with open_store(
+            tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
+        ) as tiered:
+            for snapshot in build_snapshots(4):
                 tiered.append_snapshot(snapshot)
-            before_ids = archive.ids()
-            archive.compact()
-            assert archive.verify() == []
-            assert archive.ids() == before_ids
-            for snapshot_id in before_ids:
-                archive.load(snapshot_id)
+            spy = BlobSpy(monkeypatch)
+            stats = tiered.stats()
+            assert spy.blobs  # the hot tier's distinct-AS count did run
+            assert not set(spy.blobs) & cold_blobs(tmp_path / "cold")
+        assert stats["snapshots"] == 4 and stats["hot"]["snapshots"] == 1
+        assert set(stats["archive"]) == {"path", "snapshots", "size_bytes"}
+        assert stats["archive"]["snapshots"] == 3
+        assert stats["archive"]["path"] == str(tmp_path / "cold" / ARCHIVE_DB)
+        assert stats["archive"]["size_bytes"] > 0
 
     def test_archive_cli(self, tmp_path, capsys):
         with open_store(
@@ -523,53 +595,43 @@ class TestTieredArchive:
             for snapshot in build_snapshots(3):
                 store.append_snapshot(snapshot)
         assert main(["archive", str(tmp_path / "cold"), "list"]) == 0
-        assert "2 archived snapshots" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2 archived snapshots" in out and "ids 1..2" in out
         assert main(["archive", str(tmp_path / "cold"), "verify"]) == 0
         assert ": OK" in capsys.readouterr().out
         assert main(["archive", str(tmp_path / "cold"), "compact"]) == 0
+        assert main(["archive", str(tmp_path / "cold"), "verify"]) == 0
         assert main(["archive", str(tmp_path / "missing"), "verify"]) == 1
 
 
-#: A segment line verbatim as the archive wrote it before snapshot records
-#: (format 2): the record nested the per-AS wire payload.
-PAYLOAD_LINE = (
-    '{"record":{"generation":1,"kind":"window","payload":{"algorithm":"column","ases":{"10":'
-    '{"code":"tn","counters":{"cleaner":0,"forward":0,"silent":0,"tagger":1},"shares":'
-    '{"cleaner":0.0,"forward":0.0,"silent":0.0,"tagger":1.0}},"20":{"code":"sn","counters":'
-    '{"cleaner":0,"forward":0,"silent":1,"tagger":0},"shares":{"cleaner":0.0,"forward":0.0,'
-    '"silent":1.0,"tagger":0.0}}},"changed":{"10":["nn","tn"],"20":["nn","sn"]},'
-    '"events_total":2,"skipped_windows":0,"summary":{"ases_observed":2,"changed_ases":2,'
-    '"cleaner":0,"events_total":2,"forward":0,"forwarding_none":2,"forwarding_undecided":0,'
-    '"full_sc":0,"full_sf":0,"full_tc":0,"full_tf":0,"silent":1,"tagger":1,"tagging_none":0,'
-    '"tagging_undecided":0,"unique_tuples":2,"window_end":100,"window_start":0},'
-    '"unique_tuples":2,"window_end":100,"window_start":0},"snapshot_id":1,'
-    '"thresholds":[0.99,0.99,0.99,0.99]},'
-    '"sha256":"39c8217eed157eb16cc17950c1c0f7478abc998d21c4f4b9b29779e8ae98c88c"}\n'
-)
-
-
-class TestOlderArchiveFormat:
-    """An archive line without ``"format": 2`` is refused, never read."""
+class TestSegmentDirectoryRefused:
+    """A directory of the older JSON-lines segment archive is refused, never read."""
 
     @pytest.fixture()
     def older(self, tmp_path):
-        """A hot store plus an archive whose second line is in the older format."""
-        with open_store(tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold") as store:
+        """A hot store plus an archive directory holding one segment file, a
+        line of the last segment format (a format-2 record and its sha256)."""
+        with SnapshotStore(tmp_path / "hot.db") as store:
             for snapshot in build_snapshots(2):
                 store.append_snapshot(snapshot)
-        (segment,) = (tmp_path / "cold").glob("segment-*.jsonl")
-        offset = segment.stat().st_size
-        with open(segment, "a") as handle:
-            handle.write(PAYLOAD_LINE)
-        where = f"archive line in {segment.name} at byte {offset}: snapshot record format None"
-        return tmp_path, where
+            record = snapshot_record(store.get(1), store.load_snapshot(1))
+        canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        line = {"record": record, "sha256": hashlib.sha256(canonical.encode()).hexdigest()}
+        (tmp_path / "cold").mkdir()
+        segment = tmp_path / "cold" / "segment-000001.jsonl"
+        segment.write_text(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+        return tmp_path, f"archive directory {tmp_path / 'cold'} holds {segment.name}"
 
-    def test_opening_the_archive_names_segment_offset_and_format(self, older):
+    def test_opening_the_archive_names_the_segment_file(self, older):
         tmp_path, where = older
-        with pytest.raises(RecordFormatError) as excinfo:
-            SnapshotArchive(tmp_path / "cold")
-        assert str(excinfo.value).startswith(where)
-        assert isinstance(excinfo.value, StoreError)
+        for opening in (
+            lambda: open_archive(tmp_path / "cold"),
+            lambda: open_store(tmp_path / "hot.db", archive_dir=tmp_path / "cold"),
+        ):
+            with pytest.raises(StoreError) as excinfo:
+                opening()
+            assert str(excinfo.value).startswith(where)
+        assert not (tmp_path / "cold" / ARCHIVE_DB).exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -585,3 +647,32 @@ class TestOlderArchiveFormat:
         assert main([arg.format(**paths) for arg in argv]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {where}")
+
+
+class TestUnreadableStoreFile:
+    """A store or archive file that is not a SQLite database is one
+    ``error:`` line, also when workers would open it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["archive", "{cold}", "verify"],
+         ["serve", "--store", "{garbage}", "--port", "0"],
+         ["serve", "--store", "{garbage}", "--port", "0", "--http-workers", "2"],
+         ["serve", "--store", "{hot}", "--archive-dir", "{cold}", "--port", "0",
+          "--http-workers", "2"]],
+        ids=["archive-verify", "serve", "serve-fleet", "serve-fleet-archive"],
+    )
+    def test_cli_prints_one_error_line(self, tmp_path, argv, capsys):
+        with SnapshotStore(tmp_path / "hot.db") as store:
+            store.append_snapshot(build_snapshots(1)[0])
+        (tmp_path / "cold").mkdir()
+        for garbage in (tmp_path / "garbage.db", tmp_path / "cold" / ARCHIVE_DB):
+            garbage.write_bytes(b"not a database " * 400)
+        paths = {
+            name: str(path)
+            for name, path in (("cold", tmp_path / "cold"), ("hot", tmp_path / "hot.db"),
+                               ("garbage", tmp_path / "garbage.db"))
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: store '") and "is unreadable" in line

@@ -168,7 +168,7 @@ def test_cache_stays_within_its_row_bound(location, monkeypatch):
             reference.append_snapshot(snapshot)
             assert_same_reads(store, reference)
             cached = store._column_cache.values()
-            assert store._cached_rows == sum(len(columns[0]) for columns in cached)
+            assert store._cached_rows == sum(len(columns[0]) for columns, _ in cached)
             assert store._cached_rows <= 12 or len(store._column_cache) == 1
     finally:
         store.close()
@@ -321,7 +321,7 @@ def test_concurrent_readers_keep_the_cache_consistent(location, monkeypatch):
         reference.close()
     assert failures == []
     cached = store._column_cache.values()
-    assert store._cached_rows == sum(len(columns[0]) for columns in cached)
+    assert store._cached_rows == sum(len(columns[0]) for columns, _ in cached)
 
 
 def test_one_blob_per_snapshot_and_no_per_as_rows(tmp_path):
@@ -330,7 +330,7 @@ def test_one_blob_per_snapshot_and_no_per_as_rows(tmp_path):
     with SnapshotStore(tmp_path / "layout.db") as store:
         for snapshot in snapshots:
             store.append_snapshot(snapshot)
-        assert store.stats()["schema_version"] == 3
+        assert store.stats()["schema_version"] == 4
     connection = sqlite3.connect(tmp_path / "layout.db")
     try:
         tables = {name for (name,) in connection.execute("SELECT name FROM sqlite_master")}

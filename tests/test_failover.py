@@ -200,6 +200,33 @@ class TestPromote:
         with SnapshotStore(store_path) as replica:
             assert replica.leader_epoch() == 1
 
+    def test_cli_promote_past_a_pruned_changelog_warns_but_promotes(self, tmp_path, capsys):
+        """A follower the leader's retention overtook cannot finish the final
+        sync (``ReplicationError``); promotion still proceeds on its state."""
+        from repro.cli import main
+
+        store_path = tmp_path / "replica.db"
+        snapshots = build_snapshots(4)
+        with SnapshotStore(tmp_path / "leader.db", retention=1) as leader:
+            leader.append_snapshot(snapshots[0])
+            with ClassificationServer(leader) as server:
+                server.start()
+                with SnapshotStore(store_path) as replica, ServiceClient(server.url) as client:
+                    assert ReplicaSyncer(client, replica).sync_once().applied == 1
+                for snapshot in snapshots[1:]:
+                    leader.append_snapshot(snapshot)
+                rc = main(["replicate", "--from", server.url, "--store", str(store_path),
+                           "--promote"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        import json
+
+        outcome = json.loads(captured.out)
+        assert not outcome["synced"] and "pruned its changelog" in outcome["sync_error"]
+        assert "warning: final sync" in captured.err and "promoted" in captured.err
+        with SnapshotStore(store_path) as replica:
+            assert replica.leader_epoch() == 1 and len(replica) == 1
+
     def test_kill_leader_promote_fence_round_trip(self, tmp_path, make_store):
         """The full story: follower syncs, leader dies, follower is
         promoted, and the stale syncer pulling the resurrected old leader

@@ -6,7 +6,8 @@ payloads, exactly-once resume after a mid-sync kill, explicit errors when
 leader retention outruns a lagging follower, bootstrap of an empty follower
 from an already-pruned leader), the schema v1 -> v2 migration the
 generation column required, the schema v2 -> v3 migration to one column
-blob per snapshot, and the ``repro replicate`` CLI wiring.
+blob per snapshot, the v3 -> v4 migration that adds each snapshot's digest,
+and the ``repro replicate`` CLI wiring.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     SnapshotStore,
-    SnapshotArchive,
     StoreError,
     TieredBackend,
     attach_store,
@@ -277,7 +277,7 @@ class TestReplicationEndpoint:
 class TestRecordRoundTrip:
     def test_thresholds_keep_their_wire_form_everywhere(self, tmp_path):
         """``[tagger, silent, forward, cleaner]`` in the stored row, the
-        archive line and the replication page, read back field by field."""
+        cold tier's row and the replication page, read back field by field."""
         thresholds = Thresholds(tagger=0.6, silent=0.7, forward=0.8, cleaner=0.9)
         engine = StreamEngine(
             StreamConfig(window=WindowSpec(size=100), thresholds=thresholds)
@@ -292,10 +292,9 @@ class TestRecordRoundTrip:
             with sqlite3.connect(tmp_path / "leader.db") as raw:
                 rows = raw.execute("SELECT thresholds FROM snapshots").fetchall()
             assert rows == [("[0.6, 0.7, 0.8, 0.9]",)]
-            (segment,) = (tmp_path / "cold").glob("segment-*.jsonl")
-            lines = segment.read_bytes().splitlines()
-            assert len(lines) == len(engine.snapshots) - 1
-            assert all(b'"thresholds":[0.6,0.7,0.8,0.9]' in line for line in lines)
+            with sqlite3.connect(tmp_path / "cold" / "archive.db") as raw:
+                rows = raw.execute("SELECT thresholds FROM snapshots").fetchall()
+            assert rows == [("[0.6, 0.7, 0.8, 0.9]",)] * (len(engine.snapshots) - 1)
             hot = store.snapshots_since(0)
             page = ClassificationService(store).handle("/v1/replication/changes")
             assert page.body.count(b'"thresholds":[0.6,0.7,0.8,0.9]') == len(hot)
@@ -305,7 +304,7 @@ class TestRecordRoundTrip:
                 assert ReplicaSyncer(client, replica).sync_once().applied == len(hot)
                 copied = replica.snapshots()
         with open_store(tmp_path / "leader.db", archive_dir=tmp_path / "cold") as reopened:
-            stored = reopened.snapshots()  # the cold ones decoded from their lines
+            stored = reopened.snapshots()  # the cold ones read from the cold store
         assert len(stored) == len(engine.snapshots)
         assert {meta.thresholds for meta in stored + copied} == {thresholds}
 
@@ -315,7 +314,7 @@ class TestRecordRoundTrip:
     @example(stored=make_stored([0, 7, 2**32 - 1], [EDGE_QUAD] * 3, EDGE_THRESHOLDS, EDGE_CHANGES))
     def test_snapshot_from_record_inverts_snapshot_record(self, stored):
         meta, snapshot = stored
-        # Through a JSON round trip, like an archive line or a page does it.
+        # Through a JSON round trip, like a replication page does it.
         record = json.loads(json.dumps(snapshot_record(meta, snapshot)))
         rebuilt_meta, rebuilt = snapshot_from_record(record)
         assert rebuilt_meta == meta
@@ -325,7 +324,8 @@ class TestRecordRoundTrip:
 
 class TestOneEncoding:
     """A hot leader, a follower synced through the changelog and the cold
-    tier after demotion serve the same bytes on every read endpoint."""
+    tier after demotion serve the same bytes on every read endpoint, and
+    hold the same digest for every snapshot."""
 
     EDGES = (0, 7, 2**32 - 1)
     THRESHOLDS = Thresholds(0.6, 0.7, 0.8, 0.95)
@@ -360,13 +360,19 @@ class TestOneEncoding:
                 replicated = ClassificationService(follower)
                 for target in targets:
                     assert replicated.handle(target).body == hot[target].body, target
-            tiered = TieredBackend(leader, SnapshotArchive(tmp_path / "cold"))
-            for meta in leader.snapshots():
+            digests = _digests(tmp_path / "leader.db")
+            assert len(set(digests)) == len(snapshots)
+            assert _digests(tmp_path / "follower.db") == digests
+            tiered = TieredBackend(leader, tmp_path / "cold")
+            # Newest first: the cold store's own commit generations then differ
+            # from the leader's, which the (store-local) digest must not cover.
+            for meta in reversed(leader.snapshots()):
                 assert tiered.drop_snapshot(meta.snapshot_id)
             assert len(leader) == 0 and len(tiered) == len(snapshots)
             cold = ClassificationService(tiered)
             for target in targets:
                 assert cold.handle(target).body == hot[target].body, target
+            assert _digests(tmp_path / "cold" / "archive.db") == digests
         history = json.loads(hot["/v1/as/4294967295?history=10"].body)["history"]
         assert [entry["counters"]["cleaner"] for entry in history] == [15, 10, 5, 0]
 
@@ -582,7 +588,7 @@ class TestReplicaSyncer:
 
 
 # ---------------------------------------------------------------------------------------
-# Schema migration (v1 -> v2 -> v3)
+# Schema migration (v1 -> v2 -> v3 -> v4)
 # ---------------------------------------------------------------------------------------
 def _open_store_process(path, results):
     """Child-process entry: open (and possibly migrate) one store path.
@@ -711,7 +717,7 @@ def _fabricate_v2(path, snapshots):
 
 
 def _assert_columnar(path):
-    """The file at *path* is schema 3: column blobs, no per-AS table left."""
+    """The file at *path* is schema 4: column blobs, no per-AS table left."""
     connection = sqlite3.connect(path)
     try:
         names = {name for (name,) in connection.execute("SELECT name FROM sqlite_master")}
@@ -720,7 +726,7 @@ def _assert_columnar(path):
         ).fetchone()
     finally:
         connection.close()
-    assert version == ("3",)
+    assert version == ("4",)
     assert "snapshot_columns" in names
     assert not names & {"as_records", "idx_as_records_asn"}
 
@@ -798,7 +804,7 @@ class TestSchemaMigration:
         path = tmp_path / "legacy.db"
         self._fabricate_v1(path)
         with SnapshotStore(path) as migrated:
-            assert migrated.stats()["schema_version"] == 3
+            assert migrated.stats()["schema_version"] == 4
             assert [entry.snapshot_id for entry in migrated.as_history(10)] == [3, 2, 1]
         _assert_columnar(path)
 
@@ -837,7 +843,7 @@ class TestSchemaMigration:
             for suffix in ("", "?history=1", "?history=3", "?history=9")
         ]
         with SnapshotStore(path) as migrated:
-            assert migrated.stats()["schema_version"] == 3
+            assert migrated.stats()["schema_version"] == 4
             ours, theirs = ClassificationService(migrated), ClassificationService(reference)
             for target in targets:
                 got, want = ours.handle(target), theirs.handle(target)
@@ -870,6 +876,40 @@ class TestSchemaMigration:
             for index, snapshot in enumerate(snapshots, start=1):
                 loaded = migrated.load_snapshot(index)
                 assert snapshot_payload(loaded) == snapshot_payload(snapshot)
+
+    def test_v3_store_migrates_to_digests_verify_accepts(self, tmp_path):
+        """A version-3 file (this layout without ``snapshots.digest``) gets,
+        on open, the digests an append writes, and ``verify()`` accepts them."""
+        snapshots = _v2_snapshots()
+        for name in ("v3.db", "v4.db"):
+            with SnapshotStore(tmp_path / name) as store:
+                for snapshot in snapshots:
+                    store.append_snapshot(snapshot)
+        connection = sqlite3.connect(tmp_path / "v3.db")
+        with connection:
+            connection.execute("ALTER TABLE snapshots DROP COLUMN digest")
+            connection.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
+        connection.close()
+        with SnapshotStore(tmp_path / "v3.db") as migrated:
+            assert migrated.stats()["schema_version"] == 4
+            assert migrated.verify() == []
+            for index, snapshot in enumerate(snapshots, start=1):
+                assert snapshot_payload(migrated.load_snapshot(index)) == snapshot_payload(
+                    snapshot
+                )
+        assert _digests(tmp_path / "v3.db") == _digests(tmp_path / "v4.db")
+        assert len(set(_digests(tmp_path / "v4.db"))) == len(snapshots)
+        _assert_columnar(tmp_path / "v3.db")
+
+
+def _digests(path):
+    """Every snapshot's stored digest in *path*, by ascending id."""
+    connection = sqlite3.connect(path)
+    try:
+        rows = connection.execute("SELECT digest FROM snapshots ORDER BY id")
+        return [digest for (digest,) in rows]
+    finally:
+        connection.close()
 
 
 # ---------------------------------------------------------------------------------------
