@@ -43,7 +43,7 @@ import socket
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple, cast
 
 from repro.collectors.archive import read_mrt_files
 from repro.core.column import ColumnInference
@@ -389,20 +389,26 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"error: --http-workers {args.http_workers}: {error}", file=sys.stderr)
             return 1
+    try:
+        client = ServiceClient(args.source, token=auth_token)
+    except ValueError as error:
+        # Refused before the store is opened: a typo creates no store file.
+        print(f"error: --from: {error}", file=sys.stderr)
+        return 1
     with ExitStack() as stack:
+        stack.enter_context(client)
         store = stack.enter_context(
             open_store(args.store, retention=args.retention, archive_dir=args.archive_dir)
+        )
+        syncer = ReplicaSyncer(
+            client, store, page_size=args.page_size, follower=args.follower
         )
         if args.promote:
             # Failover: fast-forward from the (possibly dead) leader on a
             # best-effort basis, then bump the fencing epoch so appends from
             # the deposed leader's epoch raise FencedWriterError here.
-            outcome = promote(
-                store,
-                leader_url=args.source,
-                token=auth_token,
-                page_size=args.page_size,
-            )
+            outcome = promote(store, syncer)
+            client.close()  # the deposed leader is fenced from here on, not polled
             print(_json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
             if outcome.sync_error is not None:
                 print(
@@ -427,10 +433,6 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                 )
                 _run_until_interrupted(server.serve_forever)
             return 0
-        client = stack.enter_context(ServiceClient(args.source, token=auth_token))
-        syncer = ReplicaSyncer(
-            client, store, page_size=args.page_size, follower=args.follower
-        )
 
         def report(sync) -> None:
             print(
@@ -514,14 +516,35 @@ def cmd_archive(args: argparse.Namespace) -> int:
     return 0
 
 
+#: What each operand-taking ``query`` target needs (all integers).
+_QUERY_OPERANDS = {"as": "an AS number", "window": "a window end", "diff": "a window end"}
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     """``query``: ask a running service and print the JSON response."""
+    import http.client
     import json as _json
 
     from repro.service import ServiceClient, ServiceError
     from repro.service.auth import resolve_token
 
-    with ServiceClient(args.url, token=resolve_token(args.auth_token)) as client:
+    operand: Optional[int] = None
+    needs = f"error: 'query URL {args.what}' needs {_QUERY_OPERANDS.get(args.what)}"
+    if args.arg is not None and args.what in _QUERY_OPERANDS:
+        try:
+            operand = int(args.arg)
+        except ValueError:
+            print(f"{needs}, got {args.arg!r}", file=sys.stderr)
+            return 2
+    if operand is None and args.what in ("as", "window"):
+        print(needs, file=sys.stderr)
+        return 2
+    try:
+        client = ServiceClient(args.url, token=resolve_token(args.auth_token))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    with client:
         try:
             if args.what == "metrics":
                 # Prometheus exposition text, not JSON: print it verbatim.
@@ -534,20 +557,16 @@ def cmd_query(args: argparse.Namespace) -> int:
             elif args.what == "stats":
                 payload = client.stats()
             elif args.what == "diff":
-                window = int(args.arg) if args.arg is not None else None
-                payload = client.diff(window_end=window)
+                payload = client.diff(window_end=operand)
             elif args.what == "as":
-                if args.arg is None:
-                    print("error: 'query URL as' needs an AS number", file=sys.stderr)
-                    return 2
-                payload = client.as_info(int(args.arg), history=args.history)
+                payload = client.as_info(cast(int, operand), history=args.history)
             else:  # window
-                if args.arg is None:
-                    print("error: 'query URL window' needs a window end", file=sys.stderr)
-                    return 2
-                payload = client.snapshot(int(args.arg))
+                payload = client.snapshot(cast(int, operand))
         except ServiceError as error:
             print(f"error: {error}", file=sys.stderr)
+            return 1
+        except (OSError, http.client.HTTPException) as error:
+            print(f"error: {args.url}: {error}", file=sys.stderr)
             return 1
     print(_json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -555,15 +574,18 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_show(args: argparse.Namespace) -> int:
     """``show``: inspect an exported classification database."""
-    text = Path(args.database).read_text()
     try:
+        text = Path(args.database).read_text(encoding="utf-8")
         database = (
             ClassificationDatabase.from_json(text)
             if text.lstrip().startswith(("[", "{"))
             else ClassificationDatabase.loads(text)
         )
-    except ValueError as error:
-        print(f"error: {args.database}: {error}", file=sys.stderr)
+    except (OSError, ValueError) as error:
+        # OSError: a missing file or a directory; ValueError: non-UTF-8
+        # bytes (UnicodeDecodeError) or any malformed-database reason.
+        reason = error.strerror if isinstance(error, OSError) else error
+        print(f"error: {args.database}: {reason}", file=sys.stderr)
         return 1
     if args.asn is not None:
         record = database.get(args.asn)
@@ -760,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replicate.add_argument(
         "--page-size",
-        type=int,
+        type=_positive_int,
         default=64,
         help="snapshots fetched per changelog page (default: 64)",
     )

@@ -28,7 +28,6 @@ from repro.eval.characterization import (
     peer_community_types,
 )
 from repro.eval.peering import PeeringExperiment, PeeringValidationResult
-from repro.eval.report import ASReport, build_as_report, summarize_run
 
 __all__ = [
     "ConfusionMatrix",
@@ -44,7 +43,4 @@ __all__ = [
     "peer_community_types",
     "PeeringExperiment",
     "PeeringValidationResult",
-    "ASReport",
-    "build_as_report",
-    "summarize_run",
 ]

@@ -28,11 +28,14 @@ builds the *consumer* side:
   worker processes accepting on the supervisor's one listening socket,
   serving one store on one port, respawned on crash (connections wait in
   the listen backlog meanwhile), with fleet-aggregated ``/v1/stats``;
-* :mod:`repro.service.replication` -- cross-host fan-out: any served store
-  is a replication leader (``/v1/replication/changes`` changelog pages),
-  and a :class:`ReplicaSyncer` converges a follower store on it with
-  exactly-once resume, byte-identical served payloads, and explicit
-  errors when the leader's retention outran the follower;
+* :mod:`repro.service.replication` -- cross-host fan-out and failover:
+  any served store is a replication leader (``/v1/replication/changes``
+  changelog pages), a :class:`ReplicaSyncer` converges a follower store on
+  it with exactly-once resume, byte-identical served payloads, and explicit
+  errors when the leader's retention outran the follower, and
+  :func:`promote` (``repro replicate --promote``) turns a follower into the
+  new leader behind a durable fencing epoch, so appends from the deposed
+  epoch raise :class:`FencedWriterError` instead of forking history;
 * :mod:`repro.service.auth` -- bearer-token authentication enforced as
   route-table middleware on every ``/v1/*`` endpoint (``/healthz`` and
   ``/metrics`` stay open), constant-time comparison, token from
@@ -40,11 +43,7 @@ builds the *consumer* side:
 * :mod:`repro.service.metrics` -- a Prometheus-text ``/metrics`` endpoint:
   per-endpoint request/latency histograms, cache hit/miss counters, store
   gauges, per-follower replication lag, and per-AS classification churn,
-  aggregated fleet-wide through the shared worker board;
-* :mod:`repro.service.failover` -- leader failover with a durable fencing
-  epoch: ``repro replicate --promote`` turns a follower into the new
-  leader, and appends from the deposed epoch raise
-  :class:`FencedWriterError` instead of forking history.
+  aggregated fleet-wide through the shared worker board.
 
 Entry points most callers want: ``repro serve --store db.sqlite``
 (``--http-workers N`` to fan out, ``--auth-token`` to lock the API),
@@ -75,7 +74,6 @@ from repro.service.client import (
     ServiceClient,
     ServiceError,
 )
-from repro.service.failover import PromotionReport, promote
 from repro.service.metrics import (
     METRICS_CONTENT_TYPE,
     WorkerStatsBoard,
@@ -88,9 +86,11 @@ from repro.service.publish import (
     publish_result,
 )
 from repro.service.replication import (
+    PromotionReport,
     ReplicaSyncer,
     ReplicationError,
     SyncReport,
+    promote,
 )
 from repro.service.server import (
     ClassificationServer,

@@ -14,15 +14,17 @@ statuses callers branch on -- :class:`AuthError` (401/403),
 
 Built with ``token=``, the client sends ``Authorization: Bearer <token>``
 on **every** request -- replication pulls included, which is how a
-follower syncs from an auth-enabled leader.
+follower syncs from an auth-enabled leader.  Every query string is built
+with :func:`urllib.parse.urlencode`, so an operand such as a follower name
+reaches the server verbatim.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from typing import Dict, Optional, Tuple, Type
-from urllib.parse import urlsplit
+from typing import Dict, Mapping, Optional, Tuple, Type
+from urllib.parse import urlencode, urlsplit
 
 
 class ServiceError(Exception):
@@ -113,39 +115,45 @@ class ServiceClient:
             headers["Authorization"] = f"Bearer {self._token}"
         return headers
 
-    def get(self, target: str) -> Dict[str, object]:
-        """``GET`` *target* and decode the JSON body (raises on non-200).
+    def _exchange(self, target: str) -> Tuple[int, bytes]:
+        connection = self._conn()
+        connection.request("GET", target, headers=self._headers())
+        response = connection.getresponse()
+        return response.status, response.read()
+
+    def _fetch(self, path: str, query: Optional[Mapping[str, object]]) -> bytes:
+        """``GET`` *path* with *query* URL-encoded; the body of a 200, else raise.
 
         A dead keep-alive connection -- most visibly
         ``http.client.RemoteDisconnected`` when a fan-out worker was
         respawned mid-idle -- is closed, rebuilt, and retried exactly once;
         a failure on the fresh connection propagates.
         """
-        connection = self._conn()
+        target = f"{path}?{urlencode(query)}" if query else path
         try:
-            connection.request("GET", target, headers=self._headers())
-            response = connection.getresponse()
-            body = response.read()
+            status, body = self._exchange(target)
         except (http.client.HTTPException, OSError):
-            # One reconnect: the server may have dropped an idle keep-alive
-            # (RemoteDisconnected), or the socket died some other way.
             self.close()
-            connection = self._conn()
-            connection.request("GET", target, headers=self._headers())
-            response = connection.getresponse()
-            body = response.read()
-        # Decide on the status *before* trusting the body to be JSON: a
-        # fronting proxy (the recommended deployment) answers 502/504 with
-        # an HTML error page, which must surface as a ServiceError rather
-        # than escape as a raw JSONDecodeError.
-        if response.status != 200:
-            raise raise_for_error(response.status, body)
+            status, body = self._exchange(target)
+        if status != 200:
+            raise raise_for_error(status, body)
+        return body
+
+    def get(self, target: str, query: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
+        """``GET`` *target* (plus the URL-encoded *query*) and decode the JSON body.
+
+        The status is decided *before* the body is trusted to be JSON: a
+        fronting proxy (the recommended deployment) answers 502/504 with an
+        HTML error page, which must surface as a :class:`ServiceError`
+        rather than escape as a raw ``JSONDecodeError``.
+        """
+        body = self._fetch(target, query)
         try:
             payload = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            raise ServiceError(response.status, "malformed response body") from None
+            raise ServiceError(200, "malformed response body") from None
         if not isinstance(payload, dict):
-            raise ServiceError(response.status, "malformed response body")
+            raise ServiceError(200, "malformed response body")
         return payload
 
     def close(self) -> None:
@@ -175,43 +183,24 @@ class ServiceClient:
 
     def as_info(self, asn: int, *, history: Optional[int] = None) -> Dict[str, object]:
         """``/v1/as/{asn}`` (optionally with ``?history=N``)."""
-        target = f"/v1/as/{int(asn)}"
-        if history is not None:
-            target += f"?history={int(history)}"
-        return self.get(target)
+        query = None if history is None else {"history": int(history)}
+        return self.get(f"/v1/as/{int(asn)}", query)
 
     def diff(self, *, window_end: Optional[int] = None) -> Dict[str, object]:
         """``/v1/diff`` (optionally pinned to one window)."""
-        target = "/v1/diff"
-        if window_end is not None:
-            target += f"?window={int(window_end)}"
-        return self.get(target)
+        return self.get("/v1/diff", None if window_end is None else {"window": int(window_end)})
 
     def stats(self) -> Dict[str, object]:
         """``/v1/stats``."""
         return self.get("/v1/stats")
 
     def metrics_text(self) -> str:
-        """``/metrics`` -- the raw Prometheus exposition text.
+        """``/metrics`` -- the raw Prometheus exposition text, not JSON.
 
-        Separate from :meth:`get` because the body is text, not JSON.  The
-        endpoint is auth-exempt, so no token is needed (one is still sent
-        when configured).
+        The endpoint is auth-exempt, so no token is needed (one is still
+        sent when configured).
         """
-        connection = self._conn()
-        try:
-            connection.request("GET", "/metrics", headers=self._headers())
-            response = connection.getresponse()
-            body = response.read()
-        except (http.client.HTTPException, OSError):
-            self.close()
-            connection = self._conn()
-            connection.request("GET", "/metrics", headers=self._headers())
-            response = connection.getresponse()
-            body = response.read()
-        if response.status != 200:
-            raise raise_for_error(response.status, body)
-        return body.decode("utf-8")
+        return self._fetch("/metrics", None).decode("utf-8")
 
     def replication_changes(
         self,
@@ -233,9 +222,9 @@ class ServiceClient:
         *follower* self-identifies the poller, feeding the leader's
         per-follower replication-lag gauges on ``/metrics``.
         """
-        target = f"/v1/replication/changes?since={int(since)}"
+        query: Dict[str, object] = {"since": int(since)}
         if limit is not None:
-            target += f"&limit={int(limit)}"
+            query["limit"] = int(limit)
         if follower:
-            target += f"&follower={follower}"
-        return self.get(target)
+            query["follower"] = follower
+        return self.get("/v1/replication/changes", query)

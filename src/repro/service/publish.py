@@ -81,7 +81,7 @@ class SnapshotPublisher:
         #: The leader epoch captured at attach time, stamped on every
         #: append.  If another host is promoted while this producer runs,
         #: its next append raises FencedWriterError instead of forking
-        #: history (the failover fence; see repro.service.failover).
+        #: history (the failover fence; see repro.service.replication).
         self.epoch = store.leader_epoch()
         self.published = 0
         self.deduplicated = 0

@@ -39,12 +39,24 @@ The contract, piece by piece:
 long-running follower process, optionally serving the replica through the
 existing single- or multi-worker HTTP stack for true cross-host read
 scaling.
+
+Failover rests on a durable fencing epoch: every backend persists a
+``leader_epoch`` in its meta, writers capture it when they attach and stamp
+it on every append, and an append carrying an older epoch raises
+:class:`~repro.service.backends.base.FencedWriterError` inside the write
+transaction, so a deposed leader waking up mid-write cannot fork history.
+:func:`promote` turns a follower store into the new leader: one
+best-effort final :meth:`ReplicaSyncer.sync_once` drains whatever the old
+leader can still serve, then the epoch is bumped.  ``repro replicate
+--promote`` is the CLI front door (see the README failover runbook).
+Picking *which* follower to promote is left to the operator; the fence
+makes any choice safe.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Union, cast
 
 from repro.service.backends.base import (
@@ -58,9 +70,11 @@ from repro.service.publish import ensure_snapshot
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
+    "PromotionReport",
     "ReplicaSyncer",
     "ReplicationError",
     "SyncReport",
+    "promote",
 ]
 
 #: Snapshots fetched per changelog page by default (mirrors the server's
@@ -260,3 +274,65 @@ class ReplicaSyncer:
                 if on_sync is not None and (report.applied or report.deduplicated):
                     on_sync(report)
             waiter.wait(poll_interval)
+
+
+@dataclass(frozen=True)
+class PromotionReport:
+    """What one :func:`promote` call accomplished."""
+
+    #: Snapshots applied by the final catch-up sync (0 when none ran).
+    applied: int
+    #: Snapshots the final sync re-offered that the store already held.
+    deduplicated: int
+    #: The promoted store's own generation after promotion.
+    leader_generation: int
+    #: The epoch the store held before promotion.
+    previous_epoch: int
+    #: The new durable epoch; writers attached before it are now fenced.
+    epoch: int
+    #: Whether the final catch-up sync reached the old leader at all.
+    synced: bool
+    #: The error that cut the final sync short, if any (promotion proceeds).
+    sync_error: Optional[str]
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-friendly view (CLI output, tests)."""
+        return asdict(self)
+
+
+def promote(store: SnapshotBackend, syncer: Optional[ReplicaSyncer] = None) -> PromotionReport:
+    """Promote a follower store to leader, fencing the deposed writer.
+
+    With *syncer* (the replica's own, pointed at the old leader) a final
+    :meth:`ReplicaSyncer.sync_once` drains whatever the old leader can
+    still serve -- best effort, because the usual reason to promote is that
+    the old leader is *dead*; an unreachable leader, or one whose retention
+    pruned its changelog past this follower, is recorded in
+    :attr:`PromotionReport.sync_error` and promotion proceeds on the
+    follower's state.  The epoch bump is the promotion: it commits durably
+    before this function returns, after which appends stamped with the
+    previous epoch raise :class:`FencedWriterError` on every backend.
+    """
+    applied = deduplicated = 0
+    synced = False
+    sync_error: Optional[str] = None
+    if syncer is not None:
+        try:
+            report = syncer.sync_once()
+        except (ServiceError, OSError, ReplicationError) as error:
+            sync_error = str(error)
+        else:
+            synced = True
+            applied = report.applied
+            deduplicated = report.deduplicated
+    previous_epoch = store.leader_epoch()
+    epoch = store.bump_leader_epoch()
+    return PromotionReport(
+        applied=applied,
+        deduplicated=deduplicated,
+        leader_generation=store.generation(),
+        previous_epoch=previous_epoch,
+        epoch=epoch,
+        synced=synced,
+        sync_error=sync_error,
+    )

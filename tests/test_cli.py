@@ -69,6 +69,8 @@ class TestCountFlags:
             ["stream", "a.mrt", "--ingest-block-size", "0"],
             ["serve", "--store", "x.db", "--http-workers", "0"],
             ["replicate", "--from", "http://127.0.0.1:9", "--store", "x.db", "--http-workers", "-1"],
+            ["replicate", "--from", "http://127.0.0.1:9", "--store", "x.db",
+             "--page-size", "0"],
             ["stream", "a.mrt", "--workers", "two"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
@@ -254,6 +256,59 @@ class TestShowCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.err.startswith(f"error: {database}: ") and reason in captured.err
+
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda path: None, "No such file or directory"),
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_bytes(b"\xff\xfe1|tf|1|0|0|0\n"), "can't decode byte 0xff"),
+        ],
+        ids=["missing", "directory", "non-utf8"],
+    )
+    def test_show_reports_an_unreadable_path_as_one_error_line(
+        self, make, reason, tmp_path, capsys
+    ):
+        database = tmp_path / "db.txt"
+        make(database)
+        assert main(["show", str(database)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {database}: ") and reason in captured.err
+
+
+class TestQueryCommand:
+    """``repro query`` failures are one ``error:`` line: rc 1 when the service
+    cannot be asked, rc 2 when the command line itself is wrong."""
+
+    @pytest.mark.parametrize(
+        "argv, rc, reason",
+        [
+            (["http://127.0.0.1:9", "health"], 1, "http://127.0.0.1:9: "),
+            (["http://127.0.0.1:9", "metrics"], 1, "http://127.0.0.1:9: "),
+            (["ftp://127.0.0.1:9", "health"], 1, "expected an http://host:port base URL"),
+            (["http://127.0.0.1:9", "diff", "abc"], 2, "needs a window end, got 'abc'"),
+            (["http://127.0.0.1:9", "as", "AS10"], 2, "needs an AS number, got 'AS10'"),
+            (["http://127.0.0.1:9", "window", "1.5"], 2, "needs a window end, got '1.5'"),
+        ],
+        ids=["refused", "refused-metrics", "not-http", "diff-abc", "as-AS10", "window-1.5"],
+    )
+    def test_failure_is_one_error_line(self, argv, rc, reason, capsys):
+        assert main(["query", *argv]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert reason in captured.err
+
+
+class TestReplicateCommand:
+    def test_a_bad_leader_url_creates_no_store_file(self, tmp_path, capsys):
+        store = tmp_path / "replica.db"
+        assert main(["replicate", "--from", "not-a-url", "--store", str(store), "--once"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: --from: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStreamCommand:

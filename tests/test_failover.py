@@ -1,6 +1,6 @@
 """Leader failover: the durable epoch fence and ``promote()``.
 
-Pins the failover contract of ``repro.service.failover`` on every backend
+Pins the failover contract of ``repro.service.replication`` on every backend
 flavour (SQLite, memory, tiered):
 
 * the leader epoch is durable store meta: starts at 0, bumps monotonically,
@@ -123,7 +123,9 @@ class TestPromote:
             follower = make_store("follower")
             with ClassificationServer(leader) as server:
                 server.start()
-                report = promote(follower, leader_url=server.url)
+                syncer = ReplicaSyncer(server.url, follower)
+                report = promote(follower, syncer)
+                syncer.client.close()
         assert isinstance(report, PromotionReport)
         assert report.synced and report.sync_error is None
         assert report.applied == 3
@@ -136,7 +138,7 @@ class TestPromote:
         follower = make_store("follower")
         follower.append_snapshot(build_snapshots(1)[0])
         # Nothing listens on this port: the normal failover case.
-        report = promote(follower, leader_url="http://127.0.0.1:9")
+        report = promote(follower, ReplicaSyncer("http://127.0.0.1:9", follower))
         assert not report.synced and report.sync_error is not None
         assert report.epoch == 1
         # The promoted store accepts writes at its new epoch.
@@ -177,6 +179,24 @@ class TestPromote:
         assert "promoted" in captured.err
         with SnapshotStore(tmp_path / "replica.db") as replica:
             assert replica.leader_epoch() == 1 and len(replica) == 2
+
+    def test_cli_promote_final_sync_reports_the_follower_name(self, tmp_path, capsys):
+        """The final sync is the replica's own syncer, so ``--follower``
+        reaches the leader's lag gauge on a promotion too."""
+        from repro.cli import main
+
+        with SnapshotStore(tmp_path / "leader.db") as leader:
+            leader.append_snapshot(build_snapshots(1)[0])
+            with ClassificationServer(leader) as server:
+                server.start()
+                argv = ["replicate", "--from", server.url, "--store",
+                        str(tmp_path / "replica.db"), "--promote", "--follower", "dc 2"]
+                assert main(argv) == 0
+                metrics = server.service.handle("/metrics").body.decode()
+                # One poll from generation 0: the whole backlog at poll time.
+                gauge = f'repro_replication_follower_lag{{follower="dc 2"}} {leader.generation()}'
+        capsys.readouterr()
+        assert gauge in metrics.splitlines()
 
     def test_cli_promote_dead_leader_warns_but_promotes(self, tmp_path, capsys):
         from repro.cli import main
@@ -242,7 +262,7 @@ class TestPromote:
                 assert stale_syncer.epoch == 0
                 server.close()  # the leader "dies"
 
-                report = promote(follower, leader_url=server.url)
+                report = promote(follower, ReplicaSyncer(server.url, follower))
                 assert report.sync_error is not None and report.epoch == 1
 
                 # The promoted store is writable by a fresh publisher...

@@ -319,20 +319,26 @@ class TestOneLedger:
 # Follower lag gauges
 # ---------------------------------------------------------------------------------------
 class TestFollowerLag:
-    def test_named_follower_poll_appears_as_lag_gauge(self, store):
+    @pytest.mark.parametrize("name", ["replica-a", "a b", "x&limit=1", "we#ird", "é"])
+    def test_named_follower_poll_appears_as_lag_gauge(self, store, name):
+        """The name reaches the leader verbatim, whatever URL syntax it holds."""
         follower = SnapshotStore(":memory:")
+        label = f'follower="{name}"'
         with ClassificationServer(store) as server:
             server.start()
             with ServiceClient(server.url) as client:
-                syncer = ReplicaSyncer(client, follower, follower="replica-a")
-                syncer.sync_once()
+                syncer = ReplicaSyncer(client, follower, follower=name)
+                # One page holds all three snapshots: a name smuggling in
+                # ``&limit=1`` must not shorten it.
+                assert syncer.sync_once().pages == 1
                 # The first poll stated the full backlog at poll time.
                 first = scrape(server.service)["repro_replication_follower_lag"]
-                assert first['follower="replica-a"'] == store.generation()
+                assert list(first) == [label]
+                assert first[label] == store.generation()
                 syncer.sync_once()  # caught up: the next poll reports 0
             samples = scrape(server.service)
         lag = samples["repro_replication_follower_lag"]
-        assert lag['follower="replica-a"'] == 0.0
+        assert lag[label] == 0.0
 
     def test_anonymous_polls_add_no_series(self, store):
         service = ClassificationService(store)
