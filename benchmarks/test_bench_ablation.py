@@ -3,8 +3,7 @@
 * row-based baseline (paper Listing 2) versus the column-based algorithm on
   the same ground truth -- quantifies the precision the conditions buy,
 * threshold ablation on a consistent scenario -- shows that the consistent
-  case is insensitive to the threshold (Section 6.3.1),
-* sanitation ablation -- effect of skipping the prepending collapse.
+  case is insensitive to the threshold (Section 6.3.1).
 """
 
 from __future__ import annotations

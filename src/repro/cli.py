@@ -62,6 +62,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=`` of ``--allowed-lateness``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    """argparse ``type=`` of ``--threshold``: a value :class:`Thresholds` accepts."""
+    value = float(text)
+    try:
+        Thresholds.uniform(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
 def _write_database(database: ClassificationDatabase, output: Optional[str], fmt: str) -> None:
     """Write the database to a file or stdout in the chosen format."""
     text = database.to_json() if fmt == "json" else database.dumps()
@@ -106,6 +124,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     """``stream``: replay MRT update archives through the streaming engine."""
+    if args.horizon is not None and args.horizon < args.window:
+        print(
+            f"error: --horizon {args.horizon} is shorter than --window {args.window}",
+            file=sys.stderr,
+        )
+        return 2
     from repro.stream import (
         CheckpointManager,
         MRTReplaySource,
@@ -613,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("inputs", nargs="+", help="MRT files (RIBs and/or updates)")
     classify.add_argument("-o", "--output", help="output file (default: stdout)")
     classify.add_argument("--format", choices=("text", "json"), default="text")
-    classify.add_argument("--threshold", type=float, default=0.99)
+    classify.add_argument("--threshold", type=_threshold, default=0.99)
     classify.add_argument(
         "--algorithm",
         choices=("column", "row"),
@@ -633,9 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("inputs", nargs="+", help="MRT files to replay as an update feed")
     stream.add_argument("-o", "--output", help="output file (default: stdout)")
     stream.add_argument("--format", choices=("text", "json"), default="text")
-    stream.add_argument("--threshold", type=float, default=0.99)
+    stream.add_argument("--threshold", type=_threshold, default=0.99)
     stream.add_argument(
-        "--window", type=int, default=3600, help="window size in seconds of event time"
+        "--window", type=_positive_int, default=3600, help="window size in seconds of event time"
     )
     stream.add_argument(
         "--policy",
@@ -646,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--horizon", type=int, default=None, help="sliding retention span (default: 4 windows)"
     )
-    stream.add_argument("--allowed-lateness", type=int, default=0)
+    stream.add_argument("--allowed-lateness", type=_non_negative_int, default=0)
     stream.add_argument(
         "--shards", type=_positive_int, default=1, help="per-AS-partition workers"
     )
@@ -665,7 +689,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--checkpoint-dir", help="directory for engine state checkpoints")
     stream.add_argument(
-        "--checkpoint-every", type=int, default=None, help="auto-checkpoint every N events"
+        "--checkpoint-every",
+        type=_positive_int,
+        default=None,
+        help="auto-checkpoint every N events",
     )
     stream.add_argument(
         "--resume", action="store_true", help="resume from the latest checkpoint if present"
@@ -678,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--store-retention",
-        type=int,
+        type=_positive_int,
         default=None,
         help="keep only the newest N snapshots in --store (default: keep all)",
     )
@@ -704,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=1)
     demo.add_argument("-o", "--output", help="output file (default: stdout)")
     demo.add_argument("--format", choices=("text", "json"), default="text")
-    demo.add_argument("--threshold", type=float, default=0.99)
+    demo.add_argument("--threshold", type=_threshold, default=0.99)
     demo.add_argument(
         "--store",
         help="also materialize the result into this snapshot store "
@@ -729,7 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--cache-size", type=int, default=512, help="encoded responses kept in the LRU cache"
+        "--cache-size",
+        type=_positive_int,
+        default=512,
+        help="encoded responses kept in the LRU cache",
     )
     serve.add_argument(
         "--http-workers",
@@ -741,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--retention",
-        type=int,
+        type=_positive_int,
         default=None,
         help="prune the store to the newest N snapshots at startup "
         "(ongoing caps belong to the producer: stream --store-retention)",
@@ -788,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replicate.add_argument(
         "--retention",
-        type=int,
+        type=_positive_int,
         default=None,
         help="cap the replica to the newest N snapshots (default: keep all)",
     )
@@ -833,7 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument("--host", default="127.0.0.1")
     replicate.add_argument("--port", type=int, default=8080)
     replicate.add_argument(
-        "--cache-size", type=int, default=512, help="encoded responses kept in the LRU cache"
+        "--cache-size",
+        type=_positive_int,
+        default=512,
+        help="encoded responses kept in the LRU cache",
     )
     replicate.add_argument(
         "--http-workers",

@@ -186,10 +186,6 @@ class CollectorArchive:
             update_message_count=update_messages,
         )
 
-    def generate_days(self, days: int) -> List[DayArchive]:
-        """Generate several consecutive days of archives."""
-        return [self.generate_day(day) for day in range(days)]
-
     # -- MRT materialisation -----------------------------------------------------------
     def day_to_mrt(self, archive: DayArchive) -> Dict[str, bytes]:
         """Encode a day archive into binary MRT blobs, one per collector."""

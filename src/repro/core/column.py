@@ -185,26 +185,16 @@ class ColumnInferenceReport:
 class ColumnInference:
     """Runs the paper's column-based inference over ``(path, comm)`` tuples."""
 
-    def __init__(
-        self,
-        thresholds: Optional[Thresholds] = None,
-        *,
-        max_columns: Optional[int] = None,
-        stop_when_stalled: bool = True,
-    ) -> None:
+    def __init__(self, thresholds: Optional[Thresholds] = None) -> None:
         self.thresholds = thresholds or Thresholds()
-        self.max_columns = max_columns
-        self.stop_when_stalled = stop_when_stalled
         self.report = ColumnInferenceReport()
 
     def run(self, tuples: Iterable[PathCommTuple]) -> ClassificationResult:
         """Infer the community usage classification for every observed AS."""
         groups, as_values = lower_tuples(tuples)
         packed = PackedCounterStore(self.thresholds, slots=len(as_values))
-        longest = groups.max_length
-        limit = longest if self.max_columns is None else min(longest, self.max_columns)
         self.report = ColumnInferenceReport()
-        for column in range(1, limit + 1):
+        for column in range(1, groups.max_length + 1):
             # The two kernels are looked up by module-level name on every
             # call: benchmarks/e2e times them by swapping those names.
             tagging_delta, tagging_increments = count_tagging_phase_packed(
@@ -218,11 +208,6 @@ class ColumnInference:
             self.report.columns_processed = column
             self.report.tagging_counts_per_column.append(tagging_increments)
             self.report.forwarding_counts_per_column.append(forwarding_increments)
-            if (
-                self.stop_when_stalled
-                and column > 1
-                and tagging_increments == 0
-                and forwarding_increments == 0
-            ):
+            if column > 1 and tagging_increments == 0 and forwarding_increments == 0:
                 break
         return ClassificationResult.from_packed(packed, as_values, set(as_values))

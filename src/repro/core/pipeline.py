@@ -18,7 +18,7 @@ stage runs in the calling process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation, iter_blocks
@@ -29,12 +29,7 @@ from repro.core.column import ColumnInference
 from repro.core.results import ClassificationResult
 from repro.core.row import RowInference
 from repro.core.thresholds import Thresholds
-from repro.sanitize.filters import (
-    SANITIZE_BLOCK_SIZE,
-    SanitationConfig,
-    SanitationStats,
-    Sanitizer,
-)
+from repro.sanitize.filters import SANITIZE_BLOCK_SIZE, SanitationStats, Sanitizer
 
 
 @dataclass
@@ -43,12 +38,16 @@ class PipelineResult:
 
     result: ClassificationResult
     tuples: List[PathCommTuple]
-    sanitation: SanitationStats
-    observations_in: int
+    sanitation: SanitationStats = field(default_factory=SanitationStats)
     #: ``False`` when the input bypassed sanitation (``run_from_tuples``):
     #: the sanitation stats are then all-zero by construction, and no raw
     #: observation count exists to report.
     sanitized: bool = True
+
+    @property
+    def observations_in(self) -> int:
+        """Raw observations sanitized (0 for a pre-sanitized tuple run)."""
+        return self.sanitation.observations_in
 
     @property
     def unique_tuples(self) -> int:
@@ -80,7 +79,6 @@ class InferencePipeline:
         thresholds: Optional[Thresholds] = None,
         asn_registry: Optional[ASNRegistry] = None,
         prefix_allocation: Optional[PrefixAllocation] = None,
-        sanitation: Optional[SanitationConfig] = None,
         algorithm: str = "column",
     ) -> None:
         if algorithm not in ("column", "row"):
@@ -88,37 +86,25 @@ class InferencePipeline:
         self.thresholds = thresholds or Thresholds()
         self.asn_registry = asn_registry
         self.prefix_allocation = prefix_allocation
-        self.sanitation_config = sanitation or SanitationConfig()
         self.algorithm = algorithm
 
     # -- stage helpers --------------------------------------------------------------------
-    def _make_sanitizer(self) -> Sanitizer:
-        return Sanitizer(
-            asn_registry=self.asn_registry,
-            prefix_allocation=self.prefix_allocation,
-            config=self.sanitation_config,
-        )
-
     def _make_inference(self) -> Union[ColumnInference, RowInference]:
         if self.algorithm == "row":
             return RowInference(self.thresholds)
         return ColumnInference(self.thresholds)
 
     def _run_blocks(self, blocks: Iterable[RouteBlock]) -> PipelineResult:
-        sanitizer = self._make_sanitizer()
+        sanitizer = Sanitizer(
+            asn_registry=self.asn_registry, prefix_allocation=self.prefix_allocation
+        )
         seen: Set[Tuple] = set()
         tuples = [
             PathCommTuple(*key)
             for block in blocks
             for _index, key in sanitizer.dedup_block(block, seen)
         ]
-        stats = sanitizer.stats
-        return PipelineResult(
-            result=self._make_inference().run(tuples),
-            tuples=tuples,
-            sanitation=stats,
-            observations_in=stats.observations_in,
-        )
+        return PipelineResult(self._make_inference().run(tuples), tuples, sanitizer.stats)
 
     # -- entry points ----------------------------------------------------------------------
     def run_from_observations(self, observations: Iterable[RouteObservation]) -> PipelineResult:
@@ -140,15 +126,8 @@ class InferencePipeline:
         raw observation count from the tuple count.
         """
         materialized = list(tuples)
-        inference = self._make_inference()
-        result = inference.run(materialized)
-        return PipelineResult(
-            result=result,
-            tuples=materialized,
-            sanitation=SanitationStats(),
-            observations_in=0,
-            sanitized=False,
-        )
+        result = self._make_inference().run(materialized)
+        return PipelineResult(result, materialized, sanitized=False)
 
     def run_from_mrt(self, blobs: Mapping[str, bytes]) -> PipelineResult:
         """Decode per-collector MRT blobs, then sanitize and classify.

@@ -184,10 +184,6 @@ class TupleTable:
         return self.intern(item.path, item.communities)
 
     # -- lookup ------------------------------------------------------------------------
-    def asn_of(self, index: int) -> ASN:
-        """The ASN behind dense AS index *index*."""
-        return self._as_values[index]
-
     def as_values(self) -> Sequence[ASN]:
         """Dense index -> ASN symbol table (index order)."""
         return self._as_values

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.bgp.announcement import PathCommTuple, RouteObservation
 from repro.bgp.asn import ASN
 from repro.bgp.path import ASPath
-from repro.collectors.archive import ArchiveConfig, CollectorArchive, DayArchive
+from repro.collectors.archive import ArchiveConfig, CollectorArchive
 from repro.collectors.collector import CollectorProject
 from repro.collectors.projects import DEFAULT_PROJECT_NAMES, build_default_projects
 from repro.topology.cone import CustomerCones
@@ -157,12 +157,6 @@ class SyntheticInternet:
             self.propagator,
             config=config or self.config.archive,
         )
-
-    def day_archives(self, project_names: Sequence[str], days: int = 1) -> Dict[str, List[DayArchive]]:
-        """Per-project day archives for the first *days* days."""
-        return {
-            name: self.archive_for(name).generate_days(days) for name in project_names
-        }
 
     def observations_for_day(self, project_names: Sequence[str], day: int = 0) -> List[RouteObservation]:
         """All observations of the given projects for one day."""

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bgp.announcement import RouteBlock, RouteObservation
 from repro.bgp.asn import ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
-from repro.sanitize.filters import SanitationConfig, SanitationStats
+from repro.sanitize.filters import SanitationStats
 from repro.stream.sharding import ShardWorker, shard_of
 
 #: One scatter item: global sequence number, owning shard, observation.
@@ -45,14 +45,11 @@ def _gauges(workers: Dict[int, ShardWorker]) -> Dict[int, int]:
     return {shard_id: worker.unique_tuples for shard_id, worker in workers.items()}
 
 
-def _worker_loop(conn, shard_ids, asn_registry, prefix_allocation, sanitation) -> None:
+def _worker_loop(conn, shard_ids, asn_registry, prefix_allocation) -> None:
     """Entry point of one worker process (owns one or more shards)."""
     workers: Dict[int, ShardWorker] = {
         shard_id: ShardWorker(
-            shard_id,
-            asn_registry=asn_registry,
-            prefix_allocation=prefix_allocation,
-            sanitation=sanitation,
+            shard_id, asn_registry=asn_registry, prefix_allocation=prefix_allocation
         )
         for shard_id in shard_ids
     }
@@ -120,24 +117,11 @@ class ShardProcessPool:
         *,
         asn_registry: Optional[ASNRegistry] = None,
         prefix_allocation: Optional[PrefixAllocation] = None,
-        sanitation: Optional[SanitationConfig] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if (
-            shards > 1
-            and sanitation is not None
-            and not sanitation.prepend_peer_asn
-        ):
-            # Same invariant as the synchronous ShardRouter deployment: tuple
-            # identity must be owned by a single shard, which requires the
-            # peer AS to be part of every sanitized path.
-            raise ValueError(
-                "sharding requires SanitationConfig.prepend_peer_asn "
-                "(tuple identity must be owned by a single shard)"
-            )
         self.shards = shards
         self.workers = min(workers, shards)
         ctx = multiprocessing.get_context()
@@ -148,7 +132,7 @@ class ShardProcessPool:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(child_conn, shard_ids, asn_registry, prefix_allocation, sanitation),
+                args=(child_conn, shard_ids, asn_registry, prefix_allocation),
                 daemon=True,
             )
             proc.start()

@@ -55,7 +55,6 @@ class ParallelStreamEngine(StreamEngine):
             self.workers,
             asn_registry=self._asn_registry,
             prefix_allocation=self._prefix_allocation,
-            sanitation=self.config.sanitation,
         )
         self._pool = pool
         try:

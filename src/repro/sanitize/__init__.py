@@ -15,11 +15,10 @@ observation into the paper's source groups *peer*, *foreign*, *stray*, and
 *private* (Section 3.2).
 """
 
-from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
+from repro.sanitize.filters import SanitationStats, Sanitizer
 from repro.sanitize.sources import CommunitySource, classify_community, classify_community_set
 
 __all__ = [
-    "SanitationConfig",
     "SanitationStats",
     "Sanitizer",
     "CommunitySource",

@@ -24,23 +24,6 @@ from repro.bgp.path import ASPath
 from repro.bgp.prefix import PrefixAllocation
 
 
-@dataclass
-class SanitationConfig:
-    """Switches for the individual sanitation steps.
-
-    All steps default to the paper's behaviour; tests and ablations can turn
-    individual steps off to measure their effect.
-    """
-
-    drop_unallocated_prefixes: bool = True
-    drop_unallocated_asns: bool = True
-    drop_as_sets: bool = True
-    drop_loops: bool = True
-    prepend_peer_asn: bool = True
-    collapse_prepending: bool = True
-    max_path_length: Optional[int] = None
-
-
 #: Path-level counters a memo hit replays in place of :meth:`Sanitizer.sanitize_path`.
 _PATH_STAT_FIELDS: Tuple[str, ...] = (
     "dropped_as_set",
@@ -49,7 +32,6 @@ _PATH_STAT_FIELDS: Tuple[str, ...] = (
     "prepending_collapsed",
     "dropped_loop",
     "dropped_unallocated_asn",
-    "dropped_too_long",
 )
 #: Routes decoded and sanitized per block by the batch path (purely a
 #: throughput constant, never changes the output).
@@ -76,7 +58,6 @@ class SanitationStats:
     dropped_unallocated_asn: int = 0
     dropped_as_set: int = 0
     dropped_loop: int = 0
-    dropped_too_long: int = 0
     dropped_empty_path: int = 0
     peer_prepended: int = 0
     prepending_collapsed: int = 0
@@ -95,7 +76,6 @@ class SanitationStats:
             "dropped_unallocated_asn": self.dropped_unallocated_asn,
             "dropped_as_set": self.dropped_as_set,
             "dropped_loop": self.dropped_loop,
-            "dropped_too_long": self.dropped_too_long,
             "dropped_empty_path": self.dropped_empty_path,
             "peer_prepended": self.peer_prepended,
             "prepending_collapsed": self.prepending_collapsed,
@@ -103,18 +83,22 @@ class SanitationStats:
 
 
 class Sanitizer:
-    """Applies the Section 4.1 sanitation steps to route observations."""
+    """Applies the Section 4.1 sanitation steps to route observations.
+
+    The steps are one fixed procedure, in this order: drop unallocated
+    prefixes, drop paths with an AS_SET, prepend a missing peer AS, collapse
+    prepending, drop loops, and drop private or unallocated ASNs.  Nothing
+    turns a step off.
+    """
 
     def __init__(
         self,
         *,
         asn_registry: Optional[ASNRegistry] = None,
         prefix_allocation: Optional[PrefixAllocation] = None,
-        config: Optional[SanitationConfig] = None,
     ) -> None:
         self.asn_registry = asn_registry
         self.prefix_allocation = prefix_allocation
-        self.config = config or SanitationConfig()
         self.stats = SanitationStats()
         # Memo for the pure is_public_asn predicate; paths repeat heavily in
         # update streams, and registry allocation (which can change) is
@@ -128,40 +112,34 @@ class Sanitizer:
     # -- one path -----------------------------------------------------------
     def sanitize_path(self, path: ASPath, peer_asn: Optional[ASN] = None) -> Optional[ASPath]:
         """Sanitize one AS path; return ``None`` if it must be dropped."""
-        config = self.config
-        if config.drop_as_sets and path.has_as_set:
+        if path.has_as_set:
             self.stats.dropped_as_set += 1
             return None
         if len(path) == 0:
             self.stats.dropped_empty_path += 1
             return None
 
-        if config.prepend_peer_asn and peer_asn is not None and path.peer != peer_asn:
+        if peer_asn is not None and path.peer != peer_asn:
             path = path.prepend_peer(peer_asn)
             self.stats.peer_prepended += 1
 
-        if config.collapse_prepending and path.has_prepending:
+        if path.has_prepending:
             path = path.collapse_prepending()
             self.stats.prepending_collapsed += 1
 
-        if config.drop_loops and path.has_loop:
+        if path.has_loop:
             self.stats.dropped_loop += 1
             return None
 
-        if config.drop_unallocated_asns:
-            cache = self._public_asn_cache
-            registry = self.asn_registry
-            for asn in path:
-                public = cache.get(asn)
-                if public is None:
-                    public = cache[asn] = is_public_asn(asn)
-                if not public or (registry is not None and not registry.is_allocated(asn)):
-                    self.stats.dropped_unallocated_asn += 1
-                    return None
-
-        if config.max_path_length is not None and len(path) > config.max_path_length:
-            self.stats.dropped_too_long += 1
-            return None
+        cache = self._public_asn_cache
+        registry = self.asn_registry
+        for asn in path:
+            public = cache.get(asn)
+            if public is None:
+                public = cache[asn] = is_public_asn(asn)
+            if not public or (registry is not None and not registry.is_allocated(asn)):
+                self.stats.dropped_unallocated_asn += 1
+                return None
         return path
 
     def sanitize_path_recorded(
@@ -236,7 +214,7 @@ class Sanitizer:
                 map(block.communities.__getitem__, indices),
             )
         stats = self.stats
-        allocation = self.prefix_allocation if self.config.drop_unallocated_prefixes else None
+        allocation = self.prefix_allocation
         memo = self._memo if self.asn_registry is None and self.prefix_allocation is None else {}
         memo_get = memo.get
         sanitize = self.sanitize_path_recorded

@@ -3,7 +3,7 @@
 The streaming engine (PR 1) and the parallel execution layer (PR 2) built
 the *producer* side of a live community-usage classification: results exist
 as in-memory :class:`~repro.stream.engine.WindowSnapshot` objects capped at
-``StreamConfig.max_snapshots``, or as one-shot batch exports.  This package
+``repro.stream.engine.MAX_SNAPSHOTS``, or as one-shot batch exports.  This package
 builds the *consumer* side:
 
 * :mod:`repro.service.backends` -- pluggable storage behind one

@@ -23,7 +23,7 @@ import pickle
 import re
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 #: Bump when the engine state layout changes incompatibly.
 CHECKPOINT_VERSION = 3
@@ -33,6 +33,31 @@ _FILENAME_RE = re.compile(r"^stream-ckpt-(\d{8})\.pkl$")
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written, found, or restored."""
+
+
+#: Method switches that format-3 checkpoints written before their removal
+#: carry (as ``StreamConfig`` attributes or classifier-state keys), with the
+#: value every run that never set them wrote.
+_REMOVED_SWITCHES: Dict[str, object] = {
+    "sanitation": None,
+    "max_columns": None,
+    "stop_when_stalled": True,
+}
+
+
+def refuse_removed_switches(state: Mapping[str, object]) -> None:
+    """Refuse *state* that set a method switch this version no longer has.
+
+    At their defaults the switches are ignored; any other value counted by a
+    method this version does not run.
+    """
+    for name, default in _REMOVED_SWITCHES.items():
+        value = state.get(name, default)
+        if value != default:
+            raise CheckpointError(
+                f"checkpoint was written with {name}={value!r}, a switch this "
+                "version no longer has; start the stream without --resume"
+            )
 
 
 class CheckpointManager:

@@ -20,7 +20,7 @@ Invariants the tests pin down:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.announcement import RouteBlock, RouteObservation
@@ -29,8 +29,8 @@ from repro.bgp.prefix import PrefixAllocation
 from repro.core.results import ClassificationResult, diff_code_maps
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleRef, TupleTable
-from repro.sanitize.filters import SanitationConfig, SanitationStats
-from repro.stream.checkpoint import CheckpointManager
+from repro.sanitize.filters import SanitationStats
+from repro.stream.checkpoint import CheckpointManager, refuse_removed_switches
 from repro.stream.incremental import ColumnarColumnClassifier, classifier_from_state
 from repro.stream.sharding import ShardRouter
 from repro.stream.sources import iter_event_blocks
@@ -46,20 +46,23 @@ DEFAULT_INGEST_BLOCK_SIZE = 4096
 #: :meth:`StreamEngine.ingest_stats` (the last bucket is unbounded).
 INGEST_BLOCK_BUCKETS: Tuple[int, ...] = (1, 8, 64, 512, 4096, 32768)
 
+#: Window snapshots an engine keeps in memory (``StreamEngine.snapshots``).
+MAX_SNAPSHOTS = 64
+
 
 @dataclass
 class StreamConfig:
-    """Everything that shapes one streaming engine instance."""
+    """What the ``stream`` command sets: windows, shards, thresholds, checkpoints.
+
+    Sanitation and the column loop are the paper's one procedure and take no
+    settings; ``ingest_block_size`` is the only throughput knob.
+    """
 
     window: WindowSpec = field(default_factory=WindowSpec)
     shards: int = 1
     thresholds: Thresholds = field(default_factory=Thresholds)
-    sanitation: Optional[SanitationConfig] = None
-    max_columns: Optional[int] = None
     #: Auto-checkpoint after this many ingested events (None = only manual).
     checkpoint_every: Optional[int] = None
-    #: Window snapshots retained in memory.
-    max_snapshots: int = 64
     #: Events per ingest block when :meth:`StreamEngine.run` drives a source.
     #: Blocks straddling a window cut are split at the cut, so block size
     #: never changes window boundaries or snapshot contents.
@@ -151,18 +154,6 @@ class StreamEngine:
         on_window: Optional[Callable[[WindowSnapshot], None]] = None,
     ) -> None:
         self.config = config or StreamConfig()
-        if (
-            self.config.shards > 1
-            and self.config.sanitation is not None
-            and not self.config.sanitation.prepend_peer_asn
-        ):
-            # Routing is by the raw observation's peer AS; without peer
-            # prepending, identical sanitized tuples could reach different
-            # shards and be double-counted against their dedup sets.
-            raise ValueError(
-                "sharding requires SanitationConfig.prepend_peer_asn "
-                "(tuple identity must be owned by a single shard)"
-            )
         self.checkpoints = checkpoints
         self.on_window = on_window
         self.stats = StreamStats()
@@ -176,15 +167,10 @@ class StreamEngine:
             self.config.shards,
             asn_registry=asn_registry,
             prefix_allocation=prefix_allocation,
-            sanitation=self.config.sanitation,
             table=self._table,
         )
         self.clock = WindowClock(self.config.window)
-        self.classifier = ColumnarColumnClassifier(
-            self.config.thresholds,
-            max_columns=self.config.max_columns,
-            table=self._table,
-        )
+        self.classifier = ColumnarColumnClassifier(self.config.thresholds, table=self._table)
         self._last_codes: Dict[ASN, str] = {}
         #: Sliding policy only: tuple key -> (last observed event time, shard).
         self._last_seen: Dict[TupleKey, Tuple[int, int]] = {}
@@ -410,8 +396,8 @@ class StreamEngine:
             changed=changed,
         )
         self.snapshots.append(snapshot)
-        if len(self.snapshots) > self.config.max_snapshots:
-            del self.snapshots[: len(self.snapshots) - self.config.max_snapshots]
+        if len(self.snapshots) > MAX_SNAPSHOTS:
+            del self.snapshots[: len(self.snapshots) - MAX_SNAPSHOTS]
         self.stats.windows_closed += 1
         if self.on_window is not None:
             self.on_window(snapshot)
@@ -443,8 +429,18 @@ class StreamEngine:
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the engine in place from :meth:`state_dict` output."""
-        self.config = state["config"]
+        """Restore the engine in place from :meth:`state_dict` output.
+
+        The config is rebuilt from this version's fields: a format-3
+        checkpoint written while ``StreamConfig`` still carried the method
+        switches restores when they hold their defaults (its snapshot cap is
+        now :data:`MAX_SNAPSHOTS`), and is a :class:`CheckpointError` otherwise.
+        """
+        config = state["config"]
+        refuse_removed_switches(vars(config))
+        self.config = StreamConfig(
+            **{spec.name: getattr(config, spec.name) for spec in fields(StreamConfig)}
+        )
         # Sanitation context must survive a restore, or a resumed engine
         # would filter differently than the one that wrote the checkpoint.
         self._asn_registry = state.get("asn_registry")

@@ -85,7 +85,7 @@ from repro.core.tuples import (
     materialize_groups,
     merge_group_counts,
 )
-from repro.stream.checkpoint import CheckpointError
+from repro.stream.checkpoint import CheckpointError, refuse_removed_switches
 
 #: The cached matrix of the counted groups takes every update's signed
 #: rows; once it would hold more than this many rows per live group it is
@@ -208,13 +208,9 @@ class ColumnarColumnClassifier:
         self,
         thresholds: Optional[Thresholds] = None,
         *,
-        max_columns: Optional[int] = None,
-        stop_when_stalled: bool = True,
         table: Optional[TupleTable] = None,
     ) -> None:
         self.thresholds = thresholds or Thresholds()
-        self.max_columns = max_columns
-        self.stop_when_stalled = stop_when_stalled
         self.stats = IncrementalStats()
         self.report = ColumnInferenceReport()
         self.table = table if table is not None else TupleTable()
@@ -367,8 +363,7 @@ class ColumnarColumnClassifier:
         packed = PackedCounterStore(self.thresholds)
         report = ColumnInferenceReport()
         max_length = int(_np.flatnonzero(self._length_refs).max(initial=0))
-        limit = max_length if self.max_columns is None else min(max_length, self.max_columns)
-        for column in range(1, limit + 1):
+        for column in range(1, max_length + 1):
             tagging = self._run_phase(
                 self._tagging_records, count_tagging_phase_packed, pending, column, packed
             )
@@ -380,12 +375,7 @@ class ColumnarColumnClassifier:
             report.columns_processed = column
             report.tagging_counts_per_column.append(tagging.increments)
             report.forwarding_counts_per_column.append(forwarding.increments)
-            if (
-                self.stop_when_stalled
-                and column > 1
-                and tagging.increments == 0
-                and forwarding.increments == 0
-            ):
+            if column > 1 and tagging.increments == 0 and forwarding.increments == 0:
                 break  # a batch run would stop here
         # Records past the last processed column (a stall, or the longest
         # path retracted) never saw this turnover; kept, they would resurrect
@@ -411,8 +401,6 @@ class ColumnarColumnClassifier:
         return {
             "algorithm": self.algorithm,
             "thresholds": self.thresholds,
-            "max_columns": self.max_columns,
-            "stop_when_stalled": self.stop_when_stalled,
             "groups": dict(self._groups),
             "pending_groups": dict(self._pending_groups),
             "tuple_count": self._tuple_count,
@@ -431,12 +419,7 @@ class ColumnarColumnClassifier:
         cls, state: Dict[str, object], table: TupleTable
     ) -> "ColumnarColumnClassifier":
         """Rebuild against the restored table the ids were minted by."""
-        classifier = cls(
-            state["thresholds"],
-            max_columns=state["max_columns"],
-            stop_when_stalled=state["stop_when_stalled"],
-            table=table,
-        )
+        classifier = cls(state["thresholds"], table=table)
         classifier._groups = dict(state["groups"])
         classifier._pending_groups = dict(state["pending_groups"])
         classifier._tuple_count = state["tuple_count"]
@@ -459,8 +442,6 @@ def make_classifier(
     algorithm: str,
     thresholds: Optional[Thresholds] = None,
     *,
-    max_columns: Optional[int] = None,
-    stop_when_stalled: bool = True,
     # benchmarks/e2e/adapter.py::replay_classifier_add still passes
     # ("column", representation="columnar"); the next benchmark PR drops both
     # parameters, which accept nothing else.
@@ -472,12 +453,7 @@ def make_classifier(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if representation != "columnar":
         raise ValueError(f"unknown representation {representation!r}")
-    return ColumnarColumnClassifier(
-        thresholds,
-        max_columns=max_columns,
-        stop_when_stalled=stop_when_stalled,
-        table=table,
-    )
+    return ColumnarColumnClassifier(thresholds, table=table)
 
 
 def classifier_from_state(
@@ -495,4 +471,5 @@ def classifier_from_state(
         )
     if algorithm != "column":
         raise CheckpointError(f"unknown algorithm in classifier state: {algorithm!r}")
+    refuse_removed_switches(state)
     return ColumnarColumnClassifier.from_state(state, table)

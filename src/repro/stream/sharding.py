@@ -34,7 +34,7 @@ from repro.bgp.announcement import RouteBlock
 from repro.bgp.asn import ASN, ASNRegistry
 from repro.bgp.prefix import PrefixAllocation
 from repro.core.tuples import TupleTable
-from repro.sanitize.filters import SanitationConfig, SanitationStats, Sanitizer
+from repro.sanitize.filters import SanitationStats, Sanitizer
 
 #: Knuth's multiplicative hash constant; peer ASNs are often assigned in
 #: dense ranges, so a plain modulo would skew the shard load badly.
@@ -64,15 +64,10 @@ class ShardWorker:
         *,
         asn_registry: Optional[ASNRegistry] = None,
         prefix_allocation: Optional[PrefixAllocation] = None,
-        sanitation: Optional[SanitationConfig] = None,
         table: Optional[TupleTable] = None,
     ) -> None:
         self.shard_id = shard_id
-        self.sanitizer = Sanitizer(
-            asn_registry=asn_registry,
-            prefix_allocation=prefix_allocation,
-            config=sanitation,
-        )
+        self.sanitizer = Sanitizer(asn_registry=asn_registry, prefix_allocation=prefix_allocation)
         #: Dedup keys of the tuples this shard currently tracks.
         self._seen: Set[Tuple] = set()
         self.events_processed = 0
@@ -138,7 +133,6 @@ class ShardRouter:
         *,
         asn_registry: Optional[ASNRegistry] = None,
         prefix_allocation: Optional[PrefixAllocation] = None,
-        sanitation: Optional[SanitationConfig] = None,
         table: Optional[TupleTable] = None,
     ) -> None:
         if shards < 1:
@@ -148,7 +142,6 @@ class ShardRouter:
                 shard_id,
                 asn_registry=asn_registry,
                 prefix_allocation=prefix_allocation,
-                sanitation=sanitation,
                 table=table,
             )
             for shard_id in range(shards)

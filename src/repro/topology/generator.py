@@ -56,11 +56,6 @@ class ASInfo:
     prefixes: Tuple[Prefix, ...] = ()
 
     @property
-    def is_stub(self) -> bool:
-        """``True`` for stub (leaf candidate) ASes."""
-        return self.tier == ASTier.STUB
-
-    @property
     def is_32bit(self) -> bool:
         """``True`` if the ASN does not fit in 16 bits."""
         return self.asn > MAX_ASN_16BIT

@@ -60,10 +60,6 @@ class NoiseInjector:
         self.noisy_ases: Set[ASN] = set(rng.sample(ordered, n_noisy)) if n_noisy else set()
         self._rng = random.Random(config.seed + 1)
 
-    def is_noisy(self, asn: ASN) -> bool:
-        """``True`` if *asn* belongs to the noise-capable half of the ASes."""
-        return asn in self.noisy_ases
-
     def extra_for_path(self, path: ASPath) -> Dict[int, CommunitySet]:
         """Noise communities to inject, keyed by 1-based path index.
 

@@ -45,11 +45,6 @@ class VisibilityAnalysis:
         """ASes whose tagging behaviour can never be observed."""
         return self.all_ases - self.tagging_visible
 
-    @property
-    def forwarding_hidden(self) -> Set[ASN]:
-        """Non-leaf ASes whose forwarding behaviour can never be observed."""
-        return self.all_ases - self.forwarding_visible - self.leaf_ases
-
     @classmethod
     def from_paths(cls, paths: Iterable[ASPath], roles: RoleAssignment) -> "VisibilityAnalysis":
         """Analyse visibility of ground-truth roles over a path substrate.

@@ -24,10 +24,8 @@ class ObservationSanitizer(Sanitizer):
     def sanitize_observation(self, observation: RouteObservation) -> Optional[RouteObservation]:
         """Sanitize one observation; return ``None`` if it must be dropped."""
         self.stats.observations_in += 1
-        if (
-            self.config.drop_unallocated_prefixes
-            and self.prefix_allocation is not None
-            and not self.prefix_allocation.is_allocated(observation.prefix)
+        if self.prefix_allocation is not None and not self.prefix_allocation.is_allocated(
+            observation.prefix
         ):
             self.stats.dropped_unallocated_prefix += 1
             return None

@@ -89,6 +89,52 @@ class TestCountFlags:
         assert (args.workers, args.shards, args.ingest_block_size) == (2, 3, 64)
 
 
+class TestOutOfRangeFlags:
+    """A value the engine, store or thresholds would refuse is refused by the
+    CLI first: exit status 2 and one error line, never a traceback, and
+    nothing is opened or created."""
+
+    LEADER = ["--from", "http://127.0.0.1:9", "--store", "x.db"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--store", "x.db", "--retention", "0"],
+            ["serve", "--store", "x.db", "--cache-size", "0"],
+            ["replicate", *LEADER, "--serve", "--cache-size", "-1"],
+            ["replicate", *LEADER, "--promote", "--retention", "0"],
+            ["stream", "a.mrt", "--store", "x.db", "--store-retention", "0"],
+            ["stream", "a.mrt", "--checkpoint-every", "0"],
+            ["stream", "a.mrt", "--window", "0"],
+            ["stream", "a.mrt", "--allowed-lateness", "-5"],
+            ["stream", "a.mrt", "--policy", "sliding", "--window", "3600", "--horizon", "10"],
+            ["classify", "a.mrt", "--threshold", "1.5"],
+            ["stream", "a.mrt", "--threshold", "1.5"],
+            ["demo", "--threshold", "1.5"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_is_one_error_line_with_status_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        try:
+            status = main(argv)
+        except SystemExit as usage_error:  # argparse: its usage synopsis, then the error
+            status = usage_error.code
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and errors[0] == err.splitlines()[-1]
+        assert argv[-2] in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_in_range_values_parse(self):
+        args = build_parser().parse_args(
+            ["stream", "a.mrt", "--threshold", "0.75", "--allowed-lateness", "0", "--window", "1"]
+        )
+        assert (args.threshold, args.allowed_lateness, args.window) == (0.75, 0, 1)
+
+
 class TestOnePathOptions:
     """Batch has one layout, one block size and one process: the knobs are
     gone, not ignored."""

@@ -126,12 +126,6 @@ class TestHandCraftedCases:
         assert len(result) == 0
         assert result.summary()["ases_observed"] == 0
 
-    def test_max_columns_limit(self):
-        inference = ColumnInference(max_columns=1)
-        result = inference.run(tuples_from(([10, 20, 30], ["30:1"])))
-        assert inference.report.columns_processed == 1
-        assert result.classification_of(20).tagging is TaggingClass.NONE
-
     def test_report_tracks_increments(self):
         inference = ColumnInference()
         inference.run(tuples_from(([10], ["10:1"]), ([20], [])))

@@ -14,7 +14,6 @@ from sanitize_oracle import ObservationSanitizer
 
 from repro.bgp.announcement import PathCommTuple
 from repro.parallel import ParallelStreamEngine, ShardProcessPool
-from repro.sanitize.filters import SanitationConfig
 from repro.stream import (
     MemorySource,
     ScenarioSource,
@@ -73,12 +72,6 @@ class TestShardProcessPool:
             kept = []
             assert pool.process_batch(list(enumerate(feed[:200])), kept) == []
             assert kept  # still sanitized and reported, just not new
-
-    def test_rejects_unsharded_tuple_identity(self):
-        with pytest.raises(ValueError):
-            ShardProcessPool(
-                shards=4, workers=2, sanitation=SanitationConfig(prepend_peer_asn=False)
-            )
 
     def test_workers_clamped_to_shards(self):
         with ShardProcessPool(shards=2, workers=8) as pool:

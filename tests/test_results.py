@@ -11,7 +11,6 @@ from repro.core.attribution import CommunityAttribution
 from repro.core.classes import ForwardingClass, TaggingClass
 from repro.core.column import ColumnInference
 from repro.core.pipeline import InferencePipeline
-from repro.sanitize.filters import SanitationConfig
 
 
 def tuples_from(*items):
@@ -183,8 +182,3 @@ class TestInferencePipeline:
         with pytest.raises(ValueError):
             InferencePipeline(algorithm="magic")
 
-    def test_custom_sanitation_config(self):
-        _, observations = self._observations()
-        pipeline = InferencePipeline(sanitation=SanitationConfig(drop_unallocated_prefixes=False))
-        outcome = pipeline.run_from_observations(observations)
-        assert outcome.sanitation.dropped_unallocated_prefix == 0

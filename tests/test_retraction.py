@@ -63,9 +63,9 @@ OPS = st.one_of(
 )
 
 
-def assert_equals_batch(classifier, live, **options):
+def assert_equals_batch(classifier, live):
     """``classifier.update()`` == a fresh batch run over the *live* tuples."""
-    batch = ListingInference(classifier.thresholds, **options)
+    batch = ListingInference(classifier.thresholds)
     want = batch.run(list(live))
     assert_same_result(classifier.update(), want)
     assert classifier.tuple_count == len(live)
@@ -79,13 +79,13 @@ def roundtrip(classifier):
     return classifier_from_state(state, table)
 
 
-def replay(pool, ops, thresholds, **options):
+def replay(pool, ops, thresholds):
     """Apply *ops* to a fresh classifier, checking every update against batch."""
-    classifier = make_classifier("column", thresholds, **options)
+    classifier = make_classifier("column", thresholds)
     live = {}  # insertion-ordered set of live tuples
     for op in [*ops, "update"]:
         if op == "update":
-            assert_equals_batch(classifier, live, **options)
+            assert_equals_batch(classifier, live)
         elif op == "clear":
             classifier.evict_refs([classifier.table.intern_tuple(item) for item in live])
             live.clear()
@@ -107,8 +107,6 @@ class TestInterleavedTurnover:
         pool=st.lists(tuples(), min_size=1, max_size=16, unique=True),
         ops=st.lists(OPS, max_size=60),
         threshold=st.sampled_from([0.51, 0.75, 0.99]),
-        stop_when_stalled=st.booleans(),
-        max_columns=st.sampled_from([None, 2]),
     )
     # The longest path is retracted (the column limit shrinks under records
     # that never saw the retraction), then a longer one regrows it.
@@ -116,19 +114,9 @@ class TestInterleavedTurnover:
         pool=[make_tuple([1], [1]), make_tuple([1, 2, 3], [3]), make_tuple([2, 1, 3, 4], [4])],
         ops=[0, 1, "update", 1, "update", 1, 2, "update", 2, "update", 2],
         threshold=0.51,
-        stop_when_stalled=False,
-        max_columns=None,
     )
-    def test_column_equals_batch_after_every_update(
-        self, pool, ops, threshold, stop_when_stalled, max_columns
-    ):
-        replay(
-            pool,
-            ops,
-            Thresholds.uniform(threshold),
-            stop_when_stalled=stop_when_stalled,
-            max_columns=max_columns,
-        )
+    def test_column_equals_batch_after_every_update(self, pool, ops, threshold):
+        replay(pool, ops, Thresholds.uniform(threshold))
 
     def test_sliding_sized_turnover_and_cache_compaction(self):
         """A sliding-sized live set that drains to 100 tuples and regrows.
@@ -202,8 +190,7 @@ class TestRetractionRegressions:
         assert any(window[3] == 0 for window in windows)  # the empty close happened
         assert final.counters_of(10).as_tuple() == (0, 1, 0, 0)
 
-    @pytest.mark.parametrize("max_columns", [None, 1])
-    def test_checkpoint_between_eviction_and_update(self, max_columns):
+    def test_checkpoint_between_eviction_and_update(self):
         """Signed pending groups in flight survive a checkpoint round-trip."""
         items = [
             make_tuple([3], [3]),
@@ -211,7 +198,7 @@ class TestRetractionRegressions:
             make_tuple([2, 3], []),
             make_tuple([2, 4, 3], [3]),
         ]
-        classifier = make_classifier("column", max_columns=max_columns)
+        classifier = make_classifier("column")
         for item in items:
             classifier.add_tuple(item)
         classifier.update()
@@ -219,8 +206,8 @@ class TestRetractionRegressions:
         classifier.add_tuple(make_tuple([5, 3], [3]))
         restored = roundtrip(classifier)  # -1 and +1 groups still pending
         live = [*items[:2], make_tuple([5, 3], [3])]
-        assert_equals_batch(restored, live, max_columns=max_columns)
-        assert_equals_batch(classifier, live, max_columns=max_columns)
+        assert_equals_batch(restored, live)
+        assert_equals_batch(classifier, live)
         assert restored.stats == classifier.stats
 
 

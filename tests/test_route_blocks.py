@@ -40,7 +40,7 @@ from repro.core.pipeline import InferencePipeline
 from repro.core.tuples import TupleTable
 from repro.mrt import MRTDecoder, MRTEncoder
 from repro.sanitize import filters
-from repro.sanitize.filters import SanitationConfig, Sanitizer
+from repro.sanitize.filters import Sanitizer
 from repro.stream import (
     CheckpointManager,
     MRTReplaySource,
@@ -286,7 +286,6 @@ _DROP_REASONS = (
     "dropped_unallocated_asn",
     "dropped_as_set",
     "dropped_loop",
-    "dropped_too_long",
     "dropped_empty_path",
 )
 
@@ -300,13 +299,7 @@ def per_observation(observations, **sanitizer_options):
 
 def block_loop(blocks, *, table, **sanitizer_options):
     """The same two through :meth:`ShardWorker.process_block`, block after block."""
-    options = dict(sanitizer_options)
-    worker = ShardWorker(
-        0,
-        sanitation=options.pop("config", None),
-        table=TupleTable() if table else None,
-        **options,
-    )
+    worker = ShardWorker(0, table=TupleTable() if table else None, **sanitizer_options)
     pairs = []
     for block in blocks:
         kept = []
@@ -332,26 +325,16 @@ rows_strategy = st.lists(
     min_size=1,
     max_size=40,
 )
-configs_strategy = st.builds(
-    SanitationConfig,
-    drop_unallocated_prefixes=st.booleans(),
-    drop_unallocated_asns=st.booleans(),
-    drop_as_sets=st.booleans(),
-    drop_loops=st.booleans(),
-    prepend_peer_asn=st.booleans(),
-    collapse_prepending=st.booleans(),
-    max_path_length=st.sampled_from([None, None, 3, 5]),
-)
 
 
 class TestSanitationCounters:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(rows=rows_strategy, config=configs_strategy, allocated=st.booleans(),
-           table=st.booleans(), size=st.sampled_from([1, 3, 4096]))
-    def test_block_loop_counts_event_for_event(self, rows, config, allocated, table, size):
+    @given(rows=rows_strategy, allocated=st.booleans(), table=st.booleans(),
+           size=st.sampled_from([1, 3, 4096]))
+    def test_block_loop_counts_event_for_event(self, rows, allocated, table, size):
         blob = to_mrt(rows)
         observations = observations_from_mrt(blob, "rrc00")
-        options = {"config": config, "prefix_allocation": ALLOCATION if allocated else None}
+        options = {"prefix_allocation": ALLOCATION if allocated else None}
         expected_stats, expected_pairs = per_observation(observations, **options)
         assert expected_stats["observations_in"] - expected_stats["observations_out"] == sum(
             expected_stats[reason] for reason in _DROP_REASONS
@@ -372,9 +355,7 @@ class TestSanitationCounters:
 
     def test_the_day_drops_for_every_reason(self, day):
         _blob, observations = day
-        stats, _ = per_observation(
-            observations, prefix_allocation=ALLOCATION, config=SanitationConfig(max_path_length=5)
-        )
+        stats, _ = per_observation(observations, prefix_allocation=ALLOCATION)
         assert all(stats[reason] > 0 for reason in _DROP_REASONS)
         assert stats["peer_prepended"] > 0 and stats["prepending_collapsed"] > 0
 
@@ -382,7 +363,7 @@ class TestSanitationCounters:
     @pytest.mark.parametrize("attached", ("nothing", "registry", "allocation", "both"))
     def test_batch_equals_the_oracle(self, day, monkeypatch, attached, block_size):
         """``run_from_observations`` and ``run_from_mrt``: the reference's
-        unique tuples in order, and all ten counters."""
+        unique tuples in order, and all nine counters."""
         blob, observations = day
         options = {
             "asn_registry": REGISTRY if attached in ("registry", "both") else None,

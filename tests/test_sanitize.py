@@ -8,7 +8,7 @@ from repro.bgp.community import CommunitySet
 from repro.bgp.path import ASPath
 from repro.bgp.prefix import PrefixAllocation, parse_prefix
 from repro.core.pipeline import InferencePipeline
-from repro.sanitize.filters import SanitationConfig, Sanitizer
+from repro.sanitize.filters import Sanitizer
 
 
 def make_observation(path, peer=None, prefix="8.8.8.0/24", comms=()):
@@ -64,18 +64,6 @@ class TestPathSanitation:
     def test_private_asn_dropped_even_without_registry(self):
         sanitizer = Sanitizer()
         assert sanitizer.sanitize_path(ASPath([10, 64512]), 10) is None
-
-    def test_max_length_filter(self, registry):
-        config = SanitationConfig(max_path_length=2)
-        sanitizer = Sanitizer(asn_registry=registry, config=config)
-        assert sanitizer.sanitize_path(ASPath([10, 20, 30]), 10) is None
-        assert sanitizer.stats.dropped_too_long == 1
-
-    def test_steps_can_be_disabled(self, registry):
-        config = SanitationConfig(drop_as_sets=False, collapse_prepending=False)
-        sanitizer = Sanitizer(asn_registry=registry, config=config)
-        prepended = sanitizer.sanitize_path(ASPath([10, 10, 20]), 10)
-        assert prepended.asns == (10, 10, 20)
 
 
 class TestObservationSanitation:

@@ -6,16 +6,18 @@ round-trips, and the engine-level invariants that back the live deployment
 story: batch equivalence and checkpoint transparency.
 """
 
+import copy
 import os
 import pickle
 import random
 import stat
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from column_oracle import CounterStore, ListingInference, counter_state, decision_view
 from sanitize_oracle import ObservationSanitizer
+from stream_oracle import engine_windows
 
 from repro.bgp.announcement import PathCommTuple, RouteBlock, RouteObservation
 from repro.bgp.asn import ASNRegistry
@@ -24,6 +26,7 @@ from repro.bgp.path import ASPath
 from repro.bgp.prefix import parse_prefix
 from repro.core.thresholds import Thresholds
 from repro.core.tuples import TupleTable
+from repro.sanitize import filters
 from repro.stream import (
     CheckpointError,
     CheckpointManager,
@@ -39,6 +42,7 @@ from repro.stream import (
     WindowSpec,
     shard_of,
 )
+from repro.stream import engine as engine_module
 
 
 lowered = RouteBlock.from_observations  # what ``ingest_block`` does to a list
@@ -548,10 +552,13 @@ class TestStreamEngine:
         engine.run(MemorySource(steady_feed()))
         assert len(seen) == engine.stats.windows_closed
 
-    def test_snapshot_retention_is_bounded(self):
-        engine = StreamEngine(StreamConfig(window=WindowSpec(size=100), max_snapshots=2))
+    def test_snapshot_retention_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_SNAPSHOTS", 2)
+        seen = []
+        engine = StreamEngine(StreamConfig(window=WindowSpec(size=100)), on_window=seen.append)
         engine.run(MemorySource(steady_feed()))
-        assert len(engine.snapshots) == 2
+        assert len(seen) > 2
+        assert engine.snapshots == seen[-2:]  # the newest two
 
     def test_checkpoint_restore_mid_stream_is_transparent(self, tmp_path):
         events = steady_feed()
@@ -664,19 +671,87 @@ class TestStreamEngine:
         assert engine.stats.tuples_evicted == 0
         assert 60 in result.observed_ases
 
-    def test_sharding_requires_peer_prepending(self):
-        from repro.sanitize.filters import SanitationConfig
 
-        with pytest.raises(ValueError):
-            StreamEngine(
-                StreamConfig(
-                    shards=4, sanitation=SanitationConfig(prepend_peer_asn=False)
-                )
+class TestCheckpointsOfThePreviousLayout:
+    """Format-3 checkpoints written while sanitation and the column loop
+    still had switches: at their defaults they restore and continue as if
+    never interrupted; any other value is refused."""
+
+    @staticmethod
+    def checkpoint_half(tmp_path, spec, **switches):
+        """Ingest half the steady feed, then save its state as the previous
+        layout wrote it (*switches* override that layout's defaults)."""
+        events = steady_feed()
+        first = StreamEngine(StreamConfig(window=spec, shards=2))
+        for event in events[: len(events) // 2]:
+            first.ingest(event)
+        state = first.state_dict()
+        config = copy.copy(state["config"])
+        config.__dict__.update(sanitation=None, max_columns=None, max_snapshots=64)
+        classifier = {**state["classifier"], "max_columns": None, "stop_when_stalled": True}
+        for name, value in switches.items():
+            if name != "stop_when_stalled":  # never a StreamConfig field
+                config.__dict__[name] = value
+            if name != "sanitation":  # never classifier state
+                classifier[name] = value
+        workers = []
+        for worker in state["router"]["workers"]:
+            stats = replace(worker["sanitation_stats"])
+            stats.__dict__["dropped_too_long"] = 0
+            workers.append({**worker, "sanitation_stats": stats})
+        legacy = {
+            **state,
+            "config": config,
+            "classifier": classifier,
+            "router": {"workers": workers},
+        }
+        manager = CheckpointManager(tmp_path)
+        manager.save(legacy)
+        return first, manager, events
+
+    @pytest.mark.parametrize("policy", ["cumulative", "sliding"])
+    def test_restores_and_continues_like_an_uninterrupted_run(self, tmp_path, policy):
+        spec = WindowSpec(size=100, policy=WindowPolicy(policy), horizon=200)
+        first, manager, events = self.checkpoint_half(tmp_path, spec)
+        resumed = StreamEngine.restore(manager)
+        assert [spec.name for spec in fields(resumed.config)] == [
+            "window", "shards", "thresholds", "checkpoint_every", "ingest_block_size"
+        ]
+        assert vars(resumed.config) == vars(first.config)
+        for event in events[len(events) // 2 :]:
+            resumed.ingest(event)
+        resumed.finish()
+        uninterrupted = StreamEngine(StreamConfig(window=spec, shards=2))
+        uninterrupted.run(MemorySource(events))
+        assert engine_windows(first) + engine_windows(resumed) == engine_windows(uninterrupted)
+        assert resumed.sanitation_stats() == uninterrupted.sanitation_stats()
+        assert "too_long" not in resumed.ingest_stats()["dropped"]
+
+    @pytest.mark.parametrize(
+        "switch", [("max_columns", 2), ("stop_when_stalled", False)], ids=lambda s: s[0]
+    )
+    def test_a_set_column_switch_is_refused(self, tmp_path, switch):
+        name, value = switch
+        _, manager, _ = self.checkpoint_half(tmp_path, WindowSpec(size=100), **{name: value})
+        with pytest.raises(CheckpointError, match=f"{name}={value!r}"):
+            StreamEngine.restore(manager)
+
+    def test_a_sanitation_config_is_refused(self, tmp_path, monkeypatch):
+        """The switches' holder class is gone: its checkpoint cannot load."""
+
+        @dataclass
+        class Switches:
+            prepend_peer_asn: bool = False
+
+        Switches.__module__, Switches.__qualname__ = filters.__name__, "SanitationConfig"
+        with monkeypatch.context() as patch:
+            patch.setattr(filters, "SanitationConfig", Switches, raising=False)
+            _, manager, _ = self.checkpoint_half(
+                tmp_path, WindowSpec(size=100), sanitation=Switches()
             )
-        # Single shard has no cross-partition identity problem.
-        StreamEngine(
-            StreamConfig(shards=1, sanitation=SanitationConfig(prepend_peer_asn=False))
-        )
+        with pytest.raises(CheckpointError, match="SanitationConfig"):
+            StreamEngine.restore(manager)
+        assert manager.latest() is not None  # refused, not deleted
 
 
 # ---------------------------------------------------------------------------------------

@@ -112,14 +112,11 @@ def assert_matches_oracle(classifier, oracle):
     assert sorted(result.as_code_map()) == sorted(oracle.as_refs)
 
 
-def assert_update_equals_batch(classifier, oracle, **options):
-    batch = ListingInference(classifier.thresholds, **options)
+def assert_update_equals_batch(classifier, oracle):
+    batch = ListingInference(classifier.thresholds)
     want = batch.run(list(oracle.live))
     assert_same_result(classifier.update(), want)
     assert classifier.report == batch.report
-    if not options.get("stop_when_stalled", True) and options.get("max_columns") is None:
-        # The column limit is the highest live path length.
-        assert classifier.report.columns_processed == max(oracle.length_refs, default=0)
     assert_matches_oracle(classifier, oracle)
     assert_same_result(classifier.result(), want)
 
@@ -155,16 +152,13 @@ class TestReferenceColumnsEqualThePerTupleDicts:
     @given(
         pool=st.lists(tuples(), min_size=1, max_size=24, unique=True),
         ops=st.lists(OPS, max_size=40),
-        stop_when_stalled=st.booleans(),
-        max_columns=st.sampled_from([None, 2]),
     )
-    def test_interleaved_sequences(self, pool, ops, stop_when_stalled, max_columns):
-        options = {"stop_when_stalled": stop_when_stalled, "max_columns": max_columns}
-        classifier = make_classifier("column", Thresholds.uniform(0.75), **options)
+    def test_interleaved_sequences(self, pool, ops):
+        classifier = make_classifier("column", Thresholds.uniform(0.75))
         oracle = RefOracle()
         for name, argument in [*ops, ("update", None)]:
             if name == "update":
-                assert_update_equals_batch(classifier, oracle, **options)
+                assert_update_equals_batch(classifier, oracle)
                 continue
             if name == "checkpoint":
                 classifier = roundtrip(classifier)
@@ -222,26 +216,26 @@ class TestReferenceColumnsEqualThePerTupleDicts:
         assert classifier.result().observed_ases == {4, 5}
 
     def test_empty_turnover_and_everything_evicted(self):
-        classifier = make_classifier("column", stop_when_stalled=False)
+        classifier = make_classifier("column")
         oracle = RefOracle()
-        assert_update_equals_batch(classifier, oracle, stop_when_stalled=False)  # nothing, ever
+        assert_update_equals_batch(classifier, oracle)  # nothing, ever
         items = [make_tuple([1, 2, 3, 4], [4]), make_tuple([2, 3], [3])]
         for item in items:
             classifier.add_tuple(item)
             oracle.queue(item, 1)
-        assert_update_equals_batch(classifier, oracle, stop_when_stalled=False)
-        assert_update_equals_batch(classifier, oracle, stop_when_stalled=False)  # empty turnover
+        assert_update_equals_batch(classifier, oracle)
+        assert_update_equals_batch(classifier, oracle)  # empty turnover
         classifier.evict_refs([classifier.table.intern_tuple(items[0])])
         oracle.queue(items[0], -1)
-        assert_update_equals_batch(classifier, oracle, stop_when_stalled=False)  # limit shrinks
+        assert_update_equals_batch(classifier, oracle)  # limit shrinks
         assert classifier.report.columns_processed == 2
         classifier.evict_refs([classifier.table.intern_tuple(items[1])])
         oracle.queue(items[1], -1)
-        assert_update_equals_batch(classifier, oracle, stop_when_stalled=False)
+        assert_update_equals_batch(classifier, oracle)
         assert classifier.state_dict()["as_refs"] == {} == classifier.state_dict()["length_refs"]
         assert classifier.result().observed_ases == set()
         assert classifier.report.columns_processed == 0
-        assert_update_equals_batch(roundtrip(classifier), oracle, stop_when_stalled=False)
+        assert_update_equals_batch(roundtrip(classifier), oracle)
 
     def test_a_restored_classifier_does_not_fold_its_pending_turnover_twice(self):
         classifier = make_classifier("column")
