@@ -70,6 +70,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse ``type=`` of ``--port``: a TCP port, 0 to 65535 (0 picks a free one)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
+    return value
+
+
 def _threshold(text: str) -> float:
     """argparse ``type=`` of ``--threshold``: a value :class:`Thresholds` accepts."""
     value = float(text)
@@ -345,7 +353,7 @@ def _run_until_interrupted(block: Callable[[], None]) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: expose a snapshot store over the JSON HTTP API."""
     from repro.service.auth import resolve_token
-    from repro.service.backends import StoreError, open_store, parse_store_url
+    from repro.service.backends import open_store, parse_store_url
     from repro.service.workers import require_file_store
 
     auth_token = resolve_token(args.auth_token)
@@ -375,9 +383,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     verb = "archived" if args.archive_dir else "pruned"
                     print(f"{verb} {dropped} snapshots beyond --retention", file=sys.stderr)
             server, fleet = _start_http(args, stack, auth_token, retention=args.retention)
-        except StoreError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
         except socket.gaierror as error:
             print(f"error: --host {args.host!r}: {error.strerror}", file=sys.stderr)
             return 1
@@ -507,17 +512,12 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 def cmd_archive(args: argparse.Namespace) -> int:
     """``archive``: inspect and maintain a cold-tier snapshot archive."""
-    from repro.service.backends import StoreError, open_archive
+    from repro.service.backends import open_archive
 
     if not Path(args.archive_dir).is_dir():
         print(f"error: archive directory {args.archive_dir!r} does not exist", file=sys.stderr)
         return 1
-    try:
-        archive = open_archive(args.archive_dir)
-    except StoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    with archive:
+    with open_archive(args.archive_dir) as archive:
         if args.action == "list":
             metas = archive.snapshots()
             ids = f"ids {metas[0].snapshot_id}..{metas[-1].snapshot_id}" if metas else "empty"
@@ -754,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(path, sqlite:path, or memory: for an in-process SQLite store)",
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080)
+    serve.add_argument("--port", type=_port, default=8080)
     serve.add_argument(
         "--cache-size",
         type=_positive_int,
@@ -861,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
         "this replica's own API when serving; defaults to $REPRO_AUTH_TOKEN",
     )
     replicate.add_argument("--host", default="127.0.0.1")
-    replicate.add_argument("--port", type=int, default=8080)
+    replicate.add_argument("--port", type=_port, default=8080)
     replicate.add_argument(
         "--cache-size",
         type=_positive_int,
@@ -917,10 +917,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (MRTDecodeError, CheckpointError, OSError) as error:
-        # A corrupt or unreadable *input file* or checkpoint is the user's to
-        # fix.  Any other OSError (a socket, the store, the output path) is not.
-        if isinstance(error, OSError) and error.filename not in getattr(args, "inputs", ()):
+    except Exception as error:
+        # A corrupt or unreadable *input file*, checkpoint or store is the
+        # user's to fix.  Any other OSError (a socket, the output path) is not.
+        # The service package loads only here: most commands never open a store.
+        from repro.service.backends.base import StoreError
+
+        if isinstance(error, OSError):
+            if error.filename not in getattr(args, "inputs", ()):
+                raise
+        elif not isinstance(error, (MRTDecodeError, CheckpointError, StoreError)):
             raise
         print(f"error: {error}", file=sys.stderr)
         return 1

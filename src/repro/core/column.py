@@ -171,16 +171,6 @@ class ColumnInferenceReport:
     tagging_counts_per_column: List[int] = field(default_factory=list)
     forwarding_counts_per_column: List[int] = field(default_factory=list)
 
-    @property
-    def total_tagging_counts(self) -> int:
-        """Total number of tagging counter increments."""
-        return sum(self.tagging_counts_per_column)
-
-    @property
-    def total_forwarding_counts(self) -> int:
-        """Total number of forwarding counter increments."""
-        return sum(self.forwarding_counts_per_column)
-
 
 class ColumnInference:
     """Runs the paper's column-based inference over ``(path, comm)`` tuples."""

@@ -8,11 +8,14 @@ concurrent readers can share one producer:
 
 * **atomic writes** -- one snapshot is one transaction; readers never see a
   half-written snapshot;
-* **schema versioning** -- the database carries its schema version and the
-  store refuses to open an incompatible file instead of corrupting it;
+* **one schema version** -- the database carries its schema version, and
+  the store opens only :data:`SCHEMA_VERSION` files: any other version is
+  one :class:`StoreError`, raised before anything is written, so the file
+  is left as it was (rebuild it with ``repro stream --store`` or ``repro
+  replicate --store``);
 * **retention / compaction** -- an optional cap on retained window
   snapshots, applied at append time, plus an explicit :meth:`compact`;
-* **one row of columns per snapshot** (schema v3) -- ``snapshot_columns``
+* **one row of columns per snapshot** -- ``snapshot_columns``
   holds a snapshot's per-AS rows as ``zlib.compress(asns <u8 || codes u1 ||
   counters <i8 (4 x n, row-major), level 1)``, apart from the ``snapshots``
   metadata so metadata scans never touch blob pages.  ``as_buckets (asn,
@@ -21,16 +24,14 @@ concurrent readers can share one producer:
   those runs' snapshots, newest first.  Decoded columns are cached on
   ``(snapshot_id, generation)`` -- unique, so a pinned id re-used after a
   drop never hits a stale entry -- up to ``_CACHE_ROWS`` AS rows;
-* **a digest per snapshot** (schema v4) -- ``snapshots.digest`` is the
+* **a digest per snapshot** -- ``snapshots.digest`` is the
   32-byte sha256 of the snapshot's metadata row (its store-local
   ``generation`` excepted), its column blob and its change set, kept on the
   small metadata row rather than beside the blob.  It is the same on a
   leader, its followers and a tiered store's cold tier.  Every read that
   decodes a blob (a cache miss) and every :meth:`changes` read check it
   first, and :meth:`verify` re-checks every row, so a changed byte raises
-  :class:`StoreError` instead of serving wrong history.  Version-3 (no
-  digest), version-2 (one ``as_records`` row per AS) and version-1 files
-  migrate on open;
+  :class:`StoreError` instead of serving wrong history;
 * **generation counter** -- every committed write bumps a monotonically
   increasing generation, which the HTTP server uses to key its read cache;
 * **generation-addressed changelog** -- every snapshot records the
@@ -55,6 +56,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 import zlib
 from collections import OrderedDict
 from contextlib import closing, contextmanager
@@ -64,7 +66,7 @@ import numpy as np
 
 from repro.bgp.asn import ASN
 from repro.core.classes import CLASS_CODES
-from repro.core.counters import ASCounters, class_code_indices
+from repro.core.counters import ASCounters
 from repro.core.thresholds import Thresholds
 from repro.service.backends.base import (
     ASHistoryEntry,
@@ -81,11 +83,7 @@ from repro.service.backends.base import (
 )
 from repro.stream.engine import WindowSnapshot
 
-#: Version of the on-disk schema this module reads and writes.  Version 2
-#: added the per-snapshot commit ``generation`` column (replication feed),
-#: version 3 replaced the per-AS ``as_records`` rows with one column blob per
-#: snapshot, version 4 added the per-snapshot ``digest``; older files are
-#: migrated in place on open.
+#: The one on-disk schema version this module reads and writes.
 SCHEMA_VERSION = 4
 
 #: Decoded column sets stay cached until they hold this many AS rows in all
@@ -101,14 +99,20 @@ _BUCKET_BITS = 6
 #: chunks below it so one giant prune still batches instead of erroring.
 _DELETE_CHUNK = 500
 
+#: Leaving a fresh file's rollback journal for WAL takes an exclusive lock.
+#: SQLite refuses one of two first opens that ask at once ("database is
+#: locked") rather than wait into a deadlock, so an open asks up to this many
+#: times, 10 ms apart.
+_WAL_ATTEMPTS = 100
+
 #: One snapshot's digest-checked columns and change set (a cache entry).
 Stored = Tuple[Columns, Dict[ASN, Tuple[str, str]]]
 
 
 # Individual statements (not one script) so initialisation can run them
 # inside a single BEGIN IMMEDIATE transaction: executescript() would commit
-# the transaction first, and concurrent multi-process opens (every fan-out
-# worker opens the store) must serialise the version check + migration.
+# the transaction first, and concurrent multi-process first opens (every
+# fan-out worker opens the store) must serialise creating a fresh file.
 _SCHEMA_STATEMENTS = (
     """
     CREATE TABLE IF NOT EXISTS snapshots (
@@ -255,7 +259,14 @@ class SnapshotStore(SnapshotBackend):
     def _connect(self) -> sqlite3.Connection:
         connection = sqlite3.connect(self.path, check_same_thread=False)
         try:
-            connection.execute("PRAGMA journal_mode=WAL")
+            for attempt in range(1, _WAL_ATTEMPTS + 1):
+                try:
+                    connection.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as error:
+                    if attempt == _WAL_ATTEMPTS or "locked" not in str(error):
+                        raise
+                    time.sleep(0.01)
         except sqlite3.DatabaseError as error:  # "file is not a database"
             connection.close()
             raise StoreError(f"store {self.path!r} is unreadable: {error}") from None
@@ -296,12 +307,10 @@ class SnapshotStore(SnapshotBackend):
         with self._write_lock:
             connection = self._conn()
             with connection:
-                # One BEGIN IMMEDIATE transaction around the whole check /
-                # migrate / create sequence: concurrent opens from sibling
-                # processes (a fan-out worker fleet, a serving replica's
-                # syncer) must not both read version 1 and both run the
-                # migration's ALTER TABLE, nor both insert the meta rows of
-                # a fresh file.
+                # One BEGIN IMMEDIATE transaction around the check and the
+                # create: concurrent first opens from sibling processes (a
+                # fan-out worker fleet, a serving replica's syncer) must not
+                # both insert the meta rows of a fresh file.
                 connection.execute("BEGIN IMMEDIATE")
                 connection.execute(
                     "CREATE TABLE IF NOT EXISTS meta"
@@ -310,110 +319,26 @@ class SnapshotStore(SnapshotBackend):
                 row = connection.execute(
                     "SELECT value FROM meta WHERE key = 'schema_version'"
                 ).fetchone()
-                version = SCHEMA_VERSION if row is None else int(row[0])
-                if version == 1:
-                    self._migrate_v1(connection)
-                if version in (1, 2):
-                    self._migrate_v2(connection)
-                if version in (1, 2, 3):
-                    self._migrate_v3(connection)
-                elif version != SCHEMA_VERSION:
-                    raise StoreError(
-                        f"store {self.path!r} has schema version {row[0]}, "
-                        f"this build reads version {SCHEMA_VERSION}"
-                    )
+                if row is not None:
+                    if row[0] != str(SCHEMA_VERSION):
+                        raise StoreError(
+                            f"store {self.path!r} has schema version {row[0]}, this build"
+                            f" reads version {SCHEMA_VERSION} only; rebuild it with"
+                            " `repro stream --store NEW` or"
+                            " `repro replicate --from LEADER --store NEW`"
+                        )
+                    return
                 for statement in _SCHEMA_STATEMENTS:
                     connection.execute(statement)
-                if row is None:
-                    connection.execute(
-                        "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                        (str(SCHEMA_VERSION),),
-                    )
-                    connection.execute(
-                        "INSERT INTO meta (key, value) VALUES ('generation', '0')"
-                    )
-                connection.execute(
-                    "INSERT OR IGNORE INTO meta (key, value)"
-                    " VALUES ('pruned_through', '0')"
+                connection.executemany(
+                    "INSERT INTO meta (key, value) VALUES (?, ?)",
+                    [
+                        ("schema_version", str(SCHEMA_VERSION)),
+                        ("generation", "0"),
+                        ("pruned_through", "0"),
+                        ("leader_epoch", "0"),
+                    ],
                 )
-                connection.execute(
-                    "INSERT OR IGNORE INTO meta (key, value)"
-                    " VALUES ('leader_epoch', '0')"
-                )
-
-    @staticmethod
-    def _migrate_v1(connection: sqlite3.Connection) -> None:
-        """In-place migration of a version-1 file to the version-2 schema.
-
-        Version 1 had no per-snapshot commit generation.  Retained snapshots
-        are backfilled with synthetic generations that keep commit order and
-        end at the store's current generation counter, so appends after the
-        migration continue the same monotonic sequence.  What (if anything)
-        retention pruned before the migration is unknowable, so
-        ``pruned_through`` starts at 0 -- harmless, because no follower can
-        predate its leader's migration.
-        """
-        connection.execute(
-            "ALTER TABLE snapshots ADD COLUMN generation INTEGER NOT NULL DEFAULT 0"
-        )
-        row = connection.execute(
-            "SELECT value FROM meta WHERE key = 'generation'"
-        ).fetchone()
-        current = int(row[0]) if row is not None else 0
-        rows = connection.execute("SELECT id FROM snapshots ORDER BY id").fetchall()
-        for rank, (snapshot_id,) in enumerate(rows, start=1):
-            connection.execute(
-                "UPDATE snapshots SET generation = ? WHERE id = ?",
-                (current - len(rows) + rank, snapshot_id),
-            )
-
-    @staticmethod
-    def _migrate_v2(connection: sqlite3.Connection) -> None:
-        """In-place migration of a version-2 file to the version-3 schema.
-
-        Each snapshot's ``as_records`` rows, read in ascending ASN order,
-        become one ``snapshot_columns`` blob (a snapshot without rows gets an
-        empty one) whose codes are recomputed from the snapshot's thresholds,
-        as every append computed them, and are indexed like an append; then
-        the table goes, and its index with it.
-        """
-        for statement in _SCHEMA_STATEMENTS:
-            connection.execute(statement)
-        stored = connection.execute("SELECT id, thresholds FROM snapshots").fetchall()
-        for snapshot_id, thresholds in stored:
-            rows = connection.execute(
-                "SELECT asn, tagger, silent, forward, cleaner FROM as_records"
-                " WHERE snapshot_id = ? ORDER BY asn",
-                (snapshot_id,),
-            ).fetchall()
-            asns = [row[0] for row in rows]
-            counters = np.array([row[1:] for row in rows], np.int64).reshape(-1, 4).T
-            codes = class_code_indices(counters, Thresholds(*json.loads(thresholds)))
-            blob = _encode_columns(asns, codes, counters)
-            _write_columns(connection, snapshot_id, asns, blob)
-        connection.execute("DROP TABLE as_records")
-
-    @staticmethod
-    def _migrate_v3(connection: sqlite3.Connection) -> None:
-        """In-place migration of a version-3 file to the version-4 schema.
-
-        Every snapshot gets the digest of what it holds now, as an append
-        would have written it; the migration is the last step, so it sets
-        the schema version.
-        """
-        connection.execute("ALTER TABLE snapshots ADD COLUMN digest BLOB")
-        for (snapshot_id,) in connection.execute("SELECT id FROM snapshots").fetchall():
-            *header, _, blob, changes = connection.execute(
-                _STORED + " WHERE s.id = ?", (snapshot_id,)
-            ).fetchone()
-            connection.execute(
-                "UPDATE snapshots SET digest = ? WHERE id = ?",
-                (_digest(header, blob, json.loads(changes)), snapshot_id),
-            )
-        connection.execute(
-            "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-            (str(SCHEMA_VERSION),),
-        )
 
     def close(self) -> None:
         """Close every connection this store ever opened, on any thread.

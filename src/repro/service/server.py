@@ -249,19 +249,6 @@ class ClassificationService:
         self._churn_lock = threading.Lock()
         self._churn_cache: Optional[Tuple[int, int, List[Tuple[int, int]]]] = None
 
-    #: Endpoints whose payloads change without a store write (request
-    #: counters, liveness, scrapes): their routes are ``cacheable=False``,
-    #: and this set documents why (serving them stale would hide live
-    #: operational state).  Kept in sync with the route table by test.
-    VOLATILE_PATHS = frozenset({"/healthz", "/metrics", "/v1/stats"})
-
-    #: Endpoints kept out of the response cache.  Beyond the volatile ones,
-    #: replication changelog pages are excluded: each page is huge (up to
-    #: hundreds of full snapshot payloads), keyed by a ``since`` no follower
-    #: ever asks for twice (applied generations only move forward), so
-    #: caching them would evict the hot per-AS entries for one-shot bodies.
-    UNCACHED_PATHS = VOLATILE_PATHS | frozenset({"/v1/replication/changes"})
-
     # -- entry point --------------------------------------------------------------------
     @property
     def stats(self) -> ServiceStats:
@@ -571,6 +558,13 @@ class ClassificationService:
     #: literal ``/v1/snapshot/latest`` must precede the ``{window_end}``
     #: capture.  ``metric_name`` values come from
     #: :data:`repro.service.metrics.METRIC_ENDPOINTS` (asserted by test).
+    #: Four routes stay out of the response cache.  ``/healthz``,
+    #: ``/metrics`` and ``/v1/stats`` change without a store write (request
+    #: counters, liveness): served stale they would hide live operational
+    #: state.  Replication changelog pages are huge (up to hundreds of full
+    #: snapshots) and keyed by a ``since`` no follower asks for twice
+    #: (applied generations only move forward): cached, they would evict the
+    #: hot per-AS entries for one-shot bodies.
     ROUTES: Tuple[Route, ...] = (
         Route("/healthz", _healthz, False, False, "healthz"),
         Route("/metrics", _metrics, False, False, "metrics"),

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import sqlite3
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.bgp.prefix import parse_prefix
 from repro.cli import build_parser, main
 from repro.core.export import FORMAT_HEADER, ClassificationDatabase
 from repro.mrt.encoder import MRTEncoder
+from repro.service import SnapshotStore
 
 
 def write_mrt(path, updates):
@@ -111,6 +113,9 @@ class TestOutOfRangeFlags:
             ["classify", "a.mrt", "--threshold", "1.5"],
             ["stream", "a.mrt", "--threshold", "1.5"],
             ["demo", "--threshold", "1.5"],
+            ["serve", "--store", "x.db", "--port", "70000"],
+            ["serve", "--store", "x.db", "--port", "-1"],
+            ["replicate", *LEADER, "--serve", "--port", "70000"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -133,6 +138,56 @@ class TestOutOfRangeFlags:
             ["stream", "a.mrt", "--threshold", "0.75", "--allowed-lateness", "0", "--window", "1"]
         )
         assert (args.threshold, args.allowed_lateness, args.window) == (0.75, 0, 1)
+
+
+def _unusable_store(path, kind):
+    """A store file at *path* this build cannot open: *kind* ``"v3"`` is a
+    store labelled with the older schema version 3, ``"garbage"`` is not a
+    SQLite database at all."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "garbage":
+        path.write_bytes(b"not a database\n" * 64)
+        return
+    with SnapshotStore(path):
+        pass
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
+    connection.close()
+
+
+class TestUnusableStore:
+    """Every command that opens a store reports one it cannot open as one
+    ``error:`` line naming the file, exit status 1, never a traceback."""
+
+    COMMANDS = {
+        "classify": ["classify", "{mrt}", "--store", "s.db", "-o", "db.txt"],
+        "demo": ["demo", "--scale", "tiny", "--store", "s.db", "-o", "db.txt"],
+        "stream": ["stream", "{mrt}", "--store", "s.db", "-o", "db.txt"],
+        "replicate": ["replicate", "--from", "http://127.0.0.1:9", "--store", "s.db", "--once"],
+        "serve": ["serve", "--store", "s.db", "--port", "0"],
+        "archive": ["archive", "cold", "verify"],
+    }
+
+    @pytest.mark.parametrize("kind", ["v3", "garbage"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_is_one_error_line_with_status_1(
+        self, command, kind, mrt_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        # Were the store opened, serving would block: fail instead.
+        monkeypatch.setattr(
+            "repro.cli._run_until_interrupted", lambda block: pytest.fail("store opened")
+        )
+        store = "cold/archive.db" if command == "archive" else "s.db"
+        _unusable_store(tmp_path / store, kind)
+        argv = [part.format(mrt=mrt_file) for part in self.COMMANDS[command]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert store in line
+        assert ("schema version 3" if kind == "v3" else "not a database") in line
 
 
 class TestOnePathOptions:

@@ -129,7 +129,7 @@ class TestHandCraftedCases:
     def test_report_tracks_increments(self):
         inference = ColumnInference()
         inference.run(tuples_from(([10], ["10:1"]), ([20], [])))
-        assert inference.report.total_tagging_counts == 2
+        assert sum(inference.report.tagging_counts_per_column) == 2
 
     def test_run_looks_the_kernels_up_by_module_name(
         self, monkeypatch, random_dataset, random_classification

@@ -163,13 +163,10 @@ class TestEndpointConsistency:
         assert "unknown" in METRIC_ENDPOINTS
 
     def test_route_table_flags_match_documented_sets(self):
-        """The legacy VOLATILE/UNCACHED path sets and the table agree."""
-        for route in Service.ROUTES:
-            pattern_path = "/" + "/".join(
-                part for part in route.pattern.split("/") if part
-            )
-            if pattern_path in Service.UNCACHED_PATHS:
-                assert not route.cacheable, route.pattern
+        """The route table is the one source of both flags: the routes its
+        comment keeps out of the cache, and the two auth exemptions."""
+        uncached = {r.pattern for r in Service.ROUTES if not r.cacheable}
+        assert uncached == {"/healthz", "/metrics", "/v1/stats", "/v1/replication/changes"}
         exempt = {r.pattern for r in Service.ROUTES if not r.auth_required}
         assert exempt == {"/healthz", "/metrics"}
 

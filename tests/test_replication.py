@@ -4,16 +4,13 @@ Covers the leader's changelog endpoint (paging, generation addressing, the
 pruning horizon), the follower syncer (convergence to byte-identical served
 payloads, exactly-once resume after a mid-sync kill, explicit errors when
 leader retention outruns a lagging follower, bootstrap of an empty follower
-from an already-pruned leader), the schema v1 -> v2 migration the
-generation column required, the schema v2 -> v3 migration to one column
-blob per snapshot, the v3 -> v4 migration that adds each snapshot's digest,
+from an already-pruned leader), concurrent first opens of one store file,
 and the ``repro replicate`` CLI wiring.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sqlite3
 from collections import Counter
 
@@ -48,9 +45,6 @@ from repro.service.backends.base import (
 )
 from repro.stream import MemorySource, StreamConfig, StreamEngine, WindowSpec
 from repro.stream.engine import WindowSnapshot
-from tests.store_oracle import ReferenceStore
-from tests.test_backends import build_snapshots
-from tests.test_columnar_store import random_snapshot
 from tests.test_stream import observation
 
 
@@ -588,318 +582,52 @@ class TestReplicaSyncer:
 
 
 # ---------------------------------------------------------------------------------------
-# Schema migration (v1 -> v2 -> v3 -> v4)
+# Concurrent first opens
 # ---------------------------------------------------------------------------------------
-def _open_store_process(path, results):
-    """Child-process entry: open (and possibly migrate) one store path.
+def _open_store_process(paths, results, start):
+    """Child-process entry: for each of *paths*, wait at the *start* barrier,
+    then open that store and report its length.
 
     Module-level so the spawn start method can import it.
     """
-    try:
-        with SnapshotStore(path) as store:
-            results.put(("ok", len(store)))
-    except Exception as error:  # noqa: BLE001 - reported to the parent
-        results.put(("error", repr(error)))
-
-#: The version-1 DDL, verbatim, to fabricate a pre-generation store file.
-_V1_SCHEMA = """
-CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-CREATE TABLE snapshots (
-    id              INTEGER PRIMARY KEY AUTOINCREMENT,
-    kind            TEXT NOT NULL,
-    window_start    INTEGER NOT NULL,
-    window_end      INTEGER NOT NULL,
-    skipped_windows INTEGER NOT NULL,
-    events_total    INTEGER NOT NULL,
-    unique_tuples   INTEGER NOT NULL,
-    algorithm       TEXT NOT NULL,
-    thresholds      TEXT NOT NULL
-);
-CREATE INDEX idx_snapshots_window_end ON snapshots (window_end);
-CREATE TABLE as_records (
-    snapshot_id INTEGER NOT NULL, asn INTEGER NOT NULL, code TEXT NOT NULL,
-    tagger INTEGER NOT NULL, silent INTEGER NOT NULL,
-    forward INTEGER NOT NULL, cleaner INTEGER NOT NULL,
-    PRIMARY KEY (snapshot_id, asn)
-) WITHOUT ROWID;
-CREATE TABLE changes (
-    snapshot_id INTEGER NOT NULL, asn INTEGER NOT NULL,
-    old_code TEXT NOT NULL, new_code TEXT NOT NULL,
-    PRIMARY KEY (snapshot_id, asn)
-) WITHOUT ROWID;
-INSERT INTO meta (key, value) VALUES ('schema_version', '1');
-INSERT INTO meta (key, value) VALUES ('generation', '5');
-"""
-
-#: The version-2 DDL, verbatim, to fabricate a pre-column store file.
-_V2_SCHEMA = """
-CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-CREATE TABLE snapshots (
-    id              INTEGER PRIMARY KEY AUTOINCREMENT,
-    kind            TEXT NOT NULL,
-    window_start    INTEGER NOT NULL,
-    window_end      INTEGER NOT NULL,
-    skipped_windows INTEGER NOT NULL,
-    events_total    INTEGER NOT NULL,
-    unique_tuples   INTEGER NOT NULL,
-    algorithm       TEXT NOT NULL,
-    thresholds      TEXT NOT NULL,
-    generation      INTEGER NOT NULL DEFAULT 0
-);
-CREATE INDEX idx_snapshots_window_end ON snapshots (window_end);
-CREATE INDEX idx_snapshots_generation ON snapshots (generation);
-CREATE TABLE as_records (
-    snapshot_id INTEGER NOT NULL,
-    asn         INTEGER NOT NULL,
-    code        TEXT NOT NULL,
-    tagger      INTEGER NOT NULL,
-    silent      INTEGER NOT NULL,
-    forward     INTEGER NOT NULL,
-    cleaner     INTEGER NOT NULL,
-    PRIMARY KEY (snapshot_id, asn)
-) WITHOUT ROWID;
-CREATE INDEX idx_as_records_asn ON as_records (asn, snapshot_id);
-CREATE TABLE changes (
-    snapshot_id INTEGER NOT NULL,
-    asn         INTEGER NOT NULL,
-    old_code    TEXT NOT NULL,
-    new_code    TEXT NOT NULL,
-    PRIMARY KEY (snapshot_id, asn)
-) WITHOUT ROWID;
-INSERT INTO meta (key, value) VALUES ('schema_version', '2');
-INSERT INTO meta (key, value) VALUES ('pruned_through', '0');
-INSERT INTO meta (key, value) VALUES ('leader_epoch', '0');
-"""
+    for path in paths:
+        try:
+            start.wait(timeout=60)
+            with SnapshotStore(path) as store:
+                results.put(("ok", len(store)))
+        except Exception as error:  # noqa: BLE001 - reported to the parent
+            results.put(("error", repr(error)))
 
 
-def _fabricate_v2(path, snapshots):
-    """A version-2 store holding *snapshots* the way a v2 build wrote them."""
-    connection = sqlite3.connect(path)
-    with connection:
-        connection.executescript(_V2_SCHEMA)
-        for generation, snapshot in enumerate(snapshots, start=1):
-            result = snapshot.result
-            thresholds = result.thresholds
-            snapshot_id = connection.execute(
-                "INSERT INTO snapshots (kind, window_start, window_end,"
-                " skipped_windows, events_total, unique_tuples, algorithm,"
-                " thresholds, generation) VALUES ('window', ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    snapshot.window_start,
-                    snapshot.window_end,
-                    snapshot.skipped_windows,
-                    snapshot.events_total,
-                    snapshot.unique_tuples,
-                    result.algorithm,
-                    json.dumps(
-                        [
-                            thresholds.tagger,
-                            thresholds.silent,
-                            thresholds.forward,
-                            thresholds.cleaner,
-                        ]
-                    ),
-                    generation,
-                ),
-            ).lastrowid
-            connection.executemany(
-                "INSERT INTO as_records VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(snapshot_id, *record) for record in result.records()],
-            )
-            connection.executemany(
-                "INSERT INTO changes VALUES (?, ?, ?, ?)",
-                [(snapshot_id, asn, old, new) for asn, (old, new) in snapshot.changed.items()],
-            )
-        connection.execute(
-            "INSERT INTO meta (key, value) VALUES ('generation', ?)", (str(len(snapshots)),)
-        )
-    connection.close()
-
-
-def _assert_columnar(path):
-    """The file at *path* is schema 4: column blobs, no per-AS table left."""
-    connection = sqlite3.connect(path)
-    try:
-        names = {name for (name,) in connection.execute("SELECT name FROM sqlite_master")}
-        version = connection.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
-    finally:
-        connection.close()
-    assert version == ("4",)
-    assert "snapshot_columns" in names
-    assert not names & {"as_records", "idx_as_records_asn"}
-
-
-def _v2_snapshots():
-    """Engine windows plus edge-ASN, empty and other-threshold results."""
-    rng = random.Random(5)
-    return build_snapshots(4) + [
-        random_snapshot(rng, 10),
-        random_snapshot(rng, 11, empty=True),
-        random_snapshot(rng, 12),
-    ]
-
-
-class TestSchemaMigration:
-    def _fabricate_v1(self, path):
-        connection = sqlite3.connect(path)
-        with connection:
-            connection.executescript(_V1_SCHEMA)
-            for index in range(3):
-                connection.execute(
-                    "INSERT INTO snapshots (kind, window_start, window_end,"
-                    " skipped_windows, events_total, unique_tuples, algorithm,"
-                    " thresholds) VALUES ('window', ?, ?, 0, 4, 2, 'column',"
-                    " '[0.99, 0.99, 0.99, 0.99]')",
-                    (index * 100, (index + 1) * 100),
-                )
-                connection.execute(
-                    "INSERT INTO as_records VALUES (?, 10, 'ty', 4, 0, 0, 0)",
-                    (index + 1,),
-                )
-        connection.close()
-
-    def test_v1_store_migrates_in_place(self, tmp_path):
-        path = tmp_path / "legacy.db"
-        self._fabricate_v1(path)
-        with SnapshotStore(path) as migrated:
-            assert len(migrated) == 3
-            # Backfilled generations keep commit order and end at the
-            # stored counter, so new appends continue the sequence.
-            assert [m.generation for m in migrated.snapshots()] == [3, 4, 5]
-            assert migrated.generation() == 5
-            assert migrated.pruned_through() == 0
-            assert migrated.snapshots_since(4)[0].snapshot_id == 3
-            loaded = migrated.load_snapshot(1)
-            assert loaded.result.counters_of(10).tagger == 4
-        # The migration is durable: a reopen does not re-run it.
-        with SnapshotStore(path) as reopened:
-            engine = StreamEngine(StreamConfig(window=WindowSpec(size=100)))
-            engine.run(MemorySource(feed(2)))
-            reopened.append_snapshot(engine.snapshots[-1])
-            assert reopened.snapshots()[-1].generation == 6
-
-    def test_concurrent_opens_race_the_migration_safely(self, tmp_path):
-        """Several processes opening a v1 store at once (a fan-out worker
-        fleet) must serialise the migration, not all run the ALTER."""
+class TestConcurrentFirstOpen:
+    def test_racing_first_opens_create_the_file_once(self, tmp_path):
+        """Several processes first-opening one absent path (a fan-out worker
+        fleet) serialise on the open's transaction: every open succeeds and
+        the fresh file holds each meta row once.  A barrier lines the four
+        opens up, and 16 fresh paths make the race likely to bite where the
+        transaction is missing."""
         import multiprocessing
 
-        path = tmp_path / "contended.db"
-        self._fabricate_v1(path)
+        paths = [str(tmp_path / f"contended-{index}.db") for index in range(16)]
         ctx = multiprocessing.get_context("spawn")
-        results = ctx.Queue()
+        results, start = ctx.Queue(), ctx.Barrier(4)
         processes = [
-            ctx.Process(target=_open_store_process, args=(str(path), results))
+            ctx.Process(target=_open_store_process, args=(paths, results, start))
             for _ in range(4)
         ]
         for process in processes:
             process.start()
-        outcomes = [results.get(timeout=60) for _ in processes]
+        outcomes = [results.get(timeout=60) for _ in range(4 * len(paths))]
         for process in processes:
             process.join(timeout=10)
-        assert outcomes == [("ok", 3)] * 4, outcomes
-
-    def test_v1_chain_ends_at_columns(self, tmp_path):
-        path = tmp_path / "legacy.db"
-        self._fabricate_v1(path)
-        with SnapshotStore(path) as migrated:
-            assert migrated.stats()["schema_version"] == 4
-            assert [entry.snapshot_id for entry in migrated.as_history(10)] == [3, 2, 1]
-        _assert_columnar(path)
-
-    @pytest.mark.parametrize("reverse_scans", [False, True])
-    def test_v2_store_serves_the_bodies_of_the_reference(
-        self, tmp_path, monkeypatch, reverse_scans
-    ):
-        """A migrated v2 file answers every endpoint byte for byte like the
-        reference store fed the same snapshots -- also when SQLite hands back
-        the rows of any unordered read in reverse, so the migration must
-        order its rows itself."""
-        if reverse_scans:
-            connect = SnapshotStore._connect
-
-            def reversing(store):
-                connection = connect(store)
-                connection.execute("PRAGMA reverse_unordered_selects = ON")
-                return connection
-
-            monkeypatch.setattr(SnapshotStore, "_connect", reversing)
-        snapshots = _v2_snapshots()
-        path = tmp_path / "v2.db"
-        _fabricate_v2(path, snapshots)
-        reference = ReferenceStore()
-        for snapshot in snapshots:
-            reference.append_snapshot(snapshot)
-        ends = [snapshot.window_end for snapshot in snapshots]
-        asns = sorted(set().union(*(s.result.observed_ases for s in snapshots)))
-        targets = ["/v1/snapshot/latest", "/v1/diff", "/v1/replication/changes"]
-        targets += ["/v1/replication/changes?since=2&limit=3"]
-        targets += [f"/v1/snapshot/{end}" for end in ends]
-        targets += [f"/v1/diff?window={end}" for end in ends]
-        targets += [
-            f"/v1/as/{asn}{suffix}"
-            for asn in asns + [65000]
-            for suffix in ("", "?history=1", "?history=3", "?history=9")
-        ]
-        with SnapshotStore(path) as migrated:
-            assert migrated.stats()["schema_version"] == 4
-            ours, theirs = ClassificationService(migrated), ClassificationService(reference)
-            for target in targets:
-                got, want = ours.handle(target), theirs.handle(target)
-                assert (got.status, got.body) == (want.status, want.body), target
-                assert got.status == 200, target
-        _assert_columnar(path)
-
-    def test_concurrent_opens_race_the_v2_migration_safely(self, tmp_path):
-        """The v2 twin of the v1 race: one process rewrites the per-AS rows
-        into column blobs, the others open the already-migrated file."""
-        import multiprocessing
-
-        path = tmp_path / "contended-v2.db"
-        snapshots = _v2_snapshots()
-        _fabricate_v2(path, snapshots)
-        ctx = multiprocessing.get_context("spawn")
-        results = ctx.Queue()
-        processes = [
-            ctx.Process(target=_open_store_process, args=(str(path), results))
-            for _ in range(4)
-        ]
-        for process in processes:
-            process.start()
-        outcomes = [results.get(timeout=60) for _ in processes]
-        for process in processes:
-            process.join(timeout=10)
-        assert outcomes == [("ok", len(snapshots))] * 4, outcomes
-        _assert_columnar(path)
-        with SnapshotStore(path) as migrated:
-            for index, snapshot in enumerate(snapshots, start=1):
-                loaded = migrated.load_snapshot(index)
-                assert snapshot_payload(loaded) == snapshot_payload(snapshot)
-
-    def test_v3_store_migrates_to_digests_verify_accepts(self, tmp_path):
-        """A version-3 file (this layout without ``snapshots.digest``) gets,
-        on open, the digests an append writes, and ``verify()`` accepts them."""
-        snapshots = _v2_snapshots()
-        for name in ("v3.db", "v4.db"):
-            with SnapshotStore(tmp_path / name) as store:
-                for snapshot in snapshots:
-                    store.append_snapshot(snapshot)
-        connection = sqlite3.connect(tmp_path / "v3.db")
-        with connection:
-            connection.execute("ALTER TABLE snapshots DROP COLUMN digest")
-            connection.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
-        connection.close()
-        with SnapshotStore(tmp_path / "v3.db") as migrated:
-            assert migrated.stats()["schema_version"] == 4
-            assert migrated.verify() == []
-            for index, snapshot in enumerate(snapshots, start=1):
-                assert snapshot_payload(migrated.load_snapshot(index)) == snapshot_payload(
-                    snapshot
-                )
-        assert _digests(tmp_path / "v3.db") == _digests(tmp_path / "v4.db")
-        assert len(set(_digests(tmp_path / "v4.db"))) == len(snapshots)
-        _assert_columnar(tmp_path / "v3.db")
+        assert outcomes == [("ok", 0)] * len(outcomes), Counter(outcomes)
+        for path in paths:
+            connection = sqlite3.connect(path)
+            try:
+                keys = Counter(key for (key,) in connection.execute("SELECT key FROM meta"))
+            finally:
+                connection.close()
+            assert (keys["schema_version"], keys["generation"]) == (1, 1), keys
 
 
 def _digests(path):

@@ -173,19 +173,39 @@ class TestSnapshotStore:
             assert snapshot_store.compact() == 0
             assert snapshot_store.generation() == generation + 1
 
-    def test_rejects_unknown_schema_version(self, tmp_path):
-        path = tmp_path / "future.db"
+    @pytest.mark.parametrize("version", [1, 2, 3, SCHEMA_VERSION + 1])
+    def test_rejects_unknown_schema_version(self, tmp_path, version):
+        """Any version but this build's is one error, and the file is left
+        exactly as it was: no migration, no DDL."""
+        path = tmp_path / f"v{version}.db"
         with SnapshotStore(path):
             pass
+
+        def schema():
+            connection = sqlite3.connect(path)
+            try:
+                return (
+                    connection.execute(
+                        "SELECT value FROM meta WHERE key = 'schema_version'"
+                    ).fetchone(),
+                    sorted(connection.execute("SELECT type, name, sql FROM sqlite_master")),
+                )
+            finally:
+                connection.close()
+
         connection = sqlite3.connect(path)
         with connection:
             connection.execute(
-                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                (str(SCHEMA_VERSION + 1),),
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'", (str(version),)
             )
         connection.close()
-        with pytest.raises(StoreError, match="schema version"):
+        before = schema()
+        with pytest.raises(
+            StoreError, match=f"schema version {version}, this build reads version {SCHEMA_VERSION}"
+        ):
             SnapshotStore(path)
+        assert schema() == before
+        assert before[0] == (str(version),)
 
     def test_rejects_bad_arguments(self, tmp_path, store):
         with pytest.raises(ValueError):
