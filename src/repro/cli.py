@@ -97,17 +97,30 @@ def _write_database(database: ClassificationDatabase, output: Optional[str], fmt
         sys.stdout.write(text)
 
 
-def _publish_batch(args: argparse.Namespace, result, events_total: int, unique_tuples: int) -> None:
-    """Materialize a batch result into ``--store`` (no-op without the flag)."""
-    if not getattr(args, "store", None):
-        return
-    from repro.service import publish_result
+def _batch_store(args: argparse.Namespace, stack: ExitStack):
+    """The ``--store`` a batch command publishes to (``None`` without the flag).
+
+    Opened before the command infers, so an unusable store is one ``error:``
+    line before any work is done or any output written.
+    """
+    if not args.store:
+        return None
     from repro.service.backends import open_store
 
-    with open_store(args.store) as store:
-        snapshot_id = publish_result(
-            store, result, events_total=events_total, unique_tuples=unique_tuples
-        )
+    return stack.enter_context(open_store(args.store))
+
+
+def _publish_batch(
+    args: argparse.Namespace, store, result, events_total: int, unique_tuples: int
+) -> None:
+    """Materialize a batch result into the ``--store`` *store* (no-op without one)."""
+    if store is None:
+        return
+    from repro.service import publish_result
+
+    snapshot_id = publish_result(
+        store, result, events_total=events_total, unique_tuples=unique_tuples
+    )
     print(f"stored batch snapshot {snapshot_id} in {args.store}", file=sys.stderr)
 
 
@@ -118,10 +131,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
         thresholds=Thresholds.uniform(args.threshold),
         algorithm=args.algorithm,
     )
-    outcome = pipeline.run_from_mrt(blobs)
-    database = ClassificationDatabase.from_result(outcome.result)
-    _write_database(database, args.output, args.format)
-    _publish_batch(args, outcome.result, outcome.observations_in, outcome.unique_tuples)
+    with ExitStack() as stack:
+        store = _batch_store(args, stack)
+        outcome = pipeline.run_from_mrt(blobs)
+        database = ClassificationDatabase.from_result(outcome.result)
+        _write_database(database, args.output, args.format)
+        _publish_batch(
+            args, store, outcome.result, outcome.observations_in, outcome.unique_tuples
+        )
     print(
         f"classified {len(database)} ASes from {outcome.observations_in} observations "
         f"({outcome.unique_tuples} unique tuples)",
@@ -135,6 +152,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.horizon is not None and args.horizon < args.window:
         print(
             f"error: --horizon {args.horizon} is shorter than --window {args.window}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.archive_dir is not None and args.store_retention is None:
+        print(
+            "error: --archive-dir needs --store-retention: an uncapped store"
+            " removes no snapshot, so none would reach the archive",
             file=sys.stderr,
         )
         return 2
@@ -270,12 +294,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
     """``demo``: run the pipeline on the synthetic Internet (no input files)."""
     from repro.experiments.context import ExperimentContext, ExperimentScale
 
-    context = ExperimentContext(scale=ExperimentScale(args.scale), seed=args.seed)
-    result = ColumnInference(Thresholds.uniform(args.threshold)).run(context.aggregate_tuples)
-    database = ClassificationDatabase.from_result(result)
-    _write_database(database, args.output, args.format)
-    print(f"classified {len(database)} ASes on the synthetic Internet", file=sys.stderr)
-    _publish_batch(args, result, 0, len(context.aggregate_tuples))
+    with ExitStack() as stack:
+        store = _batch_store(args, stack)
+        context = ExperimentContext(scale=ExperimentScale(args.scale), seed=args.seed)
+        result = ColumnInference(Thresholds.uniform(args.threshold)).run(
+            context.aggregate_tuples
+        )
+        database = ClassificationDatabase.from_result(result)
+        _write_database(database, args.output, args.format)
+        print(f"classified {len(database)} ASes on the synthetic Internet", file=sys.stderr)
+        _publish_batch(args, store, result, 0, len(context.aggregate_tuples))
     return 0
 
 

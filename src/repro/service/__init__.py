@@ -6,15 +6,14 @@ as in-memory :class:`~repro.stream.engine.WindowSnapshot` objects capped at
 ``repro.stream.engine.MAX_SNAPSHOTS``, or as one-shot batch exports.  This package
 builds the *consumer* side:
 
-* :mod:`repro.service.backends` -- pluggable storage behind one
-  :class:`SnapshotBackend` contract: the SQLite :class:`SnapshotStore`
-  (schema versioning, atomic writes, retention / compaction, indexed
-  per-AS history; a WAL file, or SQLite's own ``:memory:`` for throwaway
-  stores), and the :class:`TieredBackend` whose retention *archives*
-  pruned snapshots into a second, digest-checked :class:`SnapshotStore`
-  instead of deleting them, with reads falling through hot to cold;
-  :func:`open_store` opens ``sqlite:path``, plain
-  path and ``memory:`` store URLs, all SQLite;
+* :mod:`repro.service.backends` -- the one store, the SQLite
+  :class:`SnapshotStore` (schema versioning, atomic writes, retention /
+  compaction, indexed per-AS history; a WAL file, or SQLite's own
+  ``:memory:`` for throwaway stores).  Given an archive directory, its
+  retention *archives* pruned snapshots into a second, digest-checked
+  :class:`SnapshotStore` instead of deleting them, and its reads fall
+  through to that cold tier; :func:`open_store` opens ``sqlite:path``,
+  plain path and ``memory:`` store URLs, all SQLite;
 * :mod:`repro.service.server` -- a stdlib-only JSON HTTP API over a store
   (``/v1/as/{asn}``, ``/v1/snapshot/latest``, ``/v1/snapshot/{window}``,
   ``/v1/diff``, ``/v1/stats``, ``/healthz``) with an LRU read cache keyed
@@ -58,11 +57,9 @@ from repro.service.backends import (
     SCHEMA_VERSION,
     ASHistoryEntry,
     FencedWriterError,
-    SnapshotBackend,
     SnapshotStore,
     StoredSnapshot,
     StoreError,
-    TieredBackend,
     open_store,
     parse_store_url,
     snapshot_payload,
@@ -118,13 +115,11 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceStats",
-    "SnapshotBackend",
     "SnapshotPublisher",
     "SnapshotStore",
     "StoreError",
     "StoredSnapshot",
     "SyncReport",
-    "TieredBackend",
     "WorkerStatsBoard",
     "attach_store",
     "ensure_snapshot",

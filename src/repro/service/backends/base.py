@@ -1,31 +1,11 @@
-"""The storage contract every snapshot backend implements.
+"""Types, validation and the wire codec shared by the snapshot store.
 
-:class:`SnapshotBackend` is the abstract surface the whole serving stack is
-written against: the HTTP server (:mod:`repro.service.server`), the worker
-fan-out (:mod:`repro.service.workers`), the publisher hooks
-(:mod:`repro.service.publish`), and cross-host replication
-(:mod:`repro.service.replication`) all accept *any* backend.  The contract
-captures everything the original SQLite store exposed:
-
-* **appends** -- atomic per-snapshot writes, idempotent ``if_absent``
-  appends keyed on ``(kind, window_start, window_end)``, and
-  ``snapshot_id`` pinning so replication can mirror a leader's row ids;
-* **generation bookkeeping** -- a monotonic commit counter (the read-cache
-  key), the ``pruned_through`` replication horizon, and the follower's
-  durable ``applied_generation`` mark;
-* **reads** -- window/metadata lookups, full snapshot reconstruction,
-  per-AS history, and per-window change sets;
-* **retention** -- an optional cap applied at append time, the
-  :meth:`~SnapshotBackend.drop_snapshot` primitive retention is built on
-  (which the tiered backend intercepts to archive instead of delete), and
-  an explicit :meth:`~SnapshotBackend.compact`.
-
-Concrete implementations: :class:`~repro.service.backends.sqlite.SnapshotStore`
-(SQLite, on a WAL file or in process as ``:memory:``) and
-:class:`~repro.service.backends.archive.TieredBackend` (a hot backend whose
-cold tier is a second ``SnapshotStore``).  The conformance suite also holds a
-dict-based reference store in ``tests/store_oracle.py`` to the contract,
-and the SQLite store to that reference read for read.
+The store itself is :class:`~repro.service.backends.sqlite.SnapshotStore`
+(SQLite, on a WAL file or in process as ``:memory:``, with an optional cold
+tier that is a second ``SnapshotStore``).  This module holds what it shares
+with its callers and with the dict-based reference store of
+``tests/store_oracle.py``: the metadata and history records, the errors,
+and the append-path validation helpers.
 
 This module also owns the one snapshot encoding below the HTTP edge: a
 result's column blob (``_encode_columns``: ascending ASNs, class codes and
@@ -42,9 +22,8 @@ from __future__ import annotations
 import base64
 import os
 import zlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,7 +34,7 @@ from repro.core.results import ClassificationResult
 from repro.core.thresholds import Thresholds
 from repro.stream.engine import WindowSnapshot
 
-#: Snapshot kinds accepted by every backend.
+#: Snapshot kinds a store accepts.
 SNAPSHOT_KINDS = ("window", "batch")
 
 #: The ``"format"`` of a :func:`snapshot_record`; a reader refuses any other.
@@ -72,7 +51,7 @@ class StoreError(Exception):
 class FencedWriterError(StoreError):
     """A write carried a stale leader epoch and was rejected.
 
-    The failover fence: writers capture :meth:`SnapshotBackend.leader_epoch`
+    The failover fence: writers capture the store's ``leader_epoch()``
     when they attach and stamp it on every append.  Promotion bumps the
     durable epoch, so a deposed leader that wakes up and keeps publishing
     is rejected on its first append instead of forking history.  Recover by
@@ -141,7 +120,7 @@ def _shares_dict(counters: ASCounters) -> Dict[str, float]:
 def snapshot_payload(snapshot: WindowSnapshot) -> Dict[str, object]:
     """The per-AS JSON body of one window snapshot, as the HTTP API serves it.
 
-    Built at the HTTP edge only, from a snapshot loaded from any backend;
+    Built at the HTTP edge only, from a snapshot loaded from a store;
     tests compare it against the payload of the engine's in-memory snapshot
     to pin down store round-trip fidelity field by field.
     """
@@ -258,7 +237,7 @@ def require_valid_retention(retention: Optional[int]) -> None:
 def require_current_epoch(epoch: Optional[int], leader_epoch: int) -> None:
     """Shared append-path fencing check.
 
-    Backends call this inside their write transaction (or under their write
+    Stores call this inside their write transaction (or under their write
     lock), so the comparison and the append are atomic with respect to a
     concurrent promotion.  ``None`` means the writer opted out of fencing
     (local single-writer deployments), which keeps every pre-failover call
@@ -270,188 +249,6 @@ def require_current_epoch(epoch: Optional[int], leader_epoch: int) -> None:
             f"{leader_epoch} -- this writer was deposed by a promotion; "
             "re-attach to the store or demote it to a follower"
         )
-
-
-class SnapshotBackend(ABC):
-    """Abstract durable store of classification snapshots.
-
-    Implementations must preserve the semantics the conformance suite
-    (``tests/test_backends.py``) pins down:
-
-    * one append is atomic -- readers see the whole snapshot at a newer
-      generation or none of it, never a torn half;
-    * ``if_absent`` appends are idempotent per
-      ``(kind, window_start, window_end)`` and do not move the generation
-      when they deduplicate;
-    * pinned snapshot ids are honoured, and a pinned id already taken by a
-      *different* window raises :class:`StoreError` (replica divergence);
-    * snapshot ids are never reused, even after retention dropped a row;
-    * the generation counter is strictly monotonic across committed writes,
-      ``pruned_through`` only rises, and ``set_applied_generation`` only
-      moves forward;
-    * reads may come from many threads concurrently with the single writer.
-    """
-
-    #: Optional cap on retained snapshots, applied at append time.
-    retention: Optional[int] = None
-
-    # -- identity -----------------------------------------------------------------------
-    @property
-    @abstractmethod
-    def url(self) -> str:
-        """The ``scheme:target`` URL this backend was opened from."""
-
-    # -- lifecycle ----------------------------------------------------------------------
-    @abstractmethod
-    def close(self) -> None:
-        """Release every resource; further operations raise :class:`StoreError`."""
-
-    def __enter__(self) -> "SnapshotBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- writes -------------------------------------------------------------------------
-    @abstractmethod
-    def append_snapshot(
-        self,
-        snapshot: WindowSnapshot,
-        *,
-        kind: str = "window",
-        if_absent: bool = False,
-        snapshot_id: Optional[int] = None,
-        epoch: Optional[int] = None,
-    ) -> int:
-        """Durably persist one snapshot; returns its snapshot id.
-
-        *epoch* is the leader epoch the writer captured when it attached;
-        an append whose epoch is behind the store's current
-        :meth:`leader_epoch` raises :class:`FencedWriterError` instead of
-        committing (``None`` skips the fence).
-        """
-
-    @abstractmethod
-    def drop_snapshot(self, snapshot_id: int) -> bool:
-        """Remove one snapshot, advancing the ``pruned_through`` horizon.
-
-        The retention primitive: backends apply their own cap through it,
-        and the tiered backend calls it on its hot store *after* archiving
-        the snapshot, which is what turns retention into archival.  Returns
-        whether the id existed.  A successful drop is a committed write and
-        bumps the generation.
-        """
-
-    @abstractmethod
-    def compact(self) -> int:
-        """Apply retention and reclaim space; returns snapshots dropped."""
-
-    # -- generation bookkeeping ---------------------------------------------------------
-    @abstractmethod
-    def generation(self) -> int:
-        """Monotonic write counter (the read-cache key of the server)."""
-
-    @abstractmethod
-    def pruned_through(self) -> int:
-        """Newest commit generation retention ever pruned (0: nothing yet)."""
-
-    @abstractmethod
-    def applied_generation(self) -> int:
-        """The leader generation this replica has applied through (0: never)."""
-
-    @abstractmethod
-    def set_applied_generation(self, generation: int) -> None:
-        """Record the applied leader generation (monotonic: only forward)."""
-
-    @abstractmethod
-    def leader_epoch(self) -> int:
-        """The durable fencing epoch writers must carry (0 on a new store)."""
-
-    @abstractmethod
-    def bump_leader_epoch(self) -> int:
-        """Advance the fencing epoch (promotion); returns the new epoch.
-
-        A committed write: past this point every append stamped with an
-        older epoch raises :class:`FencedWriterError`.
-        """
-
-    # -- metadata reads -----------------------------------------------------------------
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of queryable snapshots."""
-
-    @abstractmethod
-    def latest(self) -> Optional[StoredSnapshot]:
-        """Metadata of the newest snapshot, or ``None`` on an empty store."""
-
-    @abstractmethod
-    def get(self, snapshot_id: int) -> Optional[StoredSnapshot]:
-        """Metadata of one snapshot by id."""
-
-    @abstractmethod
-    def by_window_end(self, window_end: int) -> Optional[StoredSnapshot]:
-        """Metadata of the newest snapshot whose window ends at *window_end*."""
-
-    @abstractmethod
-    def find_window(
-        self, kind: str, window_start: int, window_end: int
-    ) -> Optional[StoredSnapshot]:
-        """Metadata of the newest snapshot matching the exact window key."""
-
-    @abstractmethod
-    def latest_window_end(self, kind: str = "window") -> Optional[int]:
-        """The largest persisted ``window_end`` of *kind* (``None`` when empty)."""
-
-    @abstractmethod
-    def snapshots(self) -> List[StoredSnapshot]:
-        """Metadata of every queryable snapshot, oldest first."""
-
-    @abstractmethod
-    def snapshots_since(
-        self, generation: int, *, limit: Optional[int] = None
-    ) -> List[StoredSnapshot]:
-        """Retained snapshots committed after *generation*, commit order."""
-
-    # -- full snapshot reads ------------------------------------------------------------
-    @abstractmethod
-    def load_snapshot(self, snapshot_id: int) -> WindowSnapshot:
-        """Reconstruct the full snapshot, or raise :class:`StoreError`."""
-
-    @abstractmethod
-    def changes(self, snapshot_id: int) -> Dict[ASN, Tuple[str, str]]:
-        """The ``{asn: (old_code, new_code)}`` change set of one snapshot."""
-
-    # -- per-AS queries -----------------------------------------------------------------
-    @abstractmethod
-    def as_history(
-        self, asn: ASN, *, limit: Optional[int] = None
-    ) -> List[ASHistoryEntry]:
-        """Classification history of one AS, newest snapshot first."""
-
-    def as_latest(self, asn: ASN) -> Optional[ASHistoryEntry]:
-        """The newest persisted classification of one AS (``None`` if unseen)."""
-        history = self.as_history(asn, limit=1)
-        return history[0] if history else None
-
-    # -- statistics ---------------------------------------------------------------------
-    @abstractmethod
-    def stats(self) -> Dict[str, object]:
-        """Store-level statistics for ``/v1/stats`` and operations."""
-
-    # -- ingest telemetry ---------------------------------------------------------------
-    @abstractmethod
-    def set_ingest_stats(self, stats: Dict[str, object]) -> None:
-        """Record the producing engine's ingest-batching telemetry.
-
-        The payload is the engine's
-        :meth:`~repro.stream.engine.StreamEngine.ingest_stats` dict; a
-        durable backend persists it so a scrape after a server restart
-        still sees the last producer's counters.
-        """
-
-    @abstractmethod
-    def ingest_stats(self) -> Optional[Dict[str, object]]:
-        """The last recorded ingest telemetry, or ``None`` if never set."""
 
 
 def parse_store_url(url: Union[str, os.PathLike]) -> str:
@@ -483,7 +280,6 @@ __all__ = [
     "RECORD_FORMAT",
     "RecordFormatError",
     "SNAPSHOT_KINDS",
-    "SnapshotBackend",
     "StoreError",
     "StoredSnapshot",
     "parse_store_url",

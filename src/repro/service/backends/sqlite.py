@@ -1,10 +1,11 @@
-"""SQLite-WAL implementation of the :class:`SnapshotBackend` contract.
+"""The snapshot store: SQLite in WAL mode, with an optional cold tier.
 
-The production default: :class:`SnapshotStore` persists every
+:class:`SnapshotStore` persists every
 :class:`~repro.stream.engine.WindowSnapshot` (and batch
 :class:`~repro.core.results.ClassificationResult`) into a single SQLite
 database in WAL mode, so results outlive the producing process and many
-concurrent readers can share one producer:
+concurrent readers can share one producer.  The HTTP server, the worker
+fan-out, the publishers, replication and the CLI all use it:
 
 * **atomic writes** -- one snapshot is one transaction; readers never see a
   half-written snapshot;
@@ -15,6 +16,11 @@ concurrent readers can share one producer:
   replicate --store``);
 * **retention / compaction** -- an optional cap on retained window
   snapshots, applied at append time, plus an explicit :meth:`compact`;
+* **a cold tier** -- with ``archive_dir`` the snapshots retention removes
+  are *archived* into a second, uncapped store at
+  ``<archive_dir>/archive.db`` (:func:`open_archive`) instead of deleted,
+  and reads fall through to it for the ids this file does not hold, so
+  per-AS history and old windows stay queryable beyond the cap;
 * **one row of columns per snapshot** -- ``snapshot_columns``
   holds a snapshot's per-AS rows as ``zlib.compress(asns <u8 || codes u1 ||
   counters <i8 (4 x n, row-major), level 1)``, apart from the ``snapshots``
@@ -28,7 +34,7 @@ concurrent readers can share one producer:
   32-byte sha256 of the snapshot's metadata row (its store-local
   ``generation`` excepted), its column blob and its change set, kept on the
   small metadata row rather than beside the blob.  It is the same on a
-  leader, its followers and a tiered store's cold tier.  Every read that
+  leader, its followers and the cold tier.  Every read that
   decodes a blob (a cache miss) and every :meth:`changes` read check it
   first, and :meth:`verify` re-checks every row, so a changed byte raises
   :class:`StoreError` instead of serving wrong history;
@@ -60,6 +66,7 @@ import time
 import zlib
 from collections import OrderedDict
 from contextlib import closing, contextmanager
+from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -71,7 +78,6 @@ from repro.core.thresholds import Thresholds
 from repro.service.backends.base import (
     ASHistoryEntry,
     Columns,
-    SnapshotBackend,
     StoredSnapshot,
     StoreError,
     _decode_columns,
@@ -85,6 +91,9 @@ from repro.stream.engine import WindowSnapshot
 
 #: The one on-disk schema version this module reads and writes.
 SCHEMA_VERSION = 4
+
+#: The cold tier's file inside an archive directory.
+ARCHIVE_DB = "archive.db"
 
 #: Decoded column sets stay cached until they hold this many AS rows in all
 #: (41 bytes a row: ~43 MB at most per store object).
@@ -210,21 +219,39 @@ def _write_columns(
     )
 
 
-class SnapshotStore(SnapshotBackend):
-    """SQLite-WAL-backed persistence for classification snapshots."""
+class SnapshotStore:
+    """SQLite-WAL-backed persistence for classification snapshots.
+
+    The store keeps these invariants (``tests/test_backends.py`` holds it,
+    and the dict-based ``tests/store_oracle.py::ReferenceStore``, to them):
+    one append is atomic -- readers see the whole snapshot at a newer
+    generation or none of it; ``if_absent`` appends are idempotent per
+    ``(kind, window_start, window_end)`` and do not move the generation
+    when they deduplicate; pinned snapshot ids are honoured, and a pinned id
+    already taken by a *different* window raises :class:`StoreError`
+    (replica divergence); ids are never reused after a drop; the generation
+    is strictly monotonic across committed writes, ``pruned_through`` only
+    rises and ``set_applied_generation`` only moves forward; and reads may
+    come from many threads while one writer appends.  With an archive every
+    read counts each snapshot id once, whichever tiers hold it.
+    """
 
     def __init__(
         self,
         path: Union[str, os.PathLike],
         *,
         retention: Optional[int] = None,
+        archive_dir: Optional[Union[str, os.PathLike]] = None,
         durable: bool = False,
     ) -> None:
         """Open (creating if needed) the store at *path*.
 
-        *durable* fsyncs every commit (``PRAGMA synchronous=FULL``) instead
-        of at WAL checkpoints: a tiered store's cold tier, whose copy of a
-        snapshot must be on disk before the hot copy is dropped.
+        *archive_dir* gives the store a cold tier (:func:`open_archive`):
+        the snapshots retention, :meth:`compact` or :meth:`drop_snapshot`
+        remove are archived there first.  *durable* fsyncs every commit
+        (``PRAGMA synchronous=FULL``) instead of at WAL checkpoints: the cold
+        tier, whose copy of a snapshot must be on disk before the hot copy
+        is deleted.
         """
         require_valid_retention(retention)
         self.path = str(path)
@@ -246,14 +273,23 @@ class SnapshotStore(SnapshotBackend):
         self._cache_lock = threading.Lock()
         # ``(generation, distinct ASes)`` of the last stats() scan.
         self._distinct = (-1, 0)
+        self._archive: Optional[SnapshotStore] = None
         if self.path == ":memory:":
             self._shared = self._connect()
         self._initialise()
+        if archive_dir is not None:
+            try:
+                self._archive = open_archive(archive_dir)
+            except (StoreError, OSError):
+                self.close()  # the hot file's connections are not left to the collector
+                raise
 
     @property
     def url(self) -> str:
-        """The ``sqlite:path`` URL of this store."""
-        return f"sqlite:{self.path}"
+        """The ``sqlite:path`` URL of this store, plus its archive directory."""
+        if self._archive is None:
+            return f"sqlite:{self.path}"
+        return f"sqlite:{self.path}+archive:{Path(self._archive.path).parent}"
 
     # -- connection management ----------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
@@ -359,9 +395,14 @@ class SnapshotStore(SnapshotBackend):
                 pass
         self._shared = None
         self._local.connection = None
+        if self._archive is not None:
+            self._archive.close()
 
     def __enter__(self) -> "SnapshotStore":
         return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- writes -------------------------------------------------------------------------
     def append_snapshot(
@@ -487,11 +528,10 @@ class SnapshotStore(SnapshotBackend):
                     "UPDATE snapshots SET digest = ? WHERE id = ?",
                     (_digest([snapshot_id, *header, len(asns)], blob, changes), snapshot_id),
                 )
-                if self.retention is not None:
-                    self._apply_retention(connection)
+                archived = self._remove(connection, self._overflow(connection))
                 connection.execute(
                     "UPDATE meta SET value = ? WHERE key = 'generation'",
-                    (str(generation),),
+                    (str(generation + archived),),
                 )
         return snapshot_id
 
@@ -525,36 +565,64 @@ class SnapshotStore(SnapshotBackend):
             ).fetchone() is None:
                 connection.execute("DELETE FROM as_buckets WHERE bucket = ?", (bucket,))
 
-    def _apply_retention(self, connection: sqlite3.Connection) -> int:
-        """Drop the oldest snapshots beyond the retention cap (returns count).
-
-        The newest pruned commit generation is remembered in the meta table
-        (``pruned_through``): it is the replication horizon below which a
-        follower can no longer catch up from this store's changelog.
-        """
-        assert self.retention is not None
-        stale = connection.execute(
+    def _overflow(self, connection: sqlite3.Connection) -> List[Tuple[int, int]]:
+        """The ``(id, generation)`` of every snapshot beyond the retention cap."""
+        if self.retention is None:
+            return []
+        return connection.execute(
             "SELECT id, generation FROM snapshots ORDER BY id DESC LIMIT -1 OFFSET ?",
             (self.retention,),
         ).fetchall()
+
+    def _remove(self, connection: sqlite3.Connection, stale: List[Tuple[int, int]]) -> int:
+        """Remove the ``(id, generation)`` snapshots *stale*; returns how many
+        were archived.
+
+        The one retention path: append, :meth:`compact` and
+        :meth:`drop_snapshot` call it inside their write transaction.  With
+        an archive each snapshot, oldest first, is appended to it under its
+        own id -- a durable commit of the archive -- before its rows here are
+        deleted, and counts as one committed write of this store: the caller
+        moves the generation once per archived snapshot.  A crash in between
+        leaves a snapshot in both tiers; reads count it once, and the next
+        removal's append of the same window under the same id writes nothing.
+        The newest removed commit generation is remembered in the meta table
+        (``pruned_through``): it is the replication horizon below which a
+        follower can no longer catch up from this store's changelog.
+        """
         if not stale:
             return 0
-        self._delete_snapshot_rows(connection, [int(row[0]) for row in stale])
-        horizon = max(int(generation) for _, generation in stale)
+        stale = sorted(stale)
+        if self._archive is not None:
+            for snapshot_id, _ in stale:
+                loaded = self._load(connection, snapshot_id)
+                assert loaded is not None  # the caller's transaction read its row
+                meta, snapshot = loaded
+                self._archive.append_snapshot(snapshot, kind=meta.kind, snapshot_id=snapshot_id)
+        self._delete_snapshot_rows(connection, [snapshot_id for snapshot_id, _ in stale])
         connection.execute(
             "UPDATE meta SET value = CAST(MAX(CAST(value AS INTEGER), ?) AS TEXT)"
             " WHERE key = 'pruned_through'",
-            (horizon,),
+            (max(generation for _, generation in stale),),
         )
-        return len(stale)
+        return len(stale) if self._archive is not None else 0
+
+    @staticmethod
+    def _advance(connection: sqlite3.Connection, steps: int) -> None:
+        """Move the store generation *steps* commits forward."""
+        connection.execute(
+            "UPDATE meta SET value = CAST(value AS INTEGER) + ? WHERE key = 'generation'",
+            (steps,),
+        )
 
     def drop_snapshot(self, snapshot_id: int) -> bool:
-        """Remove one snapshot and advance the ``pruned_through`` horizon.
+        """Remove one snapshot -- archiving it first when the store has an
+        archive -- and advance the ``pruned_through`` horizon.
 
-        The tiered backend's retention primitive: called *after* the
-        snapshot was archived, so retention archives instead of deleting.
-        A successful drop is a committed write and bumps the generation
-        (read caches keyed on the old generation must not survive it).
+        Returns whether this file held the id (an archived id is not dropped
+        again: the archive is append-only).  A successful drop is a committed
+        write and bumps the generation (read caches keyed on the old
+        generation must not survive it).
         """
         with self._write_lock:
             connection = self._conn()
@@ -565,39 +633,28 @@ class SnapshotStore(SnapshotBackend):
                 ).fetchone()
                 if row is None:
                     return False
-                self._delete_snapshot_rows(connection, [snapshot_id])
-                connection.execute(
-                    "UPDATE meta SET value = CAST(MAX(CAST(value AS INTEGER), ?) AS TEXT)"
-                    " WHERE key = 'pruned_through'",
-                    (int(row[0]),),
-                )
-                connection.execute(
-                    "UPDATE meta SET value = CAST(value AS INTEGER) + 1"
-                    " WHERE key = 'generation'"
-                )
+                self._remove(connection, [(snapshot_id, int(row[0]))])
+                self._advance(connection, 1)
         return True
 
     def compact(self) -> int:
         """Apply retention, reclaim free pages, and truncate the WAL.
 
-        Returns the number of snapshots dropped.  Safe to call while readers
-        are active (VACUUM briefly takes the database over, so compaction is
-        an explicit maintenance call rather than part of the append path).
+        Returns the number of snapshots removed (archived, with an archive).
+        Safe to call while readers are active (VACUUM briefly takes the
+        database over, so compaction is an explicit maintenance call rather
+        than part of the append path).
         """
         with self._write_lock:
             connection = self._conn()
             with connection:
-                dropped = 0
-                if self.retention is not None:
-                    dropped = self._apply_retention(connection)
-                if dropped:
-                    connection.execute(
-                        "UPDATE meta SET value = CAST(value AS INTEGER) + 1"
-                        " WHERE key = 'generation'"
-                    )
+                connection.execute("BEGIN IMMEDIATE")
+                stale = self._overflow(connection)
+                if stale:
+                    self._advance(connection, self._remove(connection, stale) or 1)
             connection.execute("VACUUM")
             connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        return dropped
+        return len(stale)
 
     # -- metadata reads -----------------------------------------------------------------
     def generation(self) -> int:
@@ -671,8 +728,32 @@ class SnapshotStore(SnapshotBackend):
         return epoch
 
     def __len__(self) -> int:
+        """Number of queryable snapshots, archived ones included."""
         row = self._row("SELECT COUNT(*) FROM snapshots")
-        return int(row[0])
+        if self._archive is None:
+            return int(row[0])
+        return int(row[0]) + len(self._archive) - len(self._doubled())
+
+    def _doubled(self) -> Set[int]:
+        """The ids both this file and the archive hold.
+
+        Empty except while a removal is archiving, or after one was cut
+        short between the archive's commit and this file's.  Any such id is
+        at or above this file's lowest, so the probe reads only those
+        archive ids.
+        """
+        assert self._archive is not None
+        low = self._row("SELECT MIN(id) FROM snapshots")
+        if low is None or low[0] is None:
+            return set()
+        cold = self._archive._rows("SELECT id FROM snapshots WHERE id >= ?", (low[0],))
+        if not cold:
+            return set()
+        rows = self._rows(
+            "SELECT id FROM snapshots WHERE id IN (SELECT value FROM json_each(?))",
+            (json.dumps([snapshot_id for (snapshot_id,) in cold]),),
+        )
+        return {snapshot_id for (snapshot_id,) in rows}
 
     def _snapshot_from_row(
         self, row: Tuple[int, str, int, int, int, int, int, str, str, int]
@@ -685,12 +766,15 @@ class SnapshotStore(SnapshotBackend):
     )
 
     def _newest(self, where: str, parameters: Tuple[object, ...] = ()) -> Optional[StoredSnapshot]:
-        """Metadata of the newest snapshot matching the SQL *where* clause."""
+        """Metadata of the newest snapshot matching the SQL *where* clause,
+        in this file, else in the archive."""
         row = self._row(
             f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots {where} ORDER BY id DESC LIMIT 1",
             parameters,
         )
-        return self._snapshot_from_row(row) if row is not None else None
+        if row is not None:
+            return self._snapshot_from_row(row)
+        return self._archive._newest(where, parameters) if self._archive is not None else None
 
     def latest(self) -> Optional[StoredSnapshot]:
         """Metadata of the newest snapshot, or ``None`` on an empty store."""
@@ -726,12 +810,21 @@ class SnapshotStore(SnapshotBackend):
         check; windows past it are certainly new.
         """
         row = self._row("SELECT MAX(window_end) FROM snapshots WHERE kind = ?", (kind,))
-        return int(row[0]) if row is not None and row[0] is not None else None
+        end = int(row[0]) if row is not None and row[0] is not None else None
+        if self._archive is None:
+            return end
+        ends = [end, self._archive.latest_window_end(kind)]
+        return max((end for end in ends if end is not None), default=None)
 
     def snapshots(self) -> List[StoredSnapshot]:
-        """Metadata of every retained snapshot, oldest first."""
+        """Metadata of every queryable snapshot, archived ones included, oldest first."""
         rows = self._rows(f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots ORDER BY id")
-        return [self._snapshot_from_row(row) for row in rows]
+        metas = [self._snapshot_from_row(row) for row in rows]
+        if self._archive is None:
+            return metas
+        held = {meta.snapshot_id for meta in metas}
+        cold = [meta for meta in self._archive.snapshots() if meta.snapshot_id not in held]
+        return sorted(cold + metas, key=lambda meta: meta.snapshot_id)
 
     def snapshots_since(
         self, generation: int, *, limit: Optional[int] = None
@@ -820,6 +913,23 @@ class SnapshotStore(SnapshotBackend):
                 self._cached_rows += rows
         return stored
 
+    def _load(
+        self, connection: sqlite3.Connection, snapshot_id: int
+    ) -> Optional[Tuple[StoredSnapshot, WindowSnapshot]]:
+        """The metadata and the snapshot this file holds under *snapshot_id*
+        (``None`` if it holds none), read through *connection* inside a
+        transaction or the write lock."""
+        row = connection.execute(
+            f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots WHERE id = ?", (snapshot_id,)
+        ).fetchone()
+        if row is None:
+            return None
+        meta = self._snapshot_from_row(row)
+        stored = self._decoded(connection, snapshot_id, meta.generation)
+        assert stored is not None  # one transaction: the row has its columns
+        columns, changed = stored
+        return meta, stored_window(meta, columns, dict(changed))
+
     def load_snapshot(self, snapshot_id: int) -> WindowSnapshot:
         """Reconstruct the full :class:`WindowSnapshot` persisted under *snapshot_id*.
 
@@ -828,20 +938,17 @@ class SnapshotStore(SnapshotBackend):
         and the per-window change map all round-trip.  All reads happen in
         one transaction, so a snapshot pruned concurrently either loads
         whole or raises :class:`StoreError` -- never a torn half -- and so
-        does one that fails its digest.
+        does one that fails its digest.  An id this file does not hold is
+        read from the archive (the archive's copy commits first, so a
+        snapshot archived while this read ran is found there).
         """
         with self._read_txn() as connection:
-            row = connection.execute(
-                f"SELECT {self._SNAPSHOT_COLUMNS} FROM snapshots WHERE id = ?",
-                (snapshot_id,),
-            ).fetchone()
-            if row is None:
-                raise StoreError(f"no snapshot {snapshot_id} in {self.path!r}")
-            meta = self._snapshot_from_row(row)
-            stored = self._decoded(connection, snapshot_id, meta.generation)
-        assert stored is not None  # one transaction: the row has its columns
-        columns, changed = stored
-        return stored_window(meta, columns, dict(changed))
+            loaded = self._load(connection, snapshot_id)
+        if loaded is not None:
+            return loaded[1]
+        if self._archive is not None and self._archive.get(snapshot_id) is not None:
+            return self._archive.load_snapshot(snapshot_id)
+        raise StoreError(f"no snapshot {snapshot_id} in {self.path!r}")
 
     def changes(self, snapshot_id: int) -> Dict[ASN, Tuple[str, str]]:
         """The ``{asn: (old_code, new_code)}`` change set of one snapshot
@@ -852,7 +959,9 @@ class SnapshotStore(SnapshotBackend):
         the decodes nor evicts the columns per-AS reads keep hitting.
         """
         row = self._row(_STORED + " WHERE s.id = ?", (snapshot_id,))
-        return {} if row is None else _checked(row)[2]
+        if row is not None:
+            return _checked(row)[2]
+        return self._archive.changes(snapshot_id) if self._archive is not None else {}
 
     # -- per-AS queries -----------------------------------------------------------------
     def as_history(self, asn: ASN, *, limit: Optional[int] = None) -> List[ASHistoryEntry]:
@@ -876,7 +985,19 @@ class SnapshotStore(SnapshotBackend):
         while entries is None:
             with self._read_txn() as connection:
                 entries = self._history(connection, key, limit)
-        return entries
+        if self._archive is None or len(entries) == limit:
+            return entries
+        # The archive's entries for ids this file holds are read here already.
+        doubled = self._doubled()
+        rest = None if limit is None else limit - len(entries) + len(doubled)
+        cold = self._archive.as_history(asn, limit=rest)
+        entries += [entry for entry in cold if entry.snapshot_id not in doubled]
+        return entries[:limit]
+
+    def as_latest(self, asn: ASN) -> Optional[ASHistoryEntry]:
+        """The newest persisted classification of one AS (``None`` if unseen)."""
+        history = self.as_history(asn, limit=1)
+        return history[0] if history else None
 
     def _history(
         self, connection: sqlite3.Connection, key: int, limit: Optional[int]
@@ -909,7 +1030,8 @@ class SnapshotStore(SnapshotBackend):
         return entries
 
     def verify(self) -> List[str]:
-        """Re-check every snapshot against its digest; returns the problems.
+        """Re-check every snapshot of this file against its digest; returns
+        the problems (``repro archive DIR verify`` checks an archive).
 
         An empty list means every snapshot's metadata row, column blob and
         change set are what its append wrote.  Problems are collected, not
@@ -958,13 +1080,21 @@ class SnapshotStore(SnapshotBackend):
         return size_bytes
 
     def stats(self) -> Dict[str, object]:
-        """Store-level statistics for ``/v1/stats`` and operations."""
+        """Store-level statistics for ``/v1/stats`` and operations.
+
+        With an archive: the counts of both tiers, this file's own statistics
+        under ``hot`` (where the cap is not its own: it archives rather than
+        deletes) and the archive's row count and file sizes under
+        ``archive`` -- this file's distinct-AS recount would decompress every
+        archived blob again after each removal.
+        """
         with self._read_txn() as connection:
             snapshots, records = connection.execute(
                 "SELECT COUNT(*), COALESCE(SUM(rows), 0) FROM snapshot_columns"
             ).fetchone()
             distinct = self._distinct_ases(connection)
-        return {
+        size_bytes = self.size_bytes()
+        hot: Dict[str, object] = {
             "backend": "sqlite",
             "path": self.path,
             "schema_version": SCHEMA_VERSION,
@@ -972,11 +1102,29 @@ class SnapshotStore(SnapshotBackend):
             "snapshots": snapshots,
             "as_records": records,
             "distinct_ases": distinct,
-            "retention": self.retention,
-            "size_bytes": self.size_bytes(),
+            "retention": self.retention if self._archive is None else None,
+            "size_bytes": size_bytes,
             "pruned_through": self.pruned_through(),
             "applied_generation": self.applied_generation(),
             "leader_epoch": self.leader_epoch(),
+        }
+        if self._archive is None:
+            return hot
+        cold_snapshots, cold_bytes = len(self._archive), self._archive.size_bytes()
+        return {
+            "backend": "tiered",
+            "path": self.url,
+            "generation": hot["generation"],
+            "snapshots": snapshots + cold_snapshots - len(self._doubled()),
+            "retention": self.retention,
+            "size_bytes": size_bytes + cold_bytes,
+            **{key: hot[key] for key in ("pruned_through", "applied_generation", "leader_epoch")},
+            "hot": hot,
+            "archive": {
+                "path": self._archive.path,
+                "snapshots": cold_snapshots,
+                "size_bytes": cold_bytes,
+            },
         }
 
     # -- ingest telemetry ---------------------------------------------------------------
@@ -1007,3 +1155,23 @@ class SnapshotStore(SnapshotBackend):
         except ValueError:
             return None
         return payload if isinstance(payload, dict) else None
+
+
+def open_archive(archive_dir: Union[str, os.PathLike]) -> SnapshotStore:
+    """The cold-tier store of *archive_dir*, creating both if needed.
+
+    Uncapped, and *durable*: a snapshot's archived copy is on disk before
+    its hot rows are deleted.  Raises :class:`StoreError` for a directory
+    holding ``.jsonl`` files: the segment archive an older version wrote,
+    which this one does not read.
+    """
+    root = Path(archive_dir)
+    older = sorted(root.glob("*.jsonl"))
+    if older:
+        raise StoreError(
+            f"archive directory {root} holds {older[0].name}, a segment file of the"
+            f" older JSON-lines archive format; this version keeps the cold tier in"
+            f" {ARCHIVE_DB} and reads no segment files"
+        )
+    root.mkdir(parents=True, exist_ok=True)
+    return SnapshotStore(root / ARCHIVE_DB, durable=True)

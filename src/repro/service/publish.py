@@ -1,4 +1,4 @@
-"""Publisher hooks: wire running producers into any :class:`SnapshotBackend`.
+"""Publisher hooks: wire running producers into a :class:`SnapshotStore`.
 
 The streaming engine already exposes an ``on_window`` callback; a
 :class:`SnapshotPublisher` is such a callback that durably appends every
@@ -27,7 +27,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.bgp.asn import ASN
 from repro.core.results import ClassificationResult
-from repro.service.backends.base import SnapshotBackend, StoreError
+from repro.service.backends.base import StoreError
+from repro.service.backends.sqlite import SnapshotStore
 from repro.stream.engine import StreamEngine, WindowSnapshot
 
 #: Signature of an ``on_window`` engine callback.
@@ -35,7 +36,7 @@ WindowCallback = Callable[[WindowSnapshot], None]
 
 
 def ensure_snapshot(
-    store: SnapshotBackend,
+    store: SnapshotStore,
     snapshot: WindowSnapshot,
     *,
     kind: str = "window",
@@ -53,7 +54,7 @@ def ensure_snapshot(
     progress reporting; the ``if_absent`` append closes the remaining race
     atomically inside the store's write transaction.  *epoch* is passed
     through to the append's failover fence (see
-    :meth:`SnapshotBackend.append_snapshot`).
+    :meth:`SnapshotStore.append_snapshot`).
     """
     existing = store.find_window(kind, snapshot.window_start, snapshot.window_end)
     if existing is not None:
@@ -69,7 +70,7 @@ class SnapshotPublisher:
 
     def __init__(
         self,
-        store: SnapshotBackend,
+        store: SnapshotStore,
         *,
         kind: str = "window",
         forward: Optional[WindowCallback] = None,
@@ -139,7 +140,7 @@ class SnapshotPublisher:
 
 
 def attach_store(
-    engine: StreamEngine, store: SnapshotBackend, *, resume: bool = False
+    engine: StreamEngine, store: SnapshotStore, *, resume: bool = False
 ) -> SnapshotPublisher:
     """Make *engine* persist every window snapshot into *store*.
 
@@ -170,7 +171,7 @@ def attach_store(
 
 
 def publish_result(
-    store: SnapshotBackend,
+    store: SnapshotStore,
     result: ClassificationResult,
     *,
     events_total: int = 0,

@@ -10,7 +10,7 @@ any other host's store into a **follower** that converges on it.
 The contract, piece by piece:
 
 * **generation addressing** -- every snapshot records the store generation
-  it committed at (:meth:`SnapshotBackend.snapshots_since`), so "everything
+  it committed at (:meth:`SnapshotStore.snapshots_since`), so "everything
   after G" is a single indexed range read, paged to keep responses bounded;
 * **one encoding** -- each page entry is a snapshot record (metadata plus
   the store's column blob, :func:`~repro.service.backends.base.snapshot_record`);
@@ -40,7 +40,7 @@ long-running follower process, optionally serving the replica through the
 existing single- or multi-worker HTTP stack for true cross-host read
 scaling.
 
-Failover rests on a durable fencing epoch: every backend persists a
+Failover rests on a durable fencing epoch: every store persists a
 ``leader_epoch`` in its meta, writers capture it when they attach and stamp
 it on every append, and an append carrying an older epoch raises
 :class:`~repro.service.backends.base.FencedWriterError` inside the write
@@ -61,10 +61,10 @@ from typing import Any, Callable, Dict, List, Optional, Union, cast
 
 from repro.service.backends.base import (
     FencedWriterError,
-    SnapshotBackend,
     StoreError,
     snapshot_from_record,
 )
+from repro.service.backends.sqlite import SnapshotStore
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.publish import ensure_snapshot
 
@@ -136,7 +136,7 @@ class ReplicaSyncer:
     def __init__(
         self,
         client: Union[str, ServiceClient],
-        store: SnapshotBackend,
+        store: SnapshotStore,
         *,
         page_size: int = DEFAULT_PAGE_SIZE,
         follower: Optional[str] = None,
@@ -300,7 +300,7 @@ class PromotionReport:
         return asdict(self)
 
 
-def promote(store: SnapshotBackend, syncer: Optional[ReplicaSyncer] = None) -> PromotionReport:
+def promote(store: SnapshotStore, syncer: Optional[ReplicaSyncer] = None) -> PromotionReport:
     """Promote a follower store to leader, fencing the deposed writer.
 
     With *syncer* (the replica's own, pointed at the old leader) a final
@@ -311,7 +311,7 @@ def promote(store: SnapshotBackend, syncer: Optional[ReplicaSyncer] = None) -> P
     :attr:`PromotionReport.sync_error` and promotion proceeds on the
     follower's state.  The epoch bump is the promotion: it commits durably
     before this function returns, after which appends stamped with the
-    previous epoch raise :class:`FencedWriterError` on every backend.
+    previous epoch raise :class:`FencedWriterError` on this store.
     """
     applied = deduplicated = 0
     synced = False

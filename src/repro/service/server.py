@@ -1,4 +1,4 @@
-"""Stdlib-only JSON HTTP API over any :class:`SnapshotBackend`.
+"""Stdlib-only JSON HTTP API over a :class:`SnapshotStore`.
 
 Endpoints (all ``GET``; JSON unless noted):
 
@@ -74,11 +74,11 @@ from urllib.parse import parse_qs
 from repro.bgp.asn import MAX_ASN_32BIT
 from repro.service.auth import check_token
 from repro.service.backends.base import (
-    SnapshotBackend,
     StoreError,
     snapshot_payload,
     snapshot_record,
 )
+from repro.service.backends.sqlite import SnapshotStore
 from repro.service.metrics import (
     CHURN_TOP_N,
     METRICS_CONTENT_TYPE,
@@ -228,7 +228,7 @@ class ClassificationService:
 
     def __init__(
         self,
-        store: SnapshotBackend,
+        store: SnapshotStore,
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
         worker_id: int = 0,
@@ -820,7 +820,7 @@ class ClassificationServer:
 
     def __init__(
         self,
-        store: SnapshotBackend,
+        store: SnapshotStore,
         *,
         host: str = "127.0.0.1",
         port: int = 0,

@@ -96,7 +96,7 @@ def _serve_worker(
     duplicated file descriptor; everything else arrives as plain picklable
     values.  *retention* is carried for ``/v1/stats`` visibility only --
     serving never appends, so it never prunes here.  *archive_dir* makes
-    every worker open the same tiered view, so cold (beyond-retention)
+    every worker open the store with the same archive, so cold (beyond-retention)
     reads answer on any worker.  *lag_dir* is the supervisor's shared
     follower-lag directory: each worker persists the changelog polls it
     saw, so the ``/metrics`` scrape of any worker reports every follower.

@@ -6,9 +6,9 @@ as ``MemoryBackend`` until ``memory:`` store URLs became SQLite's own
 behind one re-entrant lock, and each contract rule (id allocation,
 generation monotonicity, retention horizons, pinned-id divergence) is a few
 readable lines free of SQL.  It shares no storage code with production --
-only the wire codec and the shared validation helpers of
+only the records and the shared validation helpers of
 :mod:`repro.service.backends.base` -- so the conformance suite
-(``tests/test_backends.py``) holds it to the contract, and
+(``tests/test_backends.py``) holds it to the store's contract, and
 ``tests/test_columnar_store.py`` holds the SQLite store, file-backed and
 ``:memory:``, to it read for read.
 
@@ -30,7 +30,6 @@ from repro.core.counters import ASCounters
 from repro.core.results import ClassificationResult
 from repro.service.backends.base import (
     ASHistoryEntry,
-    SnapshotBackend,
     StoredSnapshot,
     StoreError,
     require_current_epoch,
@@ -86,7 +85,7 @@ class _Row:
         self.changed = changed
 
 
-class ReferenceStore(SnapshotBackend):
+class ReferenceStore:
     """Dictionary-backed snapshot store: the contract in plain Python."""
 
     def __init__(self, *, retention: Optional[int] = None) -> None:
@@ -117,6 +116,12 @@ class ReferenceStore(SnapshotBackend):
             self._closed = True
             self._rows.clear()
             self._order.clear()
+
+    def __enter__(self) -> "ReferenceStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- writes -------------------------------------------------------------------------
     def append_snapshot(
@@ -383,6 +388,10 @@ class ReferenceStore(SnapshotBackend):
                 if limit is not None and len(entries) >= limit:
                     break
         return entries
+
+    def as_latest(self, asn: ASN) -> Optional[ASHistoryEntry]:
+        history = self.as_history(asn, limit=1)
+        return history[0] if history else None
 
     # -- statistics ---------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -1,22 +1,20 @@
-"""Backend-conformance suite for the pluggable storage layer.
+"""Conformance suite for the snapshot store.
 
-Every :class:`~repro.service.backends.base.SnapshotBackend` implementation
-must honour the same contract -- the serving, publishing, and replication
-stacks are written against it, not against SQLite.  The suite runs each
-contract assertion against every backend (SQLite on a file and in
-``:memory:``, each bare and tiered) and against the dict-based
-:class:`~tests.store_oracle.ReferenceStore` the SQLite store is held to,
-then pins the cross-backend guarantees the tiers and the replication layer
-add on top:
+The serving, publishing and replication stacks use one store,
+:class:`~repro.service.backends.sqlite.SnapshotStore`.  The suite runs each
+contract assertion against it (on a file and in ``:memory:``, each with and
+without an archive) and against the dict-based
+:class:`~tests.store_oracle.ReferenceStore` it is held to, then pins what
+the cold tier and the replication layer add on top:
 
 * a ``memory:`` follower and a reference-store follower converge
   byte-identically on a SQLite leader;
-* a tiered store serves windows beyond the retention cap byte-identically
-  to what the hot store served before archival demoted them;
-* the cold store's digests catch a changed byte on every read and in
-  ``repro archive verify``, a demotion cut short re-demotes once, a second
-  process's view sees fresh demotions, and a directory of the older segment
-  archive is refused.
+* an archived store serves windows beyond the retention cap byte-identically
+  to what its hot file served before they were archived;
+* the archive's digests catch a changed byte on every read and in
+  ``repro archive verify``; a demotion cut short after the archive's commit
+  is read once per snapshot and finished once; a second process's view sees
+  fresh demotions; and a directory of the older segment archive is refused.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from repro.service import (
     ReplicaSyncer,
     SnapshotStore,
     StoreError,
-    TieredBackend,
     open_store,
     parse_store_url,
     snapshot_payload,
@@ -76,7 +73,7 @@ def make_backend(request, tmp_path):
     """A factory of fresh backends of one flavour (closed by the caller).
 
     ``make.archives`` tells retention-sensitive assertions whether pruned
-    snapshots stay queryable (tiered flavours) or are gone (plain ones).
+    snapshots stay queryable (archived flavours) or are gone (plain ones).
     """
     counter = itertools.count()
     opened = []
@@ -87,8 +84,8 @@ def make_backend(request, tmp_path):
         if request.param == "reference":
             backend = ReferenceStore(retention=retention)
         elif request.param.startswith("tiered"):
-            backend = TieredBackend(
-                open_store(url), tmp_path / f"archive{serial}", retention=retention
+            backend = open_store(
+                url, retention=retention, archive_dir=tmp_path / f"archive{serial}"
             )
         else:
             backend = open_store(url, retention=retention)
@@ -213,7 +210,7 @@ class TestConformance:
         assert store.pruned_through() > 0
         assert store.latest().snapshot_id == ids[-1]
         if make_backend.archives:
-            # Tiered: nothing is lost; old windows fall through to cold.
+            # Archived: nothing is lost; old windows fall through to cold.
             assert len(store) == 5
             for snapshot, snapshot_id in zip(snapshots, ids):
                 assert snapshot_payload(store.load_snapshot(snapshot_id)) == (
@@ -333,24 +330,23 @@ class TestOpenStore:
         with open_store(":memory:") as store:
             assert isinstance(store, SnapshotStore)
 
-    def test_archive_dir_builds_tiered(self, tmp_path):
+    def test_archive_dir_opens_the_cold_tier(self, tmp_path):
         with open_store(
             tmp_path / "hot.db", retention=2, archive_dir=tmp_path / "cold"
         ) as store:
-            assert isinstance(store, TieredBackend)
+            assert isinstance(store, SnapshotStore)
             assert store.retention == 2
-            assert store.hot.retention is None  # cap lives on the wrapper
+            assert (tmp_path / "cold" / ARCHIVE_DB).exists()
+            stats = store.stats()
+            # The cap archives: the hot file reports no cap of its own.
+            assert (stats["backend"], stats["retention"]) == ("tiered", 2)
+            assert stats["hot"]["retention"] is None
 
     def test_bad_urls(self):
         with pytest.raises(ValueError):
             parse_store_url("sqlite:")
         with pytest.raises(ValueError):
             parse_store_url("memory:named")
-
-    def test_tiered_rejects_capped_hot(self, tmp_path):
-        with open_store(tmp_path / "capped.db", retention=1) as hot:
-            with pytest.raises(ValueError):
-                TieredBackend(hot, tmp_path / "cold")
 
 
 # ---------------------------------------------------------------------------------------
@@ -413,6 +409,18 @@ class BlobSpy:
         return Recording()
 
 
+def archived_ids(archive_dir):
+    """The snapshot ids the archive under *archive_dir* holds."""
+    with open_archive(archive_dir) as archive:
+        return [meta.snapshot_id for meta in archive.snapshots()]
+
+
+def hot_ids(path):
+    """The snapshot ids the store file at *path* holds itself."""
+    with open_store(path) as hot:
+        return [meta.snapshot_id for meta in hot.snapshots()]
+
+
 def cold_blobs(archive_dir):
     """Every column blob in the cold store under *archive_dir*."""
     with closing(sqlite3.connect(archive_dir / ARCHIVE_DB)) as connection:
@@ -461,7 +469,7 @@ class TestTieredArchive:
                 target = f"/v1/snapshot/{snapshot.window_end}"
                 expected[target] = reference_service.handle(target)
                 tiered.append_snapshot(snapshot)
-            assert len(tiered.hot) == 2 and len(tiered) == 6
+            assert len(hot_ids(tmp_path / "hot.db")) == 2 and len(tiered) == 6
             for target, body in expected.items():
                 assert tiered_service.handle(target) == body
             # Cold per-AS history spans the full run, not just the hot cap.
@@ -501,16 +509,18 @@ class TestTieredArchive:
         ) as store:
             for snapshot in build_snapshots(3):
                 store.append_snapshot(snapshot)
-            first = store.cold.snapshots()[0].snapshot_id
-            assert store.cold.verify() == []
+        with open_archive(tmp_path / "cold") as archive:
+            first = archive.snapshots()[0].snapshot_id
+            assert archive.verify() == []
         select, update = FLIPS[field]
         with closing(sqlite3.connect(tmp_path / "cold" / ARCHIVE_DB)) as connection:
             with connection:
                 value, *key = connection.execute(select, (first,)).fetchone()
                 connection.execute(update, (flip_one_byte(value), first, *key))
-        with open_store(tmp_path / "hot.db", archive_dir=tmp_path / "cold") as tiered:
-            (problem,) = tiered.cold.verify()
+        with open_archive(tmp_path / "cold") as archive:
+            (problem,) = archive.verify()
             assert f"snapshot {first} does not match its digest" in problem
+        with open_store(tmp_path / "hot.db", archive_dir=tmp_path / "cold") as tiered:
             for read in (tiered.load_snapshot, tiered.changes):
                 with pytest.raises(StoreError, match="does not match its digest"):
                     read(first)
@@ -521,11 +531,12 @@ class TestTieredArchive:
         assert err[0].startswith(f"error: snapshot {first} does not match its digest")
         assert len(err) == 2
 
-    def test_crash_between_append_and_drop_redemotes_once(self, tmp_path, monkeypatch):
-        """A demotion that copied a snapshot into the cold store but died
-        before dropping the hot copy is finished by the next demotion: the
-        re-append under the pinned id writes nothing, and every snapshot
-        ends up once, in one tier, with its bytes."""
+    def test_crash_between_archive_and_delete_redemotes_once(self, tmp_path, monkeypatch):
+        """A demotion that committed a snapshot's archive copy but died before
+        its hot rows were deleted takes the append with it (one transaction)
+        and is finished by the next removal: the re-append under the pinned
+        id writes nothing, and every snapshot ends up once, in one tier,
+        with its bytes."""
         snapshots = build_snapshots(4)
         with open_store(
             tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
@@ -533,29 +544,65 @@ class TestTieredArchive:
             for snapshot in snapshots[:2]:
                 tiered.append_snapshot(snapshot)
 
-            def crash(snapshot_id):
-                raise RuntimeError(f"killed before dropping hot snapshot {snapshot_id}")
+            def crash(connection, snapshot_ids):
+                raise RuntimeError(f"killed before deleting hot snapshots {snapshot_ids}")
 
-            monkeypatch.setattr(tiered.hot, "drop_snapshot", crash)
+            monkeypatch.setattr(tiered, "_delete_snapshot_rows", crash)
             with pytest.raises(RuntimeError, match="killed"):
                 tiered.append_snapshot(snapshots[2])
-            assert [meta.snapshot_id for meta in tiered.cold.snapshots()] == [1, 2]
-            assert [meta.snapshot_id for meta in tiered.hot.snapshots()] == [2, 3]
-            cold_generation = tiered.cold.generation()
+        assert archived_ids(tmp_path / "cold") == [1, 2]
+        assert hot_ids(tmp_path / "hot.db") == [2]
+        with open_archive(tmp_path / "cold") as archive:
+            cold_generation = archive.generation()
         with open_store(
             tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
         ) as reopened:
-            reopened.append_snapshot(snapshots[3])
-            assert [meta.snapshot_id for meta in reopened.cold.snapshots()] == [1, 2, 3]
-            assert [meta.snapshot_id for meta in reopened.hot.snapshots()] == [4]
-            # Snapshot 2's second append wrote nothing; snapshot 3's did.
-            assert reopened.cold.generation() == cold_generation + 1
-            assert reopened.cold.verify() == []
+            assert [meta.snapshot_id for meta in reopened.snapshots()] == [1, 2]
+            for snapshot in snapshots[2:]:  # the producer re-emits the failed window
+                reopened.append_snapshot(snapshot, if_absent=True)
             assert len(reopened) == 4
             for meta, snapshot in zip(reopened.snapshots(), snapshots):
                 assert snapshot_payload(reopened.load_snapshot(meta.snapshot_id)) == (
                     snapshot_payload(snapshot)
                 )
+        assert archived_ids(tmp_path / "cold") == [1, 2, 3]
+        assert hot_ids(tmp_path / "hot.db") == [4]
+        with open_archive(tmp_path / "cold") as archive:
+            # Snapshot 2's second append wrote nothing; snapshot 3's did.
+            assert archive.generation() == cold_generation + 1
+            assert archive.verify() == []
+
+    def test_a_cut_short_demotion_is_read_once(self, tmp_path):
+        """Snapshot 2 committed to the archive while its hot copy stayed (the
+        state a demotion cut short between the two leaves behind).  A store
+        opened on it and never appended to -- a serving process -- counts
+        every snapshot once on every read; the next append leaves each id
+        in one tier."""
+        snapshots = build_snapshots(4)
+        with open_store(tmp_path / "hot.db") as hot:
+            for snapshot in snapshots[:3]:
+                hot.append_snapshot(snapshot)
+            assert hot.drop_snapshot(1)
+        with open_archive(tmp_path / "cold") as archive:
+            for snapshot_id, snapshot in enumerate(snapshots[:2], start=1):
+                archive.append_snapshot(snapshot, snapshot_id=snapshot_id)
+        with open_store(
+            tmp_path / "hot.db", retention=1, archive_dir=tmp_path / "cold"
+        ) as store:
+            assert len(store) == 3
+            assert [meta.snapshot_id for meta in store.snapshots()] == [1, 2, 3]
+            assert [entry.snapshot_id for entry in store.as_history(20)] == [3, 2, 1]
+            assert [entry.snapshot_id for entry in store.as_history(20, limit=10)] == [3, 2, 1]
+            assert [entry.snapshot_id for entry in store.as_history(20, limit=2)] == [3, 2]
+            assert store.stats()["snapshots"] == 3
+            service = ClassificationService(store)
+            history = json.loads(service.handle("/v1/as/20?history=10").body)["history"]
+            assert [entry["snapshot_id"] for entry in history] == [3, 2, 1]
+            assert json.loads(service.handle("/v1/stats").body)["store"]["snapshots"] == 3
+            store.append_snapshot(snapshots[3])
+            assert [meta.snapshot_id for meta in store.snapshots()] == [1, 2, 3, 4]
+        assert archived_ids(tmp_path / "cold") == [1, 2, 3]
+        assert hot_ids(tmp_path / "hot.db") == [4]
 
     def test_cold_history_of_an_absent_as_decodes_no_blob(self, tmp_path, monkeypatch):
         """An AS the archive never held costs the cold store's index probe,

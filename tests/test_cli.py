@@ -106,6 +106,8 @@ class TestOutOfRangeFlags:
             ["replicate", *LEADER, "--serve", "--cache-size", "-1"],
             ["replicate", *LEADER, "--promote", "--retention", "0"],
             ["stream", "a.mrt", "--store", "x.db", "--store-retention", "0"],
+            # Without a cap nothing is removed, so nothing would be archived.
+            ["stream", "a.mrt", "--store", "x.db", "--archive-dir", "cold"],
             ["stream", "a.mrt", "--checkpoint-every", "0"],
             ["stream", "a.mrt", "--window", "0"],
             ["stream", "a.mrt", "--allowed-lateness", "-5"],
@@ -188,6 +190,22 @@ class TestUnusableStore:
         (line,) = [line for line in err.splitlines() if line.startswith("error:")]
         assert store in line
         assert ("schema version 3" if kind == "v3" else "not a database") in line
+
+    @pytest.mark.parametrize("kind", ["v3", "garbage"])
+    @pytest.mark.parametrize("command", ["classify", "demo"])
+    def test_batch_commands_refuse_it_before_inferring(
+        self, command, kind, mrt_file, tmp_path, monkeypatch, capsys
+    ):
+        """``classify`` and ``demo`` open ``--store`` first: an unusable one
+        stops them before any inference, ``classified`` line or ``-o`` file."""
+        monkeypatch.chdir(tmp_path)
+        _unusable_store(tmp_path / "s.db", kind)
+        argv = [part.format(mrt=mrt_file) for part in self.COMMANDS[command]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "s.db" in line
+        assert not (tmp_path / "db.txt").exists()
 
 
 class TestOnePathOptions:

@@ -29,7 +29,6 @@ from repro.service import (
     ServiceClient,
     SnapshotPublisher,
     SnapshotStore,
-    TieredBackend,
     open_store,
     promote,
 )
@@ -48,7 +47,7 @@ def make_store(request, tmp_path):
         elif request.param == "memory":
             backend = open_store("memory:")
         else:
-            backend = TieredBackend(open_store("memory:"), tmp_path / f"{name}-cold")
+            backend = open_store("memory:", archive_dir=tmp_path / f"{name}-cold")
         opened.append(backend)
         return backend
 

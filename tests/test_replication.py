@@ -30,7 +30,6 @@ from repro.service import (
     ServiceError,
     SnapshotStore,
     StoreError,
-    TieredBackend,
     attach_store,
     open_store,
     snapshot_payload,
@@ -357,15 +356,15 @@ class TestOneEncoding:
             digests = _digests(tmp_path / "leader.db")
             assert len(set(digests)) == len(snapshots)
             assert _digests(tmp_path / "follower.db") == digests
-            tiered = TieredBackend(leader, tmp_path / "cold")
-            # Newest first: the cold store's own commit generations then differ
-            # from the leader's, which the (store-local) digest must not cover.
-            for meta in reversed(leader.snapshots()):
-                assert tiered.drop_snapshot(meta.snapshot_id)
-            assert len(leader) == 0 and len(tiered) == len(snapshots)
-            cold = ClassificationService(tiered)
-            for target in targets:
-                assert cold.handle(target).body == hot[target].body, target
+            with open_store(tmp_path / "leader.db", archive_dir=tmp_path / "cold") as tiered:
+                # Newest first: the archive's own commit generations then differ
+                # from the leader's, which the (store-local) digest must not cover.
+                for meta in reversed(leader.snapshots()):
+                    assert tiered.drop_snapshot(meta.snapshot_id)
+                assert len(leader) == 0 and len(tiered) == len(snapshots)
+                cold = ClassificationService(tiered)
+                for target in targets:
+                    assert cold.handle(target).body == hot[target].body, target
             assert _digests(tmp_path / "cold" / "archive.db") == digests
         history = json.loads(hot["/v1/as/4294967295?history=10"].body)["history"]
         assert [entry["counters"]["cleaner"] for entry in history] == [15, 10, 5, 0]
