@@ -88,6 +88,15 @@ def _threshold(text: str) -> float:
     return value
 
 
+def _follower_name(text: str) -> str:
+    """argparse ``type=`` of ``--follower``: a name the leader's board can record."""
+    from repro.service.metrics import FOLLOWER_NAME_MAX_BYTES as budget
+
+    if len(text.encode("utf-8", "surrogateescape")) > budget:
+        raise argparse.ArgumentTypeError(f"must be at most {budget} UTF-8 bytes")
+    return text
+
+
 def _write_database(database: ClassificationDatabase, output: Optional[str], fmt: str) -> None:
     """Write the database to a file or stdout in the chosen format."""
     text = database.to_json() if fmt == "json" else database.dumps()
@@ -147,6 +156,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _archive_without_cap(archive_dir: Optional[str], cap: Optional[int], flag: str) -> bool:
+    """Whether ``--archive-dir`` lacks its retention *flag*; if so, print why."""
+    uncapped = archive_dir is not None and cap is None
+    if uncapped:
+        print(
+            f"error: --archive-dir needs {flag}: an uncapped store"
+            " removes no snapshot, so none would reach the archive",
+            file=sys.stderr,
+        )
+    return uncapped
+
+
 def cmd_stream(args: argparse.Namespace) -> int:
     """``stream``: replay MRT update archives through the streaming engine."""
     if args.horizon is not None and args.horizon < args.window:
@@ -155,12 +176,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.archive_dir is not None and args.store_retention is None:
-        print(
-            "error: --archive-dir needs --store-retention: an uncapped store"
-            " removes no snapshot, so none would reach the archive",
-            file=sys.stderr,
-        )
+    if _archive_without_cap(args.archive_dir, args.store_retention, "--store-retention"):
         return 2
     from repro.stream import (
         CheckpointManager,
@@ -439,6 +455,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     from repro.service.backends import open_store
     from repro.service.workers import require_file_store
 
+    if _archive_without_cap(args.archive_dir, args.retention, "--retention"):
+        return 2
     auth_token = resolve_token(args.auth_token)
     if args.serve and args.http_workers > 1:
         try:
@@ -878,9 +896,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replicate.add_argument(
         "--follower",
+        type=_follower_name,
         default=None,
         help="name this follower reports on changelog polls; the leader "
-        "publishes a per-follower replication-lag gauge on /metrics under it",
+        "publishes a per-follower replication-lag gauge on /metrics under it "
+        "(at most 64 UTF-8 bytes)",
     )
     replicate.add_argument(
         "--auth-token",

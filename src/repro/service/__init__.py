@@ -42,7 +42,9 @@ builds the *consumer* side:
 * :mod:`repro.service.metrics` -- a Prometheus-text ``/metrics`` endpoint:
   per-endpoint request/latency histograms, cache hit/miss counters, store
   gauges, per-follower replication lag, and per-AS classification churn,
-  aggregated fleet-wide through the shared worker board.
+  aggregated fleet-wide through the shared worker board -- the one ledger
+  of requests and follower polls, each worker keeping a bounded follower
+  table on it.
 
 Entry points most callers want: ``repro serve --store db.sqlite``
 (``--http-workers N`` to fan out, ``--auth-token`` to lock the API),

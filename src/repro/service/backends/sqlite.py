@@ -274,15 +274,15 @@ class SnapshotStore:
         # ``(generation, distinct ASes)`` of the last stats() scan.
         self._distinct = (-1, 0)
         self._archive: Optional[SnapshotStore] = None
-        if self.path == ":memory:":
-            self._shared = self._connect()
-        self._initialise()
-        if archive_dir is not None:
-            try:
+        try:
+            if self.path == ":memory:":
+                self._shared = self._connect()
+            self._initialise()
+            if archive_dir is not None:
                 self._archive = open_archive(archive_dir)
-            except (StoreError, OSError):
-                self.close()  # the hot file's connections are not left to the collector
-                raise
+        except BaseException:
+            self.close()  # a refused open leaves no connection to the collector
+            raise
 
     @property
     def url(self) -> str:

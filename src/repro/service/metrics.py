@@ -12,7 +12,8 @@ from stdlib primitives -- no client library.  What it exposes:
   epoch, replication horizon and applied generation;
 * **per-follower replication lag** -- followers identify themselves on the
   changelog endpoint (``?follower=name``), and the leader publishes
-  ``leader_generation - follower_since`` per name;
+  ``leader_generation - follower_since`` per name, for at most
+  :data:`FOLLOWER_TABLE_SIZE` names per worker;
 * **classification churn** -- per-AS class-change counters fed from the
   change maps the publisher persists with every snapshot (total churn plus
   the top churning ASes, cardinality-capped).
@@ -22,14 +23,13 @@ slot of a :class:`WorkerStatsBoard`, an mmap whose slot layout is generated
 from :data:`METRIC_ENDPOINTS` and :data:`LATENCY_BUCKETS` here.  A worker
 fleet shares one board file, so any worker the kernel picks answers
 ``/v1/stats`` and a scrape for the whole deployment; a single server is a
-fleet of one, its board one slot over an anonymous map.  Follower lag is
-merged from per-worker sidecar files (:class:`FileFollowerLag`) the same
-way.
+fleet of one, its board one slot over an anonymous map.  Follower lag lives
+on the same board: each worker keeps a fixed table of the followers whose
+changelog polls it served, and a scrape merges every worker's table.
 """
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 import struct
@@ -119,20 +119,44 @@ _WORKER_SLOT_SIZE = len(METRIC_ENDPOINTS) * _ENDPOINT.size
 
 _ENDPOINT_INDEX = {name: index for index, name in enumerate(METRIC_ENDPOINTS)}
 
+#: Followers each worker's table holds; a poll from a new name when the
+#: table is full evicts the least recently polled entry.
+FOLLOWER_TABLE_SIZE = 64
+
+#: Longest follower name, in UTF-8 bytes, the board records.
+FOLLOWER_NAME_MAX_BYTES = 64
+
+#: One follower entry: a sequence word (odd while its worker rewrites the
+#: entry), the poll's ``since`` and leader ``generation``, its wall-clock
+#: time, and the length-prefixed UTF-8 name (length 0: a free entry).
+_FOLLOWER = struct.Struct(f"<QqqdB{FOLLOWER_NAME_MAX_BYTES}s")
+_SEQUENCE = struct.Struct("<Q")
+
+#: One worker's follower table, in bytes.
+_FOLLOWER_TABLE_BYTES = FOLLOWER_TABLE_SIZE * _FOLLOWER.size
+
+
+def _board_size(workers: int) -> int:
+    """Bytes of a *workers*-slot board: every request slot, then every follower table."""
+    return workers * (_WORKER_SLOT_SIZE + _FOLLOWER_TABLE_BYTES)
+
 
 class WorkerStatsBoard:
-    """Per-worker request accounting in one mmap: the service's only ledger.
+    """Per-worker request and follower accounting in one mmap: the only ledger.
 
     Each worker owns one slot: one block per :data:`METRIC_ENDPOINTS` entry
     holding that endpoint's counters, latency sum, and histogram bucket
-    counts; the worker's aggregate counters are the sums of its blocks.  A
-    fleet's board lives in a per-fleet temporary file every worker process
-    maps (:meth:`create`); a board built without a *path* is one slot over
-    an anonymous map, the ledger of a single server.  Exactly one worker
-    writes each slot (its request threads serialise through a per-process
-    lock), so there is no cross-process locking; concurrent readers may see
-    a counter mid-increment, which is harmless for monotonically growing
-    statistics.
+    counts; the worker's aggregate counters are the sums of its blocks.
+    After every request slot, each worker also owns a table of
+    :data:`FOLLOWER_TABLE_SIZE` follower entries, the last changelog poll
+    it served per follower name.  A fleet's board lives in a per-fleet
+    temporary file every worker process maps (:meth:`create`); a board
+    built without a *path* is one slot over an anonymous map, the ledger of
+    a single server.  Exactly one worker writes each slot and table (its
+    request threads serialise through a per-process lock), so there is no
+    cross-process locking; concurrent readers may see a counter
+    mid-increment, which is harmless for monotonically growing statistics,
+    and skip a follower entry whose sequence word says it is mid-write.
     """
 
     def __init__(self, path: Optional[str] = None, workers: int = 1) -> None:
@@ -141,16 +165,18 @@ class WorkerStatsBoard:
         self.path = path
         self.workers = workers
         self._lock = threading.Lock()
-        size = workers * _WORKER_SLOT_SIZE
+        self._followers_base = workers * _WORKER_SLOT_SIZE
         self._file = open(path, "r+b") if path is not None else None
-        self._map = mmap.mmap(-1 if self._file is None else self._file.fileno(), size)
+        self._map = mmap.mmap(
+            -1 if self._file is None else self._file.fileno(), _board_size(workers)
+        )
 
     @classmethod
     def create(cls, workers: int) -> "WorkerStatsBoard":
         """Allocate a zeroed board in a fresh temporary file."""
         fd, path = tempfile.mkstemp(prefix="repro-serve-stats-", suffix=".bin")
         with os.fdopen(fd, "wb") as handle:
-            handle.write(b"\x00" * workers * _WORKER_SLOT_SIZE)
+            handle.write(b"\x00" * _board_size(workers))
         return cls(path, workers)
 
     def observe(
@@ -211,6 +237,80 @@ class WorkerStatsBoard:
                     buckets[bucket] += int(count)
         return endpoints
 
+    def record_follower(
+        self, worker_id: int, name: str, *, since: int, generation: int
+    ) -> None:
+        """Record one changelog poll of follower *name* in *worker_id*'s table.
+
+        The name's entry is rewritten; a new name takes a free entry, or
+        evicts the least recently polled one.  A name that is empty or over
+        :data:`FOLLOWER_NAME_MAX_BYTES` records nothing: telemetry never
+        fails the poll it rides on.
+        """
+        try:
+            encoded = name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            return
+        if not 0 < len(encoded) <= FOLLOWER_NAME_MAX_BYTES:
+            return
+        base = self._followers_base + worker_id * _FOLLOWER_TABLE_BYTES
+        key = (len(encoded), encoded.ljust(FOLLOWER_NAME_MAX_BYTES, b"\x00"))
+        with self._lock:
+            entries = [
+                _FOLLOWER.unpack_from(self._map, base + index * _FOLLOWER.size)
+                for index in range(FOLLOWER_TABLE_SIZE)
+            ]
+            index = next(
+                (index for index, entry in enumerate(entries) if entry[4:] == key), None
+            )
+            if index is None:  # a free entry (length 0) first, else the stalest
+                index = min(
+                    range(FOLLOWER_TABLE_SIZE),
+                    key=lambda at: (entries[at][4] != 0, entries[at][3]),
+                )
+            offset = base + index * _FOLLOWER.size
+            sequence = entries[index][0] | 1  # odd while the entry is written
+            _SEQUENCE.pack_into(self._map, offset, sequence)
+            _FOLLOWER.pack_into(
+                self._map, offset, sequence, since, generation, time.time(), *key
+            )
+            _SEQUENCE.pack_into(self._map, offset, sequence + 1)
+
+    def followers(self) -> Dict[str, Dict[str, float]]:
+        """Every worker's follower table merged, the newest poll per name.
+
+        Takes no lock: an entry whose sequence word is odd, or moved while
+        it was read, is mid-write in its worker and is skipped, so a scrape
+        may miss that one poll but never reports a torn entry.
+        """
+        merged: Dict[str, Dict[str, float]] = {}
+        for worker_id in range(self.workers):
+            base = self._followers_base + worker_id * _FOLLOWER_TABLE_BYTES
+            for index in range(FOLLOWER_TABLE_SIZE):
+                offset = base + index * _FOLLOWER.size
+                # The sequence word is the entry's first field, so it is
+                # read before the rest, and read again after it.
+                sequence, since, generation, updated, length, raw = _FOLLOWER.unpack_from(
+                    self._map, offset
+                )
+                if length == 0 or sequence % 2:
+                    continue
+                if _SEQUENCE.unpack_from(self._map, offset)[0] != sequence:
+                    continue
+                try:
+                    name = raw[:length].decode("utf-8")
+                except UnicodeDecodeError:
+                    continue
+                known = merged.get(name)
+                if known is None or updated >= known["updated"]:
+                    merged[name] = {
+                        "since": float(since),
+                        "generation": float(generation),
+                        "lag": float(max(0, generation - since)),
+                        "updated": updated,
+                    }
+        return merged
+
     def close(self, *, unlink: bool = False) -> None:
         """Unmap the board; the supervisor also unlinks the backing file."""
         self._map.close()
@@ -221,89 +321,6 @@ class WorkerStatsBoard:
                 os.unlink(self.path)
             except OSError:
                 pass
-
-
-# ---------------------------------------------------------------------------------------
-# Follower replication-lag tracking
-# ---------------------------------------------------------------------------------------
-class MemoryFollowerLag:
-    """Per-follower replication lag of one serving process."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._followers: Dict[str, Dict[str, float]] = {}
-
-    def record(self, follower: str, *, since: int, generation: int) -> None:
-        """Record one changelog poll: the follower is *lag* commits behind."""
-        with self._lock:
-            self._followers[follower] = {
-                "since": float(since),
-                "generation": float(generation),
-                "lag": float(max(0, generation - since)),
-                "updated": time.time(),
-            }
-            self._persist()
-
-    def _persist(self) -> None:
-        """Run under the lock after every :meth:`record`; nothing to do in memory."""
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """The last-known state per follower name."""
-        with self._lock:
-            return {name: dict(state) for name, state in self._followers.items()}
-
-
-class FileFollowerLag(MemoryFollowerLag):
-    """Follower lag shared across a worker fleet via per-worker files.
-
-    Changelog polls land on whichever worker the kernel picked; for a scrape
-    (on any worker) to see every follower, each worker persists its own
-    last-known state into ``followers-<worker_id>.json`` under a shared
-    directory (atomic ``os.replace`` writes, no cross-process locking), and
-    :meth:`snapshot` merges all files taking the newest record per follower.
-    """
-
-    def __init__(self, directory: str, worker_id: int) -> None:
-        super().__init__()
-        self.directory = directory
-        self.worker_id = worker_id
-        self._path = os.path.join(directory, f"followers-{worker_id}.json")
-
-    def _persist(self) -> None:
-        # Dump, write and replace under the one lock acquisition of record():
-        # request threads of one worker share the temp path, so a dump
-        # written outside the lock could truncate another's temp file or
-        # replace a newer dump with an older one.
-        temp = f"{self._path}.tmp"
-        try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(self._followers, sort_keys=True))
-            os.replace(temp, self._path)
-        except OSError:
-            # Telemetry must never fail the changelog request it rides on.
-            pass
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        merged: Dict[str, Dict[str, float]] = {}
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return super().snapshot()
-        for name in sorted(names):
-            if not (name.startswith("followers-") and name.endswith(".json")):
-                continue
-            try:
-                with open(os.path.join(self.directory, name), encoding="utf-8") as handle:
-                    per_worker = json.load(handle)
-            except (OSError, ValueError):
-                continue  # a torn write loses one poll, never the scrape
-            if not isinstance(per_worker, dict):
-                continue
-            for follower, state in per_worker.items():
-                known = merged.get(follower)
-                if known is None or state.get("updated", 0) >= known.get("updated", 0):
-                    merged[follower] = {key: float(value) for key, value in state.items()}
-        return merged
 
 
 # ---------------------------------------------------------------------------------------
@@ -321,17 +338,14 @@ def _format_value(value: float) -> str:
 
 
 class _Lines:
-    """Accumulates exposition lines, emitting HELP/TYPE headers once."""
+    """Accumulates exposition lines: each family's header, then its samples."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
-        self._declared: set = set()
 
     def declare(self, name: str, kind: str, help_text: str) -> None:
-        if name not in self._declared:
-            self._declared.add(name)
-            self.lines.append(f"# HELP {name} {help_text}")
-            self.lines.append(f"# TYPE {name} {kind}")
+        self.lines.append(f"# HELP {name} {help_text}")
+        self.lines.append(f"# TYPE {name} {kind}")
 
     def sample(
         self, name: str, labels: Optional[Mapping[str, str]], value: float
@@ -349,6 +363,45 @@ class _Lines:
         return "\n".join(self.lines) + "\n"
 
 
+def _endpoint_counters(
+    out: _Lines,
+    endpoints: List[Tuple[str, Mapping[str, object]]],
+    families: Iterable[Tuple[str, str, str]],
+) -> None:
+    """Per-endpoint counter families, each ``(name, board field, help)``:
+    its header, then one sample per endpoint."""
+    for name, field, help_text in families:
+        out.declare(name, "counter", help_text)
+        for endpoint, stats in endpoints:
+            out.sample(name, {"endpoint": endpoint}, float(stats[field]))  # type: ignore[arg-type]
+
+
+def _histogram(
+    out: _Lines,
+    name: str,
+    help_text: str,
+    bounds: List[str],
+    series: Iterable[Tuple[Dict[str, str], object, object]],
+) -> None:
+    """One histogram family: its header, then per ``(labels, buckets, sum)``
+    series the cumulative ``le`` buckets, ``+Inf``, ``_sum`` and ``_count``.
+
+    *buckets* holds one count per bound, then the count past the last one.
+    """
+    out.declare(name, "histogram", help_text)
+    for labels, buckets, total in series:
+        assert isinstance(buckets, list)
+        cumulative = 0
+        for bound, count in zip(bounds, buckets):
+            cumulative += int(count)
+            out.sample(f"{name}_bucket", {**labels, "le": bound}, float(cumulative))
+        if len(buckets) > len(bounds):
+            cumulative += int(buckets[len(bounds)])
+        out.sample(f"{name}_bucket", {**labels, "le": "+Inf"}, float(cumulative))
+        out.sample(f"{name}_sum", labels, float(total))  # type: ignore[arg-type]
+        out.sample(f"{name}_count", labels, float(cumulative))
+
+
 def render_metrics(
     *,
     endpoints: Mapping[str, Mapping[str, object]],
@@ -363,111 +416,50 @@ def render_metrics(
 
     *endpoints* is the board's per-endpoint aggregate over its *workers*
     slots (:meth:`WorkerStatsBoard.metrics_payload`), *store_stats* the
-    backend's :meth:`stats` dict, *followers* the merged lag tracker
-    snapshot, and *churn* the per-AS classification change counts derived
-    from the persisted change maps.  *ingest* is the
-    producing engine's ingest-batching telemetry
+    backend's :meth:`stats` dict, *followers* the board's merged follower
+    tables (:meth:`WorkerStatsBoard.followers`), and *churn* the per-AS
+    classification change counts derived from the persisted change maps.
+    *ingest* is the producing engine's ingest-batching telemetry
     (:meth:`~repro.stream.engine.StreamEngine.ingest_stats`) as last
     recorded in the store -- ``None`` when no producer ever published.
     """
     out = _Lines()
 
-    out.declare(
-        "repro_http_requests_total",
-        "counter",
-        "Requests handled, by route-table endpoint.",
+    present = [(name, endpoints[name]) for name in METRIC_ENDPOINTS if name in endpoints]
+    _endpoint_counters(
+        out,
+        present,
+        [
+            ("repro_http_requests_total", "requests", "Requests handled, by route-table endpoint."),
+            ("repro_http_request_errors_total", "errors", "Non-2xx responses, by route-table endpoint."),
+        ],
     )
-    for endpoint in METRIC_ENDPOINTS:
-        stats = endpoints.get(endpoint)
-        if stats is None:
-            continue
-        out.sample(
-            "repro_http_requests_total",
-            {"endpoint": endpoint},
-            float(stats["requests"]),  # type: ignore[arg-type]
-        )
-    out.declare(
-        "repro_http_request_errors_total",
-        "counter",
-        "Non-2xx responses, by route-table endpoint.",
-    )
-    for endpoint in METRIC_ENDPOINTS:
-        stats = endpoints.get(endpoint)
-        if stats is None:
-            continue
-        out.sample(
-            "repro_http_request_errors_total",
-            {"endpoint": endpoint},
-            float(stats["errors"]),  # type: ignore[arg-type]
-        )
-
-    out.declare(
+    _histogram(
+        out,
         "repro_http_request_latency_seconds",
-        "histogram",
         "Request handling latency, by route-table endpoint.",
+        [repr(bound) for bound in LATENCY_BUCKETS],
+        [
+            ({"endpoint": name}, stats["buckets"], stats["latency_sum"])
+            for name, stats in present
+        ],
     )
-    for endpoint in METRIC_ENDPOINTS:
-        stats = endpoints.get(endpoint)
-        if stats is None:
-            continue
-        buckets = stats["buckets"]
-        assert isinstance(buckets, list)
-        cumulative = 0
-        for bound, count in zip(LATENCY_BUCKETS, buckets):
-            cumulative += int(count)
-            out.sample(
-                "repro_http_request_latency_seconds_bucket",
-                {"endpoint": endpoint, "le": repr(bound)},
-                float(cumulative),
-            )
-        cumulative += int(buckets[-1])
-        out.sample(
-            "repro_http_request_latency_seconds_bucket",
-            {"endpoint": endpoint, "le": "+Inf"},
-            float(cumulative),
-        )
-        out.sample(
-            "repro_http_request_latency_seconds_sum",
-            {"endpoint": endpoint},
-            float(stats["latency_sum"]),  # type: ignore[arg-type]
-        )
-        out.sample(
-            "repro_http_request_latency_seconds_count",
-            {"endpoint": endpoint},
-            float(cumulative),
-        )
+    _endpoint_counters(
+        out,
+        present,
+        [
+            ("repro_cache_hits_total", "cache_hits", "Response-cache hits, by endpoint."),
+            ("repro_cache_misses_total", "cache_misses", "Response-cache misses, by endpoint."),
+        ],
+    )
 
     total_hits = sum(int(stats["cache_hits"]) for stats in endpoints.values())  # type: ignore[call-overload]
     total_misses = sum(int(stats["cache_misses"]) for stats in endpoints.values())  # type: ignore[call-overload]
-    out.declare(
-        "repro_cache_hits_total", "counter", "Response-cache hits, by endpoint."
-    )
-    out.declare(
-        "repro_cache_misses_total", "counter", "Response-cache misses, by endpoint."
-    )
-    for endpoint in METRIC_ENDPOINTS:
-        stats = endpoints.get(endpoint)
-        if stats is None:
-            continue
-        out.sample(
-            "repro_cache_hits_total",
-            {"endpoint": endpoint},
-            float(stats["cache_hits"]),  # type: ignore[arg-type]
-        )
-        out.sample(
-            "repro_cache_misses_total",
-            {"endpoint": endpoint},
-            float(stats["cache_misses"]),  # type: ignore[arg-type]
-        )
     looked_up = total_hits + total_misses
     out.declare(
-        "repro_cache_hit_ratio",
-        "gauge",
-        "Fleet-wide response-cache hit ratio since start.",
+        "repro_cache_hit_ratio", "gauge", "Fleet-wide response-cache hit ratio since start."
     )
-    out.sample(
-        "repro_cache_hit_ratio", None, (total_hits / looked_up) if looked_up else 0.0
-    )
+    out.sample("repro_cache_hit_ratio", None, (total_hits / looked_up) if looked_up else 0.0)
 
     gauges = (
         ("generation", "repro_store_generation", "Store commit generation."),
@@ -500,52 +492,23 @@ def render_metrics(
         )
 
     if ingest is not None:
-        out.declare(
-            "repro_ingest_blocks_total",
-            "counter",
-            "Event blocks the producing engine absorbed.",
-        )
-        out.sample(
-            "repro_ingest_blocks_total", None, float(ingest.get("blocks_total", 0))  # type: ignore[arg-type]
-        )
-        out.declare(
-            "repro_ingest_events_total",
-            "counter",
-            "Events the producing engine ingested.",
-        )
-        out.sample(
-            "repro_ingest_events_total", None, float(ingest.get("events_total", 0))  # type: ignore[arg-type]
-        )
+        for key, name, help_text in (
+            ("blocks_total", "repro_ingest_blocks_total", "Event blocks the producing engine absorbed."),
+            ("events_total", "repro_ingest_events_total", "Events the producing engine ingested."),
+        ):
+            out.declare(name, "counter", help_text)
+            out.sample(name, None, float(ingest.get(key, 0)))  # type: ignore[arg-type]
         bounds = ingest.get("events_per_block_bounds")
         buckets = ingest.get("events_per_block_buckets")
         if isinstance(bounds, list) and isinstance(buckets, list):
-            out.declare(
-                "repro_ingest_events_per_block",
-                "histogram",
-                "Events per absorbed ingest block.",
-            )
-            cumulative = 0
-            for bound, count in zip(bounds, buckets):
-                cumulative += int(count)
-                out.sample(
-                    "repro_ingest_events_per_block_bucket",
-                    {"le": str(bound)},
-                    float(cumulative),
-                )
-            if len(buckets) > len(bounds):
-                cumulative += int(buckets[len(bounds)])
-            out.sample(
-                "repro_ingest_events_per_block_bucket", {"le": "+Inf"}, float(cumulative)
-            )
             # Every block observation's value is its event count, so the
             # histogram sum is exactly the events-ingested counter.
-            out.sample(
-                "repro_ingest_events_per_block_sum",
-                None,
-                float(ingest.get("events_total", 0)),  # type: ignore[arg-type]
-            )
-            out.sample(
-                "repro_ingest_events_per_block_count", None, float(cumulative)
+            _histogram(
+                out,
+                "repro_ingest_events_per_block",
+                "Events per absorbed ingest block.",
+                [str(bound) for bound in bounds],
+                [({}, buckets, ingest.get("events_total", 0))],
             )
         dropped = ingest.get("dropped")
         if isinstance(dropped, Mapping):
@@ -581,11 +544,11 @@ def render_metrics(
 __all__ = [
     "CHURN_TOP_N",
     "ENDPOINT_COUNTER_FIELDS",
-    "FileFollowerLag",
+    "FOLLOWER_NAME_MAX_BYTES",
+    "FOLLOWER_TABLE_SIZE",
     "LATENCY_BUCKETS",
     "METRICS_CONTENT_TYPE",
     "METRIC_ENDPOINTS",
-    "MemoryFollowerLag",
     "UNKNOWN_ENDPOINT",
     "WorkerStatsBoard",
     "bucket_index",

@@ -83,7 +83,6 @@ from repro.service.metrics import (
     CHURN_TOP_N,
     METRICS_CONTENT_TYPE,
     UNKNOWN_ENDPOINT,
-    MemoryFollowerLag,
     WorkerStatsBoard,
     render_metrics,
 )
@@ -221,9 +220,10 @@ class ClassificationService:
 
     Tests (and the benchmark's store-level mode) drive :meth:`handle`
     directly; the HTTP handler below is a thin socket adapter around it.
-    Every request is counted once, in slot *worker_id* of *stats_sink*: the
-    board a worker fleet shares, or by default a private one-slot board, so
-    a single service is a fleet of one.
+    Every request is counted once, and every named changelog poll
+    recorded, in slot *worker_id* of *stats_sink*: the board a worker fleet
+    shares, or by default a private one-slot board, so a single service is
+    a fleet of one.
     """
 
     def __init__(
@@ -234,7 +234,6 @@ class ClassificationService:
         worker_id: int = 0,
         stats_sink: Optional[WorkerStatsBoard] = None,
         auth_token: Optional[str] = None,
-        lag_tracker: Optional[MemoryFollowerLag] = None,
     ) -> None:
         self.store = store
         self.cache = LRUCache(cache_size)
@@ -245,7 +244,6 @@ class ClassificationService:
             )
         self.worker_id = worker_id
         self.auth_token = auth_token
-        self.lag_tracker = lag_tracker if lag_tracker is not None else MemoryFollowerLag()
         self._churn_lock = threading.Lock()
         self._churn_cache: Optional[Tuple[int, int, List[Tuple[int, int]]]] = None
 
@@ -412,7 +410,7 @@ class ClassificationService:
         return render_metrics(
             endpoints=self.board.metrics_payload(),
             store_stats=self.store.stats(),
-            followers=self.lag_tracker.snapshot(),
+            followers=self.board.followers(),
             churn_total=churn_total,
             churn_top=churn_top,
             workers=self.board.workers,
@@ -508,7 +506,8 @@ class ClassificationService:
 
         Followers that pass ``?follower=name`` feed the per-follower
         replication-lag gauges of ``/metrics``: the poll itself states how
-        far behind the poller is (``generation - since``).
+        far behind the poller is (``generation - since``), and the board
+        records it in this worker's follower table.
         """
         since = 0
         if "since" in query:
@@ -522,9 +521,9 @@ class ClassificationService:
                 raise ApiError(400, f"limit must be >= 1, got {limit}")
             limit = min(limit, self.REPLICATION_PAGE_MAX)
         generation = self.store.generation()
-        if "follower" in query and query["follower"][-1]:
-            self.lag_tracker.record(
-                query["follower"][-1], since=since, generation=generation
+        if "follower" in query:
+            self.board.record_follower(
+                self.worker_id, query["follower"][-1], since=since, generation=generation
             )
         metas = self.store.snapshots_since(since, limit=limit + 1)
         more = len(metas) > limit

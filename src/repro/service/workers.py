@@ -13,12 +13,14 @@ and its own generation-keyed LRU response cache.
 
 Pieces:
 
-* :class:`~repro.service.metrics.WorkerStatsBoard` -- the request ledger
-  (defined in :mod:`repro.service.metrics`).  The supervisor creates one
-  board file with a slot per worker; each worker counts its requests in its
-  own slot only, and any worker renders the fleet-wide aggregate, which is
-  how ``/v1/stats`` and ``/metrics`` answer for the whole deployment no
-  matter which worker accepted the connection.
+* :class:`~repro.service.metrics.WorkerStatsBoard` -- the fleet's one
+  ledger (defined in :mod:`repro.service.metrics`).  The supervisor creates
+  one board file with a slot per worker; each worker counts its requests,
+  and records the follower polls it serves, in its own slot only, and any
+  worker renders the fleet-wide aggregate, which is how ``/v1/stats`` and
+  ``/metrics`` (follower lag included) answer for the whole deployment no
+  matter which worker accepted the connection.  The board file is the
+  fleet's only shared file: there are no per-worker sidecar files.
 * :class:`MultiWorkerServer` -- the supervisor: binds the listener, spawns
   the workers, monitors them, respawns any that die, and tears the fleet
   down.  ``repro serve --http-workers N`` is a thin wrapper around it.
@@ -37,10 +39,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
 import socket
 import sys
-import tempfile
 import threading
 import time
 from http.server import ThreadingHTTPServer
@@ -49,7 +49,7 @@ from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.service.backends import open_store, parse_store_url
-from repro.service.metrics import FileFollowerLag, WorkerStatsBoard
+from repro.service.metrics import WorkerStatsBoard
 from repro.service.server import (
     DEFAULT_CACHE_SIZE,
     ClassificationService,
@@ -87,7 +87,6 @@ def _serve_worker(
     supervisor_pid: int,
     ready: Connection,
     auth_token: Optional[str] = None,
-    lag_dir: Optional[str] = None,
 ) -> None:
     """Worker process entry point: open the store, accept forever.
 
@@ -97,9 +96,7 @@ def _serve_worker(
     values.  *retention* is carried for ``/v1/stats`` visibility only --
     serving never appends, so it never prunes here.  *archive_dir* makes
     every worker open the store with the same archive, so cold (beyond-retention)
-    reads answer on any worker.  *lag_dir* is the supervisor's shared
-    follower-lag directory: each worker persists the changelog polls it
-    saw, so the ``/metrics`` scrape of any worker reports every follower.
+    reads answer on any worker.
     """
     board = WorkerStatsBoard(board_path, workers)
     store = open_store(store_path, retention=retention, archive_dir=archive_dir)
@@ -109,9 +106,6 @@ def _serve_worker(
         worker_id=worker_id,
         stats_sink=board,
         auth_token=auth_token,
-        lag_tracker=(
-            FileFollowerLag(lag_dir, worker_id) if lag_dir is not None else None
-        ),
     )
     httpd = _SharedListenerHTTPServer(listener, build_handler(service))
     threading.Thread(
@@ -189,7 +183,6 @@ class MultiWorkerServer:
         self._monitor_thread: Optional[threading.Thread] = None
         self._listener: Optional[socket.socket] = None
         self._board: Optional[WorkerStatsBoard] = None
-        self._lag_dir: Optional[str] = None
         self._port: Optional[int] = None
         self._processes: List[Optional[BaseProcess]] = []
 
@@ -234,7 +227,6 @@ class MultiWorkerServer:
         if self._port is not None:
             raise RuntimeError("server already started")
         self._board = WorkerStatsBoard.create(self.workers)
-        self._lag_dir = tempfile.mkdtemp(prefix="repro-serve-lag-")
         self._port = self._listen()
         self._processes = [None] * self.workers
         for worker_id in range(self.workers):
@@ -264,7 +256,6 @@ class MultiWorkerServer:
                 os.getpid(),
                 child_end,
                 self.auth_token,
-                self._lag_dir,
             ),
             daemon=True,
         )
@@ -358,9 +349,6 @@ class MultiWorkerServer:
         if self._board is not None:
             self._board.close(unlink=True)
             self._board = None
-        if self._lag_dir is not None:
-            shutil.rmtree(self._lag_dir, ignore_errors=True)
-            self._lag_dir = None
 
     def __enter__(self) -> "MultiWorkerServer":
         return self

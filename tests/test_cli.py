@@ -118,6 +118,11 @@ class TestOutOfRangeFlags:
             ["serve", "--store", "x.db", "--port", "70000"],
             ["serve", "--store", "x.db", "--port", "-1"],
             ["replicate", *LEADER, "--serve", "--port", "70000"],
+            # Checked before the client or the store is opened: no x.db,
+            # no cold/archive.db.
+            ["replicate", *LEADER, "--once", "--archive-dir", "cold"],
+            # The leader's board records names of at most 64 UTF-8 bytes.
+            ["replicate", *LEADER, "--once", "--follower", "f" * 65],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

@@ -14,7 +14,9 @@ Pins the Prometheus contract of ``repro.service.metrics``:
   request counted once in the serving worker's board slot, whether the
   board is a fleet's or a single service's private one;
 * per-follower replication-lag gauges appear when a follower identifies
-  itself on changelog polls, across worker processes via the lag files;
+  itself on changelog polls, merged across workers from each worker's
+  bounded follower table on the board;
+* every metric family is one contiguous run of lines, headers first;
 * per-AS classification churn is rendered from the persisted change maps,
   cardinality-capped at :data:`CHURN_TOP_N`.
 """
@@ -24,12 +26,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import re
 import sys
 import threading
 import time
 import types
+import urllib.parse
 
 import pytest
 
@@ -44,11 +46,11 @@ from repro.service import (
 from repro.service.client import NotFoundError
 from repro.service.metrics import (
     CHURN_TOP_N,
+    FOLLOWER_NAME_MAX_BYTES,
+    FOLLOWER_TABLE_SIZE,
     LATENCY_BUCKETS,
     METRIC_ENDPOINTS,
     METRICS_CONTENT_TYPE,
-    FileFollowerLag,
-    MemoryFollowerLag,
     bucket_index,
     empty_endpoint_stats,
     render_metrics,
@@ -132,6 +134,62 @@ class TestExpositionFormat:
         count = samples["repro_http_request_latency_seconds_count"][endpoint]
         assert count == inf
         assert samples["repro_http_request_latency_seconds_sum"][endpoint] >= 0
+
+    def test_every_family_is_one_contiguous_run(self, store):
+        """The exposition format wants each metric family as one group of
+        lines, its HELP and TYPE first: a full scrape -- traffic on every
+        endpoint, ingest stats, a follower, churn -- never interleaves two."""
+        store.set_ingest_stats(
+            {
+                "blocks_total": 3,
+                "events_total": 21,
+                "events_per_block_bounds": [1, 4, 16],
+                "events_per_block_buckets": [1, 1, 0, 1],
+                "dropped": {"unallocated_asn": 2, "private_asn": 1},
+            }
+        )
+        service = ClassificationService(store)
+        window_end = store.snapshots()[0].window_end
+        for target in (
+            "/healthz", "/metrics", "/v1/snapshot/latest", f"/v1/snapshot/{window_end}",
+            "/v1/as/10", "/v1/as/10", "/v1/diff", "/v1/stats", "/nope",
+            "/v1/replication/changes?since=1&follower=replica-a",
+        ):
+            service.handle(target)
+        text = service.handle("/metrics").body.decode()
+        samples = parse_exposition(text)
+        assert all(value > 0 for value in samples["repro_http_requests_total"].values())
+        assert len(samples["repro_http_requests_total"]) == len(METRIC_ENDPOINTS)
+        for family in (
+            "repro_replication_follower_lag",
+            "repro_ingest_events_per_block_bucket",
+            "repro_ingest_sanitation_dropped_total",
+            "repro_as_classification_churn",
+        ):
+            assert samples[family], family
+
+        kinds = {}
+        runs = []  # (family, lines) in order of appearance
+        for line in text.splitlines():
+            if line.startswith("# "):
+                _, keyword, name, rest = line.split(" ", 3)
+                if keyword == "TYPE":
+                    kinds[name] = rest
+                family = name
+            else:
+                family = re.split(r"[{ ]", line, 1)[0]
+                base = re.sub(r"_(bucket|sum|count)$", "", family)
+                if kinds.get(base) == "histogram":
+                    family = base
+            if not runs or runs[-1][0] != family:
+                runs.append((family, []))
+            runs[-1][1].append(line)
+        families = [family for family, _ in runs]
+        assert len(families) == len(set(families)), families
+        for family, lines in runs:
+            assert lines[0] == f"# HELP {family} " + lines[0].split(" ", 3)[3], family
+            assert lines[1].startswith(f"# TYPE {family} "), family
+            assert not any(line.startswith("# ") for line in lines[2:]), family
 
     def test_bucket_index_matches_bounds(self):
         assert bucket_index(0.0) == 0
@@ -342,64 +400,137 @@ class TestFollowerLag:
         service.handle("/v1/replication/changes?since=0")
         assert scrape(service).get("repro_replication_follower_lag", {}) == {}
 
-    def test_lag_files_merge_across_workers(self, tmp_path, store):
+    def test_lag_tables_merge_across_workers(self, store):
         """Polls landing on different workers are merged at scrape time."""
-        services = [
-            ClassificationService(store, lag_tracker=FileFollowerLag(str(tmp_path), worker_id))
-            for worker_id in range(2)
-        ]
-        services[0].handle("/v1/replication/changes?since=1&follower=replica-a")
-        services[1].handle("/v1/replication/changes?since=2&follower=replica-b")
-        for service in services:  # either worker sees both followers
-            lag = scrape(service)["repro_replication_follower_lag"]
-            assert lag['follower="replica-a"'] == store.generation() - 1
-            assert lag['follower="replica-b"'] == store.generation() - 2
+        board = WorkerStatsBoard.create(2)
+        try:
+            services = [
+                ClassificationService(store, worker_id=worker_id, stats_sink=board)
+                for worker_id in range(2)
+            ]
+            services[0].handle("/v1/replication/changes?since=1&follower=replica-a")
+            services[1].handle("/v1/replication/changes?since=2&follower=replica-b")
+            for service in services:  # either worker sees both followers
+                lag = scrape(service)["repro_replication_follower_lag"]
+                assert lag['follower="replica-a"'] == store.generation() - 1
+                assert lag['follower="replica-b"'] == store.generation() - 2
+            # A later poll of the same name on the other worker wins.
+            services[1].handle("/v1/replication/changes?since=3&follower=replica-a")
+            assert board.followers()["replica-a"]["since"] == 3
+        finally:
+            board.close(unlink=True)
 
-    def test_lag_file_keeps_the_newest_poll_under_threads(self, tmp_path):
-        """Request threads of one worker share one lag file: after every
-        round of concurrent polls, and after the threads join, the file
-        holds exactly the in-memory state (no older dump replaced a newer
-        one, no temp file truncated under another's write)."""
-        tracker = FileFollowerLag(str(tmp_path), 0)
-        path = os.path.join(str(tmp_path), "followers-0.json")
-        stale_rounds = []
-
-        def on_disk():
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
+    def test_board_keeps_the_newest_poll_under_threads(self):
+        """Request threads of one worker share its follower table: after
+        every round of concurrent polls, and after the threads join, the
+        merged view holds each name's newest poll, and a reader racing the
+        writers never sees a torn entry."""
+        board = WorkerStatsBoard()
+        threads, rounds = 8, 50
+        stale_rounds, torn = [], []
+        polled = itertools.count()
 
         def compare():
-            try:
-                if on_disk() != MemoryFollowerLag.snapshot(tracker):
-                    stale_rounds.append("stale")
-            except ValueError:
-                stale_rounds.append("torn")
+            expected = next(polled)
+            view = board.followers()
+            if sorted(view) != sorted(f"replica-{i}" for i in range(threads)) or any(
+                (state["since"], state["generation"]) != (expected, expected + index)
+                for index, state in ((int(name.split("-")[1]), view[name]) for name in view)
+            ):
+                stale_rounds.append(expected)
 
-        threads, rounds = 8, 50
         barrier = threading.Barrier(threads, action=compare, timeout=30)
-
         finished = []
+        done = threading.Event()
 
         def poll(index):
             for since in range(rounds):
-                tracker.record(f"replica-{index}", since=since, generation=since + index)
+                board.record_follower(
+                    0, f"replica-{index}", since=since, generation=since + index
+                )
                 barrier.wait()
             finished.append(index)
 
+        def read():
+            while not done.is_set():
+                for name, state in board.followers().items():
+                    if state["generation"] - state["since"] != int(name.split("-")[1]):
+                        torn.append((name, state))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        reader = threading.Thread(target=read)
         try:
+            reader.start()
             workers = [threading.Thread(target=poll, args=(i,)) for i in range(threads)]
             for worker in workers:
                 worker.start()
             for worker in workers:
                 worker.join(timeout=30)
         finally:
+            done.set()
+            reader.join(timeout=30)
             sys.setswitchinterval(interval)
-        assert sorted(finished) == list(range(threads))
-        assert stale_rounds == []
-        assert on_disk() == MemoryFollowerLag.snapshot(tracker)
-        assert len(on_disk()) == threads
+        assert sorted(finished) == list(range(threads)) and not reader.is_alive()
+        assert stale_rounds == [] and torn == []
+        view = board.followers()
+        assert {name: (state["since"], state["lag"]) for name, state in view.items()} == {
+            f"replica-{i}": (rounds - 1, i) for i in range(threads)
+        }
+        board.close()
+
+    def test_table_evicts_the_least_recently_polled(self):
+        """1 000 distinct names leave at most one table of entries: a name
+        polled all along survives, the newest name is present."""
+        board = WorkerStatsBoard()
+        for number in range(1000):
+            board.record_follower(0, f"f{number}", since=number, generation=1000)
+            if number % 8 == 0:
+                board.record_follower(0, "steady", since=number, generation=1000)
+        view = board.followers()
+        assert len(view) <= FOLLOWER_TABLE_SIZE
+        assert {"f999", "steady"} <= set(view)
+        assert "f0" not in view
+        assert view["f999"]["lag"] == 1
+        board.close()
+
+    def test_fleet_tables_hold_at_most_one_table_per_worker(self, store):
+        board = WorkerStatsBoard.create(2)
+        try:
+            services = [
+                ClassificationService(store, worker_id=worker_id, stats_sink=board)
+                for worker_id in range(2)
+            ]
+            for number in range(200):
+                services[number % 2].handle(
+                    f"/v1/replication/changes?since=0&follower=f{number}"
+                )
+            lag = scrape(services[0]).get("repro_replication_follower_lag", {})
+            assert 'follower="f199"' in lag
+            assert len(lag) <= 2 * FOLLOWER_TABLE_SIZE
+        finally:
+            board.close(unlink=True)
+
+    @pytest.mark.parametrize(
+        "name, recorded",
+        [
+            ("x" * FOLLOWER_NAME_MAX_BYTES, True),
+            ("x" * (FOLLOWER_NAME_MAX_BYTES + 1), False),
+            ("é" * (FOLLOWER_NAME_MAX_BYTES // 2), True),
+            ("é" * (FOLLOWER_NAME_MAX_BYTES // 2 + 1), False),
+        ],
+        ids=["64-bytes", "65-bytes", "64-utf8-bytes", "66-utf8-bytes"],
+    )
+    def test_name_budget_is_utf8_bytes(self, store, name, recorded):
+        """A name over the budget still gets its 200 page, and adds no series."""
+        service = ClassificationService(store)
+        response = service.handle(
+            f"/v1/replication/changes?since=0&follower={urllib.parse.quote(name)}"
+        )
+        assert response.status == 200
+        assert json.loads(response.body)["generation"] == store.generation()
+        lag = scrape(service).get("repro_replication_follower_lag", {})
+        assert list(lag) == ([f'follower="{name}"'] if recorded else [])
 
 
 # ---------------------------------------------------------------------------------------
@@ -453,7 +584,10 @@ class TestFleetBodiesPinned:
     request sequence under a fake clock.  The literals were read off the
     board that kept separate aggregate counters beside the endpoint blocks;
     the board now sums the blocks, and every byte must stay the same (the
-    store's size gauge aside: it is the interpreter's ``getsizeof``).
+    store's size gauge aside: it is the interpreter's ``getsizeof``).  The
+    digest was re-read once since, when the cache hit and miss samples
+    were regrouped into one contiguous run per family: the old body with
+    only that regrouping applied hashes to it.
     """
 
     SEQUENCE = (
@@ -476,7 +610,7 @@ class TestFleetBodiesPinned:
         },
     }
     METRICS_LINES = 212
-    METRICS_SHA256 = "5dac8e5dd97b4be1d77947625fbf5fb34a35bbbcec60b0e58992979dd20ccf36"
+    METRICS_SHA256 = "f5a90816108e45669f981a0878a3fde7b3b608847b6ccb9d283124b9c115b8de"
 
     def test_bodies_after_a_fixed_sequence(self, monkeypatch):
         ticks = itertools.count()
@@ -514,6 +648,8 @@ class TestSingleBodiesPinned:
     kept a private recorder and rendered no fleet view; a single server is
     now a fleet of one, and the only difference is the ``workers`` block of
     ``/v1/stats`` and the ``repro_serve_workers 1`` lines of ``/metrics``.
+    The digest was re-read with :class:`TestFleetBodiesPinned`'s, for the
+    same regrouping of the cache samples.
     """
 
     STATS = {
@@ -529,7 +665,7 @@ class TestSingleBodiesPinned:
         "per_worker": [{"cache_hits": 11, "cache_misses": 13, "errors": 6, "requests": 30}],
     }
     METRICS_LINES = 209
-    METRICS_SHA256 = "322c321d8497a185beda077e0117ffddb460c7bb1a5962be1625b28e5c8731e9"
+    METRICS_SHA256 = "52fd07a9117b62d2a563d515ab74ec55d901587de388336206893de15ff75859"
     WORKERS_LINES = [
         "# HELP repro_serve_workers Serving workers sharing this port.",
         "# TYPE repro_serve_workers gauge",

@@ -11,7 +11,9 @@ snapshot is field-identical to the engine's final in-memory state.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sqlite3
 import threading
 
@@ -206,6 +208,29 @@ class TestSnapshotStore:
             SnapshotStore(path)
         assert schema() == before
         assert before[0] == (str(version),)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_refused_open_leaves_no_descriptor_open(self, tmp_path):
+        """A refused file is closed before the error propagates, not when
+        the collector gets round to the half-built store."""
+        path = tmp_path / "v3.db"
+        with SnapshotStore(path):
+            pass
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
+        connection.close()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(20):
+                with pytest.raises(StoreError, match="schema version 3"):
+                    SnapshotStore(path)
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            gc.enable()
+        assert after == before
 
     def test_rejects_bad_arguments(self, tmp_path, store):
         with pytest.raises(ValueError):

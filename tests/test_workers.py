@@ -164,6 +164,28 @@ class TestProcessFanout:
                 responses = {fetch(fanout.address, target) for _ in range(8)}
                 assert responses == {expected[target]}
 
+    def test_follower_lag_merges_across_processes(self, store_path):
+        """Named polls land on whichever worker accepts; a scrape of any
+        worker reports every name, off the board file alone."""
+        with SnapshotStore(store_path) as store:
+            generation = store.generation()
+        names = [f"f{number}" for number in range(24)]
+        with MultiWorkerServer(str(store_path), workers=2) as fanout:
+            fanout.start()
+            for name in names:
+                status, _ = fetch(fanout.address, f"/v1/replication/changes?follower={name}")
+                assert status == 200
+            for _ in range(4):
+                status, body = fetch(fanout.address, "/metrics")
+                assert status == 200
+                lag = {
+                    line.split('"')[1]: float(line.split()[-1])
+                    for line in body.decode().splitlines()
+                    if line.startswith("repro_replication_follower_lag{")
+                }
+                assert lag == {name: float(generation) for name in names}
+            assert all(row["requests"] > 0 for row in fanout.stats()["per_worker"])
+
     def test_stats_aggregates_across_processes(self, store_path):
         with MultiWorkerServer(str(store_path), workers=2) as fanout:
             fanout.start()
